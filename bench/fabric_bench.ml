@@ -107,10 +107,10 @@ let bench_allocate n =
 
 (* {1 flow-churn-n: start/stop against a loaded fabric} *)
 
-let bench_churn ?domains ?warm ?(wire = fun _ -> ()) ~nic_of n =
+let bench_churn ?(wire = fun _ -> ()) ~nic_of n =
   let topo = T.Builder.dgx_like () in
   let sim = E.Sim.create () in
-  let fab = E.Fabric.create ?domains ?warm sim topo in
+  let fab = E.Fabric.create sim topo in
   wire fab;
   let dev name =
     match T.Topology.device_by_name topo name with
@@ -139,92 +139,11 @@ let bench_churn ?domains ?warm ?(wire = fun _ -> ()) ~nic_of n =
 let bench_churn_local n = bench_churn ~nic_of:Fun.id n
 let bench_churn_coupled n = bench_churn ~nic_of:(fun i -> (i + 3) mod 8) n
 
-(* flow-churn-warm-4096 pins warm-starting on regardless of IHNET_WARM,
-   so the snapshot always carries one explicitly-warm churn subject to
-   hold against [baseline_pre_warmstart]. *)
-let bench_churn_warm n = bench_churn ~warm:true ~nic_of:Fun.id n
-
 (* flow-churn-sketch-4096 is flow-churn-4096 with the always-on
    latency-sketch plane recording at every reallocation epoch — the
    "active" half of the sketch perf contract (stay within noise of the
    dormant run; the gate tolerance absorbs runner jitter). *)
 let bench_churn_sketch n = bench_churn ~wire:E.Fabric.enable_latency_sketches ~nic_of:Fun.id n
-
-(* flow-churn-coupled-par-* runs the coupled (single giant component)
-   churn at pool widths 1/2/4. One component cannot shard, so these
-   measure the domain pool's overhead on the worst case — the contract
-   is parity with flow-churn-coupled-4096, not speedup — while the
-   determinism contract keeps all three bit-identical. *)
-let bench_churn_coupled_par ~domains n =
-  bench_churn ~domains ~nic_of:(fun i -> (i + 3) mod 8) n
-
-(* {1 flow-churn-par-*: domain-parallel reallocation}
-
-   Same dgx fabric and link-disjoint gpu_i->nic_i background load as
-   flow-churn, but each op batches one start+stop per disjoint path, so
-   a single reallocation carries all eight contention components —
-   exactly the shape Fabric's domain pool shards. The -seq/-2/-4
-   variants differ only in the fabric's [~domains]; the determinism
-   contract says their rate tables are bit-identical, so any rate delta
-   is pure wall-clock scaling (on a 1-core runner expect parity, not
-   speedup). *)
-
-let bench_churn_par ~domains n =
-  let topo = T.Builder.dgx_like () in
-  let sim = E.Sim.create () in
-  let fab = E.Fabric.create ~domains sim topo in
-  let dev name =
-    match T.Topology.device_by_name topo name with
-    | Some d -> d.T.Device.id
-    | None -> failwith ("fabric_bench: no device " ^ name)
-  in
-  let paths =
-    List.init 8 (fun i ->
-        let src = Printf.sprintf "gpu%d" i and dst = Printf.sprintf "nic%d" i in
-        Option.get (T.Routing.shortest_path topo (dev src) (dev dst)))
-    |> Array.of_list
-  in
-  E.Fabric.batch fab (fun () ->
-      for i = 0 to n - 1 do
-        ignore
-          (E.Fabric.start_flow fab ~tenant:(1 + (i mod 16))
-             ~weight:(1.0 +. float_of_int (i mod 3))
-             ~path:paths.(i mod Array.length paths)
-             ~size:E.Flow.Unbounded ())
-      done);
-  time_ops (fun () ->
-      let churned =
-        ref []
-      in
-      E.Fabric.batch fab (fun () ->
-          Array.iter
-            (fun path ->
-              churned :=
-                E.Fabric.start_flow fab ~tenant:99 ~path ~size:E.Flow.Unbounded () :: !churned)
-            paths);
-      E.Fabric.batch fab (fun () -> List.iter (E.Fabric.stop_flow fab) !churned))
-
-(* {1 allocate-par-*: the bare allocator over disjoint banks}
-
-   Eight independent allocation problems (disjoint resource ranges, no
-   shared state), solved inline vs fanned out over a domain pool. This
-   isolates Pool.map's dispatch overhead and its best-case scaling from
-   everything fabric-specific. *)
-
-let bench_allocate_par ~domains n =
-  let banks = 8 in
-  let per = n / banks in
-  let capacities = Array.init 96 (fun r -> 80.0 +. float_of_int (r mod 7)) in
-  let demand_banks = Array.init banks (fun _ -> make_demands per) in
-  let pool = if domains > 1 then Some (U.Pool.get domains) else None in
-  time_ops (fun () ->
-      let solve i = E.Fairshare.allocate ~capacities demand_banks.(i) in
-      let results =
-        match pool with
-        | Some p -> U.Pool.map p banks solve
-        | None -> Array.init banks solve
-      in
-      Sys.opaque_identity results)
 
 (* {1 remediation-idle: the supervisor must be free when nothing is
    broken}
@@ -494,7 +413,7 @@ let bench_scanport_idle () =
 
 let bench_fleet_idle () =
   let build () =
-    let host = Ihnet.Host.create ~seed:11 ~domains:1 Ihnet.Host.Minimal in
+    let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Minimal in
     let fab = Ihnet.Host.fabric host in
     let topo = Ihnet.Host.topology host in
     let dev name =
@@ -666,23 +585,14 @@ let () =
       ("flow-churn-256", fun () -> bench_churn_local 256);
       ("flow-churn-4096", fun () -> bench_churn_local 4096);
       ("flow-churn-coupled-4096", fun () -> bench_churn_coupled 4096);
-      ("flow-churn-par-seq-4096", fun () -> bench_churn_par ~domains:1 4096);
-      ("flow-churn-par-2-4096", fun () -> bench_churn_par ~domains:2 4096);
-      ("flow-churn-par-4-4096", fun () -> bench_churn_par ~domains:4 4096);
-      ("allocate-par-seq-4096", fun () -> bench_allocate_par ~domains:1 4096);
-      ("allocate-par-4-4096", fun () -> bench_allocate_par ~domains:4 4096);
       ("remediation-idle", bench_remediation_idle);
       ("recorder-idle", bench_recorder_idle);
       ("evidence-idle", bench_evidence_idle);
       (* new subjects go AFTER every pre-warm-start subject: despite the
          per-subject compaction above, a subject's throughput is still
-         sensitive to the ambient heap/pool state its predecessors leave
+         sensitive to the ambient heap state its predecessors leave
          behind, so keeping the historical prefix order is what makes
          the [baseline_pre_warmstart] comparison like-for-like. *)
-      ("flow-churn-warm-4096", fun () -> bench_churn_warm 4096);
-      ("flow-churn-coupled-par-seq-4096", fun () -> bench_churn_coupled_par ~domains:1 4096);
-      ("flow-churn-coupled-par-2-4096", fun () -> bench_churn_coupled_par ~domains:2 4096);
-      ("flow-churn-coupled-par-4-4096", fun () -> bench_churn_coupled_par ~domains:4 4096);
       ("sketch-idle", bench_sketch_idle);
       ("flow-churn-sketch-4096", fun () -> bench_churn_sketch 4096);
       ("scanport-idle", bench_scanport_idle);
@@ -731,11 +641,6 @@ let () =
       ("flow-churn-256", 72133.34);
       ("flow-churn-4096", 3942.28);
       ("flow-churn-coupled-4096", 138.60);
-      ("flow-churn-par-seq-4096", 315.31);
-      ("flow-churn-par-2-4096", 198.01);
-      ("flow-churn-par-4-4096", 82.40);
-      ("allocate-par-seq-4096", 304.72);
-      ("allocate-par-4-4096", 230.36);
       ("remediation-idle", 269.76);
       ("recorder-idle", 250.81);
       ("evidence-idle", 272.41);

@@ -70,16 +70,7 @@ let topo_file_flag =
     & info [ "topo-file"; "f" ] ~docv:"FILE"
         ~doc:"Build the host from a topology spec file instead of a preset (see 'ihnetctl spec').")
 
-let domains_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Run fabric reallocation on $(docv) OCaml domains (default: \\$IHNET_DOMAINS, else 1). \
-           Results are bit-identical for every width; >1 only changes wall-clock time.")
-
-let make_spec preset topo_file ddio iommu mps domains =
+let make_spec preset topo_file ddio iommu mps =
   let preset =
     match topo_file with
     | None -> preset
@@ -90,11 +81,10 @@ let make_spec preset topo_file ddio iommu mps domains =
         Printf.eprintf "%s: %s\n" path e;
         exit 2)
   in
-  Api.Host_spec.make ~preset ?ddio ?iommu ?mps ?domains ()
+  Api.Host_spec.make ~preset ?ddio ?iommu ?mps ()
 
 let spec_term =
-  Term.(
-    const make_spec $ preset $ topo_file_flag $ ddio_flag $ iommu_flag $ mps_flag $ domains_flag)
+  Term.(const make_spec $ preset $ topo_file_flag $ ddio_flag $ iommu_flag $ mps_flag)
 
 let connect_flag =
   Arg.(
@@ -862,7 +852,7 @@ let replay_cmd =
             "Deliberately double the weight of one running flow at $(docv) (trace-relative \
              nanoseconds) during replay — the conformance check must then report a divergence.")
   in
-  let run file perturb_at domains =
+  let run file perturb_at =
     let perturb =
       Option.map
         (fun at ->
@@ -883,9 +873,9 @@ let replay_cmd =
         match perturb with
         | None -> None
         | Some _ -> (
-          match Rec.Replay.scan_reference ?domains t with Ok r -> Some r | Error _ -> None)
+          match Rec.Replay.scan_reference t with Ok r -> Some r | Error _ -> None)
       in
-      (match Rec.Replay.run ?perturb ?domains ?reference t with
+      (match Rec.Replay.run ?perturb ?reference t with
       | Error e -> failwith e
       | Ok report ->
         Format.printf "%a@." Rec.Replay.pp_report report;
@@ -894,7 +884,7 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Re-execute a recorded trace on a fresh host and check digests epoch-by-epoch.")
-    Term.(const run $ file $ perturb_at $ domains_flag)
+    Term.(const run $ file $ perturb_at)
 
 let bench_cmd =
   let current =

@@ -56,13 +56,6 @@ let topo_file_flag =
           "Build the host from a topology spec file instead of a preset (not replayable — the \
            trace header cannot name a preset).")
 
-let domains_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Run fabric reallocation on $(docv) OCaml domains (default: \\$IHNET_DOMAINS, else 1).")
-
 let seed_flag =
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"S" ~doc:"Host RNG seed (default 42).")
 
@@ -99,8 +92,8 @@ let push_every_flag =
     & info [ "push-every" ] ~docv:"N"
         ~doc:"Telemetry stream decimation: push one sample every $(docv) reallocation epochs.")
 
-let run preset topo_file ddio iommu mps domains seed socket trace no_trace fleet push_every =
-  let spec = Api.Host_spec.make ~preset ?topo_file ?ddio ?iommu ?mps ?domains ?seed () in
+let run preset topo_file ddio iommu mps seed socket trace no_trace fleet push_every =
+  let spec = Api.Host_spec.make ~preset ?topo_file ?ddio ?iommu ?mps ?seed () in
   let serve target recorder =
     let handlers = Api.Handlers.create ?recorder ~spec target in
     let srv = Api.Server.create ~push_every handlers socket in
@@ -133,8 +126,8 @@ let main_cmd =
   Cmd.v
     (Cmd.info "ihnetd" ~doc ~version:"1.0.0")
     Term.(
-      const run $ preset $ topo_file_flag $ ddio_flag $ iommu_flag $ mps_flag $ domains_flag
-      $ seed_flag $ socket_flag $ trace_flag $ no_trace_flag $ fleet_flag $ push_every_flag)
+      const run $ preset $ topo_file_flag $ ddio_flag $ iommu_flag $ mps_flag $ seed_flag
+      $ socket_flag $ trace_flag $ no_trace_flag $ fleet_flag $ push_every_flag)
 
 (* user errors (bad specs, busy sockets) exit with a message, not a
    backtrace *)

@@ -10,7 +10,9 @@
 type t =
   | Mgr of Ihnet_manager.Mgr_error.t
       (** An admission/management refusal, verbatim from the manager. *)
-  | Invalid of string  (** [Invalid_argument] from a lower layer. *)
+  | Invalid of string
+      (** [Invalid_argument] from a lower layer, or a command field
+          {!Handlers.run} rejected before execution. *)
   | Failed of string  (** [Failure] from a lower layer. *)
   | Protocol of string
       (** Wire-level trouble: connect/framing/decode/version. *)

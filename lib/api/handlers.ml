@@ -660,8 +660,30 @@ let dispatch t cmd =
   | C.Fleet_status { decisions }, Fleet ctl -> fleet_status ctl ~decisions
   | C.Fleet_fault { host; what }, Fleet ctl -> fleet_fault ctl ~host ~what
 
+(* {1 Validation}
+
+   Fields that arrive from outside the process are checked before any
+   effect, so a bad one is a typed [Invalid] naming the field instead
+   of an assertion deep in the engine — or, for [ping], a refusal that
+   lands after the load generator already ran. *)
+
+let bad_ms cmd ms =
+  if Float.is_finite ms && ms >= 0.0 then None
+  else Some (Printf.sprintf "%s: ms must be finite and >= 0 (got %g)" cmd ms)
+
+let invalid_field = function
+  | C.Heal { ms; _ } -> bad_ms "heal" ms
+  | C.Scenario { ms; _ } -> bad_ms "scenario" ms
+  | C.Monitor { ms; _ } -> bad_ms "monitor" ms
+  | C.Latency { ms; _ } -> bad_ms "latency" ms
+  | C.Scan { ms; _ } -> bad_ms "scan" ms
+  | C.Run_for { ms } -> bad_ms "run_for" ms
+  | C.Ping { count; _ } when count <= 0 ->
+    Some (Printf.sprintf "ping: count must be > 0 (got %d)" count)
+  | _ -> None
+
 let run t cmd =
   t.commands <- t.commands + 1;
-  match Api_error.wrap (fun () -> dispatch t cmd) with
-  | Ok r -> r
-  | Error e -> Resp.Err e
+  match invalid_field cmd with
+  | Some why -> Resp.Err (Api_error.Invalid why)
+  | None -> ( match Api_error.wrap (fun () -> dispatch t cmd) with Ok r -> r | Error e -> Resp.Err e)

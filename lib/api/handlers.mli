@@ -39,10 +39,13 @@ val set_clients : t -> int -> unit
 val run : t -> Command.t -> Response.t
 (** Execute one command. Never raises: [Invalid_argument]/[Failure]
     from lower layers and typed manager refusals come back as
-    [Response.Err] with the {!Api_error} taxonomy. [Hello], [Subscribe]
-    and [Shutdown] get their trivial replies here ([Hello_ok] / [Ack] /
-    [Bye]); the transport-level behavior (version check, stream
-    registration, connection teardown) is the server's. *)
+    [Response.Err] with the {!Api_error} taxonomy. Before any effect,
+    every [ms] field must be finite and [>= 0] and a [Ping]'s [count]
+    must be [> 0]; a violation is an [Invalid] that names the command
+    and field. [Hello], [Subscribe] and [Shutdown] get their trivial
+    replies here ([Hello_ok] / [Ack] / [Bye]); the transport-level
+    behavior (version check, stream registration, connection teardown)
+    is the server's. *)
 
 val telemetry_sample : t -> Response.event option
 (** One [Ev_telemetry] snapshot of the host fabric, built from the

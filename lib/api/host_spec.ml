@@ -6,7 +6,6 @@ type t = {
   ddio : bool option;
   iommu : bool option;
   mps : int option;
-  domains : int option;
   seed : int option;
 }
 
@@ -31,7 +30,7 @@ let load_topo_file path =
   | exception Sys_error e -> Error e
   | text -> T.Spec.parse text
 
-let make ?(preset = Ihnet.Host.Two_socket) ?topo_file ?ddio ?iommu ?mps ?domains ?seed () =
+let make ?(preset = Ihnet.Host.Two_socket) ?topo_file ?ddio ?iommu ?mps ?seed () =
   let preset =
     match topo_file with
     | None -> preset
@@ -40,7 +39,7 @@ let make ?(preset = Ihnet.Host.Two_socket) ?topo_file ?ddio ?iommu ?mps ?domains
       | Ok topo -> Ihnet.Host.Custom topo
       | Error e -> failwith (path ^ ": " ^ e))
   in
-  { preset; preset_name = preset_name preset; ddio; iommu; mps; domains; seed }
+  { preset; preset_name = preset_name preset; ddio; iommu; mps; seed }
 
 let default = make ()
 
@@ -59,7 +58,7 @@ let config t =
   match t.mps with Some m -> { c with T.Hostconfig.pcie_mps = m } | None -> c
 
 let create_host t =
-  Ihnet.Host.create ~config:(config t) ?domains:t.domains ?seed:t.seed t.preset
+  Ihnet.Host.create ~config:(config t) ?seed:t.seed t.preset
 
 let topology t =
   let config = config t in

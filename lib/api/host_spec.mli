@@ -2,7 +2,7 @@
 
     [ihnetctl], [ihnetd], the fault campaign and the benches all used
     to carry their own copy of the preset / topology-file / DDIO /
-    IOMMU / MPS / domains plumbing; this module is the single home for
+    IOMMU / MPS plumbing; this module is the single home for
     it. A spec is plain data, so it can be built from CLI flags, sent
     in a daemon hello, or embedded in a test. *)
 
@@ -16,7 +16,6 @@ type t = {
   ddio : bool option;  (** [Some false] turns DDIO off; on is the default. *)
   iommu : bool option;
   mps : int option;  (** PCIe MaxPayloadSize override, bytes. *)
-  domains : int option;  (** Reallocation pool width (default [IHNET_DOMAINS]). *)
   seed : int option;  (** Host RNG seed (default 42). *)
 }
 
@@ -29,7 +28,6 @@ val make :
   ?ddio:bool ->
   ?iommu:bool ->
   ?mps:int ->
-  ?domains:int ->
   ?seed:int ->
   unit ->
   t

@@ -48,13 +48,13 @@ let default_wiring =
 let apply_wiring t (wiring : wiring) =
   if wiring.latency_sketches then E.Fabric.enable_latency_sketches t.fabric
 
-let create ?(seed = 42) ?config ?domains ?warm preset =
+let create ?(seed = 42) ?config ?warm preset =
   let topo = build_topology ?config preset in
   (match T.Topology.validate topo with
   | Ok () -> ()
   | Error es -> invalid_arg ("Host.create: invalid topology: " ^ String.concat "; " es));
   let sim = E.Sim.create () in
-  let fabric = E.Fabric.create ~seed ?domains ?warm sim topo in
+  let fabric = E.Fabric.create ~seed ?warm sim topo in
   {
     sim;
     fabric;
@@ -73,7 +73,7 @@ let tenants t = t.tenants
 let now t = E.Sim.now t.sim
 
 let run_for t duration =
-  assert (duration >= 0.0);
+  if not (duration >= 0.0) then invalid_arg "Host.run_for: duration must be >= 0";
   E.Sim.run ~until:(E.Sim.now t.sim +. duration) t.sim
 
 let run_until_idle t = E.Sim.run t.sim

@@ -51,13 +51,11 @@ type wiring = {
 val default_wiring : wiring
 
 val create :
-  ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> ?domains:int -> ?warm:bool -> preset -> t
-(** Builds (and validates) the topology and the fabric. [domains] is
-    the reallocation pool width and [warm] enables warm-started
-    arbitration, both forwarded to {!Ihnet_engine.Fabric.create}
-    (defaults: [IHNET_DOMAINS] from the environment, else 1 —
-    sequential; [IHNET_WARM], else on). Rates and digests are
-    bit-identical for every combination (MODEL.md §13).
+  ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> ?warm:bool -> preset -> t
+(** Builds (and validates) the topology and the fabric. [warm] enables
+    warm-started arbitration, forwarded to {!Ihnet_engine.Fabric.create}
+    (default: [IHNET_WARM], else on). Rates and digests are
+    bit-identical warm or cold (MODEL.md §13).
     @raise Invalid_argument if a custom topology fails validation. *)
 
 val sim : t -> Ihnet_engine.Sim.t
@@ -67,7 +65,8 @@ val tenants : t -> Ihnet_workload.Tenant.registry
 
 val now : t -> Ihnet_util.Units.ns
 val run_for : t -> Ihnet_util.Units.ns -> unit
-(** Advance the simulation by a duration. *)
+(** Advance the simulation by a duration.
+    @raise Invalid_argument if [duration] is negative or NaN. *)
 
 val run_until_idle : t -> unit
 (** Drain all pending events (careful: periodic monitors never

@@ -47,8 +47,8 @@ module Histogram = Ihnet_util.Histogram
 (** Log-bucketed latency/size histograms with quantile queries. *)
 
 module Pool = Ihnet_util.Pool
-(** Fixed-size domain pool behind the fabric's parallel reallocation
-    ({!Host.create}'s [?domains]). *)
+(** Fixed-size domain pool behind the fleet controller's host-shard
+    phase ([Ihnet_fleet.Controller]). *)
 
 (** {1 Topology (the intra-host network graph)} *)
 

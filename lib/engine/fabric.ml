@@ -108,8 +108,6 @@ type t = {
   comp_res : int U.Vec.t; (* scratch: current component's real resources *)
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
-  domains : int; (* requested pool width (1 = sequential) *)
-  pool : U.Pool.t option; (* shared domain pool, present iff domains > 1 *)
   (* warm-started arbitration *)
   warm : bool; (* memoize component results + warm-start the solver *)
   comp_cache : (int, comp_memo list) Hashtbl.t; (* min component resource -> memos *)
@@ -229,15 +227,8 @@ let warm_default () =
   | Some ("0" | "off" | "false") -> false
   | Some _ | None -> true
 
-let create ?(seed = 42) ?domains ?warm sim topo =
+let create ?(seed = 42) ?warm sim topo =
   let warm = match warm with Some w -> w | None -> warm_default () in
-  let domains =
-    match domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Fabric.create: domains must be >= 1";
-      min d 64
-    | None -> U.Pool.default_domains ()
-  in
   let nr = nresources topo in
   let socket_mems = build_socket_mems topo in
   let ns = Array.length socket_mems in
@@ -292,8 +283,6 @@ let create ?(seed = 42) ?domains ?warm sim topo =
       comp_res = U.Vec.create ();
       comp_sockets = U.Vec.create ();
       cheap = U.Heap.create ();
-      domains;
-      pool = (if domains > 1 then Some (U.Pool.get domains) else None);
       warm;
       comp_cache = Hashtbl.create 64;
       cache_gen = 0;
@@ -313,7 +302,6 @@ let sim t = t.sim
 let topology t = t.topo
 let rng t = t.rng
 let now t = Sim.now t.sim
-let domains t = t.domains
 
 let tenant_row t tenant =
   match Hashtbl.find_opt t.tenant_rows tenant with
@@ -478,10 +466,10 @@ let collect_component t seeds =
         t.res_entries.(r)
   done
 
-(* A snapshot of one contention component: the shardable unit of
-   reallocation. Components reachable from distinct seeds are
+(* A snapshot of one contention component: the unit of reallocation
+   and of the memo. Components reachable from distinct seeds are
    resource-disjoint by construction, so their allocations are
-   independent — each can be computed on any domain. *)
+   independent. *)
 type component = {
   c_entries : entry array; (* BFS discovery order *)
   c_res : int array; (* real resources the component touches *)
@@ -552,11 +540,11 @@ let collect_components t seeds =
 (* Rate computation for one component. Pure with respect to the fabric:
    reads only state that is frozen for the duration of a reallocation
    (caps, cache model, topology, cached demands) and writes only its
-   own local arrays — so it may run on any domain of the pool, and the
-   result is bit-identical no matter which one. The DDIO spill fixed
-   point is resolved per affected socket by a short damped iteration
-   (spill depends on allocated write rates which depend on memory-bus
-   contention which includes spill). *)
+   own local arrays — so its result is a function of those inputs, and
+   the component memo may replay it whenever they recur. The DDIO
+   spill fixed point is resolved per affected socket by a short damped
+   iteration (spill depends on allocated write rates which depend on
+   memory-bus contention which includes spill). *)
 let compute_component t (c : component) =
   let nc = Array.length c.c_entries in
   let ns = Array.length t.socket_mems in
@@ -623,8 +611,8 @@ let compute_component t (c : component) =
   done;
   let rates = !rates in
   (* Pre-aggregate the component-local loads and flow counts here (in
-     the memoizable, pool-runnable part) so commit is O(resources)
-     stores instead of O(entries x usage) list walks. The accumulation
+     the memoizable part) so commit is O(resources) stores instead of
+     O(entries x usage) list walks. The accumulation
      order — entry-major over usages, then socket spill terms — is
      exactly the order the commit-side recomputation used, so the float
      sums are bitwise identical. *)
@@ -659,11 +647,10 @@ let compute_component t (c : component) =
       | None -> { Fairshare.solves = 0; full_rebuilds = 0; incremental = 0; unchanged = 0 });
   }
 
-(* Commit one component's result into the fabric. Always runs on the
-   coordinating domain, in canonical component order, so rate stores,
-   completion-heap pushes and load recomputation happen in exactly the
-   same sequence whether the results were computed sequentially or on
-   the pool. *)
+(* Commit one component's result into the fabric, in canonical
+   component order, so rate stores, completion-heap pushes and load
+   recomputation happen in exactly the same sequence whether the
+   result was computed or replayed from the memo. *)
 let commit_component t tnow (c : component) (r : comp_result) =
   Array.iteri
     (fun i e ->
@@ -701,8 +688,7 @@ let commit_component t tnow (c : component) (r : comp_result) =
    All comparisons are exact: [feq] compares float bits (the recorder
    digests raw rate bits, so -0.0 vs 0.0 or any ULP would fork the
    trace), and the hot path is pointer equality on the immutable
-   per-entry [dem]/[conn] records. Lookups and stores run only on the
-   coordinating domain — never from the pool. *)
+   per-entry [dem]/[conn] records. *)
 
 let feq (a : float) (b : float) = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -910,11 +896,9 @@ let record_link_latencies t sk (c : component) =
 
 (* Recompute rates for the component(s) reachable from [seeds] only;
    flows outside keep their rates, loads and completion events. Each
-   component is either replayed from the memo or computed — on the
-   domain pool when one is attached and more than one component
-   missed — and the results are merged in canonical component order,
-   so a parallel or memoized run commits byte-identical state to a
-   sequential cold one. *)
+   component, in canonical order, is replayed from the memo or
+   computed, then committed, so a memoized run commits byte-identical
+   state to a cold one. *)
 let rec reallocate t seeds =
   if t.in_batch then ()
   else reallocate_now t seeds
@@ -923,54 +907,42 @@ and reallocate_now t seeds =
   sync t;
   t.allocs <- t.allocs + 1;
   t.epoch <- t.epoch + 1;
-  let comps = Array.of_list (collect_components t seeds) in
-  let n = Array.length comps in
-  let results = Array.make n None in
-  let miss = ref [] in
-  for i = n - 1 downto 0 do
-    match if t.warm then memo_find t comps.(i) else None with
-    | Some m ->
-      m.m_epoch <- t.epoch;
-      t.warm_hits <- t.warm_hits + 1;
-      results.(i) <- Some m.m_result
-    | None ->
-      if t.warm then t.warm_misses <- t.warm_misses + 1;
-      miss := i :: !miss
-  done;
-  let miss = Array.of_list !miss in
-  let nm = Array.length miss in
-  let computed =
-    match t.pool with
-    | Some pool when nm > 1 -> U.Pool.map pool nm (fun k -> compute_component t comps.(miss.(k)))
-    | _ -> Array.init nm (fun k -> compute_component t comps.(miss.(k)))
-  in
-  for k = 0 to nm - 1 do
-    results.(miss.(k)) <- Some computed.(k);
-    (* cumulative solver-work ledger; memo hits replay a result without
-       solving, so only fresh computes contribute *)
-    let s = computed.(k).cr_stats and acc = t.solver_stats in
-    t.solver_stats <-
-      {
-        Fairshare.solves = acc.Fairshare.solves + s.Fairshare.solves;
-        full_rebuilds = acc.Fairshare.full_rebuilds + s.Fairshare.full_rebuilds;
-        incremental = acc.Fairshare.incremental + s.Fairshare.incremental;
-        unchanged = acc.Fairshare.unchanged + s.Fairshare.unchanged;
-      }
-  done;
   let tnow = Sim.now t.sim in
-  for i = 0 to n - 1 do
-    commit_component t tnow comps.(i) (Option.get results.(i))
-  done;
-  if t.warm then
-    for k = 0 to nm - 1 do
-      memo_store t comps.(miss.(k)) computed.(k)
-    done;
+  let comps = collect_components t seeds in
+  List.iter
+    (fun c ->
+      let r =
+        match if t.warm then memo_find t c else None with
+        | Some m ->
+          m.m_epoch <- t.epoch;
+          t.warm_hits <- t.warm_hits + 1;
+          m.m_result
+        | None ->
+          let r = compute_component t c in
+          (* cumulative solver-work ledger; memo hits replay a result
+             without solving, so only fresh computes contribute *)
+          let s = r.cr_stats and acc = t.solver_stats in
+          t.solver_stats <-
+            {
+              Fairshare.solves = acc.Fairshare.solves + s.Fairshare.solves;
+              full_rebuilds = acc.Fairshare.full_rebuilds + s.Fairshare.full_rebuilds;
+              incremental = acc.Fairshare.incremental + s.Fairshare.incremental;
+              unchanged = acc.Fairshare.unchanged + s.Fairshare.unchanged;
+            };
+          if t.warm then begin
+            t.warm_misses <- t.warm_misses + 1;
+            memo_store t c r
+          end;
+          r
+      in
+      commit_component t tnow c r)
+    comps;
   (match t.sketches with
   | None -> ()
   | Some sk ->
     (* per-link latency observations for the resources this epoch just
        recommitted — the always-on percentile feed *)
-    Array.iter (fun c -> record_link_latencies t sk c) comps);
+    List.iter (fun c -> record_link_latencies t sk c) comps);
   schedule_next_completion t;
   (* guarded so unobserved fabrics pay nothing for the recorder hook *)
   if t.listeners <> [] then emit t (Reallocated t.epoch)

@@ -30,26 +30,14 @@
 
 type t
 
-val create : ?seed:int -> ?domains:int -> ?warm:bool -> Sim.t -> Ihnet_topology.Topology.t -> t
-(** [domains] sets the width of the reallocation pool (default:
-    [IHNET_DOMAINS] from the environment, else 1). At 1, reallocation
-    is sequential on the calling domain; at [n > 1], the dirty
-    connected components of a reallocation are computed in parallel on
-    a shared process-wide pool of [n] domains and committed in
-    canonical component order, so the simulation is bit-identical to a
-    sequential run (see "Parallel reallocation" in doc/MODEL.md). RNG
-    draws and all state mutation stay on the calling domain.
-
-    [warm] enables warm-started arbitration (default: [IHNET_WARM]
+val create : ?seed:int -> ?warm:bool -> Sim.t -> Ihnet_topology.Topology.t -> t
+(** [warm] enables warm-started arbitration (default: [IHNET_WARM]
     from the environment, off only for ["0"|"off"|"false"]): component
     results are memoized against their exact inputs and the fair-share
     solver warm-starts across the DDIO spill iterations. Rates, counters,
     digests and replay are bit-identical warm or cold (MODEL.md §13);
-    only the time spent computing them changes.
-    @raise Invalid_argument when [domains < 1]. *)
-
-val domains : t -> int
-(** The pool width this fabric was created with. *)
+    only the time spent computing them changes. Reallocation runs on
+    the calling domain (see "Reallocation pipeline" in doc/MODEL.md). *)
 
 val sim : t -> Sim.t
 val topology : t -> Ihnet_topology.Topology.t

@@ -121,7 +121,7 @@ let run_fleet () =
     ~restore:(fun () -> F.Controller.restart t home)
 
 let run_unmanaged () =
-  let host = ref (Some (Ihnet.Host.create ~seed:20 ~domains:1 Ihnet.Host.Minimal)) in
+  let host = ref (Some (Ihnet.Host.create ~seed:20 Ihnet.Host.Minimal)) in
   let place h =
     ignore (Ihnet.Host.enable_manager h ());
     match Ihnet.Host.submit_intent h (intent victim) with
@@ -136,7 +136,7 @@ let run_unmanaged () =
     ~restore:(fun () ->
       (* the box powers back on as a fresh incarnation; nobody
          re-submits the tenant's intent *)
-      host := Some (Ihnet.Host.create ~seed:21 ~domains:1 Ihnet.Host.Minimal))
+      host := Some (Ihnet.Host.create ~seed:21 Ihnet.Host.Minimal))
 
 let run () =
   let fleet = run_fleet () in

@@ -237,7 +237,7 @@ let spawn t ?(preset = Ihnet.Host.Two_socket) label =
   let i = t.nhosts in
   let rng = Rng.stream t.seed ((3 * i) + 2) in
   let seed = draw_seed rng in
-  let host = Ihnet.Host.create ~seed ~domains:1 preset in
+  let host = Ihnet.Host.create ~seed preset in
   let h = enroll t label (Some preset) (Some host) in
   (* keep the pre-advanced stream so the next incarnation draws fresh *)
   ignore (Rng.bits64 h.h_rng)
@@ -272,7 +272,7 @@ let restart t label =
   | Some preset ->
     h.h_epoch <- h.h_epoch + 1;
     let seed = draw_seed h.h_rng in
-    h.h_host <- Some (Ihnet.Host.create ~seed ~domains:1 preset)
+    h.h_host <- Some (Ihnet.Host.create ~seed preset)
 
 let partition t label =
   let h = get t label in

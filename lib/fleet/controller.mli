@@ -11,9 +11,8 @@
       tenants, SLO verdicts, incarnation epoch) through its uplink
       {!Channel} — this phase runs in parallel, hosts sharded across
       the {!Ihnet_util.Pool} domains, and is byte-identical under any
-      [IHNET_DOMAINS] width because every host is a [~domains:1]
-      island touched by exactly one task and results merge in host
-      index order;
+      [IHNET_DOMAINS] width because every host is an island touched
+      by exactly one task and results merge in host index order;
     + the coordinator ticks every channel in host index order,
       applying delivered commands host-side (with at-most-once
       application — see below) and folding delivered reports and acks
@@ -112,15 +111,13 @@ val create : ?config:config -> ?seed:int -> ?domains:int -> unit -> t
 
 val spawn : t -> ?preset:Ihnet.Host.preset -> string -> unit
 (** [spawn t label] creates and enrolls a fresh host (default preset
-    [Two_socket]), pinned to [~domains:1] so fleets parallelize at
-    host granularity, seeded from the controller seed and the host's
+    [Two_socket]), seeded from the controller seed and the host's
     index via {!Ihnet_util.Rng.stream}. Labels must be unique.
     @raise Invalid_argument on a duplicate label. *)
 
 val add_host : t -> label:string -> Ihnet.Host.t -> unit
 (** Enroll an existing host (the wrap-a-live-box path the
-    [fleet-idle] discipline exercises). The host must have been
-    created with [~domains:1] if the fleet runs with a wider pool. *)
+    [fleet-idle] discipline exercises). *)
 
 val hosts : t -> string list
 (** Labels in index (enrollment) order. *)

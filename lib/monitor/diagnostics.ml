@@ -35,7 +35,8 @@ let rtt_of fabric ~probe_bytes p =
 
 let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?(probe_bytes = 64)
     ?on_done () =
-  assert (count > 0 && interval > 0.0);
+  if count <= 0 then invalid_arg "Diagnostics.ping: count must be > 0";
+  if not (interval > 0.0) then invalid_arg "Diagnostics.ping: interval must be > 0";
   let p = route fabric (dev fabric src) (dev fabric dst) in
   let report = { sent = 0; lost = 0; rtts = U.Histogram.create () } in
   let rng = U.Rng.split (Fabric.rng fabric) in

@@ -27,7 +27,8 @@ val ping :
     apart; the returned report fills in as the simulation runs and
     [on_done] fires after the last probe. Lost probes (fault loss)
     count in [lost].
-    @raise Invalid_argument on unknown devices or no route. *)
+    @raise Invalid_argument on unknown devices, no route, [count <= 0]
+    or [interval <= 0]. *)
 
 val ping_once : Ihnet_engine.Fabric.t -> src:string -> dst:string -> Ihnet_util.Units.ns option
 (** Immediate one-shot RTT under current load; [None] if lost. *)

@@ -274,12 +274,12 @@ let apply st (op : Trace.op) =
 
 (* {1 The engine} *)
 
-let run_gen ?setup ?perturb ?domains ?(reference = []) ?on_digest (trace : Trace.t) =
+let run_gen ?setup ?perturb ?(reference = []) ?on_digest (trace : Trace.t) =
   match topology_of_preset trace.Trace.header.Trace.preset trace.Trace.header.Trace.host_config with
   | Error e -> Error e
   | Ok topo ->
     let sim = E.Sim.create () in
-    let fab = E.Fabric.create ~seed:trace.Trace.header.Trace.seed ?domains sim topo in
+    let fab = E.Fabric.create ~seed:trace.Trace.header.Trace.seed sim topo in
     let st =
       {
         sim;
@@ -410,26 +410,22 @@ let run_gen ?setup ?perturb ?domains ?(reference = []) ?on_digest (trace : Trace
         final_at = (if final_at = infinity then E.Sim.now sim else final_at);
       }
 
-let run ?setup ?perturb ?domains ?reference trace =
-  run_gen ?setup ?perturb ?domains ?reference trace
+let run ?setup ?perturb ?reference trace = run_gen ?setup ?perturb ?reference trace
 
 (* Replay the trace cleanly (no perturbation) and scan the fabric out
    of band at every digest point — the reference chain a perturbed
    replay diffs against. Scans are pure reads, so collecting them
    leaves the replay's own digest checks untouched. *)
-let scan_reference ?domains (trace : Trace.t) =
+let scan_reference (trace : Trace.t) =
   let acc = ref [] in
-  match
-    run_gen ?domains ~on_digest:(fun epoch fab -> acc := (epoch, Scanport.capture fab) :: !acc)
-      trace
-  with
+  match run_gen ~on_digest:(fun epoch fab -> acc := (epoch, Scanport.capture fab) :: !acc) trace with
   | Error e -> Error e
   | Ok _ -> Ok (List.rev !acc)
 
-let replay_file ?setup ?perturb ?domains ?reference path =
+let replay_file ?setup ?perturb ?reference path =
   match Trace.load path with
   | Error e -> Error e
-  | Ok trace -> run ?setup ?perturb ?domains ?reference trace
+  | Ok trace -> run ?setup ?perturb ?reference trace
 
 let ok (r : report) = r.divergences = 0 && r.invariant_failures = []
 

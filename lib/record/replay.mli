@@ -47,7 +47,6 @@ type report = {
 val run :
   ?setup:(Ihnet_engine.Sim.t -> Ihnet_engine.Fabric.t -> unit) ->
   ?perturb:float * (Ihnet_engine.Fabric.t -> Ihnet_engine.Flow.t list -> unit) ->
-  ?domains:int ->
   ?reference:(int * Scanport.snapshot) list ->
   Trace.t ->
   (report, string) result
@@ -55,10 +54,7 @@ val run :
     command (tests use it to attach observers). [perturb] schedules a
     deliberate mutation at the given time — the callback receives the
     fabric and the currently running replayed flows — to verify that
-    divergence detection actually fires. [domains] sizes the replay
-    fabric's reallocation pool ({!Ihnet_engine.Fabric.create}); by the
-    determinism contract the report must be identical for every width,
-    which is exactly what the conformance CI checks. [reference] is a
+    divergence detection actually fires. [reference] is a
     clean-run scan chain from {!scan_reference}: when a digest
     mismatch occurs at an epoch the reference covers, the replay scans
     its own fabric out of band, diffs the two snapshots, and fills
@@ -68,7 +64,7 @@ val run :
     divergences during a well-formed replay land in the report. *)
 
 val scan_reference :
-  ?domains:int -> Trace.t -> ((int * Scanport.snapshot) list, string) result
+  Trace.t -> ((int * Scanport.snapshot) list, string) result
 (** Replay the trace cleanly and capture a {!Scanport} snapshot at
     every digest point, keyed by digest epoch (the final digest under
     key [-1]) — the reference chain [run]'s [reference] diffs against.
@@ -78,7 +74,6 @@ val scan_reference :
 val replay_file :
   ?setup:(Ihnet_engine.Sim.t -> Ihnet_engine.Fabric.t -> unit) ->
   ?perturb:float * (Ihnet_engine.Fabric.t -> Ihnet_engine.Flow.t list -> unit) ->
-  ?domains:int ->
   ?reference:(int * Scanport.snapshot) list ->
   string ->
   (report, string) result

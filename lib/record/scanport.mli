@@ -21,7 +21,7 @@
 
     {b Arch vs micro registers.} Registers are tagged:
     [`Arch] registers are part of the determinism contract — equal
-    across [IHNET_DOMAINS] ∈ {1,2,4} and warm vs cold solver.
+    warm vs cold solver.
     [`Micro] registers (memo occupancy, warm hit/miss and solver-work
     counters) describe how the answer was produced and legitimately
     differ warm vs cold; they are excluded from {!val-digest} and from

@@ -13,8 +13,9 @@
 
     [map] is not reentrant: it may only be called from the domain
     that created the pool (the coordinator), one batch at a time.
-    That is exactly the fabric's use — the simulation loop lives on
-    one domain and only reallocation fans out. *)
+    That is exactly the fleet controller's use
+    ([Ihnet_fleet.Controller]): the control loop lives on one domain
+    and only the per-host advance phase fans out, one host per task. *)
 
 type t
 
@@ -48,6 +49,6 @@ val default_domains : unit -> int
 val get : int -> t
 (** [get n] returns the shared process-wide pool, grown to at least
     [n] total domains (workers are added, never removed, so every
-    fabric in the process reuses the same worker set — creating many
-    hosts never accumulates domains toward the runtime's limit). The
+    controller in the process reuses the same worker set — creating
+    many fleets never accumulates domains toward the runtime's limit). The
     shared pool is shut down automatically [at_exit]. *)

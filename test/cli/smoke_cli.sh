@@ -106,8 +106,8 @@ expect_any bench-compare-regression 1 \
   "$CTL" bench "$tmp/slow.json" --compare "$tmp/base.json" --tolerance 30
 
 # Daemon smoke: start ihnetd, drive it over the socket (happy paths,
-# typed wire errors with their documented exit codes), shut it down
-# cleanly, then replay the recorded session.
+# typed wire errors with their documented exit codes, out-of-range
+# fields), shut it down cleanly, then replay the recorded session.
 dsock="$tmp/d.sock"
 dtrace="$tmp/d.trace.jsonl"
 "$DAEMON" --socket "$dsock" --trace "$dtrace" --seed 7 2>"$tmp/d.err" &
@@ -139,6 +139,21 @@ else
   expect daemon-wrong-mode 4 \
     '^ihnetctl: daemon is in host mode; command unavailable$' \
     "$CTL" fleetctl --status --connect "$dsock"
+  # each of these frames once killed the daemon through an engine
+  # assertion; now each is a typed Invalid (exit 1), and the shutdown,
+  # exit and replay checks below show the daemon survived them
+  expect daemon-bad-ping-count 1 \
+    '^ihnetctl: ping: count must be > 0 \(got -5\)$' \
+    "$CTL" ping nic0 dimm0.0.0 --count=-5 --load --connect "$dsock"
+  expect daemon-bad-run-negative 1 \
+    '^ihnetctl: run_for: ms must be finite and >= 0 \(got -1\)$' \
+    "$CTL" run --ms=-1 --connect "$dsock"
+  expect daemon-bad-run-nan 1 \
+    '^ihnetctl: run_for: ms must be finite and >= 0 \(got nan\)$' \
+    "$CTL" run --ms=nan --connect "$dsock"
+  expect daemon-bad-latency 1 \
+    '^ihnetctl: latency: ms must be finite and >= 0 \(got -5\)$' \
+    "$CTL" latency --ms=-5 --connect "$dsock"
   expect daemon-shutdown 0 \
     '^bye$' \
     "$CTL" shutdown --connect "$dsock"

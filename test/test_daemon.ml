@@ -1,8 +1,9 @@
 (* The daemon command plane: wire-frame round-trips (commands,
    responses, errors, streamed events, inf/nan floats), incremental
    frame reassembly, the documented exit-code taxonomy, the shared
-   host-spec construction path, transport-level protocol errors, and
-   an integration run of one in-process server with four concurrent
+   host-spec construction path, transport-level protocol errors,
+   out-of-range command fields refused before any effect, and an
+   integration run of one in-process server with four concurrent
    clients whose recorded session replays bit-for-bit. *)
 
 module U = Ihnet_util
@@ -464,52 +465,99 @@ let pump srv n =
     ignore (Api.Server.step ~timeout:0.01 srv)
   done
 
+(* a pumped server over [handlers] and one raw client socket to it *)
+let with_server ?(handlers = Api.Handlers.local Api.Host_spec.default) tag f =
+  let path = temp_socket tag in
+  let srv = Api.Server.create handlers path in
+  Fun.protect
+    ~finally:(fun () -> Api.Server.stop srv)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          f srv fd))
+
 let protocol_suite =
   ( "daemon protocol",
     [
       tc "version mismatch is refused and the connection closed" (fun () ->
-          let path = temp_socket "ver" in
-          let srv = Api.Server.create (Api.Handlers.local Api.Host_spec.default) path in
-          Fun.protect
-            ~finally:(fun () -> Api.Server.stop srv)
-            (fun () ->
-              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-              Fun.protect
-                ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-                (fun () ->
-                  Unix.connect fd (Unix.ADDR_UNIX path);
-                  Api.Wire.write_frame fd (C.to_json (C.Hello { version = C.version + 1 }));
-                  pump srv 10;
-                  (match Api.Wire.read_frame fd with
-                  | Some j -> (
-                    match Resp.of_json j with
-                    | Ok (Resp.Err (Err.Protocol _)) -> ()
-                    | Ok _ -> Alcotest.fail "expected a protocol error"
-                    | Error e -> Alcotest.fail e)
-                  | None -> Alcotest.fail "no reply");
-                  pump srv 5;
-                  Alcotest.(check bool) "connection closed after refusal" true
-                    (Api.Wire.read_frame fd = None))));
+          with_server "ver" (fun srv fd ->
+              Api.Wire.write_frame fd (C.to_json (C.Hello { version = C.version + 1 }));
+              pump srv 10;
+              (match Api.Wire.read_frame fd with
+              | Some j -> (
+                match Resp.of_json j with
+                | Ok (Resp.Err (Err.Protocol _)) -> ()
+                | Ok _ -> Alcotest.fail "expected a protocol error"
+                | Error e -> Alcotest.fail e)
+              | None -> Alcotest.fail "no reply");
+              pump srv 5;
+              Alcotest.(check bool) "connection closed after refusal" true
+                (Api.Wire.read_frame fd = None)));
       tc "command before hello is refused" (fun () ->
-          let path = temp_socket "hello" in
-          let srv = Api.Server.create (Api.Handlers.local Api.Host_spec.default) path in
-          Fun.protect
-            ~finally:(fun () -> Api.Server.stop srv)
-            (fun () ->
-              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-              Fun.protect
-                ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-                (fun () ->
-                  Unix.connect fd (Unix.ADDR_UNIX path);
-                  Api.Wire.write_frame fd (C.to_json C.Stats);
-                  pump srv 10;
-                  match Api.Wire.read_frame fd with
-                  | Some j -> (
-                    match Resp.of_json j with
-                    | Ok (Resp.Err (Err.Protocol _)) -> ()
-                    | Ok _ -> Alcotest.fail "expected a protocol error"
-                    | Error e -> Alcotest.fail e)
-                  | None -> Alcotest.fail "no reply")));
+          with_server "hello" (fun srv fd ->
+              Api.Wire.write_frame fd (C.to_json C.Stats);
+              pump srv 10;
+              match Api.Wire.read_frame fd with
+              | Some j -> (
+                match Resp.of_json j with
+                | Ok (Resp.Err (Err.Protocol _)) -> ()
+                | Ok _ -> Alcotest.fail "expected a protocol error"
+                | Error e -> Alcotest.fail e)
+              | None -> Alcotest.fail "no reply"));
+    ] )
+
+(* ------------------------------------------------------------------ *)
+(* Bad fields: refused before any effect, and the daemon keeps serving  *)
+(* ------------------------------------------------------------------ *)
+
+(* Each frame once killed ihnetd through an engine assertion. Now it
+   must get exactly one [Invalid] reply naming the field, leave the
+   host's clock and reallocation count untouched (the ping asks for
+   [--load], which used to start its aggressors before the refusal),
+   and the next command on the same connection must still be
+   answered. *)
+let bad_field_case name cmd want =
+  tc (name ^ " is Invalid and the daemon keeps serving") (fun () ->
+      let handlers = Api.Handlers.local Api.Host_spec.default in
+      let host = Option.get (Api.Handlers.host handlers) in
+      with_server ~handlers "bad" (fun srv fd ->
+          let call c =
+            Api.Wire.write_frame fd (C.to_json c);
+            pump srv 10;
+            match Api.Wire.read_frame fd with
+            | None -> Alcotest.fail "no reply"
+            | Some j -> ( match Resp.of_json j with Ok r -> r | Error e -> Alcotest.fail e)
+          in
+          let show r = Rec.Trace.json_to_string (Resp.to_json r) in
+          (match call (C.Hello { version = C.version }) with
+          | Resp.Hello_ok _ -> ()
+          | r -> Alcotest.failf "hello: %s" (show r));
+          let fab = Ihnet.Host.fabric host in
+          let before = (Ihnet.Host.now host, Ihnet_engine.Fabric.reallocations fab) in
+          (match call cmd with
+          | Resp.Err (Err.Invalid m) -> Alcotest.(check string) "names the field" want m
+          | r -> Alcotest.failf "expected Invalid, got %s" (show r));
+          Alcotest.(check (pair (float 0.0) int)) "no effect" before
+            (Ihnet.Host.now host, Ihnet_engine.Fabric.reallocations fab);
+          match call C.Stats with
+          | Resp.Stats_report _ -> ()
+          | r -> Alcotest.failf "next command: %s" (show r)))
+
+let bad_field_suite =
+  ( "daemon bad fields",
+    [
+      bad_field_case "ping count:-5"
+        (C.Ping { src = "nic0"; dst = "dimm0.0.0"; count = -5; load = true })
+        "ping: count must be > 0 (got -5)";
+      bad_field_case "run_for ms:-1" (C.Run_for { ms = -1.0 })
+        "run_for: ms must be finite and >= 0 (got -1)";
+      bad_field_case "run_for ms:nan" (C.Run_for { ms = Float.nan })
+        "run_for: ms must be finite and >= 0 (got nan)";
+      bad_field_case "latency ms:-5" (C.Latency { link = false; ms = -5.0; load = false })
+        "latency: ms must be finite and >= 0 (got -5)";
     ] )
 
 (* ------------------------------------------------------------------ *)
@@ -635,4 +683,12 @@ let integration () =
 let integration_suite = ("daemon integration", [ tc "4 concurrent clients, replayed" integration ])
 
 let suites =
-  [ codec_suite; framing_suite; exit_code_suite; handlers_suite; protocol_suite; integration_suite ]
+  [
+    codec_suite;
+    framing_suite;
+    exit_code_suite;
+    handlers_suite;
+    protocol_suite;
+    bad_field_suite;
+    integration_suite;
+  ]

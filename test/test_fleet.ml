@@ -261,7 +261,7 @@ let idle_tests =
   [
     tc "wrapping an unmanaged host leaves its run byte-identical" (fun () ->
         let build () =
-          let host = Ihnet.Host.create ~seed:11 ~domains:1 Ihnet.Host.Minimal in
+          let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Minimal in
           let fab = Ihnet.Host.fabric host in
           let topo = Ihnet.Host.topology host in
           let dv name =

@@ -1,17 +1,12 @@
-(* Domain-parallel reallocation: Pool unit behaviour, the determinism
-   contract (a fabric's observable behaviour is bit-identical for every
-   pool width), and a qcheck property driving random multi-component op
-   sequences through a sequential and a 4-domain fabric side by side. *)
+(* The domain pool behind the fleet controller's host-shard phase:
+   index-ordered results, the size-1 degenerate case, exception
+   propagation, idempotent shutdown and the shared process-wide pool.
+   The fleet's own cross-width determinism property lives in
+   test_fleet.ml. *)
 
-module E = Ihnet_engine
-module T = Ihnet_topology
 module U = Ihnet_util
-module Mon = Ihnet_monitor
-module Rec = Ihnet_record
 
 let tc name f = Alcotest.test_case name `Quick f
-
-(* {1 Pool} *)
 
 let pool_tests =
   [
@@ -54,227 +49,6 @@ let pool_tests =
         let p2 = U.Pool.get 3 in
         Alcotest.(check bool) "same pool" true (p1 == p2);
         Alcotest.(check bool) "grown" true (U.Pool.size p2 >= 3));
-    tc "host and fabric report the configured width" (fun () ->
-        let h = Ihnet.Host.create ~domains:2 Ihnet.Host.Minimal in
-        Alcotest.(check int) "domains" 2 (E.Fabric.domains (Ihnet.Host.fabric h));
-        let h1 = Ihnet.Host.create Ihnet.Host.Minimal in
-        Alcotest.(check int) "default" (U.Pool.default_domains ())
-          (E.Fabric.domains (Ihnet.Host.fabric h1)));
   ]
 
-(* {1 The determinism contract}
-
-   One scripted multi-component scenario — eight link-disjoint
-   gpu_i->nic_i streams plus cross-socket traffic, a mid-run fault and
-   batched churn — executed on fabrics that differ only in pool width.
-   The recorder trace (which digests every allocation table), the
-   final per-flow rates, and the sampled telemetry must all be
-   byte-identical. *)
-
-let dev topo n =
-  match T.Topology.device_by_name topo n with
-  | Some d -> d.T.Device.id
-  | None -> Alcotest.fail ("no device " ^ n)
-
-let route topo a b =
-  match T.Routing.shortest_path topo (dev topo a) (dev topo b) with
-  | Some p -> p
-  | None -> Alcotest.fail (Printf.sprintf "%s unreachable from %s" b a)
-
-let alloc_snapshot fab =
-  E.Fabric.refresh fab;
-  List.sort compare
-    (List.map (fun (f : E.Flow.t) -> (f.E.Flow.id, f.E.Flow.rate)) (E.Fabric.active_flows fab))
-
-let watched_links = [ (0, T.Link.Fwd); (2, T.Link.Fwd); (5, T.Link.Rev) ]
-
-let attach_sampler sim fab store ~until =
-  E.Sim.every sim ~period:(U.Units.us 300.0) ~until (fun s ->
-      List.iter
-        (fun (l, dir) ->
-          let series =
-            Printf.sprintf "link.%d.%s.bytes" l
-              (match dir with T.Link.Fwd -> "fwd" | T.Link.Rev -> "rev")
-          in
-          Mon.Telemetry.record store ~series ~at:(E.Sim.now s) (E.Fabric.link_bytes fab l dir))
-        watched_links)
-
-let run_scenario ~domains =
-  let topo = T.Builder.dgx_like () in
-  let sim = E.Sim.create () in
-  let fab = E.Fabric.create ~seed:7 ~domains sim topo in
-  let buf = Buffer.create 16384 in
-  let rcd =
-    Rec.Recorder.attach ~digest_every:2 ~label:"par" ~seed:7
-      ~sink:(Rec.Recorder.buffer_sink buf) fab
-  in
-  let telemetry = Mon.Telemetry.create ~capacity_per_series:128 () in
-  let total = U.Units.ms 3.0 in
-  attach_sampler sim fab telemetry ~until:total;
-  let local i = route topo (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" i) in
-  let streams = ref [] in
-  E.Fabric.batch fab (fun () ->
-      for i = 0 to 7 do
-        for j = 0 to 3 do
-          streams :=
-            E.Fabric.start_flow fab
-              ~tenant:(1 + i)
-              ~weight:(1.0 +. float_of_int (j mod 2))
-              ~path:(local i) ~size:E.Flow.Unbounded ()
-            :: !streams
-        done
-      done);
-  (* weld two components together for a while *)
-  E.Sim.schedule_at sim (U.Units.ms 0.5) (fun _ ->
-      ignore
-        (E.Fabric.start_flow fab ~tenant:20
-           ~path:(route topo "gpu0" "nic3")
-           ~size:(E.Flow.Bytes 8e6) ()));
-  E.Sim.schedule_at sim (U.Units.ms 1.0) (fun _ ->
-      let l = (List.hd (E.Fabric.active_flows fab)).E.Flow.path.T.Path.hops in
-      let link = (List.hd l).T.Path.link.T.Link.id in
-      E.Fabric.inject_fault fab link (E.Fault.degrade ~capacity_factor:0.4 ()));
-  E.Sim.schedule_at sim (U.Units.ms 1.8) (fun _ ->
-      E.Fabric.clear_all_faults fab;
-      E.Fabric.batch fab (fun () ->
-          List.iteri (fun i f -> if i mod 3 = 0 then E.Fabric.stop_flow fab f) !streams));
-  E.Sim.run ~until:total sim;
-  Rec.Recorder.stop rcd;
-  (Buffer.contents buf, alloc_snapshot fab, Mon.Telemetry.to_csv telemetry)
-
-let determinism_tests =
-  [
-    tc "trace, rates and telemetry are byte-identical at widths 1/2/4" (fun () ->
-        let t1, a1, c1 = run_scenario ~domains:1 in
-        List.iter
-          (fun d ->
-            let td, ad, cd = run_scenario ~domains:d in
-            Alcotest.(check string) (Printf.sprintf "trace @%d" d) t1 td;
-            Alcotest.(check bool) (Printf.sprintf "rates @%d" d) true (a1 = ad);
-            Alcotest.(check string) (Printf.sprintf "telemetry @%d" d) c1 cd)
-          [ 2; 4 ]);
-  ]
-
-(* {1 Property: parallel ≡ sequential on random op sequences}
-
-   Random command sequences over a dgx host whose route set mixes the
-   eight disjoint gpu_i->nic_i components with cross-component pairs —
-   so the dirty-component partition seen by reallocate_now keeps
-   changing shape — executed on a domains=1 and a domains=4 fabric.
-   Final rate tables and telemetry CSV must match exactly. *)
-
-type cmd =
-  | Start of int * float option * int * float
-  | Stop of int
-  | Limits of int * float
-  | Fault of int * float
-  | Clear of int
-  | Clear_all
-
-let pp_cmd = function
-  | Start (r, sz, tn, dem) ->
-    Printf.sprintf "Start(route=%d,size=%s,tenant=%d,demand=%.3g)" r
-      (match sz with Some b -> Printf.sprintf "%.3g" b | None -> "unbounded")
-      tn dem
-  | Stop i -> Printf.sprintf "Stop %d" i
-  | Limits (i, w) -> Printf.sprintf "Limits(%d,w=%.3g)" i w
-  | Fault (l, f) -> Printf.sprintf "Fault(%d,%.2f)" l f
-  | Clear l -> Printf.sprintf "Clear %d" l
-  | Clear_all -> "ClearAll"
-
-let gen_cmds =
-  QCheck.Gen.(
-    let cmd =
-      frequency
-        [
-          ( 6,
-            map
-              (fun ((r, sz), (tn, dem)) -> Start (r, sz, tn, dem))
-              (pair
-                 (pair (int_range 0 10) (opt (float_range 2e5 4e6)))
-                 (pair (int_range 1 8) (float_range 1e9 1.2e10))) );
-          (2, map (fun i -> Stop i) (int_range 0 40));
-          (2, map2 (fun i w -> Limits (i, w)) (int_range 0 40) (float_range 0.5 4.0));
-          (2, map2 (fun l f -> Fault (l, f)) (int_range 0 40) (float_range 0.05 0.9));
-          (1, map (fun l -> Clear l) (int_range 0 40));
-          (1, return Clear_all);
-        ]
-    in
-    list_size (int_range 4 28) cmd)
-
-let arb_cmds = QCheck.make ~print:QCheck.Print.(list (fun c -> pp_cmd c)) gen_cmds
-
-let run_cmds ~domains cmds =
-  let topo = T.Builder.dgx_like () in
-  let sim = E.Sim.create () in
-  let fab = E.Fabric.create ~seed:23 ~domains sim topo in
-  let routes =
-    Array.of_list
-      (List.init 8 (fun i -> route topo (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" i))
-      @ [ route topo "gpu0" "nic5"; route topo "gpu6" "nic1"; route topo "gpu2" "nic7" ])
-  in
-  let pcie =
-    List.filter
-      (fun (l : T.Link.t) -> match l.T.Link.kind with T.Link.Pcie _ -> true | _ -> false)
-      (T.Topology.links topo)
-    |> Array.of_list
-  in
-  let total = (float_of_int (List.length cmds) +. 4.0) *. U.Units.us 100.0 in
-  let telemetry = Mon.Telemetry.create ~capacity_per_series:64 () in
-  attach_sampler sim fab telemetry ~until:total;
-  let flows = ref [||] in
-  let nth_flow i =
-    if Array.length !flows = 0 then None
-    else
-      let f = !flows.(i mod Array.length !flows) in
-      if f.E.Flow.state = E.Flow.Running then Some f else None
-  in
-  let link i = pcie.(i mod Array.length pcie).T.Link.id in
-  List.iteri
-    (fun i c ->
-      E.Sim.schedule_at sim
-        (float_of_int (i + 1) *. U.Units.us 100.0)
-        (fun _ ->
-          match c with
-          | Start (r, sz, tenant, demand) ->
-            let f =
-              E.Fabric.start_flow fab ~tenant ~demand
-                ~path:routes.(r mod Array.length routes)
-                ~size:(match sz with Some b -> E.Flow.Bytes b | None -> E.Flow.Unbounded)
-                ()
-            in
-            flows := Array.append !flows [| f |]
-          | Stop i -> Option.iter (fun f -> E.Fabric.stop_flow fab f) (nth_flow i)
-          | Limits (i, w) ->
-            Option.iter (fun f -> E.Fabric.set_flow_limits fab f ~weight:w ()) (nth_flow i)
-          | Fault (l, factor) ->
-            E.Fabric.inject_fault fab (link l) (E.Fault.degrade ~capacity_factor:factor ())
-          | Clear l -> E.Fabric.clear_fault fab (link l)
-          | Clear_all -> E.Fabric.clear_all_faults fab))
-    cmds;
-  E.Sim.run ~until:total sim;
-  (alloc_snapshot fab, Mon.Telemetry.to_csv telemetry)
-
-let run_property cmds =
-  let seq_alloc, seq_csv = run_cmds ~domains:1 cmds in
-  let par_alloc, par_csv = run_cmds ~domains:4 cmds in
-  if seq_alloc <> par_alloc then
-    QCheck.Test.fail_reportf "rate tables diverge: %d flow(s) sequential, %d parallel"
-      (List.length seq_alloc) (List.length par_alloc);
-  if seq_csv <> par_csv then
-    QCheck.Test.fail_report "telemetry csv differs between domains=1 and domains=4";
-  true
-
-let property_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"parallel reallocation is bit-identical to sequential" ~count:25
-         arb_cmds run_property);
-  ]
-
-let suites =
-  [
-    ("parallel.pool", pool_tests);
-    ("parallel.determinism", determinism_tests);
-    ("parallel.property", property_tests);
-  ]
+let suites = [ ("parallel.pool", pool_tests) ]
