@@ -357,7 +357,7 @@ let bench_sketch_idle () =
    recorder into a buffer. One additionally captures a full Scanport
    snapshot at every reallocation epoch from a fabric listener. Because
    capture is a pure read (no RNG draw, no lazy-sync, no event, no heap
-   generation, no warm-solver movement), the scanned run must be
+   generation, no memo movement), the scanned run must be
    bit-identical to the bare one: the two trace buffers compare equal
    byte for byte — every digest the recorder emitted matches — and the
    reallocation/decision counts are exactly equal. The scanned run must

@@ -94,6 +94,8 @@ let push_every_flag =
 
 let run preset topo_file ddio iommu mps seed socket trace no_trace fleet push_every =
   let spec = Api.Host_spec.make ~preset ?topo_file ?ddio ?iommu ?mps ?seed () in
+  (* refuse a taken socket path before the trace file is truncated *)
+  Api.Server.claim_path socket;
   let serve target recorder =
     let handlers = Api.Handlers.create ?recorder ~spec target in
     let srv = Api.Server.create ~push_every handlers socket in

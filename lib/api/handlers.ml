@@ -664,15 +664,31 @@ let dispatch t cmd =
 
    Fields that arrive from outside the process are checked before any
    effect, so a bad one is a typed [Invalid] naming the field instead
-   of an assertion deep in the engine — or, for [ping], a refusal that
-   lands after the load generator already ran. *)
+   of an assertion deep in the engine — or, for [ping] and [heal], a
+   refusal that lands after the load generator or the victim flow
+   already ran. *)
 
-let bad_ms cmd ms =
-  if Float.is_finite ms && ms >= 0.0 then None
-  else Some (Printf.sprintf "%s: ms must be finite and >= 0 (got %g)" cmd ms)
+let bad_nonneg cmd field v =
+  if Float.is_finite v && v >= 0.0 then None
+  else Some (Printf.sprintf "%s: %s must be finite and >= 0 (got %g)" cmd field v)
+
+(* NaN fails both comparisons, and ±inf is out of range *)
+let bad_fraction cmd field v =
+  if v >= 0.0 && v <= 1.0 then None
+  else Some (Printf.sprintf "%s: %s must be in [0, 1] (got %g)" cmd field v)
+
+let bad_ms cmd ms = bad_nonneg cmd "ms" ms
 
 let invalid_field = function
-  | C.Heal { ms; _ } -> bad_ms "heal" ms
+  | C.Heal { ms; factor; _ } ->
+    List.find_map Fun.id [ bad_fraction "heal" "factor" factor; bad_ms "heal" ms ]
+  | C.Fault_inject { factor; extra_us; loss; _ } ->
+    List.find_map Fun.id
+      [
+        bad_fraction "fault_inject" "factor" factor;
+        bad_fraction "fault_inject" "loss" loss;
+        bad_nonneg "fault_inject" "extra_us" extra_us;
+      ]
   | C.Scenario { ms; _ } -> bad_ms "scenario" ms
   | C.Monitor { ms; _ } -> bad_ms "monitor" ms
   | C.Latency { ms; _ } -> bad_ms "latency" ms

@@ -40,9 +40,11 @@ val run : t -> Command.t -> Response.t
 (** Execute one command. Never raises: [Invalid_argument]/[Failure]
     from lower layers and typed manager refusals come back as
     [Response.Err] with the {!Api_error} taxonomy. Before any effect,
-    every [ms] field must be finite and [>= 0] and a [Ping]'s [count]
-    must be [> 0]; a violation is an [Invalid] that names the command
-    and field. [Hello], [Subscribe] and [Shutdown] get their trivial
+    every [ms] field and a [Fault_inject]'s [extra_us] must be finite
+    and [>= 0], a [Fault_inject]'s [factor] and [loss] and a [Heal]'s
+    [factor] must lie in [\[0, 1\]], and a [Ping]'s [count] must be
+    [> 0]; a violation is an [Invalid] that names the command and
+    field. [Hello], [Subscribe] and [Shutdown] get their trivial
     replies here ([Hello_ok] / [Ack] / [Bye]); the transport-level
     behavior (version check, stream registration, connection teardown)
     is the server's. *)

@@ -40,8 +40,29 @@ let broadcast t stream ev =
         enqueue c (Resp.Event ev))
     t.clients
 
+(* Only a stale socket (a socket file that refuses connections) is
+   removed before binding. A regular file is someone's data, and a
+   socket that accepts a connection belongs to a live server, which
+   would keep running but become unreachable. *)
+let claim_path path =
+  match (Unix.lstat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | Unix.S_SOCK ->
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      Fun.protect
+        ~finally:(fun () -> Unix.close probe)
+        (fun () ->
+          match Unix.connect probe (Unix.ADDR_UNIX path) with
+          | () -> true
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false)
+    in
+    if live then failwith (Printf.sprintf "%s: a server is already listening on this socket" path);
+    Unix.unlink path
+  | _ -> failwith (Printf.sprintf "%s: exists and is not a socket; refusing to replace it" path)
+
 let create ?(push_every = 64) handlers path =
-  if Sys.file_exists path then Unix.unlink path;
+  claim_path path;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock listen_fd;
   Unix.bind listen_fd (Unix.ADDR_UNIX path);

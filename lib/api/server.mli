@@ -27,10 +27,20 @@
 
 type t
 
+val claim_path : string -> unit
+(** Make [path] free to bind: a stale socket there (a socket file
+    that refuses connections) is removed; a missing path is left as
+    is. [ihnetd] calls it before opening its trace file, so a refused
+    start truncates nothing.
+    @raise Failure naming [path] when anything else is there: a
+    regular file, a directory, or a socket some server accepts
+    connections on. *)
+
 val create : ?push_every:int -> Handlers.t -> string -> t
 (** [create handlers path] binds and listens on Unix-domain socket
-    [path] (unlinking a stale one first). [push_every] (default 64)
-    is the telemetry stream's epoch decimation.
+    [path], after {!claim_path}. [push_every] (default 64) is the
+    telemetry stream's epoch decimation.
+    @raise Failure when {!claim_path} refuses [path].
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
 val step : ?timeout:float -> t -> bool

@@ -48,13 +48,13 @@ let default_wiring =
 let apply_wiring t (wiring : wiring) =
   if wiring.latency_sketches then E.Fabric.enable_latency_sketches t.fabric
 
-let create ?(seed = 42) ?config ?warm preset =
+let create ?(seed = 42) ?config preset =
   let topo = build_topology ?config preset in
   (match T.Topology.validate topo with
   | Ok () -> ()
   | Error es -> invalid_arg ("Host.create: invalid topology: " ^ String.concat "; " es));
   let sim = E.Sim.create () in
-  let fabric = E.Fabric.create ~seed ?warm sim topo in
+  let fabric = E.Fabric.create ~seed sim topo in
   {
     sim;
     fabric;

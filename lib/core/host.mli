@@ -50,12 +50,9 @@ type wiring = {
 
 val default_wiring : wiring
 
-val create :
-  ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> ?warm:bool -> preset -> t
-(** Builds (and validates) the topology and the fabric. [warm] enables
-    warm-started arbitration, forwarded to {!Ihnet_engine.Fabric.create}
-    (default: [IHNET_WARM], else on). Rates and digests are
-    bit-identical warm or cold (MODEL.md §13).
+val create : ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> preset -> t
+(** Builds (and validates) the topology and the fabric, with the
+    fabric's component memo on.
     @raise Invalid_argument if a custom topology fails validation. *)
 
 val sim : t -> Ihnet_engine.Sim.t

@@ -39,10 +39,10 @@ type comp_result = {
   cr_rr : float array;
   cr_load : float array; (* per resource, in c_res order *)
   cr_flows : int array; (* active flow count per resource, c_res order *)
-  cr_stats : Fairshare.stats; (* solver work this compute did (zeros when cold) *)
+  cr_stats : Fairshare.stats; (* solver work this compute did *)
 }
 
-(* Warm-start memo: one fully-computed component result, keyed by the
+(* Component memo: one fully-computed component result, keyed by the
    exact inputs [compute_component] read. A hit replays the result
    without solving; any input difference — a demand record, the
    connectivity footprint, an effective capacity, the cache config
@@ -108,8 +108,8 @@ type t = {
   comp_res : int U.Vec.t; (* scratch: current component's real resources *)
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
-  (* warm-started arbitration *)
-  warm : bool; (* memoize component results + warm-start the solver *)
+  (* component-result memo *)
+  warm : bool; (* memo on *)
   comp_cache : (int, comp_memo list) Hashtbl.t; (* min component resource -> memos *)
   mutable cache_gen : int; (* bumped when the cache config changes *)
   mutable warm_hits : int;
@@ -219,16 +219,7 @@ let refresh_link_caps t link_id =
 let refresh_all_caps t =
   List.iter (fun (l : T.Link.t) -> refresh_link_caps t l.T.Link.id) (T.Topology.links t.topo)
 
-(* Warm-started arbitration defaults on; IHNET_WARM=0 forces the cold
-   path everywhere (the escape hatch the determinism tests use to
-   cross-check warm against cold at full fabric scale). *)
-let warm_default () =
-  match Sys.getenv_opt "IHNET_WARM" with
-  | Some ("0" | "off" | "false") -> false
-  | Some _ | None -> true
-
-let create ?(seed = 42) ?warm sim topo =
-  let warm = match warm with Some w -> w | None -> warm_default () in
+let create ?(seed = 42) ?(warm = true) sim topo =
   let nr = nresources topo in
   let socket_mems = build_socket_mems topo in
   let ns = Array.length socket_mems in
@@ -376,6 +367,10 @@ let llc_socket t (f : Flow.t) =
   match (T.Topology.device t.topo dst).T.Device.kind with
   | T.Device.Cpu_socket _ -> Some (T.Topology.device t.topo dst).T.Device.socket
   | _ -> None
+
+(* Exact float equality: compares bits, so -0.0 <> 0.0 and any ULP
+   counts (the recorder digests raw rate bits). *)
+let feq (a : float) (b : float) = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let demand_of_entry e : Fairshare.demand =
   let f = e.flow in
@@ -544,7 +539,14 @@ let collect_components t seeds =
    the component memo may replay it whenever they recur. The DDIO
    spill fixed point is resolved per affected socket by a short damped
    iteration (spill depends on allocated write rates which depend on
-   memory-bus contention which includes spill). *)
+   memory-bus contention which includes spill), capped at 4 iterations.
+
+   The iteration stops early at its fixed point: once an iteration
+   leaves every socket's wb and rr bitwise unchanged, the next one
+   would build the same demands and so reproduce the same rates,
+   write, hit, wb and rr. Stopping there is exact, not an
+   approximation; the skipped iterations are counted as [unchanged]
+   in the solver ledger. *)
 let compute_component t (c : component) =
   let nc = Array.length c.c_entries in
   let ns = Array.length t.socket_mems in
@@ -555,18 +557,12 @@ let compute_component t (c : component) =
   and hit = Array.make (max 1 ns) (if ddio_on then 1.0 else 0.0) in
   let base = Array.map (fun e -> e.dem) c.c_entries in
   let rates = ref (Array.make nc 0.0) in
-  (* One solver state carried across the spill iterations (warm mode):
-     iteration k+1 differs from k only in the spill caps, so after the
-     spill set stabilizes — the (wb>0, rr>0) pattern is monotone under
-     the damping, so the demand count changes at most twice — each
-     re-solve takes the incremental path. Cold mode re-solves from
-     scratch; both produce bitwise-identical rates (Fairshare's
-     warm≡cold contract). *)
-  let st = ref None in
   (* the spill fixed point only matters when LLC-targeted flows exist *)
   let any_llc = Array.exists (fun e -> e.flow.Flow.llc_target) c.c_entries in
   let iterations = if Array.length c.c_sockets > 0 && any_llc then 4 else 1 in
-  for _iter = 1 to iterations do
+  let solves = ref 0 and moved = ref true in
+  while !moved && !solves < iterations do
+    incr solves;
     let spills = ref [] in
     Array.iter
       (fun s ->
@@ -577,16 +573,7 @@ let compute_component t (c : component) =
           if rr.(s) > 0.0 then spills := spill_demand rr.(s) sm.from_mem :: !spills)
       c.c_sockets;
     let demands = Array.append base (Array.of_list !spills) in
-    let all =
-      if not t.warm then Fairshare.allocate ~capacities:t.caps demands
-      else begin
-        (match !st with
-        | Some s when Fairshare.state_size s = Array.length demands -> Fairshare.reset s demands
-        | Some _ | None -> st := Some (Fairshare.make_state ~capacities:t.caps demands));
-        Fairshare.allocate_warm (Option.get !st)
-      end
-    in
-    rates := Array.sub all 0 nc;
+    rates := Array.sub (Fairshare.allocate ~capacities:t.caps demands) 0 nc;
     (* recompute spill targets from the allocated LLC write rates *)
     Array.iter (fun s -> write.(s) <- 0.0) c.c_sockets;
     Array.iteri
@@ -596,6 +583,7 @@ let compute_component t (c : component) =
           | Some s when s >= 0 && s < ns -> write.(s) <- write.(s) +. !rates.(i)
           | Some _ | None -> ())
       c.c_entries;
+    moved := false;
     Array.iter
       (fun s ->
         let h = Cache.hit_rate t.cache ~write_rate:write.(s) in
@@ -605,8 +593,10 @@ let compute_component t (c : component) =
           else if ddio_on then ((1.0 -. h) *. write.(s), (1.0 -. h) *. write.(s))
           else (write.(s), 0.0)
         in
-        wb.(s) <- (wb.(s) +. target_wb) /. 2.0;
-        rr.(s) <- (rr.(s) +. target_rr) /. 2.0)
+        let wb' = (wb.(s) +. target_wb) /. 2.0 and rr' = (rr.(s) +. target_rr) /. 2.0 in
+        if not (feq wb' wb.(s) && feq rr' rr.(s)) then moved := true;
+        wb.(s) <- wb';
+        rr.(s) <- rr')
       c.c_sockets
   done;
   let rates = !rates in
@@ -642,9 +632,12 @@ let compute_component t (c : component) =
     cr_load = Array.map (fun res -> loadb.(res)) c.c_res;
     cr_flows = Array.map (fun res -> flowsb.(res)) c.c_res;
     cr_stats =
-      (match !st with
-      | Some s -> Fairshare.stats s
-      | None -> { Fairshare.solves = 0; full_rebuilds = 0; incremental = 0; unchanged = 0 });
+      {
+        Fairshare.solves = !solves;
+        full_rebuilds = !solves;
+        incremental = 0;
+        unchanged = iterations - !solves;
+      };
   }
 
 (* Commit one component's result into the fabric, in canonical
@@ -689,8 +682,6 @@ let commit_component t tnow (c : component) (r : comp_result) =
    digests raw rate bits, so -0.0 vs 0.0 or any ULP would fork the
    trace), and the hot path is pointer equality on the immutable
    per-entry [dem]/[conn] records. *)
-
-let feq (a : float) (b : float) = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let int_array_eq (a : int array) (b : int array) =
   a == b
@@ -898,7 +889,7 @@ let record_link_latencies t sk (c : component) =
    flows outside keep their rates, loads and completion events. Each
    component, in canonical order, is replayed from the memo or
    computed, then committed, so a memoized run commits byte-identical
-   state to a cold one. *)
+   state to a memo-free one. *)
 let rec reallocate t seeds =
   if t.in_batch then ()
   else reallocate_now t seeds
@@ -1312,7 +1303,7 @@ let warm_misses t = t.warm_misses
    The boundary-scan view of the fabric: every accessor below is a pure
    read of committed state. None of them syncs the lazy byte
    integration, emits an event, draws from the RNG, touches heap
-   generations or perturbs the warm solver — the zero-impact contract
+   generations or perturbs the component memo — the zero-impact contract
    the scanport-idle bench asserts. Mutable arrays are copied so a
    caller can hold a snapshot across further simulation. *)
 

@@ -31,13 +31,14 @@
 type t
 
 val create : ?seed:int -> ?warm:bool -> Sim.t -> Ihnet_topology.Topology.t -> t
-(** [warm] enables warm-started arbitration (default: [IHNET_WARM]
-    from the environment, off only for ["0"|"off"|"false"]): component
-    results are memoized against their exact inputs and the fair-share
-    solver warm-starts across the DDIO spill iterations. Rates, counters,
-    digests and replay are bit-identical warm or cold (MODEL.md §13);
-    only the time spent computing them changes. Reallocation runs on
-    the calling domain (see "Reallocation pipeline" in doc/MODEL.md). *)
+(** [warm] is the component memo switch (default on): component
+    results are memoized against their exact inputs and replayed when
+    those inputs recur. [~warm:false] computes every component afresh;
+    it is the memo-free reference the differential tests compare
+    against. Rates, counters, digests and replay are bit-identical memo
+    on or off (MODEL.md §13); only the time spent computing them
+    changes. Reallocation runs on the calling domain (see "Reallocation
+    pipeline" in doc/MODEL.md). *)
 
 val sim : t -> Sim.t
 val topology : t -> Ihnet_topology.Topology.t
@@ -278,17 +279,18 @@ val set_config : t -> Ihnet_topology.Hostconfig.t -> unit
 val reallocations : t -> int
 (** Number of reallocation passes so far (cost model for §3.2-Q3). *)
 
-(** {1 Warm-start observability} *)
+(** {1 Memo observability} *)
 
 val warm_enabled : t -> bool
-(** Whether this fabric memoizes component results (see {!create}). *)
+(** Whether the component memo is on (see {!create}). *)
 
 val warm_hits : t -> int
-(** Components replayed from the memo instead of being recomputed. *)
+(** Memo hits: components replayed from the memo instead of being
+    recomputed. *)
 
 val warm_misses : t -> int
-(** Components that had to be computed. Both counters stay 0 when
-    warm-starting is disabled. Tests use hits/misses to assert that
+(** Memo misses: components that had to be computed. Both counters
+    stay 0 when the memo is off. Tests use hits/misses to assert that
     fault, limit and config changes actually invalidate the memo. *)
 
 (** {1 Out-of-band scan exposition}
@@ -299,9 +301,9 @@ val warm_misses : t -> int
     ({!link_bytes} &c., which run the lazy byte integration and may
     emit [Synced]), a scan never advances [last_update], never emits an
     event, never draws from the RNG, never bumps completion-heap
-    generations and never touches the warm solver — so a run scanned at
-    every epoch stays bit-identical to a bare run. Mutable arrays are
-    returned as copies. *)
+    generations and never alters the component memo — so a run scanned
+    at every epoch stays bit-identical to a bare run. Mutable arrays
+    are returned as copies. *)
 
 val scan_epoch : t -> int
 (** Current reallocation epoch (what {!event.Reallocated} carries). *)
@@ -361,13 +363,16 @@ val scan_completion_heap : t -> (Ihnet_util.Units.ns * int * int * bool) list
     the heap exactly as stored, stale residue included. *)
 
 val scan_memo_keys : t -> (int * int * int) list
-(** Warm-start memo occupancy: [(bucket_key, entries, last_hit_epoch)]
-    per memo, sorted. Empty when warm-starting is off — a
-    microarchitectural register, legitimately different warm vs cold. *)
+(** Component memo occupancy: [(bucket_key, entries, last_hit_epoch)]
+    per memo, sorted. Empty when the memo is off — a
+    microarchitectural register, legitimately different memo on or
+    off. *)
 
 val scan_solver_stats : t -> Fairshare.stats
-(** Cumulative warm-solver work across all component computes (zeros
-    when cold — also microarchitectural). *)
+(** The solver-work ledger, summed over every component compute:
+    [Fairshare.allocate] calls and DDIO spill iterations skipped at
+    the fixed point ({!Fairshare.stats}). Memo hits add nothing, so it
+    is also microarchitectural. *)
 
 val step_epoch : t -> bool
 (** Single-step the simulation by one reallocation epoch: execute

@@ -35,6 +35,9 @@ val allocate : capacities:float array -> demand array -> float array
 
     Demands with an empty [usage] get their cap.
 
+    This is the production solver: the fabric calls it once per DDIO
+    spill iteration of every component it computes (MODEL.md §13).
+
     Implementation: an event-driven sweep over the progressive-filling
     front — next cap hits and next resource saturations live in one
     min-heap, and each event touches only the demands incident to the
@@ -55,71 +58,18 @@ val validate : capacities:float array -> demand array -> unit
 (** Check every demand against the documented invariants (weight > 0,
     floor >= 0, cap >= 0, in-range resources, coefficients > 0).
 
-    @raise Invalid_argument on the first violation. [allocate],
-    [allocate_reference], [make_state], [set_demand] and [reset] all
-    perform the same checks — with a real raise, not [assert], so they
-    survive [-noassert] builds. *)
-
-(** {1 Warm-started solving}
-
-    A {!state} persists the solver's derived structures between calls:
-    the flattened CSR usage arrays, the resource→demand incidence, the
-    seed-phase accumulators (per-resource floor load and scale
-    factors, per-demand seed rates and initial active set,
-    per-resource initial load/speed), the working arrays of the
-    event sweep, and the event min-heap. Re-solving after a small
-    parameter change re-derives only the demands and resources
-    reachable from the change; anything structural (demand count, any
-    usage list) triggers a full rebuild.
-
-    {b Bit-identity:} for any state contents, [allocate_warm] returns
-    bitwise the same rates as a cold [allocate ~capacities demands]
-    over the state's current capacities and demands. This is part of
-    the fabric's determinism contract (MODEL.md §13) and is enforced
-    by a 1000-case differential property test. *)
-
-type state
-
-val make_state : capacities:float array -> demand array -> state
-(** Create a warm-startable solver instance. The capacity vector is
-    copied (later [set_capacity] calls do not alias the argument);
-    its length fixes the resource count for the state's lifetime.
-    Validation of the demands happens on the first solve. *)
-
-val set_demand : state -> int -> demand -> unit
-(** Replace demand [i]. Equal-valued replacements (in particular the
-    same physical record) are free no-ops; weight/floor/cap changes
-    take the incremental path; a changed usage list marks the state
-    structural. @raise Invalid_argument on a bad index or demand. *)
-
-val set_capacity : state -> int -> float -> unit
-(** Update one resource capacity (exact-value compare; equal stores
-    are no-ops). @raise Invalid_argument on a bad index. *)
-
-val reset : state -> demand array -> unit
-(** Replace the whole demand vector, diffing slot by slot against the
-    current one — a cheap way to re-enter with mostly-unchanged
-    demands. A length change triggers a full structural rebuild. *)
-
-val allocate_warm : state -> float array
-(** Solve over the state's current capacities and demands; returns a
-    fresh rates array (same contract as {!allocate}, bitwise). Clean
-    re-solves (no input changed since the last call) return the cached
-    solution without sweeping. *)
-
-val state_size : state -> int
-(** Current number of demands. *)
-
-val state_demand : state -> int -> demand
-(** Current demand record in slot [i]. *)
+    @raise Invalid_argument on the first violation. [allocate] and
+    [allocate_reference] perform the same checks — with a real raise,
+    not [assert], so they survive [-noassert] builds. *)
 
 type stats = {
-  solves : int;  (** Total [allocate_warm] calls. *)
-  full_rebuilds : int;  (** Solves that rebuilt CSR + full reseed. *)
-  incremental : int;  (** Solves that reseeded only dirty inputs. *)
-  unchanged : int;  (** Solves answered from the cached solution. *)
+  solves : int;  (** [allocate] calls. *)
+  full_rebuilds : int;  (** Equal to [solves]: every call builds from scratch. *)
+  incremental : int;  (** Always 0; kept so ledger readers stay stable. *)
+  unchanged : int;
+      (** DDIO spill iterations skipped because the previous one
+          reached the fixed point. *)
 }
-
-val stats : state -> stats
-(** Counters since [make_state]; used by tests to assert that
-    invalidation actually fires (or doesn't). *)
+(** The fabric's solver-work ledger, summed over the components it
+    computes ({!Fabric.scan_solver_stats}). Memo hits replay a result
+    without solving and add nothing. *)

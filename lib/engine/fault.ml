@@ -9,10 +9,15 @@ type t = (Ihnet_topology.Link.id, link_fault) Hashtbl.t
 let create () = Hashtbl.create 8
 let healthy = { capacity_factor = 1.0; extra_latency = 0.0; loss_prob = 0.0 }
 
+(* Real raises, not [assert]: a fault can come from a wire frame or a
+   replayed trace, and the [not (...)] form also rejects NaN. *)
 let inject t id f =
-  assert (f.capacity_factor >= 0.0 && f.capacity_factor <= 1.0);
-  assert (f.loss_prob >= 0.0 && f.loss_prob <= 1.0);
-  assert (f.extra_latency >= 0.0);
+  let bad fmt = Printf.ksprintf invalid_arg ("Fault.inject: " ^^ fmt) in
+  if not (f.capacity_factor >= 0.0 && f.capacity_factor <= 1.0) then
+    bad "capacity_factor must be in [0, 1] (got %g)" f.capacity_factor;
+  if not (f.loss_prob >= 0.0 && f.loss_prob <= 1.0) then
+    bad "loss_prob must be in [0, 1] (got %g)" f.loss_prob;
+  if not (f.extra_latency >= 0.0) then bad "extra_latency must be >= 0 (got %g)" f.extra_latency;
   Hashtbl.replace t id f
 
 let clear t id = Hashtbl.remove t id

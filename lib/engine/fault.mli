@@ -20,6 +20,11 @@ val create : unit -> t
 val healthy : link_fault
 
 val inject : t -> Ihnet_topology.Link.id -> link_fault -> unit
+(** Install (or replace) a link's fault.
+    @raise Invalid_argument naming the field when [capacity_factor] or
+    [loss_prob] is outside [\[0,1\]] or [extra_latency] is negative
+    (NaN included). *)
+
 val clear : t -> Ihnet_topology.Link.id -> unit
 val clear_all : t -> unit
 val get : t -> Ihnet_topology.Link.id -> link_fault

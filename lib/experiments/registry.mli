@@ -8,3 +8,6 @@ val find : string -> (unit -> Common.result) option
 
 val run_all : unit -> Common.result list
 (** Run every experiment, printing each result as it completes. *)
+
+val contains_mismatch : string -> bool
+(** Whether a verdict reports a MISMATCH against the paper's claim. *)

@@ -3,8 +3,8 @@
    draws, no heap or solver movement — the zero-impact contract the
    scanport-idle bench pins down. The register chain is emitted in one
    canonical order so two captures of bit-identical fabrics produce
-   byte-identical snapshots (and digests) whatever the warm/cold
-   solver mode. *)
+   byte-identical snapshots (and digests) with the component memo on
+   or off. *)
 
 module E = Ihnet_engine
 module T = Ihnet_topology

@@ -154,6 +154,25 @@ else
   expect daemon-bad-latency 1 \
     '^ihnetctl: latency: ms must be finite and >= 0 \(got -5\)$' \
     "$CTL" latency --ms=-5 --connect "$dsock"
+  expect daemon-bad-fault-factor 1 \
+    '^ihnetctl: fault_inject: factor must be in \[0, 1\] \(got 2\)$' \
+    "$CTL" fault gpu0:pciesw0 --factor 2 --connect "$dsock"
+  # a second daemon on the live socket is refused before it opens (and
+  # truncates) its trace file, and a regular file at the path is
+  # refused untouched; a daemon that took the path over would serve
+  # forever, hence the time bound
+  bounded=""
+  if command -v timeout >/dev/null 2>&1; then bounded="timeout 20"; fi
+  printf 'kept\n' >"$tmp/second.trace.jsonl"
+  expect daemon-socket-live 1 \
+    "^ihnetd: .*d\\.sock: a server is already listening on this socket$" \
+    $bounded "$DAEMON" --socket "$dsock" --trace "$tmp/second.trace.jsonl"
+  expect daemon-socket-live-trace-kept 0 '^kept$' cat "$tmp/second.trace.jsonl"
+  printf 'kept\n' >"$tmp/notes.txt"
+  expect daemon-socket-file 1 \
+    "^ihnetd: .*notes\\.txt: exists and is not a socket; refusing to replace it$" \
+    $bounded "$DAEMON" --socket "$tmp/notes.txt" --no-trace
+  expect daemon-socket-file-kept 0 '^kept$' cat "$tmp/notes.txt"
   expect daemon-shutdown 0 \
     '^bye$' \
     "$CTL" shutdown --connect "$dsock"

@@ -479,6 +479,21 @@ let with_server ?(handlers = Api.Handlers.local Api.Host_spec.default) tag f =
           Unix.connect fd (Unix.ADDR_UNIX path);
           f srv fd))
 
+(* one command frame over [fd], pumped through [srv], and its reply *)
+let call srv fd c =
+  Api.Wire.write_frame fd (C.to_json c);
+  pump srv 10;
+  match Api.Wire.read_frame fd with
+  | None -> Alcotest.fail "no reply"
+  | Some j -> ( match Resp.of_json j with Ok r -> r | Error e -> Alcotest.fail e)
+
+let show r = Rec.Trace.json_to_string (Resp.to_json r)
+
+let hello srv fd =
+  match call srv fd (C.Hello { version = C.version }) with
+  | Resp.Hello_ok _ -> ()
+  | r -> Alcotest.failf "hello: %s" (show r)
+
 let protocol_suite =
   ( "daemon protocol",
     [
@@ -515,36 +530,38 @@ let protocol_suite =
 
 (* Each frame once killed ihnetd through an engine assertion. Now it
    must get exactly one [Invalid] reply naming the field, leave the
-   host's clock and reallocation count untouched (the ping asks for
-   [--load], which used to start its aggressors before the refusal),
-   and the next command on the same connection must still be
-   answered. *)
+   host's clock, reallocation count and installed link faults
+   untouched (the ping asks for [--load], which used to start its
+   aggressors before the refusal), and the next command on the same
+   connection must still be answered. *)
 let bad_field_case name cmd want =
   tc (name ^ " is Invalid and the daemon keeps serving") (fun () ->
       let handlers = Api.Handlers.local Api.Host_spec.default in
       let host = Option.get (Api.Handlers.host handlers) in
       with_server ~handlers "bad" (fun srv fd ->
-          let call c =
-            Api.Wire.write_frame fd (C.to_json c);
-            pump srv 10;
-            match Api.Wire.read_frame fd with
-            | None -> Alcotest.fail "no reply"
-            | Some j -> ( match Resp.of_json j with Ok r -> r | Error e -> Alcotest.fail e)
-          in
-          let show r = Rec.Trace.json_to_string (Resp.to_json r) in
-          (match call (C.Hello { version = C.version }) with
-          | Resp.Hello_ok _ -> ()
-          | r -> Alcotest.failf "hello: %s" (show r));
+          hello srv fd;
           let fab = Ihnet.Host.fabric host in
-          let before = (Ihnet.Host.now host, Ihnet_engine.Fabric.reallocations fab) in
-          (match call cmd with
+          let state () =
+            let faulty =
+              List.filter
+                (fun (l : Ihnet_topology.Link.t) ->
+                  Ihnet_engine.Fabric.fault_of fab l.Ihnet_topology.Link.id
+                  <> Ihnet_engine.Fault.healthy)
+                (Ihnet_topology.Topology.links (Ihnet.Host.topology host))
+            in
+            (Ihnet.Host.now host, Ihnet_engine.Fabric.reallocations fab, List.length faulty)
+          in
+          let before = state () in
+          (match call srv fd cmd with
           | Resp.Err (Err.Invalid m) -> Alcotest.(check string) "names the field" want m
           | r -> Alcotest.failf "expected Invalid, got %s" (show r));
-          Alcotest.(check (pair (float 0.0) int)) "no effect" before
-            (Ihnet.Host.now host, Ihnet_engine.Fabric.reallocations fab);
-          match call C.Stats with
+          Alcotest.(check (triple (float 0.0) int int)) "no effect" before (state ());
+          match call srv fd C.Stats with
           | Resp.Stats_report _ -> ()
           | r -> Alcotest.failf "next command: %s" (show r)))
+
+let fault ?(factor = 0.5) ?(extra_us = 0.0) ?(loss = 0.0) () =
+  C.Fault_inject { a = "gpu0"; b = "pciesw0"; factor; extra_us; loss }
 
 let bad_field_suite =
   ( "daemon bad fields",
@@ -558,6 +575,76 @@ let bad_field_suite =
         "run_for: ms must be finite and >= 0 (got nan)";
       bad_field_case "latency ms:-5" (C.Latency { link = false; ms = -5.0; load = false })
         "latency: ms must be finite and >= 0 (got -5)";
+      bad_field_case "fault_inject factor:2" (fault ~factor:2.0 ())
+        "fault_inject: factor must be in [0, 1] (got 2)";
+      bad_field_case "fault_inject factor:nan" (fault ~factor:Float.nan ())
+        "fault_inject: factor must be in [0, 1] (got nan)";
+      bad_field_case "fault_inject loss:1.5" (fault ~loss:1.5 ())
+        "fault_inject: loss must be in [0, 1] (got 1.5)";
+      bad_field_case "fault_inject extra_us:-1" (fault ~extra_us:(-1.0) ())
+        "fault_inject: extra_us must be finite and >= 0 (got -1)";
+      bad_field_case "fault_inject extra_us:inf" (fault ~extra_us:Float.infinity ())
+        "fault_inject: extra_us must be finite and >= 0 (got inf)";
+      bad_field_case "heal factor:2"
+        (C.Heal
+           {
+             src = "gpu0";
+             dst = "nic0";
+             gbps = 10.0;
+             fault = None;
+             factor = 2.0;
+             silent = false;
+             flap = None;
+             ms = 5.0;
+           })
+        "heal: factor must be in [0, 1] (got 2)";
+    ] )
+
+(* ------------------------------------------------------------------ *)
+(* The socket path: only a stale socket is ever replaced               *)
+(* ------------------------------------------------------------------ *)
+
+let refused what path f =
+  match f () with
+  | exception Failure m ->
+    if not (String.starts_with ~prefix:path m) then
+      Alcotest.failf "%s: error %S does not name %s" what m path
+  | srv ->
+    Api.Server.stop srv;
+    Alcotest.failf "%s: create took over %s" what path
+
+let socket_path_suite =
+  ( "daemon socket path",
+    [
+      tc "a regular file is refused and keeps its bytes" (fun () ->
+          let path = temp_socket "file" in
+          Out_channel.with_open_bin path (fun oc -> output_string oc "important");
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              refused "regular file" path (fun () ->
+                  Api.Server.create (Api.Handlers.local Api.Host_spec.default) path);
+              Alcotest.(check string) "bytes unchanged" "important"
+                (In_channel.with_open_bin path In_channel.input_all)));
+      tc "a live server's socket is refused and it keeps serving" (fun () ->
+          with_server "live" (fun srv fd ->
+              hello srv fd;
+              refused "live socket" (temp_socket "live") (fun () ->
+                  Api.Server.create (Api.Handlers.local Api.Host_spec.default) (temp_socket "live"));
+              match call srv fd C.Stats with
+              | Resp.Stats_report _ -> ()
+              | r -> Alcotest.failf "first server: %s" (show r)));
+      tc "a stale socket is replaced" (fun () ->
+          let path = temp_socket "stale" in
+          (* bound, never listened on, closed: connecting is refused *)
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.bind fd (Unix.ADDR_UNIX path);
+          Unix.close fd;
+          with_server "stale" (fun srv fd ->
+              hello srv fd;
+              match call srv fd C.Stats with
+              | Resp.Stats_report _ -> ()
+              | r -> Alcotest.failf "new server: %s" (show r)));
     ] )
 
 (* ------------------------------------------------------------------ *)
@@ -690,5 +777,6 @@ let suites =
     handlers_suite;
     protocol_suite;
     bad_field_suite;
+    socket_path_suite;
     integration_suite;
   ]

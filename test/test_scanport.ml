@@ -1,7 +1,7 @@
 (* Out-of-band scanport tests: codec round-trip, diff semantics,
    freeze/single-step, and the differential determinism property — the
-   scan chain (and its digest) must be bit-identical warm vs cold
-   solver. *)
+   scan chain (and its digest) must be bit-identical with the
+   component memo on and off. *)
 
 module U = Ihnet_util
 module T = Ihnet_topology
@@ -34,17 +34,20 @@ let endpoints =
   [| ("gpu0", "nic0"); ("ext", "gpu0"); ("nic0", "dimm0.0.0"); ("gpu0", "ssd0"); ("ext", "gpu1") |]
 
 (* Interpret a list of small ints as a command script against the
-   fabric: starts (bounded and unbounded), stops, fault inject/clear
-   and time advances. Everything derives from the codes, so the same
-   script replays identically on every fabric configuration. *)
+   fabric: starts (bounded, unbounded, and unbounded LLC-targeted DMA
+   writes from nic0 or nic1 into socket0, E5's thrashing pair, which
+   drive the DDIO spill loop past its first iteration), stops, fault
+   inject/clear and time advances. Everything derives from the codes,
+   so the same script replays identically on every fabric
+   configuration. *)
 let apply_ops (sim, fab) ops =
   let unbounded = ref [] in
   let nlinks = List.length (T.Topology.links (E.Fabric.topology fab)) in
   List.iter
     (fun code ->
       let code = abs code in
-      let a, b = endpoints.(code / 7 mod Array.length endpoints) in
-      match code mod 7 with
+      let a, b = endpoints.(code / 8 mod Array.length endpoints) in
+      match code mod 8 with
       | 0 | 1 ->
         let f =
           E.Fabric.start_flow fab ~tenant:(1 + (code mod 5))
@@ -68,7 +71,14 @@ let apply_ops (sim, fab) ops =
         E.Fabric.inject_fault fab (code mod nlinks)
           { E.Fault.capacity_factor = 0.5; extra_latency = 500.0; loss_prob = 0.0 }
       | 5 -> E.Fabric.clear_fault fab (code mod nlinks)
-      | _ -> E.Sim.run ~until:(E.Sim.now sim +. (5e4 *. float_of_int (1 + (code mod 8)))) sim)
+      | 7 ->
+        let nic = if code / 8 mod 2 = 0 then "nic0" else "nic1" in
+        let f =
+          E.Fabric.start_flow fab ~tenant:(1 + (code mod 5)) ~llc_target:true
+            ~path:(path_between fab nic "socket0") ~size:E.Flow.Unbounded ()
+        in
+        unbounded := f :: !unbounded
+      | _ -> E.Sim.run ~until:(E.Sim.now sim +. (5e4 *. float_of_int (1 + (code / 8 mod 8)))) sim)
     ops;
   E.Sim.run ~until:(E.Sim.now sim +. 1e6) sim
 
@@ -140,6 +150,14 @@ let unit_tests =
           (* warm/enabled is the first micro register that can differ *)
           Alcotest.(check string) "micro path" "warm/enabled" m.Rec.Scanport.d_path
         | None -> Alcotest.fail "warm flag should differ at `All scope");
+    tc "the LLC opcode drives the spill loop past its first iteration" (fun () ->
+        let sim, fab = make_fabric () in
+        apply_ops (sim, fab) [ 7; 15 ];
+        (* a computed component without LLC flows costs exactly one
+           solve; more solves than computes means a spill iteration ran *)
+        let st = E.Fabric.scan_solver_stats fab in
+        Alcotest.(check bool) "spill iterations solved" true
+          (st.E.Fairshare.solves > E.Fabric.warm_misses fab));
     tc "capture is a pure read" (fun () ->
         let sim, fab = make_fabric () in
         apply_ops (sim, fab) [ 3; 8; 16; 23 ];

@@ -1,234 +1,15 @@
-(* Warm-started solver: differential properties and invalidation
-   units. The warm path must be BIT-identical to the cold path — not
-   merely close — because the fabric's determinism contract digests
-   the output rates (MODEL.md §12–13). *)
+(* Solver input validation and the fabric's component memo. Memo on
+   and off must be BIT-identical — not merely close — because the
+   fabric's determinism contract digests the output rates (MODEL.md
+   §12–13). The solver's own differential property against the
+   round-based oracle lives in test_properties.ml. *)
 
 module E = Ihnet_engine
-
-let prop name ?(count = 200) gen f =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
 
 let bits_eq (a : float) (b : float) =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* {1 Generators} *)
-
-(* One incremental update, interpreted modulo the live demand /
-   resource counts at application time. *)
-type update =
-  | Set_weight of int * float
-  | Set_floor of int * float
-  | Set_cap of int * float (* infinity encoded as 0.0 *)
-  | Set_usage of int * (int * float) list (* structural *)
-  | Set_capacity of int * float
-  | Touch of int (* re-store the identical record: must be a no-op *)
-
-let gen_usage nr =
-  QCheck.Gen.(
-    list_size (int_range 1 5) (pair (int_range 0 (nr - 1)) (float_range 0.5 2.0))
-    >>= fun usage -> return (List.sort_uniq (fun (a, _) (b, _) -> compare a b) usage))
-
-let gen_update nr =
-  QCheck.Gen.(
-    oneof
-      [
-        map2 (fun i w -> Set_weight (i, w)) (int_range 0 1000) (float_range 0.1 8.0);
-        map2 (fun i f -> Set_floor (i, f)) (int_range 0 1000) (float_range 0.0 20.0);
-        map2
-          (fun i c -> Set_cap (i, c))
-          (int_range 0 1000)
-          (oneof [ return 0.0; float_range 0.1 50.0 ]);
-        map2 (fun i u -> Set_usage (i, u)) (int_range 0 1000) (gen_usage nr);
-        map2 (fun r v -> Set_capacity (r, v)) (int_range 0 1000) (float_range 5.0 500.0);
-        map (fun i -> Touch i) (int_range 0 1000);
-      ])
-
-let gen_demand nr =
-  QCheck.Gen.(
-    float_range 0.1 8.0 >>= fun weight ->
-    float_range 0.0 20.0 >>= fun floor ->
-    oneof [ return infinity; float_range 0.1 50.0 ] >>= fun cap ->
-    gen_usage nr >>= fun usage -> return { E.Fairshare.weight; floor; cap; usage })
-
-(* A base case plus a few epochs, each a batch of updates followed by
-   a solve. *)
-let gen_case =
-  QCheck.Gen.(
-    int_range 1 8 >>= fun nr ->
-    array_size (return nr) (float_range 5.0 500.0) >>= fun caps ->
-    array_size (int_range 1 25) (gen_demand nr) >>= fun demands ->
-    list_size (int_range 1 6) (list_size (int_range 0 5) (gen_update nr)) >>= fun epochs ->
-    return (caps, demands, epochs))
-
-let print_case (caps, demands, epochs) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "caps=[";
-  Array.iter (fun c -> Buffer.add_string b (Printf.sprintf "%h;" c)) caps;
-  Buffer.add_string b "] demands=[";
-  Array.iter
-    (fun (d : E.Fairshare.demand) ->
-      Buffer.add_string b
-        (Printf.sprintf "{w=%h f=%h c=%h u=[%s]};" d.weight d.floor d.cap
-           (String.concat ";" (List.map (fun (r, co) -> Printf.sprintf "%d:%h" r co) d.usage))))
-    demands;
-  Buffer.add_string b (Printf.sprintf "] epochs=%d upd=[" (List.length epochs));
-  List.iter
-    (fun us ->
-      List.iter
-        (fun u ->
-          Buffer.add_string b
-            (match u with
-            | Set_weight (i, w) -> Printf.sprintf "w%d=%h;" i w
-            | Set_floor (i, f) -> Printf.sprintf "f%d=%h;" i f
-            | Set_cap (i, c) -> Printf.sprintf "c%d=%h;" i c
-            | Set_usage (i, _) -> Printf.sprintf "u%d;" i
-            | Set_capacity (r, v) -> Printf.sprintf "C%d=%h;" r v
-            | Touch i -> Printf.sprintf "t%d;" i))
-        us;
-      Buffer.add_string b "|")
-    epochs;
-  Buffer.add_string b "]";
-  Buffer.contents b
-
-(* Apply one update to both the warm state and the mirror the cold
-   solver sees; they must stay in lockstep. *)
-let apply st caps (dems : E.Fairshare.demand array ref) u =
-  let n = Array.length !dems and nr = Array.length caps in
-  match u with
-  | Set_weight (i, w) ->
-    let i = i mod n in
-    let d = { !dems.(i) with E.Fairshare.weight = w } in
-    !dems.(i) <- d;
-    E.Fairshare.set_demand st i d
-  | Set_floor (i, f) ->
-    let i = i mod n in
-    let d = { !dems.(i) with E.Fairshare.floor = f } in
-    !dems.(i) <- d;
-    E.Fairshare.set_demand st i d
-  | Set_cap (i, c) ->
-    let i = i mod n in
-    let c = if c = 0.0 then infinity else c in
-    let d = { !dems.(i) with E.Fairshare.cap = c } in
-    !dems.(i) <- d;
-    E.Fairshare.set_demand st i d
-  | Set_usage (i, u) ->
-    let i = i mod n in
-    let d = { !dems.(i) with E.Fairshare.usage = u } in
-    !dems.(i) <- d;
-    E.Fairshare.set_demand st i d
-  | Set_capacity (r, v) ->
-    let r = r mod nr in
-    caps.(r) <- v;
-    E.Fairshare.set_capacity st r v
-  | Touch i ->
-    let i = i mod n in
-    E.Fairshare.set_demand st i !dems.(i)
-
-let warm_props =
-  [
-    (* The tentpole's correctness gate: arbitrary update sequences
-       through the warm state agree bitwise with a from-scratch cold
-       solve, and the cold solve agrees with the round-based oracle to
-       1e-6 — so warm ≡ cold ≡ reference. *)
-    prop "warm ≡ cold (bitwise) ≡ reference across random update sequences" ~count:1000
-      (QCheck.make ~print:print_case gen_case)
-      (fun (caps0, demands0, epochs) ->
-        let caps = Array.copy caps0 in
-        let dems = ref (Array.map Fun.id demands0) in
-        let st = E.Fairshare.make_state ~capacities:caps demands0 in
-        List.for_all
-          (fun updates ->
-            List.iter (apply st caps dems) updates;
-            let warm = E.Fairshare.allocate_warm st in
-            let cold = E.Fairshare.allocate ~capacities:caps !dems in
-            let oracle = E.Fairshare.allocate_reference ~capacities:caps !dems in
-            Array.length warm = Array.length cold
-            && Array.for_all2 bits_eq warm cold
-            && Array.for_all2
-                 (fun a b ->
-                   Float.abs (a -. b)
-                   <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)))
-                 cold oracle)
-          epochs);
-    prop "reset diffs against the live vector and stays bitwise-cold" ~count:300
-      (QCheck.make ~print:print_case gen_case)
-      (fun (caps, demands, _) ->
-        let st = E.Fairshare.make_state ~capacities:caps demands in
-        let r1 = E.Fairshare.allocate_warm st in
-        (* re-enter with a structurally identical but freshly boxed
-           demand vector: must be answered from cache *)
-        E.Fairshare.reset st (Array.map (fun d -> { d with E.Fairshare.weight = d.E.Fairshare.weight }) demands);
-        let r2 = E.Fairshare.allocate_warm st in
-        let stats = E.Fairshare.stats st in
-        Array.for_all2 bits_eq r1 r2
-        && stats.E.Fairshare.unchanged = 1
-        && Array.for_all2 bits_eq r1 (E.Fairshare.allocate ~capacities:caps demands));
-  ]
-
-(* {1 Invalidation units} *)
-
 let d w f c u = { E.Fairshare.weight = w; floor = f; cap = c; usage = u }
-
-let check_vs_cold st caps dems =
-  let warm = E.Fairshare.allocate_warm st in
-  let cold = E.Fairshare.allocate ~capacities:caps dems in
-  Alcotest.(check bool) "warm matches cold bitwise" true (Array.for_all2 bits_eq warm cold)
-
-let test_invalidation_fires () =
-  let caps = [| 100.0; 50.0; 80.0 |] in
-  let dems =
-    [|
-      d 1.0 10.0 infinity [ (0, 1.0); (1, 1.0) ];
-      d 2.0 0.0 30.0 [ (0, 1.0); (2, 1.2) ];
-      d 1.0 5.0 infinity [ (1, 1.0); (2, 1.0) ];
-    |]
-  in
-  let st = E.Fairshare.make_state ~capacities:caps dems in
-  check_vs_cold st caps dems;
-  let s1 = E.Fairshare.stats st in
-  Alcotest.(check int) "first solve is a full rebuild" 1 s1.E.Fairshare.full_rebuilds;
-  (* clean re-solve: answered from cache *)
-  check_vs_cold st caps dems;
-  Alcotest.(check int) "clean re-solve is a no-op" 1 (E.Fairshare.stats st).E.Fairshare.unchanged;
-  (* capacity perturbation must invalidate and take the incremental path *)
-  caps.(1) <- 40.0;
-  E.Fairshare.set_capacity st 1 40.0;
-  check_vs_cold st caps dems;
-  Alcotest.(check int) "capacity change takes the incremental path" 1
-    (E.Fairshare.stats st).E.Fairshare.incremental;
-  (* floor perturbation (re-floored flow) *)
-  dems.(0) <- d 1.0 60.0 infinity [ (0, 1.0); (1, 1.0) ];
-  E.Fairshare.set_demand st 0 dems.(0);
-  check_vs_cold st caps dems;
-  Alcotest.(check int) "floor change takes the incremental path" 2
-    (E.Fairshare.stats st).E.Fairshare.incremental;
-  (* cap perturbation *)
-  dems.(1) <- d 2.0 0.0 10.0 [ (0, 1.0); (2, 1.2) ];
-  E.Fairshare.set_demand st 1 dems.(1);
-  check_vs_cold st caps dems;
-  Alcotest.(check int) "cap change takes the incremental path" 3
-    (E.Fairshare.stats st).E.Fairshare.incremental;
-  (* usage change is structural: full rebuild *)
-  dems.(2) <- d 1.0 5.0 infinity [ (0, 1.0); (1, 1.0); (2, 1.0) ];
-  E.Fairshare.set_demand st 2 dems.(2);
-  check_vs_cold st caps dems;
-  let s = E.Fairshare.stats st in
-  Alcotest.(check int) "usage change forces a full rebuild" 2 s.E.Fairshare.full_rebuilds;
-  Alcotest.(check int) "no spurious extra solves" 6 s.E.Fairshare.solves
-
-let test_noop_updates_stay_clean () =
-  let caps = [| 100.0 |] in
-  let dems = [| d 1.0 0.0 infinity [ (0, 1.0) ]; d 2.0 5.0 40.0 [ (0, 1.3) ] |] in
-  let st = E.Fairshare.make_state ~capacities:caps dems in
-  ignore (E.Fairshare.allocate_warm st);
-  (* identical records, equal-valued fresh records, equal capacity
-     stores: none of these may dirty the state *)
-  E.Fairshare.set_demand st 0 dems.(0);
-  E.Fairshare.set_demand st 1 (d 2.0 5.0 40.0 [ (0, 1.3) ]);
-  E.Fairshare.set_capacity st 0 100.0;
-  ignore (E.Fairshare.allocate_warm st);
-  Alcotest.(check int) "no-op updates answered from cache" 1
-    (E.Fairshare.stats st).E.Fairshare.unchanged
 
 (* Satellite: [validate] must raise [Invalid_argument] — a real
    raise, not [assert], so it survives [-noassert] builds. This test
@@ -253,9 +34,7 @@ let test_validate_raises () =
       expect_invalid ("validate " ^ name) (fun () ->
           E.Fairshare.validate ~capacities:caps dems);
       expect_invalid ("allocate " ^ name) (fun () ->
-          E.Fairshare.allocate ~capacities:caps dems);
-      expect_invalid ("allocate_warm " ^ name) (fun () ->
-          E.Fairshare.allocate_warm (E.Fairshare.make_state ~capacities:caps dems)))
+          E.Fairshare.allocate ~capacities:caps dems))
     [
       ("weight=0", bad_weight);
       ("floor<0", bad_floor);
@@ -267,10 +46,6 @@ let test_validate_raises () =
 
 let unit_tests =
   [
-    Alcotest.test_case "invalidation fires on capacity/floor/cap/usage perturbations" `Quick
-      test_invalidation_fires;
-    Alcotest.test_case "no-op updates are answered from the cached solution" `Quick
-      test_noop_updates_stay_clean;
     Alcotest.test_case "validate raises Invalid_argument (survives -noassert)" `Quick
       test_validate_raises;
   ]
@@ -376,9 +151,9 @@ let test_fabric_cold_counters_stay_zero () =
   Alcotest.(check int) "no hits" 0 (E.Fabric.warm_hits fab);
   Alcotest.(check int) "no misses" 0 (E.Fabric.warm_misses fab)
 
-(* Same seed, same scenario, warm on vs off: every flow rate must be
-   bit-identical (the memo and solver warm-start may only change how
-   fast rates are computed, never their bits). *)
+(* Same seed, same scenario, memo on vs off: every flow rate must be
+   bit-identical (the memo may only change how fast rates are
+   computed, never their bits). *)
 let test_fabric_warm_cold_rates_bitwise () =
   let run warm =
     let fab, p = loaded_fabric ~warm () in
@@ -414,4 +189,4 @@ let fabric_tests =
   ]
 
 let suites =
-  [ ("warm.props", warm_props); ("warm.units", unit_tests); ("warm.fabric", fabric_tests) ]
+  [ ("warm.units", unit_tests); ("warm.fabric", fabric_tests) ]
