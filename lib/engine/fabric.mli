@@ -86,8 +86,10 @@ val refresh : t -> unit
 
 val batch : t -> (unit -> unit) -> unit
 (** [batch t f] runs [f] with rate reallocation deferred, then
-    reallocates once. Used by the arbiter to push many limit updates as
-    a single enforcement action. Nested batches are flattened. *)
+    reallocates once — one epoch per batch, even when [f] changed
+    nothing, which recorded traces rely on to replay. Used by the
+    arbiter to push many limit updates as a single enforcement action.
+    Nested batches are flattened. *)
 
 (** {1 Event subscription}
 

@@ -7,6 +7,7 @@ module Mon = Ihnet_monitor
 module Chanfault = Ihnet_engine.Chanfault
 module Scanport = Ihnet_record.Scanport
 module Trace = Ihnet_record.Trace
+module Int_set = Set.Make (Int)
 
 type config = {
   round_len : Units.ns;
@@ -120,6 +121,7 @@ type hosted = {
   mutable h_partitioned : bool;
   mutable h_last_slo : int * int;  (* (degraded, violated) from last report *)
   mutable h_sick : int list;
+  mutable h_placed : Int_set.t;  (* tenants whose state is [Placed] here; see [set_state] *)
 }
 
 type tenant = {
@@ -216,6 +218,7 @@ let enroll t label preset host_opt =
       h_partitioned = false;
       h_last_slo = (0, 0);
       h_sick = [];
+      h_placed = Int_set.empty;
     }
   in
   if i = Array.length t.harr then begin
@@ -315,7 +318,25 @@ let revoke t ~tenant =
   | None -> ()
   | Some tn -> tn.tn_gone <- true
 
+(* The per-host index of [Placed] tenants. Every [tn_state] change goes
+   through [set_state] (and [remove_tenant]), so the index is exact at
+   every instant: a per-round rebuild would not be, because an ack
+   received earlier in the same receive phase can move a tenant to
+   [Placed] on a host whose report comes later. *)
+let update_placed t tn f =
+  match tn.tn_state with
+  | Placed l ->
+    let h = get t l in
+    h.h_placed <- f tn.tn_id h.h_placed
+  | Unplaced | Placing _ | Migrating _ | Fleet_degraded -> ()
+
+let set_state t tn s =
+  update_placed t tn Int_set.remove;
+  tn.tn_state <- s;
+  update_placed t tn Int_set.add
+
 let remove_tenant t id =
+  Option.iter (fun tn -> update_placed t tn Int_set.remove) (Hashtbl.find_opt t.tenant_tbl id);
   Hashtbl.remove t.tenant_tbl id;
   t.tenant_order <- List.filter (fun x -> x <> id) t.tenant_order
 
@@ -495,16 +516,18 @@ let reconcile t h r =
     record t (D_reconciled { host = h.h_label; revoked = strays });
     List.iter (fun id -> cleanup_revoke t h id) strays
   end;
-  iter_tenants t (fun tn ->
-      match tn.tn_state with
-      | Placed l
-        when l = h.h_label && (not (List.mem tn.tn_id r.r_placed)) && tn.tn_since < r.r_round ->
+  (* only this host's Placed tenants, ascending: O(placed here) per report *)
+  Int_set.iter
+    (fun id ->
+      let tn = Hashtbl.find t.tenant_tbl id in
+      if (not (List.mem id r.r_placed)) && tn.tn_since < r.r_round then begin
         (* the host restarted and lost it: fail over *)
-        tn.tn_state <- Unplaced;
-        tn.tn_prev <- Some l;
+        set_state t tn Unplaced;
+        tn.tn_prev <- Some h.h_label;
         tn.tn_reason <- Some Host_down;
         tn.tn_tried <- []
-      | _ -> ())
+      end)
+    h.h_placed
 
 let on_report t h r =
   if r.r_epoch > h.h_known_epoch then h.h_known_epoch <- r.r_epoch;
@@ -521,7 +544,7 @@ let on_report t h r =
 let placement_confirmed t h tn =
   let was_degraded = tn.tn_was_degraded in
   let prev = tn.tn_prev in
-  tn.tn_state <- Placed h.h_label;
+  set_state t tn (Placed h.h_label);
   tn.tn_since <- t.round_no;
   tn.tn_tried <- [];
   tn.tn_was_degraded <- false;
@@ -573,10 +596,10 @@ let on_ack t h a =
           (* admission refused: spill to the next candidate *)
           tn.tn_tried <- inf.if_host :: tn.tn_tried;
           match tn.tn_state with
-          | Placing l when l = h.h_label -> tn.tn_state <- Unplaced
+          | Placing l when l = h.h_label -> set_state t tn Unplaced
           | Migrating { from_; to_ } when to_ = h.h_label ->
             (* the better host refused; stay where we are and cool down *)
-            tn.tn_state <- Placed from_;
+            set_state t tn (Placed from_);
             tn.tn_prev <- None;
             tn.tn_reason <- None;
             tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
@@ -613,15 +636,15 @@ let fail_over_tenants t h =
   iter_tenants t (fun tn ->
       match tn.tn_state with
       | Placed l when l = h.h_label ->
-        tn.tn_state <- Unplaced;
+        set_state t tn Unplaced;
         tn.tn_prev <- Some l;
         tn.tn_reason <- Some Host_down;
         tn.tn_tried <- [ h.h_index ]
       | Placing l when l = h.h_label ->
-        tn.tn_state <- Unplaced;
+        set_state t tn Unplaced;
         tn.tn_tried <- h.h_index :: tn.tn_tried
       | Migrating { from_; to_ } when to_ = h.h_label ->
-        tn.tn_state <- Placed from_;
+        set_state t tn (Placed from_);
         tn.tn_prev <- None;
         tn.tn_reason <- None
       | _ -> ())
@@ -664,10 +687,10 @@ let retry_commands t =
               | Some tn -> (
                 match (inf.if_body, tn.tn_state) with
                 | Cplace _, Placing l when l = h.h_label ->
-                  tn.tn_state <- Unplaced;
+                  set_state t tn Unplaced;
                   tn.tn_tried <- inf.if_host :: tn.tn_tried
                 | Cplace _, Migrating { from_; to_ } when to_ = h.h_label ->
-                  tn.tn_state <- Placed from_;
+                  set_state t tn (Placed from_);
                   tn.tn_prev <- None;
                   tn.tn_reason <- None;
                   tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
@@ -732,7 +755,7 @@ let try_place t tn ~loads =
   match candidates t tn ~loads ~exclude:[] with
   | [] ->
     if tn.tn_state <> Fleet_degraded then begin
-      tn.tn_state <- Fleet_degraded;
+      set_state t tn Fleet_degraded;
       tn.tn_was_degraded <- true;
       record t
         (D_degraded
@@ -742,7 +765,7 @@ let try_place t tn ~loads =
     tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
   | i :: _ ->
     let h = t.harr.(i) in
-    tn.tn_state <- Placing h.h_label;
+    set_state t tn (Placing h.h_label);
     loads.(i) <- loads.(i) +. M.Intent.total_guaranteed tn.tn_intent;
     send_cmd t h Primary tn.tn_id (Cplace tn.tn_intent)
 
@@ -752,7 +775,7 @@ let try_migrate t tn from_label ~loads =
   | [] -> tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
   | i :: _ ->
     let h = t.harr.(i) in
-    tn.tn_state <- Migrating { from_ = from_label; to_ = h.h_label };
+    set_state t tn (Migrating { from_ = from_label; to_ = h.h_label });
     tn.tn_prev <- Some from_label;
     tn.tn_reason <- Some Slo;
     loads.(i) <- loads.(i) +. M.Intent.total_guaranteed tn.tn_intent;
@@ -860,16 +883,11 @@ let collect t =
     | None -> ()
     | Some host ->
       let fab = Ihnet.Host.fabric host in
-      let mine = ref [] in
-      iter_tenants t (fun tn ->
-          match tn.tn_state with
-          | Placed l when l = h.h_label -> mine := tn.tn_id :: !mine
-          | _ -> ());
       members :=
         {
           Mon.Fleet.label = h.h_label;
           counter = Mon.Counter.create fab ~fidelity:Mon.Counter.Software;
-          tenants = List.rev !mine;
+          tenants = Int_set.elements h.h_placed;
           slo = Some (fun () -> h.h_last_slo);
         }
         :: !members
@@ -894,14 +912,9 @@ let pp ppf t =
       if h.h_host = None then "crashed"
       else match h.h_belief with `Reachable -> "reachable" | `Unreachable -> "unreachable"
     in
-    let placed = ref [] in
-    iter_tenants t (fun tn ->
-        match tn.tn_state with
-        | Placed l when l = h.h_label -> placed := tn.tn_id :: !placed
-        | _ -> ());
     Format.fprintf ppf "  %-16s %-11s epoch=%d load=%a tenants=[%s]@." h.h_label state
       h.h_epoch Units.pp_rate (load_of t i)
-      (String.concat "," (List.rev_map string_of_int !placed))
+      (String.concat "," (List.map string_of_int (Int_set.elements h.h_placed)))
   done;
   iter_tenants t (fun tn ->
       let state =

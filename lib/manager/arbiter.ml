@@ -33,7 +33,7 @@ let on_fabric_event t = function
   | Fabric.Sensor_fault_injected _ | Fabric.Sensor_fault_cleared _ -> ()
 
 let create fabric ?(reaction_delay = 0.0) () =
-  assert (reaction_delay >= 0.0);
+  if not (reaction_delay >= 0.0) then invalid_arg "Arbiter.create: reaction_delay must be >= 0";
   let t =
     {
       fabric;
@@ -79,8 +79,14 @@ let refresh_placement t (p : Placement.t) =
     List.iter (fun f -> enforce t f ~floor:share ~cap) p.Placement.attached
   end
 
-(* one fabric enforcement action for the whole pass *)
-let refresh t = Fabric.batch t.fabric (fun () -> List.iter (refresh_placement t) t.placements)
+(* One fabric enforcement action for the whole pass. A pass with no
+   attached flow enforces nothing, so it opens no batch: the batch's
+   closing reallocation would cost an epoch and change no rate. The
+   rule lives here, not in [Fabric.batch], which keeps "one epoch per
+   batch" so traces that recorded empty batches still replay. *)
+let refresh t =
+  if List.exists (fun (p : Placement.t) -> p.Placement.attached <> []) t.placements then
+    Fabric.batch t.fabric (fun () -> List.iter (refresh_placement t) t.placements)
 
 let add_placement t p =
   t.placements <- t.placements @ [ p ];
@@ -142,7 +148,7 @@ let is_attached t (flow : Flow.t) =
     t.placements
 
 let start_shim ?attach:attach_opt t ~period =
-  assert (period > 0.0);
+  if not (period > 0.0) then invalid_arg "Arbiter.start_shim: period must be > 0";
   let attach_fn = match attach_opt with Some f -> f | None -> attach t in
   if not t.shim_running then begin
     t.shim_running <- true;
@@ -154,10 +160,13 @@ let start_shim ?attach:attach_opt t ~period =
     let rec tick _ =
       if t.shim_running && gen = t.shim_gen then begin
         refresh t;
-        List.iter
-          (fun (f : Flow.t) ->
-            if f.Flow.cls = Flow.Payload && not (is_attached t f) then ignore (attach_fn f))
-          (Fabric.active_flows t.fabric);
+        (* with no placement nothing can attach, and with no flow there
+           is nothing to classify: skip building the sorted flow list *)
+        if t.placements <> [] && Fabric.flow_count t.fabric > 0 then
+          List.iter
+            (fun (f : Flow.t) ->
+              if f.Flow.cls = Flow.Payload && not (is_attached t f) then ignore (attach_fn f))
+            (Fabric.active_flows t.fabric);
         Sim.schedule (Fabric.sim t.fabric) ~after:period tick
       end
     in

@@ -18,7 +18,8 @@ type t
 
 val create : Ihnet_engine.Fabric.t -> ?reaction_delay:Ihnet_util.Units.ns -> unit -> t
 (** [reaction_delay] (default 0): simulated delay between a decision
-    and its taking effect on the fabric. *)
+    and its taking effect on the fabric. Raises [Invalid_argument]
+    unless it is >= 0. *)
 
 val add_placement : t -> Placement.t -> unit
 val remove_placement : t -> Placement.t -> unit
@@ -38,13 +39,21 @@ val attach_placement : t -> Ihnet_engine.Flow.t -> Placement.t option
 
 val detach : t -> Ihnet_engine.Flow.t -> unit
 val refresh : t -> unit
-(** Prune dead flows and recompute all shares. Called internally by
-    attach/detach; exposed for the shim. *)
+(** Prune dead flows and recompute all shares, as one
+    {!Ihnet_engine.Fabric.batch} (one reallocation epoch). When no
+    placement has an attached flow there is nothing to enforce, and
+    [refresh] opens no batch at all: an idle pass costs no epoch.
+    Run by every shim pass, and by the remediation supervisor when it
+    re-arbitrates or changes floor scales. *)
 
 val start_shim : ?attach:(Ihnet_engine.Flow.t -> bool) -> t -> period:Ihnet_util.Units.ns -> unit
-(** Poll the fabric every [period]: attach unclassified payload flows
-    (through [attach] when given — the manager passes its reconciling
-    variant), prune dead ones. The arbiter as software shim layer. *)
+(** Poll the fabric every [period]: {!refresh}, then attach
+    unclassified payload flows (through [attach] when given — the
+    manager passes its reconciling variant). The classification scan
+    runs, and [attach] is consulted, only while at least one placement
+    and one flow exist: with no placement nothing can match. The
+    arbiter as software shim layer. Raises [Invalid_argument] unless
+    [period] > 0. *)
 
 val stop_shim : t -> unit
 

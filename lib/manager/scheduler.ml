@@ -10,7 +10,8 @@ let res_of link_id (dir : T.Link.dir) =
   (2 * link_id) + match dir with T.Link.Fwd -> 0 | T.Link.Rev -> 1
 
 let create topo ?(headroom = 0.9) () =
-  assert (headroom > 0.0 && headroom <= 1.0);
+  if not (headroom > 0.0 && headroom <= 1.0) then
+    invalid_arg "Scheduler.create: headroom must be in (0, 1]";
   { topo; headroom; ledger = Array.make (2 * T.Topology.link_count topo) 0.0 }
 
 let headroom t = t.headroom

@@ -15,7 +15,8 @@ type t
 
 val create : Ihnet_topology.Topology.t -> ?headroom:float -> unit -> t
 (** [headroom] (default 0.9) caps the reservable fraction of each link
-    direction, leaving slack for latency and unmanaged traffic. *)
+    direction, leaving slack for latency and unmanaged traffic. Raises
+    [Invalid_argument] unless it is in (0, 1]. *)
 
 val headroom : t -> float
 

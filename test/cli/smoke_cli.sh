@@ -157,6 +157,9 @@ else
   expect daemon-bad-fault-factor 1 \
     '^ihnetctl: fault_inject: factor must be in \[0, 1\] \(got 2\)$' \
     "$CTL" fault gpu0:pciesw0 --factor 2 --connect "$dsock"
+  expect daemon-bad-plan-headroom 1 \
+    '^ihnetctl: plan: headroom must be in \(0, 1\] \(got 1.5\)$' \
+    "$CTL" plan --pipe ext:socket0:10 --headroom 1.5 --connect "$dsock"
   # a second daemon on the live socket is refused before it opens (and
   # truncates) its trace file, and a regular file at the path is
   # refused untouched; a daemon that took the path over would serve

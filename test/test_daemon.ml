@@ -563,6 +563,8 @@ let bad_field_case name cmd want =
 let fault ?(factor = 0.5) ?(extra_us = 0.0) ?(loss = 0.0) () =
   C.Fault_inject { a = "gpu0"; b = "pciesw0"; factor; extra_us; loss }
 
+let plan headroom = C.Plan { pipes = [ ("ext", "socket0", 10.0) ]; hoses = []; headroom }
+
 let bad_field_suite =
   ( "daemon bad fields",
     [
@@ -598,6 +600,10 @@ let bad_field_suite =
              ms = 5.0;
            })
         "heal: factor must be in [0, 1] (got 2)";
+      bad_field_case "plan headroom:1.5" (plan 1.5) "plan: headroom must be in (0, 1] (got 1.5)";
+      bad_field_case "plan headroom:0" (plan 0.0) "plan: headroom must be in (0, 1] (got 0)";
+      bad_field_case "plan headroom:nan" (plan Float.nan)
+        "plan: headroom must be in (0, 1] (got nan)";
     ] )
 
 (* ------------------------------------------------------------------ *)

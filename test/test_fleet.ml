@@ -294,6 +294,84 @@ let idle_tests =
           (F.Controller.channel_rng_peek t "solo"));
   ]
 
+(* {1 Idle rounds and the reconcile index} *)
+
+let host_allocs t =
+  List.fold_left
+    (fun acc label ->
+      match F.Controller.host t label with
+      | Some host -> acc + E.Fabric.reallocations (Ihnet.Host.fabric host)
+      | None -> acc)
+    0 (F.Controller.hosts t)
+
+(* hosts whose manager carries the tenant *)
+let backers t tenant =
+  List.filter
+    (fun label ->
+      match F.Controller.host t label with
+      | Some host -> (
+        match Ihnet.Host.manager host with
+        | Some mgr -> List.mem tenant (M.Manager.tenants mgr)
+        | None -> false)
+      | None -> false)
+    (F.Controller.hosts t)
+
+let placed_on t i =
+  match F.Controller.tenant_view t i with
+  | Some (F.Controller.Placed l) -> l
+  | _ -> Alcotest.failf "tenant %d not placed" i
+
+let decision_tenant = function
+  | F.Controller.D_placed { tenant; _ }
+  | F.Controller.D_migrated { tenant; _ }
+  | F.Controller.D_degraded { tenant; _ }
+  | F.Controller.D_restored { tenant; _ }
+  | F.Controller.D_command_failed { tenant; _ } ->
+    Some tenant
+  | F.Controller.D_host_lost _ | F.Controller.D_host_recovered _ | F.Controller.D_held_down _
+  | F.Controller.D_reconciled _ ->
+    None
+
+let idle_round_tests =
+  [
+    tc "a converged round over idle hosts opens no epoch on any host" (fun () ->
+        let t = mk ~hosts:20 ~config:F.Controller.default_config () in
+        for i = 1 to 20 do
+          F.Controller.submit t (intent i)
+        done;
+        F.Controller.run t ~rounds:6;
+        List.iter (fun i -> ignore (placed_on t i)) (List.init 20 (fun i -> i + 1));
+        let before = host_allocs t and decisions = List.length (F.Controller.decisions t) in
+        F.Controller.round t;
+        Alcotest.(check int) "no decision" decisions (List.length (F.Controller.decisions t));
+        Alcotest.(check int) "no reallocation on any host" before (host_allocs t));
+    tc "a quick restart fails over exactly the restarted host's tenants" (fun () ->
+        (* crash and restart with no round between: the controller never
+           declares the host lost, so only reconcile notices that the new
+           incarnation carries none of the tenants it holds Placed there *)
+        let t = mk ~hosts:3 ~seed:3 () in
+        let ids = List.init 6 (fun i -> i + 1) in
+        List.iter (fun i -> F.Controller.submit t (intent i)) ids;
+        F.Controller.run t ~rounds:6;
+        let lost = List.filter (fun i -> placed_on t i = "host0") ids in
+        Alcotest.(check (list int)) "host0's tenants" [ 1; 4 ] lost;
+        let seen = List.length (F.Controller.decisions t) in
+        F.Controller.crash t "host0";
+        F.Controller.restart t "host0";
+        F.Controller.run t ~rounds:8;
+        let fresh = List.filteri (fun i _ -> i >= seen) (F.Controller.decisions t) in
+        Alcotest.(check bool) "never declared lost" false
+          (List.exists (function F.Controller.D_host_lost _ -> true | _ -> false) fresh);
+        Alcotest.(check (list int)) "new decisions only for host0's tenants" lost
+          (List.sort_uniq compare (List.filter_map decision_tenant fresh));
+        List.iter
+          (fun i ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "tenant %d backed once, where it is Placed" i)
+              [ placed_on t i ] (backers t i))
+          ids);
+  ]
+
 (* {1 Determinism: byte-identical at every pool width} *)
 
 (* A random fleet op sequence, interpreted identically against
@@ -345,5 +423,6 @@ let suites =
     ("fleet.errors", error_tests);
     ("fleet.controller", controller_tests);
     ("fleet.idle", idle_tests);
+    ("fleet.idle-round", idle_round_tests);
     ("fleet.determinism", determinism_props);
   ]

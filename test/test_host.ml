@@ -184,4 +184,63 @@ let scenario_tests =
         | None -> Alcotest.fail "no heartbeat");
   ]
 
-let suites = [ ("host.facade", host_tests); ("host.scenarios", scenario_tests) ]
+(* The enforcement shim runs every 50 µs for as long as the manager is
+   on. A pass with no attached flow must cost nothing: no reallocation
+   epoch, no trace line, no architectural register moved. *)
+let route h a b =
+  let topo = Host.topology h in
+  let dv name = (Option.get (T.Topology.device_by_name topo name)).T.Device.id in
+  Option.get (T.Routing.shortest_path topo (dv a) (dv b))
+
+let place_pipe h =
+  match Host.submit_intent h (R.Intent.pipe ~tenant:1 ~src:"nic0" ~dst:"socket0" ~rate:2e9) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (R.Manager.error_to_string e)
+
+let idle_tests =
+  [
+    tc "a placed pipe with no flow costs no epoch, trace line or register" (fun () ->
+        let h = Host.create ~seed:5 Host.Minimal in
+        place_pipe h;
+        let fab = Host.fabric h in
+        let r = Ihnet_record.Recorder.attach ~sink:(fun _ -> ()) fab in
+        let allocs = E.Fabric.reallocations fab and lines = Ihnet_record.Recorder.lines r in
+        Host.run_for h (U.Units.ms 1.0);
+        Alcotest.(check int) "no reallocation" allocs (E.Fabric.reallocations fab);
+        Alcotest.(check int) "no trace line" lines (Ihnet_record.Recorder.lines r);
+        let bare = Host.create ~seed:5 Host.Minimal in
+        Host.run_for bare (U.Units.ms 1.0);
+        match Ihnet_record.Scanport.diff ~scope:`Arch (Host.scan bare) (Host.scan h) with
+        | None -> ()
+        | Some m -> Alcotest.failf "%a" Ihnet_record.Scanport.pp_mismatch m);
+    tc "unmanaged flows and no placement cost the shim no epoch" (fun () ->
+        let h = Host.create Host.Dgx in
+        ignore (Host.enable_manager h ());
+        let fab = Host.fabric h in
+        for i = 0 to 7 do
+          let p = route h (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" ((i + 3) mod 8)) in
+          ignore (E.Fabric.start_flow fab ~tenant:(i + 1) ~path:p ~size:E.Flow.Unbounded ())
+        done;
+        let allocs = E.Fabric.reallocations fab in
+        Host.run_for h (U.Units.ms 1.0);
+        Alcotest.(check int) "no reallocation" allocs (E.Fabric.reallocations fab));
+    tc "an attached running flow is enforced on every pass" (fun () ->
+        let h = Host.create Host.Minimal in
+        place_pipe h;
+        let fab = Host.fabric h in
+        let mgr = Option.get (Host.manager h) in
+        let f =
+          E.Fabric.start_flow fab ~tenant:1 ~path:(route h "nic0" "socket0")
+            ~size:E.Flow.Unbounded ()
+        in
+        Host.run_for h (U.Units.us 100.0);
+        Alcotest.(check bool) "attached" true (R.Arbiter.guaranteed_of (R.Manager.arbiter mgr) f > 0.0);
+        let decisions = R.Manager.decisions mgr and allocs = E.Fabric.reallocations fab in
+        (* 1 ms at a 50 µs period: 20 passes *)
+        Host.run_for h (U.Units.ms 1.0);
+        Alcotest.(check int) "one decision per pass" (decisions + 20) (R.Manager.decisions mgr);
+        Alcotest.(check int) "one epoch per pass" (allocs + 20) (E.Fabric.reallocations fab));
+  ]
+
+let suites =
+  [ ("host.facade", host_tests); ("host.scenarios", scenario_tests); ("host.idle", idle_tests) ]

@@ -144,6 +144,14 @@ let scheduler_tests =
         (match Scheduler.place sched (compile 20e9) with
         | Ok _ -> Alcotest.fail "should not fit"
         | Error _ -> ()));
+    tc "create refuses a headroom outside (0, 1]" (fun () ->
+        let topo, _, _ = make_host () in
+        List.iter
+          (fun headroom ->
+            Alcotest.check_raises (Printf.sprintf "headroom %g" headroom)
+              (Invalid_argument "Scheduler.create: headroom must be in (0, 1]") (fun () ->
+                ignore (Scheduler.create topo ~headroom ())))
+          [ 1.5; 0.0; Float.nan ]);
     tc "release returns capacity" (fun () ->
         let topo, _, _ = make_host () in
         let sched = Scheduler.create topo () in
@@ -387,6 +395,23 @@ let arbiter_tests =
         check_close "not yet" 0.0 f.E.Flow.floor;
         E.Sim.run ~until:(U.Units.us 200.0) sim;
         Alcotest.(check bool) "applied later" true (f.E.Flow.floor > 0.0));
+    tc "create refuses a negative reaction delay" (fun () ->
+        let _, _, fab = make_host () in
+        List.iter
+          (fun reaction_delay ->
+            Alcotest.check_raises (Printf.sprintf "reaction_delay %g" reaction_delay)
+              (Invalid_argument "Arbiter.create: reaction_delay must be >= 0") (fun () ->
+                ignore (Arbiter.create fab ~reaction_delay ())))
+          [ -1.0; Float.nan ]);
+    tc "start_shim refuses a non-positive period" (fun () ->
+        let _, _, fab = make_host () in
+        let mgr = Manager.create fab () in
+        List.iter
+          (fun period ->
+            Alcotest.check_raises (Printf.sprintf "period %g" period)
+              (Invalid_argument "Arbiter.start_shim: period must be > 0") (fun () ->
+                Manager.start_shim mgr ~period))
+          [ 0.0; -1.0; Float.nan ]);
   ]
 
 (* {1 Hose matching} *)
