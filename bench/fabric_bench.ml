@@ -1,8 +1,9 @@
-(* Fabric/allocator scaling benchmark.
+(* Fabric/allocator scaling benchmark and its regression gate.
 
-   Emits a machine-readable BENCH_fabric.json (ops/sec per subject) so
-   successive PRs can track the perf trajectory of the allocation hot
-   path (the §3.2-Q3 "enforcement overhead" cost model).
+   Measures ops/s per subject on the allocation hot path and the layers
+   around it (the §3.2-Q3 "enforcement overhead" cost model), and
+   compares a run against a committed snapshot such as the repo's
+   BENCH_fabric.json.
 
    Subjects:
    - allocate-{64,512,4096}: one Fairshare.allocate call over n demands
@@ -18,12 +19,26 @@
      whole host into one contention component. Worst case: the
      component IS the full flow set, so only the allocator speedup
      shows, not the scoping.
+   - the *-idle subjects, fleet-churn-1k and daemon-cmds-4: see their
+     sections below.
 
-   Usage: fabric_bench [--smoke] [-o FILE] [--subject NAME]...
-   --smoke runs every subject exactly once (CI liveness check) and
-   writes no file. --subject restricts the run to the named subject(s)
-   (repeatable) — used by the CI bench-regression smoke step to time
-   only the sentinel subject. *)
+   Timing. A subject builds its state, then a calibration pass of at
+   least [block_ms] of ops fixes how many ops one block holds, so that
+   a block lasts about [block_ms]. It then times [blocks] blocks with
+   perfbench's machine-speed probe (Perfbench.Harness.timed): each
+   block's wall time is scaled by the probe samples taken just before
+   and just after it, which takes the machine's own speed changes out
+   of the figure. A subject's result is the median, the interquartile
+   range and the per-block samples of its normalised ops/s, beside the
+   median of the raw ones.
+
+   Usage: fabric_bench [--smoke] [-o FILE] [--subject NAME]... [--compare BASELINE]
+   --smoke runs each subject's op once (a liveness check) and measures
+   nothing. -o writes the results to FILE as JSON; without it nothing
+   is written. --subject restricts the run to the named subject(s)
+   (repeatable). --compare prints every measured subject against
+   BASELINE's median and exits 1 when any is more than [tolerance_pct]
+   below it. *)
 
 module U = Ihnet_util
 module E = Ihnet_engine
@@ -33,13 +48,19 @@ module Mon = Ihnet_monitor
 module Rec = Ihnet_record
 module F = Ihnet_fleet
 module Api = Ihnet_api
+module H = Perfbench.Harness
+
+let block_ms = 20
+let blocks = 25
+let tolerance_pct = 30.0
 
 let usage () =
-  prerr_endline "usage: fabric_bench [--smoke] [-o FILE] [--subject NAME]...";
+  prerr_endline
+    "usage: fabric_bench [--smoke] [-o FILE] [--subject NAME]... [--compare BASELINE]";
   exit 2
 
-let smoke, out_file, only =
-  let smoke = ref false and out = ref "BENCH_fabric.json" and only = ref [] in
+let smoke, out_file, only, baseline_file =
+  let smoke = ref false and out = ref None and only = ref [] and baseline = ref None in
   let rec parse i =
     if i < Array.length Sys.argv then
       match Sys.argv.(i) with
@@ -47,39 +68,76 @@ let smoke, out_file, only =
           smoke := true;
           parse (i + 1)
       | "-o" when i + 1 < Array.length Sys.argv ->
-          out := Sys.argv.(i + 1);
+          out := Some Sys.argv.(i + 1);
           parse (i + 2)
       | "--subject" when i + 1 < Array.length Sys.argv ->
           only := Sys.argv.(i + 1) :: !only;
+          parse (i + 2)
+      | "--compare" when i + 1 < Array.length Sys.argv ->
+          baseline := Some Sys.argv.(i + 1);
           parse (i + 2)
       | a ->
           Printf.eprintf "fabric_bench: unknown or incomplete argument %S\n" a;
           usage ()
   in
   parse 1;
-  (!smoke, !out, !only)
+  (* a smoke run measures nothing to write or compare *)
+  if !smoke && (!out <> None || !baseline <> None) then usage ();
+  (!smoke, !out, !only, !baseline)
 
-(* ops/sec of [f], adaptively iterated; one shot in smoke mode *)
+type stats = {
+  median : float;  (** normalised ops/s *)
+  iqr : float;
+  samples : float array;  (** one per block, in order *)
+  raw_median : float;  (** wall-clock ops/s, not normalised *)
+}
+
+(* normalised ops/s of [f]: a calibration pass sizes the block, then
+   each block is timed between two probe samples. [None] in smoke
+   mode, where [f] runs once. *)
 let time_ops f =
   if smoke then begin
     ignore (f ());
-    0.0
+    None
   end
   else begin
-    ignore (f ());
-    (* warmup *)
-    let t0 = Unix.gettimeofday () in
-    let iters = ref 0 in
-    let min_time = 0.5 and min_iters = 5 in
-    while
-      let dt = Unix.gettimeofday () -. t0 in
-      dt < min_time || !iters < min_iters
-    do
-      ignore (f ());
-      incr iters
+    let run n =
+      for _ = 1 to n do
+        ignore (f ())
+      done
+    in
+    let block_ns = block_ms * 1_000_000 in
+    let t0 = Perfbench.Span.now () and n = ref 0 in
+    while Perfbench.Span.now () - t0 < block_ns do
+      run 1;
+      incr n
     done;
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int !iters /. dt
+    let ops = max 1 (!n * block_ns / (Perfbench.Span.now () - t0)) in
+    let per_s ns = float_of_int ops *. 1e9 /. float_of_int (max 1 ns) in
+    let norm = Array.make blocks 0.0 and raw = Array.make blocks 0.0 in
+    for b = 0 to blocks - 1 do
+      let raw_ns, norm_ns =
+        H.timed (fun () ->
+            let t0 = Perfbench.Span.now () in
+            run ops;
+            Perfbench.Span.now () - t0)
+      in
+      norm.(b) <- per_s norm_ns;
+      raw.(b) <- per_s raw_ns
+    done;
+    let sorted a =
+      let a = Array.copy a in
+      Array.sort Float.compare a;
+      a
+    in
+    let sn = sorted norm in
+    Some
+      {
+        median = H.percentile sn 0.5;
+        iqr = H.percentile sn 0.75 -. H.percentile sn 0.25;
+        samples = norm;
+        raw_median = H.percentile (sorted raw) 0.5;
+      }
   end
 
 (* {1 allocate-n: the bare allocator} *)
@@ -145,16 +203,13 @@ let bench_churn_coupled n = bench_churn ~nic_of:(fun i -> (i + 3) mod 8) n
    dormant run; the gate tolerance absorbs runner jitter). *)
 let bench_churn_sketch n = bench_churn ~wire:E.Fabric.enable_latency_sketches ~nic_of:Fun.id n
 
-(* {1 remediation-idle: the supervisor must be free when nothing is
-   broken}
+(* {1 The *-idle subjects: the cost of a plane that watches a healthy host}
 
-   A managed two-socket host with guaranteed pipes and live flows runs
-   50 simulated ms twice — without and with the remediation loop — and
-   no fault is ever injected. The loop must take zero actions and leave
-   the fabric's reallocation count and the arbiter's decision count
-   exactly unchanged (deterministic, not a timing judgement; it holds
-   in --smoke too). The reported rate is then simulated-ms/sec with the
-   idle supervisor ticking. *)
+   Each runs a managed two-socket host with guaranteed pipes and live
+   flows, instrumented with one plane, and times one simulated ms per
+   op. That the plane leaves the run unchanged is a test, not a
+   measurement: see test/test_idle.ml and, for fleet-idle, [fleet.idle]
+   in test/test_fleet.ml. *)
 
 let make_managed_host ?(wire = fun _ -> ()) () =
   let topo = T.Builder.two_socket_server () in
@@ -183,273 +238,82 @@ let make_managed_host ?(wire = fun _ -> ()) () =
   M.Manager.start_shim mgr ~period:5e4;
   (sim, fab, mgr)
 
+(* simulated ms per wall second, from 50 ms into the run *)
+let time_sim_ms sim =
+  E.Sim.run ~until:50e6 sim;
+  let t = ref (E.Sim.now sim) in
+  time_ops (fun () ->
+      t := !t +. 1e6;
+      E.Sim.run ~until:!t sim)
+
+(* the remediation loop ticking with nothing to fix *)
 let bench_remediation_idle () =
-  let measure ~remediate =
-    let sim, fab, mgr = make_managed_host () in
-    let rem =
-      if remediate then begin
-        let r = M.Remediation.create mgr in
-        M.Remediation.start r;
-        Some r
-      end
-      else None
-    in
-    E.Sim.run ~until:50e6 sim;
-    ((E.Fabric.reallocations fab, M.Manager.decisions mgr), rem, sim)
-  in
-  let baseline, _, _ = measure ~remediate:false in
-  let supervised, rem, sim = measure ~remediate:true in
-  (match rem with
-  | Some r when M.Remediation.actions_count r > 0 ->
-    failwith
-      (Printf.sprintf "remediation-idle: %d action(s) taken with no fault injected"
-         (M.Remediation.actions_count r))
-  | _ -> ());
-  if supervised <> baseline then
-    failwith
-      (Printf.sprintf
-         "remediation-idle: fault-free overhead detected — %d reallocations/%d decisions \
-          without the loop, %d/%d with it"
-         (fst baseline) (snd baseline) (fst supervised) (snd supervised));
-  (* rate: simulated ms advanced per wall second with the loop idle *)
-  let t = ref (E.Sim.now sim) in
-  time_ops (fun () ->
-      t := !t +. 1e6;
-      E.Sim.run ~until:!t sim)
+  let sim, _, mgr = make_managed_host () in
+  M.Remediation.start (M.Remediation.create mgr);
+  time_sim_ms sim
 
-(* {1 recorder-idle: the flight-recorder hooks must be free when no
-   recorder is attached, and an active recorder must observe without
-   steering}
-
-   Three identical 50 ms managed-host runs: bare, with a recorder
-   attached and immediately stopped (dormant listener, cleared
-   dispatch tap), and with a recorder streaming the whole run into a
-   buffer. All three must leave the reallocation and decision counts
-   exactly equal — recording is passive, and recording-off costs only
-   the emptiness checks the compiler already paid for. The reported
-   rate is simulated-ms/sec with the dormant recorder in place. *)
-
+(* a flight recorder attached and stopped: its hooks stay installed *)
 let bench_recorder_idle () =
-  let signature wire =
-    let sim, fab, mgr = make_managed_host ~wire () in
-    E.Sim.run ~until:50e6 sim;
-    ((E.Fabric.reallocations fab, M.Manager.decisions mgr), sim)
+  let sim, _, _ =
+    make_managed_host
+      ~wire:(fun fab -> Rec.Recorder.stop (Rec.Recorder.attach ~sink:(fun _ -> ()) fab))
+      ()
   in
-  let baseline, _ = signature (fun _ -> ()) in
-  let stopped, sim =
-    signature (fun fab ->
-        let buf = Buffer.create 256 in
-        Rec.Recorder.stop (Rec.Recorder.attach ~sink:(Rec.Recorder.buffer_sink buf) fab))
-  in
-  let buf = Buffer.create 65536 in
-  let recording, _ =
-    signature (fun fab ->
-        ignore (Rec.Recorder.attach ~label:"bench" ~sink:(Rec.Recorder.buffer_sink buf) fab))
-  in
-  if stopped <> baseline then
-    failwith
-      (Printf.sprintf
-         "recorder-idle: dormant recorder changed the run — %d reallocations/%d decisions bare, \
-          %d/%d with it"
-         (fst baseline) (snd baseline) (fst stopped) (snd stopped));
-  if recording <> baseline then
-    failwith
-      (Printf.sprintf
-         "recorder-idle: active recording steered the run — %d reallocations/%d decisions bare, \
-          %d/%d recording"
-         (fst baseline) (snd baseline) (fst recording) (snd recording));
-  if Buffer.length buf = 0 then failwith "recorder-idle: active recorder captured nothing";
-  let t = ref (E.Sim.now sim) in
-  time_ops (fun () ->
-      t := !t +. 1e6;
-      E.Sim.run ~until:!t sim)
+  time_sim_ms sim
 
-(* {1 evidence-idle: the corroboration gate must be free when every
-   sensor is honest}
-
-   Two identical 50 ms supervised runs with no fault and no lying
-   sensor: one with the bare remediation loop, one with an evidence
-   gate installed (and its fabric subscription live). Both must take
-   zero actions and leave reallocation and decision counts exactly
-   equal — with no detector reports the gate's verdict path is a hash
-   lookup that never fires, and its fabric listener only reacts to
-   fault events that never come. The reported rate is simulated-ms/sec
-   with the gated supervisor ticking. *)
-
+(* the remediation loop behind an evidence gate, every sensor honest *)
 let bench_evidence_idle () =
-  let measure ~gated =
-    let sim, fab, mgr = make_managed_host () in
-    let rem = M.Remediation.create mgr in
-    if gated then begin
-      let ev = Mon.Evidence.create fab in
-      M.Remediation.set_gate rem (Mon.Evidence.gate ev)
-    end;
-    M.Remediation.start rem;
-    E.Sim.run ~until:50e6 sim;
-    ((E.Fabric.reallocations fab, M.Manager.decisions mgr), rem, sim)
-  in
-  let baseline, rem0, _ = measure ~gated:false in
-  let gated, rem1, sim = measure ~gated:true in
-  List.iter
-    (fun (label, r) ->
-      if M.Remediation.actions_count r > 0 then
-        failwith
-          (Printf.sprintf "evidence-idle: %d action(s) taken with no fault injected (%s)"
-             (M.Remediation.actions_count r) label))
-    [ ("ungated", rem0); ("gated", rem1) ];
-  if gated <> baseline then
-    failwith
-      (Printf.sprintf
-         "evidence-idle: fault-free gate overhead detected — %d reallocations/%d decisions \
-          ungated, %d/%d gated"
-         (fst baseline) (snd baseline) (fst gated) (snd gated));
-  let t = ref (E.Sim.now sim) in
-  time_ops (fun () ->
-      t := !t +. 1e6;
-      E.Sim.run ~until:!t sim)
+  let sim, fab, mgr = make_managed_host () in
+  let rem = M.Remediation.create mgr in
+  M.Remediation.set_gate rem (Mon.Evidence.gate (Mon.Evidence.create fab));
+  M.Remediation.start rem;
+  time_sim_ms sim
 
-(* {1 sketch-idle: the always-on sketch plane must observe without
-   steering}
-
-   Two identical 50 ms managed-host runs — one bare, one with the
-   latency-sketch plane enabled — must leave the reallocation and
-   decision counts exactly equal: recording is pure observation (no
-   RNG, no events, no rate mutation), so an enabled plane cannot
-   perturb the run, and a dormant one costs only a None check
-   (deterministic, not a timing judgement; it holds in --smoke too).
-   The active run must also have actually recorded samples — a plane
-   optimized into a no-op would pass the equality vacuously. The
-   reported rate is simulated-ms/sec with the plane recording. *)
-
+(* the latency-sketch plane recording at every epoch *)
 let bench_sketch_idle () =
-  let measure wire =
-    let sim, fab, mgr = make_managed_host ~wire () in
-    E.Sim.run ~until:50e6 sim;
-    ((E.Fabric.reallocations fab, M.Manager.decisions mgr), fab, sim)
-  in
-  let baseline, _, _ = measure (fun _ -> ()) in
-  let sketched, fab, sim = measure E.Fabric.enable_latency_sketches in
-  if sketched <> baseline then
-    failwith
-      (Printf.sprintf
-         "sketch-idle: sketch plane steered the run — %d reallocations/%d decisions bare, \
-          %d/%d with it"
-         (fst baseline) (snd baseline) (fst sketched) (snd sketched));
-  let samples = ref 0 in
-  List.iter
-    (fun (l : T.Link.t) ->
-      List.iter
-        (fun dir ->
-          match E.Fabric.link_latency_sketch fab l.T.Link.id dir with
-          | Some sk -> samples := !samples + U.Sketch.count sk
-          | None -> ())
-        [ T.Link.Fwd; T.Link.Rev ])
-    (T.Topology.links (E.Fabric.topology fab));
-  if !samples = 0 then failwith "sketch-idle: active sketch plane recorded nothing";
-  let t = ref (E.Sim.now sim) in
-  time_ops (fun () ->
-      t := !t +. 1e6;
-      E.Sim.run ~until:!t sim)
+  let sim, _, _ = make_managed_host ~wire:E.Fabric.enable_latency_sketches () in
+  time_sim_ms sim
 
-(* {1 scanport-idle: the zero-impact guarantee, mechanically checked}
-
-   Two identical 50 ms managed-host runs, both streaming the flight
-   recorder into a buffer. One additionally captures a full Scanport
-   snapshot at every reallocation epoch from a fabric listener. Because
-   capture is a pure read (no RNG draw, no lazy-sync, no event, no heap
-   generation, no memo movement), the scanned run must be
-   bit-identical to the bare one: the two trace buffers compare equal
-   byte for byte — every digest the recorder emitted matches — and the
-   reallocation/decision counts are exactly equal. The scanned run must
-   also have captured something, or the equality would be vacuous. The
-   reported rate is simulated-ms/sec with scan-every-epoch active. *)
-
+(* the recorder streaming every line and a full scan-port capture at
+   every reallocation epoch; only the latest line and snapshot are
+   kept, so the run's memory does not grow with its length *)
 let bench_scanport_idle () =
-  let measure ~scan =
-    let buf = Buffer.create 65536 in
-    let snaps = ref [] in
-    let sim, fab, mgr =
-      make_managed_host
-        ~wire:(fun fab ->
-          ignore (Rec.Recorder.attach ~label:"bench" ~sink:(Rec.Recorder.buffer_sink buf) fab);
-          if scan then
-            E.Fabric.subscribe fab (function
-              | E.Fabric.Reallocated _ -> snaps := Rec.Scanport.capture fab :: !snaps
-              | _ -> ()))
-        ()
-    in
-    E.Sim.run ~until:50e6 sim;
-    ((E.Fabric.reallocations fab, M.Manager.decisions mgr), Buffer.contents buf, !snaps, sim)
+  let buf = Buffer.create 4096 and last = ref None in
+  let sim, _, _ =
+    make_managed_host
+      ~wire:(fun fab ->
+        let sink line =
+          Buffer.clear buf;
+          Rec.Recorder.buffer_sink buf line
+        in
+        ignore (Rec.Recorder.attach ~label:"bench" ~sink fab);
+        E.Fabric.subscribe fab (function
+          | E.Fabric.Reallocated _ -> last := Some (Rec.Scanport.capture fab)
+          | _ -> ()))
+      ()
   in
-  let baseline, bare_trace, _, _ = measure ~scan:false in
-  let scanned, scanned_trace, snaps, sim = measure ~scan:true in
-  if scanned <> baseline then
-    failwith
-      (Printf.sprintf
-         "scanport-idle: scanning steered the run — %d reallocations/%d decisions bare, %d/%d \
-          scanned"
-         (fst baseline) (snd baseline) (fst scanned) (snd scanned));
-  if scanned_trace <> bare_trace then
-    failwith "scanport-idle: scan-every-epoch run produced a different trace than the bare run";
-  (match snaps with
-  | [] -> failwith "scanport-idle: scan-every-epoch run captured no snapshots"
-  | last :: _ ->
-    (* the chain must really be read out, not elided *)
-    if last.Rec.Scanport.s_regs = [] then failwith "scanport-idle: empty scan chain");
-  let t = ref (E.Sim.now sim) in
-  time_ops (fun () ->
-      t := !t +. 1e6;
-      E.Sim.run ~until:!t sim)
+  time_sim_ms sim
 
-(* {1 fleet-idle: a dormant fleet controller is invisible}
-
-   Same discipline as recorder-idle and scanport-idle, one layer up:
-   enrolling a live host in a fleet controller with no tenants and no
-   channel faults must leave the host's run byte-identical to an
-   unmanaged one. The proof is mechanical — equal Scanport digests
-   after the same simulated time, an empty decision log, and channel
-   RNG state untouched (Chanfault's RNG-only-under-fault discipline).
-   The reported rate is controller rounds/sec over the wrapped host. *)
-
+(* controller rounds per wall second over one enrolled host carrying a
+   flow, with no tenant and no channel fault *)
 let bench_fleet_idle () =
-  let build () =
-    let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Minimal in
-    let fab = Ihnet.Host.fabric host in
-    let topo = Ihnet.Host.topology host in
-    let dev name =
-      match T.Topology.device_by_name topo name with
-      | Some d -> d.T.Device.id
-      | None -> failwith ("fabric_bench: no device " ^ name)
-    in
-    let path =
-      match T.Routing.shortest_path topo (dev "nic0") (dev "socket0") with
-      | Some p -> p
-      | None -> failwith "fabric_bench: no nic0->socket0 path"
-    in
-    ignore (E.Fabric.start_flow fab ~tenant:1 ~path ~size:E.Flow.Unbounded ());
-    host
+  let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Minimal in
+  let topo = Ihnet.Host.topology host in
+  let dev name =
+    match T.Topology.device_by_name topo name with
+    | Some d -> d.T.Device.id
+    | None -> failwith ("fabric_bench: no device " ^ name)
   in
-  let rounds = 50 and round_len = U.Units.us 100.0 in
-  let bare = build () in
-  for _ = 1 to rounds do
-    Ihnet.Host.run_for bare round_len
-  done;
-  let wrapped = build () in
-  let cfg = { F.Controller.default_config with F.Controller.round_len = round_len } in
+  let path =
+    match T.Routing.shortest_path topo (dev "nic0") (dev "socket0") with
+    | Some p -> p
+    | None -> failwith "fabric_bench: no nic0->socket0 path"
+  in
+  ignore (E.Fabric.start_flow (Ihnet.Host.fabric host) ~tenant:1 ~path ~size:E.Flow.Unbounded ());
+  let cfg = { F.Controller.default_config with F.Controller.round_len = U.Units.us 100.0 } in
   let t = F.Controller.create ~config:cfg ~seed:7 () in
-  F.Controller.add_host t ~label:"live0" wrapped;
-  let rng_before = F.Controller.channel_rng_peek t "live0" in
-  F.Controller.run t ~rounds;
-  if
-    (Ihnet.Host.scan wrapped).Rec.Scanport.s_digest
-    <> (Ihnet.Host.scan bare).Rec.Scanport.s_digest
-  then failwith "fleet-idle: dormant controller changed the wrapped host's run";
-  if F.Controller.decisions t <> [] then
-    failwith
-      (Printf.sprintf "fleet-idle: %d decision(s) with no tenants and no faults"
-         (List.length (F.Controller.decisions t)));
-  if F.Controller.channel_rng_peek t "live0" <> rng_before then
-    failwith "fleet-idle: fault-free channel plane drew from its RNG";
+  F.Controller.add_host t ~label:"live0" host;
+  F.Controller.run t ~rounds:50;
   time_ops (fun () -> F.Controller.run t ~rounds:10)
 
 (* {1 fleet-churn-1k: the control loop at fleet scale}
@@ -576,6 +440,58 @@ let bench_daemon_cmds () =
   Api.Server.stop srv;
   ops
 
+(* median normalised ops/s per subject of a snapshot written by -o *)
+let load_baseline path =
+  try
+    match
+      Rec.Trace.field
+        (Rec.Trace.json_of_string (In_channel.with_open_text path In_channel.input_all))
+        "subjects"
+    with
+    | Rec.Trace.Obj kvs ->
+      List.map (fun (k, v) -> (k, Rec.Trace.(as_float (field v "median")))) kvs
+    | _ -> raise (Rec.Trace.Parse_error "\"subjects\" is not an object")
+  with Sys_error e | Rec.Trace.Parse_error e ->
+    Printf.eprintf "fabric_bench: %s: %s\n" path e;
+    exit 2
+
+let write_snapshot file results =
+  let floats a = String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.2f") a)) in
+  Out_channel.with_open_text file (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"benchmark\": \"fabric\",\n  \"unit\": \"ops/s normalised by perfbench's probe\",\n\
+        \  \"block_ms\": %d,\n  \"blocks\": %d,\n  \"subjects\": {\n"
+        block_ms blocks;
+      List.iteri
+        (fun i (name, st) ->
+          Printf.fprintf oc
+            "    \"%s\": { \"median\": %.2f, \"iqr\": %.2f, \"raw_median\": %.2f, \"samples\": [%s] }%s\n"
+            name st.median st.iqr st.raw_median (floats st.samples)
+            (if i = List.length results - 1 then "" else ","))
+        results;
+      output_string oc "  }\n}\n");
+  Printf.printf "wrote %s\n%!" file
+
+(* exit 1 when a subject is more than [tolerance_pct] below the baseline *)
+let compare_against path base results =
+  Printf.printf "%-28s %12s %12s %9s\n" "subject" "baseline" "current" "delta";
+  let regressed =
+    List.filter
+      (fun (name, st) ->
+        let b = List.assoc name base in
+        let delta = 100.0 *. ((st.median /. b) -. 1.0) in
+        let bad = delta < -.tolerance_pct in
+        Printf.printf "%-28s %12.1f %12.1f %+8.1f%%%s\n" name b st.median delta
+          (if bad then " REGRESSION" else "");
+        bad)
+      results
+  in
+  if regressed <> [] then begin
+    Printf.eprintf "fabric_bench: %d subject(s) regressed more than %.0f%% below %s\n"
+      (List.length regressed) tolerance_pct path;
+    exit 1
+  end
+
 let () =
   let subjects =
     [
@@ -588,11 +504,6 @@ let () =
       ("remediation-idle", bench_remediation_idle);
       ("recorder-idle", bench_recorder_idle);
       ("evidence-idle", bench_evidence_idle);
-      (* new subjects go AFTER every pre-warm-start subject: despite the
-         per-subject compaction above, a subject's throughput is still
-         sensitive to the ambient heap state its predecessors leave
-         behind, so keeping the historical prefix order is what makes
-         the [baseline_pre_warmstart] comparison like-for-like. *)
       ("sketch-idle", bench_sketch_idle);
       ("flow-churn-sketch-4096", fun () -> bench_churn_sketch 4096);
       ("scanport-idle", bench_scanport_idle);
@@ -614,53 +525,39 @@ let () =
           names;
         List.filter (fun (n, _) -> List.mem n names) subjects
   in
+  (* read the baseline first, so a bad one costs no measuring *)
+  let baseline =
+    Option.map
+      (fun path ->
+        let base = load_baseline path in
+        List.iter
+          (fun (n, _) ->
+            if not (List.mem_assoc n base) then begin
+              Printf.eprintf "fabric_bench: %s has no subject %S\n" path n;
+              exit 2
+            end)
+          subjects;
+        (path, base))
+      baseline_file
+  in
+  if not smoke then
+    Printf.printf "%-24s %12s %9s %7s %12s\n" "subject" "median ops/s" "IQR" "IQR %" "raw median";
   let results =
-    List.map
+    List.filter_map
       (fun (name, f) ->
         (* decouple subjects: start each from a compacted heap so a
            fast, allocation-heavy subject can't skew the next one's
            numbers through inherited GC state *)
         Gc.compact ();
-        let ops = f () in
-        if smoke then Printf.printf "%-18s ok\n%!" name
-        else Printf.printf "%-18s %12.1f ops/sec\n%!" name ops;
-        (name, ops))
+        match f () with
+        | None ->
+          Printf.printf "%-24s ok\n%!" name;
+          None
+        | Some st ->
+          Printf.printf "%-24s %12.1f %9.1f %6.1f%% %12.1f\n%!" name st.median st.iqr
+            (100.0 *. st.iqr /. st.median) st.raw_median;
+          Some (name, st))
       subjects
   in
-  (* Frozen pre-warmstart measurements (commit before the warm-started
-     solver + component memo landed), taken on the same machine as the
-     committed subjects snapshot: mean of three full runs of this
-     harness built from that commit. Kept in the emitted JSON so every
-     regenerated snapshot still documents the cliff the warm path
-     removed; new warm-era subjects have no pre-warmstart value. *)
-  let baseline_pre_warmstart =
-    [
-      ("allocate-64", 46862.75);
-      ("allocate-512", 9004.39);
-      ("allocate-4096", 1041.73);
-      ("flow-churn-256", 72133.34);
-      ("flow-churn-4096", 3942.28);
-      ("flow-churn-coupled-4096", 138.60);
-      ("remediation-idle", 269.76);
-      ("recorder-idle", 250.81);
-      ("evidence-idle", 272.41);
-    ]
-  in
-  if not smoke then begin
-    let oc = open_out out_file in
-    output_string oc "{\n  \"benchmark\": \"fabric\",\n  \"unit\": \"ops_per_sec\",\n  \"subjects\": {\n";
-    List.iteri
-      (fun i (name, ops) ->
-        Printf.fprintf oc "    \"%s\": %.2f%s\n" name ops
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  },\n  \"baseline_pre_warmstart\": {\n";
-    List.iteri
-      (fun i (name, ops) ->
-        Printf.fprintf oc "    \"%s\": %.2f%s\n" name ops
-          (if i = List.length baseline_pre_warmstart - 1 then "" else ","))
-      baseline_pre_warmstart;
-    output_string oc "  }\n}\n";
-    close_out oc;
-    Printf.printf "wrote %s\n%!" out_file
-  end
+  Option.iter (fun file -> write_snapshot file results) out_file;
+  Option.iter (fun (path, base) -> compare_against path base results) baseline

@@ -6,7 +6,7 @@
    command plane (Ihnet_api): it builds one Ihnet_api.Command, executes
    it — against a fresh in-process host by default, or against a live
    ihnetd over a Unix socket with --connect — and renders the typed
-   response. Trace tooling (record/replay/faults/bench) and the
+   response. Trace tooling (record/replay/faults) and the
    self-contained fleet campaign stay local.
 
    Examples:
@@ -886,87 +886,6 @@ let replay_cmd =
        ~doc:"Re-execute a recorded trace on a fresh host and check digests epoch-by-epoch.")
     Term.(const run $ file $ perturb_at)
 
-let bench_cmd =
-  let current =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"CURRENT"
-          ~doc:"Freshly measured snapshot (output of $(b,fabric_bench -o) ...).")
-  in
-  let baseline =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "compare" ] ~docv:"BASELINE"
-          ~doc:"Committed snapshot to compare against (normally the repo's BENCH_fabric.json).")
-  in
-  let tolerance =
-    Arg.(
-      value
-      & opt float 30.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:
-            "Maximum tolerated regression, percent below baseline. Exceeding it on any compared \
-             subject exits 1.")
-  in
-  let only =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "subject" ] ~docv:"NAME"
-          ~doc:"Compare only $(docv) (repeatable); default: every subject present in both files.")
-  in
-  let load_subjects path =
-    let json = Rec.Trace.json_of_string (In_channel.with_open_text path In_channel.input_all) in
-    match Rec.Trace.field json "subjects" with
-    | Rec.Trace.Obj kvs -> List.map (fun (k, v) -> (k, Rec.Trace.as_float v)) kvs
-    | _ -> failwith (path ^ ": no \"subjects\" object")
-  in
-  let run current baseline tolerance only =
-    let base = load_subjects baseline and cur = load_subjects current in
-    let names =
-      match only with
-      | [] -> List.filter (fun (n, _) -> List.mem_assoc n cur) base |> List.map fst
-      | names ->
-        List.iter
-          (fun n ->
-            if not (List.mem_assoc n base) then
-              failwith (Printf.sprintf "%s: no subject %S in baseline" baseline n);
-            if not (List.mem_assoc n cur) then
-              failwith (Printf.sprintf "%s: no subject %S in current snapshot" current n))
-          names;
-        names
-    in
-    if names = [] then failwith "no common subjects to compare";
-    Printf.printf "%-28s %12s %12s %9s\n" "subject" "baseline" "current" "delta";
-    let worst_over = ref [] in
-    List.iter
-      (fun n ->
-        let b = List.assoc n base and c = List.assoc n cur in
-        let delta = if b > 0.0 then 100.0 *. ((c /. b) -. 1.0) else 0.0 in
-        let flag = if delta < -.tolerance then " REGRESSION" else "" in
-        if delta < -.tolerance then worst_over := (n, delta) :: !worst_over;
-        Printf.printf "%-28s %12.1f %12.1f %+8.1f%%%s\n" n b c delta flag)
-      names;
-    List.iter
-      (fun (n, _) ->
-        if not (List.mem_assoc n base) then Printf.printf "%-28s %25s\n" n "(new, no baseline)")
-      cur;
-    match !worst_over with
-    | [] -> ()
-    | over ->
-      Printf.eprintf "bench: %d subject(s) regressed more than %.0f%% below %s\n"
-        (List.length over) tolerance baseline;
-      exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Compare a fresh fabric_bench snapshot against the committed one, per-subject; exit 1 \
-          on a regression beyond the tolerance (the CI bench-regression smoke step).")
-    Term.(const run $ current $ baseline $ tolerance $ only)
-
 let fleet_cmd =
   let hosts_n =
     Arg.(value & opt int 4 & info [ "hosts"; "n" ] ~docv:"N" ~doc:"Fleet size (hosts spawned as host0..hostN-1).")
@@ -1078,6 +997,6 @@ let fleet_cmd =
 let main_cmd =
   let doc = "operator tools for the (simulated) manageable intra-host network" in
   Cmd.group (Cmd.info "ihnetctl" ~doc ~version:"1.0.0")
-    [ topo_cmd; ping_cmd; trace_cmd; perf_cmd; dump_cmd; check_cmd; heal_cmd; heartbeat_cmd; monitor_cmd; latency_cmd; plan_cmd; report_cmd; scenario_cmd; spec_cmd; record_cmd; replay_cmd; scan_cmd; faults_cmd; fleet_cmd; bench_cmd; submit_cmd; flow_cmd; fault_cmd; run_cmd; stats_cmd; watch_cmd; shutdown_cmd; fleetctl_cmd ]
+    [ topo_cmd; ping_cmd; trace_cmd; perf_cmd; dump_cmd; check_cmd; heal_cmd; heartbeat_cmd; monitor_cmd; latency_cmd; plan_cmd; report_cmd; scenario_cmd; spec_cmd; record_cmd; replay_cmd; scan_cmd; faults_cmd; fleet_cmd; submit_cmd; flow_cmd; fault_cmd; run_cmd; stats_cmd; watch_cmd; shutdown_cmd; fleetctl_cmd ]
 
 let () = exit (guarded (fun () -> Cmd.eval ~catch:false main_cmd))

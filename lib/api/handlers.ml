@@ -651,9 +651,14 @@ let dispatch t cmd =
     Resp.Ack
   | C.Stats, Host h -> stats t h
   | C.Fleet_spawn { name; preset }, Fleet ctl -> fleet_spawn ctl ~name ~preset
-  | C.Fleet_submit intent, Fleet ctl ->
-    F.Controller.submit ctl intent;
-    Resp.Ack
+  | C.Fleet_submit intent, Fleet ctl -> (
+    (* a host's manager validates its own submits; the controller
+       would queue any intent and park it as fleet-degraded *)
+    match R.Intent.validate intent with
+    | Error why -> Resp.Err (Api_error.Mgr (R.Mgr_error.Invalid_intent why))
+    | Ok () ->
+      F.Controller.submit ctl intent;
+      Resp.Ack)
   | C.Fleet_run { rounds }, Fleet ctl ->
     F.Controller.run ctl ~rounds;
     Resp.Ack
@@ -677,6 +682,10 @@ let bad_fraction cmd field v =
   if v >= 0.0 && v <= 1.0 then None
   else Some (Printf.sprintf "%s: %s must be in [0, 1] (got %g)" cmd field v)
 
+let bad_positive cmd field v =
+  if Float.is_finite v && v > 0.0 then None
+  else Some (Printf.sprintf "%s: %s must be finite and > 0 (got %g)" cmd field v)
+
 let bad_ms cmd ms = bad_nonneg cmd "ms" ms
 
 let invalid_field = function
@@ -690,7 +699,8 @@ let invalid_field = function
         bad_nonneg "fault_inject" "extra_us" extra_us;
       ]
   | C.Scenario { ms; _ } -> bad_ms "scenario" ms
-  | C.Monitor { ms; _ } -> bad_ms "monitor" ms
+  | C.Monitor { ms; period_us; _ } ->
+    List.find_map Fun.id [ bad_ms "monitor" ms; bad_positive "monitor" "period_us" period_us ]
   | C.Latency { ms; _ } -> bad_ms "latency" ms
   | C.Scan { ms; _ } -> bad_ms "scan" ms
   | C.Run_for { ms } -> bad_ms "run_for" ms

@@ -107,6 +107,7 @@ type t = {
   comp_entries : entry U.Vec.t; (* scratch: current component's members *)
   comp_res : int U.Vec.t; (* scratch: current component's real resources *)
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
+  mutable comp_stack : int list; (* scratch: resources the BFS has yet to expand *)
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
   (* component-result memo *)
   warm : bool; (* memo on *)
@@ -273,6 +274,7 @@ let create ?(seed = 42) ?(warm = true) sim topo =
       comp_entries = U.Vec.create ();
       comp_res = U.Vec.create ();
       comp_sockets = U.Vec.create ();
+      comp_stack = [];
       cheap = U.Heap.create ();
       warm;
       comp_cache = Hashtbl.create 64;
@@ -414,52 +416,65 @@ let unregister t e =
 
 let all_seeds t = Array.init (Array.length t.res_entries) Fun.id
 
+(* The contention BFS both collectors share, within generation
+   [t.comp_gen]. [claim_res t r] claims resource [r] into the scratch
+   vectors and onto the work stack; claiming a DDIO-coupled socket
+   claims all of its memory-side resources too, so spill accounting is
+   recomputed whole. [drain t] pops the stack until every entry
+   transitively sharing a claimed resource is claimed, with its
+   footprint. *)
+let rec claim_res t r =
+  let gen = t.comp_gen in
+  if t.res_mark.(r) <> gen then begin
+    t.res_mark.(r) <- gen;
+    if r < t.nr then U.Vec.push t.comp_res r;
+    t.comp_stack <- r :: t.comp_stack;
+    let s = t.socket_of_res.(r) in
+    if s >= 0 && t.socket_mark.(s) <> gen then begin
+      t.socket_mark.(s) <- gen;
+      U.Vec.push t.comp_sockets s;
+      match t.socket_mems.(s) with
+      | Some sm ->
+        claim_res t (t.nr + s);
+        List.iter (fun (r', _) -> claim_res t r') sm.to_mem;
+        List.iter (fun (r', _) -> claim_res t r') sm.from_mem
+      | None -> ()
+    end
+  end
+
+let rec drain t =
+  match t.comp_stack with
+  | [] -> ()
+  | r :: rest ->
+    t.comp_stack <- rest;
+    let gen = t.comp_gen in
+    List.iter
+      (fun e ->
+        if e.mark <> gen then begin
+          e.mark <- gen;
+          U.Vec.push t.comp_entries e;
+          for i = 0 to Array.length e.conn - 1 do
+            claim_res t e.conn.(i)
+          done
+        end)
+      t.res_entries.(r);
+    drain t
+
+let clear_scratch t =
+  t.comp_stack <- [];
+  U.Vec.clear t.comp_entries;
+  U.Vec.clear t.comp_res;
+  U.Vec.clear t.comp_sockets
+
 (* Collect into the scratch vectors the contention component reachable
    from [seeds]: every entry transitively sharing a resource with the
    seeds, every real resource the component touches, and every
-   DDIO-coupled socket. Marking a coupled socket pulls in all of its
-   memory-side resources, so spill accounting is recomputed whole. *)
+   DDIO-coupled socket. All seeds are claimed before the one drain. *)
 let collect_component t seeds =
   t.comp_gen <- t.comp_gen + 1;
-  let gen = t.comp_gen in
-  U.Vec.clear t.comp_entries;
-  U.Vec.clear t.comp_res;
-  U.Vec.clear t.comp_sockets;
-  let stack = ref [] in
-  let rec mark_res r =
-    if t.res_mark.(r) <> gen then begin
-      t.res_mark.(r) <- gen;
-      if r < t.nr then U.Vec.push t.comp_res r;
-      stack := r :: !stack;
-      let s = t.socket_of_res.(r) in
-      if s >= 0 && t.socket_mark.(s) <> gen then begin
-        t.socket_mark.(s) <- gen;
-        U.Vec.push t.comp_sockets s;
-        match t.socket_mems.(s) with
-        | Some sm ->
-          mark_res (t.nr + s);
-          List.iter (fun (r', _) -> mark_res r') sm.to_mem;
-          List.iter (fun (r', _) -> mark_res r') sm.from_mem
-        | None -> ()
-      end
-    end
-  in
-  Array.iter mark_res seeds;
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
-    | r :: rest ->
-      stack := rest;
-      List.iter
-        (fun e ->
-          if e.mark <> gen then begin
-            e.mark <- gen;
-            U.Vec.push t.comp_entries e;
-            Array.iter mark_res e.conn
-          end)
-        t.res_entries.(r)
-  done
+  clear_scratch t;
+  Array.iter (claim_res t) seeds;
+  drain t
 
 (* A snapshot of one contention component: the unit of reallocation
    and of the memo. Components reachable from distinct seeds are
@@ -480,47 +495,12 @@ let collect_components t seeds =
   t.comp_gen <- t.comp_gen + 1;
   let gen = t.comp_gen in
   let comps = ref [] in
-  let stack = ref [] in
-  let rec mark_res r =
-    if t.res_mark.(r) <> gen then begin
-      t.res_mark.(r) <- gen;
-      if r < t.nr then U.Vec.push t.comp_res r;
-      stack := r :: !stack;
-      let s = t.socket_of_res.(r) in
-      if s >= 0 && t.socket_mark.(s) <> gen then begin
-        t.socket_mark.(s) <- gen;
-        U.Vec.push t.comp_sockets s;
-        match t.socket_mems.(s) with
-        | Some sm ->
-          mark_res (t.nr + s);
-          List.iter (fun (r', _) -> mark_res r') sm.to_mem;
-          List.iter (fun (r', _) -> mark_res r') sm.from_mem
-        | None -> ()
-      end
-    end
-  in
   Array.iter
     (fun seed ->
       if t.res_mark.(seed) <> gen then begin
-        U.Vec.clear t.comp_entries;
-        U.Vec.clear t.comp_res;
-        U.Vec.clear t.comp_sockets;
-        mark_res seed;
-        let continue = ref true in
-        while !continue do
-          match !stack with
-          | [] -> continue := false
-          | r :: rest ->
-            stack := rest;
-            List.iter
-              (fun e ->
-                if e.mark <> gen then begin
-                  e.mark <- gen;
-                  U.Vec.push t.comp_entries e;
-                  Array.iter mark_res e.conn
-                end)
-              t.res_entries.(r)
-        done;
+        clear_scratch t;
+        claim_res t seed;
+        drain t;
         comps :=
           {
             c_entries = U.Vec.to_array t.comp_entries;

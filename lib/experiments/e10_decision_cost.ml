@@ -4,8 +4,7 @@
 
    Wall-clock cost of one compile+schedule decision and one arbiter
    enforcement pass, as the host scales from a small box to a
-   many-switch monster. (bench/main.exe repeats these with bechamel for
-   rigorous statistics; this table is the quick summary.) *)
+   many-switch monster. *)
 
 module E = Ihnet_engine
 module T = Ihnet_topology

@@ -28,27 +28,33 @@ let hose ~tenant ~endpoint ~to_host ~from_host =
     work_conserving = true;
   }
 
+(* NaN fails every comparison, so the finiteness checks come first *)
+let target_error = function
+  | Pipe { rate; _ } when not (Float.is_finite rate) -> Some "intent target with non-finite rate"
+  | Hose { to_host; from_host; _ } when not (Float.is_finite to_host && Float.is_finite from_host)
+    ->
+    Some "intent target with non-finite rate"
+  | Pipe { rate; _ } when rate <= 0.0 -> Some "intent target with non-positive rate"
+  | Hose { to_host; from_host; _ } when to_host < 0.0 || from_host < 0.0 || to_host +. from_host <= 0.0
+    ->
+    Some "intent target with non-positive rate"
+  | Pipe _ | Hose _ -> None
+
+let bound_error what = function
+  | Some b when not (Float.is_finite b) -> Some ("non-finite " ^ what ^ " bound")
+  | Some b when b <= 0.0 -> Some ("non-positive " ^ what ^ " bound")
+  | Some _ | None -> None
+
 let validate t =
   if t.targets = [] then Error "intent has no targets"
-  else begin
-    let bad =
-      List.find_opt
-        (fun tgt ->
-          match tgt with
-          | Pipe { rate; _ } -> rate <= 0.0
-          | Hose { to_host; from_host; _ } -> to_host < 0.0 || from_host < 0.0 || to_host +. from_host <= 0.0)
-        t.targets
-    in
-    match bad with
-    | Some _ -> Error "intent target with non-positive rate"
-    | None -> (
-      match t.latency_bound with
-      | Some b when b <= 0.0 -> Error "non-positive latency bound"
-      | Some _ | None -> (
-        match t.p99_bound with
-        | Some b when b <= 0.0 -> Error "non-positive p99 bound"
-        | Some _ | None -> Ok ()))
-  end
+  else
+    match
+      List.find_map Fun.id
+        (List.map target_error t.targets
+        @ [ bound_error "latency" t.latency_bound; bound_error "p99" t.p99_bound ])
+    with
+    | Some why -> Error why
+    | None -> Ok ()
 
 let total_guaranteed t =
   List.fold_left

@@ -45,7 +45,9 @@ val pipe : tenant:int -> src:string -> dst:string -> rate:float -> t
 val hose : tenant:int -> endpoint:string -> to_host:float -> from_host:float -> t
 
 val validate : t -> (unit, string) result
-(** Rates positive, at least one target. *)
+(** At least one target; every rate and bound finite, rates positive
+    (a hose's two directions non-negative with a positive sum), bounds
+    positive. *)
 
 val total_guaranteed : t -> float
 (** Sum of all target rates — a crude size measure for admission

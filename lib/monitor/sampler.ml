@@ -181,7 +181,9 @@ let rec tick t _sim =
   end
 
 let start fabric ?telemetry config =
-  assert (config.period > 0.0);
+  (* NaN fails the comparison too *)
+  if not (config.period > 0.0) then
+    invalid_arg (Printf.sprintf "Sampler.start: period must be > 0 (got %g)" config.period);
   let t =
     {
       fabric;

@@ -32,7 +32,8 @@ val default_config : unit -> config
 type t
 
 val start : Ihnet_engine.Fabric.t -> ?telemetry:Telemetry.t -> config -> t
-(** Begins ticking immediately (first tick one period from now). *)
+(** Begins ticking immediately (first tick one period from now).
+    @raise Invalid_argument unless [config.period > 0]. *)
 
 val stop : t -> unit
 

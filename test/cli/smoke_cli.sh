@@ -89,35 +89,24 @@ expect_any fleet-unknown-host 1 \
   '^ihnetctl: Fleet.Controller: unknown host "nope"$' \
   "$CTL" fleet --hosts 2 --rounds 12 --crash nope
 
-cat >"$tmp/base.json" <<'EOF'
-{ "subjects": { "probe": 100.0 } }
-EOF
-cat >"$tmp/within.json" <<'EOF'
-{ "subjects": { "probe": 95.0 } }
-EOF
-cat >"$tmp/slow.json" <<'EOF'
-{ "subjects": { "probe": 10.0 } }
-EOF
-expect bench-compare-ok 0 \
-  '^subject +baseline +current +delta$' \
-  "$CTL" bench "$tmp/within.json" --compare "$tmp/base.json" --tolerance 30
-expect_any bench-compare-regression 1 \
-  'regressed more than 30% below' \
-  "$CTL" bench "$tmp/slow.json" --compare "$tmp/base.json" --tolerance 30
-
 # Daemon smoke: start ihnetd, drive it over the socket (happy paths,
 # typed wire errors with their documented exit codes, out-of-range
 # fields), shut it down cleanly, then replay the recorded session.
+# await_socket PATH: wait up to 5 s for a daemon to bind PATH
+await_socket() {
+  i=0
+  while [ ! -S "$1" ] && [ "$i" -lt 100 ]; do
+    sleep 0.05
+    i=$((i + 1))
+  done
+  [ -S "$1" ]
+}
+
 dsock="$tmp/d.sock"
 dtrace="$tmp/d.trace.jsonl"
 "$DAEMON" --socket "$dsock" --trace "$dtrace" --seed 7 2>"$tmp/d.err" &
 dpid=$!
-i=0
-while [ ! -S "$dsock" ] && [ "$i" -lt 100 ]; do
-  sleep 0.05
-  i=$((i + 1))
-done
-if [ ! -S "$dsock" ]; then
+if ! await_socket "$dsock"; then
   echo "FAIL daemon-start: socket never appeared ($(cat "$tmp/d.err"))"
   fails=$((fails + 1))
 else
@@ -160,6 +149,20 @@ else
   expect daemon-bad-plan-headroom 1 \
     '^ihnetctl: plan: headroom must be in \(0, 1\] \(got 1.5\)$' \
     "$CTL" plan --pipe ext:socket0:10 --headroom 1.5 --connect "$dsock"
+  expect daemon-bad-monitor-period 1 \
+    '^ihnetctl: monitor: period_us must be finite and > 0 \(got 0\)$' \
+    "$CTL" monitor --period 0 --ms 1 --connect "$dsock"
+  expect daemon-bad-monitor-period-negative 1 \
+    '^ihnetctl: monitor: period_us must be finite and > 0 \(got -5\)$' \
+    "$CTL" monitor --period=-5 --ms 1 --connect "$dsock"
+  expect daemon-bad-monitor-period-nan 1 \
+    '^ihnetctl: monitor: period_us must be finite and > 0 \(got nan\)$' \
+    "$CTL" monitor --period nan --ms 1 --connect "$dsock"
+  # a NaN rate once passed validation and came back as a capacity
+  # refusal (exit 16)
+  expect daemon-bad-submit-nan 10 \
+    '^ihnetctl: intent target with non-finite rate$' \
+    "$CTL" submit -t 9 --pipe nic0:socket0:nan --connect "$dsock"
   # a second daemon on the live socket is refused before it opens (and
   # truncates) its trace file, and a regular file at the path is
   # refused untouched; a daemon that took the path over would serve
@@ -193,6 +196,32 @@ else
   expect_any daemon-replay-clean 0 \
     '^no divergence$' \
     "$CTL" replay "$dtrace"
+fi
+
+# Fleet daemon: a submit is validated before the controller queues it;
+# a bad one was once Acked and parked the tenant as fleet-degraded
+fsock="$tmp/f.sock"
+"$DAEMON" --fleet --socket "$fsock" --no-trace 2>"$tmp/f.err" &
+fpid=$!
+if ! await_socket "$fsock"; then
+  echo "FAIL fleet-daemon-start: socket never appeared ($(cat "$tmp/f.err"))"
+  fails=$((fails + 1))
+else
+  expect fleet-daemon-bad-submit-nan 10 \
+    '^ihnetctl: intent target with non-finite rate$' \
+    "$CTL" submit --fleet -t 1 --pipe nic0:socket0:nan --connect "$fsock"
+  expect fleet-daemon-bad-submit-negative 10 \
+    '^ihnetctl: intent target with non-positive rate$' \
+    "$CTL" submit --fleet -t 1 --pipe nic0:socket0:-1 --connect "$fsock"
+  expect fleet-daemon-shutdown 0 '^bye$' "$CTL" shutdown --connect "$fsock"
+  wait "$fpid"
+  fstatus=$?
+  if [ "$fstatus" -ne 0 ]; then
+    echo "FAIL fleet-daemon-exit: ihnetd exited $fstatus ($(cat "$tmp/f.err"))"
+    fails=$((fails + 1))
+  else
+    echo "ok   fleet-daemon-exit"
+  fi
 fi
 
 if [ "$fails" -ne 0 ]; then

@@ -395,6 +395,8 @@ let exit_code_suite =
       check_code "No_feasible_host is 21" (Err.Mgr (R.Mgr_error.No_feasible_host { tenant = 1 })) 21;
     ] )
 
+let show r = Rec.Trace.json_to_string (Resp.to_json r)
+
 let handlers_suite =
   ( "daemon handlers",
     [
@@ -431,6 +433,36 @@ let handlers_suite =
             Alcotest.(check int) "tenant" 1 tenant;
             Alcotest.(check int) "exit code" 16 (Err.exit_code e)
           | _ -> Alcotest.fail "expected Capacity_exhausted");
+      tc "a NaN submit rate is Invalid_intent, not a capacity refusal" (fun () ->
+          let h = Api.Handlers.local Api.Host_spec.default in
+          match
+            Api.Handlers.run h
+              (C.Submit (R.Intent.pipe ~tenant:9 ~src:"nic0" ~dst:"socket0" ~rate:Float.nan))
+          with
+          | Resp.Err (Err.Mgr (R.Mgr_error.Invalid_intent _) as e) ->
+            Alcotest.(check int) "exit code" 10 (Err.exit_code e)
+          | r -> Alcotest.failf "expected Invalid_intent, got %s" (show r));
+      tc "a fleet submit with a NaN or negative rate is Invalid_intent" (fun () ->
+          let ctl = Ihnet_fleet.Controller.create ~seed:3 () in
+          let h = Api.Handlers.create ~spec:Api.Host_spec.default (Api.Handlers.Fleet ctl) in
+          (match Api.Handlers.run h (C.Fleet_spawn { name = "h0"; preset = "minimal" }) with
+          | Resp.Ack -> ()
+          | r -> Alcotest.failf "spawn: %s" (show r));
+          let submit tenant rate =
+            Api.Handlers.run h
+              (C.Fleet_submit (R.Intent.pipe ~tenant ~src:"nic0" ~dst:"socket0" ~rate))
+          in
+          (match submit 1 1e9 with Resp.Ack -> () | r -> Alcotest.failf "valid: %s" (show r));
+          let before = Ihnet_fleet.Controller.tenants ctl in
+          List.iter
+            (fun rate ->
+              match submit 2 rate with
+              | Resp.Err (Err.Mgr (R.Mgr_error.Invalid_intent _) as e) ->
+                Alcotest.(check int) "exit code" 10 (Err.exit_code e)
+              | r -> Alcotest.failf "rate %g: expected Invalid_intent, got %s" rate (show r))
+            [ Float.nan; -1.0 ];
+          Alcotest.(check (list int)) "tenants unchanged" before
+            (Ihnet_fleet.Controller.tenants ctl));
       tc "fleet command on a host target is Unsupported, exit 4" (fun () ->
           let h = Api.Handlers.local Api.Host_spec.default in
           match Api.Handlers.run h (C.Fleet_run { rounds = 1 }) with
@@ -486,8 +518,6 @@ let call srv fd c =
   match Api.Wire.read_frame fd with
   | None -> Alcotest.fail "no reply"
   | Some j -> ( match Resp.of_json j with Ok r -> r | Error e -> Alcotest.fail e)
-
-let show r = Rec.Trace.json_to_string (Resp.to_json r)
 
 let hello srv fd =
   match call srv fd (C.Hello { version = C.version }) with
@@ -565,6 +595,10 @@ let fault ?(factor = 0.5) ?(extra_us = 0.0) ?(loss = 0.0) () =
 
 let plan headroom = C.Plan { pipes = [ ("ext", "socket0", 10.0) ]; hoses = []; headroom }
 
+(* [load] would start aggressors, so a refusal after it shows up as
+   reallocations *)
+let monitor period_us = C.Monitor { ms = 1.0; period_us; series = None; load = true }
+
 let bad_field_suite =
   ( "daemon bad fields",
     [
@@ -604,6 +638,12 @@ let bad_field_suite =
       bad_field_case "plan headroom:0" (plan 0.0) "plan: headroom must be in (0, 1] (got 0)";
       bad_field_case "plan headroom:nan" (plan Float.nan)
         "plan: headroom must be in (0, 1] (got nan)";
+      bad_field_case "monitor period_us:0" (monitor 0.0)
+        "monitor: period_us must be finite and > 0 (got 0)";
+      bad_field_case "monitor period_us:-5" (monitor (-5.0))
+        "monitor: period_us must be finite and > 0 (got -5)";
+      bad_field_case "monitor period_us:nan" (monitor Float.nan)
+        "monitor: period_us must be finite and > 0 (got nan)";
     ] )
 
 (* ------------------------------------------------------------------ *)

@@ -39,6 +39,28 @@ let intent_tests =
         Alcotest.(check bool) "empty" true (Result.is_error (Intent.validate empty));
         let bad = Intent.pipe ~tenant:1 ~src:"a" ~dst:"b" ~rate:0.0 in
         Alcotest.(check bool) "zero rate" true (Result.is_error (Intent.validate bad)));
+    tc "rejects non-finite rates and bounds, naming which" (fun () ->
+        let pipe rate = Intent.pipe ~tenant:1 ~src:"a" ~dst:"b" ~rate in
+        let hose to_host from_host = Intent.hose ~tenant:1 ~endpoint:"a" ~to_host ~from_host in
+        let refused label want i =
+          match Intent.validate i with
+          | Ok () -> Alcotest.failf "%s accepted" label
+          | Error why -> Alcotest.(check string) label want why
+        in
+        let rate = "intent target with non-finite rate" in
+        List.iter
+          (fun v ->
+            refused "pipe rate" rate (pipe v);
+            refused "hose to_host" rate (hose v 1.0);
+            refused "hose from_host" rate (hose 1.0 v);
+            refused "latency bound" "non-finite latency bound"
+              { (pipe 1.0) with Intent.latency_bound = Some v };
+            refused "p99 bound" "non-finite p99 bound" { (pipe 1.0) with Intent.p99_bound = Some v })
+          [ Float.nan; Float.infinity; Float.neg_infinity ];
+        refused "negative pipe rate" "intent target with non-positive rate" (pipe (-1.0));
+        refused "zero latency bound" "non-positive latency bound"
+          { (pipe 1.0) with Intent.latency_bound = Some 0.0 };
+        Alcotest.(check bool) "one-way hose ok" true (Result.is_ok (Intent.validate (hose 0.0 1.0))));
     tc "hose totals both directions" (fun () ->
         let i = Intent.hose ~tenant:1 ~endpoint:"nic0" ~to_host:2e9 ~from_host:1e9 in
         check_close "total" 3e9 (Intent.total_guaranteed i));

@@ -251,6 +251,17 @@ let sampler_tests =
         Alcotest.(check bool) "has util series" true
           (List.exists (fun n -> n = Sampler.util_series 0 T.Link.Fwd) names);
         Sampler.stop s);
+    tc "start refuses a non-positive or NaN period" (fun () ->
+        let _, _, fab = make_host () in
+        List.iter
+          (fun period ->
+            match Sampler.start fab { (Sampler.default_config ()) with Sampler.period } with
+            | _ -> Alcotest.failf "period %g accepted" period
+            | exception Invalid_argument m ->
+              Alcotest.(check string) "names the field"
+                (Printf.sprintf "Sampler.start: period must be > 0 (got %g)" period)
+                m)
+          [ 0.0; -5.0; Float.nan ]);
     tc "local processing burns cpu time" (fun () ->
         let _, sim, fab = make_host () in
         let config =
