@@ -706,6 +706,8 @@ let invalid_field = function
   | C.Run_for { ms } -> bad_ms "run_for" ms
   | C.Ping { count; _ } when count <= 0 ->
     Some (Printf.sprintf "ping: count must be > 0 (got %d)" count)
+  | C.Fleet_run { rounds } when rounds <= 0 ->
+    Some (Printf.sprintf "fleet_run: rounds must be > 0 (got %d)" rounds)
   (* NaN fails the comparison too *)
   | C.Plan { headroom; _ } when not (headroom > 0.0 && headroom <= 1.0) ->
     Some (Printf.sprintf "plan: headroom must be in (0, 1] (got %g)" headroom)

@@ -108,6 +108,10 @@ type t = {
   comp_res : int U.Vec.t; (* scratch: current component's real resources *)
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
   mutable comp_stack : int list; (* scratch: resources the BFS has yet to expand *)
+  mutable solve_dems : Fairshare.demand array; (* scratch: one solve's demands, grow-only *)
+  mutable solve_rates : float array; (* scratch: one solve's rates, same length *)
+  loadb : float array; (* scratch: per-resource load, all zero between computes *)
+  flowsb : int array; (* scratch: per-resource flow count, all zero between computes *)
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
   (* component-result memo *)
   warm : bool; (* memo on *)
@@ -275,6 +279,10 @@ let create ?(seed = 42) ?(warm = true) sim topo =
       comp_res = U.Vec.create ();
       comp_sockets = U.Vec.create ();
       comp_stack = [];
+      solve_dems = [||];
+      solve_rates = [||];
+      loadb = Array.make nr 0.0;
+      flowsb = Array.make nr 0;
       cheap = U.Heap.create ();
       warm;
       comp_cache = Hashtbl.create 64;
@@ -512,11 +520,22 @@ let collect_components t seeds =
     seeds;
   List.rev !comps
 
-(* Rate computation for one component. Pure with respect to the fabric:
-   reads only state that is frozen for the duration of a reallocation
-   (caps, cache model, topology, cached demands) and writes only its
-   own local arrays — so its result is a function of those inputs, and
-   the component memo may replay it whenever they recur. The DDIO
+(* Grow the solve buffers to hold [need] demands. Grow-only, with an
+   eighth of headroom, like the solver's own workspace: the buffers
+   outlive every solve, so only what the memo keeps is fresh. *)
+let reserve_solve t need =
+  if Array.length t.solve_dems < need then begin
+    let size = need + (need / 8) in
+    t.solve_dems <- Array.make size (spill_demand 0.0 []);
+    t.solve_rates <- Array.make size 0.0
+  end
+
+(* Rate computation for one component. It reads only state that is
+   frozen for the duration of a reallocation (caps, cache model,
+   topology, cached demands) and writes only scratch that it resets —
+   the solve buffers, [loadb]/[flowsb] — plus the result it returns.
+   So its result is a function of those inputs, and the component memo
+   may replay it whenever they recur. The DDIO
    spill fixed point is resolved per affected socket by a short damped
    iteration (spill depends on allocated write rates which depend on
    memory-bus contention which includes spill), capped at 4 iterations.
@@ -535,32 +554,43 @@ let compute_component t (c : component) =
   and rr = Array.make (max 1 ns) 0.0
   and write = Array.make (max 1 ns) 0.0
   and hit = Array.make (max 1 ns) (if ddio_on then 1.0 else 0.0) in
-  let base = Array.map (fun e -> e.dem) c.c_entries in
-  let rates = ref (Array.make nc 0.0) in
+  (* the component's own demands first, then at most two spill demands
+     per socket *)
+  reserve_solve t (nc + (2 * Array.length c.c_sockets));
+  let dems = t.solve_dems and rates = t.solve_rates in
+  Array.iteri (fun i e -> dems.(i) <- e.dem) c.c_entries;
   (* the spill fixed point only matters when LLC-targeted flows exist *)
   let any_llc = Array.exists (fun e -> e.flow.Flow.llc_target) c.c_entries in
   let iterations = if Array.length c.c_sockets > 0 && any_llc then 4 else 1 in
   let solves = ref 0 and moved = ref true in
   while !moved && !solves < iterations do
     incr solves;
-    let spills = ref [] in
-    Array.iter
-      (fun s ->
-        match t.socket_mems.(s) with
-        | None -> ()
-        | Some sm ->
-          if wb.(s) > 0.0 then spills := spill_demand wb.(s) sm.to_mem :: !spills;
-          if rr.(s) > 0.0 then spills := spill_demand rr.(s) sm.from_mem :: !spills)
-      c.c_sockets;
-    let demands = Array.append base (Array.of_list !spills) in
-    rates := Array.sub (Fairshare.allocate ~capacities:t.caps demands) 0 nc;
+    (* spill demands follow the component's, sockets last to first and
+       re-read before write-back: the order the solver has always been
+       given them in, which its float sums depend on *)
+    let n = ref nc in
+    for k = Array.length c.c_sockets - 1 downto 0 do
+      let s = c.c_sockets.(k) in
+      match t.socket_mems.(s) with
+      | None -> ()
+      | Some sm ->
+        if rr.(s) > 0.0 then begin
+          dems.(!n) <- spill_demand rr.(s) sm.from_mem;
+          incr n
+        end;
+        if wb.(s) > 0.0 then begin
+          dems.(!n) <- spill_demand wb.(s) sm.to_mem;
+          incr n
+        end
+    done;
+    Fairshare.allocate_into ~capacities:t.caps ~n:!n dems rates;
     (* recompute spill targets from the allocated LLC write rates *)
     Array.iter (fun s -> write.(s) <- 0.0) c.c_sockets;
     Array.iteri
       (fun i e ->
         if e.flow.Flow.llc_target then
           match llc_socket t e.flow with
-          | Some s when s >= 0 && s < ns -> write.(s) <- write.(s) +. !rates.(i)
+          | Some s when s >= 0 && s < ns -> write.(s) <- write.(s) +. rates.(i)
           | Some _ | None -> ())
       c.c_entries;
     moved := false;
@@ -579,22 +609,26 @@ let compute_component t (c : component) =
         rr.(s) <- rr')
       c.c_sockets
   done;
-  let rates = !rates in
   (* Pre-aggregate the component-local loads and flow counts here (in
      the memoizable part) so commit is O(resources) stores instead of
      O(entries x usage) list walks. The accumulation
      order — entry-major over usages, then socket spill terms — is
      exactly the order the commit-side recomputation used, so the float
-     sums are bitwise identical. *)
-  let loadb = Array.make t.nr 0.0 and flowsb = Array.make t.nr 0 in
-  Array.iteri
-    (fun i e ->
-      List.iter
-        (fun (res, coeff) ->
-          loadb.(res) <- loadb.(res) +. (rates.(i) *. coeff);
-          flowsb.(res) <- flowsb.(res) + 1)
-        e.usage)
-    c.c_entries;
+     sums are bitwise identical. Every resource written here is in
+     [c_res]: usage resources are in their entry's footprint, and a
+     claimed socket claims its memory links. So reading [c_res] back
+     also zeroes every slot this compute touched. *)
+  let loadb = t.loadb and flowsb = t.flowsb in
+  let rec add_usage i = function
+    | [] -> ()
+    | (res, coeff) :: rest ->
+      loadb.(res) <- loadb.(res) +. (rates.(i) *. coeff);
+      flowsb.(res) <- flowsb.(res) + 1;
+      add_usage i rest
+  in
+  for i = 0 to nc - 1 do
+    add_usage i c.c_entries.(i).usage
+  done;
   Array.iter
     (fun s ->
       match t.socket_mems.(s) with
@@ -603,14 +637,23 @@ let compute_component t (c : component) =
         List.iter (fun (res, co) -> loadb.(res) <- loadb.(res) +. (wb.(s) *. co)) sm.to_mem;
         List.iter (fun (res, co) -> loadb.(res) <- loadb.(res) +. (rr.(s) *. co)) sm.from_mem)
     c.c_sockets;
+  let nres = Array.length c.c_res in
+  let cr_load = Array.make nres 0.0 and cr_flows = Array.make nres 0 in
+  for k = 0 to nres - 1 do
+    let res = c.c_res.(k) in
+    cr_load.(k) <- loadb.(res);
+    cr_flows.(k) <- flowsb.(res);
+    loadb.(res) <- 0.0;
+    flowsb.(res) <- 0
+  done;
   {
-    cr_rates = rates;
+    cr_rates = Array.sub rates 0 nc;
     cr_write = write;
     cr_hit = hit;
     cr_wb = wb;
     cr_rr = rr;
-    cr_load = Array.map (fun res -> loadb.(res)) c.c_res;
-    cr_flows = Array.map (fun res -> flowsb.(res)) c.c_res;
+    cr_load;
+    cr_flows;
     cr_stats =
       {
         Fairshare.solves = !solves;
@@ -650,7 +693,7 @@ let commit_component t tnow (c : component) (r : comp_result) =
 
 (* {2 Component-result memo}
 
-   [compute_component] is a pure function of (demand records, conn
+   [compute_component]'s result is a function of (demand records, conn
    footprints, llc flags, effective capacities at the component's
    resources, cache config) — so its whole result can be replayed
    whenever those inputs recur. This is what makes coupled churn
@@ -925,23 +968,20 @@ and schedule_next_completion t =
      they dominate so the heap stays proportional to the live flows *)
   if U.Heap.size t.cheap > 64 + (4 * Hashtbl.length t.entries) then begin
     let live = ref [] in
-    let rec drain () =
-      match U.Heap.pop t.cheap with
-      | None -> ()
-      | Some (at, ((e, stamp) as v)) ->
-        if stamp = e.hstamp && e.flow.Flow.state = Flow.Running then live := (at, v) :: !live;
-        drain ()
-    in
-    drain ();
+    while not (U.Heap.is_empty t.cheap) do
+      let at = U.Heap.top_prio t.cheap and ((e, stamp) as v) = U.Heap.top t.cheap in
+      U.Heap.drop_top t.cheap;
+      if stamp = e.hstamp && e.flow.Flow.state = Flow.Running then live := (at, v) :: !live
+    done;
     List.iter (fun (at, v) -> U.Heap.push t.cheap at v) !live
   end;
-  match U.Heap.peek t.cheap with
-  | None -> ()
-  | Some (at, _) ->
+  if not (U.Heap.is_empty t.cheap) then begin
+    let at = U.Heap.top_prio t.cheap in
     let epoch = t.epoch in
     Sim.schedule t.sim
       ~after:(Float.max 0.0 (at -. Sim.now t.sim))
       (fun _ -> if epoch = t.epoch then handle_completions t)
+  end
 
 and handle_completions t =
   sync t;
@@ -951,26 +991,30 @@ and handle_completions t =
   while !continue do
     U.Heap.drop_while t.cheap (fun (e, stamp) ->
         stamp <> e.hstamp || e.flow.Flow.state <> Flow.Running);
-    match U.Heap.peek t.cheap with
-    | Some (_, (e, _)) when e.flow.Flow.remaining <= 1.0 ->
-      ignore (U.Heap.pop t.cheap);
-      e.hstamp <- e.hstamp + 1;
+    if U.Heap.is_empty t.cheap then continue := false
+    else begin
+      let ((e, _) as top) = U.Heap.top t.cheap in
       let f = e.flow in
-      f.Flow.state <- Flow.Completed;
-      f.Flow.remaining <- 0.0;
-      f.Flow.completed_at <- tnow;
-      f.Flow.rate <- 0.0;
-      Hashtbl.remove t.entries f.Flow.id;
-      unregister t e;
-      completed := e :: !completed
-    | Some (at, (e, stamp)) when at <= tnow ->
-      (* fired marginally early (float rounding): re-key to the fresh
-         remaining/rate estimate and keep draining *)
-      ignore (U.Heap.pop t.cheap);
-      let f = e.flow in
-      if f.Flow.rate > 0.0 && f.Flow.remaining <> infinity then
-        U.Heap.push t.cheap (tnow +. Flow.eta_ns f) (e, stamp)
-    | _ -> continue := false
+      if f.Flow.remaining <= 1.0 then begin
+        U.Heap.drop_top t.cheap;
+        e.hstamp <- e.hstamp + 1;
+        f.Flow.state <- Flow.Completed;
+        f.Flow.remaining <- 0.0;
+        f.Flow.completed_at <- tnow;
+        f.Flow.rate <- 0.0;
+        Hashtbl.remove t.entries f.Flow.id;
+        unregister t e;
+        completed := e :: !completed
+      end
+      else if U.Heap.top_prio t.cheap <= tnow then begin
+        (* fired marginally early (float rounding): re-key to the fresh
+           remaining/rate estimate and keep draining *)
+        U.Heap.drop_top t.cheap;
+        if f.Flow.rate > 0.0 && f.Flow.remaining <> infinity then
+          U.Heap.push t.cheap (tnow +. Flow.eta_ns f) top
+      end
+      else continue := false
+    end
   done;
   match !completed with
   | [] -> schedule_next_completion t
@@ -1131,12 +1175,13 @@ let transfer_time t ~path ~bytes =
      is resource-disjoint and cannot shift its allocation *)
   collect_component t (Array.of_list (List.map fst usage));
   let nc = U.Vec.length t.comp_entries in
-  let probe = { Fairshare.weight = 1.0; floor = 0.0; cap = infinity; usage } in
-  let demands =
-    Array.init (nc + 1) (fun i -> if i < nc then (U.Vec.get t.comp_entries i).dem else probe)
-  in
-  let rates = Fairshare.allocate ~capacities:t.caps demands in
-  let rate = rates.(nc) in
+  reserve_solve t (nc + 1);
+  for i = 0 to nc - 1 do
+    t.solve_dems.(i) <- (U.Vec.get t.comp_entries i).dem
+  done;
+  t.solve_dems.(nc) <- { Fairshare.weight = 1.0; floor = 0.0; cap = infinity; usage };
+  Fairshare.allocate_into ~capacities:t.caps ~n:(nc + 1) t.solve_dems t.solve_rates;
+  let rate = t.solve_rates.(nc) in
   if rate <= 0.0 then None else Some (bytes /. rate *. 1e9)
 
 let link_bytes t link_id dir =

@@ -372,7 +372,7 @@ val scan_memo_keys : t -> (int * int * int) list
 
 val scan_solver_stats : t -> Fairshare.stats
 (** The solver-work ledger, summed over every component compute:
-    [Fairshare.allocate] calls and DDIO spill iterations skipped at
+    [Fairshare.allocate_into] calls and DDIO spill iterations skipped at
     the fixed point ({!Fairshare.stats}). Memo hits add nothing, so it
     is also microarchitectural. *)
 

@@ -200,60 +200,150 @@ let allocate_reference ~capacities demands =
    Each demand freezes once and each resource saturates at most once,
    so the total work is O((n + Σ|usage|) · log) plus O(nr) array
    setup — linear in the touched contention component rather than
-   quadratic in the demand count. *)
+   quadratic in the demand count.
 
-type fill_event = Cap of int | Sat of int * int (* resource, version at push *)
+   Events are ints in one [int U.Heap.t]: a cap hit of demand i is
+   [i], a saturation of resource r is [-r - 1]. The version a
+   saturation event was pushed at lives in [sat_version.(r)]: a
+   resource has at most one live saturation event, because it is
+   re-pushed only after its stale event pops. *)
 
-let allocate ~capacities demands =
+(* {2 Solver workspace}
+
+   Every array the sweep needs, kept between calls and grown only when
+   a problem outgrows it. OCaml allocates any array over 256 words
+   directly on the major heap, so a per-call set of them on a
+   1000-demand component is a dozen major-heap arrays that all die
+   together at the end of the call. Each domain has its own workspace
+   ([Domain.DLS]), so fleet-pool domains solving at once never share
+   one. A call resets every slot it reads before reading it, so results
+   do not depend on what the workspace solved before. *)
+
+type workspace = {
+  mutable off : int array; (* n + 1: demand -> first usage entry (CSR) *)
+  mutable ures : int array; (* m: usage entry -> resource *)
+  mutable ucoef : float array; (* m: usage entry -> coefficient *)
+  mutable inc_d : int array; (* m: resource-major incidence -> demand *)
+  mutable weight : float array; (* n *)
+  mutable cap : float array; (* n *)
+  mutable start_rate : float array; (* n: rate at fill time 0 *)
+  mutable active : bool array; (* n *)
+  mutable load : float array; (* nr *)
+  mutable scale : float array; (* nr: floor scale-down *)
+  mutable speed : float array; (* nr: growth speed of the load *)
+  mutable tau_r : float array; (* nr: virtual time load was brought to *)
+  mutable saturated : bool array; (* nr *)
+  mutable version : int array; (* nr: bumped by each incident freeze *)
+  mutable sat_version : int array; (* nr: version at the live event's push *)
+  mutable inc_off : int array; (* nr + 1: resource -> first incidence entry *)
+  mutable cursor : int array; (* nr + 1: transpose fill cursor *)
+  events : int U.Heap.t;
+}
+
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        off = [||];
+        ures = [||];
+        ucoef = [||];
+        inc_d = [||];
+        weight = [||];
+        cap = [||];
+        start_rate = [||];
+        active = [||];
+        load = [||];
+        scale = [||];
+        speed = [||];
+        tau_r = [||];
+        saturated = [||];
+        version = [||];
+        sat_version = [||];
+        inc_off = [||];
+        cursor = [||];
+        events = U.Heap.create ();
+      })
+
+(* [a] if it holds [need] slots, else a fresh array with an eighth of
+   headroom. The headroom is small on purpose: the outgrown array stays
+   on the major heap until the next cycle, and doubling would raise the
+   peak heap more than it saves in regrowth. *)
+let grow a need fill = if Array.length a >= need then a else Array.make (need + (need / 8)) fill
+
+let allocate_into ~capacities ~n demands out =
+  if n < 0 || n > Array.length demands then
+    invalidf "Fairshare.allocate_into: n = %d outside [0, %d]" n (Array.length demands);
+  if Array.length out < n then
+    invalidf "Fairshare.allocate_into: output holds %d rates, fewer than n = %d"
+      (Array.length out) n;
   let nr = Array.length capacities in
-  let n = Array.length demands in
+  let ws = Domain.DLS.get workspace_key in
+  ws.off <- grow ws.off (n + 1) 0;
+  ws.weight <- grow ws.weight n 0.0;
+  ws.cap <- grow ws.cap n 0.0;
+  ws.start_rate <- grow ws.start_rate n 0.0;
+  ws.active <- grow ws.active n false;
+  ws.load <- grow ws.load nr 0.0;
+  ws.scale <- grow ws.scale nr 0.0;
+  ws.speed <- grow ws.speed nr 0.0;
+  ws.tau_r <- grow ws.tau_r nr 0.0;
+  ws.saturated <- grow ws.saturated nr false;
+  ws.version <- grow ws.version nr 0;
+  ws.sat_version <- grow ws.sat_version nr 0;
+  ws.inc_off <- grow ws.inc_off (nr + 1) 0;
+  ws.cursor <- grow ws.cursor (nr + 1) 0;
   (* Flatten usages into CSR form in one pass: every later sweep reads
      flat int/float arrays instead of chasing boxed tuple lists. The
      seeding below re-states the seed_rates law over the CSR arrays —
      any divergence is caught by the differential property test. *)
-  let off = Array.make (n + 1) 0 in
-  Array.iteri (fun i d -> off.(i + 1) <- List.length d.usage) demands;
+  let off = ws.off in
+  off.(0) <- 0;
+  for i = 0 to n - 1 do
+    off.(i + 1) <- List.length demands.(i).usage
+  done;
   for i = 0 to n - 1 do
     off.(i + 1) <- off.(i + 1) + off.(i)
   done;
   let m = off.(n) in
-  let ures = Array.make (max 1 m) 0 in
-  let ucoef = Array.make (max 1 m) 0.0 in
-  let weight = Array.make (max 1 n) 0.0 in
-  let cap = Array.make (max 1 n) 0.0 in
-  let k = ref 0 in
+  ws.ures <- grow ws.ures m 0;
+  ws.ucoef <- grow ws.ucoef m 0.0;
+  ws.inc_d <- grow ws.inc_d m 0;
+  let ures = ws.ures and ucoef = ws.ucoef and weight = ws.weight and cap = ws.cap in
   (* validation is fused into the CSR fill so each usage list is
      traversed exactly once. The fast path is one combined comparison
      (NaN-rejecting: a NaN compares false and falls through); only the
      failing branch calls [check_demand], which re-scans the demand and
      raises [Invalid_argument] naming the exact offending field. *)
-  Array.iteri
-    (fun i d ->
-      if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0) then check_demand ~nr i d;
-      weight.(i) <- d.weight;
-      cap.(i) <- d.cap;
-      List.iter
-        (fun (r, c) ->
-          if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
-          ures.(!k) <- r;
-          ucoef.(!k) <- c;
-          incr k)
-        d.usage)
-    demands;
+  let rec fill_usage i d j = function
+    | [] -> ()
+    | (r, c) :: rest ->
+      if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
+      ures.(j) <- r;
+      ucoef.(j) <- c;
+      fill_usage i d (j + 1) rest
+  in
+  for i = 0 to n - 1 do
+    let d = demands.(i) in
+    if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0) then check_demand ~nr i d;
+    weight.(i) <- d.weight;
+    cap.(i) <- d.cap;
+    fill_usage i d off.(i) d.usage
+  done;
   (* seed rates: floors, clipped by caps, scaled down locally where
      jointly infeasible (same law as seed_rates) *)
-  let rates = Array.make (max 1 n) 0.0 in
+  let rates = out in
   for i = 0 to n - 1 do
     rates.(i) <- Float.min demands.(i).floor cap.(i)
   done;
-  let load = Array.make nr 0.0 in
+  let load = ws.load in
+  Array.fill load 0 nr 0.0;
   for i = 0 to n - 1 do
     for j = off.(i) to off.(i + 1) - 1 do
       load.(ures.(j)) <- load.(ures.(j)) +. (rates.(i) *. ucoef.(j))
     done
   done;
   let any_over = ref false in
-  let scale = Array.make nr 1.0 in
+  let scale = ws.scale in
+  Array.fill scale 0 nr 1.0;
   for r = 0 to nr - 1 do
     if load.(r) > capacities.(r) then begin
       any_over := true;
@@ -268,21 +358,25 @@ let allocate ~capacities demands =
       done;
       if !f < 1.0 then rates.(i) <- rates.(i) *. !f
     done;
-  let active = Array.make (max 1 n) false in
+  let active = ws.active in
   for i = 0 to n - 1 do
-    if off.(i + 1) = off.(i) then rates.(i) <- cap.(i)
+    if off.(i + 1) = off.(i) then begin
+      rates.(i) <- cap.(i);
+      active.(i) <- false
+    end
     else active.(i) <- rates.(i) < cap.(i) -. eps
   done;
   (* resource → usage-entry incidence, CSR again *)
-  let inc_off = Array.make (nr + 1) 0 in
+  let inc_off = ws.inc_off in
+  Array.fill inc_off 0 (nr + 1) 0;
   for j = 0 to m - 1 do
     inc_off.(ures.(j) + 1) <- inc_off.(ures.(j) + 1) + 1
   done;
   for r = 0 to nr - 1 do
     inc_off.(r + 1) <- inc_off.(r + 1) + inc_off.(r)
   done;
-  let inc_d = Array.make (max 1 m) 0 in
-  let cursor = Array.copy inc_off in
+  let inc_d = ws.inc_d and cursor = ws.cursor in
+  Array.blit inc_off 0 cursor 0 (nr + 1);
   for i = 0 to n - 1 do
     for j = off.(i) to off.(i + 1) - 1 do
       let r = ures.(j) in
@@ -290,10 +384,12 @@ let allocate ~capacities demands =
       cursor.(r) <- cursor.(r) + 1
     done
   done;
-  let saturated = Array.make nr false in
-  let speed = Array.make nr 0.0 in
-  let tau_r = Array.make nr 0.0 in
-  let version = Array.make nr 0 in
+  let saturated = ws.saturated and speed = ws.speed and tau_r = ws.tau_r in
+  let version = ws.version and sat_version = ws.sat_version in
+  Array.fill saturated 0 nr false;
+  Array.fill speed 0 nr 0.0;
+  Array.fill tau_r 0 nr 0.0;
+  Array.fill version 0 nr 0;
   Array.fill load 0 nr 0.0;
   for i = 0 to n - 1 do
     for j = off.(i) to off.(i + 1) - 1 do
@@ -302,14 +398,17 @@ let allocate ~capacities demands =
       if active.(i) then speed.(r) <- speed.(r) +. (weight.(i) *. ucoef.(j))
     done
   done;
-  let start_rate = Array.copy rates in
+  let start_rate = ws.start_rate in
+  Array.blit rates 0 start_rate 0 n;
   let tau = ref 0.0 in
-  let events : fill_event U.Heap.t = U.Heap.create () in
+  let events = ws.events in
+  U.Heap.clear events;
   let push_sat r =
     if (not saturated.(r)) && speed.(r) > eps then begin
       let residual = capacities.(r) -. load.(r) in
       let at = if residual <= 0.0 then !tau else tau_r.(r) +. (residual /. speed.(r)) in
-      U.Heap.push events (Float.max at !tau) (Sat (r, version.(r)))
+      sat_version.(r) <- version.(r);
+      U.Heap.push events (Float.max at !tau) (-r - 1)
     end
   in
   (* bring load.(r) forward to virtual time [at] *)
@@ -335,23 +434,25 @@ let allocate ~capacities demands =
   in
   for i = 0 to n - 1 do
     if active.(i) && cap.(i) < infinity then
-      U.Heap.push events ((cap.(i) -. rates.(i)) /. weight.(i)) (Cap i)
+      U.Heap.push events ((cap.(i) -. rates.(i)) /. weight.(i)) i
   done;
   for r = 0 to nr - 1 do
     push_sat r
   done;
-  let continue = ref true in
-  while !continue do
-    match U.Heap.pop events with
-    | None -> continue := false
-    | Some (at, Cap i) ->
-      if active.(i) then begin
+  while not (U.Heap.is_empty events) do
+    let at = U.Heap.top_prio events and ev = U.Heap.top events in
+    U.Heap.drop_top events;
+    if ev >= 0 then begin
+      (* cap hit of demand [ev] *)
+      if active.(ev) then begin
         tau := Float.max !tau at;
-        freeze i !tau
+        freeze ev !tau
       end
-    | Some (at, Sat (r, v)) ->
+    end
+    else begin
+      let r = -ev - 1 in
       if not saturated.(r) then begin
-        if v = version.(r) then begin
+        if sat_version.(r) = version.(r) then begin
           (* no incident freeze since push: the key is exact *)
           tau := Float.max !tau at;
           saturated.(r) <- true;
@@ -366,6 +467,7 @@ let allocate ~capacities demands =
              never); re-key from the current residual *)
           push_sat r
       end
+    end
   done;
   (* anything still active is unconstrained (possible only when every
      resource it uses has vanishing growth speed); freeze defensively
@@ -375,8 +477,13 @@ let allocate ~capacities demands =
       active.(i) <- false;
       rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (weight.(i) *. !tau))
     end
-  done;
-  if Array.length rates = n then rates else Array.sub rates 0 n
+  done
+
+let allocate ~capacities demands =
+  let n = Array.length demands in
+  let rates = Array.make n 0.0 in
+  allocate_into ~capacities ~n demands rates;
+  rates
 
 let max_min_fair ~capacities usages =
   let demands =

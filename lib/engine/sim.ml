@@ -30,26 +30,28 @@ let every t ~period ?until f =
   in
   schedule t ~after:period tick
 
+(* Both loops read the queue through the heap's top accessors, which
+   allocate no option or pair per event. *)
 let step t =
-  match Ihnet_util.Heap.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
+  let q = t.queue in
+  if Ihnet_util.Heap.is_empty q then false
+  else begin
+    let time = Ihnet_util.Heap.top_prio q and f = Ihnet_util.Heap.top q in
+    Ihnet_util.Heap.drop_top q;
     t.clock <- Float.max t.clock time;
     (match t.tap with None -> () | Some g -> g t.clock);
     f t;
     true
+  end
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some u ->
-    let continue = ref true in
-    while !continue do
-      match Ihnet_util.Heap.peek t.queue with
-      | Some (time, _) when time <= u -> ignore (step t)
-      | Some _ | None ->
-        t.clock <- Float.max t.clock u;
-        continue := false
-    done
+    let q = t.queue in
+    while (not (Ihnet_util.Heap.is_empty q)) && Ihnet_util.Heap.top_prio q <= u do
+      ignore (step t)
+    done;
+    t.clock <- Float.max t.clock u
 
 let pending t = Ihnet_util.Heap.size t.queue

@@ -61,30 +61,39 @@ let push t prio value =
 
 let peek t = if t.len = 0 then None else Some (t.prios.(0), t.vals.(0))
 
+let empty_top name = invalid_arg ("Heap." ^ name ^ ": empty heap")
+
+let top_prio t = if t.len = 0 then empty_top "top_prio" else t.prios.(0)
+let top t = if t.len = 0 then empty_top "top" else t.vals.(0)
+
+let drop_top t =
+  if t.len = 0 then empty_top "drop_top";
+  t.len <- t.len - 1;
+  let n = t.len in
+  if n > 0 then begin
+    t.prios.(0) <- t.prios.(n);
+    t.seqs.(0) <- t.seqs.(n);
+    t.vals.(0) <- t.vals.(n);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < n && lt t l !smallest then smallest := l;
+      if r < n && lt t r !smallest then smallest := r;
+      if !smallest <> !i then begin
+        swap t !i !smallest;
+        i := !smallest
+      end
+      else continue := false
+    done
+  end
+
 let pop t =
   if t.len = 0 then None
   else begin
     let prio = t.prios.(0) and value = t.vals.(0) in
-    t.len <- t.len - 1;
-    let n = t.len in
-    if n > 0 then begin
-      t.prios.(0) <- t.prios.(n);
-      t.seqs.(0) <- t.seqs.(n);
-      t.vals.(0) <- t.vals.(n);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < n && lt t l !smallest then smallest := l;
-        if r < n && lt t r !smallest then smallest := r;
-        if !smallest <> !i then begin
-          swap t !i !smallest;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
+    drop_top t;
     Some (prio, value)
   end
 
@@ -92,7 +101,7 @@ let clear t = t.len <- 0
 
 let rec drop_while t pred =
   if t.len > 0 && pred t.vals.(0) then begin
-    ignore (pop t);
+    drop_top t;
     drop_while t pred
   end
 

@@ -19,6 +19,28 @@ val peek : 'a t -> (float * 'a) option
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the smallest-priority entry. O(log n). *)
 
+(** {2 Top accessors}
+
+    [peek] and [pop] allocate an option and a pair per call; these read
+    and remove the top without allocating a container, for loops that
+    drain the heap on hot paths (the simulator's event loop, the
+    fair-share solver's event sweep, the fabric's completion heap).
+    The [float] result of [top_prio] is still boxed at a call from
+    another module unless the compiler inlines across modules. *)
+
+val top_prio : 'a t -> float
+(** Smallest priority, without removing.
+    @raise Invalid_argument when the heap is empty. *)
+
+val top : 'a t -> 'a
+(** The value [peek] would return, without removing.
+    @raise Invalid_argument when the heap is empty. *)
+
+val drop_top : 'a t -> unit
+(** Remove the smallest-priority entry, the one [pop] would return.
+    O(log n).
+    @raise Invalid_argument when the heap is empty. *)
+
 val clear : 'a t -> unit
 
 val drop_while : 'a t -> ('a -> bool) -> unit

@@ -463,6 +463,24 @@ let handlers_suite =
             [ Float.nan; -1.0 ];
           Alcotest.(check (list int)) "tenants unchanged" before
             (Ihnet_fleet.Controller.tenants ctl));
+      tc "a fleet_run with rounds <= 0 is Invalid and runs no round" (fun () ->
+          let ctl = Ihnet_fleet.Controller.create ~seed:3 () in
+          let h = Api.Handlers.create ~spec:Api.Host_spec.default (Api.Handlers.Fleet ctl) in
+          (match Api.Handlers.run h (C.Fleet_run { rounds = 1 }) with
+          | Resp.Ack -> ()
+          | r -> Alcotest.failf "valid run: %s" (show r));
+          let before = Ihnet_fleet.Controller.rounds ctl in
+          List.iter
+            (fun rounds ->
+              match Api.Handlers.run h (C.Fleet_run { rounds }) with
+              | Resp.Err (Err.Invalid why as e) ->
+                Alcotest.(check int) "exit code" 1 (Err.exit_code e);
+                Alcotest.(check string) "names rounds"
+                  (Printf.sprintf "fleet_run: rounds must be > 0 (got %d)" rounds)
+                  why
+              | r -> Alcotest.failf "rounds %d: expected Invalid, got %s" rounds (show r))
+            [ 0; -3 ];
+          Alcotest.(check int) "rounds unchanged" before (Ihnet_fleet.Controller.rounds ctl));
       tc "fleet command on a host target is Unsupported, exit 4" (fun () ->
           let h = Api.Handlers.local Api.Host_spec.default in
           match Api.Handlers.run h (C.Fleet_run { rounds = 1 }) with

@@ -136,6 +136,70 @@ let fairshare_tests =
     tc "max_min_fair wrapper" (fun () ->
         let rates = Fairshare.max_min_fair ~capacities:[| 60.0 |] [| [ (0, 1.0) ]; [ (0, 1.0) ]; [ (0, 1.0) ] |] in
         Array.iter (fun r -> check_close "even" 20.0 r) rates);
+    tc "allocate_into solves a prefix and touches nothing past it" (fun () ->
+        let capacities = [| 100.0; 40.0 |] in
+        let prefix =
+          [|
+            fs_demand ~floor:5.0 [ (0, 1.0); (1, 1.0) ];
+            fs_demand ~cap:30.0 [ (0, 1.0) ];
+            fs_demand ~weight:2.0 [ (0, 1.5) ];
+          |]
+        in
+        (* past the prefix: a demand that would fail validation *)
+        let demands = Array.append prefix [| fs_demand ~weight:Float.nan [ (7, 1.0) ] |] in
+        let out = Array.make 6 (-7.0) in
+        Fairshare.allocate_into ~capacities ~n:3 demands out;
+        let bits a = Array.map Int64.bits_of_float a in
+        Alcotest.(check (array int64)) "prefix rates are allocate's, bit for bit"
+          (bits (Fairshare.allocate ~capacities prefix)) (bits (Array.sub out 0 3));
+        Alcotest.(check (array (float 0.0))) "out past n untouched" [| -7.0; -7.0; -7.0 |]
+          (Array.sub out 3 3));
+    tc "allocate_into refuses a bad n or a short output" (fun () ->
+        let capacities = [| 10.0 |] in
+        let demands = [| fs_demand [ (0, 1.0) ]; fs_demand [ (0, 1.0) ] |] in
+        let refused what f =
+          match f () with
+          | () -> Alcotest.failf "%s was accepted" what
+          | exception Invalid_argument _ -> ()
+        in
+        refused "n = -1" (fun () ->
+            Fairshare.allocate_into ~capacities ~n:(-1) demands (Array.make 2 0.0));
+        refused "n past the demands" (fun () ->
+            Fairshare.allocate_into ~capacities ~n:3 demands (Array.make 3 0.0));
+        refused "an output shorter than n" (fun () ->
+            Fairshare.allocate_into ~capacities ~n:2 demands (Array.make 1 0.0)));
+    (* The solver's scratch lives in a per-domain workspace, so a warm
+       solve allocates nothing on the major heap: words counted as
+       allocated there but not promoted from the minor heap were
+       allocated there directly (any array over 256 words). Minor
+       words are not pinned: floats crossing a module boundary are
+       boxed unless the compiler inlines across modules. *)
+    tc "a warm solve allocates nothing directly on the major heap" (fun () ->
+        let n = 1000 and nr = 64 in
+        let capacities = Array.init nr (fun r -> 80.0 +. float_of_int (r mod 7)) in
+        let demands =
+          Array.init n (fun i ->
+              fs_demand
+                ~weight:(1.0 +. (0.01 *. float_of_int (i mod 37)))
+                ~floor:0.01
+                ~cap:(if i mod 4 = 0 then 5.0 +. (0.37 *. float_of_int (i mod 59)) else infinity)
+                (List.sort_uniq
+                   (fun (a, _) (b, _) -> compare a b)
+                   [ (i mod nr, 1.0); (((i * 7) + 1) mod nr, 1.1); (((i * 13) + 5) mod nr, 1.0) ]))
+        in
+        let out = Array.make n 0.0 in
+        Fairshare.allocate_into ~capacities ~n demands out;
+        let direct_major f =
+          let _, promoted0, major0 = Gc.counters () in
+          f ();
+          let _, promoted1, major1 = Gc.counters () in
+          int_of_float (major1 -. major0 -. (promoted1 -. promoted0))
+        in
+        Alcotest.(check int) "allocate_into: 0 words" 0
+          (direct_major (fun () -> Fairshare.allocate_into ~capacities ~n demands out));
+        Alcotest.(check int) "allocate: its n+1-word result" (n + 1)
+          (direct_major (fun () ->
+               ignore (Sys.opaque_identity (Fairshare.allocate ~capacities demands)))));
   ]
 
 (* Feasibility property: no resource over capacity, floors/caps respected. *)

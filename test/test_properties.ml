@@ -12,6 +12,38 @@ let prop name ?(count = 200) gen f =
 
 (* {1 Fairshare} *)
 
+(* A random solver problem: up to [max_nr] resources and [max_n]
+   demands with random weights, floors (including jointly infeasible
+   ones), caps and overlapping multi-resource usages. *)
+let gen_case ~max_nr ~max_n =
+  QCheck.Gen.(
+    int_range 1 max_nr >>= fun nr ->
+    array_size (return nr) (float_range 5.0 500.0) >>= fun caps ->
+    let gen_demand =
+      float_range 0.1 8.0 >>= fun weight ->
+      float_range 0.0 20.0 >>= fun floor ->
+      oneof [ return infinity; float_range 0.1 50.0 ] >>= fun cap ->
+      list_size (int_range 1 5) (pair (int_range 0 (nr - 1)) (float_range 0.5 2.0))
+      >>= fun usage ->
+      let usage = List.sort_uniq (fun (a, _) (b, _) -> compare a b) usage in
+      return { E.Fairshare.weight; floor; cap; usage }
+    in
+    array_size (int_range 1 max_n) gen_demand >>= fun demands -> return (caps, demands))
+
+let print_case (caps, demands) =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "caps=[";
+  Array.iter (fun c -> Buffer.add_string b (Printf.sprintf "%g;" c)) caps;
+  Buffer.add_string b "] demands=[";
+  Array.iter
+    (fun (d : E.Fairshare.demand) ->
+      Buffer.add_string b
+        (Printf.sprintf "{w=%g f=%g c=%g u=[%s]};" d.weight d.floor d.cap
+           (String.concat ";" (List.map (fun (r, co) -> Printf.sprintf "%d:%g" r co) d.usage))))
+    demands;
+  Buffer.add_string b "]";
+  Buffer.contents b
+
 let fairshare_props =
   [
     prop "weighted fairness on one link: rates proportional to weights"
@@ -57,46 +89,42 @@ let fairshare_props =
        round-based reference on arbitrary inputs — random resource
        pools, weights, floors (including jointly infeasible ones), caps
        and overlapping multi-resource usages. *)
-    (let gen_case =
-       QCheck.Gen.(
-         int_range 1 8 >>= fun nr ->
-         array_size (return nr) (float_range 5.0 500.0) >>= fun caps ->
-         let gen_demand =
-           float_range 0.1 8.0 >>= fun weight ->
-           float_range 0.0 20.0 >>= fun floor ->
-           oneof [ return infinity; float_range 0.1 50.0 ] >>= fun cap ->
-           list_size (int_range 1 5)
-             (pair (int_range 0 (nr - 1)) (float_range 0.5 2.0))
-           >>= fun usage ->
-           let usage = List.sort_uniq (fun (a, _) (b, _) -> compare a b) usage in
-           return { E.Fairshare.weight; floor; cap; usage }
-         in
-         array_size (int_range 1 40) gen_demand >>= fun demands -> return (caps, demands))
-     in
-     let print (caps, demands) =
-       let b = Buffer.create 256 in
-       Buffer.add_string b "caps=[";
-       Array.iter (fun c -> Buffer.add_string b (Printf.sprintf "%g;" c)) caps;
-       Buffer.add_string b "] demands=[";
-       Array.iter
-         (fun (d : E.Fairshare.demand) ->
-           Buffer.add_string b
-             (Printf.sprintf "{w=%g f=%g c=%g u=[%s]};" d.weight d.floor d.cap
-                (String.concat ";"
-                   (List.map (fun (r, co) -> Printf.sprintf "%d:%g" r co) d.usage))))
-         demands;
-       Buffer.add_string b "]";
-       Buffer.contents b
-     in
-     prop "event-driven allocate matches the reference oracle" ~count:1000
-       (QCheck.make ~print gen_case)
-       (fun (caps, demands) ->
-         let fast = E.Fairshare.allocate ~capacities:caps demands in
-         let oracle = E.Fairshare.allocate_reference ~capacities:caps demands in
-         Array.for_all2
-           (fun a b ->
-             Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)))
-           fast oracle));
+    prop "event-driven allocate matches the reference oracle" ~count:1000
+      (QCheck.make ~print:print_case (gen_case ~max_nr:8 ~max_n:40))
+      (fun (caps, demands) ->
+        let fast = E.Fairshare.allocate ~capacities:caps demands in
+        let oracle = E.Fairshare.allocate_reference ~capacities:caps demands in
+        Array.for_all2
+          (fun a b ->
+            Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)))
+          fast oracle);
+    (* The solver keeps a grow-only workspace per domain. Solving a run
+       of growing and shrinking problems on this (warm) domain, in
+       reverse order on a fresh domain (a cold workspace), and on two
+       pool domains at once must give the same bits: a workspace slot
+       left over from a larger earlier problem never leaks into a
+       later result. *)
+    prop "the solver workspace is invisible: warm, cold and two-domain solves agree bitwise"
+      ~count:100
+      (QCheck.make
+         ~print:(fun cases -> String.concat "\n" (List.map print_case cases))
+         QCheck.Gen.(list_size (int_range 1 6) (gen_case ~max_nr:16 ~max_n:200)))
+      (fun cases ->
+        let solve (caps, demands) = E.Fairshare.allocate ~capacities:caps demands in
+        let bits rates = Array.map Int64.bits_of_float rates in
+        let warm = List.map (fun c -> bits (solve c)) cases in
+        let cold =
+          Domain.join
+            (Domain.spawn (fun () -> List.rev_map (fun c -> bits (solve c)) (List.rev cases)))
+        in
+        let pooled =
+          let pool = U.Pool.create 2 in
+          let cases = Array.of_list cases in
+          Fun.protect
+            ~finally:(fun () -> U.Pool.shutdown pool)
+            (fun () -> U.Pool.map pool (Array.length cases) (fun i -> bits (solve cases.(i))))
+        in
+        warm = cold && warm = Array.to_list pooled);
   ]
 
 (* {1 Routing optimality} *)

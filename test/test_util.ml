@@ -289,17 +289,39 @@ let heap_tests =
     tc "peek does not remove" (fun () ->
         let h = Heap.create () in
         Heap.push h 2.0 "x";
-        Alcotest.(check bool) "peek" true (Heap.peek h <> None);
-        Alcotest.(check int) "size" 1 (Heap.size h));
+        Heap.push h 3.0 "y";
+        Alcotest.(check bool) "peek" true (Heap.peek h = Some (2.0, "x"));
+        Alcotest.(check (float 0.0)) "top_prio" 2.0 (Heap.top_prio h);
+        Alcotest.(check string) "top" "x" (Heap.top h);
+        Alcotest.(check int) "size" 2 (Heap.size h);
+        Heap.drop_top h;
+        Alcotest.(check bool) "drop_top removes the top" true (Heap.peek h = Some (3.0, "y")));
     tc "empty pops None" (fun () ->
         let h : int Heap.t = Heap.create () in
-        Alcotest.(check bool) "none" true (Heap.pop h = None));
+        Alcotest.(check bool) "none" true (Heap.pop h = None);
+        let raises name f =
+          match f () with
+          | () -> Alcotest.failf "%s on an empty heap returned" name
+          | exception Invalid_argument _ -> ()
+        in
+        raises "top_prio" (fun () -> ignore (Heap.top_prio h));
+        raises "top" (fun () -> ignore (Heap.top h));
+        raises "drop_top" (fun () -> Heap.drop_top h));
     prop "heap sort equals List.sort" QCheck.(list (float_range 0.0 1000.0))
       (fun xs ->
         let h = Heap.create () in
         List.iter (fun x -> Heap.push h x x) xs;
         let drained = List.map fst (Heap.to_list h) in
-        drained = List.sort compare xs);
+        (* the top accessors drain in the same order pop does *)
+        let rec via_top acc =
+          if Heap.is_empty h then List.rev acc
+          else begin
+            let p = Heap.top_prio h in
+            Heap.drop_top h;
+            via_top (p :: acc)
+          end
+        in
+        drained = List.sort compare xs && via_top [] = drained);
   ]
 
 (* {1 Ring buffer} *)
