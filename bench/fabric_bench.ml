@@ -19,8 +19,8 @@
      whole host into one contention component. Worst case: the
      component IS the full flow set, so only the allocator speedup
      shows, not the scoping.
-   - the *-idle subjects, fleet-churn-1k and daemon-cmds-4: see their
-     sections below.
+   - the *-idle subjects, scan-digest, fleet-churn-1k and
+     daemon-cmds-4: see their sections below.
 
    Timing. A subject builds its state, then a calibration pass of at
    least [block_ms] of ops fixes how many ops one block holds, so that
@@ -294,6 +294,43 @@ let bench_scanport_idle () =
   in
   time_sim_ms sim
 
+(* {1 scan-digest: what a Scan reply costs}
+
+   A two-socket host carrying 64 flows, as in perfbench's ihnetd-rpc,
+   answers [Scan {ms = 0}] through the command handlers: the
+   digest-only read of its scan chain, with no path rendered and no
+   register kept. *)
+
+let bench_scan_digest () =
+  let module C = Api.Command in
+  let h = Api.Handlers.local (Api.Host_spec.make ~seed:11 ()) in
+  let endpoints =
+    [|
+      ("nic0", "socket0"); ("nic1", "socket0"); ("gpu0", "socket0"); ("ssd0", "socket0");
+      ("nic2", "socket1"); ("gpu1", "socket1"); ("ssd1", "socket1"); ("ext", "socket1");
+    |]
+  in
+  for i = 0 to 63 do
+    let src, dst = endpoints.(i mod Array.length endpoints) in
+    match
+      Api.Handlers.run h
+        (C.Flow_start
+           {
+             tenant = 1 + (i mod 16);
+             src;
+             dst;
+             gbps = Some (0.5 +. (0.5 *. float_of_int (i mod 8)));
+           })
+    with
+    | Api.Response.Flow_ok _ -> ()
+    | _ -> failwith "scan-digest: flow start refused"
+  done;
+  let scan = C.Scan { ms = 0.0; load = false; step = None; snapshot = false } in
+  time_ops (fun () ->
+      match Api.Handlers.run h scan with
+      | Api.Response.Scan_report _ as r -> r
+      | _ -> failwith "scan-digest: scan refused")
+
 (* controller rounds per wall second over one enrolled host carrying a
    flow, with no tenant and no channel fault *)
 let bench_fleet_idle () =
@@ -507,6 +544,7 @@ let () =
       ("sketch-idle", bench_sketch_idle);
       ("flow-churn-sketch-4096", fun () -> bench_churn_sketch 4096);
       ("scanport-idle", bench_scanport_idle);
+      ("scan-digest", bench_scan_digest);
       ("fleet-idle", bench_fleet_idle);
       ("fleet-churn-1k", bench_fleet_churn);
       ("daemon-cmds-4", bench_daemon_cmds);

@@ -458,7 +458,7 @@ let latency host ~link ~ms ~load =
 let scan host ~ms ~load ~step ~snapshot =
   apply_load host load;
   Ihnet.Host.run_for host (U.Units.ms ms);
-  let snap = Ihnet.Host.scan host in
+  let sum = Ihnet.Host.scan_summary host in
   let steps = ref [] and drained = ref None in
   (match step with
   | None -> ()
@@ -468,9 +468,13 @@ let scan host ~ms ~load ~step ~snapshot =
     while !live && !stepped < n do
       if Rec.Scanport.step fz 1 = 1 then begin
         incr stepped;
-        let s = Ihnet.Host.scan host in
+        let s = Ihnet.Host.scan_summary host in
         steps :=
-          { Resp.st_n = !stepped; st_epoch = s.Rec.Scanport.s_epoch; st_digest = s.Rec.Scanport.s_digest }
+          {
+            Resp.st_n = !stepped;
+            st_epoch = s.Rec.Scanport.sm_epoch;
+            st_digest = s.Rec.Scanport.sm_digest;
+          }
           :: !steps
       end
       else live := false
@@ -479,9 +483,9 @@ let scan host ~ms ~load ~step ~snapshot =
     Rec.Scanport.thaw fz);
   Resp.Scan_report
     {
-      epoch = snap.Rec.Scanport.s_epoch;
-      regs = List.length snap.Rec.Scanport.s_regs;
-      digest = snap.Rec.Scanport.s_digest;
+      epoch = sum.Rec.Scanport.sm_epoch;
+      regs = sum.Rec.Scanport.sm_regs;
+      digest = sum.Rec.Scanport.sm_digest;
       steps = List.rev !steps;
       drained = !drained;
       snapshot = (if snapshot then Some (Rec.Scanport.to_json (Ihnet.Host.scan host)) else None);
@@ -501,7 +505,7 @@ let flow_start host ~tenant ~src ~dst ~gbps =
 
 let flow_stop host ~flow =
   let fab = Ihnet.Host.fabric host in
-  match List.find_opt (fun (f : E.Flow.t) -> f.E.Flow.id = flow) (E.Fabric.scan_flows fab) with
+  match E.Fabric.find_flow fab flow with
   | None -> failwith (Printf.sprintf "no flow %d" flow)
   | Some f ->
     E.Fabric.stop_flow fab f;

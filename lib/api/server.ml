@@ -7,8 +7,9 @@ module Resp = Response
 type client = {
   fd : Unix.file_descr;
   rd : Wire.reader;
-  out : Buffer.t;
+  mutable out : Bytes.t;  (** Queued reply bytes; those from [ooff] to [olen] are unsent. *)
   mutable ooff : int;  (** Bytes of [out] already written. *)
+  mutable olen : int;  (** Bytes of [out] queued. *)
   mutable hello : bool;
   mutable streams : C.stream list;
   mutable dead : bool;
@@ -30,8 +31,26 @@ type t = {
 
 let clients t = List.length (List.filter (fun c -> not c.dead) t.clients)
 
+let unsent c = c.olen - c.ooff
+
+(* Append a frame. When it does not fit past [olen], the unsent bytes
+   move to the front first: in place when they and the frame fill at
+   most half of [out], else into a buffer at least twice as large. So
+   every queued byte is copied a bounded number of times, however the
+   socket splits the writes. *)
 let enqueue c (resp : Resp.t) =
-  Buffer.add_bytes c.out (Wire.encode (Resp.to_json resp))
+  let frame = Wire.encode (Resp.to_json resp) in
+  let n = Bytes.length frame and cap = Bytes.length c.out in
+  if c.olen + n > cap then begin
+    let live = unsent c in
+    let dst = if 2 * (live + n) <= cap then c.out else Bytes.create (max (2 * cap) (live + n)) in
+    Bytes.blit c.out c.ooff dst 0 live;
+    c.out <- dst;
+    c.ooff <- 0;
+    c.olen <- live
+  end;
+  Bytes.blit frame 0 c.out c.olen n;
+  c.olen <- c.olen + n
 
 let broadcast t stream ev =
   List.iter
@@ -149,28 +168,27 @@ let close_client c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
+(* writes straight from [out] at the unsent offset: nothing pending is
+   copied, so a reply sent in many partial writes costs its length *)
 let flush_client c =
-  if (not c.dead) && Buffer.length c.out > c.ooff then begin
-    let data = Buffer.contents c.out in
+  if (not c.dead) && unsent c > 0 then begin
     let rec push () =
-      let remaining = String.length data - c.ooff in
-      if remaining > 0 then begin
-        match Unix.write_substring c.fd data c.ooff remaining with
+      if unsent c > 0 then
+        match Unix.write c.fd c.out c.ooff (unsent c) with
         | 0 -> close_client c
         | n ->
           c.ooff <- c.ooff + n;
           push ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
         | exception Unix.Unix_error (_, _, _) -> close_client c
-      end
     in
     push ();
-    if c.ooff >= String.length data then begin
-      Buffer.clear c.out;
-      c.ooff <- 0
+    if unsent c = 0 then begin
+      c.ooff <- 0;
+      c.olen <- 0
     end
   end;
-  if c.closing && (not c.dead) && Buffer.length c.out = c.ooff then close_client c
+  if c.closing && (not c.dead) && unsent c = 0 then close_client c
 
 let protocol_error c msg =
   enqueue c (Resp.Err (Api_error.Protocol msg));
@@ -260,8 +278,9 @@ let accept_clients t =
             {
               fd;
               rd = Wire.reader ();
-              out = Buffer.create 256;
+              out = Bytes.create 256;
               ooff = 0;
+              olen = 0;
               hello = false;
               streams = [];
               dead = false;
@@ -289,7 +308,7 @@ let step ?(timeout = 0.1) t =
     let live = List.filter (fun c -> not c.dead) t.clients in
     let rfds = if t.stopping then [] else t.listen_fd :: List.map (fun c -> c.fd) live in
     let wfds =
-      List.filter_map (fun c -> if Buffer.length c.out > c.ooff then Some c.fd else None) live
+      List.filter_map (fun c -> if unsent c > 0 then Some c.fd else None) live
     in
     let readable, writable, _ =
       match Unix.select rfds wfds [] timeout with
@@ -304,7 +323,7 @@ let step ?(timeout = 0.1) t =
     execute t (List.rev !pending);
     List.iter
       (fun c ->
-        if List.mem c.fd writable || Buffer.length c.out > c.ooff || c.closing then
+        if List.mem c.fd writable || unsent c > 0 || c.closing then
           flush_client c)
       live;
     t.clients <- List.filter (fun c -> not c.dead) t.clients;
@@ -312,8 +331,8 @@ let step ?(timeout = 0.1) t =
       (* serve the already-queued replies, then close up shop *)
       List.iter
         (fun c ->
-          if Buffer.length c.out > c.ooff then flush_client c;
-          if Buffer.length c.out = c.ooff then close_client c)
+          if unsent c > 0 then flush_client c;
+          if unsent c = 0 then close_client c)
         t.clients;
       t.clients <- List.filter (fun c -> not c.dead) t.clients;
       if t.clients = [] then begin

@@ -170,6 +170,9 @@ let submit_intent t intent =
 let scan t =
   Ihnet_record.Scanport.capture ?remediation:t.remediation ?evidence:t.evidence t.fabric
 
+let scan_summary t =
+  Ihnet_record.Scanport.summary ?remediation:t.remediation ?evidence:t.evidence t.fabric
+
 let ping t ~src ~dst = M.Diagnostics.ping_once t.fabric ~src ~dst
 let trace t ~src ~dst = M.Diagnostics.trace t.fabric ~src ~dst
 let bandwidth t ~src ~dst = M.Diagnostics.perf_now t.fabric ~src ~dst

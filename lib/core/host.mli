@@ -119,6 +119,11 @@ val scan : t -> Ihnet_record.Scanport.snapshot
     the evidence window when those subsystems are enabled. Zero
     impact — a scanned run is bit-identical to a bare one. *)
 
+val scan_summary : t -> Ihnet_record.Scanport.summary
+(** The epoch, register count and digest {!scan} would report, from
+    the digest-only read ({!Ihnet_record.Scanport.summary}): the same
+    chain walked without rendering a path or keeping a register. *)
+
 val ping : t -> src:string -> dst:string -> Ihnet_util.Units.ns option
 val trace : t -> src:string -> dst:string -> Ihnet_monitor.Diagnostics.trace_hop list
 val bandwidth : t -> src:string -> dst:string -> float

@@ -1153,6 +1153,7 @@ let active_flows t =
   Hashtbl.fold (fun _ e acc -> e.flow :: acc) t.entries []
   |> List.sort (fun (a : Flow.t) b -> compare a.Flow.id b.Flow.id)
 
+let find_flow t id = Option.map (fun e -> e.flow) (Hashtbl.find_opt t.entries id)
 let flow_count t = Hashtbl.length t.entries
 let refresh t = observed_sync t
 

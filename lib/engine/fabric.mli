@@ -77,6 +77,11 @@ val set_flow_limits :
 (** The arbiter's knob: update guarantees/limits and reallocate. *)
 
 val active_flows : t -> Flow.t list
+
+val find_flow : t -> int -> Flow.t option
+(** The active flow with this id, from the flow table: no list is
+    built. [None] once the flow completed or was stopped. *)
+
 val flow_count : t -> int
 
 val refresh : t -> unit

@@ -855,7 +855,7 @@ let digest t =
   for i = 0 to t.nhosts - 1 do
     match t.harr.(i).h_host with
     | None -> d := Trace.fnv_string !d "crashed"
-    | Some host -> d := Trace.fnv_int64 !d (Ihnet.Host.scan host).Scanport.s_digest
+    | Some host -> d := Trace.fnv_int64 !d (Ihnet.Host.scan_summary host).Scanport.sm_digest
   done;
   !d
 
@@ -865,7 +865,7 @@ let host_digests t =
     match t.harr.(i).h_host with
     | None -> ()
     | Some host ->
-      acc := (t.harr.(i).h_label, (Ihnet.Host.scan host).Scanport.s_digest) :: !acc
+      acc := (t.harr.(i).h_label, (Ihnet.Host.scan_summary host).Scanport.sm_digest) :: !acc
   done;
   !acc
 

@@ -31,56 +31,109 @@ type snapshot = {
   s_digest : int64;
 }
 
+type summary = { sm_epoch : int; sm_regs : int; sm_digest : int64 }
+
 let version = 1
 
-(* {2 Digest} *)
+(* A register value's type, as the walk below hands it to a sink
+   without wrapping it in a [value]. *)
+type _ ty = I : int ty | F : float ty | H : int64 ty | B : bool ty | S : string ty
 
-let fnv_int64 acc (h : int64) =
-  let acc = Trace.fnv_int acc (Int64.to_int (Int64.shift_right_logical h 32)) in
-  Trace.fnv_int acc (Int64.to_int (Int64.logand h 0xFFFFFFFFL))
+(* {2 Digest}
 
-let fnv_value acc = function
-  | Int i -> Trace.fnv_int acc i
-  | Float f -> Trace.fnv_float acc f
-  | Hash h -> fnv_int64 acc h
-  | Flag b -> Trace.fnv_int acc (if b then 1 else 0)
-  | Text s -> Trace.fnv_string acc s
+   FNV-1a over each [`Arch] register's path bytes, then its value bits,
+   in chain order. A [Hash] folds as two ints, high half first. *)
+
+let add_typed : type a. Trace.fnv -> a ty -> a -> unit =
+ fun st ty v ->
+  match ty with
+  | I -> Trace.fnv_add_int st v
+  | F -> Trace.fnv_add_float st v
+  | H ->
+    Trace.fnv_add_int st (Int64.to_int (Int64.shift_right_logical v 32));
+    Trace.fnv_add_int st (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
+  | B -> Trace.fnv_add_int st (if v then 1 else 0)
+  | S -> Trace.fnv_add_string st v
+
+let add_value st = function
+  | Int i -> add_typed st I i
+  | Float f -> add_typed st F f
+  | Hash h -> add_typed st H h
+  | Flag b -> add_typed st B b
+  | Text s -> add_typed st S s
 
 let chain_digest regs =
-  List.fold_left
-    (fun acc r ->
-      match r.rkind with
-      | `Micro -> acc
-      | `Arch -> fnv_value (Trace.fnv_string acc r.rpath) r.rvalue)
-    Trace.fnv_basis regs
+  let st = Trace.fnv_start () in
+  List.iter
+    (fun r ->
+      if r.rkind = `Arch then begin
+        Trace.fnv_add_string st r.rpath;
+        add_value st r.rvalue
+      end)
+    regs;
+  Trace.fnv_value st
 
 let digest s = s.s_digest
 
-(* {2 Capture} *)
+(* {2 The scan chain}
 
-let dir_name = function T.Link.Fwd -> "fwd" | T.Link.Rev -> "rev"
-let cls_names = [| "payload"; "monitoring"; "heartbeat"; "probe"; "induced" |]
+   One walk emits every register, in chain order, to a sink: its kind,
+   its path in pieces and its typed value. The path is [head] alone
+   when [tail] is empty, and [head[index]/tail] otherwise; every piece
+   but the index is a string built once, so a sink that only hashes
+   renders nothing. *)
 
-let hash_row (row : float array) = Array.fold_left Trace.fnv_float Trace.fnv_basis row
+type sink = { reg : 'a. kind -> string -> int -> string -> 'a ty -> 'a -> unit }
+
+let cls_paths =
+  Array.map
+    (fun n -> "cls[" ^ n ^ "]/bytes")
+    [| "payload"; "monitoring"; "heartbeat"; "probe"; "induced" |]
+
+(* register tails per direction, forward first (resource [r] is link
+   [r/2], forward when [r] is even) *)
+let per_dir f = [| f "fwd"; f "rev" |]
+let link_tails = per_dir (fun d -> (d ^ "/rate", d ^ "/flows", d ^ "/bytes", d ^ "/cap"))
+let sketch_tails = per_dir (fun d -> (d ^ "/count", d ^ "/hash"))
+
+let evidence_tails =
+  let tails m =
+    let l = Mon.Evidence.modality_label m in
+    (l ^ "/score", l ^ "/at")
+  in
+  let op = tails Mon.Evidence.Operator and hb = tails Mon.Evidence.Heartbeat in
+  let co = tails Mon.Evidence.Counter and an = tails Mon.Evidence.Anomaly in
+  function
+  | Mon.Evidence.Operator -> op
+  | Mon.Evidence.Heartbeat -> hb
+  | Mon.Evidence.Counter -> co
+  | Mon.Evidence.Anomaly -> an
+
+let hash_row (row : float array) =
+  let st = Trace.fnv_start () in
+  Trace.fnv_add_floats st row;
+  Trace.fnv_value st
 
 let hash_sketch sk =
-  let acc = U.Sketch.fold_buckets sk ~init:Trace.fnv_basis Trace.fnv_int in
-  let acc = Trace.fnv_float acc (U.Sketch.min_value sk) in
-  Trace.fnv_float acc (U.Sketch.max_value sk)
+  let st = Trace.fnv_start () in
+  U.Sketch.fold_buckets sk ~init:() (fun () n -> Trace.fnv_add_int st n);
+  Trace.fnv_add_float st (U.Sketch.min_value sk);
+  Trace.fnv_add_float st (U.Sketch.max_value sk);
+  Trace.fnv_value st
 
-let capture ?remediation ?evidence fab =
-  let regs = ref [] in
-  let arch path v = regs := { rpath = path; rvalue = v; rkind = `Arch } :: !regs in
-  let micro path v = regs := { rpath = path; rvalue = v; rkind = `Micro } :: !regs in
-  let at = E.Fabric.scan_clock fab in
-  let epoch = E.Fabric.scan_epoch fab in
-  arch "clock/now" (Float at);
-  arch "clock/last_update" (Float (E.Fabric.scan_last_update fab));
-  arch "epoch" (Int epoch);
-  arch "allocs" (Int (E.Fabric.reallocations fab));
-  arch "flow/next_id" (Int (E.Fabric.scan_next_flow_id fab));
-  arch "rng/state" (Hash (E.Fabric.scan_rng_state fab));
-  arch "config/cache_gen" (Int (E.Fabric.scan_cache_gen fab));
+let walk ?remediation ?evidence fab sink =
+  let arch : 'a. string -> int -> string -> 'a ty -> 'a -> unit =
+   fun head i tail ty v -> sink.reg `Arch head i tail ty v
+  and micro : 'a. string -> int -> string -> 'a ty -> 'a -> unit =
+   fun head i tail ty v -> sink.reg `Micro head i tail ty v
+  in
+  arch "clock/now" 0 "" F (E.Fabric.scan_clock fab);
+  arch "clock/last_update" 0 "" F (E.Fabric.scan_last_update fab);
+  arch "epoch" 0 "" I (E.Fabric.scan_epoch fab);
+  arch "allocs" 0 "" I (E.Fabric.reallocations fab);
+  arch "flow/next_id" 0 "" I (E.Fabric.scan_next_flow_id fab);
+  arch "rng/state" 0 "" H (E.Fabric.scan_rng_state fab);
+  arch "config/cache_gen" 0 "" I (E.Fabric.scan_cache_gen fab);
   (* per-(link, dir) rate tables, counters and capacities *)
   let nr = E.Fabric.scan_resources fab in
   let load = E.Fabric.scan_load fab
@@ -88,48 +141,43 @@ let capture ?remediation ?evidence fab =
   and bytes = E.Fabric.scan_link_bytes fab
   and caps = E.Fabric.scan_caps fab in
   for r = 0 to nr - 1 do
-    let p s = Printf.sprintf "link[%d]/%s/%s" (r / 2) (if r land 1 = 0 then "fwd" else "rev") s in
-    arch (p "rate") (Float load.(r));
-    arch (p "flows") (Int flows_on.(r));
-    arch (p "bytes") (Float bytes.(r));
-    arch (p "cap") (Float caps.(r))
+    let rate, flows, nbytes, cap = link_tails.(r land 1) in
+    arch "link" (r / 2) rate F load.(r);
+    arch "link" (r / 2) flows I flows_on.(r);
+    arch "link" (r / 2) nbytes F bytes.(r);
+    arch "link" (r / 2) cap F caps.(r)
   done;
   let ddw, ddh, swb, srr = E.Fabric.scan_ddio fab in
-  Array.iteri
-    (fun s w ->
-      let p n = Printf.sprintf "ddio[%d]/%s" s n in
-      arch (p "write") (Float w);
-      arch (p "hit") (Float ddh.(s));
-      arch (p "spill_wb") (Float swb.(s));
-      arch (p "spill_rr") (Float srr.(s)))
-    ddw;
+  for s = 0 to Array.length ddw - 1 do
+    arch "ddio" s "write" F ddw.(s);
+    arch "ddio" s "hit" F ddh.(s);
+    arch "ddio" s "spill_wb" F swb.(s);
+    arch "ddio" s "spill_rr" F srr.(s)
+  done;
   List.iter
-    (fun (tn, row) -> arch (Printf.sprintf "tenant[%d]/bytes" tn) (Hash (hash_row row)))
+    (fun (tn, row) -> arch "tenant" tn "bytes" H (hash_row row))
     (E.Fabric.scan_tenant_rows fab);
-  Array.iteri
-    (fun i row -> arch (Printf.sprintf "cls[%s]/bytes" cls_names.(i)) (Hash (hash_row row)))
-    (E.Fabric.scan_cls_rows fab);
+  Array.iteri (fun i row -> arch cls_paths.(i) 0 "" H (hash_row row)) (E.Fabric.scan_cls_rows fab);
   (* flow internals, id ascending *)
   List.iter
     (fun (f : E.Flow.t) ->
-      let p s = Printf.sprintf "flow[%d]/%s" f.E.Flow.id s in
-      arch (p "tenant") (Int f.E.Flow.tenant);
-      arch (p "weight") (Float f.E.Flow.weight);
-      arch (p "floor") (Float f.E.Flow.floor);
-      arch (p "cap") (Float f.E.Flow.cap);
-      arch (p "demand") (Float f.E.Flow.demand);
-      arch (p "rate") (Float f.E.Flow.rate);
-      arch (p "remaining") (Float f.E.Flow.remaining);
-      arch (p "transferred") (Float f.E.Flow.transferred))
+      let id = f.E.Flow.id in
+      arch "flow" id "tenant" I f.E.Flow.tenant;
+      arch "flow" id "weight" F f.E.Flow.weight;
+      arch "flow" id "floor" F f.E.Flow.floor;
+      arch "flow" id "cap" F f.E.Flow.cap;
+      arch "flow" id "demand" F f.E.Flow.demand;
+      arch "flow" id "rate" F f.E.Flow.rate;
+      arch "flow" id "remaining" F f.E.Flow.remaining;
+      arch "flow" id "transferred" F f.E.Flow.transferred)
     (E.Fabric.scan_flows fab);
   (* completion heap in pop order, lazily-deleted residue included *)
   List.iteri
     (fun i (due, fid, stamp, live) ->
-      let p s = Printf.sprintf "heap[%d]/%s" i s in
-      arch (p "at") (Float due);
-      arch (p "flow") (Int fid);
-      arch (p "stamp") (Int stamp);
-      arch (p "live") (Flag live))
+      arch "heap" i "at" F due;
+      arch "heap" i "flow" I fid;
+      arch "heap" i "stamp" I stamp;
+      arch "heap" i "live" B live)
     (E.Fabric.scan_completion_heap fab);
   (* remediation state machines, link ascending *)
   (match remediation with
@@ -142,19 +190,19 @@ let capture ?remediation ?evidence fab =
     in
     List.iter
       (fun (c : Man.Remediation.case) ->
-        let p s = Printf.sprintf "rem/link[%d]/%s" c.Man.Remediation.link s in
-        arch (p "status") (Text (Man.Remediation.status_label c.Man.Remediation.status));
-        arch (p "stage") (Text (Man.Remediation.stage_label c.Man.Remediation.stage));
-        arch (p "attempts") (Int c.Man.Remediation.attempts);
-        arch (p "detected_at") (Float c.Man.Remediation.detected_at);
-        arch (p "recovered_at")
-          (Float (Option.value ~default:nan c.Man.Remediation.recovered_at));
-        arch (p "next_due") (Float c.Man.Remediation.next_due);
-        arch (p "held_until") (Float c.Man.Remediation.held_until);
-        arch (p "transitions") (Int (List.length c.Man.Remediation.transitions));
-        arch (p "degraded") (Int (List.length c.Man.Remediation.degraded_ids));
-        arch (p "actions") (Int c.Man.Remediation.total_actions);
-        arch (p "gate_waits") (Int c.Man.Remediation.gate_waits))
+        let l = c.Man.Remediation.link in
+        arch "rem/link" l "status" S (Man.Remediation.status_label c.Man.Remediation.status);
+        arch "rem/link" l "stage" S (Man.Remediation.stage_label c.Man.Remediation.stage);
+        arch "rem/link" l "attempts" I c.Man.Remediation.attempts;
+        arch "rem/link" l "detected_at" F c.Man.Remediation.detected_at;
+        arch "rem/link" l "recovered_at" F
+          (Option.value ~default:nan c.Man.Remediation.recovered_at);
+        arch "rem/link" l "next_due" F c.Man.Remediation.next_due;
+        arch "rem/link" l "held_until" F c.Man.Remediation.held_until;
+        arch "rem/link" l "transitions" I (List.length c.Man.Remediation.transitions);
+        arch "rem/link" l "degraded" I (List.length c.Man.Remediation.degraded_ids);
+        arch "rem/link" l "actions" I c.Man.Remediation.total_actions;
+        arch "rem/link" l "gate_waits" I c.Man.Remediation.gate_waits)
       cases);
   (* evidence window, raw: (link, modality) ascending *)
   (match evidence with
@@ -162,11 +210,9 @@ let capture ?remediation ?evidence fab =
   | Some ev ->
     List.iter
       (fun (link, m, score, rat) ->
-        let p s =
-          Printf.sprintf "evidence/link[%d]/%s/%s" link (Mon.Evidence.modality_label m) s
-        in
-        arch (p "score") (Float score);
-        arch (p "at") (Float rat))
+        let tscore, tat = evidence_tails m in
+        arch "evidence/link" link tscore F score;
+        arch "evidence/link" link tat F rat)
       (Mon.Evidence.scan_reports ev));
   (* latency-sketch planes (when enabled): bucket-array hash + count *)
   (if E.Fabric.latency_sketches_enabled fab then begin
@@ -175,34 +221,95 @@ let capture ?remediation ?evidence fab =
        match E.Fabric.link_latency_sketch fab link dir with
        | None -> ()
        | Some sk ->
-         let p s = Printf.sprintf "sketch/link[%d]/%s/%s" link (dir_name dir) s in
-         arch (p "count") (Int (U.Sketch.count sk));
-         arch (p "hash") (Hash (hash_sketch sk))
+         let count, hash = sketch_tails.(r land 1) in
+         arch "sketch/link" link count I (U.Sketch.count sk);
+         arch "sketch/link" link hash H (hash_sketch sk)
      done;
      match E.Fabric.flow_latency_sketch fab with
      | None -> ()
      | Some sk ->
-       arch "sketch/flows/count" (Int (U.Sketch.count sk));
-       arch "sketch/flows/hash" (Hash (hash_sketch sk))
+       arch "sketch/flows/count" 0 "" I (U.Sketch.count sk);
+       arch "sketch/flows/hash" 0 "" H (hash_sketch sk)
    end);
   (* microarchitectural registers: how the answer was produced *)
-  micro "warm/enabled" (Flag (E.Fabric.warm_enabled fab));
-  micro "warm/hits" (Int (E.Fabric.warm_hits fab));
-  micro "warm/misses" (Int (E.Fabric.warm_misses fab));
+  micro "warm/enabled" 0 "" B (E.Fabric.warm_enabled fab);
+  micro "warm/hits" 0 "" I (E.Fabric.warm_hits fab);
+  micro "warm/misses" 0 "" I (E.Fabric.warm_misses fab);
   List.iteri
     (fun i (key, entries, hit_epoch) ->
-      let p s = Printf.sprintf "memo[%d]/%s" i s in
-      micro (p "key") (Int key);
-      micro (p "entries") (Int entries);
-      micro (p "epoch") (Int hit_epoch))
+      micro "memo" i "key" I key;
+      micro "memo" i "entries" I entries;
+      micro "memo" i "epoch" I hit_epoch)
     (E.Fabric.scan_memo_keys fab);
   let st = E.Fabric.scan_solver_stats fab in
-  micro "solver/solves" (Int st.E.Fairshare.solves);
-  micro "solver/full_rebuilds" (Int st.E.Fairshare.full_rebuilds);
-  micro "solver/incremental" (Int st.E.Fairshare.incremental);
-  micro "solver/unchanged" (Int st.E.Fairshare.unchanged);
+  micro "solver/solves" 0 "" I st.E.Fairshare.solves;
+  micro "solver/full_rebuilds" 0 "" I st.E.Fairshare.full_rebuilds;
+  micro "solver/incremental" 0 "" I st.E.Fairshare.incremental;
+  micro "solver/unchanged" 0 "" I st.E.Fairshare.unchanged
+
+(* {2 Capture: the rendering sink} *)
+
+let render_path head i tail =
+  if String.length tail = 0 then head
+  else String.concat "" [ head; "["; string_of_int i; "]/"; tail ]
+
+let to_value : type a. a ty -> a -> value =
+ fun ty v -> match ty with I -> Int v | F -> Float v | H -> Hash v | B -> Flag v | S -> Text v
+
+let capture ?remediation ?evidence fab =
+  let regs = ref [] in
+  walk ?remediation ?evidence fab
+    {
+      reg =
+        (fun kind head i tail ty v ->
+          let r = { rpath = render_path head i tail; rvalue = to_value ty v; rkind = kind } in
+          regs := r :: !regs);
+    };
   let regs = List.rev !regs in
-  { s_version = version; s_at = at; s_epoch = epoch; s_regs = regs; s_digest = chain_digest regs }
+  {
+    s_version = version;
+    s_at = E.Fabric.scan_clock fab;
+    s_epoch = E.Fabric.scan_epoch fab;
+    s_regs = regs;
+    s_digest = chain_digest regs;
+  }
+
+(* {2 Summary: the hashing sink}
+
+   Feeds the digest exactly the bytes [chain_digest] reads from a
+   rendered register, written straight from the pieces: the head, then
+   ['['], the index in decimal, ["]/"] and the tail. *)
+
+(* the decimal digits of [n <= 0]'s magnitude, most significant first
+   (working on the negative side reaches [min_int]) *)
+let rec add_digits st n =
+  if n <= -10 then add_digits st (n / 10);
+  Trace.fnv_add_char st (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_path st head i tail =
+  Trace.fnv_add_string st head;
+  if String.length tail > 0 then begin
+    Trace.fnv_add_char st '[';
+    if i < 0 then Trace.fnv_add_char st '-';
+    add_digits st (if i < 0 then i else -i);
+    Trace.fnv_add_char st ']';
+    Trace.fnv_add_char st '/';
+    Trace.fnv_add_string st tail
+  end
+
+let summary ?remediation ?evidence fab =
+  let st = Trace.fnv_start () and n = ref 0 in
+  walk ?remediation ?evidence fab
+    {
+      reg =
+        (fun kind head i tail ty v ->
+          incr n;
+          if kind = `Arch then begin
+            add_path st head i tail;
+            add_typed st ty v
+          end);
+    };
+  { sm_epoch = E.Fabric.scan_epoch fab; sm_regs = !n; sm_digest = Trace.fnv_value st }
 
 let find s path = List.find_map (fun r -> if r.rpath = path then Some r.rvalue else None) s.s_regs
 

@@ -67,6 +67,32 @@ val digest : snapshot -> int64
     value bits, in chain order. Equal digests mean bit-identical
     architectural state. *)
 
+(** {1 Digest-only read}
+
+    {!capture} and {!summary} are one walk over the scan chain with
+    two sinks. [capture] renders every register's path and keeps the
+    list; [summary] streams the same path bytes and value bits into
+    the digest as the walk hands them over, so it renders no path,
+    builds no register list and allocates no int64 per byte. Use it
+    wherever only the digest is read (the daemon's [Scan] reply and
+    its [--step] boundaries, fleet digests); keep [capture] for
+    snapshots, diffs and replay drill-down. *)
+
+type summary = {
+  sm_epoch : int;  (** [s_epoch] of the matching capture. *)
+  sm_regs : int;  (** [List.length s_regs]: arch and micro registers. *)
+  sm_digest : int64;  (** [s_digest], bit for bit. *)
+}
+
+val summary :
+  ?remediation:Ihnet_manager.Remediation.t ->
+  ?evidence:Ihnet_monitor.Evidence.t ->
+  Ihnet_engine.Fabric.t ->
+  summary
+(** What {!capture} with the same arguments would report as its epoch,
+    register count and digest, at a fraction of its cost. A pure read,
+    under the same zero-impact guarantee. *)
+
 val find : snapshot -> string -> value option
 (** Look up one register by exact path. *)
 

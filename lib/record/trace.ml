@@ -10,25 +10,57 @@ type digest = {
 }
 
 (* FNV-1a, 64-bit. Hashing IEEE-754 bits keeps digest comparison an
-   exact state-equality check with no float-formatting ambiguity. *)
+   exact state-equality check with no float-formatting ambiguity. The
+   mixing steps are inlined so the running state stays an unboxed
+   local: a fold allocates at most its boxed result, never an int64
+   per byte. *)
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
+let[@inline] fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
-let fnv_int64 h x =
+let[@inline] mix_int64 h x =
   let h = ref h in
   for i = 0 to 7 do
     h := fnv_byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
   done;
   !h
 
-let fnv_int h i = fnv_int64 h (Int64.of_int i)
-let fnv_float h f = fnv_int64 h (Int64.bits_of_float f)
-
-let fnv_string h s =
+let[@inline] mix_string h s =
   let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
+
+let fnv_int64 h x = mix_int64 h x
+let fnv_int h i = mix_int64 h (Int64.of_int i)
+let fnv_float h f = mix_int64 h (Int64.bits_of_float f)
+let fnv_string h s = mix_string h s
+
+(* The streaming state is 8 bytes read and written through the unboxed
+   64-bit primitives, so feeding it allocates nothing at all. *)
+type fnv = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let fnv_start () =
+  let st = Bytes.create 8 in
+  set64 st 0 fnv_basis;
+  st
+
+let fnv_value st = get64 st 0
+let fnv_add_char st c = set64 st 0 (fnv_byte (get64 st 0) (Char.code c))
+let fnv_add_int st i = set64 st 0 (mix_int64 (get64 st 0) (Int64.of_int i))
+let fnv_add_float st f = set64 st 0 (mix_int64 (get64 st 0) (Int64.bits_of_float f))
+let fnv_add_string st s = set64 st 0 (mix_string (get64 st 0) s)
+
+let fnv_add_floats st (a : float array) =
+  let h = ref (get64 st 0) in
+  for i = 0 to Array.length a - 1 do
+    h := mix_int64 !h (Int64.bits_of_float (Array.unsafe_get a i))
+  done;
+  set64 st 0 !h
 
 type fault = { capacity_factor : float; extra_latency : float; loss_prob : float }
 

@@ -36,6 +36,30 @@ val fnv_int64 : int64 -> int64 -> int64
 val fnv_float : int64 -> float -> int64
 val fnv_string : int64 -> string -> int64
 
+(** {2 Streaming FNV-1a}
+
+    The same hash fed piece by piece into a mutable state:
+    [fnv_value] after [fnv_add_string st s] on a fresh state equals
+    [fnv_string fnv_basis s], and likewise for the other folds. The
+    state is kept unboxed, so feeding it allocates nothing — what the
+    scan port's digest-only read streams register paths and values
+    into. *)
+
+type fnv
+
+val fnv_start : unit -> fnv
+(** A fresh state at {!fnv_basis}. *)
+
+val fnv_value : fnv -> int64
+val fnv_add_char : fnv -> char -> unit
+val fnv_add_int : fnv -> int -> unit
+val fnv_add_float : fnv -> float -> unit
+val fnv_add_string : fnv -> string -> unit
+
+val fnv_add_floats : fnv -> float array -> unit
+(** {!fnv_add_float} on each element in index order, without boxing
+    one. *)
+
 (** {1 Lines} *)
 
 type fault = { capacity_factor : float; extra_latency : float; loss_prob : float }

@@ -2,7 +2,9 @@
 
     The simulator's event queue. Entries with equal priority are popped
     in insertion order (a monotone sequence number breaks ties), which
-    keeps event execution deterministic. *)
+    keeps event execution deterministic. A value taken out (by
+    {!pop}, {!drop_top}, {!drop_while} or {!clear}) is no longer
+    referenced by the heap, so the collector can free it. *)
 
 type 'a t
 

@@ -481,6 +481,25 @@ let handlers_suite =
               | r -> Alcotest.failf "rounds %d: expected Invalid, got %s" rounds (show r))
             [ 0; -3 ];
           Alcotest.(check int) "rounds unchanged" before (Ihnet_fleet.Controller.rounds ctl));
+      tc "flow_stop of an unknown or stopped id is refused as no flow N" (fun () ->
+          let h = Api.Handlers.local Api.Host_spec.default in
+          let stop flow = Api.Handlers.run h (C.Flow_stop { flow }) in
+          let refused flow =
+            match stop flow with
+            | Resp.Err (Err.Failed m as e) ->
+              Alcotest.(check string) "message" (Printf.sprintf "no flow %d" flow) m;
+              Alcotest.(check int) "exit code" 1 (Err.exit_code e)
+            | r -> Alcotest.failf "stop %d: expected Failed, got %s" flow (show r)
+          in
+          refused 12345;
+          match
+            Api.Handlers.run h
+              (C.Flow_start { tenant = 1; src = "ext"; dst = "socket0"; gbps = Some 1.0 })
+          with
+          | Resp.Flow_ok { flow } ->
+            (match stop flow with Resp.Ack -> () | r -> Alcotest.failf "stop: %s" (show r));
+            refused flow
+          | r -> Alcotest.failf "start: %s" (show r));
       tc "fleet command on a host target is Unsupported, exit 4" (fun () ->
           let h = Api.Handlers.local Api.Host_spec.default in
           match Api.Handlers.run h (C.Fleet_run { rounds = 1 }) with
@@ -541,6 +560,139 @@ let hello srv fd =
   match call srv fd (C.Hello { version = C.version }) with
   | Resp.Hello_ok _ -> ()
   | r -> Alcotest.failf "hello: %s" (show r)
+
+(* {2 The reply queue}
+
+   A snapshot of a host carrying 2000 flows is a reply of about
+   half a MB, more than a Unix socket buffers, so the server sends it
+   in many partial writes. [snapshot_frame] is the frame a twin host
+   built the same way answers, encoded directly. *)
+
+let scan_snapshot = C.Scan { ms = 0.0; load = false; step = None; snapshot = true }
+
+let loaded_handlers ?(flows = 2000) () =
+  let host = Api.Host_spec.create_host (Api.Host_spec.make ~seed:5 ()) in
+  let fab = Ihnet.Host.fabric host in
+  let topo = Ihnet.Host.topology host in
+  let dev = Api.Host_spec.device_id topo in
+  let paths =
+    Array.map
+      (fun (a, b) -> Option.get (Ihnet_topology.Routing.shortest_path topo (dev a) (dev b)))
+      [| ("nic0", "socket0"); ("gpu0", "socket0"); ("ext", "socket1"); ("gpu1", "socket1") |]
+  in
+  Ihnet_engine.Fabric.batch fab (fun () ->
+      for i = 0 to flows - 1 do
+        ignore
+          (Ihnet_engine.Fabric.start_flow fab ~tenant:(1 + (i mod 8))
+             ~path:paths.(i mod Array.length paths) ~size:Ihnet_engine.Flow.Unbounded ())
+      done);
+  Ihnet.Host.run_for host 1e5;
+  Api.Handlers.create ~spec:Api.Host_spec.default (Api.Handlers.Host host)
+
+let snapshot_frame () =
+  Api.Wire.encode (Resp.to_json (Api.Handlers.run (loaded_handlers ()) scan_snapshot))
+
+let reply_queue_suite =
+  ( "daemon reply queue",
+    [
+      tc "a snapshot read in small chunks arrives byte-identical" (fun () ->
+          let want = snapshot_frame () in
+          Alcotest.(check bool) "the frame outgrows a socket buffer" true
+            (Bytes.length want > 400_000);
+          with_server ~handlers:(loaded_handlers ()) "chunks" (fun srv fd ->
+              hello srv fd;
+              Api.Wire.write_frame fd (C.to_json scan_snapshot);
+              let got = Buffer.create (Bytes.length want) and chunk = Bytes.create 1000 in
+              let steps = ref 0 in
+              while Buffer.length got < Bytes.length want && !steps < 100_000 do
+                incr steps;
+                ignore (Api.Server.step ~timeout:0.0 srv);
+                match Unix.select [ fd ] [] [] 0.0 with
+                | [], _, _ -> ()
+                | _ -> Buffer.add_subbytes got chunk 0 (Unix.read fd chunk 0 (Bytes.length chunk))
+              done;
+              Alcotest.(check int) "length" (Bytes.length want) (Buffer.length got);
+              let same = String.equal (Bytes.to_string want) (Buffer.contents got) in
+              Alcotest.(check bool) "bytes" true same));
+      tc "replies of mixed sizes read in random chunks arrive whole and in order" (fun () ->
+          (* snapshots of a 300-flow host (about 80 KB) among bursts of
+             Stats replies, read in chunks of 1 byte to 40 KB: the queue
+             both grows and moves its unsent bytes to the front *)
+          with_server ~handlers:(loaded_handlers ~flows:300 ()) "mixed" (fun srv fd ->
+              hello srv fd;
+              let rng = Random.State.make [| 11 |] in
+              let rd = Api.Wire.reader () and buf = Bytes.create 65536 in
+              let want = Queue.create () and got = ref 0 in
+              let check j =
+                match (Queue.pop want, Resp.of_json j) with
+                | C.Stats, Ok (Resp.Stats_report _) | C.Scan _, Ok (Resp.Scan_report _) -> incr got
+                | _, Ok r -> Alcotest.failf "reply %d: %s" !got (show r)
+                | _, Error e -> Alcotest.failf "reply %d does not decode: %s" !got e
+              in
+              let read_some limit =
+                match Unix.select [ fd ] [] [] 0.0 with
+                | [], _, _ -> ()
+                | _ ->
+                  let n = Unix.read fd buf 0 (1 + Random.State.int rng limit) in
+                  Api.Wire.feed rd buf n;
+                  let rec pop () =
+                    match Api.Wire.pop rd with
+                    | Some j ->
+                      check j;
+                      pop ()
+                    | None -> ()
+                  in
+                  pop ()
+              in
+              let send cmds =
+                List.iter
+                  (fun c ->
+                    Queue.push c want;
+                    Api.Wire.write_frame fd (C.to_json c))
+                  cmds
+              in
+              for _ = 1 to 1000 do
+                (match Random.State.int rng 10 with
+                | 0 -> send [ scan_snapshot ]
+                | 1 | 2 -> send (List.init (1 + Random.State.int rng 20) (fun _ -> C.Stats))
+                | _ -> ());
+                ignore (Api.Server.step ~timeout:0.0 srv);
+                read_some (if Random.State.bool rng then 300 else 40_000)
+              done;
+              let sent = !got + Queue.length want and steps = ref 0 in
+              while (not (Queue.is_empty want)) && !steps < 100_000 do
+                incr steps;
+                ignore (Api.Server.step ~timeout:0.0 srv);
+                read_some 65_536
+              done;
+              Alcotest.(check int) "every reply arrived" sent !got));
+      tc "with a stalled reader, a step allocates no more as replies pile up" (fun () ->
+          let frame = Bytes.length (snapshot_frame ()) in
+          (* the server is stopped with replies still queued to a
+             closed socket: a write there must fail with EPIPE, not
+             end the test process *)
+          let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+          Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe) @@ fun () ->
+          with_server ~handlers:(loaded_handlers ()) "stall" (fun srv fd ->
+              hello srv fd;
+              (* the client sends [n] snapshot requests and never reads;
+                 the returned figure is what one more step allocates *)
+              let step_bytes_after n =
+                for _ = 1 to n do
+                  Api.Wire.write_frame fd (C.to_json scan_snapshot)
+                done;
+                pump srv 5;
+                let b0 = Gc.allocated_bytes () in
+                ignore (Api.Server.step ~timeout:0.0 srv);
+                Gc.allocated_bytes () -. b0
+              in
+              let one = step_bytes_after 1 in
+              let four = step_bytes_after 3 in
+              if four > one +. 1024.0 || four > float_of_int frame /. 16.0 then
+                Alcotest.failf
+                  "a step allocated %.0f bytes with one %d-byte reply queued, %.0f with four" one
+                  frame four));
+    ] )
 
 let protocol_suite =
   ( "daemon protocol",
@@ -840,6 +992,7 @@ let suites =
     exit_code_suite;
     handlers_suite;
     protocol_suite;
+    reply_queue_suite;
     bad_field_suite;
     socket_path_suite;
     integration_suite;

@@ -84,6 +84,30 @@ let codec_tests =
     | Error e -> Alcotest.fail (Printf.sprintf "codec rejected its own output %s: %s" s e)
   in
   [
+    tc "FNV-1a folds: reference vectors, and the streaming state agrees" (fun () ->
+        let open Rec.Trace in
+        List.iter
+          (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "%S" s) h (fnv_string fnv_basis s))
+          [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ];
+        let pure =
+          let h = fnv_string fnv_basis "link" in
+          let h = fnv_string h "[" in
+          let h = fnv_int h (-42) in
+          let h = fnv_float h 1.5 in
+          let h = fnv_float h nan in
+          fnv_float h (-0.0)
+        in
+        let st = fnv_start () in
+        fnv_add_string st "link";
+        fnv_add_char st '[';
+        fnv_add_int st (-42);
+        fnv_add_float st 1.5;
+        fnv_add_floats st [| nan; -0.0 |];
+        Alcotest.(check int64) "streamed" pure (fnv_value st);
+        let w = 0x8000000000000001L in
+        Alcotest.(check int64) "a word folds as its float's bits"
+          (fnv_float fnv_basis (Int64.float_of_bits w))
+          (fnv_int64 fnv_basis w));
     tc "every line kind round-trips exactly" (fun () ->
         List.iter roundtrip
           [

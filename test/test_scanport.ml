@@ -204,6 +204,79 @@ let unit_tests =
 
 let gen_ops = QCheck.(list_of_size Gen.(int_range 1 24) (int_bound 120))
 
+(* A host with every optional register family armed: remediation with
+   the heartbeat detector and the evidence gate, and the latency-sketch
+   plane. Its scripts inject faults, so cases open and evidence
+   arrives. *)
+let armed_host ops =
+  let h = Ihnet.Host.create ~seed:42 Ihnet.Host.Two_socket in
+  ignore
+    (Ihnet.Host.enable_remediation h
+       ~wiring:{ Ihnet.Host.default_wiring with evidence = true; latency_sketches = true }
+       ());
+  apply_ops (Ihnet.Host.sim h, Ihnet.Host.fabric h) ops;
+  h
+
+(* words allocated by [f]: on the minor heap, plus directly on the
+   major heap (major words not promoted from the minor heap) *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* the daemon benchmark's host: two sockets, 64 flows DMAing into
+   either socket *)
+let rpc_host () =
+  let host = Ihnet.Host.create ~seed:3 Ihnet.Host.Two_socket in
+  let fab = Ihnet.Host.fabric host in
+  let pairs =
+    [|
+      ("nic0", "socket0"); ("nic1", "socket0"); ("gpu0", "socket0"); ("ssd0", "socket0");
+      ("nic2", "socket1"); ("gpu1", "socket1"); ("ssd1", "socket1"); ("ext", "socket1");
+    |]
+  in
+  for i = 0 to 63 do
+    let a, b = pairs.(i mod Array.length pairs) in
+    ignore
+      (E.Fabric.start_flow fab ~tenant:(1 + (i mod 16))
+         ~demand:(U.Units.gbps (0.5 +. float_of_int (i mod 7)))
+         ~path:(path_between fab a b) ~size:E.Flow.Unbounded ())
+  done;
+  Ihnet.Host.run_for host 1e5;
+  host
+
+let summary_tests =
+  [
+    tc "the digest-only read renders negative indices as capture does" (fun () ->
+        let sim, fab = make_fabric () in
+        List.iter
+          (fun tenant ->
+            ignore
+              (E.Fabric.start_flow fab ~tenant ~path:(path_between fab "gpu0" "nic0")
+                 ~size:E.Flow.Unbounded ()))
+          [ -7; min_int ];
+        E.Sim.run ~until:1e5 sim;
+        let snap = Rec.Scanport.capture fab and sum = Rec.Scanport.summary fab in
+        Alcotest.(check bool) "a negative tenant row" true
+          (Rec.Scanport.find snap (Printf.sprintf "tenant[%d]/bytes" min_int) <> None);
+        Alcotest.(check int64) "digest" snap.Rec.Scanport.s_digest sum.Rec.Scanport.sm_digest);
+    tc "the digest-only read of the 64-flow host allocates at most 12.6 kw" (fun () ->
+        let host = rpc_host () in
+        let sum = Ihnet.Host.scan_summary host and snap = Ihnet.Host.scan host in
+        Alcotest.(check int64) "digest" snap.Rec.Scanport.s_digest sum.Rec.Scanport.sm_digest;
+        Alcotest.(check int) "registers" (List.length snap.Rec.Scanport.s_regs)
+          sum.Rec.Scanport.sm_regs;
+        let words =
+          allocated_words (fun () -> ignore (Sys.opaque_identity (Ihnet.Host.scan_summary host)))
+        in
+        if words > 12_600 then
+          Alcotest.failf "scan_summary allocated %d words over %d registers" words
+            sum.Rec.Scanport.sm_regs);
+  ]
+
 let property_tests =
   [
     prop "scan chain is identical warm and cold" gen_ops (fun ops ->
@@ -212,6 +285,19 @@ let property_tests =
     prop "codec round-trips any reachable snapshot" gen_ops (fun ops ->
         let s = scan_after ops in
         Rec.Scanport.of_json (Rec.Scanport.to_json s) = s);
+    prop "the digest-only read matches capture with every plane armed" ~count:20 gen_ops
+      (fun ops ->
+        let h = armed_host ops in
+        let sum = Ihnet.Host.scan_summary h and snap = Ihnet.Host.scan h in
+        sum.Rec.Scanport.sm_epoch = snap.Rec.Scanport.s_epoch
+        && sum.Rec.Scanport.sm_regs = List.length snap.Rec.Scanport.s_regs
+        && Int64.equal sum.Rec.Scanport.sm_digest snap.Rec.Scanport.s_digest
+        && Rec.Scanport.of_json (Rec.Scanport.to_json snap) = snap);
   ]
 
-let suites = [ ("scanport.unit", unit_tests); ("scanport.property", property_tests) ]
+let suites =
+  [
+    ("scanport.unit", unit_tests);
+    ("scanport.summary", summary_tests);
+    ("scanport.property", property_tests);
+  ]

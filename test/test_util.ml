@@ -263,8 +263,48 @@ let histogram_tests =
 
 (* {1 Heap} *)
 
+(* Whether a major collection frees a value pushed by [push] and taken
+   out again by [remove], while the heap itself stays reachable: only
+   the heap could still reference the value, which is built inside the
+   closure [push] calls. *)
+let freed_after ~push ~remove =
+  let w = Weak.create 1 in
+  let h = Heap.create () in
+  push h (fun () ->
+      let v = Bytes.make 1024 'v' in
+      Weak.set w 0 (Some v);
+      v);
+  remove h;
+  Gc.full_major ();
+  let freed = not (Weak.check w 0) in
+  ignore (Sys.opaque_identity h);
+  freed
+
+(* A first value, pushed and dropped, sizes the arrays, so the watched
+   value is not the one [grow] fills the spare slots with. *)
+let removal_frees name remove =
+  tc (name ^ " leaves the removed value unreachable") (fun () ->
+      let push h fresh =
+        Heap.push h 0.0 (Bytes.make 8 'd');
+        Heap.drop_top h;
+        Heap.push h 1.0 (fresh ())
+      in
+      Alcotest.(check bool) "freed" true (freed_after ~push ~remove))
+
 let heap_tests =
   [
+    removal_frees "drop_top" Heap.drop_top;
+    removal_frees "pop" (fun h -> ignore (Heap.pop h));
+    removal_frees "drop_while" (fun h -> Heap.drop_while h (fun _ -> true));
+    removal_frees "clear" Heap.clear;
+    tc "grow's spare slots leave a removed value unreachable" (fun () ->
+        (* the watched value is the first pushed, so grow sizes the
+           arrays on its push; a later value stays in the heap *)
+        let push h fresh =
+          Heap.push h 1.0 (fresh ());
+          Heap.push h 2.0 (Bytes.make 8 'y')
+        in
+        Alcotest.(check bool) "freed" true (freed_after ~push ~remove:Heap.drop_top));
     tc "pops in priority order" (fun () ->
         let h = Heap.create () in
         List.iter (fun p -> Heap.push h p (int_of_float p)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
