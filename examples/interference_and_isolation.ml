@@ -16,11 +16,11 @@ module R = Ihnet_manager
 let kv_report label kv =
   let lat = W.Kvstore.latencies kv in
   Format.printf "%-28s p50 %a p99 %a (%.0fk req/s)@." label U.Units.pp_time
-    (U.Histogram.percentile lat 0.5)
+    (U.Sketch.percentile lat 0.5)
     U.Units.pp_time
-    (U.Histogram.percentile lat 0.99)
+    (U.Sketch.percentile lat 0.99)
     (W.Kvstore.achieved_rate kv /. 1e3);
-  U.Histogram.clear lat
+  U.Sketch.clear lat
 
 let () =
   let host = Host.create Host.Two_socket in

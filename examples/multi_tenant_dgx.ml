@@ -57,7 +57,7 @@ let () =
       let times = W.Mltrain.iteration_times tr in
       Format.printf "team%d: %d iterations, median %a@." i (W.Mltrain.iterations_done tr)
         U.Units.pp_time
-        (U.Histogram.percentile times 0.5))
+        (U.Sketch.percentile times 0.5))
     trainers;
 
   (* each tenant's virtual view *)

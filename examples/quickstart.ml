@@ -39,8 +39,8 @@ let () =
   let lat = W.Kvstore.latencies kv in
   Format.printf "kv store after 20 ms: %.0fk req/s, p50 %a, p99 %a@."
     (W.Kvstore.achieved_rate kv /. 1e3)
-    U.Units.pp_time (U.Histogram.percentile lat 0.5)
-    U.Units.pp_time (U.Histogram.percentile lat 0.99);
+    U.Units.pp_time (U.Sketch.percentile lat 0.5)
+    U.Units.pp_time (U.Sketch.percentile lat 0.99);
 
   (* 4. Manageability: ask the resource manager for an end-to-end
      guarantee; the arbiter shim protects the store automatically. *)

@@ -104,12 +104,12 @@ let ping host ~src ~dst ~count ~load =
       sent = report.Mon.Diagnostics.sent;
       lost = report.Mon.Diagnostics.lost;
       rtt =
-        (if U.Histogram.count r > 0 then
+        (if U.Sketch.count r > 0 then
            Some
-             ( U.Histogram.min_value r,
-               U.Histogram.percentile r 0.5,
-               U.Histogram.percentile r 0.99,
-               U.Histogram.max_value r )
+             ( U.Sketch.min_value r,
+               U.Sketch.percentile r 0.5,
+               U.Sketch.percentile r 0.99,
+               U.Sketch.max_value r )
          else None);
     }
 
@@ -673,9 +673,9 @@ let dispatch t cmd =
 
    Fields that arrive from outside the process are checked before any
    effect, so a bad one is a typed [Invalid] naming the field instead
-   of an assertion deep in the engine — or, for [ping] and [heal], a
-   refusal that lands after the load generator or the victim flow
-   already ran. *)
+   of an assertion deep in the engine — or, for [ping], [heal] and
+   [scenario], a refusal that lands after the load generator, the
+   victim flow or the scenario already ran. *)
 
 let bad_nonneg cmd field v =
   if Float.is_finite v && v >= 0.0 then None
@@ -692,9 +692,14 @@ let bad_positive cmd field v =
 
 let bad_ms cmd ms = bad_nonneg cmd "ms" ms
 
+let bad_min cmd field lo = function
+  | Some n when n < lo -> Some (Printf.sprintf "%s: %s must be >= %d (got %d)" cmd field lo n)
+  | _ -> None
+
 let invalid_field = function
-  | C.Heal { ms; factor; _ } ->
-    List.find_map Fun.id [ bad_fraction "heal" "factor" factor; bad_ms "heal" ms ]
+  | C.Heal { ms; factor; flap; _ } ->
+    List.find_map Fun.id
+      [ bad_fraction "heal" "factor" factor; bad_ms "heal" ms; bad_min "heal" "flap" 1 flap ]
   | C.Fault_inject { factor; extra_us; loss; _ } ->
     List.find_map Fun.id
       [
@@ -702,11 +707,13 @@ let invalid_field = function
         bad_fraction "fault_inject" "loss" loss;
         bad_nonneg "fault_inject" "extra_us" extra_us;
       ]
-  | C.Scenario { ms; _ } -> bad_ms "scenario" ms
+  | C.Scenario { ms; protect; _ } ->
+    List.find_map Fun.id
+      [ bad_ms "scenario" ms; Option.bind protect (bad_positive "scenario" "protect") ]
   | C.Monitor { ms; period_us; _ } ->
     List.find_map Fun.id [ bad_ms "monitor" ms; bad_positive "monitor" "period_us" period_us ]
   | C.Latency { ms; _ } -> bad_ms "latency" ms
-  | C.Scan { ms; _ } -> bad_ms "scan" ms
+  | C.Scan { ms; step; _ } -> List.find_map Fun.id [ bad_ms "scan" ms; bad_min "scan" "step" 0 step ]
   | C.Run_for { ms } -> bad_ms "run_for" ms
   | C.Ping { count; _ } when count <= 0 ->
     Some (Printf.sprintf "ping: count must be > 0 (got %d)" count)

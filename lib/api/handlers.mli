@@ -42,12 +42,15 @@ val run : t -> Command.t -> Response.t
     [Response.Err] with the {!Api_error} taxonomy. Before any effect,
     every [ms] field and a [Fault_inject]'s [extra_us] must be finite
     and [>= 0], a [Fault_inject]'s [factor] and [loss] and a [Heal]'s
-    [factor] must lie in [\[0, 1\]], and a [Ping]'s [count] and a
-    [Monitor]'s [period_us] must be [> 0] (the period finite too); a
-    violation is an [Invalid] that names the command and field. A
-    [Fleet_submit] intent that fails {!Ihnet_manager.Intent.validate}
-    is refused as [Mgr (Invalid_intent _)], as a host's [Submit] is. [Hello], [Subscribe] and [Shutdown] get their trivial
-    replies here ([Hello_ok] / [Ack] / [Bye]); the transport-level
+    [factor] must lie in [\[0, 1\]], a [Ping]'s [count], a
+    [Monitor]'s [period_us] and a [Scenario]'s [protect] must be
+    [> 0] (the two floats finite too), a [Heal]'s [flap] must be
+    [>= 1] and a [Scan]'s [step] [>= 0]; a violation is an [Invalid]
+    that names the command and field. A [Fleet_submit] intent that
+    fails {!Ihnet_manager.Intent.validate} is refused as
+    [Mgr (Invalid_intent _)], as a host's [Submit] is. [Hello],
+    [Subscribe] and [Shutdown] get their trivial replies here
+    ([Hello_ok] / [Ack] / [Bye]); the transport-level
     behavior (version check, stream registration, connection teardown)
     is the server's. *)
 

@@ -82,6 +82,10 @@ let claim_path path =
 
 let create ?(push_every = 64) handlers path =
   claim_path path;
+  (* a write to a peer that has closed must fail with EPIPE, which
+     [flush_client] handles by dropping that client, rather than end
+     the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock listen_fd;
   Unix.bind listen_fd (Unix.ADDR_UNIX path);

@@ -39,7 +39,10 @@ val claim_path : string -> unit
 val create : ?push_every:int -> Handlers.t -> string -> t
 (** [create handlers path] binds and listens on Unix-domain socket
     [path], after {!claim_path}. [push_every] (default 64) is the
-    telemetry stream's epoch decimation.
+    telemetry stream's epoch decimation. It sets SIGPIPE to ignored
+    for the whole process, so a write to a client that has closed
+    fails with EPIPE and drops that client instead of killing the
+    process.
     @raise Failure when {!claim_path} refuses [path].
     @raise Unix.Unix_error when the socket cannot be bound. *)
 

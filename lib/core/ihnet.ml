@@ -11,7 +11,7 @@ module Host = Host
 module Units = Ihnet_util.Units
 module Rng = Ihnet_util.Rng
 module Stats = Ihnet_util.Stats
-module Histogram = Ihnet_util.Histogram
+module Sketch = Ihnet_util.Sketch
 module Device = Ihnet_topology.Device
 module Link = Ihnet_topology.Link
 module Pcie = Ihnet_topology.Pcie

@@ -43,8 +43,10 @@ module Rng = Ihnet_util.Rng
 module Stats = Ihnet_util.Stats
 (** Streaming statistics: mean/variance, EWMA, CUSUM. *)
 
-module Histogram = Ihnet_util.Histogram
-(** Log-bucketed latency/size histograms with quantile queries. *)
+module Sketch = Ihnet_util.Sketch
+(** Fixed-geometry log-linear latency sketch with quantile queries:
+    workload latencies, ping RTTs and the always-on plane all record
+    into it. *)
 
 module Pool = Ihnet_util.Pool
 (** Fixed-size domain pool behind the fleet controller's host-shard

@@ -1199,12 +1199,6 @@ let cls_link_bytes t link_id dir ~cls =
   observed_sync t;
   t.cls_rows.(cls_index cls).(res_of link_id dir)
 
-let tenant_bytes t ~tenant =
-  observed_sync t;
-  match Hashtbl.find_opt t.tenant_rows tenant with
-  | Some row -> Array.fold_left ( +. ) 0.0 row
-  | None -> 0.0
-
 let probe_loss_prob t (path : T.Path.t) =
   let survive =
     List.fold_left

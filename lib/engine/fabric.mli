@@ -175,9 +175,6 @@ val tenant_link_bytes :
 val cls_link_bytes :
   t -> Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> cls:Flow.cls -> float
 
-val tenant_bytes : t -> tenant:int -> float
-(** Total bytes moved by a tenant across all links. *)
-
 (** {1 Latency} *)
 
 val path_latency :

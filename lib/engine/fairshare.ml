@@ -485,11 +485,5 @@ let allocate ~capacities demands =
   allocate_into ~capacities ~n demands rates;
   rates
 
-let max_min_fair ~capacities usages =
-  let demands =
-    Array.map (fun usage -> { weight = 1.0; floor = 0.0; cap = infinity; usage }) usages
-  in
-  allocate ~capacities demands
-
 (* The fabric's solver-work ledger (see the interface). *)
 type stats = { solves : int; full_rebuilds : int; incremental : int; unchanged : int }

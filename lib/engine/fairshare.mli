@@ -79,10 +79,6 @@ val allocate_reference : capacities:float array -> demand array -> float array
     within 1e-6 relative error on every input (enforced by a
     differential property test). Do not use on hot paths. *)
 
-val max_min_fair : capacities:float array -> (int * float) list array -> float array
-(** Unweighted, floorless, capless convenience wrapper (weight 1,
-    floor 0, cap ∞). *)
-
 val validate : capacities:float array -> demand array -> unit
 (** Check every demand against the documented invariants (weight > 0,
     floor >= 0, cap >= 0, in-range resources, coefficients > 0).

@@ -23,7 +23,6 @@ let inject t id f =
 let clear t id = Hashtbl.remove t id
 let clear_all t = Hashtbl.reset t
 let get t id = Option.value ~default:healthy (Hashtbl.find_opt t id)
-let faulty_links t = Hashtbl.fold (fun id f acc -> (id, f) :: acc) t []
 
 let degrade ~capacity_factor ?(extra_latency = 0.0) () =
   { capacity_factor; extra_latency; loss_prob = 0.0 }

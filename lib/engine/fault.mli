@@ -28,7 +28,6 @@ val inject : t -> Ihnet_topology.Link.id -> link_fault -> unit
 val clear : t -> Ihnet_topology.Link.id -> unit
 val clear_all : t -> unit
 val get : t -> Ihnet_topology.Link.id -> link_fault
-val faulty_links : t -> (Ihnet_topology.Link.id * link_fault) list
 
 val degrade : capacity_factor:float -> ?extra_latency:Ihnet_util.Units.ns -> unit -> link_fault
 (** Silent degradation: reduced capacity, optional extra delay, no

@@ -29,7 +29,7 @@ val stalled : Ihnet_util.Units.ns
 (** Serialization-time ceiling (10^12 ns = 1000 s): what a fully
     stalled transfer reports instead of [infinity], so fault-degraded
     (zero-rate) links can never inject non-finite durations into
-    workload histograms. *)
+    workload latency sketches. *)
 
 val serialization : bytes:float -> rate:float -> Ihnet_util.Units.ns
 (** Time to push [bytes] at [rate] bytes/s. [infinity] rate gives 0; a

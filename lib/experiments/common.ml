@@ -30,5 +30,5 @@ let find_link host a b =
   | [] -> failwith (Printf.sprintf "experiment: no link %s-%s" a b)
   | _ -> failwith (Printf.sprintf "experiment: ambiguous link %s-%s" a b)
 
-let p50 h = U.Histogram.percentile h 0.5
-let p99 h = U.Histogram.percentile h 0.99
+let p50 h = U.Sketch.percentile h 0.5
+let p99 h = U.Sketch.percentile h 0.99

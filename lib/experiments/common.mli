@@ -21,5 +21,5 @@ val find_link : Ihnet.Host.t -> string -> string -> Ihnet_topology.Link.t
 (** The unique link between two named devices.
     @raise Failure if absent or ambiguous. *)
 
-val p50 : Ihnet_util.Histogram.t -> float
-val p99 : Ihnet_util.Histogram.t -> float
+val p50 : Ihnet_util.Sketch.t -> float
+val p99 : Ihnet_util.Sketch.t -> float

@@ -26,7 +26,7 @@ let run_ring host ring =
       { W.Allreduce.tenant = 1; ring; data_bytes = U.Units.mib 256.0; iterations = 4 }
   in
   Ihnet.Host.run_until_idle host;
-  let med = U.Histogram.percentile (W.Allreduce.iteration_times ar) 0.5 in
+  let med = U.Sketch.percentile (W.Allreduce.iteration_times ar) 0.5 in
   let bw = W.Allreduce.algorithmic_bandwidth ar in
   (med, bw)
 

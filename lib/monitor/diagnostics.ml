@@ -27,7 +27,7 @@ let reverse (p : T.Path.t) =
 
 (* {1 ihping} *)
 
-type ping_report = { mutable sent : int; mutable lost : int; rtts : U.Histogram.t }
+type ping_report = { mutable sent : int; mutable lost : int; rtts : U.Sketch.t }
 
 let rtt_of fabric ~probe_bytes p =
   Fabric.path_latency fabric ~payload_bytes:probe_bytes p
@@ -38,14 +38,14 @@ let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?(probe_b
   if count <= 0 then invalid_arg "Diagnostics.ping: count must be > 0";
   if not (interval > 0.0) then invalid_arg "Diagnostics.ping: interval must be > 0";
   let p = route fabric (dev fabric src) (dev fabric dst) in
-  let report = { sent = 0; lost = 0; rtts = U.Histogram.create () } in
+  let report = { sent = 0; lost = 0; rtts = U.Sketch.create () } in
   let rng = U.Rng.split (Fabric.rng fabric) in
   let sim = Fabric.sim fabric in
   let rec probe _ =
     report.sent <- report.sent + 1;
     let loss = Fabric.probe_loss_prob fabric p in
     if U.Rng.float rng 1.0 < loss then report.lost <- report.lost + 1
-    else U.Histogram.add report.rtts (rtt_of fabric ~probe_bytes p);
+    else U.Sketch.record report.rtts (rtt_of fabric ~probe_bytes p);
     if report.sent < count then Sim.schedule sim ~after:interval probe
     else match on_done with Some cb -> cb report | None -> ()
   in

@@ -9,7 +9,7 @@
 type ping_report = {
   mutable sent : int;
   mutable lost : int;
-  rtts : Ihnet_util.Histogram.t;  (** RTTs of answered probes, ns. *)
+  rtts : Ihnet_util.Sketch.t;  (** RTTs of answered probes, ns. *)
 }
 (** Fields fill in as the simulation executes the scheduled probes. *)
 

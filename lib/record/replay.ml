@@ -422,11 +422,6 @@ let scan_reference (trace : Trace.t) =
   | Error e -> Error e
   | Ok _ -> Ok (List.rev !acc)
 
-let replay_file ?setup ?perturb ?reference path =
-  match Trace.load path with
-  | Error e -> Error e
-  | Ok trace -> run ?setup ?perturb ?reference trace
-
 let ok (r : report) = r.divergences = 0 && r.invariant_failures = []
 
 let pp_report ppf (r : report) =

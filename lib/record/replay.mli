@@ -71,13 +71,6 @@ val scan_reference :
     Scans are pure reads, so the collecting replay is bit-identical to
     a bare one. *)
 
-val replay_file :
-  ?setup:(Ihnet_engine.Sim.t -> Ihnet_engine.Fabric.t -> unit) ->
-  ?perturb:float * (Ihnet_engine.Fabric.t -> Ihnet_engine.Flow.t list -> unit) ->
-  ?reference:(int * Scanport.snapshot) list ->
-  string ->
-  (report, string) result
-
 val ok : report -> bool
 (** Zero divergences and no invariant failures. *)
 

@@ -1,4 +1,4 @@
-(* Flat-array log-linear histogram. Bucket layout matches Histogram:
+(* Flat-array log-linear histogram. Bucket layout:
    index < sub        : linear range [0,1), bucket k covers [k/sub, (k+1)/sub)
    index >= sub       : octave o = idx/sub - 1, sub-bucket sb = idx mod sub,
                         covering [2^o (1 + sb/sub), 2^o (1 + (sb+1)/sub)).

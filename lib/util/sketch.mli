@@ -1,27 +1,31 @@
 (** Fixed-geometry, allocation-free latency sketch (HdrHistogram-style).
 
-    Same log-linear bucket layout as {!Histogram} — one octave per power
-    of two, [sub] linear sub-buckets each, values in [\[0,1)] in a linear
-    range below the octaves — but backed by a flat [int array] sized at
-    creation, so {!record} never allocates, resizes, or hashes. This is
-    the always-on variant: cheap enough to leave recording on every
-    reallocation epoch.
+    The library's one percentile structure: workload latencies and
+    iteration times, ping RTTs, the always-on latency plane, telemetry,
+    SLO p99 intents and fleet roll-ups all record into it. Log-linear
+    buckets — one octave per power of two, [sub] linear sub-buckets
+    each, values in [\[0,1)] in a linear range below the octaves — are
+    backed by a flat [int array] sized at creation, so {!record} never
+    allocates, resizes, or hashes: cheap enough to leave recording on
+    every reallocation epoch.
 
     Determinism contract: a sketch stores only integer counts plus exact
     min/max; mean and percentiles are derived from the counts in bucket
     order at read time. Integer addition and [Float.min]/[Float.max] are
     commutative and associative, so {!merge}d sketches report
     bit-identical statistics under any merge grouping or order — the
-    property {!Fleet}-style roll-ups rely on. {!Histogram} remains the
-    reference oracle for the differential property tests. *)
+    property {!Fleet}-style roll-ups rely on. A [Hashtbl]-backed
+    histogram with the same bucket function lives in the tests as the
+    differential oracle. *)
 
 type t
 
 val create : ?sub:int -> ?max_octave:int -> unit -> t
 (** [sub] sub-buckets per octave (default 32 — ~3% relative error).
-    [max_octave] is the largest represented power of two (default 40,
-    i.e. ~2^40 ns ≈ 18 min — plenty for intra-host latencies); larger
-    values clamp into the top bucket, with min/max staying exact. *)
+    [max_octave] is the top octave, [\[2^max_octave, 2^(max_octave+1))]
+    (default 40: up to 2^41 ns ≈ 36 min — plenty for intra-host
+    latencies); larger values clamp into the top bucket, with min/max
+    staying exact. *)
 
 val sub : t -> int
 val max_octave : t -> int

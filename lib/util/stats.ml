@@ -1,38 +1,6 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  assert (n > 0);
-  if n = 1 then sorted.(0)
-  else begin
-    let pos = q *. float_of_int (n - 1) in
-    let i = int_of_float (Float.floor pos) in
-    let i = if i >= n - 1 then n - 2 else i in
-    let frac = pos -. float_of_int i in
-    sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
-  end
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then nan else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
-
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let m = mean xs in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-    sqrt (ss /. float_of_int (n - 1))
-  end
 
 let jain_index xs =
   let n = Array.length xs in
@@ -41,24 +9,6 @@ let jain_index xs =
     let sum = Array.fold_left ( +. ) 0.0 xs in
     let sumsq = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
     if sumsq <= 0.0 then nan else sum *. sum /. (float_of_int n *. sumsq)
-  end
-
-let summarize xs =
-  let n = Array.length xs in
-  if n = 0 then
-    { count = 0; mean = nan; stddev = nan; min = nan; max = nan; p50 = nan; p90 = nan; p99 = nan }
-  else begin
-    Array.sort compare xs;
-    {
-      count = n;
-      mean = mean xs;
-      stddev = stddev xs;
-      min = xs.(0);
-      max = xs.(n - 1);
-      p50 = percentile xs 0.5;
-      p90 = percentile xs 0.9;
-      p99 = percentile xs 0.99;
-    }
   end
 
 module Online = struct

@@ -1,29 +1,10 @@
-(** Streaming and batch statistics used by the monitor and the
-    experiment harness. *)
+(** Streaming statistics used by the monitor, plus a batch mean and
+    Jain's fairness index. Latency percentiles live in {!Sketch}. *)
 
-(** {1 Batch summaries} *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-val summarize : float array -> summary
-(** [summarize xs] computes a full summary; [xs] is sorted in place.
-    All fields are [nan] (count 0) for an empty array. *)
-
-val percentile : float array -> float -> float
-(** [percentile sorted q] with [q] in [\[0,1\]] by linear interpolation.
-    Requires [sorted] to be sorted ascending and non-empty. *)
+(** {1 Batch} *)
 
 val mean : float array -> float
-val stddev : float array -> float
+(** Arithmetic mean; [nan] for an empty array. *)
 
 val jain_index : float array -> float
 (** Jain's fairness index [ (Σx)² / (n·Σx²) ]: 1 when all shares are

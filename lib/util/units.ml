@@ -6,8 +6,6 @@ let us x = x *. 1e3
 let ms x = x *. 1e6
 let s x = x *. 1e9
 let ns_to_us t = t /. 1e3
-let ns_to_ms t = t /. 1e6
-let ns_to_s t = t /. 1e9
 
 let gib x = x *. 1073741824.0
 let mib x = x *. 1048576.0
@@ -15,9 +13,7 @@ let kib x = x *. 1024.0
 
 let gbps x = x *. 1e9 /. 8.0
 let gbytes_per_s x = x *. 1e9
-let mbytes_per_s x = x *. 1e6
 let to_gbps r = r *. 8.0 /. 1e9
-let to_gbytes_per_s r = r /. 1e9
 
 let pp_rate ppf r =
   if r >= 1e9 then Format.fprintf ppf "%.1f GB/s" (r /. 1e9)

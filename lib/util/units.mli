@@ -28,8 +28,6 @@ val s : float -> ns
 (** [s x] is [x] seconds in nanoseconds. *)
 
 val ns_to_us : ns -> float
-val ns_to_ms : ns -> float
-val ns_to_s : ns -> float
 
 val gib : float -> float
 (** [gib x] is [x] gibibytes in bytes (2{^30}-based). *)
@@ -44,12 +42,8 @@ val gbps : float -> bytes_per_s
 val gbytes_per_s : float -> bytes_per_s
 (** [gbytes_per_s x] is [x] gigabytes per second as bytes/s (decimal). *)
 
-val mbytes_per_s : float -> bytes_per_s
-
 val to_gbps : bytes_per_s -> float
 (** Inverse of {!gbps}, for reporting. *)
-
-val to_gbytes_per_s : bytes_per_s -> float
 
 val pp_rate : Format.formatter -> bytes_per_s -> unit
 (** Human-friendly rate, e.g. ["25.6 GB/s"] or ["845 MB/s"]. *)

@@ -14,7 +14,7 @@ type t = {
   fabric : Fabric.t;
   config : config;
   edges : T.Path.t list; (* gpu_i -> gpu_{i+1}, cyclic *)
-  times : U.Histogram.t;
+  times : U.Sketch.t;
   mutable iters : int;
   mutable running : bool;
   mutable live : Flow.t list;
@@ -43,7 +43,7 @@ let start fabric config =
       fabric;
       config;
       edges = ring_edges fabric config.ring;
-      times = U.Histogram.create ();
+      times = U.Sketch.create ();
       iters = 0;
       running = true;
       live = [];
@@ -56,7 +56,7 @@ let start fabric config =
     if t.running then begin
       if remaining_steps = 0 then begin
         let now = Fabric.now t.fabric in
-        U.Histogram.add t.times (now -. iteration_start);
+        U.Sketch.record t.times (now -. iteration_start);
         t.iters <- t.iters + 1;
         if t.iters < t.config.iterations then
           step ~iteration_start:now ~remaining_steps:steps_per_iter
@@ -93,9 +93,9 @@ let iteration_times t = t.times
 let running t = t.running
 
 let algorithmic_bandwidth t =
-  if U.Histogram.count t.times = 0 then nan
+  if U.Sketch.count t.times = 0 then nan
   else begin
-    let median = U.Histogram.percentile t.times 0.5 in
+    let median = U.Sketch.percentile t.times 0.5 in
     t.config.data_bytes /. (median /. 1e9)
   end
 

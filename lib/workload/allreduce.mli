@@ -26,7 +26,7 @@ val start : Ihnet_engine.Fabric.t -> config -> t
 
 val stop : t -> unit
 val iterations_done : t -> int
-val iteration_times : t -> Ihnet_util.Histogram.t
+val iteration_times : t -> Ihnet_util.Sketch.t
 val running : t -> bool
 
 val algorithmic_bandwidth : t -> float

@@ -34,7 +34,7 @@ type t = {
   outbound : Flow.t; (* memory -> ext *)
   req_path : T.Path.t;
   resp_path : T.Path.t;
-  lat : U.Histogram.t;
+  lat : U.Sketch.t;
   mutable stopped : bool;
 }
 
@@ -99,7 +99,7 @@ let start fabric ?rng config =
       outbound;
       req_path;
       resp_path;
-      lat = U.Histogram.create ();
+      lat = U.Sketch.create ();
       stopped = false;
     }
   in
@@ -133,7 +133,7 @@ let start fabric ?rng config =
          think time (exponential, 30% of the mean) — without it the
          fluid model yields a perfectly flat latency distribution *)
       let jitter = U.Rng.exponential rng (0.3 *. config.think_time) in
-      U.Histogram.add t.lat
+      U.Sketch.record t.lat
         (l_req +. l_resp +. config.think_time +. jitter +. (2.0 *. intmod) +. backlog_penalty);
       Sim.schedule sim ~after:(U.Rng.exponential rng (1e9 /. config.sample_rate)) sample
     end

@@ -36,7 +36,7 @@ val start : Ihnet_engine.Fabric.t -> ?rng:Ihnet_util.Rng.t -> config -> t
 
 val stop : t -> unit
 
-val latencies : t -> Ihnet_util.Histogram.t
+val latencies : t -> Ihnet_util.Sketch.t
 (** End-to-end request latencies (ns) sampled so far. *)
 
 val offered_rate : t -> float

@@ -32,7 +32,7 @@ type t = {
   config : config;
   load_paths : T.Path.t list; (* one per loader stream *)
   sync_path : T.Path.t option;
-  times : U.Histogram.t;
+  times : U.Sketch.t;
   mutable iters : int;
   mutable running : bool;
   mutable current : Flow.t list;
@@ -78,7 +78,7 @@ let start fabric config =
       config;
       load_paths;
       sync_path;
-      times = U.Histogram.create ();
+      times = U.Sketch.create ();
       iters = 0;
       running = true;
       current = [];
@@ -119,7 +119,7 @@ let start fabric config =
       | _ -> finish_iteration started_at
   and finish_iteration started_at =
     let now = Fabric.now t.fabric in
-    U.Histogram.add t.times (now -. started_at);
+    U.Sketch.record t.times (now -. started_at);
     t.iters <- t.iters + 1;
     let continue =
       match t.config.iterations with Some n -> t.iters < n | None -> true

@@ -38,7 +38,7 @@ val start : Ihnet_engine.Fabric.t -> config -> t
 val stop : t -> unit
 
 val iterations_done : t -> int
-val iteration_times : t -> Ihnet_util.Histogram.t
+val iteration_times : t -> Ihnet_util.Sketch.t
 (** Wall-clock duration of completed iterations (ns). *)
 
 val running : t -> bool

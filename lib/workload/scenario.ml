@@ -43,8 +43,8 @@ let colocation fabric =
       (fun () ->
         let lat = Kvstore.latencies kv in
         [
-          ("kv p50", time (U.Histogram.percentile lat 0.5));
-          ("kv p99", time (U.Histogram.percentile lat 0.99));
+          ("kv p50", time (U.Sketch.percentile lat 0.5));
+          ("kv p99", time (U.Sketch.percentile lat 0.99));
           ("kv req/s", Printf.sprintf "%.0fk" (Kvstore.achieved_rate kv /. 1e3));
           ("ml iterations", string_of_int (Mltrain.iterations_done ml));
         ]);

@@ -29,7 +29,7 @@ type t = {
   read_path : T.Path.t;
   write_path : T.Path.t;
   llc_target : bool;
-  lat : U.Histogram.t;
+  lat : U.Sketch.t;
   rng : U.Rng.t;
   mutable ops : int;
   mutable moved : float;
@@ -65,7 +65,7 @@ let start fabric ?rng config =
       read_path;
       write_path;
       llc_target;
-      lat = U.Histogram.create ();
+      lat = U.Sketch.create ();
       rng;
       ops = 0;
       moved = 0.0;
@@ -86,7 +86,7 @@ let start fabric ?rng config =
             t.ops <- t.ops + 1;
             t.moved <- t.moved +. bytes;
             t.live <- List.filter (fun (x : Flow.t) -> x.Flow.id <> f.Flow.id) t.live;
-            U.Histogram.add t.lat (Flow.duration f))
+            U.Sketch.record t.lat (Flow.duration f))
           ()
       in
       t.live <- flow :: t.live;

@@ -21,7 +21,7 @@ val start : Ihnet_engine.Fabric.t -> ?rng:Ihnet_util.Rng.t -> config -> t
 val stop : t -> unit
 
 val completed_ops : t -> int
-val op_latencies : t -> Ihnet_util.Histogram.t
+val op_latencies : t -> Ihnet_util.Sketch.t
 (** Transfer durations of completed operations, ns. *)
 
 val bytes_moved : t -> float

@@ -75,13 +75,13 @@ let capture fabric =
 type replay_stats = {
   mutable completed : int;
   mutable total_bytes : float;
-  durations : U.Histogram.t;
+  durations : U.Sketch.t;
 }
 
 let replay fabric t =
   let topo = Fabric.topology fabric in
   let sim = Fabric.sim fabric in
-  let stats = { completed = 0; total_bytes = 0.0; durations = U.Histogram.create () } in
+  let stats = { completed = 0; total_bytes = 0.0; durations = U.Sketch.create () } in
   let base = Sim.now sim in
   let dev name =
     match T.Topology.device_by_name topo name with
@@ -100,7 +100,7 @@ let replay fabric t =
                  ~on_complete:(fun f ->
                    stats.completed <- stats.completed + 1;
                    stats.total_bytes <- stats.total_bytes +. e.bytes;
-                   U.Histogram.add stats.durations (Flow.duration f))
+                   U.Sketch.record stats.durations (Flow.duration f))
                  ())))
     (events t);
   stats

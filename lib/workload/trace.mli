@@ -33,7 +33,7 @@ val of_csv : string -> (t, string) result
 type replay_stats = {
   mutable completed : int;
   mutable total_bytes : float;
-  durations : Ihnet_util.Histogram.t;
+  durations : Ihnet_util.Sketch.t;
 }
 
 val capture : Ihnet_engine.Fabric.t -> t

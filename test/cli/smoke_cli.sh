@@ -68,6 +68,12 @@ expect_any scan-step-lines 0 \
 expect latency 0 \
   '^flow end-to-end latency: ' \
   "$CTL" latency --load --ms 2
+expect_any ping-rtt 0 \
+  '^rtt min/p50/p99/max = ' \
+  "$CTL" ping nic0 dimm0.0.0 -c 5
+expect_any scenario-kv-p99 0 \
+  '^ +kv p99 +[0-9.]+ [a-z]+$' \
+  "$CTL" scenario colocation --ms 5
 "$CTL" record -s e5 -o "$tmp/e5.trace.jsonl" >/dev/null 2>&1
 expect faults 0 \
   '^trace .*: [0-9]+ link fault\(s\), [0-9]+ sensor fault\(s\) active at end$' \

@@ -668,11 +668,6 @@ let reply_queue_suite =
               Alcotest.(check int) "every reply arrived" sent !got));
       tc "with a stalled reader, a step allocates no more as replies pile up" (fun () ->
           let frame = Bytes.length (snapshot_frame ()) in
-          (* the server is stopped with replies still queued to a
-             closed socket: a write there must fail with EPIPE, not
-             end the test process *)
-          let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-          Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe) @@ fun () ->
           with_server ~handlers:(loaded_handlers ()) "stall" (fun srv fd ->
               hello srv fd;
               (* the client sends [n] snapshot requests and never reads;
@@ -692,6 +687,23 @@ let reply_queue_suite =
                 Alcotest.failf
                   "a step allocated %.0f bytes with one %d-byte reply queued, %.0f with four" one
                   frame four));
+      tc "a client that closes with replies queued does not end the process" (fun () ->
+          (* SIGPIPE as a fresh process has it: ignoring it is
+             Server.create's job *)
+          Sys.set_signal Sys.sigpipe Sys.Signal_default;
+          (* eight half-MB replies outgrow the socket buffer; the client
+             closes unread, and stop flushes into the closed socket *)
+          with_server ~handlers:(loaded_handlers ()) "closed" (fun srv fd ->
+              hello srv fd;
+              for _ = 1 to 8 do
+                Api.Wire.write_frame fd (C.to_json scan_snapshot)
+              done;
+              pump srv 5);
+          with_server "after" (fun srv fd ->
+              hello srv fd;
+              match call srv fd C.Stats with
+              | Resp.Stats_report _ -> ()
+              | r -> Alcotest.failf "second server: %s" (show r)));
     ] )
 
 let protocol_suite =
@@ -804,6 +816,25 @@ let bad_field_suite =
              ms = 5.0;
            })
         "heal: factor must be in [0, 1] (got 2)";
+      bad_field_case "heal flap:0"
+        (C.Heal
+           {
+             src = "gpu0";
+             dst = "nic0";
+             gbps = 10.0;
+             fault = None;
+             factor = 0.5;
+             silent = false;
+             flap = Some 0;
+             ms = 5.0;
+           })
+        "heal: flap must be >= 1 (got 0)";
+      bad_field_case "scenario protect:nan"
+        (C.Scenario { name = "colocation"; ms = 1.0; protect = Some Float.nan })
+        "scenario: protect must be finite and > 0 (got nan)";
+      bad_field_case "scan step:-1"
+        (C.Scan { ms = 1.0; load = false; step = Some (-1); snapshot = false })
+        "scan: step must be >= 0 (got -1)";
       bad_field_case "plan headroom:1.5" (plan 1.5) "plan: headroom must be in (0, 1] (got 1.5)";
       bad_field_case "plan headroom:0" (plan 0.0) "plan: headroom must be in (0, 1] (got 0)";
       bad_field_case "plan headroom:nan" (plan Float.nan)

@@ -133,8 +133,8 @@ let fairshare_tests =
         check_close "cap" 42.0 rates.(0));
     tc "no demands, no rates" (fun () ->
         Alcotest.(check int) "empty" 0 (Array.length (Fairshare.allocate ~capacities:[| 1.0 |] [||])));
-    tc "max_min_fair wrapper" (fun () ->
-        let rates = Fairshare.max_min_fair ~capacities:[| 60.0 |] [| [ (0, 1.0) ]; [ (0, 1.0) ]; [ (0, 1.0) ] |] in
+    tc "three unit-weight flows split evenly" (fun () ->
+        let rates = Fairshare.allocate ~capacities:[| 60.0 |] (Array.make 3 (fs_demand [ (0, 1.0) ])) in
         Array.iter (fun r -> check_close "even" 20.0 r) rates);
     tc "allocate_into solves a prefix and touches nothing past it" (fun () ->
         let capacities = [| 100.0; 40.0 |] in

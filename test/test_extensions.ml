@@ -261,8 +261,8 @@ let determinism_tests =
     let st = W.Storage.start fab (W.Storage.default_config ~tenant:2 ~ssd:"ssd0" ~target:"dimm0.0.0") in
     E.Sim.run ~until:(U.Units.ms 10.0) sim;
     let result =
-      ( U.Histogram.count (W.Kvstore.latencies kv),
-        U.Histogram.percentile (W.Kvstore.latencies kv) 0.5,
+      ( U.Sketch.count (W.Kvstore.latencies kv),
+        U.Sketch.percentile (W.Kvstore.latencies kv) 0.5,
         W.Storage.completed_ops st,
         W.Storage.bytes_moved st )
     in

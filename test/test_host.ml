@@ -86,7 +86,7 @@ let scenario_tests =
           W.Kvstore.start fab (W.Kvstore.default_config ~tenant:kv_tenant.W.Tenant.id ~nic:"nic0")
         in
         Host.run_for h (U.Units.ms 10.0);
-        let alone = U.Histogram.percentile (W.Kvstore.latencies kv) 0.99 in
+        let alone = U.Sketch.percentile (W.Kvstore.latencies kv) 0.99 in
         (* phase 2: co-located ML trainer steals the PCIe subtree *)
         let ml =
           W.Mltrain.start fab
@@ -97,7 +97,7 @@ let scenario_tests =
             }
         in
         Host.run_for h (U.Units.ms 20.0);
-        let contended = U.Histogram.percentile (W.Kvstore.latencies kv) 0.99 in
+        let contended = U.Sketch.percentile (W.Kvstore.latencies kv) 0.99 in
         Alcotest.(check bool) "interference visible" true (contended > alone *. 1.2);
         (* phase 3: submit an intent; the shim protects the kv flows *)
         let mgr = Host.enable_manager h () in

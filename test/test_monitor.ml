@@ -534,7 +534,7 @@ let diagnostics_tests =
         Alcotest.(check bool) "done" true !finished;
         Alcotest.(check int) "sent" 20 report.Diagnostics.sent;
         Alcotest.(check int) "none lost" 0 report.Diagnostics.lost;
-        Alcotest.(check int) "rtts" 20 (U.Histogram.count report.Diagnostics.rtts));
+        Alcotest.(check int) "rtts" 20 (U.Sketch.count report.Diagnostics.rtts));
     tc "ping counts losses on a faulty path" (fun () ->
         let topo, sim, fab = make_host () in
         let nic = dev topo "nic1" and rp = dev topo "rp0.1" in

@@ -1,6 +1,6 @@
 (* Unit, differential and merge-determinism tests for Ihnet_util.Sketch.
 
-   Histogram is the reference oracle: both use the same log-linear
+   Histogram_oracle is the reference: both use the same log-linear
    bucket geometry, so with equal [sub] every percentile estimate must
    agree exactly. The exact-sample comparisons avoid naive "relative
    error" assertions (too weak at bucket boundaries like
@@ -94,26 +94,28 @@ let differential_tests =
   [
     prop "sketch == histogram oracle at equal geometry" values_gen (fun xs ->
         let sk = of_list ~sub:32 xs in
-        let h = Histogram.create ~sub:32 () in
-        List.iter (Histogram.add h) xs;
-        Sketch.count sk = Histogram.count h
+        let h = Histogram_oracle.create ~sub:32 in
+        List.iter (Histogram_oracle.add h) xs;
+        Sketch.count sk = Histogram_oracle.count h
         && List.for_all
              (fun q ->
-               bits (Sketch.percentile sk q) = bits (Histogram.percentile h q))
+               bits (Sketch.percentile sk q) = bits (Histogram_oracle.percentile h q))
              [ 0.5; 0.9; 0.99; 0.999; 1.0 ]
-        && bits (Sketch.max_value sk) = bits (Histogram.max_value h)
-        && bits (Sketch.min_value sk) = bits (Histogram.min_value h));
+        && bits (Sketch.max_value sk) = bits (Histogram_oracle.max_value h)
+        && bits (Sketch.min_value sk) = bits (Histogram_oracle.min_value h));
     prop "percentile within half a bucket of the exact sample" values_gen (fun xs ->
-        let sub = 32 in
-        let sk = of_list ~sub xs in
         List.for_all
-          (fun q ->
-            let est = Sketch.percentile sk q and x = exact_percentile xs q in
-            (* the q-th sample's bucket spans at most x/sub (log-linear,
-               x >= 1), so its midpoint is within x/(2 sub) of x; the
-               range clamp can only tighten the estimate *)
-            Float.abs (est -. x) <= (x /. (2.0 *. float_of_int sub)) +. 1e-9)
-          [ 0.5; 0.9; 0.99 ]);
+          (fun sub ->
+            let sk = of_list ~sub xs in
+            List.for_all
+              (fun q ->
+                let est = Sketch.percentile sk q and x = exact_percentile xs q in
+                (* the q-th sample's bucket spans at most x/sub (log-linear,
+                   x >= 1), so its midpoint is within x/(2 sub) of x; the
+                   range clamp can only tighten the estimate *)
+                Float.abs (est -. x) <= (x /. (2.0 *. float_of_int sub)) +. 1e-9)
+              [ 0.5; 0.9; 0.99 ])
+          [ 32; 64 ]);
     prop "sub-1.0 linear range: absolute half-bucket error"
       QCheck.(list_of_size Gen.(int_range 1 100) (float_range 0.0001 0.999))
       (fun xs ->

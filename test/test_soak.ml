@@ -139,7 +139,7 @@ let soak_tests =
         (* capacity conservation held at every checkpoint *)
         Alcotest.(check bool) "conservation" true conservation_ok;
         (* all workloads made progress *)
-        Alcotest.(check bool) "kv sampled" true (U.Histogram.count (W.Kvstore.latencies kv) > 1000);
+        Alcotest.(check bool) "kv sampled" true (U.Sketch.count (W.Kvstore.latencies kv) > 1000);
         Alcotest.(check bool) "ml progressed" true (W.Mltrain.iterations_done ml >= 10);
         Alcotest.(check bool) "storage progressed" true (W.Storage.completed_ops st > 500);
         Alcotest.(check bool) "allreduce progressed" true (W.Allreduce.iterations_done ar >= 10);

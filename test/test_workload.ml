@@ -150,8 +150,8 @@ let kvstore_tests =
         let kv = Kvstore.start fab (Kvstore.default_config ~tenant:1 ~nic:"nic0") in
         E.Sim.run ~until:(U.Units.ms 20.0) sim;
         let lat = Kvstore.latencies kv in
-        Alcotest.(check bool) "samples" true (U.Histogram.count lat > 100);
-        let p50 = U.Histogram.percentile lat 0.5 in
+        Alcotest.(check bool) "samples" true (U.Sketch.count lat > 100);
+        let p50 = U.Sketch.percentile lat 0.5 in
         (* two inter-host hops alone are 3 us; idle intra-host adds ~1 us *)
         Alcotest.(check bool) "sane idle latency" true (p50 > 3_000.0 && p50 < 15_000.0);
         Kvstore.stop kv);
@@ -159,11 +159,11 @@ let kvstore_tests =
         let _, sim, fab = make_host () in
         let kv = Kvstore.start fab (Kvstore.default_config ~tenant:1 ~nic:"nic0") in
         E.Sim.run ~until:(U.Units.ms 10.0) sim;
-        let idle_p50 = U.Histogram.percentile (Kvstore.latencies kv) 0.5 in
+        let idle_p50 = U.Sketch.percentile (Kvstore.latencies kv) 0.5 in
         (* aggressor on the same PCIe subtree *)
         let agg = Rdma.start_loopback fab ~tenant:2 ~nic:"nic0" () in
         E.Sim.run ~until:(U.Units.ms 30.0) sim;
-        let busy_p50 = U.Histogram.percentile (Kvstore.latencies kv) 0.5 in
+        let busy_p50 = U.Sketch.percentile (Kvstore.latencies kv) 0.5 in
         Alcotest.(check bool) "worse" true (busy_p50 > idle_p50);
         Rdma.stop_loopback agg;
         Kvstore.stop kv);
@@ -203,15 +203,15 @@ let kvstore_tests =
         let _, sim, fab = make_host () in
         let kv = Kvstore.start fab (Kvstore.default_config ~tenant:1 ~nic:"nic0") in
         E.Sim.run ~until:(U.Units.ms 5.0) sim;
-        let idle_p50 = U.Histogram.percentile (Kvstore.latencies kv) 0.5 in
+        let idle_p50 = U.Sketch.percentile (Kvstore.latencies kv) 0.5 in
         (* throttle the store's inbound flow far below its offered load *)
         List.iter
           (fun (f : E.Flow.t) ->
             if f.E.Flow.tenant = 1 then E.Fabric.set_flow_limits fab f ~cap:1e6 ())
           (E.Fabric.active_flows fab);
-        U.Histogram.clear (Kvstore.latencies kv);
+        U.Sketch.clear (Kvstore.latencies kv);
         E.Sim.run ~until:(U.Units.ms 10.0) sim;
-        let throttled_p50 = U.Histogram.percentile (Kvstore.latencies kv) 0.5 in
+        let throttled_p50 = U.Sketch.percentile (Kvstore.latencies kv) 0.5 in
         Alcotest.(check bool) "queueing penalty" true (throttled_p50 > idle_p50 *. 10.0);
         Alcotest.(check bool) "achieved collapsed" true
           (Kvstore.achieved_rate kv < Kvstore.offered_rate kv /. 10.0);
@@ -237,10 +237,10 @@ let mltrain_tests =
         Alcotest.(check int) "iters" 5 (Mltrain.iterations_done ml);
         Alcotest.(check bool) "stopped" false (Mltrain.running ml);
         let times = Mltrain.iteration_times ml in
-        Alcotest.(check int) "timed" 5 (U.Histogram.count times);
+        Alcotest.(check int) "timed" 5 (U.Sketch.count times);
         (* 64 MiB at <= 25.6 GB/s is >= 2.6 ms, plus 1 ms compute *)
         Alcotest.(check bool) "duration sane" true
-          (U.Histogram.percentile times 0.5 > U.Units.ms 3.0));
+          (U.Sketch.percentile times 0.5 > U.Units.ms 3.0));
     tc "congestion stretches iterations" (fun () ->
         let _, sim, fab = make_host () in
         let config =
@@ -253,14 +253,14 @@ let mltrain_tests =
         in
         let alone = Mltrain.start fab config in
         E.Sim.run sim;
-        let t_alone = U.Histogram.mean (Mltrain.iteration_times alone) in
+        let t_alone = U.Sketch.mean (Mltrain.iteration_times alone) in
         (* competing bulk flow on the same path *)
         let p = path fab "dimm0.0.0" "gpu0" in
         let agg = E.Fabric.start_flow fab ~tenant:2 ~path:p ~size:E.Flow.Unbounded () in
         let busy = Mltrain.start fab config in
         E.Sim.run sim;
         ignore agg;
-        let t_busy = U.Histogram.mean (Mltrain.iteration_times busy) in
+        let t_busy = U.Sketch.mean (Mltrain.iteration_times busy) in
         Alcotest.(check bool) "slower" true (t_busy > t_alone *. 1.3));
     tc "sync transfers traverse the nic" (fun () ->
         let _, sim, fab = make_host () in
@@ -345,7 +345,7 @@ let storage_tests =
         Alcotest.(check bool) "ops" true (Storage.completed_ops st > 50);
         Alcotest.(check bool) "bytes" true (Storage.bytes_moved st > 1e6);
         let lat = Storage.op_latencies st in
-        Alcotest.(check bool) "latency positive" true (U.Histogram.percentile lat 0.5 > 0.0));
+        Alcotest.(check bool) "latency positive" true (U.Sketch.percentile lat 0.5 > 0.0));
     tc "read_fraction 0 means all writes" (fun () ->
         let _, sim, fab = make_host () in
         let config =
@@ -406,7 +406,7 @@ let allreduce_tests =
             }
         in
         E.Sim.run sim;
-        let med = U.Histogram.percentile (Allreduce.iteration_times ar) 0.5 in
+        let med = U.Sketch.percentile (Allreduce.iteration_times ar) 0.5 in
         (* chunk 8 MiB at ~28.6 GB/s effective = ~293 us per step, 2 steps *)
         Alcotest.(check bool) "order of magnitude" true
           (med > U.Units.us 400.0 && med < U.Units.ms 2.0));
