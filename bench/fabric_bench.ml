@@ -149,13 +149,8 @@ let make_demands n =
         E.Fairshare.weight = 1.0 +. (0.01 *. float_of_int (i mod 37));
         floor = 0.01;
         cap = (if i mod 4 = 0 then 5.0 +. (0.37 *. float_of_int (i mod 59)) else infinity);
-        usage =
-          [
-            (i mod nr, 1.0);
-            ((i * 7) + 1 mod nr, 1.1);
-            (((i * 13) + 5) mod nr, 1.0);
-          ]
-          |> List.map (fun (r, c) -> (r mod nr, c));
+        res = [| i mod nr; ((i * 7) + 1 mod nr) mod nr; ((i * 13) + 5) mod nr |];
+        coeff = [| 1.0; 1.1; 1.0 |];
       })
 
 let bench_allocate n =

@@ -722,6 +722,9 @@ let invalid_field = function
   (* NaN fails the comparison too *)
   | C.Plan { headroom; _ } when not (headroom > 0.0 && headroom <= 1.0) ->
     Some (Printf.sprintf "plan: headroom must be in (0, 1] (got %g)" headroom)
+  (* an unbounded demand is +inf, so only NaN and negatives are refused *)
+  | C.Flow_start { gbps = Some g; _ } when not (g >= 0.0) ->
+    Some (Printf.sprintf "flow_start: gbps must be >= 0 (got %g)" g)
   | _ -> None
 
 let run t cmd =

@@ -45,7 +45,8 @@ val run : t -> Command.t -> Response.t
     [factor] must lie in [\[0, 1\]], a [Ping]'s [count], a
     [Monitor]'s [period_us] and a [Scenario]'s [protect] must be
     [> 0] (the two floats finite too), a [Heal]'s [flap] must be
-    [>= 1] and a [Scan]'s [step] [>= 0]; a violation is an [Invalid]
+    [>= 1], a [Scan]'s [step] [>= 0] and a [Flow_start]'s [gbps], when
+    given, [>= 0] (NaN refused); a violation is an [Invalid]
     that names the command and field. A [Fleet_submit] intent that
     fails {!Ihnet_manager.Intent.validate} is refused as
     [Mgr (Invalid_intent _)], as a host's [Submit] is. [Hello],

@@ -10,22 +10,25 @@ module U = Ihnet_util
    component. *)
 type entry = {
   flow : Flow.t;
-  usage : (int * float) list;
   conn : int array;
   mutable dem : Fairshare.demand;
-      (* cached allocator view; rebuilt only when the flow's limits
-         change, not on every reallocation *)
+      (* cached allocator view, and the one copy of the flow's usage
+         ([res]/[coeff], hop order); rebuilt only when the flow's limits
+         change, not on every reallocation, and sharing the usage
+         arrays across rebuilds *)
   trow : float array; (* per-resource cumulative bytes, owning tenant's row *)
   crow : float array; (* per-resource cumulative bytes, traffic class row *)
-  mutable mark : int; (* component-BFS visit generation *)
+  mutable slot : int; (* contention-index slot, -1 when not registered *)
   mutable hstamp : int; (* completion-heap generation (lazy invalidation) *)
 }
 
-(* Per-socket memory fan-out used to stripe induced DDIO traffic. *)
+(* Per-socket memory fan-out used to stripe induced DDIO traffic: the
+   resources and striped coefficients, hop order, in each direction. *)
 type socket_mem = {
-  socket_dev : T.Device.id;
-  to_mem : (int * float) list; (* resources socket->DIMMs, striped coefficients *)
-  from_mem : (int * float) list; (* resources DIMMs->socket *)
+  to_res : int array; (* socket->DIMMs *)
+  to_coeff : float array;
+  from_res : int array; (* DIMMs->socket *)
+  from_coeff : float array;
 }
 
 (* What a component's allocation pass produces; the socket arrays are
@@ -98,16 +101,23 @@ type t = {
   mutable listeners : (event -> unit) list; (* registration order *)
   (* incremental allocation state *)
   nr : int; (* real (link, dir) resource count *)
-  res_entries : entry list array; (* conn resource -> incident entries *)
+  (* the contention index: per conn resource, the slots of its incident
+     entries, oldest-registered first, in [res_slots.(r)]'s first
+     [res_len.(r)] cells *)
+  res_slots : int array array;
+  res_len : int array;
+  mutable slot_entry : entry array; (* slot -> entry; [vacant ()] when free *)
+  mutable slot_mark : int array; (* slot -> component-BFS visit generation *)
+  free_slots : int U.Vec.t; (* free slots, next to reuse last *)
   socket_of_res : int array; (* conn resource -> DDIO-coupled socket, -1 if none *)
   caps : float array; (* cached effective capacities, refreshed on faults *)
   mutable comp_gen : int; (* BFS generation counter *)
   res_mark : int array; (* conn resource -> last visit generation *)
   socket_mark : int array; (* socket -> last visit generation *)
-  comp_entries : entry U.Vec.t; (* scratch: current component's members *)
+  comp_slots : int U.Vec.t; (* scratch: current component's members' slots *)
   comp_res : int U.Vec.t; (* scratch: current component's real resources *)
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
-  mutable comp_stack : int list; (* scratch: resources the BFS has yet to expand *)
+  comp_stack : int U.Vec.t; (* scratch: resources the BFS has yet to expand *)
   mutable solve_dems : Fairshare.demand array; (* scratch: one solve's demands, grow-only *)
   mutable solve_rates : float array; (* scratch: one solve's rates, same length *)
   loadb : float array; (* scratch: per-resource load, all zero between computes *)
@@ -151,7 +161,7 @@ let cls_index : Flow.cls -> int = function
 let cls_count = 5
 let nresources topo = 2 * T.Topology.link_count topo
 
-(* Build the striped socket->memory usage lists: each memory-controller
+(* Build the striped socket->memory usages: each memory-controller
    mesh link carries 1/#mc of the rate, each DDR channel 1/#channels
    (hardware interleaving). *)
 let build_socket_mems topo =
@@ -204,7 +214,15 @@ let build_socket_mems topo =
                 (res_of l.id (T.Link.opposite (dir_out l mc)), 1.0 /. nch))
               channels
         in
-        arr.(sock.socket) <- Some { socket_dev = sock.id; to_mem; from_mem }
+        let res u = Array.of_list (List.map fst u) and coeff u = Array.of_list (List.map snd u) in
+        arr.(sock.socket) <-
+          Some
+            {
+              to_res = res to_mem;
+              to_coeff = coeff to_mem;
+              from_res = res from_mem;
+              from_coeff = coeff from_mem;
+            }
       end)
     sockets;
   arr
@@ -236,8 +254,8 @@ let create ?(seed = 42) ?(warm = true) sim topo =
       | None -> ()
       | Some sm ->
         socket_of_res.(nr + s) <- s;
-        List.iter (fun (r, _) -> socket_of_res.(r) <- s) sm.to_mem;
-        List.iter (fun (r, _) -> socket_of_res.(r) <- s) sm.from_mem)
+        Array.iter (fun r -> socket_of_res.(r) <- s) sm.to_res;
+        Array.iter (fun r -> socket_of_res.(r) <- s) sm.from_res)
     socket_mems;
   let induced_trow = Array.make nr 0.0 in
   let tenant_rows = Hashtbl.create 64 in
@@ -269,16 +287,20 @@ let create ?(seed = 42) ?(warm = true) sim topo =
       in_batch = false;
       listeners = [];
       nr;
-      res_entries = Array.make (nr + ns) [];
+      res_slots = Array.make (nr + ns) [||];
+      res_len = Array.make (nr + ns) 0;
+      slot_entry = [||];
+      slot_mark = [||];
+      free_slots = U.Vec.create ();
       socket_of_res;
       caps = Array.make nr 0.0;
       comp_gen = 0;
       res_mark = Array.make (nr + ns) 0;
       socket_mark = Array.make (max 1 ns) 0;
-      comp_entries = U.Vec.create ();
+      comp_slots = U.Vec.create ();
       comp_res = U.Vec.create ();
       comp_sockets = U.Vec.create ();
-      comp_stack = [];
+      comp_stack = U.Vec.create ();
       solve_dems = [||];
       solve_rates = [||];
       loadb = Array.make nr 0.0;
@@ -329,13 +351,14 @@ let sync t =
           f.Flow.transferred <- f.Flow.transferred +. goodput;
           if f.Flow.remaining <> infinity then
             f.Flow.remaining <- Float.max 0.0 (f.Flow.remaining -. goodput);
-          List.iter
-            (fun (res, coeff) ->
-              let bytes = f.Flow.rate *. coeff *. secs in
-              t.link_bytes.(res) <- t.link_bytes.(res) +. bytes;
-              e.trow.(res) <- e.trow.(res) +. bytes;
-              e.crow.(res) <- e.crow.(res) +. bytes)
-            e.usage
+          let res = e.dem.Fairshare.res and coeff = e.dem.Fairshare.coeff in
+          for j = 0 to Array.length res - 1 do
+            let r = res.(j) in
+            let bytes = f.Flow.rate *. coeff.(j) *. secs in
+            t.link_bytes.(r) <- t.link_bytes.(r) +. bytes;
+            e.trow.(r) <- e.trow.(r) +. bytes;
+            e.crow.(r) <- e.crow.(r) +. bytes
+          done
         end)
       t.entries;
     (* induced DDIO traffic: infrastructure tenant 0, class Induced *)
@@ -351,9 +374,13 @@ let sync t =
         | None -> ()
         | Some sm ->
           if t.spill_wb.(s) > 0.0 then
-            List.iter (fun (res, coeff) -> add_induced res (t.spill_wb.(s) *. coeff *. secs)) sm.to_mem;
+            Array.iteri
+              (fun j res -> add_induced res (t.spill_wb.(s) *. sm.to_coeff.(j) *. secs))
+              sm.to_res;
           if t.spill_rr.(s) > 0.0 then
-            List.iter (fun (res, coeff) -> add_induced res (t.spill_rr.(s) *. coeff *. secs)) sm.from_mem)
+            Array.iteri
+              (fun j res -> add_induced res (t.spill_rr.(s) *. sm.from_coeff.(j) *. secs))
+              sm.from_res)
       t.socket_mems;
     t.last_update <- now
   end
@@ -384,21 +411,28 @@ let feq (a : float) (b : float) = Int64.equal (Int64.bits_of_float a) (Int64.bit
 
 let demand_of_entry e : Fairshare.demand =
   let f = e.flow in
-  {
-    Fairshare.weight = f.Flow.weight;
-    floor = f.Flow.floor;
-    cap = Flow.effective_demand f;
-    usage = e.usage;
-  }
+  { e.dem with Fairshare.weight = f.Flow.weight; floor = f.Flow.floor; cap = Flow.effective_demand f }
 
-let spill_demand rate usage : Fairshare.demand =
-  { Fairshare.weight = 1.0; floor = 0.0; cap = rate; usage }
+let spill_demand rate res coeff : Fairshare.demand =
+  { Fairshare.weight = 1.0; floor = 0.0; cap = rate; res; coeff }
+
+(* Fillers for arrays made now and filled after. OCaml 5's
+   [Array.make] of more than 256 words runs a minor collection first
+   when its seed is still in the minor heap, so a big array of records
+   is made around a filler that is not young, never around the first
+   of the records it will hold. [nil_demand] is a constant the compiler
+   lays out statically. [vacant ()] is an immediate, as in
+   [Util.Heap]: it also fills free slots, so a freed slot keeps no
+   stopped or completed flow reachable, and it is never read as an
+   entry. *)
+let nil_demand = { Fairshare.weight = 1.0; floor = 0.0; cap = 0.0; res = [||]; coeff = [||] }
+let vacant () : entry = Obj.magic 0
 
 (* Connectivity footprint of a flow: its usage resources, widened for
    LLC-targeted flows with the destination socket's virtual coupling
    resource [nr + s] and the socket's memory links. *)
-let conn_of t (f : Flow.t) usage =
-  let base = List.map fst usage in
+let conn_of t (f : Flow.t) res =
+  let base = Array.to_list res in
   let full =
     if not f.Flow.llc_target then base
     else
@@ -406,23 +440,71 @@ let conn_of t (f : Flow.t) usage =
       | Some s when s >= 0 && s < Array.length t.socket_mems -> (
         match t.socket_mems.(s) with
         | Some sm ->
-          ((t.nr + s) :: base) @ List.map fst sm.to_mem @ List.map fst sm.from_mem
+          ((t.nr + s) :: base) @ Array.to_list sm.to_res @ Array.to_list sm.from_res
         | None -> base)
       | Some _ | None -> base
   in
   Array.of_list (List.sort_uniq compare full)
 
-let register t e =
-  Array.iter (fun r -> t.res_entries.(r) <- e :: t.res_entries.(r)) e.conn
+(* {2 The contention index}
 
-let unregister t e =
-  let id = e.flow.Flow.id in
+   Each registered entry holds a slot; [slot_entry] maps it back, and
+   [slot_mark] holds its BFS visit generation. Each conn resource keeps
+   its entries' slots in an int array, oldest-registered first, so
+   registration appends and the BFS reads a row from its end:
+   newest-registered first. That order is load-bearing — it fixes BFS
+   discovery order, hence the solver's demand order and its float sums
+   (MODEL.md §12) — so removal shifts the row's tail down one cell
+   rather than swapping the last cell in. *)
+
+let grow_slots t =
+  let cap = Array.length t.slot_entry in
+  let cap' = max 16 (2 * cap) in
+  let entries = Array.make cap' (vacant ()) and marks = Array.make cap' 0 in
+  Array.blit t.slot_entry 0 entries 0 cap;
+  Array.blit t.slot_mark 0 marks 0 cap;
+  t.slot_entry <- entries;
+  t.slot_mark <- marks;
+  for s = cap' - 1 downto cap do
+    U.Vec.push t.free_slots s
+  done
+
+let register t e =
+  if U.Vec.is_empty t.free_slots then grow_slots t;
+  let s = U.Vec.pop t.free_slots in
+  t.slot_entry.(s) <- e;
+  e.slot <- s;
   Array.iter
     (fun r ->
-      t.res_entries.(r) <- List.filter (fun e' -> e'.flow.Flow.id <> id) t.res_entries.(r))
+      let row = t.res_slots.(r) and n = t.res_len.(r) in
+      let row =
+        if n < Array.length row then row
+        else begin
+          let row' = Array.make (max 4 (2 * n)) 0 in
+          Array.blit row 0 row' 0 n;
+          t.res_slots.(r) <- row';
+          row'
+        end
+      in
+      row.(n) <- s;
+      t.res_len.(r) <- n + 1)
     e.conn
 
-let all_seeds t = Array.init (Array.length t.res_entries) Fun.id
+let unregister t e =
+  let s = e.slot in
+  Array.iter
+    (fun r ->
+      let row = t.res_slots.(r) and n = t.res_len.(r) in
+      let rec find k = if row.(k) = s then k else find (k + 1) in
+      let k = find 0 in
+      Array.blit row (k + 1) row k (n - k - 1);
+      t.res_len.(r) <- n - 1)
+    e.conn;
+  t.slot_entry.(s) <- vacant ();
+  e.slot <- -1;
+  U.Vec.push t.free_slots s
+
+let all_seeds t = Array.init (Array.length t.res_slots) Fun.id
 
 (* The contention BFS both collectors share, within generation
    [t.comp_gen]. [claim_res t r] claims resource [r] into the scratch
@@ -436,7 +518,7 @@ let rec claim_res t r =
   if t.res_mark.(r) <> gen then begin
     t.res_mark.(r) <- gen;
     if r < t.nr then U.Vec.push t.comp_res r;
-    t.comp_stack <- r :: t.comp_stack;
+    U.Vec.push t.comp_stack r;
     let s = t.socket_of_res.(r) in
     if s >= 0 && t.socket_mark.(s) <> gen then begin
       t.socket_mark.(s) <- gen;
@@ -444,33 +526,33 @@ let rec claim_res t r =
       match t.socket_mems.(s) with
       | Some sm ->
         claim_res t (t.nr + s);
-        List.iter (fun (r', _) -> claim_res t r') sm.to_mem;
-        List.iter (fun (r', _) -> claim_res t r') sm.from_mem
+        Array.iter (claim_res t) sm.to_res;
+        Array.iter (claim_res t) sm.from_res
       | None -> ()
     end
   end
 
-let rec drain t =
-  match t.comp_stack with
-  | [] -> ()
-  | r :: rest ->
-    t.comp_stack <- rest;
-    let gen = t.comp_gen in
-    List.iter
-      (fun e ->
-        if e.mark <> gen then begin
-          e.mark <- gen;
-          U.Vec.push t.comp_entries e;
-          for i = 0 to Array.length e.conn - 1 do
-            claim_res t e.conn.(i)
-          done
-        end)
-      t.res_entries.(r);
-    drain t
+let drain t =
+  let gen = t.comp_gen in
+  while not (U.Vec.is_empty t.comp_stack) do
+    let r = U.Vec.pop t.comp_stack in
+    let row = t.res_slots.(r) in
+    for k = t.res_len.(r) - 1 downto 0 do
+      let s = row.(k) in
+      if t.slot_mark.(s) <> gen then begin
+        t.slot_mark.(s) <- gen;
+        U.Vec.push t.comp_slots s;
+        let conn = t.slot_entry.(s).conn in
+        for i = 0 to Array.length conn - 1 do
+          claim_res t conn.(i)
+        done
+      end
+    done
+  done
 
 let clear_scratch t =
-  t.comp_stack <- [];
-  U.Vec.clear t.comp_entries;
+  U.Vec.clear t.comp_stack;
+  U.Vec.clear t.comp_slots;
   U.Vec.clear t.comp_res;
   U.Vec.clear t.comp_sockets
 
@@ -509,9 +591,14 @@ let collect_components t seeds =
         clear_scratch t;
         claim_res t seed;
         drain t;
+        let n = U.Vec.length t.comp_slots in
+        let entries = Array.make n (vacant ()) in
+        for k = 0 to n - 1 do
+          entries.(k) <- t.slot_entry.(U.Vec.get t.comp_slots k)
+        done;
         comps :=
           {
-            c_entries = U.Vec.to_array t.comp_entries;
+            c_entries = entries;
             c_res = U.Vec.to_array t.comp_res;
             c_sockets = U.Vec.to_array t.comp_sockets;
           }
@@ -526,7 +613,7 @@ let collect_components t seeds =
 let reserve_solve t need =
   if Array.length t.solve_dems < need then begin
     let size = need + (need / 8) in
-    t.solve_dems <- Array.make size (spill_demand 0.0 []);
+    t.solve_dems <- Array.make size nil_demand;
     t.solve_rates <- Array.make size 0.0
   end
 
@@ -575,11 +662,11 @@ let compute_component t (c : component) =
       | None -> ()
       | Some sm ->
         if rr.(s) > 0.0 then begin
-          dems.(!n) <- spill_demand rr.(s) sm.from_mem;
+          dems.(!n) <- spill_demand rr.(s) sm.from_res sm.from_coeff;
           incr n
         end;
         if wb.(s) > 0.0 then begin
-          dems.(!n) <- spill_demand wb.(s) sm.to_mem;
+          dems.(!n) <- spill_demand wb.(s) sm.to_res sm.to_coeff;
           incr n
         end
     done;
@@ -611,7 +698,7 @@ let compute_component t (c : component) =
   done;
   (* Pre-aggregate the component-local loads and flow counts here (in
      the memoizable part) so commit is O(resources) stores instead of
-     O(entries x usage) list walks. The accumulation
+     O(entries x usage) walks. The accumulation
      order — entry-major over usages, then socket spill terms — is
      exactly the order the commit-side recomputation used, so the float
      sums are bitwise identical. Every resource written here is in
@@ -619,23 +706,28 @@ let compute_component t (c : component) =
      claimed socket claims its memory links. So reading [c_res] back
      also zeroes every slot this compute touched. *)
   let loadb = t.loadb and flowsb = t.flowsb in
-  let rec add_usage i = function
-    | [] -> ()
-    | (res, coeff) :: rest ->
-      loadb.(res) <- loadb.(res) +. (rates.(i) *. coeff);
-      flowsb.(res) <- flowsb.(res) + 1;
-      add_usage i rest
-  in
   for i = 0 to nc - 1 do
-    add_usage i c.c_entries.(i).usage
+    let d = c.c_entries.(i).dem in
+    let res = d.Fairshare.res and coeff = d.Fairshare.coeff in
+    for j = 0 to Array.length res - 1 do
+      let r = res.(j) in
+      loadb.(r) <- loadb.(r) +. (rates.(i) *. coeff.(j));
+      flowsb.(r) <- flowsb.(r) + 1
+    done
   done;
+  let add_spill rate res coeff =
+    for j = 0 to Array.length res - 1 do
+      let r = res.(j) in
+      loadb.(r) <- loadb.(r) +. (rate *. coeff.(j))
+    done
+  in
   Array.iter
     (fun s ->
       match t.socket_mems.(s) with
       | None -> ()
       | Some sm ->
-        List.iter (fun (res, co) -> loadb.(res) <- loadb.(res) +. (wb.(s) *. co)) sm.to_mem;
-        List.iter (fun (res, co) -> loadb.(res) <- loadb.(res) +. (rr.(s) *. co)) sm.from_mem)
+        add_spill wb.(s) sm.to_res sm.to_coeff;
+        add_spill rr.(s) sm.from_res sm.from_coeff)
     c.c_sockets;
   let nres = Array.length c.c_res in
   let cr_load = Array.make nres 0.0 and cr_flows = Array.make nres 0 in
@@ -714,15 +806,21 @@ let int_array_eq (a : int array) (b : int array) =
      let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
      go 0)
 
-let usage_eq u1 u2 =
-  u1 == u2 || List.equal (fun (r1, c1) (r2, c2) -> r1 = r2 && feq c1 c2) u1 u2
+let float_array_eq (a : float array) (b : float array) =
+  a == b
+  || (Array.length a = Array.length b
+     &&
+     let n = Array.length a in
+     let rec go i = i >= n || (feq a.(i) b.(i) && go (i + 1)) in
+     go 0)
 
 let demand_eq (d1 : Fairshare.demand) (d2 : Fairshare.demand) =
   d1 == d2
   || (feq d1.Fairshare.weight d2.Fairshare.weight
      && feq d1.Fairshare.floor d2.Fairshare.floor
      && feq d1.Fairshare.cap d2.Fairshare.cap
-     && usage_eq d1.Fairshare.usage d2.Fairshare.usage)
+     && int_array_eq d1.Fairshare.res d2.Fairshare.res
+     && float_array_eq d1.Fairshare.coeff d2.Fairshare.coeff)
 
 let memo_match t (c : component) (m : comp_memo) =
   let n = Array.length c.c_entries in
@@ -761,10 +859,21 @@ let memo_find t (c : component) =
 let memo_store t (c : component) (r : comp_result) =
   if Array.length c.c_res > 0 then begin
     let key = Array.fold_left min c.c_res.(0) c.c_res in
+    (* made with an old filler, then filled: [Array.map] would seed them
+       with the first entry's demand and footprint, which are young
+       whenever the BFS started from a flow just started, and a young
+       seed costs a minor collection (see [nil_demand]) *)
+    let n = Array.length c.c_entries in
+    let dems = Array.make n nil_demand and conn = Array.make n [||] in
+    for i = 0 to n - 1 do
+      let e = c.c_entries.(i) in
+      dems.(i) <- e.dem;
+      conn.(i) <- e.conn
+    done;
     let m =
       {
-        m_dems = Array.map (fun e -> e.dem) c.c_entries;
-        m_conn = Array.map (fun e -> e.conn) c.c_entries;
+        m_dems = dems;
+        m_conn = conn;
         m_llc = Array.map (fun e -> e.flow.Flow.llc_target) c.c_entries;
         m_res = c.c_res;
         m_sockets = c.c_sockets;
@@ -1053,19 +1162,28 @@ let hop_coeff t ~payload_bytes ~working_set_pages (hop : T.Path.hop) =
   | T.Link.Inter_socket | T.Link.Intra_socket | T.Link.Memory_channel | T.Link.Inter_host ->
     1.0
 
+(* A path's usage as (resources, coefficients), hop order. *)
 let usage_of_path t ~payload_bytes ~working_set_pages (path : T.Path.t) =
-  List.map
-    (fun (hop : T.Path.hop) ->
-      (res_of hop.link.T.Link.id hop.dir, hop_coeff t ~payload_bytes ~working_set_pages hop))
-    path.T.Path.hops
+  let hops = Array.of_list path.T.Path.hops in
+  ( Array.map (fun (hop : T.Path.hop) -> res_of hop.link.T.Link.id hop.dir) hops,
+    Array.map (hop_coeff t ~payload_bytes ~working_set_pages) hops )
+
+let invalidf fmt = Printf.ksprintf invalid_arg fmt
+
+(* NaN fails the comparison too. A NaN bound let through here would be
+   refused only by the solver, after the flow was registered, and every
+   later epoch of its component would be refused with it. *)
+let check_bound fn field v =
+  if not (v >= 0.0) then invalidf "%s: %s must be >= 0 (got %g)" fn field v
 
 let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(cap = infinity)
     ?(demand = infinity) ?payload_bytes ?(working_set_pages = 32) ?(llc_target = false)
     ?on_complete ~path ~size () =
   if not (T.Path.well_formed t.topo path) then invalid_arg "Fabric.start_flow: malformed path";
-  if weight <= 0.0 then invalid_arg "Fabric.start_flow: weight must be positive";
-  if floor < 0.0 || cap < 0.0 || demand < 0.0 then
-    invalid_arg "Fabric.start_flow: negative rate bound";
+  if not (weight > 0.0) then invalidf "Fabric.start_flow: weight must be > 0 (got %g)" weight;
+  check_bound "Fabric.start_flow" "floor" floor;
+  check_bound "Fabric.start_flow" "cap" cap;
+  check_bound "Fabric.start_flow" "demand" demand;
   let payload_bytes =
     match payload_bytes with
     | Some p ->
@@ -1103,16 +1221,15 @@ let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(
     }
   in
   t.next_flow_id <- t.next_flow_id + 1;
-  let usage = usage_of_path t ~payload_bytes ~working_set_pages path in
+  let res, coeff = usage_of_path t ~payload_bytes ~working_set_pages path in
   let entry =
     {
       flow;
-      usage;
-      conn = conn_of t flow usage;
-      dem = { Fairshare.weight; floor; cap = Flow.effective_demand flow; usage };
+      conn = conn_of t flow res;
+      dem = { Fairshare.weight; floor; cap = Flow.effective_demand flow; res; coeff };
       trow = tenant_row t tenant;
       crow = t.cls_rows.(cls_index cls);
-      mark = 0;
+      slot = -1;
       hstamp = 0;
     }
   in
@@ -1138,9 +1255,15 @@ let stop_flow t (f : Flow.t) =
   end
 
 let set_flow_limits t (f : Flow.t) ?weight ?floor ?cap () =
-  Option.iter (fun w -> if w <= 0.0 then invalid_arg "set_flow_limits: weight" else f.Flow.weight <- w) weight;
-  Option.iter (fun x -> if x < 0.0 then invalid_arg "set_flow_limits: floor" else f.Flow.floor <- x) floor;
-  Option.iter (fun x -> if x < 0.0 then invalid_arg "set_flow_limits: cap" else f.Flow.cap <- x) cap;
+  (* every field is checked before any is stored *)
+  Option.iter
+    (fun w -> if not (w > 0.0) then invalidf "Fabric.set_flow_limits: weight must be > 0 (got %g)" w)
+    weight;
+  Option.iter (check_bound "Fabric.set_flow_limits" "floor") floor;
+  Option.iter (check_bound "Fabric.set_flow_limits" "cap") cap;
+  Option.iter (fun w -> f.Flow.weight <- w) weight;
+  Option.iter (fun x -> f.Flow.floor <- x) floor;
+  Option.iter (fun x -> f.Flow.cap <- x) cap;
   if f.Flow.state = Flow.Running then
     match Hashtbl.find_opt t.entries f.Flow.id with
     | Some e ->
@@ -1171,16 +1294,16 @@ let batch t f =
   end
 
 let transfer_time t ~path ~bytes =
-  let usage = usage_of_path t ~payload_bytes:(T.Topology.config t.topo).T.Hostconfig.pcie_mps ~working_set_pages:32 path in
+  let res, coeff = usage_of_path t ~payload_bytes:(T.Topology.config t.topo).T.Hostconfig.pcie_mps ~working_set_pages:32 path in
   (* the probe only contends with its own component; everything else
      is resource-disjoint and cannot shift its allocation *)
-  collect_component t (Array.of_list (List.map fst usage));
-  let nc = U.Vec.length t.comp_entries in
+  collect_component t res;
+  let nc = U.Vec.length t.comp_slots in
   reserve_solve t (nc + 1);
   for i = 0 to nc - 1 do
-    t.solve_dems.(i) <- (U.Vec.get t.comp_entries i).dem
+    t.solve_dems.(i) <- t.slot_entry.(U.Vec.get t.comp_slots i).dem
   done;
-  t.solve_dems.(nc) <- { Fairshare.weight = 1.0; floor = 0.0; cap = infinity; usage };
+  t.solve_dems.(nc) <- { Fairshare.weight = 1.0; floor = 0.0; cap = infinity; res; coeff };
   Fairshare.allocate_into ~capacities:t.caps ~n:(nc + 1) t.solve_dems t.solve_rates;
   let rate = t.solve_rates.(nc) in
   if rate <= 0.0 then None else Some (bytes /. rate *. 1e9)

@@ -13,6 +13,16 @@
     scheduled from a min-heap of predicted completion times rather
     than a scan over the flow table.
 
+    A reallocation on a loaded fabric allocates little beyond what the
+    component memo keeps: each flow's usage is one pair of flat arrays
+    ({!Fairshare.demand}), the resource → flows index and the
+    partition walk's scratch are int arrays, and no component-sized
+    array is made around a young seed, so an epoch forces no minor
+    collection (MODEL.md §4). Neither the index nor the scratch keeps
+    a stopped or completed flow reachable; only the completion heap's
+    lazily deleted entries may, until they surface or the heap is
+    compacted.
+
     DDIO coupling: flows marked [llc_target] terminate at their CPU
     socket; the per-socket {!Cache} model converts the aggregate DDIO
     write rate into induced memory-bus traffic (write-back + re-read on
@@ -67,14 +77,19 @@ val start_flow :
     to the host's PCIe MaxPayloadSize; [working_set_pages] (default
     128) drives the IOMMU model. An [llc_target] flow must have a CPU
     socket as one endpoint of its path.
-    @raise Invalid_argument on a malformed path or bad parameters. *)
+    @raise Invalid_argument on a malformed path or bad parameters,
+    before any effect: a [weight] not [> 0], or a [floor], [cap] or
+    [demand] not [>= 0] (NaN fails both, and the message names the
+    field). *)
 
 val stop_flow : t -> Flow.t -> unit
 (** Idempotent; completed flows are ignored. *)
 
 val set_flow_limits :
   t -> Flow.t -> ?weight:float -> ?floor:float -> ?cap:float -> unit -> unit
-(** The arbiter's knob: update guarantees/limits and reallocate. *)
+(** The arbiter's knob: update guarantees/limits and reallocate.
+    @raise Invalid_argument, before storing any of them, on a [weight]
+    not [> 0] or a [floor] or [cap] not [>= 0] (NaN included). *)
 
 val active_flows : t -> Flow.t list
 

@@ -4,7 +4,8 @@ type demand = {
   weight : float;
   floor : float;
   cap : float;
-  usage : (int * float) list;
+  res : int array;
+  coeff : float array;
 }
 
 let eps = 1e-9
@@ -21,12 +22,19 @@ let check_demand ~nr i d =
   if not (d.weight > 0.0) then invalidf "Fairshare: demand %d: weight must be > 0" i;
   if not (d.floor >= 0.0) then invalidf "Fairshare: demand %d: floor must be >= 0" i;
   if not (d.cap >= 0.0) then invalidf "Fairshare: demand %d: cap must be >= 0" i;
-  List.iter
-    (fun (r, c) ->
+  if Array.length d.coeff <> Array.length d.res then
+    invalidf "Fairshare: demand %d: %d resources but %d coefficients" i (Array.length d.res)
+      (Array.length d.coeff);
+  Array.iteri
+    (fun j r ->
       if r < 0 || r >= nr then
         invalidf "Fairshare: demand %d: resource %d out of range [0, %d)" i r nr;
-      if not (c > 0.0) then invalidf "Fairshare: demand %d: usage coefficient must be > 0" i)
-    d.usage
+      if not (d.coeff.(j) > 0.0) then
+        invalidf "Fairshare: demand %d: usage coefficient must be > 0" i)
+    d.res
+
+(* [f r c] for each (resource, coefficient) pair of [d], in hop order *)
+let iter_usage f d = Array.iteri (fun j r -> f r d.coeff.(j)) d.res
 
 let validate ~capacities demands =
   let nr = Array.length capacities in
@@ -42,7 +50,7 @@ let seed_rates ~capacities demands =
   let rates = Array.map (fun d -> Float.min d.floor d.cap) demands in
   let load = Array.make nr 0.0 in
   Array.iteri
-    (fun i d -> List.iter (fun (r, c) -> load.(r) <- load.(r) +. (rates.(i) *. c)) d.usage)
+    (fun i d -> iter_usage (fun r c -> load.(r) <- load.(r) +. (rates.(i) *. c)) d)
     demands;
   let scale = Array.make nr 1.0 in
   for r = 0 to nr - 1 do
@@ -51,13 +59,13 @@ let seed_rates ~capacities demands =
   done;
   Array.iteri
     (fun i d ->
-      let f = List.fold_left (fun acc (r, _) -> Float.min acc scale.(r)) 1.0 d.usage in
+      let f = Array.fold_left (fun acc r -> Float.min acc scale.(r)) 1.0 d.res in
       if f < 1.0 then rates.(i) <- rates.(i) *. f)
     demands;
   (* Demands with no usage are not resource-constrained: they simply
      get their cap; demands already at their cap never fill. *)
-  let active = Array.map (fun d -> d.usage <> []) demands in
-  Array.iteri (fun i d -> if d.usage = [] then rates.(i) <- d.cap) demands;
+  let active = Array.map (fun d -> Array.length d.res > 0) demands in
+  Array.iteri (fun i d -> if Array.length d.res = 0 then rates.(i) <- d.cap) demands;
   Array.iteri (fun i d -> if rates.(i) >= d.cap -. eps then active.(i) <- false) demands;
   (rates, active)
 
@@ -67,8 +75,8 @@ let seed_rates ~capacities demands =
    the next cap hit and all used resources for the next saturation,
    advances the filling front, and freezes what it hit. O(rounds ×
    (n + Σ|usage|)) with up to n + nr rounds — quadratic under churn.
-   Kept verbatim as the semantic oracle for the event-driven
-   implementation below (see test/test_properties.ml). *)
+   Kept as the semantic oracle for the event-driven implementation
+   below (see test/test_properties.ml). *)
 
 let allocate_reference ~capacities demands =
   let n = Array.length demands in
@@ -82,13 +90,13 @@ let allocate_reference ~capacities demands =
     let out = ref [] in
     Array.iter
       (fun d ->
-        List.iter
-          (fun (r, _) ->
+        Array.iter
+          (fun r ->
             if not seen.(r) then begin
               seen.(r) <- true;
               out := r :: !out
             end)
-          d.usage)
+          d.res)
       demands;
     !out
   in
@@ -98,18 +106,18 @@ let allocate_reference ~capacities demands =
   let speed = Array.make nr 0.0 in
   Array.iteri
     (fun i d ->
-      List.iter
-        (fun (r, c) ->
+      iter_usage
+        (fun r c ->
           load.(r) <- load.(r) +. (rates.(i) *. c);
           if active.(i) then speed.(r) <- speed.(r) +. (d.weight *. c))
-        d.usage)
+        d)
     demands;
   let deactivate i =
     if active.(i) then begin
       active.(i) <- false;
-      List.iter
-        (fun (r, c) -> speed.(r) <- speed.(r) -. (demands.(i).weight *. c))
-        demands.(i).usage
+      iter_usage
+        (fun r c -> speed.(r) <- speed.(r) -. (demands.(i).weight *. c))
+        demands.(i)
     end
   in
   let continue = ref true in
@@ -147,14 +155,14 @@ let allocate_reference ~capacities demands =
             if active.(i) then begin
               let delta = d.weight *. dt in
               rates.(i) <- rates.(i) +. delta;
-              List.iter (fun (r, c) -> load.(r) <- load.(r) +. (delta *. c)) d.usage
+              iter_usage (fun r c -> load.(r) <- load.(r) +. (delta *. c)) d
             end)
           demands;
         (* freeze capped demands *)
         Array.iteri
           (fun i d ->
             if active.(i) && rates.(i) >= d.cap -. (eps *. Float.max 1.0 d.cap) then begin
-              List.iter (fun (r, c) -> load.(r) <- load.(r) +. ((d.cap -. rates.(i)) *. c)) d.usage;
+              iter_usage (fun r c -> load.(r) <- load.(r) +. ((d.cap -. rates.(i)) *. c)) d;
               rates.(i) <- d.cap;
               deactivate i
             end)
@@ -169,7 +177,7 @@ let allocate_reference ~capacities demands =
               saturated.(r) <- true;
               Array.iteri
                 (fun i d ->
-                  if active.(i) && List.exists (fun (r', _) -> r' = r) d.usage then deactivate i)
+                  if active.(i) && Array.mem r d.res then deactivate i)
                 demands
             end)
           used_resources
@@ -291,42 +299,38 @@ let allocate_into ~capacities ~n demands out =
   ws.sat_version <- grow ws.sat_version nr 0;
   ws.inc_off <- grow ws.inc_off (nr + 1) 0;
   ws.cursor <- grow ws.cursor (nr + 1) 0;
-  (* Flatten usages into CSR form in one pass: every later sweep reads
-     flat int/float arrays instead of chasing boxed tuple lists. The
-     seeding below re-states the seed_rates law over the CSR arrays —
-     any divergence is caught by the differential property test. *)
+  (* Concatenate the demands' usage arrays into CSR form in one pass:
+     every later sweep reads them by offset. The seeding below re-states
+     the seed_rates law over the CSR arrays — any divergence is caught
+     by the differential property test. *)
   let off = ws.off in
   off.(0) <- 0;
   for i = 0 to n - 1 do
-    off.(i + 1) <- List.length demands.(i).usage
-  done;
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i + 1) + off.(i)
+    off.(i + 1) <- off.(i) + Array.length demands.(i).res
   done;
   let m = off.(n) in
   ws.ures <- grow ws.ures m 0;
   ws.ucoef <- grow ws.ucoef m 0.0;
   ws.inc_d <- grow ws.inc_d m 0;
   let ures = ws.ures and ucoef = ws.ucoef and weight = ws.weight and cap = ws.cap in
-  (* validation is fused into the CSR fill so each usage list is
-     traversed exactly once. The fast path is one combined comparison
+  (* validation is fused into the CSR fill so each usage is read
+     exactly once. The fast path is one combined comparison
      (NaN-rejecting: a NaN compares false and falls through); only the
      failing branch calls [check_demand], which re-scans the demand and
      raises [Invalid_argument] naming the exact offending field. *)
-  let rec fill_usage i d j = function
-    | [] -> ()
-    | (r, c) :: rest ->
-      if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
-      ures.(j) <- r;
-      ucoef.(j) <- c;
-      fill_usage i d (j + 1) rest
-  in
   for i = 0 to n - 1 do
     let d = demands.(i) in
-    if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0) then check_demand ~nr i d;
+    let k = Array.length d.res and o = off.(i) in
+    if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0 && Array.length d.coeff = k) then
+      check_demand ~nr i d;
     weight.(i) <- d.weight;
     cap.(i) <- d.cap;
-    fill_usage i d off.(i) d.usage
+    for j = 0 to k - 1 do
+      let r = d.res.(j) and c = d.coeff.(j) in
+      if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
+      ures.(o + j) <- r;
+      ucoef.(o + j) <- c
+    done
   done;
   (* seed rates: floors, clipped by caps, scaled down locally where
      jointly infeasible (same law as seed_rates) *)

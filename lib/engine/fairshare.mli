@@ -16,10 +16,21 @@ type demand = {
   floor : float;  (** Guaranteed rate (bytes/s); >= 0. *)
   cap : float;  (** Ceiling — already folded with the source's offered
                     rate; [infinity] when elastic. *)
-  usage : (int * float) list;
-      (** (resource index, coefficient) pairs, coefficient >= 1
-          typically; a resource may appear once per demand. *)
+  res : int array;
+      (** The resources the demand uses, in hop order; a resource may
+          appear once per demand. *)
+  coeff : float array;
+      (** [coeff.(j)] is the demand's coefficient on [res.(j)]: it
+          consumes [coeff.(j) × rate] there. Same length as [res];
+          >= 1 typically. *)
 }
+(** A demand's usage is two flat arrays, so the fabric's byte
+    integration, the solver's CSR fill and the fabric's load fold read
+    it with plain loops that allocate nothing. The solver sums over a
+    demand's usage in array order;
+    callers that need bit-identical rates must keep that order. The
+    solver only reads the arrays, so a caller may share them between
+    demands. *)
 
 val allocate : capacities:float array -> demand array -> float array
 (** [allocate ~capacities demands] returns one rate per demand such
@@ -33,7 +44,7 @@ val allocate : capacities:float array -> demand array -> float array
     - the remaining capacity is filled max-min fairly in proportion to
       the weights.
 
-    Demands with an empty [usage] get their cap.
+    Demands with an empty [res] get their cap.
 
     This is the production solver. The fabric runs it, through
     {!allocate_into}, once per DDIO spill iteration of every component
@@ -81,7 +92,8 @@ val allocate_reference : capacities:float array -> demand array -> float array
 
 val validate : capacities:float array -> demand array -> unit
 (** Check every demand against the documented invariants (weight > 0,
-    floor >= 0, cap >= 0, in-range resources, coefficients > 0).
+    floor >= 0, cap >= 0, [res] and [coeff] of one length, in-range
+    resources, coefficients > 0).
 
     @raise Invalid_argument on the first violation. [allocate],
     [allocate_into] and [allocate_reference] perform the same checks

@@ -19,6 +19,11 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.data.(i)
 
+let pop t =
+  if t.len = 0 then invalid_arg "Vec.pop";
+  t.len <- t.len - 1;
+  t.data.(t.len)
+
 let clear t = t.len <- 0
 
 let iter f t =

@@ -17,6 +17,11 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument out of bounds. *)
 
+val pop : 'a t -> 'a
+(** Remove and return the last element; its cell keeps the value until
+    a later push overwrites it, as after [clear].
+    @raise Invalid_argument when empty. *)
+
 val clear : 'a t -> unit
 (** Logical reset; the backing array (and its references) survive
     until overwritten by later pushes. *)

@@ -164,6 +164,14 @@ else
   expect daemon-bad-monitor-period-nan 1 \
     '^ihnetctl: monitor: period_us must be finite and > 0 \(got nan\)$' \
     "$CTL" monitor --period nan --ms 1 --connect "$dsock"
+  # a NaN rate once stayed registered beside its refusal, and every
+  # later start on its component was refused too
+  expect daemon-bad-flow-gbps-nan 1 \
+    '^ihnetctl: flow_start: gbps must be >= 0 \(got nan\)$' \
+    "$CTL" flow ext socket0 --gbps nan --connect "$dsock"
+  expect daemon-flow-after-nan 0 \
+    '^started flow [0-9]+$' \
+    "$CTL" flow ext socket0 --connect "$dsock"
   # a NaN rate once passed validation and came back as a capacity
   # refusal (exit 16)
   expect daemon-bad-submit-nan 10 \

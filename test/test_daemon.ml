@@ -742,10 +742,10 @@ let protocol_suite =
 
 (* Each frame once killed ihnetd through an engine assertion. Now it
    must get exactly one [Invalid] reply naming the field, leave the
-   host's clock, reallocation count and installed link faults
-   untouched (the ping asks for [--load], which used to start its
-   aggressors before the refusal), and the next command on the same
-   connection must still be answered. *)
+   host's clock, reallocation count, installed link faults and flow
+   count untouched (the ping asks for [--load], which used to start
+   its aggressors before the refusal), and the next command on the
+   same connection must still be answered. *)
 let bad_field_case name cmd want =
   tc (name ^ " is Invalid and the daemon keeps serving") (fun () ->
       let handlers = Api.Handlers.local Api.Host_spec.default in
@@ -761,13 +761,14 @@ let bad_field_case name cmd want =
                   <> Ihnet_engine.Fault.healthy)
                 (Ihnet_topology.Topology.links (Ihnet.Host.topology host))
             in
-            (Ihnet.Host.now host, Ihnet_engine.Fabric.reallocations fab, List.length faulty)
+            ( (Ihnet.Host.now host, Ihnet_engine.Fabric.reallocations fab, List.length faulty),
+              Ihnet_engine.Fabric.flow_count fab )
           in
           let before = state () in
           (match call srv fd cmd with
           | Resp.Err (Err.Invalid m) -> Alcotest.(check string) "names the field" want m
           | r -> Alcotest.failf "expected Invalid, got %s" (show r));
-          Alcotest.(check (triple (float 0.0) int int)) "no effect" before (state ());
+          Alcotest.(check (pair (triple (float 0.0) int int) int)) "no effect" before (state ());
           match call srv fd C.Stats with
           | Resp.Stats_report _ -> ()
           | r -> Alcotest.failf "next command: %s" (show r)))
@@ -776,6 +777,8 @@ let fault ?(factor = 0.5) ?(extra_us = 0.0) ?(loss = 0.0) () =
   C.Fault_inject { a = "gpu0"; b = "pciesw0"; factor; extra_us; loss }
 
 let plan headroom = C.Plan { pipes = [ ("ext", "socket0", 10.0) ]; hoses = []; headroom }
+
+let flow_start gbps = C.Flow_start { tenant = 1; src = "ext"; dst = "socket0"; gbps }
 
 (* [load] would start aggressors, so a refusal after it shows up as
    reallocations *)
@@ -845,6 +848,39 @@ let bad_field_suite =
         "monitor: period_us must be finite and > 0 (got -5)";
       bad_field_case "monitor period_us:nan" (monitor Float.nan)
         "monitor: period_us must be finite and > 0 (got nan)";
+      bad_field_case "flow_start gbps:nan" (flow_start (Some Float.nan))
+        "flow_start: gbps must be >= 0 (got nan)";
+      bad_field_case "flow_start gbps:-1" (flow_start (Some (-1.0)))
+        "flow_start: gbps must be >= 0 (got -1)";
+      (* a NaN start once stayed registered: its reply was a solver
+         refusal, and the next start on its component was refused too.
+         Pipelined, the two ended the daemon from the batch's
+         finaliser. *)
+      tc "flow_start gbps:nan pipelined before a valid start: one Invalid, one Flow_ok" (fun () ->
+          let handlers = Api.Handlers.local Api.Host_spec.default in
+          let fab = Ihnet.Host.fabric (Option.get (Api.Handlers.host handlers)) in
+          with_server ~handlers "pipelined" (fun srv fd ->
+              hello srv fd;
+              let frame c = Api.Wire.encode (C.to_json c) in
+              let both = Bytes.cat (frame (flow_start (Some Float.nan))) (frame (flow_start None)) in
+              ignore (Unix.write fd both 0 (Bytes.length both));
+              pump srv 10;
+              let reply () =
+                match Api.Wire.read_frame fd with
+                | None -> Alcotest.fail "no reply"
+                | Some j -> ( match Resp.of_json j with Ok r -> r | Error e -> Alcotest.fail e)
+              in
+              (match reply () with
+              | Resp.Err (Err.Invalid m) ->
+                Alcotest.(check string) "names the field" "flow_start: gbps must be >= 0 (got nan)" m
+              | r -> Alcotest.failf "first reply: %s" (show r));
+              (match reply () with
+              | Resp.Flow_ok _ -> ()
+              | r -> Alcotest.failf "second reply: %s" (show r));
+              Alcotest.(check int) "one flow registered" 1 (Ihnet_engine.Fabric.flow_count fab);
+              match call srv fd C.Stats with
+              | Resp.Stats_report _ -> ()
+              | r -> Alcotest.failf "later Stats: %s" (show r)));
     ] )
 
 (* ------------------------------------------------------------------ *)

@@ -71,8 +71,15 @@ let sim_tests =
 
 (* {1 Fairshare} *)
 
+(* a demand from (resource, coefficient) pairs, hop order *)
 let fs_demand ?(weight = 1.0) ?(floor = 0.0) ?(cap = infinity) usage =
-  { Fairshare.weight; floor; cap; usage }
+  {
+    Fairshare.weight;
+    floor;
+    cap;
+    res = Array.of_list (List.map fst usage);
+    coeff = Array.of_list (List.map snd usage);
+  }
 
 let fairshare_tests =
   [
@@ -233,7 +240,7 @@ let fairshare_properties =
            let demands =
              Array.of_list
                (List.map
-                  (fun (weight, floor, cap, usage) -> { Fairshare.weight; floor; cap; usage })
+                  (fun (weight, floor, cap, usage) -> fs_demand ~weight ~floor ~cap usage)
                   flows)
            in
            let rates = Fairshare.allocate ~capacities:caps demands in
@@ -241,7 +248,7 @@ let fairshare_properties =
            let load = Array.make nres 0.0 in
            Array.iteri
              (fun i (d : Fairshare.demand) ->
-               List.iter (fun (r, c) -> load.(r) <- load.(r) +. (rates.(i) *. c)) d.usage)
+               Array.iteri (fun j r -> load.(r) <- load.(r) +. (rates.(i) *. d.coeff.(j))) d.res)
              demands;
            let feasible = Array.for_all2 (fun l c -> l <= c +. (1e-6 *. c) +. 1e-6) load caps in
            let capped =
@@ -580,6 +587,118 @@ let fabric_tests =
         check_close "no payload" 0.0 payload_bytes);
   ]
 
+(* {1 Reallocation epochs: input checks, reachability, GC} *)
+
+(* The DGX host-churn shape: flows on the eight gpuN -> nic((N+3) mod 8)
+   paths, which cross switches and sockets and so form one contention
+   component. *)
+let coupled_paths topo =
+  Array.init 8 (fun n -> path topo (Printf.sprintf "gpu%d" n) (Printf.sprintf "nic%d" ((n + 3) mod 8)))
+
+let epoch_tests =
+  [
+    tc "start_flow and set_flow_limits refuse NaN bounds before any effect" (fun () ->
+        let topo = T.Builder.minimal () in
+        let sim = Sim.create () in
+        let fab = Fabric.create sim topo in
+        let p = path topo "nic0" "dimm0.0.0" in
+        let f = Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded () in
+        let rate = f.Flow.rate in
+        let refused field start =
+          let n = Fabric.flow_count fab and epochs = Fabric.reallocations fab in
+          (match start () with
+          | () -> Alcotest.failf "%s: NaN accepted" field
+          | exception Invalid_argument m ->
+            let named =
+              let k = String.length field in
+              let rec at i = i + k <= String.length m && (String.sub m i k = field || at (i + 1)) in
+              at 0
+            in
+            if not named then Alcotest.failf "%s: message does not name it: %s" field m);
+          Alcotest.(check int) (field ^ ": flow count") n (Fabric.flow_count fab);
+          Alcotest.(check int) (field ^ ": reallocations") epochs (Fabric.reallocations fab)
+        in
+        let start ?weight ?floor ?cap ?demand () =
+          ignore (Fabric.start_flow fab ~tenant:2 ?weight ?floor ?cap ?demand ~path:p ~size:Flow.Unbounded ())
+        in
+        refused "weight" (start ~weight:Float.nan);
+        refused "floor" (start ~floor:Float.nan);
+        refused "cap" (start ~cap:Float.nan);
+        refused "demand" (start ~demand:Float.nan);
+        refused "demand" (start ~demand:(-1.0));
+        (* a valid weight beside a NaN floor is not stored either *)
+        refused "floor" (fun () -> Fabric.set_flow_limits fab f ~weight:3.0 ~floor:Float.nan ());
+        refused "cap" (fun () -> Fabric.set_flow_limits fab f ~cap:Float.nan ());
+        refused "weight" (fun () -> Fabric.set_flow_limits fab f ~weight:Float.nan ());
+        check_close "weight kept" 1.0 f.Flow.weight;
+        check_close "floor kept" 0.0 f.Flow.floor;
+        Alcotest.(check bool) "cap kept" true (f.Flow.cap = infinity);
+        (* the fabric still solves: a valid start is admitted beside [f] *)
+        let g = Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded () in
+        Alcotest.(check int) "two flows" 2 (Fabric.flow_count fab);
+        check_close ~eps:1e6 "even split" f.Flow.rate g.Flow.rate;
+        Alcotest.(check bool) "shared" true (f.Flow.rate < rate));
+    (* The fabric's BFS scratch and slot table must let go of a flow
+       once it leaves: a grow-only scratch that only resets its length
+       keeps every entry a larger component once held. The flows are
+       held here only weakly. *)
+    tc "stopped and completed flows are unreachable from the fabric" (fun () ->
+        let topo = T.Builder.dgx_like () in
+        let sim = Sim.create () in
+        let fab = Fabric.create sim topo in
+        let p = path topo "gpu0" "nic3" in
+        let n = 200 in
+        let started size =
+          let w = Weak.create n in
+          Fabric.batch fab (fun () ->
+              for i = 0 to n - 1 do
+                Weak.set w i (Some (Fabric.start_flow fab ~tenant:1 ~path:p ~size:(size i) ()))
+              done);
+          w
+        in
+        let alive w =
+          Gc.full_major ();
+          Gc.full_major ();
+          let k = ref 0 in
+          for i = 0 to n - 1 do
+            if Weak.check w i then incr k
+          done;
+          !k
+        in
+        let stopped = started (fun _ -> Flow.Unbounded) in
+        for i = 0 to n - 1 do
+          Option.iter (Fabric.stop_flow fab) (Weak.get stopped i)
+        done;
+        Alcotest.(check int) "stopped flows alive" 0 (alive stopped);
+        (* distinct sizes, so each completion reallocates the rest *)
+        let completed = started (fun i -> Flow.Bytes (1e6 *. float_of_int (i + 1))) in
+        Sim.run sim;
+        Alcotest.(check int) "flows left" 0 (Fabric.flow_count fab);
+        Alcotest.(check int) "completed flows alive" 0 (alive completed));
+    (* OCaml 5's [Array.make] runs a minor collection before making an
+       array of more than 256 words around a young seed, and every
+       component array of a 1000-flow epoch is that big. Right after a
+       collection, one start allocates far less than the default minor
+       heap, so any collection it runs is a forced one. *)
+    tc "a start_flow on a loaded fabric forces no minor collection" (fun () ->
+        let topo = T.Builder.dgx_like () in
+        let sim = Sim.create () in
+        let fab = Fabric.create sim topo in
+        let paths = coupled_paths topo in
+        Fabric.batch fab (fun () ->
+            for i = 0 to 999 do
+              ignore
+                (Fabric.start_flow fab ~tenant:(1 + (i mod 16))
+                   ~weight:(1.0 +. float_of_int (i mod 3))
+                   ~path:paths.(i mod 8) ~size:Flow.Unbounded ())
+            done);
+        Gc.minor ();
+        let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+        let before = minors () in
+        ignore (Fabric.start_flow fab ~tenant:1 ~path:paths.(0) ~size:Flow.Unbounded ());
+        Alcotest.(check int) "minor collections" 0 (minors () - before));
+  ]
+
 (* Conservation property: random flow sets never oversubscribe links. *)
 let fabric_properties =
   let gen =
@@ -688,5 +807,6 @@ let suites =
     ("engine.iommu", iommu_tests);
     ("engine.cache", cache_tests);
     ("engine.fabric", fabric_tests @ fabric_properties);
+    ("engine.epoch", epoch_tests);
     ("engine.sketches", sketch_plane_tests);
   ]

@@ -26,7 +26,8 @@ let gen_case ~max_nr ~max_n =
       list_size (int_range 1 5) (pair (int_range 0 (nr - 1)) (float_range 0.5 2.0))
       >>= fun usage ->
       let usage = List.sort_uniq (fun (a, _) (b, _) -> compare a b) usage in
-      return { E.Fairshare.weight; floor; cap; usage }
+      let res = Array.of_list (List.map fst usage) and coeff = Array.of_list (List.map snd usage) in
+      return { E.Fairshare.weight; floor; cap; res; coeff }
     in
     array_size (int_range 1 max_n) gen_demand >>= fun demands -> return (caps, demands))
 
@@ -39,7 +40,8 @@ let print_case (caps, demands) =
     (fun (d : E.Fairshare.demand) ->
       Buffer.add_string b
         (Printf.sprintf "{w=%g f=%g c=%g u=[%s]};" d.weight d.floor d.cap
-           (String.concat ";" (List.map (fun (r, co) -> Printf.sprintf "%d:%g" r co) d.usage))))
+           (String.concat ";"
+              (Array.to_list (Array.mapi (fun j r -> Printf.sprintf "%d:%g" r d.coeff.(j)) d.res)))))
     demands;
   Buffer.add_string b "]";
   Buffer.contents b
@@ -52,7 +54,8 @@ let fairshare_props =
         let demands =
           Array.of_list
             (List.map
-               (fun w -> { E.Fairshare.weight = w; floor = 0.0; cap = infinity; usage = [ (0, 1.0) ] })
+               (fun w ->
+                 { E.Fairshare.weight = w; floor = 0.0; cap = infinity; res = [| 0 |]; coeff = [| 1.0 |] })
                weights)
         in
         let rates = E.Fairshare.allocate ~capacities:[| 100.0 |] demands in
@@ -68,7 +71,7 @@ let fairshare_props =
       (fun (n, cap) ->
         let demands =
           Array.init n (fun _ ->
-              { E.Fairshare.weight = 1.0; floor = 0.0; cap = infinity; usage = [ (0, 1.0) ] })
+              { E.Fairshare.weight = 1.0; floor = 0.0; cap = infinity; res = [| 0 |]; coeff = [| 1.0 |] })
         in
         let rates = E.Fairshare.allocate ~capacities:[| cap |] demands in
         let total = Array.fold_left ( +. ) 0.0 rates in
@@ -78,8 +81,8 @@ let fairshare_props =
       (fun cap_v ->
         let demands =
           [|
-            { E.Fairshare.weight = 1.0; floor = 0.0; cap = cap_v; usage = [ (0, 1.0) ] };
-            { E.Fairshare.weight = 1.0; floor = 0.0; cap = infinity; usage = [ (0, 1.0) ] };
+            { E.Fairshare.weight = 1.0; floor = 0.0; cap = cap_v; res = [| 0 |]; coeff = [| 1.0 |] };
+            { E.Fairshare.weight = 1.0; floor = 0.0; cap = infinity; res = [| 0 |]; coeff = [| 1.0 |] };
           |]
         in
         let rates = E.Fairshare.allocate ~capacities:[| 100.0 |] demands in

@@ -492,6 +492,15 @@ let vec_tests =
         Vec.push v 7;
         Alcotest.(check int) "len" 1 (Vec.length v);
         Alcotest.(check int) "get" 7 (Vec.get v 0));
+    tc "pop returns the last push and an empty pop raises" (fun () ->
+        let v = Vec.create () in
+        List.iter (Vec.push v) [ 1; 2; 3 ];
+        Alcotest.(check int) "last" 3 (Vec.pop v);
+        Vec.push v 4;
+        Alcotest.(check (list int)) "lifo" [ 4; 2; 1 ] (List.init 3 (fun _ -> Vec.pop v));
+        Alcotest.(check bool) "empty" true (Vec.is_empty v);
+        Alcotest.check_raises "empty pop" (Invalid_argument "Vec.pop") (fun () ->
+            ignore (Vec.pop v)));
     tc "iteri sees indices in order" (fun () ->
         let v = Vec.create () in
         List.iter (Vec.push v) [ "a"; "b"; "c" ];

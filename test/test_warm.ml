@@ -9,7 +9,14 @@ module E = Ihnet_engine
 let bits_eq (a : float) (b : float) =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let d w f c u = { E.Fairshare.weight = w; floor = f; cap = c; usage = u }
+let d w f c u =
+  {
+    E.Fairshare.weight = w;
+    floor = f;
+    cap = c;
+    res = Array.of_list (List.map fst u);
+    coeff = Array.of_list (List.map snd u);
+  }
 
 (* Satellite: [validate] must raise [Invalid_argument] — a real
    raise, not [assert], so it survives [-noassert] builds. This test
@@ -22,6 +29,7 @@ let test_validate_raises () =
   let bad_res = [| d 1.0 0.0 infinity [ (7, 1.0) ] |] in
   let bad_coef = [| d 1.0 0.0 infinity [ (0, 0.0) ] |] in
   let nan_weight = [| d Float.nan 0.0 infinity [ (0, 1.0) ] |] in
+  let short_coeff = [| { (d 1.0 0.0 infinity [ (0, 1.0) ]) with E.Fairshare.coeff = [||] } |] in
   let expect_invalid name f =
     match f () with
     | exception Invalid_argument _ -> ()
@@ -42,6 +50,7 @@ let test_validate_raises () =
       ("resource out of range", bad_res);
       ("coefficient=0", bad_coef);
       ("weight=nan", nan_weight);
+      ("fewer coefficients than resources", short_coeff);
     ]
 
 let unit_tests =
