@@ -30,61 +30,12 @@ module F = Ihnet_fleet
 module Api = Ihnet_api
 module C = Ihnet_api.Command
 
-(* {1 Common options} *)
+(* {1 Common options}
 
-let preset_conv =
-  let parse s =
-    match Api.Host_spec.preset_of_name s with Ok p -> Ok p | Error e -> Error (`Msg e)
-  in
-  let print ppf p = Format.pp_print_string ppf (Api.Host_spec.preset_name p) in
-  Arg.conv (parse, print)
+   The host-selection flags and [spec_term] come from Host_flags,
+   shared with ihnetd. *)
 
-let preset =
-  Arg.(
-    value
-    & opt preset_conv Ihnet.Host.Two_socket
-    & info [ "preset"; "p" ] ~docv:"PRESET" ~doc:"Host topology: two-socket, dgx, epyc, minimal.")
-
-let ddio_flag =
-  Arg.(
-    value
-    & opt (some (enum [ ("on", true); ("off", false) ])) None
-    & info [ "ddio" ] ~docv:"on|off" ~doc:"Override the DDIO setting.")
-
-let iommu_flag =
-  Arg.(
-    value
-    & opt (some (enum [ ("on", true); ("off", false) ])) None
-    & info [ "iommu" ] ~docv:"on|off" ~doc:"Override the IOMMU setting.")
-
-let mps_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "mps" ] ~docv:"BYTES" ~doc:"Override the PCIe MaxPayloadSize.")
-
-let topo_file_flag =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "topo-file"; "f" ] ~docv:"FILE"
-        ~doc:"Build the host from a topology spec file instead of a preset (see 'ihnetctl spec').")
-
-let make_spec preset topo_file ddio iommu mps =
-  let preset =
-    match topo_file with
-    | None -> preset
-    | Some path -> (
-      match Api.Host_spec.load_topo_file path with
-      | Ok topo -> Ihnet.Host.Custom topo
-      | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 2)
-  in
-  Api.Host_spec.make ~preset ?ddio ?iommu ?mps ()
-
-let spec_term =
-  Term.(const make_spec $ preset $ topo_file_flag $ ddio_flag $ iommu_flag $ mps_flag)
+open Host_flags
 
 let connect_flag =
   Arg.(
@@ -747,44 +698,12 @@ let faults_cmd =
           ~doc:"Also print every fault injection and clear chronologically, not just the final \
                 active sets.")
   in
-  (* codec types -> engine types, so the listing reuses the engine's
-     canonical descriptions instead of duplicating the formatting *)
-  let starget_of = function
-    | Rec.Trace.Sf_device d -> E.Sensorfault.Device d
-    | Rec.Trace.Sf_series s -> E.Sensorfault.Series s
-  in
-  let sf_of (sf : Rec.Trace.sensor_fault) =
-    {
-      E.Sensorfault.stuck = sf.Rec.Trace.sf_stuck;
-      drift = sf.Rec.Trace.sf_drift;
-      drop_prob = sf.Rec.Trace.sf_drop;
-      dup_prob = sf.Rec.Trace.sf_dup;
-      skew = sf.Rec.Trace.sf_skew;
-      probe_loss = sf.Rec.Trace.sf_probe_loss;
-      probe_slow = sf.Rec.Trace.sf_probe_slow;
-    }
-  in
-  let fault_label (f : Rec.Trace.fault) =
-    let parts =
-      (if f.Rec.Trace.capacity_factor < 1.0 then
-         [ Printf.sprintf "capacity x%.2f" f.Rec.Trace.capacity_factor ]
-       else [])
-      @ (if f.Rec.Trace.extra_latency > 0.0 then
-           [ Printf.sprintf "+%.0f ns latency" f.Rec.Trace.extra_latency ]
-         else [])
-      @
-      if f.Rec.Trace.loss_prob > 0.0 then
-        [ Printf.sprintf "loss %.0f%%" (100.0 *. f.Rec.Trace.loss_prob) ]
-      else []
-    in
-    if parts = [] then "no-op" else String.concat ", " parts
-  in
   let run file timeline =
     match Rec.Trace.load file with
     | Error e -> failwith e
     | Ok t ->
-      let links : (int, float * Rec.Trace.fault) Hashtbl.t = Hashtbl.create 16 in
-      let sensors : (Rec.Trace.starget, float * Rec.Trace.sensor_fault) Hashtbl.t =
+      let links : (int, float * E.Fault.link_fault) Hashtbl.t = Hashtbl.create 16 in
+      let sensors : (E.Sensorfault.target, float * E.Sensorfault.sensor_fault) Hashtbl.t =
         Hashtbl.create 16
       in
       let ev at fmt = Printf.ksprintf (fun s -> if timeline then Printf.printf "%10.0f  %s\n" at s) fmt in
@@ -794,7 +713,7 @@ let faults_cmd =
             match op with
             | Rec.Trace.Inject_fault { link; fault } ->
               Hashtbl.replace links link (at, fault);
-              ev at "link %-4d fault: %s" link (fault_label fault)
+              ev at "link %-4d fault: %s" link (E.Fault.describe fault)
             | Rec.Trace.Clear_fault link ->
               Hashtbl.remove links link;
               ev at "link %-4d cleared" link
@@ -803,12 +722,11 @@ let faults_cmd =
               ev at "all link faults cleared"
             | Rec.Trace.Inject_sensor_fault { starget; sf } ->
               Hashtbl.replace sensors starget (at, sf);
-              ev at "%-12s sensor fault: %s"
-                (E.Sensorfault.target_label (starget_of starget))
-                (E.Sensorfault.describe (sf_of sf))
+              ev at "%-12s sensor fault: %s" (E.Sensorfault.target_label starget)
+                (E.Sensorfault.describe sf)
             | Rec.Trace.Clear_sensor_fault starget ->
               Hashtbl.remove sensors starget;
-              ev at "%-12s sensor cleared" (E.Sensorfault.target_label (starget_of starget))
+              ev at "%-12s sensor cleared" (E.Sensorfault.target_label starget)
             | _ -> ())
           | _ -> ())
         t.Rec.Trace.lines;
@@ -824,14 +742,12 @@ let faults_cmd =
         (List.length active_links) (List.length active_sensors);
       List.iter
         (fun (l, (at, f)) ->
-          Printf.printf "  link %-4d since %10.0f ns: %s\n" l at (fault_label f))
+          Printf.printf "  link %-4d since %10.0f ns: %s\n" l at (E.Fault.describe f))
         active_links;
       List.iter
         (fun (tg, (at, sf)) ->
-          Printf.printf "  %-12s since %10.0f ns: %s\n"
-            (E.Sensorfault.target_label (starget_of tg))
-            at
-            (E.Sensorfault.describe (sf_of sf)))
+          Printf.printf "  %-12s since %10.0f ns: %s\n" (E.Sensorfault.target_label tg) at
+            (E.Sensorfault.describe sf))
         active_sensors
   in
   Cmd.v

@@ -16,46 +16,6 @@ module Rec = Ihnet_record
 module F = Ihnet_fleet
 module Api = Ihnet_api
 
-let preset_conv =
-  let parse s =
-    match Api.Host_spec.preset_of_name s with Ok p -> Ok p | Error e -> Error (`Msg e)
-  in
-  let print ppf p = Format.pp_print_string ppf (Api.Host_spec.preset_name p) in
-  Arg.conv (parse, print)
-
-let preset =
-  Arg.(
-    value
-    & opt preset_conv Ihnet.Host.Two_socket
-    & info [ "preset"; "p" ] ~docv:"PRESET" ~doc:"Host topology: two-socket, dgx, epyc, minimal.")
-
-let ddio_flag =
-  Arg.(
-    value
-    & opt (some (enum [ ("on", true); ("off", false) ])) None
-    & info [ "ddio" ] ~docv:"on|off" ~doc:"Override the DDIO setting.")
-
-let iommu_flag =
-  Arg.(
-    value
-    & opt (some (enum [ ("on", true); ("off", false) ])) None
-    & info [ "iommu" ] ~docv:"on|off" ~doc:"Override the IOMMU setting.")
-
-let mps_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "mps" ] ~docv:"BYTES" ~doc:"Override the PCIe MaxPayloadSize.")
-
-let topo_file_flag =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "topo-file"; "f" ] ~docv:"FILE"
-        ~doc:
-          "Build the host from a topology spec file instead of a preset (not replayable — the \
-           trace header cannot name a preset).")
-
 let seed_flag =
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"S" ~doc:"Host RNG seed (default 42).")
 
@@ -72,7 +32,8 @@ let trace_flag =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Flight-recorder trace of the whole session, replayable with $(b,ihnetctl replay) \
-           (host mode only).")
+           (host mode only; a $(b,--topo-file) session is not replayable, because the trace \
+           header cannot name a preset).")
 
 let no_trace_flag =
   Arg.(value & flag & info [ "no-trace" ] ~doc:"Serve without the flight recorder attached.")
@@ -92,8 +53,8 @@ let push_every_flag =
     & info [ "push-every" ] ~docv:"N"
         ~doc:"Telemetry stream decimation: push one sample every $(docv) reallocation epochs.")
 
-let run preset topo_file ddio iommu mps seed socket trace no_trace fleet push_every =
-  let spec = Api.Host_spec.make ~preset ?topo_file ?ddio ?iommu ?mps ?seed () in
+let run spec seed socket trace no_trace fleet push_every =
+  let spec = { spec with Api.Host_spec.seed } in
   (* refuse a taken socket path before the trace file is truncated *)
   Api.Server.claim_path socket;
   let serve target recorder =
@@ -128,8 +89,8 @@ let main_cmd =
   Cmd.v
     (Cmd.info "ihnetd" ~doc ~version:"1.0.0")
     Term.(
-      const run $ preset $ topo_file_flag $ ddio_flag $ iommu_flag $ mps_flag $ seed_flag
-      $ socket_flag $ trace_flag $ no_trace_flag $ fleet_flag $ push_every_flag)
+      const run $ Host_flags.spec_term $ seed_flag $ socket_flag $ trace_flag $ no_trace_flag
+      $ fleet_flag $ push_every_flag)
 
 (* user errors (bad specs, busy sockets) exit with a message, not a
    backtrace *)

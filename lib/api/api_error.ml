@@ -33,27 +33,25 @@ let message = function
   | Mgr m -> M.to_string m
   | Invalid s | Failed s | Protocol s | Unsupported s -> s
 
-let jstr s = J.Str s
-
 let mgr_to_json m =
-  let tag name fields = J.Obj (("mgr", jstr name) :: fields) in
+  let tag name fields = J.Obj (("mgr", J.jstr name) :: fields) in
   match m with
-  | M.Invalid_intent s -> tag "invalid_intent" [ ("what", jstr s) ]
-  | M.Unknown_device s -> tag "unknown_device" [ ("device", jstr s) ]
+  | M.Invalid_intent s -> tag "invalid_intent" [ ("what", J.jstr s) ]
+  | M.Unknown_device s -> tag "unknown_device" [ ("device", J.jstr s) ]
   | M.No_home_socket { device; socket } ->
-    tag "no_home_socket" [ ("device", jstr device); ("socket", jstr socket) ]
-  | M.No_path { src; dst } -> tag "no_path" [ ("src", jstr src); ("dst", jstr dst) ]
-  | M.No_uplink s -> tag "no_uplink" [ ("endpoint", jstr s) ]
-  | M.No_downlink s -> tag "no_downlink" [ ("endpoint", jstr s) ]
+    tag "no_home_socket" [ ("device", J.jstr device); ("socket", J.jstr socket) ]
+  | M.No_path { src; dst } -> tag "no_path" [ ("src", J.jstr src); ("dst", J.jstr dst) ]
+  | M.No_uplink s -> tag "no_uplink" [ ("endpoint", J.jstr s) ]
+  | M.No_downlink s -> tag "no_downlink" [ ("endpoint", J.jstr s) ]
   | M.Capacity_exhausted { tenant; rate; best_ratio } ->
     tag "capacity_exhausted"
       [ ("tenant", J.jint tenant); ("rate", J.jfloat rate);
         ("best_ratio", J.jfloat best_ratio) ]
   | M.Not_a_pipe -> tag "not_a_pipe" []
   | M.No_alternate_path -> tag "no_alternate_path" []
-  | M.Host_unreachable h -> tag "host_unreachable" [ ("host", jstr h) ]
+  | M.Host_unreachable h -> tag "host_unreachable" [ ("host", J.jstr h) ]
   | M.Retries_exhausted { host; command } ->
-    tag "retries_exhausted" [ ("host", jstr host); ("command", jstr command) ]
+    tag "retries_exhausted" [ ("host", J.jstr host); ("command", J.jstr command) ]
   | M.No_feasible_host { tenant } -> tag "no_feasible_host" [ ("tenant", J.jint tenant) ]
 
 let mgr_of_json j =
@@ -78,11 +76,11 @@ let mgr_of_json j =
   | s -> raise (J.Parse_error ("unknown mgr error tag " ^ s))
 
 let to_json = function
-  | Mgr m -> J.Obj [ ("err", jstr "mgr"); ("payload", mgr_to_json m) ]
-  | Invalid s -> J.Obj [ ("err", jstr "invalid"); ("msg", jstr s) ]
-  | Failed s -> J.Obj [ ("err", jstr "failed"); ("msg", jstr s) ]
-  | Protocol s -> J.Obj [ ("err", jstr "protocol"); ("msg", jstr s) ]
-  | Unsupported s -> J.Obj [ ("err", jstr "unsupported"); ("msg", jstr s) ]
+  | Mgr m -> J.Obj [ ("err", J.jstr "mgr"); ("payload", mgr_to_json m) ]
+  | Invalid s -> J.Obj [ ("err", J.jstr "invalid"); ("msg", J.jstr s) ]
+  | Failed s -> J.Obj [ ("err", J.jstr "failed"); ("msg", J.jstr s) ]
+  | Protocol s -> J.Obj [ ("err", J.jstr "protocol"); ("msg", J.jstr s) ]
+  | Unsupported s -> J.Obj [ ("err", J.jstr "unsupported"); ("msg", J.jstr s) ]
 
 let of_json j =
   match

@@ -1,4 +1,4 @@
-type t = { fd : Unix.file_descr; mutable greeting : Response.t }
+type t = { fd : Unix.file_descr }
 
 let protocol fmt = Printf.ksprintf (fun s -> raise (Api_error.Error (Api_error.Protocol s))) fmt
 
@@ -21,7 +21,7 @@ let connect path =
     Wire.write_frame fd (Command.to_json (Command.Hello { version = Command.version }));
     read_response fd
   with
-  | Response.Hello_ok _ as greeting -> { fd; greeting }
+  | Response.Hello_ok _ -> { fd }
   | Response.Err e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise (Api_error.Error e)
@@ -31,8 +31,6 @@ let connect path =
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
-
-let greeting t = t.greeting
 
 let call ?(on_event = fun _ -> ()) t cmd =
   Wire.write_frame t.fd (Command.to_json cmd);

@@ -14,9 +14,6 @@ val connect : string -> t
     reached, the daemon speaks another version, or the greeting is
     malformed. *)
 
-val greeting : t -> Response.t
-(** The daemon's [Hello_ok] captured at {!connect} time. *)
-
 val call : ?on_event:(Response.event -> unit) -> t -> Command.t -> Response.t
 (** Send one command, return its reply.
     @raise Api_error.Error [(Protocol _)] on EOF or framing trouble. *)

@@ -57,29 +57,15 @@ let batchable = function
   | Flow_start _ | Flow_stop _ | Fault_inject _ | Fault_clear _ | Faults_clear_all -> true
   | _ -> false
 
-(* {1 JSON helpers} *)
-
-let jstr s = J.Str s
-let jbool b = J.Bool b
-let jopt f = function None -> J.Null | Some v -> f v
-
-let opt_of j f = match j with J.Null -> None | j -> Some (f j)
-
-let jpair (a, b) = J.Arr [ jstr a; jstr b ]
-
-let pair_of j =
-  match j with
-  | J.Arr [ a; b ] -> (J.as_string a, J.as_string b)
-  | _ -> raise (J.Parse_error "expected a two-string pair")
-
 (* {1 Intents} *)
 
 let target_to_json = function
   | I.Pipe { src; dst; rate } ->
-    J.Obj [ ("t", jstr "pipe"); ("src", jstr src); ("dst", jstr dst); ("rate", J.jfloat rate) ]
+    J.Obj
+      [ ("t", J.jstr "pipe"); ("src", J.jstr src); ("dst", J.jstr dst); ("rate", J.jfloat rate) ]
   | I.Hose { endpoint; to_host; from_host } ->
     J.Obj
-      [ ("t", jstr "hose"); ("endpoint", jstr endpoint); ("to_host", J.jfloat to_host);
+      [ ("t", J.jstr "hose"); ("endpoint", J.jstr endpoint); ("to_host", J.jfloat to_host);
         ("from_host", J.jfloat from_host) ]
 
 let target_of_json j =
@@ -99,15 +85,15 @@ let intent_to_json (i : I.t) =
   J.Obj
     [ ("tenant", J.jint i.I.tenant);
       ("targets", J.Arr (List.map target_to_json i.I.targets));
-      ("latency_bound", jopt J.jfloat i.I.latency_bound);
-      ("p99_bound", jopt J.jfloat i.I.p99_bound);
-      ("work_conserving", jbool i.I.work_conserving) ]
+      ("latency_bound", J.jopt J.jfloat i.I.latency_bound);
+      ("p99_bound", J.jopt J.jfloat i.I.p99_bound);
+      ("work_conserving", J.jbool i.I.work_conserving) ]
 
 let intent_of_json j =
   { I.tenant = J.as_int (J.field j "tenant");
     targets = List.map target_of_json (J.as_list (J.field j "targets"));
-    latency_bound = opt_of (J.field j "latency_bound") J.as_float;
-    p99_bound = opt_of (J.field j "p99_bound") J.as_float;
+    latency_bound = J.opt_of (J.field j "latency_bound") J.as_float;
+    p99_bound = J.opt_of (J.field j "p99_bound") J.as_float;
     work_conserving = J.as_bool (J.field j "work_conserving") }
 
 (* {1 Codec} *)
@@ -147,85 +133,85 @@ let fleet_fault_of = function
   | "heal" -> F_heal
   | s -> raise (J.Parse_error ("unknown fleet fault " ^ s))
 
-let tag name fields = J.Obj (("cmd", jstr name) :: fields)
+let tag name fields = J.Obj (("cmd", J.jstr name) :: fields)
 
 let to_json = function
   | Hello { version } -> tag "hello" [ ("version", J.jint version) ]
-  | Topo { dot } -> tag "topo" [ ("dot", jbool dot) ]
+  | Topo { dot } -> tag "topo" [ ("dot", J.jbool dot) ]
   | Ping { src; dst; count; load } ->
     tag "ping"
-      [ ("src", jstr src); ("dst", jstr dst); ("count", J.jint count); ("load", jbool load) ]
+      [ ("src", J.jstr src); ("dst", J.jstr dst); ("count", J.jint count); ("load", J.jbool load) ]
   | Path_trace { src; dst; load } ->
-    tag "trace" [ ("src", jstr src); ("dst", jstr dst); ("load", jbool load) ]
+    tag "trace" [ ("src", J.jstr src); ("dst", J.jstr dst); ("load", J.jbool load) ]
   | Perf { src; dst; load } ->
-    tag "perf" [ ("src", jstr src); ("dst", jstr dst); ("load", jbool load) ]
-  | Dump { a; b; load } -> tag "dump" [ ("a", jstr a); ("b", jstr b); ("load", jbool load) ]
+    tag "perf" [ ("src", J.jstr src); ("dst", J.jstr dst); ("load", J.jbool load) ]
+  | Dump { a; b; load } -> tag "dump" [ ("a", J.jstr a); ("b", J.jstr b); ("load", J.jbool load) ]
   | Check -> tag "check" []
-  | Heartbeat { degrade } -> tag "heartbeat" [ ("degrade", jopt jpair degrade) ]
+  | Heartbeat { degrade } -> tag "heartbeat" [ ("degrade", J.jopt J.jpair degrade) ]
   | Heal { src; dst; gbps; fault; factor; silent; flap; ms } ->
     tag "heal"
-      [ ("src", jstr src); ("dst", jstr dst); ("gbps", J.jfloat gbps);
-        ("fault", jopt jpair fault); ("factor", J.jfloat factor); ("silent", jbool silent);
-        ("flap", jopt J.jint flap); ("ms", J.jfloat ms) ]
+      [ ("src", J.jstr src); ("dst", J.jstr dst); ("gbps", J.jfloat gbps);
+        ("fault", J.jopt J.jpair fault); ("factor", J.jfloat factor); ("silent", J.jbool silent);
+        ("flap", J.jopt J.jint flap); ("ms", J.jfloat ms) ]
   | Scenario_list -> tag "scenario_list" []
   | Scenario { name; ms; protect } ->
     tag "scenario"
-      [ ("name", jstr name); ("ms", J.jfloat ms); ("protect", jopt J.jfloat protect) ]
+      [ ("name", J.jstr name); ("ms", J.jfloat ms); ("protect", J.jopt J.jfloat protect) ]
   | Monitor { ms; period_us; series; load } ->
     tag "monitor"
       [ ("ms", J.jfloat ms); ("period_us", J.jfloat period_us);
-        ("series", jopt jstr series); ("load", jbool load) ]
+        ("series", J.jopt J.jstr series); ("load", J.jbool load) ]
   | Report { fidelity; load } ->
-    tag "report" [ ("fidelity", jstr (fidelity_label fidelity)); ("load", jbool load) ]
+    tag "report" [ ("fidelity", J.jstr (fidelity_label fidelity)); ("load", J.jbool load) ]
   | Plan { pipes; hoses; headroom } ->
     tag "plan"
       [ ( "pipes",
           J.Arr
             (List.map
-               (fun (s, d, g) -> J.Arr [ jstr s; jstr d; J.jfloat g ])
+               (fun (s, d, g) -> J.Arr [ J.jstr s; J.jstr d; J.jfloat g ])
                pipes) );
         ( "hoses",
           J.Arr
             (List.map
-               (fun (e, i, o) -> J.Arr [ jstr e; J.jfloat i; J.jfloat o ])
+               (fun (e, i, o) -> J.Arr [ J.jstr e; J.jfloat i; J.jfloat o ])
                hoses) );
         ("headroom", J.jfloat headroom) ]
   | Latency { link; ms; load } ->
-    tag "latency" [ ("link", jbool link); ("ms", J.jfloat ms); ("load", jbool load) ]
+    tag "latency" [ ("link", J.jbool link); ("ms", J.jfloat ms); ("load", J.jbool load) ]
   | Scan { ms; load; step; snapshot } ->
     tag "scan"
-      [ ("ms", J.jfloat ms); ("load", jbool load); ("step", jopt J.jint step);
-        ("snapshot", jbool snapshot) ]
+      [ ("ms", J.jfloat ms); ("load", J.jbool load); ("step", J.jopt J.jint step);
+        ("snapshot", J.jbool snapshot) ]
   | Run_for { ms } -> tag "run_for" [ ("ms", J.jfloat ms) ]
   | Flow_start { tenant; src; dst; gbps } ->
     tag "flow_start"
-      [ ("tenant", J.jint tenant); ("src", jstr src); ("dst", jstr dst);
-        ("gbps", jopt J.jfloat gbps) ]
+      [ ("tenant", J.jint tenant); ("src", J.jstr src); ("dst", J.jstr dst);
+        ("gbps", J.jopt J.jfloat gbps) ]
   | Flow_stop { flow } -> tag "flow_stop" [ ("flow", J.jint flow) ]
   | Submit i -> tag "submit" [ ("intent", intent_to_json i) ]
   | Fault_inject { a; b; factor; extra_us; loss } ->
     tag "fault_inject"
-      [ ("a", jstr a); ("b", jstr b); ("factor", J.jfloat factor);
+      [ ("a", J.jstr a); ("b", J.jstr b); ("factor", J.jfloat factor);
         ("extra_us", J.jfloat extra_us); ("loss", J.jfloat loss) ]
-  | Fault_clear { a; b } -> tag "fault_clear" [ ("a", jstr a); ("b", jstr b) ]
+  | Fault_clear { a; b } -> tag "fault_clear" [ ("a", J.jstr a); ("b", J.jstr b) ]
   | Faults_clear_all -> tag "faults_clear_all" []
-  | Subscribe s -> tag "subscribe" [ ("stream", jstr (stream_label s)) ]
+  | Subscribe s -> tag "subscribe" [ ("stream", J.jstr (stream_label s)) ]
   | Stats -> tag "stats" []
   | Shutdown -> tag "shutdown" []
   | Fleet_spawn { name; preset } ->
-    tag "fleet_spawn" [ ("name", jstr name); ("preset", jstr preset) ]
+    tag "fleet_spawn" [ ("name", J.jstr name); ("preset", J.jstr preset) ]
   | Fleet_submit i -> tag "fleet_submit" [ ("intent", intent_to_json i) ]
   | Fleet_run { rounds } -> tag "fleet_run" [ ("rounds", J.jint rounds) ]
-  | Fleet_status { decisions } -> tag "fleet_status" [ ("decisions", jbool decisions) ]
+  | Fleet_status { decisions } -> tag "fleet_status" [ ("decisions", J.jbool decisions) ]
   | Fleet_fault { host; what } ->
-    tag "fleet_fault" [ ("host", jstr host); ("what", jstr (fleet_fault_label what)) ]
+    tag "fleet_fault" [ ("host", J.jstr host); ("what", J.jstr (fleet_fault_label what)) ]
 
 let of_json j =
   let str k = J.as_string (J.field j k) in
   let num k = J.as_float (J.field j k) in
   let int k = J.as_int (J.field j k) in
   let bool k = J.as_bool (J.field j k) in
-  let opt k f = opt_of (J.field j k) f in
+  let opt k f = J.opt_of (J.field j k) f in
   match
     match J.as_string (J.field j "cmd") with
     | "hello" -> Hello { version = int "version" }
@@ -235,10 +221,10 @@ let of_json j =
     | "perf" -> Perf { src = str "src"; dst = str "dst"; load = bool "load" }
     | "dump" -> Dump { a = str "a"; b = str "b"; load = bool "load" }
     | "check" -> Check
-    | "heartbeat" -> Heartbeat { degrade = opt "degrade" pair_of }
+    | "heartbeat" -> Heartbeat { degrade = opt "degrade" J.pair_of }
     | "heal" ->
       Heal
-        { src = str "src"; dst = str "dst"; gbps = num "gbps"; fault = opt "fault" pair_of;
+        { src = str "src"; dst = str "dst"; gbps = num "gbps"; fault = opt "fault" J.pair_of;
           factor = num "factor"; silent = bool "silent"; flap = opt "flap" J.as_int;
           ms = num "ms" }
     | "scenario_list" -> Scenario_list

@@ -77,9 +77,5 @@ val batchable : t -> bool
     mutations. Admission ([Submit]) is excluded — it must observe the
     rates its predecessors produced. *)
 
-val intent_to_json : Ihnet_manager.Intent.t -> Ihnet_record.Trace.json
-val intent_of_json : Ihnet_record.Trace.json -> Ihnet_manager.Intent.t
-(** @raise Ihnet_record.Trace.Parse_error on malformed input. *)
-
 val to_json : t -> Ihnet_record.Trace.json
 val of_json : Ihnet_record.Trace.json -> (t, string) result

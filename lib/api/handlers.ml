@@ -178,7 +178,7 @@ let dump host ~a ~b ~load =
             (Mon.Diagnostics.dump (Ihnet.Host.fabric host) ~link:l.T.Link.id ());
       }
 
-let check spec = Resp.Check_report (Mon.Anomaly.check_configuration (Host_spec.topology spec))
+let check host = Resp.Check_report (Ihnet.Host.check_configuration host)
 
 let heartbeat host ~degrade =
   let fab = Ihnet.Host.fabric host in
@@ -616,16 +616,16 @@ let dispatch t cmd =
   | C.Subscribe _, Host _ -> Resp.Ack
   | C.Subscribe _, Fleet _ -> wrong_mode t
   | C.Shutdown, _ -> Resp.Bye
-  | C.Check, _ -> check t.spec
-  | ( ( C.Topo _ | C.Ping _ | C.Path_trace _ | C.Perf _ | C.Dump _ | C.Heartbeat _ | C.Heal _
-      | C.Scenario_list | C.Scenario _ | C.Monitor _ | C.Report _ | C.Plan _ | C.Latency _
-      | C.Scan _ | C.Run_for _ | C.Flow_start _ | C.Flow_stop _ | C.Submit _ | C.Fault_inject _
-      | C.Fault_clear _ | C.Faults_clear_all | C.Stats ),
+  | ( ( C.Check | C.Topo _ | C.Ping _ | C.Path_trace _ | C.Perf _ | C.Dump _ | C.Heartbeat _
+      | C.Heal _ | C.Scenario_list | C.Scenario _ | C.Monitor _ | C.Report _ | C.Plan _
+      | C.Latency _ | C.Scan _ | C.Run_for _ | C.Flow_start _ | C.Flow_stop _ | C.Submit _
+      | C.Fault_inject _ | C.Fault_clear _ | C.Faults_clear_all | C.Stats ),
       Fleet _ ) ->
     wrong_mode t
   | (C.Fleet_spawn _ | C.Fleet_submit _ | C.Fleet_run _ | C.Fleet_status _ | C.Fleet_fault _), Host _
     ->
     wrong_mode t
+  | C.Check, Host h -> check h
   | C.Topo { dot }, Host h -> topo h dot
   | C.Ping { src; dst; count; load }, Host h -> ping h ~src ~dst ~count ~load
   | C.Path_trace { src; dst; load }, Host h -> path_trace h ~src ~dst ~load

@@ -49,7 +49,9 @@ val run : t -> Command.t -> Response.t
     given, [>= 0] (NaN refused); a violation is an [Invalid]
     that names the command and field. A [Fleet_submit] intent that
     fails {!Ihnet_manager.Intent.validate} is refused as
-    [Mgr (Invalid_intent _)], as a host's [Submit] is. [Hello],
+    [Mgr (Invalid_intent _)], as a host's [Submit] is. [Check]
+    inspects the target host's own topology and configuration; in
+    fleet mode it is [Unsupported], like every host command. [Hello],
     [Subscribe] and [Shutdown] get their trivial replies here
     ([Hello_ok] / [Ack] / [Bye]); the transport-level
     behavior (version check, stream registration, connection teardown)

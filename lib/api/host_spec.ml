@@ -30,43 +30,34 @@ let load_topo_file path =
   | exception Sys_error e -> Error e
   | text -> T.Spec.parse text
 
-let make ?(preset = Ihnet.Host.Two_socket) ?topo_file ?ddio ?iommu ?mps ?seed () =
-  let preset =
-    match topo_file with
-    | None -> preset
-    | Some path -> (
-      match load_topo_file path with
-      | Ok topo -> Ihnet.Host.Custom topo
-      | Error e -> failwith (path ^ ": " ^ e))
-  in
+let make ?(preset = Ihnet.Host.Two_socket) ?ddio ?iommu ?mps ?seed () =
   { preset; preset_name = preset_name preset; ddio; iommu; mps; seed }
 
 let default = make ()
 
+(* the overrides apply on top of the preset's own configuration: the
+   builders' default, or whatever a topology file's [config] line set *)
 let config t =
-  let c = T.Hostconfig.default in
+  let module H = T.Hostconfig in
   let c =
-    match t.ddio with
-    | Some false -> { c with T.Hostconfig.ddio = T.Hostconfig.Ddio_off }
-    | Some true | None -> c
+    match t.preset with Ihnet.Host.Custom topo -> T.Topology.config topo | _ -> H.default
   in
   let c =
-    match t.iommu with
-    | Some false -> { c with T.Hostconfig.iommu = T.Hostconfig.Iommu_off }
-    | Some true | None -> c
+    match (t.ddio, c.H.ddio) with
+    | Some false, _ -> { c with H.ddio = H.Ddio_off }
+    | Some true, H.Ddio_off -> { c with H.ddio = H.default.H.ddio }
+    | Some true, H.Ddio_on _ | None, _ -> c
   in
-  match t.mps with Some m -> { c with T.Hostconfig.pcie_mps = m } | None -> c
+  let c =
+    match (t.iommu, c.H.iommu) with
+    | Some false, _ -> { c with H.iommu = H.Iommu_off }
+    | Some true, H.Iommu_off -> { c with H.iommu = H.default.H.iommu }
+    | Some true, H.Iommu_on _ | None, _ -> c
+  in
+  match t.mps with Some m -> { c with H.pcie_mps = m } | None -> c
 
 let create_host t =
   Ihnet.Host.create ~config:(config t) ?seed:t.seed t.preset
-
-let topology t =
-  let config = config t in
-  match t.preset with
-  | Ihnet.Host.Two_socket -> T.Builder.two_socket_server ~config ()
-  | Ihnet.Host.Dgx -> T.Builder.dgx_like ~config ()
-  | Ihnet.Host.Epyc -> T.Builder.epyc_like ~config ()
-  | Ihnet.Host.Minimal | Ihnet.Host.Custom _ -> T.Builder.minimal ~config ()
 
 let device_id topo name =
   match T.Topology.device_by_name topo name with

@@ -152,24 +152,14 @@ type t =
 
 (* {1 Codec} *)
 
-let jstr s = J.Str s
-let jbool b = J.Bool b
-let jopt f = function None -> J.Null | Some v -> f v
-let opt_of j f = match j with J.Null -> None | j -> Some (f j)
-let jpair (a, b) = J.Arr [ jstr a; jstr b ]
-
-let pair_of = function
-  | J.Arr [ a; b ] -> (J.as_string a, J.as_string b)
-  | _ -> raise (J.Parse_error "expected a two-string pair")
-
-let jkvs kvs = J.Arr (List.map jpair kvs)
-let kvs_of j = List.map pair_of (J.as_list j)
-let jstrs ss = J.Arr (List.map jstr ss)
+let jkvs kvs = J.Arr (List.map J.jpair kvs)
+let kvs_of j = List.map J.pair_of (J.as_list j)
+let jstrs ss = J.Arr (List.map J.jstr ss)
 let strs_of j = List.map J.as_string (J.as_list j)
 
 let link_row_to_json r =
   J.Obj
-    [ ("id", J.jint r.l_id); ("kind", jstr r.l_kind); ("a", jstr r.l_a); ("b", jstr r.l_b);
+    [ ("id", J.jint r.l_id); ("kind", J.jstr r.l_kind); ("a", J.jstr r.l_a); ("b", J.jstr r.l_b);
       ("capacity", J.jfloat r.l_capacity); ("latency", J.jfloat r.l_latency) ]
 
 let link_row_of_json j =
@@ -179,19 +169,19 @@ let link_row_of_json j =
 
 let hop_to_json h =
   J.Obj
-    [ ("device", jstr h.h_device); ("kind", jstr h.h_kind);
-      ("class", jopt J.jint h.h_class); ("base", J.jfloat h.h_base);
+    [ ("device", J.jstr h.h_device); ("kind", J.jstr h.h_kind);
+      ("class", J.jopt J.jint h.h_class); ("base", J.jfloat h.h_base);
       ("loaded", J.jfloat h.h_loaded); ("util", J.jfloat h.h_util) ]
 
 let hop_of_json j =
   { h_device = J.as_string (J.field j "device"); h_kind = J.as_string (J.field j "kind");
-    h_class = opt_of (J.field j "class") J.as_int; h_base = J.as_float (J.field j "base");
+    h_class = J.opt_of (J.field j "class") J.as_int; h_base = J.as_float (J.field j "base");
     h_loaded = J.as_float (J.field j "loaded"); h_util = J.as_float (J.field j "util") }
 
 let dump_row_to_json r =
   J.Obj
-    [ ("id", J.jint r.f_id); ("tenant", J.jint r.f_tenant); ("cls", jstr r.f_cls);
-      ("src", jstr r.f_src); ("dst", jstr r.f_dst); ("rate", J.jfloat r.f_rate) ]
+    [ ("id", J.jint r.f_id); ("tenant", J.jint r.f_tenant); ("cls", J.jstr r.f_cls);
+      ("src", J.jstr r.f_src); ("dst", J.jstr r.f_dst); ("rate", J.jfloat r.f_rate) ]
 
 let dump_row_of_json j =
   { f_id = J.as_int (J.field j "id"); f_tenant = J.as_int (J.field j "tenant");
@@ -199,7 +189,7 @@ let dump_row_of_json j =
     f_dst = J.as_string (J.field j "dst"); f_rate = J.as_float (J.field j "rate") }
 
 let suspect_to_json s =
-  J.Obj [ ("a", jstr s.su_a); ("b", jstr s.su_b); ("score", J.jfloat s.su_score) ]
+  J.Obj [ ("a", J.jstr s.su_a); ("b", J.jstr s.su_b); ("score", J.jfloat s.su_score) ]
 
 let suspect_of_json j =
   { su_a = J.as_string (J.field j "a"); su_b = J.as_string (J.field j "b");
@@ -207,7 +197,7 @@ let suspect_of_json j =
 
 let sketch_row_to_json r =
   J.Obj
-    [ ("id", J.jint r.lr_id); ("route", jstr r.lr_route); ("dir", jstr r.lr_dir);
+    [ ("id", J.jint r.lr_id); ("route", J.jstr r.lr_route); ("dir", J.jstr r.lr_dir);
       ("count", J.jint r.lr_count); ("p50", J.jfloat r.lr_p50); ("p99", J.jfloat r.lr_p99);
       ("p999", J.jfloat r.lr_p999); ("max", J.jfloat r.lr_max) ]
 
@@ -219,7 +209,7 @@ let sketch_row_of_json j =
 
 let bottleneck_to_json b =
   J.Obj
-    [ ("kind", jstr b.bn_kind); ("a", jstr b.bn_a); ("b", jstr b.bn_b);
+    [ ("kind", J.jstr b.bn_kind); ("a", J.jstr b.bn_a); ("b", J.jstr b.bn_b);
       ("ratio", J.jfloat b.bn_ratio) ]
 
 let bottleneck_of_json j =
@@ -228,22 +218,22 @@ let bottleneck_of_json j =
 
 let heal_to_json h =
   J.Obj
-    [ ("banner", jstr h.he_banner); ("rate", J.jfloat h.he_rate); ("pre", J.jfloat h.he_pre);
-      ("post", J.jfloat h.he_post); ("ttd", jopt J.jfloat h.he_ttd);
-      ("ttr", jopt J.jfloat h.he_ttr); ("status", jstr h.he_status);
-      ("timeline", jstr h.he_timeline); ("slo", jstr h.he_slo) ]
+    [ ("banner", J.jstr h.he_banner); ("rate", J.jfloat h.he_rate); ("pre", J.jfloat h.he_pre);
+      ("post", J.jfloat h.he_post); ("ttd", J.jopt J.jfloat h.he_ttd);
+      ("ttr", J.jopt J.jfloat h.he_ttr); ("status", J.jstr h.he_status);
+      ("timeline", J.jstr h.he_timeline); ("slo", J.jstr h.he_slo) ]
 
 let heal_of_json j =
   { he_banner = J.as_string (J.field j "banner"); he_rate = J.as_float (J.field j "rate");
     he_pre = J.as_float (J.field j "pre"); he_post = J.as_float (J.field j "post");
-    he_ttd = opt_of (J.field j "ttd") J.as_float; he_ttr = opt_of (J.field j "ttr") J.as_float;
+    he_ttd = J.opt_of (J.field j "ttd") J.as_float; he_ttr = J.opt_of (J.field j "ttr") J.as_float;
     he_status = J.as_string (J.field j "status");
     he_timeline = J.as_string (J.field j "timeline"); he_slo = J.as_string (J.field j "slo") }
 
 let protect_to_json p =
   J.Obj
-    [ ("note", jstr p.pr_note); ("ms", J.jfloat p.pr_ms); ("metrics", jkvs p.pr_metrics);
-      ("slo", jstr p.pr_slo) ]
+    [ ("note", J.jstr p.pr_note); ("ms", J.jfloat p.pr_ms); ("metrics", jkvs p.pr_metrics);
+      ("slo", J.jstr p.pr_slo) ]
 
 let protect_of_json j =
   { pr_note = J.as_string (J.field j "note"); pr_ms = J.as_float (J.field j "ms");
@@ -251,11 +241,11 @@ let protect_of_json j =
 
 let scenario_to_json s =
   J.Obj
-    [ ("name", jstr s.sc_name); ("describe", jstr s.sc_describe);
+    [ ("name", J.jstr s.sc_name); ("describe", J.jstr s.sc_describe);
       ( "tenants",
-        J.Arr (List.map (fun (i, r) -> J.Arr [ J.jint i; jstr r ]) s.sc_tenants) );
+        J.Arr (List.map (fun (i, r) -> J.Arr [ J.jint i; J.jstr r ]) s.sc_tenants) );
       ("ms", J.jfloat s.sc_ms); ("metrics", jkvs s.sc_metrics);
-      ("protect", jopt protect_to_json s.sc_protect) ]
+      ("protect", J.jopt protect_to_json s.sc_protect) ]
 
 let scenario_of_json j =
   { sc_name = J.as_string (J.field j "name");
@@ -267,7 +257,7 @@ let scenario_of_json j =
           | _ -> raise (J.Parse_error "bad tenant row"))
         (J.as_list (J.field j "tenants"));
     sc_ms = J.as_float (J.field j "ms"); sc_metrics = kvs_of (J.field j "metrics");
-    sc_protect = opt_of (J.field j "protect") protect_of_json }
+    sc_protect = J.opt_of (J.field j "protect") protect_of_json }
 
 let step_to_json s =
   J.Obj [ ("n", J.jint s.st_n); ("epoch", J.jint s.st_epoch); ("digest", J.jhash s.st_digest) ]
@@ -279,16 +269,16 @@ let step_of_json j =
 let event_to_json = function
   | Ev_telemetry { ev_at; ev_epoch; ev_flows; ev_rate } ->
     J.Obj
-      [ ("ev", jstr "telemetry"); ("at", J.jfloat ev_at); ("epoch", J.jint ev_epoch);
+      [ ("ev", J.jstr "telemetry"); ("at", J.jfloat ev_at); ("epoch", J.jint ev_epoch);
         ("flows", J.jint ev_flows); ("rate", J.jfloat ev_rate) ]
   | Ev_action { ev_at; ev_link; ev_stage; ev_detail } ->
     J.Obj
-      [ ("ev", jstr "action"); ("at", J.jfloat ev_at); ("link", J.jint ev_link);
-        ("stage", jstr ev_stage); ("detail", jstr ev_detail) ]
+      [ ("ev", J.jstr "action"); ("at", J.jfloat ev_at); ("link", J.jint ev_link);
+        ("stage", J.jstr ev_stage); ("detail", J.jstr ev_detail) ]
   | Ev_evidence { ev_at; ev_link; ev_modality; ev_score } ->
     J.Obj
-      [ ("ev", jstr "evidence"); ("at", J.jfloat ev_at); ("link", J.jint ev_link);
-        ("modality", jstr ev_modality); ("score", J.jfloat ev_score) ]
+      [ ("ev", J.jstr "evidence"); ("at", J.jfloat ev_at); ("link", J.jint ev_link);
+        ("modality", J.jstr ev_modality); ("score", J.jfloat ev_score) ]
 
 let event_of_json j =
   match J.as_string (J.field j "ev") with
@@ -308,68 +298,68 @@ let event_of_json j =
         ev_score = J.as_float (J.field j "score") }
   | s -> raise (J.Parse_error ("unknown event tag " ^ s))
 
-let tag name fields = J.Obj (("resp", jstr name) :: fields)
+let tag name fields = J.Obj (("resp", J.jstr name) :: fields)
 
 let to_json = function
   | Ack -> tag "ack" []
   | Err e -> tag "err" [ ("error", Api_error.to_json e) ]
   | Hello_ok { version; mode; preset } ->
     tag "hello_ok"
-      [ ("version", J.jint version); ("mode", jstr mode); ("preset", jstr preset) ]
+      [ ("version", J.jint version); ("mode", J.jstr mode); ("preset", J.jstr preset) ]
   | Event e -> tag "event" [ ("event", event_to_json e) ]
   | Topo_report { summary; config; links } ->
     tag "topo"
-      [ ("summary", jstr summary); ("config", jstr config);
+      [ ("summary", J.jstr summary); ("config", J.jstr config);
         ("links", J.Arr (List.map link_row_to_json links)) ]
-  | Topo_dot s -> tag "topo_dot" [ ("dot", jstr s) ]
+  | Topo_dot s -> tag "topo_dot" [ ("dot", J.jstr s) ]
   | Ping_report { src; dst; sent; lost; rtt } ->
     tag "ping"
-      [ ("src", jstr src); ("dst", jstr dst); ("sent", J.jint sent); ("lost", J.jint lost);
+      [ ("src", J.jstr src); ("dst", J.jstr dst); ("sent", J.jint sent); ("lost", J.jint lost);
         ( "rtt",
-          jopt
+          J.jopt
             (fun (mn, p50, p99, mx) ->
               J.Arr [ J.jfloat mn; J.jfloat p50; J.jfloat p99; J.jfloat mx ])
             rtt ) ]
   | Trace_report { src; dst; hops } ->
     tag "trace"
-      [ ("src", jstr src); ("dst", jstr dst); ("hops", J.Arr (List.map hop_to_json hops)) ]
+      [ ("src", J.jstr src); ("dst", J.jstr dst); ("hops", J.Arr (List.map hop_to_json hops)) ]
   | Perf_report { src; dst; result; bottleneck } ->
     tag "perf"
-      [ ("src", jstr src); ("dst", jstr dst);
+      [ ("src", J.jstr src); ("dst", J.jstr dst);
         ( "result",
-          jopt (fun (b, d, r) -> J.Arr [ J.jfloat b; J.jfloat d; J.jfloat r ]) result );
+          J.jopt (fun (b, d, r) -> J.Arr [ J.jfloat b; J.jfloat d; J.jfloat r ]) result );
         ( "bottleneck",
-          jopt (fun (a, b, u) -> J.Arr [ jstr a; jstr b; J.jfloat u ]) bottleneck ) ]
+          J.jopt (fun (a, b, u) -> J.Arr [ J.jstr a; J.jstr b; J.jfloat u ]) bottleneck ) ]
   | Dump_report { a; b; found; flows } ->
     tag "dump"
-      [ ("a", jstr a); ("b", jstr b); ("found", jbool found);
+      [ ("a", J.jstr a); ("b", J.jstr b); ("found", J.jbool found);
         ("flows", J.Arr (List.map dump_row_to_json flows)) ]
   | Check_report findings -> tag "check" [ ("findings", jstrs findings) ]
   | Heartbeat_report { injected; rounds; failing; first; suspects } ->
     tag "heartbeat"
-      [ ("injected", jopt jpair injected); ("rounds", J.jint rounds);
-        ("failing", J.jint failing); ("first", jopt J.jfloat first);
+      [ ("injected", J.jopt J.jpair injected); ("rounds", J.jint rounds);
+        ("failing", J.jint failing); ("first", J.jopt J.jfloat first);
         ("suspects", J.Arr (List.map suspect_to_json suspects)) ]
   | Heal_report h -> tag "heal" [ ("heal", heal_to_json h) ]
   | Scenario_names names -> tag "scenario_names" [ ("names", jkvs names) ]
-  | Scenario_unknown name -> tag "scenario_unknown" [ ("name", jstr name) ]
+  | Scenario_unknown name -> tag "scenario_unknown" [ ("name", J.jstr name) ]
   | Scenario_report s -> tag "scenario" [ ("scenario", scenario_to_json s) ]
-  | Csv s -> tag "csv" [ ("csv", jstr s) ]
-  | Health s -> tag "health" [ ("text", jstr s) ]
+  | Csv s -> tag "csv" [ ("csv", J.jstr s) ]
+  | Health s -> tag "health" [ ("text", J.jstr s) ]
   | Plan_report { intents; headroom; fits; scale; bottlenecks } ->
     tag "plan"
-      [ ("intents", J.jint intents); ("headroom", J.jfloat headroom); ("fits", jbool fits);
+      [ ("intents", J.jint intents); ("headroom", J.jfloat headroom); ("fits", J.jbool fits);
         ("scale", J.jfloat scale);
         ("bottlenecks", J.Arr (List.map bottleneck_to_json bottlenecks)) ]
   | Latency_report { flow; link_table; links } ->
     tag "latency"
-      [ ("flow", jopt jstr flow); ("link_table", jbool link_table);
+      [ ("flow", J.jopt J.jstr flow); ("link_table", J.jbool link_table);
         ("links", J.Arr (List.map sketch_row_to_json links)) ]
   | Scan_report { epoch; regs; digest; steps; drained; snapshot } ->
     tag "scan"
       [ ("epoch", J.jint epoch); ("regs", J.jint regs); ("digest", J.jhash digest);
-        ("steps", J.Arr (List.map step_to_json steps)); ("drained", jopt J.jint drained);
-        ("snapshot", jopt (fun s -> s) snapshot) ]
+        ("steps", J.Arr (List.map step_to_json steps)); ("drained", J.jopt J.jint drained);
+        ("snapshot", J.jopt (fun s -> s) snapshot) ]
   | Flow_ok { flow } -> tag "flow_ok" [ ("flow", J.jint flow) ]
   | Submit_ok { tenant; placements } ->
     tag "submit_ok" [ ("tenant", J.jint tenant); ("placements", jstrs placements) ]
@@ -381,7 +371,7 @@ let to_json = function
   | Fleet_status_report { hosts; rounds; digest; decisions; text; decision_log } ->
     tag "fleet_status"
       [ ("hosts", J.jint hosts); ("rounds", J.jint rounds); ("digest", J.jhash digest);
-        ("decisions", J.jhash decisions); ("text", jstr text);
+        ("decisions", J.jhash decisions); ("text", J.jstr text);
         ("decision_log", jstrs decision_log) ]
   | Bye -> tag "bye" []
 
@@ -390,7 +380,7 @@ let of_json j =
   let int k = J.as_int (J.field j k) in
   let num k = J.as_float (J.field j k) in
   let bool k = J.as_bool (J.field j k) in
-  let opt k f = opt_of (J.field j k) f in
+  let opt k f = J.opt_of (J.field j k) f in
   let list k f = List.map f (J.as_list (J.field j k)) in
   match
     match J.as_string (J.field j "resp") with
@@ -431,7 +421,7 @@ let of_json j =
     | "check" -> Check_report (strs_of (J.field j "findings"))
     | "heartbeat" ->
       Heartbeat_report
-        { injected = opt "injected" pair_of; rounds = int "rounds"; failing = int "failing";
+        { injected = opt "injected" J.pair_of; rounds = int "rounds"; failing = int "failing";
           first = opt "first" J.as_float; suspects = list "suspects" suspect_of_json }
     | "heal" -> Heal_report (heal_of_json (J.field j "heal"))
     | "scenario_names" -> Scenario_names (kvs_of (J.field j "names"))

@@ -1,9 +1,16 @@
 type t = { ddio : Ihnet_topology.Hostconfig.ddio }
 
 let create ddio = { ddio }
-let reuse_window = 100_000.0 (* 100 us *)
+
+(* Assumed producer→consumer delay for DMA'd data (100 µs: a busy
+   application polls its rings within tens of microseconds).
+   Calibrated so a single ~28 GB/s DDIO writer just fits the default
+   2-way/3 MiB I/O partition while two concurrent writers thrash it —
+   the §2 scenario. *)
+let reuse_window = 100_000.0
 let enabled t = match t.ddio with Ihnet_topology.Hostconfig.Ddio_off -> false | _ -> true
 
+(* bytes the I/O ways hold; 0 when DDIO is off *)
 let capacity_bytes t =
   match t.ddio with
   | Ihnet_topology.Hostconfig.Ddio_off -> 0.0

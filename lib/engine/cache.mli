@@ -17,17 +17,7 @@ type t
 
 val create : Ihnet_topology.Hostconfig.ddio -> t
 
-val reuse_window : Ihnet_util.Units.ns
-(** Assumed producer→consumer delay for DMA'd data (100 µs: a busy
-    application polls its rings within tens of microseconds).
-    Calibrated so a single ~28 GB/s DDIO writer just fits the default
-    2-way/3 MiB I/O partition while two concurrent writers thrash it —
-    the §2 scenario. *)
-
 val enabled : t -> bool
-
-val capacity_bytes : t -> float
-(** Bytes the I/O ways hold; 0 when DDIO is off. *)
 
 val hit_rate : t -> write_rate:float -> float
 (** [hit_rate t ~write_rate] for the aggregate DDIO write rate into

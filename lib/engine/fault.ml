@@ -28,3 +28,11 @@ let degrade ~capacity_factor ?(extra_latency = 0.0) () =
   { capacity_factor; extra_latency; loss_prob = 0.0 }
 
 let down = { capacity_factor = 0.0; extra_latency = 0.0; loss_prob = 1.0 }
+
+let describe f =
+  let parts =
+    (if f.capacity_factor < 1.0 then [ Printf.sprintf "capacity x%.2f" f.capacity_factor ] else [])
+    @ (if f.extra_latency > 0.0 then [ Printf.sprintf "+%.0f ns latency" f.extra_latency ] else [])
+    @ if f.loss_prob > 0.0 then [ Printf.sprintf "loss %.0f%%" (100.0 *. f.loss_prob) ] else []
+  in
+  if parts = [] then "no-op" else String.concat ", " parts

@@ -35,3 +35,8 @@ val degrade : capacity_factor:float -> ?extra_latency:Ihnet_util.Units.ns -> uni
 
 val down : link_fault
 (** Complete failure: zero capacity, all probes lost. *)
+
+val describe : link_fault -> string
+(** Compact human-readable parameter list for logs and CLIs, e.g.
+    ["capacity x0.05, +1000 ns latency"] or ["loss 10%"]; ["no-op"]
+    for a fault that changes nothing. *)

@@ -31,6 +31,14 @@ let cls_label = function
   | Probe -> "probe"
   | Induced -> "induced"
 
+let cls_of_label = function
+  | "payload" -> Some Payload
+  | "monitoring" -> Some Monitoring
+  | "heartbeat" -> Some Heartbeat
+  | "probe" -> Some Probe
+  | "induced" -> Some Induced
+  | _ -> None
+
 let effective_demand t = Float.min t.demand t.cap
 
 let eta_ns t =

@@ -49,6 +49,10 @@ type t = {
 
 val cls_label : cls -> string
 
+val cls_of_label : string -> cls option
+(** Inverse of {!cls_label}: [cls_of_label (cls_label c) = Some c];
+    [None] for a string that names no class. *)
+
 val effective_demand : t -> float
 (** [min demand cap] — the most the source may be given. *)
 

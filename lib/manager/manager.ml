@@ -17,7 +17,6 @@ type error = Mgr_error.t =
   | No_feasible_host of { tenant : int }
 
 let error_to_string = Mgr_error.to_string
-let pp_error = Mgr_error.pp
 
 type t = {
   fabric : Fabric.t;

@@ -32,7 +32,6 @@ type error = Mgr_error.t =
 val error_to_string : error -> string
 (** Byte-identical to the messages of the old stringly API. *)
 
-val pp_error : Format.formatter -> error -> unit
 
 type t
 

@@ -143,7 +143,6 @@ let feed t telemetry =
     names
 
 let alarms t = List.rev t.alarms
-let alarms_for t ~series = List.filter (fun (a : alarm) -> a.series = series) (alarms t)
 
 let first_alarm t = match alarms t with [] -> None | a :: _ -> Some a
 let clear_alarms t = t.alarms <- []

@@ -36,8 +36,9 @@ val watch_tail :
   t -> series:string -> ?p99_above:float -> ?p999_above:float -> unit -> unit
 (** Install {!Threshold} detectors on the [.p99] / [.p999] sub-series
     of a latency-percentile snapshot (see {!Telemetry.pct_series}) —
-    the tail-latency alarm over a {!Sampler.latency_series} or
-    {!Sampler.flow_latency_series}. Omitted bounds install nothing. *)
+    the tail-latency alarm over a {!Sampler.latency_series} or the
+    host-wide ["flow.latency"] snapshot the sampler records at flow
+    completions. Omitted bounds install nothing. *)
 
 val observe : t -> series:string -> at:Ihnet_util.Units.ns -> float -> unit
 (** Feed one sample directly to the detectors watching [series]. *)
@@ -50,7 +51,6 @@ val feed : t -> Telemetry.t -> unit
 val alarms : t -> alarm list
 (** All alarms so far, oldest first. *)
 
-val alarms_for : t -> series:string -> alarm list
 val first_alarm : t -> alarm option
 val clear_alarms : t -> unit
 

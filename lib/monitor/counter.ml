@@ -23,7 +23,6 @@ type t = {
   last_seen : (int, float * float) Hashtbl.t; (* resource -> (at, wire_bytes) as reported *)
   runs : (int, int) Hashtbl.t; (* resource -> consecutive zero-delta reads under load *)
   unhealthy : (T.Link.id * [ `Flatline | `Out_of_range ], unit) Hashtbl.t;
-  mutable reads : int;
 }
 
 let create ?(noise = 0.0) fabric ~fidelity =
@@ -38,7 +37,6 @@ let create ?(noise = 0.0) fabric ~fidelity =
     last_seen = Hashtbl.create 64;
     runs = Hashtbl.create 64;
     unhealthy = Hashtbl.create 8;
-    reads = 0;
   }
 
 let fidelity t = t.fidelity
@@ -129,7 +127,6 @@ let observe_health t link_id dir (r : reading) =
   Hashtbl.replace t.last_seen key (r.at, r.wire_bytes)
 
 let read t link_id dir ~tenants =
-  t.reads <- t.reads + 1;
   let raw =
     match t.fidelity with
     | Software | Oracle -> fresh_reading t link_id dir ~tenants
@@ -155,5 +152,3 @@ let ddio_hit_rate t ~socket =
   | Software -> None
   | Hardware _ | Oracle ->
     Some (Float.min 1.0 (noisy t (Fabric.ddio_hit_rate t.fabric ~socket)))
-
-let reads_issued t = t.reads

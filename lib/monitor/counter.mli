@@ -57,9 +57,6 @@ val ddio_hit_rate : t -> socket:int -> float option
 (** LLC I/O-way hit rate; [None] under [Software] fidelity (no CPU
     uncore access). *)
 
-val reads_issued : t -> int
-(** Total counter reads issued (for overhead accounting). *)
-
 val health : t -> (Ihnet_topology.Link.id * [ `Flatline | `Out_of_range ]) list
 (** Links whose {e reported} readings have ever violated a plausibility
     bound, sorted and deduplicated. [`Out_of_range]: a byte delta

@@ -35,8 +35,6 @@ let create ?(warmup = 64) ?(drift = 0.5) ?(threshold = 8.0) ~series () =
     last_fed_at = neg_infinity;
   }
 
-let dimensions t = Array.to_list t.series
-
 let zscores t x =
   Array.mapi
     (fun i v ->
@@ -113,11 +111,3 @@ let feed t telemetry =
 
 let alarms t = List.rev t.alarms
 let first_alarm t = match alarms t with [] -> None | a :: _ -> Some a
-
-let explain t x =
-  if t.seen < t.warmup then []
-  else begin
-    let z = zscores t x in
-    Array.to_list (Array.mapi (fun i v -> (t.series.(i), Float.abs v)) z)
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  end

@@ -37,8 +37,6 @@ val create :
     the feature vector, in order.
     @raise Invalid_argument on an empty series list. *)
 
-val dimensions : t -> string list
-
 val observe : t -> at:Ihnet_util.Units.ns -> float array -> verdict
 (** Feed one feature vector (same arity and order as [series]). After
     an alarm the accumulator resets.
@@ -66,7 +64,3 @@ val alarms : t -> alarm list
 (** All alarms so far, oldest first. *)
 
 val first_alarm : t -> alarm option
-
-val explain : t -> float array -> (string * float) list
-(** Per-dimension |z|-scores of a vector, largest first — which
-    modalities drive the anomaly. Empty during warm-up. *)

@@ -48,6 +48,8 @@ let tenant_series id dir ~tenant =
 
 let ddio_series ~socket = Printf.sprintf "ddio.%d.hit" socket
 let latency_series id dir = Printf.sprintf "link.%d.%s.latency" id (dir_label dir)
+(* the host-wide end-to-end flow-latency snapshot, recorded at flow
+   completions *)
 let flow_latency_series = "flow.latency"
 
 let sockets_of topo =

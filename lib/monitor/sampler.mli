@@ -67,7 +67,6 @@ val health :
 
 val util_series : Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> string
 val bytes_series : Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> string
-val tenant_series : Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> tenant:int -> string
 val ddio_series : socket:int -> string
 
 val latency_series : Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> string
@@ -76,6 +75,3 @@ val latency_series : Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> string
     (see {!Telemetry.pct_series}). Sampled only while the fabric's
     latency-sketch plane is enabled, once the sketch has samples. *)
 
-val flow_latency_series : string
-(** Base name of the host-wide end-to-end flow-latency snapshot,
-    recorded at flow completions (["flow.latency"]). *)

@@ -44,7 +44,6 @@ type fingerprint = {
 val fingerprint_of : scenario -> Trace.t -> fingerprint
 val fingerprint_to_string : fingerprint -> string
 val fingerprint_of_string : string -> (fingerprint, string) result
-val save_fingerprint : string -> fingerprint -> unit
 val load_fingerprint : string -> (fingerprint, string) result
 
 val diff : expected:fingerprint -> actual:fingerprint -> string list

@@ -24,7 +24,7 @@ let spec_of_flow (f : E.Flow.t) : Trace.flow_spec =
   {
     flow_id = f.E.Flow.id;
     tenant = f.E.Flow.tenant;
-    cls = E.Flow.cls_label f.E.Flow.cls;
+    cls = f.E.Flow.cls;
     weight = f.E.Flow.weight;
     floor = f.E.Flow.floor;
     cap = f.E.Flow.cap;
@@ -75,28 +75,6 @@ let digest ?(id_of = fun (f : E.Flow.t) -> f.E.Flow.id) ~at ~epoch fab =
     d_bytes = !bytes;
   }
 
-let fault_of (f : E.Fault.link_fault) : Trace.fault =
-  {
-    capacity_factor = f.E.Fault.capacity_factor;
-    extra_latency = f.E.Fault.extra_latency;
-    loss_prob = f.E.Fault.loss_prob;
-  }
-
-let starget_of : E.Sensorfault.target -> Trace.starget = function
-  | E.Sensorfault.Device d -> Trace.Sf_device d
-  | E.Sensorfault.Series s -> Trace.Sf_series s
-
-let sensor_fault_of (f : E.Sensorfault.sensor_fault) : Trace.sensor_fault =
-  {
-    sf_stuck = f.E.Sensorfault.stuck;
-    sf_drift = f.E.Sensorfault.drift;
-    sf_drop = f.E.Sensorfault.drop_prob;
-    sf_dup = f.E.Sensorfault.dup_prob;
-    sf_skew = f.E.Sensorfault.skew;
-    sf_probe_loss = f.E.Sensorfault.probe_loss;
-    sf_probe_slow = f.E.Sensorfault.probe_slow;
-  }
-
 let on_event t ev =
   if t.active then
     match (ev : E.Fabric.event) with
@@ -123,24 +101,17 @@ let on_event t ev =
                  };
            })
     | E.Fabric.Fault_injected (link, fault) ->
-      put t (Trace.Op { at = now t; op = Trace.Inject_fault { link; fault = fault_of fault } })
+      put t (Trace.Op { at = now t; op = Trace.Inject_fault { link; fault } })
     | E.Fabric.Fault_cleared link ->
       put t (Trace.Op { at = now t; op = Trace.Clear_fault link })
     | E.Fabric.All_faults_cleared ->
       put t (Trace.Op { at = now t; op = Trace.Clear_all_faults })
     | E.Fabric.Config_changed c ->
-      put t (Trace.Op { at = now t; op = Trace.Set_config (Trace.config_of_host c) })
-    | E.Fabric.Sensor_fault_injected (target, sf) ->
-      put t
-        (Trace.Op
-           {
-             at = now t;
-             op =
-               Trace.Inject_sensor_fault
-                 { starget = starget_of target; sf = sensor_fault_of sf };
-           })
+      put t (Trace.Op { at = now t; op = Trace.Set_config c })
+    | E.Fabric.Sensor_fault_injected (starget, sf) ->
+      put t (Trace.Op { at = now t; op = Trace.Inject_sensor_fault { starget; sf } })
     | E.Fabric.Sensor_fault_cleared target ->
-      put t (Trace.Op { at = now t; op = Trace.Clear_sensor_fault (starget_of target) })
+      put t (Trace.Op { at = now t; op = Trace.Clear_sensor_fault target })
     | E.Fabric.Synced -> put t (Trace.Op { at = now t; op = Trace.Sync })
     | E.Fabric.Batch_started -> put t (Trace.Op { at = now t; op = Trace.Batch_start })
     | E.Fabric.Batch_ended -> put t (Trace.Op { at = now t; op = Trace.Batch_end })
@@ -177,7 +148,7 @@ let attach ?(digest_every = 32) ?(label = "") ?preset ?(seed = 0) ~sink fabric =
          seed;
          label;
          digest_every;
-         host_config = Trace.config_of_host (T.Topology.config topo);
+         host_config = T.Topology.config topo;
        });
   E.Fabric.subscribe fabric (on_event t);
   E.Sim.set_tap (E.Fabric.sim fabric) (fun _ -> if t.active then t.nsteps <- t.nsteps + 1);

@@ -22,22 +22,13 @@ type report = {
   final_at : float;
 }
 
-let topology_of_preset preset (config : Trace.config) =
-  let config = Trace.host_of_config config in
+let topology_of_preset preset config =
   match preset with
   | "two-socket-server" -> Ok (T.Builder.two_socket_server ~config ())
   | "dgx-like" -> Ok (T.Builder.dgx_like ~config ())
   | "epyc-like" -> Ok (T.Builder.epyc_like ~config ())
   | "minimal" -> Ok (T.Builder.minimal ~config ())
   | p -> Error (Printf.sprintf "unknown topology preset %S (trace not replayable)" p)
-
-let cls_of_label = function
-  | "payload" -> Ok E.Flow.Payload
-  | "monitoring" -> Ok E.Flow.Monitoring
-  | "heartbeat" -> Ok E.Flow.Heartbeat
-  | "probe" -> Ok E.Flow.Probe
-  | "induced" -> Ok E.Flow.Induced
-  | c -> Error ("unknown flow class " ^ c)
 
 (* {1 Invariants} *)
 
@@ -193,10 +184,6 @@ let check_completion st (f : E.Flow.t) =
 
 (* {1 Command application} *)
 
-let starget_of : Trace.starget -> E.Sensorfault.target = function
-  | Trace.Sf_device d -> E.Sensorfault.Device d
-  | Trace.Sf_series s -> E.Sensorfault.Series s
-
 let apply st (op : Trace.op) =
   st.ops <- st.ops + 1;
   let at = E.Sim.now st.sim in
@@ -206,36 +193,36 @@ let apply st (op : Trace.op) =
   in
   match op with
   | Trace.Start_flow s -> (
-    match cls_of_label s.Trace.cls with
-    | Error e -> diverge st ~at ~epoch:st.epoch "malformed-op" e
-    | Ok cls -> (
-      match
-        List.map
-          (fun (lid, d) ->
-            { T.Path.link = T.Topology.link st.topo lid; dir = (if d = 0 then T.Link.Fwd else T.Link.Rev) })
-          s.Trace.hops
-      with
-      | hops ->
-        let path = { T.Path.src = s.Trace.src; dst = s.Trace.dst; hops } in
-        (* map the id the fabric is about to assign *before* starting:
-           the start's own reallocation may hit a digest epoch, and the
-           digest must already see this flow under its recorded id *)
-        Hashtbl.replace st.rev st.next_id s.Trace.flow_id;
-        let f =
-          E.Fabric.start_flow st.fab ~tenant:s.Trace.tenant ~cls ~weight:s.Trace.weight
-            ~floor:s.Trace.floor ~cap:s.Trace.cap ~demand:s.Trace.demand
-            ~payload_bytes:s.Trace.payload_bytes ~working_set_pages:s.Trace.working_set_pages
-            ~llc_target:s.Trace.llc_target ~path
-            ~size:(match s.Trace.size with Some b -> E.Flow.Bytes b | None -> E.Flow.Unbounded)
-            ()
-        in
-        st.next_id <- f.E.Flow.id + 1;
-        Hashtbl.replace st.fwd s.Trace.flow_id f;
-        Hashtbl.replace st.rev f.E.Flow.id s.Trace.flow_id
-      | exception Not_found ->
-        diverge st ~at ~epoch:st.epoch "malformed-op"
-          (Printf.sprintf "flow %d path references a link unknown to preset topology"
-             s.Trace.flow_id)))
+    match
+      List.map
+        (fun (lid, d) ->
+          {
+            T.Path.link = T.Topology.link st.topo lid;
+            dir = (if d = 0 then T.Link.Fwd else T.Link.Rev);
+          })
+        s.Trace.hops
+    with
+    | hops ->
+      let path = { T.Path.src = s.Trace.src; dst = s.Trace.dst; hops } in
+      (* map the id the fabric is about to assign *before* starting:
+         the start's own reallocation may hit a digest epoch, and the
+         digest must already see this flow under its recorded id *)
+      Hashtbl.replace st.rev st.next_id s.Trace.flow_id;
+      let f =
+        E.Fabric.start_flow st.fab ~tenant:s.Trace.tenant ~cls:s.Trace.cls ~weight:s.Trace.weight
+          ~floor:s.Trace.floor ~cap:s.Trace.cap ~demand:s.Trace.demand
+          ~payload_bytes:s.Trace.payload_bytes ~working_set_pages:s.Trace.working_set_pages
+          ~llc_target:s.Trace.llc_target ~path
+          ~size:(match s.Trace.size with Some b -> E.Flow.Bytes b | None -> E.Flow.Unbounded)
+          ()
+      in
+      st.next_id <- f.E.Flow.id + 1;
+      Hashtbl.replace st.fwd s.Trace.flow_id f;
+      Hashtbl.replace st.rev f.E.Flow.id s.Trace.flow_id
+    | exception Not_found ->
+      diverge st ~at ~epoch:st.epoch "malformed-op"
+        (Printf.sprintf "flow %d path references a link unknown to preset topology"
+           s.Trace.flow_id))
   | Trace.Stop_flow id -> (
     match Hashtbl.find_opt st.fwd id with
     | Some f -> E.Fabric.stop_flow st.fab f
@@ -244,29 +231,12 @@ let apply st (op : Trace.op) =
     match Hashtbl.find_opt st.fwd flow_id with
     | Some f -> E.Fabric.set_flow_limits st.fab f ~weight ~floor ~cap ()
     | None -> missing flow_id "set_limits")
-  | Trace.Inject_fault { link; fault } ->
-    E.Fabric.inject_fault st.fab link
-      {
-        E.Fault.capacity_factor = fault.Trace.capacity_factor;
-        extra_latency = fault.Trace.extra_latency;
-        loss_prob = fault.Trace.loss_prob;
-      }
+  | Trace.Inject_fault { link; fault } -> E.Fabric.inject_fault st.fab link fault
   | Trace.Clear_fault link -> E.Fabric.clear_fault st.fab link
   | Trace.Clear_all_faults -> E.Fabric.clear_all_faults st.fab
-  | Trace.Inject_sensor_fault { starget; sf } ->
-    E.Fabric.inject_sensor_fault st.fab (starget_of starget)
-      {
-        E.Sensorfault.stuck = sf.Trace.sf_stuck;
-        drift = sf.Trace.sf_drift;
-        drop_prob = sf.Trace.sf_drop;
-        dup_prob = sf.Trace.sf_dup;
-        skew = sf.Trace.sf_skew;
-        probe_loss = sf.Trace.sf_probe_loss;
-        probe_slow = sf.Trace.sf_probe_slow;
-      }
-  | Trace.Clear_sensor_fault starget ->
-    E.Fabric.clear_sensor_fault st.fab (starget_of starget)
-  | Trace.Set_config c -> E.Fabric.set_config st.fab (Trace.host_of_config c)
+  | Trace.Inject_sensor_fault { starget; sf } -> E.Fabric.inject_sensor_fault st.fab starget sf
+  | Trace.Clear_sensor_fault starget -> E.Fabric.clear_sensor_fault st.fab starget
+  | Trace.Set_config c -> E.Fabric.set_config st.fab c
   | Trace.Sync -> E.Fabric.refresh st.fab
   | Trace.Batch_start | Trace.Batch_end ->
     (* batches are grouped during scheduling; bare markers are no-ops *)

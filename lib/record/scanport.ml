@@ -313,6 +313,7 @@ let summary ?remediation ?evidence fab =
 
 let find s path = List.find_map (fun r -> if r.rpath = path then Some r.rvalue else None) s.s_regs
 
+(* exact textual form: floats at 17 significant digits *)
 let render_value = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.17g" f

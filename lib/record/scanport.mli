@@ -96,9 +96,6 @@ val summary :
 val find : snapshot -> string -> value option
 (** Look up one register by exact path. *)
 
-val render_value : value -> string
-(** Exact textual form (floats at 17 significant digits). *)
-
 (** {1 Codec}
 
     A snapshot serializes as a single JSON object using {!Trace}'s

@@ -1,4 +1,5 @@
-module T = Ihnet_topology
+module E = Ihnet_engine
+module H = Ihnet_topology.Hostconfig
 
 type digest = {
   d_at : float;
@@ -62,33 +63,10 @@ let fnv_add_floats st (a : float array) =
   done;
   set64 st 0 !h
 
-type fault = { capacity_factor : float; extra_latency : float; loss_prob : float }
-
-type starget = Sf_device of int | Sf_series of string
-
-type sensor_fault = {
-  sf_stuck : bool;
-  sf_drift : float;
-  sf_drop : float;
-  sf_dup : float;
-  sf_skew : float;
-  sf_probe_loss : float;
-  sf_probe_slow : float;
-}
-
-type config = {
-  iommu : (int * float * float) option;
-  ddio : (int * int * float) option;
-  pcie_mps : int;
-  relaxed_ordering : bool;
-  acs : bool;
-  interrupt_moderation : float;
-}
-
 type flow_spec = {
   flow_id : int;
   tenant : int;
-  cls : string;
+  cls : E.Flow.cls;
   weight : float;
   floor : float;
   cap : float;
@@ -106,12 +84,12 @@ type op =
   | Start_flow of flow_spec
   | Stop_flow of int
   | Set_limits of { flow_id : int; weight : float; floor : float; cap : float }
-  | Inject_fault of { link : int; fault : fault }
+  | Inject_fault of { link : int; fault : E.Fault.link_fault }
   | Clear_fault of int
   | Clear_all_faults
-  | Inject_sensor_fault of { starget : starget; sf : sensor_fault }
-  | Clear_sensor_fault of starget
-  | Set_config of config
+  | Inject_sensor_fault of { starget : E.Sensorfault.target; sf : E.Sensorfault.sensor_fault }
+  | Clear_sensor_fault of E.Sensorfault.target
+  | Set_config of H.t
   | Sync
   | Batch_start
   | Batch_end
@@ -122,7 +100,7 @@ type header = {
   seed : int;
   label : string;
   digest_every : int;
-  host_config : config;
+  host_config : H.t;
 }
 
 type line =
@@ -134,40 +112,6 @@ type line =
   | Final of digest
 
 let version = 1
-
-let config_of_host (c : T.Hostconfig.t) =
-  {
-    iommu =
-      (match c.T.Hostconfig.iommu with
-      | T.Hostconfig.Iommu_off -> None
-      | T.Hostconfig.Iommu_on { iotlb_entries; hit_latency; miss_penalty } ->
-        Some (iotlb_entries, hit_latency, miss_penalty));
-    ddio =
-      (match c.T.Hostconfig.ddio with
-      | T.Hostconfig.Ddio_off -> None
-      | T.Hostconfig.Ddio_on { llc_ways; io_ways; way_size } -> Some (llc_ways, io_ways, way_size));
-    pcie_mps = c.T.Hostconfig.pcie_mps;
-    relaxed_ordering = c.T.Hostconfig.relaxed_ordering;
-    acs = c.T.Hostconfig.acs;
-    interrupt_moderation = c.T.Hostconfig.interrupt_moderation;
-  }
-
-let host_of_config (c : config) : T.Hostconfig.t =
-  {
-    T.Hostconfig.iommu =
-      (match c.iommu with
-      | None -> T.Hostconfig.Iommu_off
-      | Some (iotlb_entries, hit_latency, miss_penalty) ->
-        T.Hostconfig.Iommu_on { iotlb_entries; hit_latency; miss_penalty });
-    ddio =
-      (match c.ddio with
-      | None -> T.Hostconfig.Ddio_off
-      | Some (llc_ways, io_ways, way_size) -> T.Hostconfig.Ddio_on { llc_ways; io_ways; way_size });
-    pcie_mps = c.pcie_mps;
-    relaxed_ordering = c.relaxed_ordering;
-    acs = c.acs;
-    interrupt_moderation = c.interrupt_moderation;
-  }
 
 (* {1 A minimal JSON model — no external dependencies allowed} *)
 
@@ -190,6 +134,10 @@ let jfloat f =
 
 let jint i = Num (float_of_int i)
 let jhash h = Str (Printf.sprintf "0x%016Lx" h)
+let jstr s = Str s
+let jbool b = Bool b
+let jopt f = function None -> Null | Some v -> f v
+let jpair (a, b) = Arr [ Str a; Str b ]
 
 let emit_string b s =
   Buffer.add_char b '"';
@@ -407,37 +355,65 @@ let as_hash j =
   | Some h -> h
   | None -> raise (Parse_error ("bad hash " ^ s))
 
+let opt_of j f = match j with Null -> None | j -> Some (f j)
+
+let pair_of = function
+  | Arr [ a; b ] -> (as_string a, as_string b)
+  | _ -> raise (Parse_error "expected a two-string pair")
+
 (* {1 Line encoding} *)
 
-let config_to_json (c : config) =
+let config_to_json (c : H.t) =
   Obj
     [
       ( "iommu",
-        match c.iommu with
-        | None -> Null
-        | Some (e, h, m) -> Obj [ ("entries", jint e); ("hit", jfloat h); ("miss", jfloat m) ] );
+        match c.H.iommu with
+        | H.Iommu_off -> Null
+        | H.Iommu_on { iotlb_entries; hit_latency; miss_penalty } ->
+          Obj
+            [
+              ("entries", jint iotlb_entries);
+              ("hit", jfloat hit_latency);
+              ("miss", jfloat miss_penalty);
+            ] );
       ( "ddio",
-        match c.ddio with
-        | None -> Null
-        | Some (lw, iw, ws) ->
-          Obj [ ("llc_ways", jint lw); ("io_ways", jint iw); ("way_size", jfloat ws) ] );
-      ("mps", jint c.pcie_mps);
-      ("ro", Bool c.relaxed_ordering);
-      ("acs", Bool c.acs);
-      ("int_mod", jfloat c.interrupt_moderation);
+        match c.H.ddio with
+        | H.Ddio_off -> Null
+        | H.Ddio_on { llc_ways; io_ways; way_size } ->
+          Obj
+            [
+              ("llc_ways", jint llc_ways);
+              ("io_ways", jint io_ways);
+              ("way_size", jfloat way_size);
+            ] );
+      ("mps", jint c.H.pcie_mps);
+      ("ro", Bool c.H.relaxed_ordering);
+      ("acs", Bool c.H.acs);
+      ("int_mod", jfloat c.H.interrupt_moderation);
     ]
 
 let config_of_json j =
   {
-    iommu =
+    H.iommu =
       (match field j "iommu" with
-      | Null -> None
-      | o -> Some (as_int (field o "entries"), as_float (field o "hit"), as_float (field o "miss")));
+      | Null -> H.Iommu_off
+      | o ->
+        H.Iommu_on
+          {
+            iotlb_entries = as_int (field o "entries");
+            hit_latency = as_float (field o "hit");
+            miss_penalty = as_float (field o "miss");
+          });
     ddio =
       (match field j "ddio" with
-      | Null -> None
+      | Null -> H.Ddio_off
       | o ->
-        Some (as_int (field o "llc_ways"), as_int (field o "io_ways"), as_float (field o "way_size")));
+        H.Ddio_on
+          {
+            llc_ways = as_int (field o "llc_ways");
+            io_ways = as_int (field o "io_ways");
+            way_size = as_float (field o "way_size");
+          });
     pcie_mps = as_int (field j "mps");
     relaxed_ordering = as_bool (field j "ro");
     acs = as_bool (field j "acs");
@@ -449,7 +425,7 @@ let spec_to_json (s : flow_spec) =
     [
       ("id", jint s.flow_id);
       ("tenant", jint s.tenant);
-      ("cls", Str s.cls);
+      ("cls", Str (E.Flow.cls_label s.cls));
       ("weight", jfloat s.weight);
       ("floor", jfloat s.floor);
       ("cap", jfloat s.cap);
@@ -457,7 +433,7 @@ let spec_to_json (s : flow_spec) =
       ("payload", jint s.payload_bytes);
       ("wsp", jint s.working_set_pages);
       ("llc", Bool s.llc_target);
-      ("size", (match s.size with None -> Null | Some b -> jfloat b));
+      ("size", jopt jfloat s.size);
       ("src", jint s.src);
       ("dst", jint s.dst);
       ("hops", Arr (List.map (fun (l, d) -> Arr [ jint l; jint d ]) s.hops));
@@ -467,7 +443,11 @@ let spec_of_json j =
   {
     flow_id = as_int (field j "id");
     tenant = as_int (field j "tenant");
-    cls = as_string (field j "cls");
+    cls =
+      (let c = as_string (field j "cls") in
+       match E.Flow.cls_of_label c with
+       | Some cls -> cls
+       | None -> raise (Parse_error ("unknown flow class " ^ c)));
     weight = as_float (field j "weight");
     floor = as_float (field j "floor");
     cap = as_float (field j "cap");
@@ -475,7 +455,7 @@ let spec_of_json j =
     payload_bytes = as_int (field j "payload");
     working_set_pages = as_int (field j "wsp");
     llc_target = as_bool (field j "llc");
-    size = (match field j "size" with Null -> None | v -> Some (as_float v));
+    size = opt_of (field j "size") as_float;
     src = as_int (field j "src");
     dst = as_int (field j "dst");
     hops =
@@ -488,13 +468,13 @@ let spec_of_json j =
   }
 
 let starget_field = function
-  | Sf_device d -> ("dev", jint d)
-  | Sf_series s -> ("series", Str s)
+  | E.Sensorfault.Device d -> ("dev", jint d)
+  | E.Sensorfault.Series s -> ("series", Str s)
 
 let starget_of_json j =
   match field_opt j "dev" with
-  | Some d -> Sf_device (as_int d)
-  | None -> Sf_series (as_string (field j "series"))
+  | Some d -> E.Sensorfault.Device (as_int d)
+  | None -> E.Sensorfault.Series (as_string (field j "series"))
 
 let op_to_fields = function
   | Start_flow s -> [ ("op", Str "start"); ("flow", spec_to_json s) ]
@@ -511,9 +491,9 @@ let op_to_fields = function
     [
       ("op", Str "fault");
       ("link", jint link);
-      ("cf", jfloat fault.capacity_factor);
-      ("lat", jfloat fault.extra_latency);
-      ("loss", jfloat fault.loss_prob);
+      ("cf", jfloat fault.E.Fault.capacity_factor);
+      ("lat", jfloat fault.E.Fault.extra_latency);
+      ("loss", jfloat fault.E.Fault.loss_prob);
     ]
   | Clear_fault link -> [ ("op", Str "clear"); ("link", jint link) ]
   | Clear_all_faults -> [ ("op", Str "clear_all") ]
@@ -521,13 +501,13 @@ let op_to_fields = function
     ("op", Str "sensor_fault")
     :: starget_field starget
     :: [
-         ("stuck", Bool sf.sf_stuck);
-         ("drift", jfloat sf.sf_drift);
-         ("drop", jfloat sf.sf_drop);
-         ("dup", jfloat sf.sf_dup);
-         ("skew", jfloat sf.sf_skew);
-         ("ploss", jfloat sf.sf_probe_loss);
-         ("pslow", jfloat sf.sf_probe_slow);
+         ("stuck", Bool sf.E.Sensorfault.stuck);
+         ("drift", jfloat sf.E.Sensorfault.drift);
+         ("drop", jfloat sf.E.Sensorfault.drop_prob);
+         ("dup", jfloat sf.E.Sensorfault.dup_prob);
+         ("skew", jfloat sf.E.Sensorfault.skew);
+         ("ploss", jfloat sf.E.Sensorfault.probe_loss);
+         ("pslow", jfloat sf.E.Sensorfault.probe_slow);
        ]
   | Clear_sensor_fault starget -> [ ("op", Str "sensor_clear"); starget_field starget ]
   | Set_config c -> [ ("op", Str "config"); ("config", config_to_json c) ]
@@ -553,7 +533,7 @@ let op_of_json j =
         link = as_int (field j "link");
         fault =
           {
-            capacity_factor = as_float (field j "cf");
+            E.Fault.capacity_factor = as_float (field j "cf");
             extra_latency = as_float (field j "lat");
             loss_prob = as_float (field j "loss");
           };
@@ -566,13 +546,13 @@ let op_of_json j =
         starget = starget_of_json j;
         sf =
           {
-            sf_stuck = as_bool (field j "stuck");
-            sf_drift = as_float (field j "drift");
-            sf_drop = as_float (field j "drop");
-            sf_dup = as_float (field j "dup");
-            sf_skew = as_float (field j "skew");
-            sf_probe_loss = as_float (field j "ploss");
-            sf_probe_slow = as_float (field j "pslow");
+            E.Sensorfault.stuck = as_bool (field j "stuck");
+            drift = as_float (field j "drift");
+            drop_prob = as_float (field j "drop");
+            dup_prob = as_float (field j "dup");
+            skew = as_float (field j "skew");
+            probe_loss = as_float (field j "ploss");
+            probe_slow = as_float (field j "pslow");
           };
       }
   | "sensor_clear" -> Clear_sensor_fault (starget_of_json j)

@@ -62,36 +62,10 @@ val fnv_add_floats : fnv -> float array -> unit
 
 (** {1 Lines} *)
 
-type fault = { capacity_factor : float; extra_latency : float; loss_prob : float }
-
-type starget = Sf_device of int | Sf_series of string
-(** Sensor-fault target: a device id or a telemetry series name
-    (mirrors {!Ihnet_engine.Sensorfault.target} without the engine
-    dependency in the codec types). *)
-
-type sensor_fault = {
-  sf_stuck : bool;
-  sf_drift : float;
-  sf_drop : float;
-  sf_dup : float;
-  sf_skew : float;
-  sf_probe_loss : float;
-  sf_probe_slow : float;
-}
-
-type config = {
-  iommu : (int * float * float) option;  (** entries, hit, miss penalty. *)
-  ddio : (int * int * float) option;  (** llc ways, io ways, way size. *)
-  pcie_mps : int;
-  relaxed_ordering : bool;
-  acs : bool;
-  interrupt_moderation : float;
-}
-
 type flow_spec = {
   flow_id : int;
   tenant : int;
-  cls : string;
+  cls : Ihnet_engine.Flow.cls;  (** Written as {!Ihnet_engine.Flow.cls_label}. *)
   weight : float;
   floor : float;
   cap : float;
@@ -109,15 +83,18 @@ type op =
   | Start_flow of flow_spec
   | Stop_flow of int
   | Set_limits of { flow_id : int; weight : float; floor : float; cap : float }
-  | Inject_fault of { link : int; fault : fault }
+  | Inject_fault of { link : int; fault : Ihnet_engine.Fault.link_fault }
   | Clear_fault of int
   | Clear_all_faults
-  | Inject_sensor_fault of { starget : starget; sf : sensor_fault }
+  | Inject_sensor_fault of {
+      starget : Ihnet_engine.Sensorfault.target;
+      sf : Ihnet_engine.Sensorfault.sensor_fault;
+    }
       (** Telemetry-plane fault (additive in version 1: older traces
           simply contain none; these ops are epoch-neutral — they never
           reallocate — so digest alignment is unaffected). *)
-  | Clear_sensor_fault of starget
-  | Set_config of config
+  | Clear_sensor_fault of Ihnet_engine.Sensorfault.target
+  | Set_config of Ihnet_topology.Hostconfig.t
   | Sync  (** An observation-driven counter sync (see {!Ihnet_engine.Fabric.event}). *)
   | Batch_start
   | Batch_end
@@ -128,7 +105,7 @@ type header = {
   seed : int;
   label : string;
   digest_every : int;
-  host_config : config;  (** Configuration at attach time. *)
+  host_config : Ihnet_topology.Hostconfig.t;  (** Configuration at attach time. *)
 }
 
 type line =
@@ -140,9 +117,6 @@ type line =
   | Final of digest
 
 val version : int
-
-val config_of_host : Ihnet_topology.Hostconfig.t -> config
-val host_of_config : config -> Ihnet_topology.Hostconfig.t
 
 val line_to_string : line -> string
 (** One line of JSON, no trailing newline. *)
@@ -194,16 +168,31 @@ val jfloat : float -> json
 
 val jint : int -> json
 val jhash : int64 -> json
+val jstr : string -> json
+val jbool : bool -> json
+
+val jopt : ('a -> json) -> 'a option -> json
+(** [None] travels as [Null]. *)
+
+val jpair : string * string -> json
+(** A two-string array. *)
 
 val field : json -> string -> json
 (** @raise Parse_error when missing or not an object. *)
 
-val field_opt : json -> string -> json option
 val as_float : json -> float
 val as_int : json -> int
 val as_string : json -> string
 val as_bool : json -> bool
 val as_list : json -> json list
 val as_hash : json -> int64
+
+val opt_of : json -> (json -> 'a) -> 'a option
+(** Inverse of {!jopt}: [Null] is [None]. *)
+
+val pair_of : json -> string * string
+(** Inverse of {!jpair}.
+    @raise Parse_error on anything else. *)
+
 val digest_to_json : digest -> json
 val digest_of_json : json -> digest

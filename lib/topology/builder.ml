@@ -83,6 +83,7 @@ let attach_pcie topo ~parent ~child ?(gen = Pcie.Gen4) ?(lanes = 16) () =
     (Topology.add_link topo ~kind:(Link.Pcie pcie) ~a:parent ~b:child
        ~capacity:(Pcie.raw_bandwidth pcie) ~base_latency:pcie_hop_lat)
 
+(* the external-network device, created on first use *)
 let ensure_ext topo =
   match Topology.device_by_name topo "ext" with
   | Some d -> d.Device.id

@@ -57,9 +57,6 @@ val attach_pcie :
   Topology.t -> parent:Device.id -> child:Device.id -> ?gen:Pcie.gen -> ?lanes:int -> unit -> unit
 (** A PCIe link (default gen4 x16) with the standard hop latency. *)
 
-val ensure_ext : Topology.t -> Device.id
-(** The external-network device, created on first use. *)
-
 val link_inter_host : Topology.t -> nic:Device.t -> gbps:float -> unit
 (** NIC ↔ external network at the port speed. *)
 

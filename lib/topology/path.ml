@@ -11,14 +11,9 @@ let hop_count t = List.length t.hops
 let base_latency t =
   List.fold_left (fun acc h -> acc +. h.link.Link.base_latency) 0.0 t.hops
 
-let bottleneck_capacity t =
-  List.fold_left (fun acc h -> Float.min acc h.link.Link.capacity) infinity t.hops
-
 let concat a b =
   if a.dst <> b.src then invalid_arg "Path.concat: paths do not chain";
   { src = a.src; dst = b.dst; hops = a.hops @ b.hops }
-
-let mem_link t id = List.exists (fun h -> h.link.Link.id = id) t.hops
 
 let well_formed _topo t =
   let rec walk cur = function

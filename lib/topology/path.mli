@@ -23,15 +23,10 @@ val hop_count : t -> int
 val base_latency : t -> Ihnet_util.Units.ns
 (** Sum of link base latencies (the zero-load path latency). *)
 
-val bottleneck_capacity : t -> Ihnet_util.Units.bytes_per_s
-(** Minimum link capacity along the path; [infinity] for an empty
-    path. *)
-
 val concat : t -> t -> t
 (** [concat a b] joins two paths end to end.
     @raise Invalid_argument unless [a.dst = b.src]. *)
 
-val mem_link : t -> Link.id -> bool
 val well_formed : Topology.t -> t -> bool
 (** Hops chain correctly from [src] to [dst]. *)
 

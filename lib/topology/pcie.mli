@@ -34,16 +34,10 @@ val raw_bandwidth : t -> Ihnet_util.Units.bytes_per_s
 (** Coded link bandwidth per direction (what datasheets quote), e.g.
     gen4 x16 ≈ 31.5 GB/s ≈ 252 Gb/s — the "~256 Gbps" of Figure 1. *)
 
-val tlp_header_bytes : int
-(** Conservative per-TLP overhead: 18 B framing/seq/CRC + 12 B header
-    (3-DW, 32-bit addressing) ≈ 30 B with ECRC; we use 26 B, mid-range
-    of the SIGCOMM'18 model. *)
-
 val payload_efficiency : mps:int -> float
-(** [payload_efficiency ~mps] is [mps / (mps + tlp_header_bytes)]. *)
-
-val effective_bandwidth : t -> mps:int -> Ihnet_util.Units.bytes_per_s
-(** DMA goodput per direction given the MaxPayloadSize in force. *)
+(** [payload_efficiency ~mps] is [mps / (mps + h)], where [h] is the
+    per-TLP overhead (26 B: framing, sequence number, CRC and a 3-DW
+    header). *)
 
 val label : t -> string
 (** e.g. ["gen4 x16"]. *)

@@ -82,8 +82,6 @@ let neighbors t id = List.rev t.adjacency.(id)
 let links_between t a b =
   List.filter_map (fun (l, peer) -> if peer = b then Some l else None) t.adjacency.(a)
 
-let endpoint_of _t (l : Link.t) = function Link.Fwd -> l.b | Link.Rev -> l.a
-
 (* "Higher" in the PCIe hierarchy: root complex > root port > switch >
    endpoint. Upstream link = the one whose upper endpoint is a root
    port/complex. *)

@@ -47,10 +47,6 @@ val neighbors : t -> Device.id -> (Link.t * Device.id) list
 
 val links_between : t -> Device.id -> Device.id -> Link.t list
 
-val endpoint_of : t -> Link.t -> Link.dir -> Device.id
-(** [endpoint_of t l dir] is the device the link enters when traversed
-    in [dir] ([Fwd] enters [l.b]). *)
-
 val pcie_position : t -> Link.t -> [ `Upstream | `Downstream | `Not_pcie ]
 (** Figure 1 distinguishes switch upstream (3) from downstream (4)
     links. A PCIe link is [`Upstream] when its topologically higher

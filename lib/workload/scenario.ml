@@ -78,6 +78,8 @@ let loopback fabric =
         Rdma.stop_loopback agg);
   }
 
+(* two 200G NICs DDIO-writing into socket 0 (tenants 1, 2); metrics:
+   hit rate, induced memory traffic *)
 let ddio_thrash fabric =
   let w1 =
     Fabric.start_flow fabric ~tenant:1 ~llc_target:true ~path:(route fabric "nic0" "socket0")
@@ -105,6 +107,9 @@ let ddio_thrash fabric =
         Fabric.stop_flow fabric w2);
   }
 
+(* E12's baseline (tenants 1–3: LLC writer, striped direct DMA,
+   striped reads), with no anomaly injected; metrics: ddio hit,
+   aggregate rates *)
 let gray_failure fabric =
   let flows = ref [] in
   let start f = flows := f :: !flows in

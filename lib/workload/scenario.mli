@@ -24,16 +24,9 @@ val loopback : Ihnet_engine.Fabric.t -> handle
     RDMA loopback (tenant 2) on the same NIC. Metrics: victim rate and
     latency, aggressor rate. *)
 
-val ddio_thrash : Ihnet_engine.Fabric.t -> handle
-(** Two 200G NICs DDIO-writing into socket 0 (tenants 1, 2). Metrics:
-    hit rate, induced memory traffic. *)
-
-val gray_failure : Ihnet_engine.Fabric.t -> handle
-(** E12's baseline (tenants 1–3: LLC writer, striped direct DMA,
-    striped reads); call [stop] to tear down — inject the anomaly
-    yourself. Metrics: ddio hit, aggregate rates. *)
-
 val all : (string * string) list
-(** (name, description) of every scenario. *)
+(** (name, description) of every scenario: the two above, plus
+    ["ddio-thrash"] (two 200G NICs DDIO-writing into socket 0) and
+    ["gray-failure"] (E12's baseline), which only {!find} builds. *)
 
 val find : string -> (Ihnet_engine.Fabric.t -> handle) option

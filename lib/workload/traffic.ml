@@ -64,16 +64,6 @@ let constant_stream fabric ~tenant ?(cls = Flow.Payload) ?payload_bytes ?(llc_ta
   track stream flow;
   stream
 
-let elastic_stream fabric ~tenant ?(cls = Flow.Payload) ?payload_bytes ?(llc_target = false)
-    ?weight ~path () =
-  let stream = make fabric in
-  let flow =
-    Fabric.start_flow fabric ~tenant ~cls ?payload_bytes ~llc_target ?weight ~path
-      ~size:Flow.Unbounded ()
-  in
-  track stream flow;
-  stream
-
 let on_off_stream fabric ~tenant ?(cls = Flow.Payload) ?(llc_target = false) ~rate ~period ~duty
     ~path () =
   assert (duty > 0.0 && duty <= 1.0 && period > 0.0 && rate > 0.0);

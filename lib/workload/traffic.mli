@@ -47,19 +47,6 @@ val constant_stream :
   stream
 (** An unbounded flow whose source offers exactly [rate] bytes/s. *)
 
-val elastic_stream :
-  Fabric.t ->
-  tenant:int ->
-  ?cls:Flow.cls ->
-  ?payload_bytes:int ->
-  ?llc_target:bool ->
-  ?weight:float ->
-  path:Ihnet_topology.Path.t ->
-  unit ->
-  stream
-(** An unbounded flow that takes whatever the fabric gives (a bulk
-    copy, an aggressor). *)
-
 val on_off_stream :
   Fabric.t ->
   tenant:int ->

@@ -46,6 +46,10 @@ expect_any() {
   fi
 }
 
+# a daemon run that should exit at once, bounded in case it serves
+bounded=""
+if command -v timeout >/dev/null 2>&1; then bounded="timeout 20"; fi
+
 expect scan-summary 0 \
   '^scan: epoch [0-9]+, [0-9]+ registers, digest 0x[0-9a-f]{16}$' \
   "$CTL" scan --load --ms 2 -o "$tmp/a.scan.json"
@@ -78,6 +82,24 @@ expect_any scenario-kv-p99 0 \
 expect faults 0 \
   '^trace .*: [0-9]+ link fault\(s\), [0-9]+ sensor fault\(s\) active at end$' \
   "$CTL" faults "$tmp/e5.trace.jsonl"
+"$CTL" record -s e17 -o "$tmp/e17.trace.jsonl" >/dev/null 2>&1
+expect faults-timeline 0 \
+  '^ +2000000  link 28   fault: capacity x0\.05$' \
+  "$CTL" faults -t "$tmp/e17.trace.jsonl"
+
+# Topology files: the file's own config line holds, and one that does
+# not parse exits 2 naming the file and line, from either binary
+"$CTL" spec | sed 's/^config .*/config ddio=off mps=128/' >"$tmp/cfg.topo"
+expect_any topo-file-config 0 \
+  '^config: .* ddio=off mps=128 ' \
+  "$CTL" topo -f "$tmp/cfg.topo"
+printf 'host broken\nswitch sw0 at 9:9\n' >"$tmp/bad.topo"
+expect topo-file-malformed 2 \
+  "^.*bad\\.topo: line 2: " \
+  "$CTL" topo -f "$tmp/bad.topo"
+expect daemon-topo-file-malformed 2 \
+  "^.*bad\\.topo: line 2: " \
+  $bounded "$DAEMON" --topo-file "$tmp/bad.topo" --socket "$tmp/never.sock" --no-trace
 
 expect fleet 0 \
   '^fleet: 3 host\(s\), 4 tenant\(s\), seed 42$' \
@@ -181,8 +203,6 @@ else
   # truncates) its trace file, and a regular file at the path is
   # refused untouched; a daemon that took the path over would serve
   # forever, hence the time bound
-  bounded=""
-  if command -v timeout >/dev/null 2>&1; then bounded="timeout 20"; fi
   printf 'kept\n' >"$tmp/second.trace.jsonl"
   expect daemon-socket-live 1 \
     "^ihnetd: .*d\\.sock: a server is already listening on this socket$" \
@@ -212,6 +232,23 @@ else
     "$CTL" replay "$dtrace"
 fi
 
+# A daemon serving a topology file: check inspects the served host (it
+# once checked a fresh minimal host and reported it clean)
+"$CTL" spec | sed 's/^nic  nic0 on sw0 port=200$/nic  nic0 on sw0 port=400/' >"$tmp/fast.topo"
+csock="$tmp/c.sock"
+"$DAEMON" --topo-file "$tmp/fast.topo" --socket "$csock" --no-trace 2>"$tmp/c.err" &
+cpid=$!
+if ! await_socket "$csock"; then
+  echo "FAIL topo-daemon-start: socket never appeared ($(cat "$tmp/c.err"))"
+  fails=$((fails + 1))
+else
+  expect daemon-check-served-host 1 \
+    '^finding: nic nic0: inter-host port \(400 Gbps\) outruns its PCIe slot ' \
+    "$CTL" check --connect "$csock"
+  expect topo-daemon-shutdown 0 '^bye$' "$CTL" shutdown --connect "$csock"
+  wait "$cpid"
+fi
+
 # Fleet daemon: a submit is validated before the controller queues it;
 # a bad one was once Acked and parked the tenant as fleet-degraded
 fsock="$tmp/f.sock"
@@ -227,6 +264,12 @@ else
   expect fleet-daemon-bad-submit-negative 10 \
     '^ihnetctl: intent target with non-positive rate$' \
     "$CTL" submit --fleet -t 1 --pipe nic0:socket0:-1 --connect "$fsock"
+  expect_any fleet-daemon-run 0 \
+    '^fleet: 2 host\(s\), 6 round\(s\)$' \
+    "$CTL" fleetctl --spawn a --spawn b --tenants 2 --run 6 --status --connect "$fsock"
+  expect fleet-daemon-check 4 \
+    '^ihnetctl: daemon is in fleet mode; command unavailable$' \
+    "$CTL" check --connect "$fsock"
   expect fleet-daemon-shutdown 0 '^bye$' "$CTL" shutdown --connect "$fsock"
   wait "$fpid"
   fstatus=$?

@@ -397,6 +397,17 @@ let exit_code_suite =
 
 let show r = Rec.Trace.json_to_string (Resp.to_json r)
 
+(* [Spec.example] with one of its lines replaced, parsed: a fresh
+   topology per call, since a host built on it takes it over *)
+let example_topo ~line ~by =
+  let lines = String.split_on_char '\n' Ihnet_topology.Spec.example in
+  if not (List.mem line lines) then Alcotest.failf "Spec.example has no line %S" line;
+  let text = String.concat "\n" (List.map (fun l -> if l = line then by else l) lines) in
+  match Ihnet_topology.Spec.parse text with Ok t -> t | Error e -> Alcotest.fail e
+
+let ddio_off_topo () =
+  example_topo ~line:"config ddio=on iommu=on mps=256" ~by:"config ddio=off mps=128"
+
 let handlers_suite =
   ( "daemon handlers",
     [
@@ -519,6 +530,40 @@ let handlers_suite =
           let plain = Api.Host_spec.config Api.Host_spec.default in
           let tweaked = Api.Host_spec.config (Api.Host_spec.make ~ddio:false ~mps:512 ()) in
           Alcotest.(check bool) "overrides change the config" true (plain <> tweaked));
+      tc "a topology file's config line holds under the host spec" (fun () ->
+          let module H = Ihnet_topology.Hostconfig in
+          let c =
+            Api.Host_spec.config
+              (Api.Host_spec.make ~preset:(Ihnet.Host.Custom (ddio_off_topo ())) ())
+          in
+          Alcotest.(check bool) "ddio off" true (c.H.ddio = H.Ddio_off);
+          Alcotest.(check int) "mps" 128 c.H.pcie_mps);
+      tc "ddio on turns DDIO on over a file that turns it off" (fun () ->
+          let module H = Ihnet_topology.Hostconfig in
+          let c =
+            Api.Host_spec.config
+              (Api.Host_spec.make ~preset:(Ihnet.Host.Custom (ddio_off_topo ())) ~ddio:true ())
+          in
+          Alcotest.(check bool) "ddio on" true (c.H.ddio = H.default.H.ddio);
+          Alcotest.(check int) "the file's mps stays" 128 c.H.pcie_mps);
+      tc "check inspects the host being served" (fun () ->
+          let topo =
+            example_topo ~line:"nic  nic0 on sw0 port=200" ~by:"nic  nic0 on sw0 port=400"
+          in
+          let h = Api.Handlers.local (Api.Host_spec.make ~preset:(Ihnet.Host.Custom topo) ()) in
+          match Api.Handlers.run h C.Check with
+          | Resp.Check_report findings ->
+            Alcotest.(check (list string)) "findings"
+              [ "nic nic0: inter-host port (400 Gbps) outruns its PCIe slot (31.5 GB/s)" ]
+              findings
+          | r -> Alcotest.failf "expected Check_report, got %s" (show r));
+      tc "check on a fleet target is Unsupported, exit 4" (fun () ->
+          let ctl = Ihnet_fleet.Controller.create ~seed:3 () in
+          let h = Api.Handlers.create ~spec:Api.Host_spec.default (Api.Handlers.Fleet ctl) in
+          match Api.Handlers.run h C.Check with
+          | Resp.Err (Err.Unsupported _ as e) ->
+            Alcotest.(check int) "exit code" 4 (Err.exit_code e)
+          | r -> Alcotest.failf "expected Err Unsupported, got %s" (show r));
     ] )
 
 (* ------------------------------------------------------------------ *)

@@ -799,6 +799,26 @@ let sketch_plane_tests =
         Alcotest.(check bool) "still enabled" true (Fabric.latency_sketches_enabled fab));
   ]
 
+(* {1 Labels the trace codec and the CLIs print} *)
+
+let label_tests =
+  [
+    tc "cls_of_label inverts cls_label for every class" (fun () ->
+        List.iter
+          (fun c ->
+            Alcotest.(check bool)
+              (Flow.cls_label c) true
+              (Flow.cls_of_label (Flow.cls_label c) = Some c))
+          [ Flow.Payload; Flow.Monitoring; Flow.Heartbeat; Flow.Probe; Flow.Induced ];
+        Alcotest.(check bool) "an unknown label" true (Flow.cls_of_label "bogus" = None));
+    tc "Fault.describe names what the fault changes" (fun () ->
+        Alcotest.(check string) "degrade" "capacity x0.05, +1000 ns latency"
+          (Fault.describe (Fault.degrade ~capacity_factor:0.05 ~extra_latency:1000.0 ()));
+        Alcotest.(check string) "loss" "loss 10%"
+          (Fault.describe { Fault.healthy with Fault.loss_prob = 0.1 });
+        Alcotest.(check string) "healthy" "no-op" (Fault.describe Fault.healthy));
+  ]
+
 let suites =
   [
     ("engine.sim", sim_tests);
@@ -809,4 +829,5 @@ let suites =
     ("engine.fabric", fabric_tests @ fabric_properties);
     ("engine.epoch", epoch_tests);
     ("engine.sketches", sketch_plane_tests);
+    ("engine.labels", label_tests);
   ]

@@ -118,13 +118,13 @@ let codec_tests =
     tc "sensor-fault ops round-trip exactly" (fun () ->
         let sf =
           {
-            Rec.Trace.sf_stuck = true;
-            sf_drift = 2.5;
-            sf_drop = 0.125;
-            sf_dup = 0.0625;
-            sf_skew = 12345.678;
-            sf_probe_loss = 0.9;
-            sf_probe_slow = 0.25;
+            E.Sensorfault.stuck = true;
+            drift = 2.5;
+            drop_prob = 0.125;
+            dup_prob = 0.0625;
+            skew = 12345.678;
+            probe_loss = 0.9;
+            probe_slow = 0.25;
           }
         in
         List.iter
@@ -132,11 +132,10 @@ let codec_tests =
             let line = Rec.Trace.Op { at = 42.5; op } in
             sf_check "round-trip" true (roundtrip line = line))
           [
-            Rec.Trace.Inject_sensor_fault { starget = Rec.Trace.Sf_device 9; sf };
-            Rec.Trace.Inject_sensor_fault
-              { starget = Rec.Trace.Sf_series "link.4.fwd.bytes"; sf };
-            Rec.Trace.Clear_sensor_fault (Rec.Trace.Sf_device 9);
-            Rec.Trace.Clear_sensor_fault (Rec.Trace.Sf_series "link.4.fwd.bytes");
+            Rec.Trace.Inject_sensor_fault { starget = E.Sensorfault.Device 9; sf };
+            Rec.Trace.Inject_sensor_fault { starget = E.Sensorfault.Series "link.4.fwd.bytes"; sf };
+            Rec.Trace.Clear_sensor_fault (E.Sensorfault.Device 9);
+            Rec.Trace.Clear_sensor_fault (E.Sensorfault.Series "link.4.fwd.bytes");
           ]);
   ]
 

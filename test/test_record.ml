@@ -35,13 +35,22 @@ let parse_buf buf =
   | Ok t -> t
   | Error e -> Alcotest.fail ("trace parse: " ^ e)
 
+let index_of s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+  in
+  go 0
+
+let contains s sub = index_of s sub <> None
+
 (* {1 Codec} *)
 
 let sample_spec =
   {
     Rec.Trace.flow_id = 3;
     tenant = 2;
-    cls = "payload";
+    cls = E.Flow.Payload;
     weight = 1.5;
     floor = 0.0;
     cap = infinity;
@@ -57,8 +66,9 @@ let sample_spec =
 
 let sample_config =
   {
-    Rec.Trace.iommu = Some (512, 0.97, 180.0);
-    ddio = Some (20, 2, 1.5e6);
+    T.Hostconfig.iommu =
+      T.Hostconfig.Iommu_on { iotlb_entries = 512; hit_latency = 0.97; miss_penalty = 180.0 };
+    ddio = T.Hostconfig.Ddio_on { llc_ways = 20; io_ways = 2; way_size = 1.5e6 };
     pcie_mps = 256;
     relaxed_ordering = true;
     acs = false;
@@ -143,7 +153,7 @@ let codec_tests =
                     {
                       link = 5;
                       fault =
-                        { Rec.Trace.capacity_factor = 0.05; extra_latency = 1e3; loss_prob = 0.0 };
+                        { E.Fault.capacity_factor = 0.05; extra_latency = 1e3; loss_prob = 0.0 };
                     };
               };
             Rec.Trace.Op { at = 3.0; op = Rec.Trace.Clear_fault 5 };
@@ -152,7 +162,9 @@ let codec_tests =
             Rec.Trace.Op
               {
                 at = 5.5;
-                op = Rec.Trace.Set_config { sample_config with Rec.Trace.iommu = None; ddio = None };
+                op =
+                  Rec.Trace.Set_config
+                    { sample_config with T.Hostconfig.iommu = Iommu_off; ddio = Ddio_off };
               };
             Rec.Trace.Op { at = 6.0; op = Rec.Trace.Sync };
             Rec.Trace.Op { at = 7.0; op = Rec.Trace.Batch_start };
@@ -163,6 +175,39 @@ let codec_tests =
             Rec.Trace.Digest sample_digest;
             Rec.Trace.Final { sample_digest with Rec.Trace.d_epoch = 43 };
           ]);
+    tc "a start line naming no flow class is refused, naming the class" (fun () ->
+        let good =
+          Rec.Trace.line_to_string
+            (Rec.Trace.Op { at = 0.0; op = Rec.Trace.Start_flow sample_spec })
+        in
+        let marker = {|"cls":"payload"|} in
+        let bad =
+          match index_of good marker with
+          | Some i ->
+            let rest = i + String.length marker in
+            String.sub good 0 i ^ {|"cls":"bogus"|}
+            ^ String.sub good rest (String.length good - rest)
+          | None -> Alcotest.fail ("no cls field in " ^ good)
+        in
+        (match Rec.Trace.line_of_string bad with
+        | Ok _ -> Alcotest.fail "a bogus flow class parsed"
+        | Error e ->
+          Alcotest.(check bool) ("line error names the class: " ^ e) true (contains e "bogus"));
+        let header =
+          Rec.Trace.Header
+            {
+              Rec.Trace.version = Rec.Trace.version;
+              preset = "two-socket-server";
+              seed = 1;
+              label = "";
+              digest_every = 8;
+              host_config = sample_config;
+            }
+        in
+        match Rec.Trace.parse (Rec.Trace.line_to_string header ^ "\n" ^ bad ^ "\n") with
+        | Ok _ -> Alcotest.fail "a trace with a bogus flow class loaded"
+        | Error e ->
+          Alcotest.(check bool) ("trace error names the class: " ^ e) true (contains e "bogus"));
     tc "awkward floats survive the trip" (fun () ->
         (* 17 significant digits: the bit pattern must be identical *)
         List.iter
@@ -301,11 +346,6 @@ let replay_tests =
               true
               (String.contains reg '/');
             let rendered = Format.asprintf "%a" Rec.Replay.pp_report r in
-            let contains s sub =
-              let n = String.length s and m = String.length sub in
-              let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-              go 0
-            in
             Alcotest.(check bool)
               "report prints the drill-down" true
               (contains rendered "first divergent register")));
