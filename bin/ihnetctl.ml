@@ -2,12 +2,13 @@
    network: topology inspection, ihping/ihtrace/ihperf/ihdump
    diagnostics, configuration checking and heartbeat runs.
 
-   Every diagnostic subcommand is a thin front-end over the typed
-   command plane (Ihnet_api): it builds one Ihnet_api.Command, executes
-   it — against a fresh in-process host by default, or against a live
-   ihnetd over a Unix socket with --connect — and renders the typed
-   response. Trace tooling (record/replay/faults) and the
-   self-contained fleet campaign stay local.
+   Every host and fleet subcommand is a thin front-end over the typed
+   command plane (Ihnet_api): it builds Ihnet_api.Commands, executes
+   them — against a fresh in-process host or fleet controller by
+   default, or against a live ihnetd over a Unix socket with --connect
+   — and renders the typed responses. The file tools (spec, record,
+   replay, faults, scan --diff) stay local: they read and write files
+   on the caller's machine and hold no host.
 
    Examples:
      dune exec bin/ihnetctl.exe -- topo --preset dgx
@@ -17,13 +18,13 @@
      dune exec bin/ihnetctl.exe -- check --ddio off --mps 128
      dune exec bin/ihnetctl.exe -- dump nic0 pciesw0 --load
      dune exec bin/ihnetctl.exe -- heartbeat --degrade rp0.0:pciesw0
-     dune exec bin/ihnetctl.exe -- stats --connect /tmp/ihnet.sock *)
+     dune exec bin/ihnetctl.exe -- stats --connect /tmp/ihnet.sock
+     dune exec bin/ihnetctl.exe -- fleet --crash host1 --connect /tmp/fleet.sock *)
 
 open Cmdliner
 module E = Ihnet_engine
 module T = Ihnet_topology
 module U = Ihnet_util
-module Mon = Ihnet_monitor
 module R = Ihnet_manager
 module Rec = Ihnet_record
 module F = Ihnet_fleet
@@ -44,7 +45,7 @@ let connect_flag =
     & info [ "connect" ] ~docv:"SOCK"
         ~doc:
           "Run the command against a live ihnetd listening on this Unix-domain socket instead \
-           of a fresh in-process host.")
+           of a fresh in-process host or fleet controller.")
 
 let src_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"SRC")
 let dst_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"DST")
@@ -65,22 +66,27 @@ let guarded f =
     Printf.eprintf "ihnetctl: %s\n" msg;
     exit 1
 
-(* {1 Command execution: in-process or over the wire} *)
+(* {1 Command execution: in-process or over the wire}
 
-let exec ?on_event spec connect cmd =
+   [session] hands [f] the handlers of a fresh in-process [target ()],
+   or one connection to the ihnetd at [connect]. *)
+
+let session spec connect target f =
   match connect with
-  | None -> Api.Handlers.run (Api.Handlers.local spec) cmd
+  | None -> f (Api.Handlers.run (Api.Handlers.create ~spec (target ())))
   | Some path ->
     let c = Api.Client.connect path in
-    Fun.protect
-      ~finally:(fun () -> Api.Client.close c)
-      (fun () -> Api.Client.call ?on_event c cmd)
+    Fun.protect ~finally:(fun () -> Api.Client.close c) (fun () -> f (Api.Client.call c))
 
-let show spec connect cmd =
-  let r = exec spec connect cmd in
+let host spec () = Api.Handlers.Host (Api.Host_spec.create_host spec)
+
+(* print a reply; a refusal ends the process with its documented code *)
+let print_reply r =
   Api.Render.print r;
   let code = Api.Render.exit_code r in
   if code <> 0 then exit code
+
+let show spec connect cmd = print_reply (session spec connect (host spec) (fun run -> run cmd))
 
 (* {1 Subcommands} *)
 
@@ -116,13 +122,10 @@ let dump_cmd =
     Term.(const run $ spec_term $ connect_flag $ load_flag $ src_arg $ dst_arg)
 
 let check_cmd =
-  let run preset ddio iommu mps connect =
-    let spec = Api.Host_spec.make ~preset ?ddio ?iommu ?mps () in
-    show spec connect C.Check
-  in
+  let run spec connect = show spec connect C.Check in
   Cmd.v
     (Cmd.info "check" ~doc:"Static misconfiguration checks.")
-    Term.(const run $ preset $ ddio_flag $ iommu_flag $ mps_flag $ connect_flag)
+    Term.(const run $ spec_term $ connect_flag)
 
 let heartbeat_cmd =
   let degrade =
@@ -351,7 +354,10 @@ let scan_cmd =
         exit 1
     end
     else begin
-      let r = exec spec connect (C.Scan { ms; load; step; snapshot = out <> None }) in
+      let r =
+        session spec connect (host spec) (fun run ->
+            run (C.Scan { ms; load; step; snapshot = out <> None }))
+      in
       Api.Render.print r;
       (match (r, out) with
       | Api.Response.Scan_report { snapshot = Some j; _ }, Some p ->
@@ -565,76 +571,115 @@ let shutdown_cmd =
     (Cmd.info "shutdown" ~doc:"Ask the daemon to flush, close every client and exit.")
     Term.(const run $ spec_term $ connect_flag)
 
-let fleetctl_cmd =
-  let spawn =
+(* [fleet] is one script of Fleet_* commands run through [session]. The
+   first two phases are a third of the run each (at least one round),
+   clipped to what is left, so exactly [rounds] rounds run. *)
+let fleet_cmd =
+  let hosts_n =
+    Arg.(value & opt int 4 & info [ "hosts"; "n" ] ~docv:"N" ~doc:"Fleet size (hosts spawned as host0..hostN-1).")
+  in
+  let tenants_n =
     Arg.(
       value
-      & opt_all string []
-      & info [ "spawn" ] ~docv:"NAME" ~doc:"Spawn a host into the fleet (repeatable).")
+      & opt int 6
+      & info [ "tenants"; "t" ] ~docv:"T"
+          ~doc:"Tenants to place (one 2 Gb/s nic0 to socket0 pipe each).")
   in
-  let spawn_preset =
+  let rounds_n =
+    Arg.(value & opt int 30 & info [ "rounds"; "r" ] ~docv:"R" ~doc:"Control rounds to run.")
+  in
+  let crash_h =
     Arg.(
       value
-      & opt string "minimal"
-      & info [ "spawn-preset" ] ~docv:"PRESET" ~doc:"Preset for spawned hosts.")
+      & opt (some string) None
+      & info [ "crash" ] ~docv:"HOST"
+          ~doc:"Crash $(docv) a third of the way in and restart it at two thirds.")
   in
-  let tenants =
+  let partition_h =
     Arg.(
       value
-      & opt int 0
-      & info [ "tenants" ] ~docv:"T"
-          ~doc:"Submit $(docv) standard tenants (one 2 Gb/s nic0 to socket0 pipe each).")
+      & opt (some string) None
+      & info [ "partition" ] ~docv:"HOST"
+          ~doc:"Partition $(docv) a third of the way in and heal it at two thirds.")
   in
-  let rounds =
-    Arg.(value & opt int 0 & info [ "run" ] ~docv:"R" ~doc:"Control rounds to run.")
-  in
-  let crash =
-    Arg.(value & opt (some string) None & info [ "crash" ] ~docv:"HOST" ~doc:"Crash a host.")
-  in
-  let restart =
-    Arg.(value & opt (some string) None & info [ "restart" ] ~docv:"HOST" ~doc:"Restart a host.")
-  in
-  let partition =
+  let loss_p =
     Arg.(
-      value & opt (some string) None & info [ "partition" ] ~docv:"HOST" ~doc:"Partition a host.")
+      value
+      & opt float 0.0
+      & info [ "loss" ] ~docv:"P" ~doc:"Drop probability on every control channel.")
   in
-  let heal =
-    Arg.(value & opt (some string) None & info [ "heal" ] ~docv:"HOST" ~doc:"Heal a partition.")
+  let seed_f =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"S"
+          ~doc:"In-process controller seed (default 42); $(b,ihnetd --seed) seeds a daemon's.")
   in
-  let status =
-    Arg.(value & flag & info [ "status" ] ~doc:"Print the fleet roll-up afterwards.")
+  let fleet_preset =
+    Arg.(
+      value
+      & opt preset_conv Ihnet.Host.Minimal
+      & info [ "preset"; "p" ] ~docv:"PRESET"
+          ~doc:"Per-host topology (default minimal; two-socket, dgx, epyc, minimal).")
   in
-  let decisions =
-    Arg.(value & flag & info [ "decisions" ] ~doc:"With --status: include the decision log.")
+  let decisions_flag =
+    Arg.(value & flag & info [ "decisions" ] ~doc:"Print the full decision log.")
   in
-  let run connect spawn preset tenants rounds crash restart partition heal status decisions =
-    match connect with
-    | None -> failwith "fleetctl needs --connect (start ihnetd --fleet)"
-    | Some _ ->
-      let step cmd = show Api.Host_spec.default connect cmd in
-      List.iter (fun name -> step (C.Fleet_spawn { name; preset })) spawn;
-      for i = 1 to tenants do
-        step
-          (C.Fleet_submit
-             (R.Intent.pipe ~tenant:i ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0)))
-      done;
-      Option.iter (fun host -> step (C.Fleet_fault { host; what = C.F_crash })) crash;
-      Option.iter (fun host -> step (C.Fleet_fault { host; what = C.F_partition })) partition;
-      if rounds > 0 then step (C.Fleet_run { rounds });
-      Option.iter (fun host -> step (C.Fleet_fault { host; what = C.F_restart })) restart;
-      Option.iter (fun host -> step (C.Fleet_fault { host; what = C.F_heal })) heal;
-      if status then step (C.Fleet_status { decisions })
+  let run preset hosts tenants rounds crash part loss seed decisions connect =
+    List.iter
+      (fun (flag, n) ->
+        if n < 0 then invalid_arg (Printf.sprintf "fleet: --%s must be >= 0 (got %d)" flag n))
+      [ ("hosts", hosts); ("tenants", tenants); ("rounds", rounds) ];
+    if connect <> None && seed <> None then
+      invalid_arg "fleet: --seed seeds only the in-process controller; use ihnetd --seed";
+    let target () = Api.Handlers.Fleet (F.Controller.create ?seed ()) in
+    session Api.Host_spec.default connect target (fun run ->
+        let step cmd = match run cmd with Api.Response.Ack -> () | r -> print_reply r in
+        let names = List.init hosts (Printf.sprintf "host%d") in
+        let preset = Api.Host_spec.preset_name preset in
+        List.iter (fun name -> step (C.Fleet_spawn { name; preset })) names;
+        Printf.printf "fleet: %d host(s), %d tenant(s)\n" hosts tenants;
+        if loss > 0.0 then List.iter (fun host -> step (C.Fleet_loss { host; loss })) names;
+        for i = 1 to tenants do
+          step
+            (C.Fleet_submit
+               (R.Intent.pipe ~tenant:i ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0)))
+        done;
+        let ran = ref 0 in
+        let phase n =
+          let n = min n (rounds - !ran) in
+          if n > 0 then step (C.Fleet_run { rounds = n });
+          ran := !ran + n
+        in
+        let fault what verb = function
+          | None -> ()
+          | Some host ->
+            step (C.Fleet_fault { host; what });
+            Printf.printf "round %d: %s %s\n" !ran verb host
+        in
+        let third = max 1 (rounds / 3) in
+        phase third;
+        fault C.F_crash "crashed" crash;
+        fault C.F_partition "partitioned" part;
+        phase third;
+        fault C.F_restart "restarted" crash;
+        fault C.F_heal "healed" part;
+        phase rounds;
+        step (C.Fleet_status { decisions }))
   in
   Cmd.v
-    (Cmd.info "fleetctl"
+    (Cmd.info "fleet"
        ~doc:
-         "Drive a fleet-mode daemon: spawn hosts, submit tenants, inject crash/partition \
-          faults, run control rounds and print the roll-up.")
+         "Run a fleet controller over N simulated hosts: placement on the least-loaded \
+          feasible host, cross-host failover, lossy control channels ($(b,--loss)), and \
+          operator-injected $(b,--crash) / $(b,--partition) faults with automatic \
+          restart/heal at two thirds of the run. In-process by default; with \
+          $(b,--connect), the same script drives an $(b,ihnetd --fleet).")
     Term.(
-      const run $ connect_flag $ spawn $ spawn_preset $ tenants $ rounds $ crash $ restart
-      $ partition $ heal $ status $ decisions)
+      const run $ fleet_preset $ hosts_n $ tenants_n $ rounds_n $ crash_h $ partition_h
+      $ loss_p $ seed_f $ decisions_flag $ connect_flag)
 
-(* {1 Local-only subcommands: trace tooling and the fleet campaign} *)
+(* {1 Local-only subcommands: the file tools} *)
 
 let spec_cmd =
   let run () = print_string T.Spec.example in
@@ -802,117 +847,9 @@ let replay_cmd =
        ~doc:"Re-execute a recorded trace on a fresh host and check digests epoch-by-epoch.")
     Term.(const run $ file $ perturb_at)
 
-let fleet_cmd =
-  let hosts_n =
-    Arg.(value & opt int 4 & info [ "hosts"; "n" ] ~docv:"N" ~doc:"Fleet size (hosts spawned as host0..hostN-1).")
-  in
-  let tenants_n =
-    Arg.(
-      value
-      & opt int 6
-      & info [ "tenants"; "t" ] ~docv:"T"
-          ~doc:"Tenants to place (one 2 Gb/s nic0 to socket0 pipe each).")
-  in
-  let rounds_n =
-    Arg.(value & opt int 30 & info [ "rounds"; "r" ] ~docv:"R" ~doc:"Control rounds to run.")
-  in
-  let crash_h =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "crash" ] ~docv:"HOST"
-          ~doc:"Crash $(docv) a third of the way in and restart it at two thirds.")
-  in
-  let partition_h =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "partition" ] ~docv:"HOST"
-          ~doc:"Partition $(docv) a third of the way in and heal it at two thirds.")
-  in
-  let loss_p =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "loss" ] ~docv:"P" ~doc:"Drop probability on every control channel.")
-  in
-  let seed_f = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Controller seed.") in
-  let fleet_preset =
-    Arg.(
-      value
-      & opt preset_conv Ihnet.Host.Minimal
-      & info [ "preset"; "p" ] ~docv:"PRESET"
-          ~doc:"Per-host topology (default minimal; two-socket, dgx, epyc, minimal).")
-  in
-  let decisions_flag =
-    Arg.(value & flag & info [ "decisions" ] ~doc:"Print the full decision log.")
-  in
-  let run preset hosts tenants rounds crash part loss seed show_decisions =
-    if hosts < 1 then invalid_arg "fleet: need at least one host";
-    if rounds < 1 then invalid_arg "fleet: need at least one round";
-    let t = F.Controller.create ~seed () in
-    for i = 0 to hosts - 1 do
-      F.Controller.spawn t ~preset (Printf.sprintf "host%d" i)
-    done;
-    Printf.printf "fleet: %d host(s), %d tenant(s), seed %d\n" hosts tenants seed;
-    if loss > 0.0 then begin
-      let f = { E.Chanfault.none with E.Chanfault.loss } in
-      List.iter (fun h -> F.Controller.set_chanfault t h f) (F.Controller.hosts t)
-    end;
-    for i = 1 to tenants do
-      F.Controller.submit t
-        (R.Intent.pipe ~tenant:i ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0))
-    done;
-    let third = max 1 (rounds / 3) in
-    F.Controller.run t ~rounds:third;
-    (match crash with
-    | None -> ()
-    | Some h ->
-      F.Controller.crash t h;
-      Printf.printf "round %d: crashed %s\n" (F.Controller.rounds t) h);
-    (match part with
-    | None -> ()
-    | Some h ->
-      F.Controller.partition t h;
-      Printf.printf "round %d: partitioned %s\n" (F.Controller.rounds t) h);
-    F.Controller.run t ~rounds:third;
-    (match crash with
-    | None -> ()
-    | Some h ->
-      F.Controller.restart t h;
-      Printf.printf "round %d: restarted %s\n" (F.Controller.rounds t) h);
-    (match part with
-    | None -> ()
-    | Some h ->
-      F.Controller.heal t h;
-      Printf.printf "round %d: healed %s\n" (F.Controller.rounds t) h);
-    if rounds - (2 * third) > 0 then F.Controller.run t ~rounds:(rounds - (2 * third));
-    Format.printf "%a" F.Controller.pp t;
-    (* digest is a pure read; print it before the roll-up, which advances
-       each host's sampler window *)
-    Printf.printf "fleet digest 0x%016Lx decisions 0x%016Lx\n" (F.Controller.digest t)
-      (F.Controller.decisions_fingerprint t);
-    if show_decisions then
-      List.iter
-        (fun d -> Printf.printf "  %s\n" (F.Controller.decision_to_string d))
-        (F.Controller.decisions t);
-    let fleet = F.Controller.collect t in
-    Format.printf "%a" Mon.Fleet.pp fleet
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Run a fleet controller over N simulated hosts: placement on the least-loaded \
-          feasible host, cross-host failover, lossy control channels ($(b,--loss)), and \
-          operator-injected $(b,--crash) / $(b,--partition) faults with automatic \
-          restart/heal at two thirds of the run.")
-    Term.(
-      const run $ fleet_preset $ hosts_n $ tenants_n $ rounds_n $ crash_h $ partition_h
-      $ loss_p $ seed_f $ decisions_flag)
-
 let main_cmd =
   let doc = "operator tools for the (simulated) manageable intra-host network" in
   Cmd.group (Cmd.info "ihnetctl" ~doc ~version:"1.0.0")
-    [ topo_cmd; ping_cmd; trace_cmd; perf_cmd; dump_cmd; check_cmd; heal_cmd; heartbeat_cmd; monitor_cmd; latency_cmd; plan_cmd; report_cmd; scenario_cmd; spec_cmd; record_cmd; replay_cmd; scan_cmd; faults_cmd; fleet_cmd; submit_cmd; flow_cmd; fault_cmd; run_cmd; stats_cmd; watch_cmd; shutdown_cmd; fleetctl_cmd ]
+    [ topo_cmd; ping_cmd; trace_cmd; perf_cmd; dump_cmd; check_cmd; heal_cmd; heartbeat_cmd; monitor_cmd; latency_cmd; plan_cmd; report_cmd; scenario_cmd; spec_cmd; record_cmd; replay_cmd; scan_cmd; faults_cmd; fleet_cmd; submit_cmd; flow_cmd; fault_cmd; run_cmd; stats_cmd; watch_cmd; shutdown_cmd ]
 
 let () = exit (guarded (fun () -> Cmd.eval ~catch:false main_cmd))

@@ -52,6 +52,7 @@ type t =
   | Fleet_run of { rounds : int }
   | Fleet_status of { decisions : bool }
   | Fleet_fault of { host : string; what : fleet_fault }
+  | Fleet_loss of { host : string; loss : float }
 
 let batchable = function
   | Flow_start _ | Flow_stop _ | Fault_inject _ | Fault_clear _ | Faults_clear_all -> true
@@ -205,6 +206,7 @@ let to_json = function
   | Fleet_status { decisions } -> tag "fleet_status" [ ("decisions", J.jbool decisions) ]
   | Fleet_fault { host; what } ->
     tag "fleet_fault" [ ("host", J.jstr host); ("what", J.jstr (fleet_fault_label what)) ]
+  | Fleet_loss { host; loss } -> tag "fleet_loss" [ ("host", J.jstr host); ("loss", J.jfloat loss) ]
 
 let of_json j =
   let str k = J.as_string (J.field j k) in
@@ -274,6 +276,7 @@ let of_json j =
     | "fleet_run" -> Fleet_run { rounds = int "rounds" }
     | "fleet_status" -> Fleet_status { decisions = bool "decisions" }
     | "fleet_fault" -> Fleet_fault { host = str "host"; what = fleet_fault_of (str "what") }
+    | "fleet_loss" -> Fleet_loss { host = str "host"; loss = num "loss" }
     | s -> raise (J.Parse_error ("unknown command tag " ^ s))
   with
   | c -> Ok c

@@ -70,6 +70,9 @@ type t =
   | Fleet_run of { rounds : int }
   | Fleet_status of { decisions : bool }
   | Fleet_fault of { host : string; what : fleet_fault }
+  | Fleet_loss of { host : string; loss : float }
+      (** Drop probability on both directions of the host's control
+          channels. *)
 
 val batchable : t -> bool
 (** Commands the daemon may group into one reallocation epoch

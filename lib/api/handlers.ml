@@ -622,8 +622,9 @@ let dispatch t cmd =
       | C.Fault_inject _ | C.Fault_clear _ | C.Faults_clear_all | C.Stats ),
       Fleet _ ) ->
     wrong_mode t
-  | (C.Fleet_spawn _ | C.Fleet_submit _ | C.Fleet_run _ | C.Fleet_status _ | C.Fleet_fault _), Host _
-    ->
+  | ( ( C.Fleet_spawn _ | C.Fleet_submit _ | C.Fleet_run _ | C.Fleet_status _ | C.Fleet_fault _
+      | C.Fleet_loss _ ),
+      Host _ ) ->
     wrong_mode t
   | C.Check, Host h -> check h
   | C.Topo { dot }, Host h -> topo h dot
@@ -668,6 +669,9 @@ let dispatch t cmd =
     Resp.Ack
   | C.Fleet_status { decisions }, Fleet ctl -> fleet_status ctl ~decisions
   | C.Fleet_fault { host; what }, Fleet ctl -> fleet_fault ctl ~host ~what
+  | C.Fleet_loss { host; loss }, Fleet ctl ->
+    F.Controller.set_chanfault ctl host { E.Chanfault.none with E.Chanfault.loss };
+    Resp.Ack
 
 (* {1 Validation}
 
@@ -715,6 +719,7 @@ let invalid_field = function
   | C.Latency { ms; _ } -> bad_ms "latency" ms
   | C.Scan { ms; step; _ } -> List.find_map Fun.id [ bad_ms "scan" ms; bad_min "scan" "step" 0 step ]
   | C.Run_for { ms } -> bad_ms "run_for" ms
+  | C.Fleet_loss { loss; _ } -> bad_fraction "fleet_loss" "loss" loss
   | C.Ping { count; _ } when count <= 0 ->
     Some (Printf.sprintf "ping: count must be > 0 (got %d)" count)
   | C.Fleet_run { rounds } when rounds <= 0 ->

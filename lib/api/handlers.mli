@@ -2,9 +2,9 @@
 
     The ~15 subcommand bodies that used to live inline in
     [bin/ihnetctl.ml], carved out as pure [command -> response]
-    handlers over one {!target}. The CLI runs them on an in-process
-    host (historical behavior); [ihnetd] runs them on its long-lived
-    host or fleet controller. Either way the data that comes back is
+    handlers over one {!target}. The CLI runs them on a fresh
+    in-process host or fleet controller; [ihnetd] runs them on its
+    long-lived one. Either way the data that comes back is
     the same, and {!Render} reproduces the historical output from it
     byte-for-byte. *)
 
@@ -22,8 +22,7 @@ val create :
     remediation is first enabled. *)
 
 val local : Host_spec.t -> t
-(** Build the host from the spec and wrap it — the CLI's in-process
-    path. *)
+(** Build the host from the spec and wrap it. *)
 
 val target : t -> target
 val spec : t -> Host_spec.t
@@ -41,14 +40,15 @@ val run : t -> Command.t -> Response.t
     from lower layers and typed manager refusals come back as
     [Response.Err] with the {!Api_error} taxonomy. Before any effect,
     every [ms] field and a [Fault_inject]'s [extra_us] must be finite
-    and [>= 0], a [Fault_inject]'s [factor] and [loss] and a [Heal]'s
-    [factor] must lie in [\[0, 1\]], a [Ping]'s [count], a
-    [Monitor]'s [period_us] and a [Scenario]'s [protect] must be
-    [> 0] (the two floats finite too), a [Heal]'s [flap] must be
-    [>= 1], a [Scan]'s [step] [>= 0] and a [Flow_start]'s [gbps], when
-    given, [>= 0] (NaN refused); a violation is an [Invalid]
-    that names the command and field. A [Fleet_submit] intent that
-    fails {!Ihnet_manager.Intent.validate} is refused as
+    and [>= 0], a [Fault_inject]'s [factor] and [loss], a [Heal]'s
+    [factor] and a [Fleet_loss]'s [loss] must lie in [\[0, 1\]], a
+    [Ping]'s [count], a [Monitor]'s [period_us] and a [Scenario]'s
+    [protect] must be [> 0] (the two floats finite too), a [Heal]'s
+    [flap] must be [>= 1], a [Scan]'s [step] [>= 0] and a
+    [Flow_start]'s [gbps], when given, [>= 0] (NaN refused); a
+    violation is an [Invalid] that names the command and field. A
+    [Fleet_submit] intent that fails
+    {!Ihnet_manager.Intent.validate} is refused as
     [Mgr (Invalid_intent _)], as a host's [Submit] is. [Check]
     inspects the target host's own topology and configuration; in
     fleet mode it is [Unsupported], like every host command. [Hello],

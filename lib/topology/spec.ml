@@ -84,21 +84,25 @@ let gen_arg args ~default =
    existing switch. Returns the parent device id and its socket. *)
 let parse_attachment st words =
   let topo = topo_of st in
+  (* both [at] forms hang below the socket's root complex *)
+  let root_complex spec s =
+    match Topology.device_by_name topo (Printf.sprintf "rc%d" s) with
+    | Some rc -> rc
+    | None -> bad "at %s: socket %d has no root complex" spec s
+  in
   let rec find = function
     | "at" :: spec :: _ -> (
       match String.split_on_char ':' spec with
       | [ s; p ] -> (
         match (int_of_string_opt s, int_of_string_opt p) with
         | Some s, Some p ->
+          ignore (root_complex spec s);
           let rp = Builder.add_root_port topo ~socket:s ~port:p in
           ((rp : Device.t).Device.id, s)
         | _ -> bad "at %s: expected SOCKET:PORT" spec)
       | [ s ] -> (
         match int_of_string_opt s with
-        | Some s -> (
-          match Topology.device_by_name topo (Printf.sprintf "rc%d" s) with
-          | Some rc -> (rc.Device.id, s)
-          | None -> bad "at %s: socket %d has no root complex" spec s)
+        | Some s -> ((root_complex spec s).Device.id, s)
         | None -> bad "at %s: expected SOCKET or SOCKET:PORT" spec)
       | _ -> bad "at %s: expected SOCKET or SOCKET:PORT" spec)
     | "on" :: name :: _ -> (

@@ -95,15 +95,35 @@ expect_any topo-file-config 0 \
   "$CTL" topo -f "$tmp/cfg.topo"
 printf 'host broken\nswitch sw0 at 9:9\n' >"$tmp/bad.topo"
 expect topo-file-malformed 2 \
-  "^.*bad\\.topo: line 2: " \
+  "^.*bad\\.topo: line 2: at 9:9: socket 9 has no root complex$" \
   "$CTL" topo -f "$tmp/bad.topo"
 expect daemon-topo-file-malformed 2 \
-  "^.*bad\\.topo: line 2: " \
+  "^.*bad\\.topo: line 2: at 9:9: socket 9 has no root complex$" \
   $bounded "$DAEMON" --topo-file "$tmp/bad.topo" --socket "$tmp/never.sock" --no-trace
+# check takes the host flags too, so a file is checked in-process
+"$CTL" spec | sed 's/^nic  nic0 on sw0 port=200$/nic  nic0 on sw0 port=400/' >"$tmp/fast.topo"
+expect check-topo-file 1 \
+  '^finding: nic nic0: inter-host port \(400 Gbps\) outruns its PCIe slot \(31\.5 GB/s\)$' \
+  "$CTL" check -f "$tmp/fast.topo"
 
 expect fleet 0 \
-  '^fleet: 3 host\(s\), 4 tenant\(s\), seed 42$' \
+  '^fleet: 3 host\(s\), 4 tenant\(s\)$' \
   "$CTL" fleet --hosts 3 --tenants 4 --rounds 24
+expect_any fleet-status-header 0 \
+  '^fleet: 3 host\(s\), 24 round\(s\)$' \
+  "$CTL" fleet --hosts 3 --tenants 4 --rounds 24
+expect_any fleet-one-round 0 \
+  ', round 1, [0-9]+ decision\(s\)$' \
+  "$CTL" fleet --hosts 1 --tenants 1 --rounds 1
+expect fleet-empty 0 \
+  '^fleet: 0 host\(s\), 0 tenant\(s\)$' \
+  "$CTL" fleet --hosts 0 --tenants 0 --rounds 0
+expect fleet-negative-rounds 1 \
+  '^ihnetctl: fleet: --rounds must be >= 0 \(got -2\)$' \
+  "$CTL" fleet --rounds=-2
+expect_any fleet-bad-loss 1 \
+  '^ihnetctl: fleet_loss: loss must be in \[0, 1\] \(got 1\.5\)$' \
+  "$CTL" fleet --hosts 2 --loss 1.5
 expect_any fleet-crash-failover 0 \
   '^  migrate tenant [0-9]+ host1 -> host[0-9]+ \(host-down\)$' \
   "$CTL" fleet --hosts 3 --tenants 4 --rounds 24 --crash host1 --decisions
@@ -155,7 +175,7 @@ else
     "$CTL" submit -t 9 --pipe nic0:socket0:5000 --connect "$dsock"
   expect daemon-wrong-mode 4 \
     '^ihnetctl: daemon is in host mode; command unavailable$' \
-    "$CTL" fleetctl --status --connect "$dsock"
+    "$CTL" fleet --connect "$dsock"
   # each of these frames once killed the daemon through an engine
   # assertion; now each is a typed Invalid (exit 1), and the shutdown,
   # exit and replay checks below show the daemon survived them
@@ -234,7 +254,6 @@ fi
 
 # A daemon serving a topology file: check inspects the served host (it
 # once checked a fresh minimal host and reported it clean)
-"$CTL" spec | sed 's/^nic  nic0 on sw0 port=200$/nic  nic0 on sw0 port=400/' >"$tmp/fast.topo"
 csock="$tmp/c.sock"
 "$DAEMON" --topo-file "$tmp/fast.topo" --socket "$csock" --no-trace 2>"$tmp/c.err" &
 cpid=$!
@@ -266,7 +285,15 @@ else
     "$CTL" submit --fleet -t 1 --pipe nic0:socket0:-1 --connect "$fsock"
   expect_any fleet-daemon-run 0 \
     '^fleet: 2 host\(s\), 6 round\(s\)$' \
-    "$CTL" fleetctl --spawn a --spawn b --tenants 2 --run 6 --status --connect "$fsock"
+    "$CTL" fleet --hosts 2 --tenants 2 --rounds 6 --connect "$fsock"
+  # no hosts, tenants or rounds: a plain status read
+  expect_any fleet-daemon-status 0 \
+    '^fleet: 2 host\(s\), 6 round\(s\)$' \
+    "$CTL" fleet --hosts 0 --tenants 0 --rounds 0 --connect "$fsock"
+  # the daemon's controller was seeded by ihnetd --seed
+  expect fleet-daemon-seed 1 \
+    '^ihnetctl: fleet: --seed seeds only the in-process controller; use ihnetd --seed$' \
+    "$CTL" fleet --seed 7 --connect "$fsock"
   expect fleet-daemon-check 4 \
     '^ihnetctl: daemon is in fleet mode; command unavailable$' \
     "$CTL" check --connect "$fsock"
@@ -279,6 +306,26 @@ else
   else
     echo "ok   fleet-daemon-exit"
   fi
+fi
+
+# One fleet script, two paths: in-process and against a fresh fleet
+# daemon (same default seed), the output is byte-identical
+gsock="$tmp/g.sock"
+"$DAEMON" --fleet --socket "$gsock" --no-trace 2>"$tmp/g.err" &
+gpid=$!
+if ! await_socket "$gsock"; then
+  echo "FAIL fleet-twin-daemon-start: socket never appeared ($(cat "$tmp/g.err"))"
+  fails=$((fails + 1))
+else
+  twin="--hosts 3 --tenants 4 --rounds 12 --crash host1 --loss 0.2 --decisions"
+  "$CTL" fleet $twin >"$tmp/twin.local" 2>&1
+  "$CTL" fleet $twin --connect "$gsock" >"$tmp/twin.remote" 2>&1
+  expect fleet-connect-identical 0 '' cmp "$tmp/twin.local" "$tmp/twin.remote"
+  expect_any fleet-connect-status 0 \
+    '^fleet digest 0x[0-9a-f]{16} decisions 0x[0-9a-f]{16}$' \
+    cat "$tmp/twin.remote"
+  expect fleet-twin-daemon-shutdown 0 '^bye$' "$CTL" shutdown --connect "$gsock"
+  wait "$gpid"
 fi
 
 if [ "$fails" -ne 0 ]; then

@@ -126,6 +126,7 @@ let gen_command =
         map (fun rounds -> C.Fleet_run { rounds }) small_nat;
         map (fun decisions -> C.Fleet_status { decisions }) bool;
         map2 (fun host what -> C.Fleet_fault { host; what }) gen_name gen_fleet_fault;
+        map2 (fun host loss -> C.Fleet_loss { host; loss }) gen_name gen_float;
       ])
 
 let gen_mgr_error =
@@ -513,9 +514,26 @@ let handlers_suite =
           | r -> Alcotest.failf "start: %s" (show r));
       tc "fleet command on a host target is Unsupported, exit 4" (fun () ->
           let h = Api.Handlers.local Api.Host_spec.default in
-          match Api.Handlers.run h (C.Fleet_run { rounds = 1 }) with
-          | Resp.Err (Err.Unsupported _ as e) -> Alcotest.(check int) "exit code" 4 (Err.exit_code e)
-          | _ -> Alcotest.fail "expected Err Unsupported");
+          List.iter
+            (fun cmd ->
+              match Api.Handlers.run h cmd with
+              | Resp.Err (Err.Unsupported _ as e) ->
+                Alcotest.(check int) "exit code" 4 (Err.exit_code e)
+              | r -> Alcotest.failf "expected Err Unsupported, got %s" (show r))
+            [ C.Fleet_run { rounds = 1 }; C.Fleet_loss { host = "host0"; loss = 0.2 } ]);
+      tc "fleet_loss makes the host's control channels lossy" (fun () ->
+          (* a fault-free channel never draws from its RNG; a lossy one
+             draws for every message a round sends *)
+          let ctl = Ihnet_fleet.Controller.create ~seed:3 () in
+          Ihnet_fleet.Controller.spawn ctl ~preset:Ihnet.Host.Minimal "h0";
+          let h = Api.Handlers.create ~spec:Api.Host_spec.default (Api.Handlers.Fleet ctl) in
+          let peek () = Ihnet_fleet.Controller.channel_rng_peek ctl "h0" in
+          let before = peek () in
+          (match Api.Handlers.run h (C.Fleet_loss { host = "h0"; loss = 0.2 }) with
+          | Resp.Ack -> ()
+          | r -> Alcotest.failf "fleet_loss: %s" (show r));
+          Ihnet_fleet.Controller.run ctl ~rounds:3;
+          Alcotest.(check bool) "the channels drew" true (peek () <> before));
       tc "host spec presets round-trip and reject junk" (fun () ->
           List.iter
             (fun name ->
@@ -829,6 +847,29 @@ let flow_start gbps = C.Flow_start { tenant = 1; src = "ext"; dst = "socket0"; g
    reallocations *)
 let monitor period_us = C.Monitor { ms = 1.0; period_us; series = None; load = true }
 
+(* The fleet form: a refused [Fleet_loss] installs nothing, so the
+   host's channels stay fault-free and draw nothing from their RNG over
+   the rounds that follow. *)
+let fleet_loss_case label loss =
+  tc ("fleet_loss loss:" ^ label ^ " is Invalid and the daemon keeps serving") (fun () ->
+      let ctl = Ihnet_fleet.Controller.create ~seed:3 () in
+      Ihnet_fleet.Controller.spawn ctl ~preset:Ihnet.Host.Minimal "h0";
+      let handlers = Api.Handlers.create ~spec:Api.Host_spec.default (Api.Handlers.Fleet ctl) in
+      let peek () = Ihnet_fleet.Controller.channel_rng_peek ctl "h0" in
+      with_server ~handlers "badloss" (fun srv fd ->
+          hello srv fd;
+          let before = peek () in
+          (match call srv fd (C.Fleet_loss { host = "h0"; loss }) with
+          | Resp.Err (Err.Invalid m) ->
+            Alcotest.(check string) "names the field"
+              (Printf.sprintf "fleet_loss: loss must be in [0, 1] (got %s)" label)
+              m
+          | r -> Alcotest.failf "expected Invalid, got %s" (show r));
+          (match call srv fd (C.Fleet_run { rounds = 3 }) with
+          | Resp.Ack -> ()
+          | r -> Alcotest.failf "next command: %s" (show r));
+          Alcotest.(check int64) "channels unchanged" before (peek ())))
+
 let bad_field_suite =
   ( "daemon bad fields",
     [
@@ -897,6 +938,9 @@ let bad_field_suite =
         "flow_start: gbps must be >= 0 (got nan)";
       bad_field_case "flow_start gbps:-1" (flow_start (Some (-1.0)))
         "flow_start: gbps must be >= 0 (got -1)";
+      fleet_loss_case "nan" Float.nan;
+      fleet_loss_case "-0.1" (-0.1);
+      fleet_loss_case "1.5" 1.5;
       (* a NaN start once stayed registered: its reply was a solver
          refusal, and the next start on its component was refused too.
          Pipelined, the two ended the daemon from the batch's
@@ -1095,7 +1139,54 @@ let integration () =
       | None -> ()
       | Some m -> Alcotest.fail (Format.asprintf "%a" Rec.Scanport.pp_mismatch m)))
 
-let integration_suite = ("daemon integration", [ tc "4 concurrent clients, replayed" integration ])
+(* One fleet script through [Handlers.run] on an in-process controller
+   and through a pumped server over a socket to a twin with the same
+   seed: every step but the last is acked, and the two status reports
+   are equal. *)
+let fleet_script =
+  let hosts = [ "host0"; "host1"; "host2" ] in
+  let pipe tenant = R.Intent.pipe ~tenant ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0) in
+  List.map (fun name -> C.Fleet_spawn { name; preset = "minimal" }) hosts
+  @ List.map (fun host -> C.Fleet_loss { host; loss = 0.2 }) hosts
+  @ List.init 4 (fun i -> C.Fleet_submit (pipe (i + 1)))
+  @ [
+      C.Fleet_run { rounds = 8 };
+      C.Fleet_fault { host = "host1"; what = C.F_crash };
+      C.Fleet_run { rounds = 8 };
+      C.Fleet_fault { host = "host1"; what = C.F_restart };
+      C.Fleet_run { rounds = 8 };
+      C.Fleet_status { decisions = true };
+    ]
+
+let fleet_both_paths () =
+  let handlers () =
+    Api.Handlers.create ~spec:Api.Host_spec.default
+      (Api.Handlers.Fleet (Ihnet_fleet.Controller.create ~seed:5 ()))
+  in
+  let report run =
+    List.fold_left
+      (fun prev c ->
+        (match prev with Resp.Ack -> () | r -> Alcotest.failf "before the status: %s" (show r));
+        run c)
+      Resp.Ack fleet_script
+  in
+  let local = report (Api.Handlers.run (handlers ())) in
+  let remote =
+    with_server ~handlers:(handlers ()) "fleet" (fun srv fd ->
+        hello srv fd;
+        report (call srv fd))
+  in
+  (match local with
+  | Resp.Fleet_status_report { hosts = 3; rounds = 24; decision_log = _ :: _; _ } -> ()
+  | r -> Alcotest.failf "in-process status: %s" (show r));
+  Alcotest.(check string) "same report" (show local) (show remote)
+
+let integration_suite =
+  ( "daemon integration",
+    [
+      tc "4 concurrent clients, replayed" integration;
+      tc "one fleet script, in-process and over a socket" fleet_both_paths;
+    ] )
 
 let suites =
   [

@@ -556,7 +556,17 @@ let spec_tests =
         | Ok _ -> Alcotest.fail "expected error");
         (match T.Spec.parse "socket 0\nnic n0 at 0:0\n" with
         | Error e -> Alcotest.(check bool) "mentions port" true (String.length e > 0)
-        | Ok _ -> Alcotest.fail "nic without port must fail"));
+        | Ok _ -> Alcotest.fail "nic without port must fail");
+        (* both [at] forms name the socket that has no root complex *)
+        List.iter
+          (fun at ->
+            match T.Spec.parse (Printf.sprintf "host broken\nswitch sw0 at %s\n" at) with
+            | Error e ->
+              Alcotest.(check string) ("at " ^ at)
+                (Printf.sprintf "line 2: at %s: socket 9 has no root complex" at)
+                e
+            | Ok _ -> Alcotest.failf "at %s below an undeclared socket must fail" at)
+          [ "9:9"; "9" ]);
     tc "attachment to unknown switch fails" (fun () ->
         match T.Spec.parse "socket 0\ngpu g on nowhere\n" with
         | Error _ -> ()
