@@ -176,9 +176,9 @@ let run_campaign ?trace_buf ?(digest_every = 64) ?(sensor_mode = false) ?(preset
       Array.of_list
         (List.concat_map
            (fun (l : T.Link.t) ->
-             [ Printf.sprintf "link.%d.fwd.bytes" l.T.Link.id;
-               Printf.sprintf "link.%d.fwd.util" l.T.Link.id;
-               Printf.sprintf "link.%d.rev.bytes" l.T.Link.id ])
+             [ Ihnet.Sampler.bytes_series l.T.Link.id T.Link.Fwd;
+               Ihnet.Sampler.util_series l.T.Link.id T.Link.Fwd;
+               Ihnet.Sampler.bytes_series l.T.Link.id T.Link.Rev ])
            (Array.to_list pcie_links))
     in
     let inject tgt sf =

@@ -573,7 +573,9 @@ let shutdown_cmd =
 
 (* [fleet] is one script of Fleet_* commands run through [session]. The
    first two phases are a third of the run each (at least one round),
-   clipped to what is left, so exactly [rounds] rounds run. *)
+   clipped to what is left, so exactly [rounds] rounds run. A fault line
+   names the controller's round, like the status block below it: a
+   daemon's controller may have run rounds before this script. *)
 let fleet_cmd =
   let hosts_n =
     Arg.(value & opt int 4 & info [ "hosts"; "n" ] ~docv:"N" ~doc:"Fleet size (hosts spawned as host0..hostN-1).")
@@ -645,6 +647,13 @@ let fleet_cmd =
             (C.Fleet_submit
                (R.Intent.pipe ~tenant:i ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0)))
         done;
+        let round0 =
+          match run (C.Fleet_status { decisions = false }) with
+          | Api.Response.Fleet_status_report { rounds; _ } -> rounds
+          | r ->
+            print_reply r;
+            0
+        in
         let ran = ref 0 in
         let phase n =
           let n = min n (rounds - !ran) in
@@ -655,7 +664,7 @@ let fleet_cmd =
           | None -> ()
           | Some host ->
             step (C.Fleet_fault { host; what });
-            Printf.printf "round %d: %s %s\n" !ran verb host
+            Printf.printf "round %d: %s %s\n" (round0 + !ran) verb host
         in
         let third = max 1 (rounds / 3) in
         phase third;

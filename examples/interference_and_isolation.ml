@@ -60,11 +60,7 @@ let () =
   let round_trip =
     {
       request_path with
-      T.Path.hops =
-        request_path.T.Path.hops
-        @ List.rev_map
-            (fun (h : T.Path.hop) -> { h with T.Path.dir = T.Link.opposite h.T.Path.dir })
-            request_path.T.Path.hops;
+      T.Path.hops = request_path.T.Path.hops @ (T.Path.reverse request_path).T.Path.hops;
     }
   in
   let culprits = Mon.Rootcause.diagnose counter ~before ~after ~victim_path:round_trip in

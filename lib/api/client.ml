@@ -32,13 +32,11 @@ let connect path =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let call ?(on_event = fun _ -> ()) t cmd =
+let call t cmd =
   Wire.write_frame t.fd (Command.to_json cmd);
   let rec await () =
     match read_response t.fd with
-    | Response.Event ev ->
-      on_event ev;
-      await ()
+    | Response.Event _ -> await ()
     | r -> r
   in
   await ()

@@ -2,9 +2,9 @@
 
     [connect] performs the {!Command.Hello} handshake; {!call} then
     runs one command per round trip. Streamed [Event] frames can
-    arrive between a request and its reply — {!call} hands them to
-    [on_event] (default: drop) and keeps reading until the actual
-    reply shows up. *)
+    arrive between a request and its reply — {!call} drops them and
+    keeps reading until the actual reply shows up; {!next_event} is
+    the way to read a stream. *)
 
 type t
 
@@ -14,7 +14,7 @@ val connect : string -> t
     reached, the daemon speaks another version, or the greeting is
     malformed. *)
 
-val call : ?on_event:(Response.event -> unit) -> t -> Command.t -> Response.t
+val call : t -> Command.t -> Response.t
 (** Send one command, return its reply.
     @raise Api_error.Error [(Protocol _)] on EOF or framing trouble. *)
 

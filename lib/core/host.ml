@@ -29,8 +29,6 @@ let build_topology ?config = function
 type wiring = {
   heartbeat : bool;
   evidence : bool;
-  headroom : float;
-  shim_period : Ihnet_util.Units.ns;
   sampler : M.Sampler.config option;
   latency_sketches : bool;
 }
@@ -39,8 +37,6 @@ let default_wiring =
   {
     heartbeat = true;
     evidence = false;
-    headroom = 0.9;
-    shim_period = Ihnet_util.Units.us 50.0;
     sampler = None;
     latency_sketches = false;
   }
@@ -108,8 +104,8 @@ let enable_manager t ?(wiring = default_wiring) () =
   match t.manager with
   | Some m -> m
   | None ->
-    let m = R.Manager.create t.fabric ~headroom:wiring.headroom () in
-    R.Manager.start_shim m ~period:wiring.shim_period;
+    let m = R.Manager.create t.fabric () in
+    R.Manager.start_shim m ~period:(Ihnet_util.Units.us 50.0);
     t.manager <- Some m;
     m
 

@@ -26,12 +26,6 @@ type wiring = {
           {!Ihnet_manager.Remediation.set_gate} — migrations and
           degradations then require independent-modality agreement.
           Default [false]. *)
-  headroom : float;
-      (** Reservable fraction of each link the scheduler may admit
-          against. Default 0.9. *)
-  shim_period : Ihnet_util.Units.ns;
-      (** Polling period of the arbiter's enforcement shim.
-          Default 50 µs. *)
   sampler : Ihnet_monitor.Sampler.config option;
       (** Sampler configuration for {!start_monitoring};
           [None] (default) means {!Ihnet_monitor.Sampler.default_config}. *)
@@ -85,8 +79,8 @@ val heartbeat : t -> Ihnet_monitor.Heartbeat.t option
 (** {1 Resource management} *)
 
 val enable_manager : t -> ?wiring:wiring -> unit -> Ihnet_manager.Manager.t
-(** Creates the manager ([wiring.headroom]) and starts its shim
-    ([wiring.shim_period]). Idempotent. *)
+(** Creates the manager (scheduler headroom 0.9) and starts its shim
+    with a 50 µs polling period. Idempotent. *)
 
 val manager : t -> Ihnet_manager.Manager.t option
 

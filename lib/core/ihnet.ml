@@ -33,7 +33,6 @@ module Mltrain = Ihnet_workload.Mltrain
 module Rdma = Ihnet_workload.Rdma
 module Storage = Ihnet_workload.Storage
 module Allreduce = Ihnet_workload.Allreduce
-module Trace = Ihnet_workload.Trace
 module Scenario = Ihnet_workload.Scenario
 module Counter = Ihnet_monitor.Counter
 module Telemetry = Ihnet_monitor.Telemetry

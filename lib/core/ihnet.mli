@@ -103,14 +103,13 @@ module Mltrain = Ihnet_workload.Mltrain
 module Rdma = Ihnet_workload.Rdma
 module Storage = Ihnet_workload.Storage
 module Allreduce = Ihnet_workload.Allreduce
-module Trace = Ihnet_workload.Trace
 module Scenario = Ihnet_workload.Scenario
 
 (** {1 Monitor (building block 1, §3.1)} *)
 
 module Counter = Ihnet_monitor.Counter
 (** Counter reads at a chosen fidelity (hardware-like, software
-    interception, oracle) + plausibility verdicts. *)
+    interception, oracle). *)
 
 module Telemetry = Ihnet_monitor.Telemetry
 module Sampler = Ihnet_monitor.Sampler

@@ -917,7 +917,7 @@ let crosses_root_complex t (path : T.Path.t) =
       | _ -> false)
     (T.Path.devices path)
 
-let path_latency t ?(payload_bytes = 0) ?(working_set_pages = 32) (path : T.Path.t) =
+let path_latency t ?(payload_bytes = 0) (path : T.Path.t) =
   let hops_latency =
     List.fold_left
       (fun acc (hop : T.Path.hop) ->
@@ -931,7 +931,7 @@ let path_latency t ?(payload_bytes = 0) ?(working_set_pages = 32) (path : T.Path
   let iommu_latency =
     if crosses_root_complex t path then
       Iommu.expected_translation_latency (T.Topology.config t.topo).T.Hostconfig.iommu
-        ~working_set_pages
+        ~working_set_pages:32
     else 0.0
   in
   let serialization =

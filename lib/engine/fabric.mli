@@ -75,7 +75,7 @@ val start_flow :
   Flow.t
 (** Starts a flow and triggers reallocation. [payload_bytes] defaults
     to the host's PCIe MaxPayloadSize; [working_set_pages] (default
-    128) drives the IOMMU model. An [llc_target] flow must have a CPU
+    32) drives the IOMMU model. An [llc_target] flow must have a CPU
     socket as one endpoint of its path.
     @raise Invalid_argument on a malformed path or bad parameters,
     before any effect: a [weight] not [> 0], or a [floor], [cap] or
@@ -192,14 +192,13 @@ val cls_link_bytes :
 
 (** {1 Latency} *)
 
-val path_latency :
-  t -> ?payload_bytes:int -> ?working_set_pages:int -> Ihnet_topology.Path.t ->
-  Ihnet_util.Units.ns
+val path_latency : t -> ?payload_bytes:int -> Ihnet_topology.Path.t -> Ihnet_util.Units.ns
 (** Expected one-way latency of a message on [path] now: per-hop base
     latency inflated by current utilization (plus fault extra delay),
-    plus IOMMU translation cost when the path crosses a root complex,
-    plus serialization of [payload_bytes] (default 0) at the path
-    bottleneck's residual rate. *)
+    plus IOMMU translation cost for a default flow's 32-page working
+    set when the path crosses a root complex, plus serialization of
+    [payload_bytes] (default 0) at the path bottleneck's residual
+    rate. *)
 
 val flow_path_latency : t -> ?payload_bytes:int -> Flow.t -> Ihnet_util.Units.ns
 (** Like {!path_latency} for the path of a specific {e live} flow, but

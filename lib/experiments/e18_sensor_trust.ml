@@ -114,17 +114,18 @@ let run_one ~gated =
   let fab = Ihnet.Host.fabric host in
   let h0 = hop_link p 0 and bad = hop_link p 1 in
   let cross = (find_link host "socket0" "socket1").T.Link.id in
-  let bytes_series id dir = Printf.sprintf "link.%d.%s.bytes" id dir in
   E.Fabric.inject_sensor_fault fab
     (E.Sensorfault.Device (device_id host "nic0"))
     (E.Sensorfault.probe_corruption ~loss:0.9 ());
   List.iter
     (fun dir ->
       E.Fabric.inject_sensor_fault fab
-        (E.Sensorfault.Series (bytes_series h0 dir))
+        (E.Sensorfault.Series (M.Sampler.bytes_series h0 dir))
         (E.Sensorfault.drifting ~factor:3.0);
-      E.Fabric.inject_sensor_fault fab (E.Sensorfault.Series (bytes_series cross dir)) E.Sensorfault.stuck_at)
-    [ "fwd"; "rev" ];
+      E.Fabric.inject_sensor_fault fab
+        (E.Sensorfault.Series (M.Sampler.bytes_series cross dir))
+        E.Sensorfault.stuck_at)
+    [ T.Link.Fwd; T.Link.Rev ];
   let liars = List.length (E.Fabric.sensor_faults fab) in
   Ihnet.Host.run_for host (U.Units.ms 4.0) (* lying sensors active, no real fault *);
   let pre = tenant_rate host ~tenant:1 in
@@ -167,10 +168,7 @@ let run_one ~gated =
       (0, 0) (R.Remediation.actions rem)
   in
   let flagged =
-    List.sort_uniq compare
-      (List.map (fun (id, _, _) -> id) (M.Sampler.health s)
-      @ List.map fst (M.Counter.health (M.Sampler.counter s)))
-    |> List.length
+    List.sort_uniq compare (List.map (fun (id, _, _) -> id) (M.Sampler.health s)) |> List.length
   in
   ( {
       label = (if gated then "evidence gate (quorum 2)" else "ungated (trust every detector)");

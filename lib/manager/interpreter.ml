@@ -39,7 +39,7 @@ let effective_bound (intent : Intent.t) =
   | None, b | b, None -> b
   | Some a, Some b -> Some (Float.min a b)
 
-let compile topo ?(k_paths = 4) (intent : Intent.t) =
+let compile topo (intent : Intent.t) =
   let* () =
     Result.map_error (fun why -> Mgr_error.Invalid_intent why) (Intent.validate intent)
   in
@@ -48,7 +48,7 @@ let compile topo ?(k_paths = 4) (intent : Intent.t) =
       let* s = find_device topo src in
       let* d = find_device topo dst in
       let candidates =
-        T.Routing.k_shortest_paths ~k:k_paths topo s.T.Device.id d.T.Device.id
+        T.Routing.k_shortest_paths ~k:4 topo s.T.Device.id d.T.Device.id
         |> List.filter (fun (p : T.Path.t) -> p.T.Path.hops <> [])
         |> filter_latency (effective_bound intent)
       in

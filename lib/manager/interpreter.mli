@@ -24,9 +24,8 @@ type requirement = {
   p99_bound : Ihnet_util.Units.ns option;
 }
 
-val compile :
-  Ihnet_topology.Topology.t -> ?k_paths:int -> Intent.t -> (requirement list, Mgr_error.t) result
-(** [k_paths] (default 4) bounds the candidate set per pipe. Fails on
+val compile : Ihnet_topology.Topology.t -> Intent.t -> (requirement list, Mgr_error.t) result
+(** A pipe gets at most 4 candidate paths, shortest first. Fails on
     unknown device names ({!Mgr_error.Unknown_device}), unreachable
     pairs ({!Mgr_error.No_path}/[No_uplink]/[No_downlink]), or invalid
     intents ({!Mgr_error.Invalid_intent}). A [latency_bound] or

@@ -20,16 +20,14 @@ let error_to_string = Mgr_error.to_string
 
 type t = {
   fabric : Fabric.t;
-  k_paths : int;
   scheduler : Scheduler.t;
   arbiter : Arbiter.t;
   mutable live : Placement.t list;
 }
 
-let create fabric ?(headroom = 0.9) ?(k_paths = 4) ?reaction_delay () =
+let create fabric ?(headroom = 0.9) ?reaction_delay () =
   {
     fabric;
-    k_paths;
     scheduler = Scheduler.create (Fabric.topology fabric) ~headroom ();
     arbiter = Arbiter.create fabric ?reaction_delay ();
     live = [];
@@ -41,7 +39,7 @@ let arbiter t = t.arbiter
 
 let submit t intent =
   let ( let* ) = Result.bind in
-  let* reqs = Interpreter.compile (Fabric.topology t.fabric) ~k_paths:t.k_paths intent in
+  let* reqs = Interpreter.compile (Fabric.topology t.fabric) intent in
   let* placements = Scheduler.place_all t.scheduler reqs in
   List.iter
     (fun p ->
@@ -121,7 +119,7 @@ let replace_placement t ~avoid (p : Placement.t) =
         work_conserving = p.Placement.work_conserving;
       }
     in
-    let* reqs = Interpreter.compile topo ~k_paths:t.k_paths intent in
+    let* reqs = Interpreter.compile topo intent in
     let candidates =
       List.concat_map (fun (r : Interpreter.requirement) -> r.Interpreter.candidates) reqs
       |> List.filter (fun (c : T.Path.t) ->

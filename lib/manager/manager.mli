@@ -38,7 +38,6 @@ type t
 val create :
   Ihnet_engine.Fabric.t ->
   ?headroom:float ->
-  ?k_paths:int ->
   ?reaction_delay:Ihnet_util.Units.ns ->
   unit ->
   t

@@ -30,8 +30,7 @@ let try_place topo ~headroom intents =
 
 let fits topo ?(headroom = 0.9) intents = Option.is_some (try_place topo ~headroom intents)
 
-let max_scale topo ?(headroom = 0.9) ?(tolerance = 0.01) intents =
-  assert (tolerance > 0.0 && tolerance < 1.0);
+let max_scale topo ?(headroom = 0.9) intents =
   if intents = [] then infinity
   else begin
     let fits_at s = fits topo ~headroom (List.map (fun i -> scale_intent i s) intents) in
@@ -43,7 +42,7 @@ let max_scale topo ?(headroom = 0.9) ?(tolerance = 0.01) intents =
         hi := !hi *. 2.0
       done;
       let lo = ref (!hi /. 2.0) in
-      while (!hi -. !lo) /. !lo > tolerance do
+      while (!hi -. !lo) /. !lo > 0.01 do
         let mid = (!lo +. !hi) /. 2.0 in
         if fits_at mid then lo := mid else hi := mid
       done;
@@ -51,11 +50,11 @@ let max_scale topo ?(headroom = 0.9) ?(tolerance = 0.01) intents =
     end
   end
 
-let bottlenecks topo ?(headroom = 0.9) ?(top = 5) intents =
+let bottlenecks topo ?(headroom = 0.9) intents =
   match try_place topo ~headroom intents with
   | None -> []
   | Some sched ->
     Scheduler.utilization_summary sched
     |> List.map (fun (id, fwd, rev) -> (T.Topology.link topo id, Float.max fwd rev))
     |> List.sort (fun (_, a) (_, b) -> compare b a)
-    |> List.filteri (fun i _ -> i < top)
+    |> List.filteri (fun i _ -> i < 5)

@@ -10,20 +10,19 @@
 val fits : Ihnet_topology.Topology.t -> ?headroom:float -> Intent.t list -> bool
 (** Would the whole deployment be admitted on an empty host? *)
 
-val max_scale :
-  Ihnet_topology.Topology.t -> ?headroom:float -> ?tolerance:float -> Intent.t list -> float
+val max_scale : Ihnet_topology.Topology.t -> ?headroom:float -> Intent.t list -> float
 (** Largest uniform factor [s] such that every intent with its rates
-    multiplied by [s] still fits (binary search, default [tolerance]
-    1%). 0.0 when even an arbitrarily small scale is rejected (e.g. an
+    multiplied by [s] still fits (binary search to within 1%). 0.0
+    when even an arbitrarily small scale is rejected (e.g. an
     unroutable pair); [s < 1.0] means the deployment is over-committed
     today. *)
 
 val bottlenecks :
-  Ihnet_topology.Topology.t -> ?headroom:float -> ?top:int -> Intent.t list ->
+  Ihnet_topology.Topology.t -> ?headroom:float -> Intent.t list ->
   (Ihnet_topology.Link.t * float) list
-(** After placing the deployment, the [top] (default 5) most reserved
-    links with their reservation ratios — where growth will hit first.
-    Empty when the deployment does not fit at all. *)
+(** After placing the deployment, the 5 most reserved links with
+    their reservation ratios — where growth will hit first. Empty when
+    the deployment does not fit at all. *)
 
 val scale_intent : Intent.t -> float -> Intent.t
 (** Every target rate multiplied by the factor. *)

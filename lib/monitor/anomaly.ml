@@ -60,16 +60,13 @@ let watch t ~series detector =
 
 (* Tail-latency watchers: static SLO-style bounds over the percentile
    sub-series a sampler records for a latency snapshot. *)
-let watch_tail t ~series ?p99_above ?p999_above () =
-  let bound field = function
-    | None -> ()
-    | Some hi ->
-      watch t
-        ~series:(Telemetry.pct_series ~series field)
-        (Threshold { above = Some hi; below = None })
-  in
-  bound "p99" p99_above;
-  bound "p999" p999_above
+let watch_tail t ~series ?p99_above () =
+  match p99_above with
+  | None -> ()
+  | Some hi ->
+    watch t
+      ~series:(Telemetry.pct_series ~series "p99")
+      (Threshold { above = Some hi; below = None })
 
 let raise_alarm t ~at ~series ~value reason =
   t.alarms <- { at; series; value; reason } :: t.alarms

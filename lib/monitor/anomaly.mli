@@ -32,13 +32,12 @@ val create : unit -> t
 val watch : t -> series:string -> detector -> unit
 (** Multiple detectors per series are allowed. *)
 
-val watch_tail :
-  t -> series:string -> ?p99_above:float -> ?p999_above:float -> unit -> unit
-(** Install {!Threshold} detectors on the [.p99] / [.p999] sub-series
-    of a latency-percentile snapshot (see {!Telemetry.pct_series}) —
-    the tail-latency alarm over a {!Sampler.latency_series} or the
+val watch_tail : t -> series:string -> ?p99_above:float -> unit -> unit
+(** Install a {!Threshold} detector on the [.p99] sub-series of a
+    latency-percentile snapshot (see {!Telemetry.pct_series}) — the
+    tail-latency alarm over a {!Sampler.latency_series} or the
     host-wide ["flow.latency"] snapshot the sampler records at flow
-    completions. Omitted bounds install nothing. *)
+    completions. An omitted bound installs nothing. *)
 
 val observe : t -> series:string -> at:Ihnet_util.Units.ns -> float -> unit
 (** Feed one sample directly to the detectors watching [series]. *)

@@ -20,9 +20,6 @@ type t = {
   rng : Ihnet_util.Rng.t;
   cache : (int, reading) Hashtbl.t; (* resource -> last reading (Hardware rate limit) *)
   frozen : (int, reading) Hashtbl.t; (* resource -> reading a stuck counter froze at *)
-  last_seen : (int, float * float) Hashtbl.t; (* resource -> (at, wire_bytes) as reported *)
-  runs : (int, int) Hashtbl.t; (* resource -> consecutive zero-delta reads under load *)
-  unhealthy : (T.Link.id * [ `Flatline | `Out_of_range ], unit) Hashtbl.t;
 }
 
 let create ?(noise = 0.0) fabric ~fidelity =
@@ -34,9 +31,6 @@ let create ?(noise = 0.0) fabric ~fidelity =
     rng = Ihnet_util.Rng.split (Fabric.rng fabric);
     cache = Hashtbl.create 64;
     frozen = Hashtbl.create 8;
-    last_seen = Hashtbl.create 64;
-    runs = Hashtbl.create 64;
-    unhealthy = Hashtbl.create 8;
   }
 
 let fidelity t = t.fidelity
@@ -105,27 +99,6 @@ let corrupt t link_id dir (r : reading) =
       }
   end
 
-(* Plausibility checks over what the counter *reported* (post-fault):
-   a link cannot move more bytes than nominal capacity x elapsed time,
-   and a loaded link cannot move none at all for several reads. *)
-let observe_health t link_id dir (r : reading) =
-  let key = res_key link_id dir in
-  (match Hashtbl.find_opt t.last_seen key with
-  | Some (prev_at, prev_bytes) when r.at > prev_at ->
-    let dt_s = (r.at -. prev_at) /. 1e9 in
-    let delta = r.wire_bytes -. prev_bytes in
-    let nominal = (T.Topology.link (Fabric.topology t.fabric) link_id).T.Link.capacity in
-    if delta > (nominal *. dt_s *. 1.05) +. 1.0 || delta < 0.0 then
-      Hashtbl.replace t.unhealthy (link_id, `Out_of_range) ();
-    if delta = 0.0 && r.utilization >= 0.02 then begin
-      let run = (match Hashtbl.find_opt t.runs key with Some n -> n | None -> 0) + 1 in
-      Hashtbl.replace t.runs key run;
-      if run >= 3 then Hashtbl.replace t.unhealthy (link_id, `Flatline) ()
-    end
-    else Hashtbl.replace t.runs key 0
-  | _ -> ());
-  Hashtbl.replace t.last_seen key (r.at, r.wire_bytes)
-
 let read t link_id dir ~tenants =
   let raw =
     match t.fidelity with
@@ -140,12 +113,7 @@ let read t link_id dir ~tenants =
         Hashtbl.replace t.cache key r;
         r)
   in
-  let r = corrupt t link_id dir raw in
-  observe_health t link_id dir r;
-  r
-
-let health t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.unhealthy [] |> List.sort_uniq compare
+  corrupt t link_id dir raw
 
 let ddio_hit_rate t ~socket =
   match t.fidelity with

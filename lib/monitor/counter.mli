@@ -51,18 +51,10 @@ val read :
 (** Read the counters of one link direction. Under [Hardware] fidelity,
     reads faster than [max_read_hz] return the cached previous reading
     (stale timestamps included) — exactly how rate-limited PMU access
-    behaves. *)
+    behaves. A device-scoped sensor fault on either end of the link
+    corrupts the returned reading (drift scales it, stuck freezes it);
+    {!Sampler.health} judges what the sampler stores of it. *)
 
 val ddio_hit_rate : t -> socket:int -> float option
 (** LLC I/O-way hit rate; [None] under [Software] fidelity (no CPU
     uncore access). *)
-
-val health : t -> (Ihnet_topology.Link.id * [ `Flatline | `Out_of_range ]) list
-(** Links whose {e reported} readings have ever violated a plausibility
-    bound, sorted and deduplicated. [`Out_of_range]: a byte delta
-    exceeding nominal capacity x elapsed time (or going backwards) —
-    only an over-reading (drifting/duplicated) sensor can produce it.
-    [`Flatline]: three consecutive reads with zero byte delta while the
-    same counter claims >= 2% utilization — a stuck sensor. Both checks
-    run on what the counter {e returned}, never on fabric internals, so
-    they are legitimate monitor-side self-diagnostics. *)

@@ -15,26 +15,16 @@ let route fabric a b =
   | Some _ -> invalid_arg "Diagnostics: src equals dst"
   | None -> invalid_arg "Diagnostics: no route"
 
-let reverse (p : T.Path.t) =
-  {
-    T.Path.src = p.T.Path.dst;
-    dst = p.T.Path.src;
-    hops =
-      List.rev_map
-        (fun (h : T.Path.hop) -> { h with T.Path.dir = T.Link.opposite h.T.Path.dir })
-        p.T.Path.hops;
-  }
-
 (* {1 ihping} *)
 
 type ping_report = { mutable sent : int; mutable lost : int; rtts : U.Sketch.t }
 
-let rtt_of fabric ~probe_bytes p =
+(* the reverse direction sees its own utilization *)
+let rtt fabric ~probe_bytes p =
   Fabric.path_latency fabric ~payload_bytes:probe_bytes p
-  +. Fabric.path_latency fabric ~payload_bytes:probe_bytes (reverse p)
+  +. Fabric.path_latency fabric ~payload_bytes:probe_bytes (T.Path.reverse p)
 
-let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?(probe_bytes = 64)
-    ?on_done () =
+let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?on_done () =
   if count <= 0 then invalid_arg "Diagnostics.ping: count must be > 0";
   if not (interval > 0.0) then invalid_arg "Diagnostics.ping: interval must be > 0";
   let p = route fabric (dev fabric src) (dev fabric dst) in
@@ -45,7 +35,7 @@ let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?(probe_b
     report.sent <- report.sent + 1;
     let loss = Fabric.probe_loss_prob fabric p in
     if U.Rng.float rng 1.0 < loss then report.lost <- report.lost + 1
-    else U.Sketch.record report.rtts (rtt_of fabric ~probe_bytes p);
+    else U.Sketch.record report.rtts (rtt fabric ~probe_bytes:64 p);
     if report.sent < count then Sim.schedule sim ~after:interval probe
     else match on_done with Some cb -> cb report | None -> ()
   in
@@ -55,7 +45,7 @@ let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?(probe_b
 let ping_once fabric ~src ~dst =
   let p = route fabric (dev fabric src) (dev fabric dst) in
   if Fabric.probe_loss_prob fabric p >= 1.0 then None
-  else Some (rtt_of fabric ~probe_bytes:64 p)
+  else Some (rtt fabric ~probe_bytes:64 p)
 
 (* {1 ihtrace} *)
 

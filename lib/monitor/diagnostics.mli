@@ -13,19 +13,25 @@ type ping_report = {
 }
 (** Fields fill in as the simulation executes the scheduled probes. *)
 
+val rtt :
+  Ihnet_engine.Fabric.t -> probe_bytes:int -> Ihnet_topology.Path.t -> Ihnet_util.Units.ns
+(** Round-trip latency of a [probe_bytes] message under current load:
+    {!Ihnet_engine.Fabric.path_latency} along the path, then along
+    {!Ihnet_topology.Path.reverse}, each direction at its own
+    utilization. *)
+
 val ping :
   Ihnet_engine.Fabric.t ->
   src:string ->
   dst:string ->
   ?count:int ->
   ?interval:Ihnet_util.Units.ns ->
-  ?probe_bytes:int ->
   ?on_done:(ping_report -> unit) ->
   unit ->
   ping_report
-(** Schedule [count] (default 10) probes [interval] (default 100 µs)
-    apart; the returned report fills in as the simulation runs and
-    [on_done] fires after the last probe. Lost probes (fault loss)
+(** Schedule [count] (default 10) 64-byte probes [interval] (default
+    100 µs) apart; the returned report fills in as the simulation runs
+    and [on_done] fires after the last probe. Lost probes (fault loss)
     count in [lost].
     @raise Invalid_argument on unknown devices, no route, [count <= 0]
     or [interval <= 0]. *)

@@ -44,8 +44,8 @@ val report :
     clamped to [\[0,1\]]. *)
 
 val invalidate : t -> modality:modality -> link:Ihnet_topology.Link.id -> unit
-(** Withdraw a modality's report — e.g. when {!Counter.health} or
-    {!Sampler.health} says the sensor behind it is itself lying. *)
+(** Withdraw a modality's report — e.g. when {!Sampler.health} says
+    the sensor behind it is itself lying. *)
 
 val feed_heartbeat : t -> Heartbeat.suspect list -> unit
 (** Report each suspect under the [Heartbeat] modality at its

@@ -38,13 +38,13 @@ let sockets_of topo =
       match d.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false)
   |> List.map (fun (d : T.Device.t) -> d.T.Device.socket)
 
-let collect counter ?(congestion_threshold = 0.8) ?(window = U.Units.ms 1.0) ?(tenants = []) () =
-  assert (congestion_threshold > 0.0 && window > 0.0);
+let collect counter ?(tenants = []) () =
+  let window = U.Units.ms 1.0 in
   let fabric = Counter.fabric counter in
   let topo = Fabric.topology fabric in
   let links = T.Topology.links topo in
   let dirs = [ T.Link.Fwd; T.Link.Rev ] in
-  (* two readings [window] apart give per-tenant rates *)
+  (* two readings 1 ms apart give per-tenant rates *)
   let before =
     List.concat_map
       (fun (l : T.Link.t) ->
@@ -59,7 +59,7 @@ let collect counter ?(congestion_threshold = 0.8) ?(window = U.Units.ms 1.0) ?(t
       List.iter
         (fun dir ->
           let r = Counter.read counter l.T.Link.id dir ~tenants in
-          if r.Counter.utilization >= congestion_threshold then
+          if r.Counter.utilization >= 0.8 then
             congested :=
               {
                 link = l.T.Link.id;

@@ -32,17 +32,11 @@ type t = {
           two visible tenants. *)
 }
 
-val collect :
-  Counter.t ->
-  ?congestion_threshold:float ->
-  ?window:Ihnet_util.Units.ns ->
-  ?tenants:int list ->
-  unit ->
-  t
-(** Take a snapshot now. [congestion_threshold] (default 0.8) selects
-    the congested list; per-tenant rates are measured over [window]
-    (default 1 ms) by differencing byte counters — the call advances
-    the simulation by that window. *)
+val collect : Counter.t -> ?tenants:int list -> unit -> t
+(** Take a snapshot now. A link direction at 80% utilization or more
+    is congested; per-tenant rates are measured over 1 ms by
+    differencing byte counters — the call advances the simulation by
+    that window. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line, operator-facing rendering. *)

@@ -61,21 +61,6 @@ let default_devices topo =
       || match d.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false)
   |> List.map (fun (d : T.Device.t) -> d.T.Device.id)
 
-let rtt t (pair : pair) =
-  let fwd =
-    Fabric.path_latency t.fabric ~payload_bytes:t.config.probe_bytes pair.path
-  in
-  (* the reverse direction sees its own utilization *)
-  let rev_path =
-    { T.Path.src = pair.path.T.Path.dst; dst = pair.path.T.Path.src;
-      hops =
-        List.rev_map
-          (fun (h : T.Path.hop) -> { h with T.Path.dir = T.Link.opposite h.T.Path.dir })
-          pair.path.T.Path.hops }
-  in
-  let rev = Fabric.path_latency t.fabric ~payload_bytes:t.config.probe_bytes rev_path in
-  fwd +. rev
-
 let rec round t _sim =
   if not t.stopped then begin
     let now = Fabric.now t.fabric in
@@ -86,7 +71,9 @@ let rec round t _sim =
           let outcome =
             if U.Rng.float t.rng 1.0 < loss then `Lost
             else begin
-              let sample = rtt t pair in
+              let sample =
+                Diagnostics.rtt t.fabric ~probe_bytes:t.config.probe_bytes pair.path
+              in
               if t.rounds < t.config.warmup_rounds then begin
                 U.Stats.Online.add pair.baseline sample;
                 `Ok sample

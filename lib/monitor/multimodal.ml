@@ -11,8 +11,6 @@ type alarm = {
 type t = {
   series : string array;
   warmup : int;
-  drift : float;
-  threshold : float;
   baseline : U.Stats.Online.t array;
   mutable seen : int;
   mutable accumulator : float;
@@ -20,14 +18,16 @@ type t = {
   mutable last_fed_at : float;
 }
 
-let create ?(warmup = 64) ?(drift = 0.5) ?(threshold = 8.0) ~series () =
+(* CUSUM slack per sample and alarm level on the accumulated distance *)
+let drift = 0.5
+let threshold = 8.0
+
+let create ?(warmup = 64) ~series () =
   if series = [] then invalid_arg "Multimodal.create: empty series list";
-  assert (warmup > 1 && threshold > 0.0 && drift >= 0.0);
+  assert (warmup > 1);
   {
     series = Array.of_list series;
     warmup;
-    drift;
-    threshold;
     baseline = Array.init (List.length series) (fun _ -> U.Stats.Online.create ());
     seen = 0;
     accumulator = 0.0;
@@ -68,8 +68,8 @@ let observe t ~at x =
   end
   else begin
     let d = distance t x in
-    t.accumulator <- Float.max 0.0 (t.accumulator +. d -. t.drift);
-    if t.accumulator > t.threshold then begin
+    t.accumulator <- Float.max 0.0 (t.accumulator +. d -. drift);
+    if t.accumulator > threshold then begin
       let s = t.accumulator in
       t.accumulator <- 0.0;
       let drivers =

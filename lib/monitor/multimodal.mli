@@ -29,12 +29,10 @@ type verdict =
 
 type t
 
-val create :
-  ?warmup:int -> ?drift:float -> ?threshold:float -> series:string list -> unit -> t
-(** [warmup] baseline vectors (default 64); [drift] per-sample slack on
-    the accumulated distance (default 0.5); [threshold] on the
-    accumulator (default 8.0); [series] the telemetry series forming
-    the feature vector, in order.
+val create : ?warmup:int -> series:string list -> unit -> t
+(** [warmup] baseline vectors (default 64); [series] the telemetry
+    series forming the feature vector, in order. The accumulated
+    distance takes 0.5 of slack per sample and alarms above 8.0.
     @raise Invalid_argument on an empty series list. *)
 
 val observe : t -> at:Ihnet_util.Units.ns -> float array -> verdict

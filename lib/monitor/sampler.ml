@@ -182,7 +182,7 @@ let rec tick t _sim =
     Sim.schedule (Fabric.sim t.fabric) ~after:t.config.period (tick t)
   end
 
-let start fabric ?telemetry config =
+let start fabric config =
   (* NaN fails the comparison too *)
   if not (config.period > 0.0) then
     invalid_arg (Printf.sprintf "Sampler.start: period must be > 0 (got %g)" config.period);
@@ -191,7 +191,7 @@ let start fabric ?telemetry config =
       fabric;
       config;
       counter = Counter.create ~noise:config.noise fabric ~fidelity:config.fidelity;
-      telemetry = (match telemetry with Some tm -> tm | None -> Telemetry.create ());
+      telemetry = Telemetry.create ();
       (* split off a COPY: deriving from the shared stream directly
          would advance it and perturb every later consumer's draws
          (heartbeat streams etc.) even in fault-free runs *)
@@ -222,10 +222,10 @@ let cpu_time_consumed t = t.cpu
 let shipping_rate t =
   List.fold_left (fun acc (f : Flow.t) -> acc +. f.Flow.rate) 0.0 t.ship_flows
 
-(* Series-level plausibility: same physics as {!Counter.health} but
-   judged over the retained telemetry, so it also catches corruption
-   introduced between the counter and the store (the sampler's own
-   sensor faults). Computed on demand — ticks stay cheap. *)
+(* The one plausibility judge, over the retained telemetry: it sees a
+   device-scoped fault through the counter's corrupted reading and a
+   series-scoped one through [put]. Computed on demand, so ticks stay
+   cheap; the price is that it forgets what the ring has dropped. *)
 let health t =
   let topo = Fabric.topology t.fabric in
   let found = ref [] in
@@ -238,13 +238,13 @@ let health t =
             Telemetry.window t.telemetry ~series:(bytes_series id dir) ~since:neg_infinity
           in
           let nominal = l.T.Link.capacity in
+          (* a cumulative byte count can neither outrun the wire nor
+             step backwards *)
           let rec out_of_range = function
             | (a : Telemetry.sample) :: (b :: _ as rest) ->
               let dt_s = (b.Telemetry.at -. a.Telemetry.at) /. 1e9 in
-              if
-                dt_s > 0.0
-                && b.Telemetry.value -. a.Telemetry.value > (nominal *. dt_s *. 1.05) +. 1.0
-              then true
+              let delta = b.Telemetry.value -. a.Telemetry.value in
+              if dt_s > 0.0 && (delta > (nominal *. dt_s *. 1.05) +. 1.0 || delta < 0.0) then true
               else out_of_range rest
             | _ -> false
           in

@@ -31,8 +31,9 @@ val default_config : unit -> config
 
 type t
 
-val start : Ihnet_engine.Fabric.t -> ?telemetry:Telemetry.t -> config -> t
-(** Begins ticking immediately (first tick one period from now).
+val start : Ihnet_engine.Fabric.t -> config -> t
+(** Begins ticking immediately (first tick one period from now) into a
+    fresh telemetry store.
     @raise Invalid_argument unless [config.period > 0]. *)
 
 val stop : t -> unit
@@ -57,11 +58,15 @@ val health :
   (Ihnet_topology.Link.id * Ihnet_topology.Link.dir * [ `Flatline | `Out_of_range ]) list
 (** Per-(link, dir) plausibility verdicts over the retained telemetry,
     computed on demand. [`Out_of_range]: some consecutive byte-counter
-    delta exceeds nominal capacity x elapsed time (physically
-    impossible — an over-reporting sensor). [`Flatline]: the last three
-    byte samples are identical while the utilization series shows load
-    (a stuck sensor). Judged purely on stored samples, so corruption
-    injected anywhere between counter and store is caught. *)
+    delta exceeds nominal capacity x elapsed time, or is negative
+    (physically impossible — a sensor that over-reports, starts
+    under-reporting, or stops over-reporting). [`Flatline]: the last
+    three byte samples are identical while the utilization series shows
+    load (a stuck sensor). Judged purely on stored samples, so
+    corruption injected anywhere between counter and store is caught;
+    a verdict lasts only while the samples that raised it are retained
+    (the store's per-series capacity, 1024 samples by default — about
+    100 ms at the default period). *)
 
 (** {1 Series naming} *)
 

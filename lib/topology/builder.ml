@@ -126,7 +126,7 @@ let add_nic topo ~name ~socket ~gbps ~parent ?(gen = Pcie.Gen4) ?(lanes = 16) ()
   link_inter_host topo ~nic ~gbps;
   nic
 
-let two_socket_server ?config ?(pcie_gen = Pcie.Gen4) () =
+let two_socket_server ?config () =
   let topo = Topology.create ?config ~name:"two-socket-server" () in
   ignore (ensure_ext topo);
   let s0, rps0 = socket_with_ports topo ~idx:0 ~mem_controllers:2 ~channels_per_mc:3 ~ports:2 in
@@ -137,25 +137,25 @@ let two_socket_server ?config ?(pcie_gen = Pcie.Gen4) () =
     let sw =
       Topology.add_device topo ~name:"pciesw0" ~kind:(Device.Pcie_switch { ports = 4 }) ~socket:0
     in
-    attach_pcie topo ~parent:rp00.Device.id ~child:sw.Device.id ~gen:pcie_gen ();
-    ignore (add_nic topo ~name:"nic0" ~socket:0 ~gbps:200.0 ~parent:sw.Device.id ~gen:pcie_gen ());
+    attach_pcie topo ~parent:rp00.Device.id ~child:sw.Device.id ();
+    ignore (add_nic topo ~name:"nic0" ~socket:0 ~gbps:200.0 ~parent:sw.Device.id ());
     let gpu0 = Topology.add_device topo ~name:"gpu0" ~kind:Device.Gpu ~socket:0 in
-    attach_pcie topo ~parent:sw.Device.id ~child:gpu0.Device.id ~gen:pcie_gen ();
+    attach_pcie topo ~parent:sw.Device.id ~child:gpu0.Device.id ();
     let ssd0 = Topology.add_device topo ~name:"ssd0" ~kind:Device.Nvme_ssd ~socket:0 in
-    attach_pcie topo ~parent:sw.Device.id ~child:ssd0.Device.id ~gen:pcie_gen ();
-    ignore (add_nic topo ~name:"nic1" ~socket:0 ~gbps:200.0 ~parent:rp01.Device.id ~gen:pcie_gen ())
+    attach_pcie topo ~parent:sw.Device.id ~child:ssd0.Device.id ();
+    ignore (add_nic topo ~name:"nic1" ~socket:0 ~gbps:200.0 ~parent:rp01.Device.id ())
   | _ -> assert false);
   (match rps1 with
   | [ rp10; rp11 ] ->
     let sw =
       Topology.add_device topo ~name:"pciesw1" ~kind:(Device.Pcie_switch { ports = 4 }) ~socket:1
     in
-    attach_pcie topo ~parent:rp10.Device.id ~child:sw.Device.id ~gen:pcie_gen ();
+    attach_pcie topo ~parent:rp10.Device.id ~child:sw.Device.id ();
     let gpu1 = Topology.add_device topo ~name:"gpu1" ~kind:Device.Gpu ~socket:1 in
-    attach_pcie topo ~parent:sw.Device.id ~child:gpu1.Device.id ~gen:pcie_gen ();
+    attach_pcie topo ~parent:sw.Device.id ~child:gpu1.Device.id ();
     let ssd1 = Topology.add_device topo ~name:"ssd1" ~kind:Device.Nvme_ssd ~socket:1 in
-    attach_pcie topo ~parent:sw.Device.id ~child:ssd1.Device.id ~gen:pcie_gen ();
-    ignore (add_nic topo ~name:"nic2" ~socket:1 ~gbps:200.0 ~parent:rp11.Device.id ~gen:pcie_gen ())
+    attach_pcie topo ~parent:sw.Device.id ~child:ssd1.Device.id ();
+    ignore (add_nic topo ~name:"nic2" ~socket:1 ~gbps:200.0 ~parent:rp11.Device.id ())
   | _ -> assert false);
   topo
 

@@ -10,7 +10,7 @@
     - PCIe gen4 x16 hop (3)/(4): ≈31.5 GB/s raw, 100 ns;
     - inter-host (5): 25 GB/s (200 GbE), 1.5 µs. *)
 
-val two_socket_server : ?config:Hostconfig.t -> ?pcie_gen:Pcie.gen -> unit -> Topology.t
+val two_socket_server : ?config:Hostconfig.t -> unit -> Topology.t
 (** The example topology of Figure 1. Two sockets; per socket: two
     memory controllers with three DDR channels each, one root complex
     with two root ports. Socket 0: rp0.0 → switch ("pciesw0") → nic0 +

@@ -11,6 +11,13 @@ let hop_count t = List.length t.hops
 let base_latency t =
   List.fold_left (fun acc h -> acc +. h.link.Link.base_latency) 0.0 t.hops
 
+let reverse t =
+  {
+    src = t.dst;
+    dst = t.src;
+    hops = List.rev_map (fun h -> { h with dir = Link.opposite h.dir }) t.hops;
+  }
+
 let concat a b =
   if a.dst <> b.src then invalid_arg "Path.concat: paths do not chain";
   { src = a.src; dst = b.dst; hops = a.hops @ b.hops }

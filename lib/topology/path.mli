@@ -23,6 +23,10 @@ val hop_count : t -> int
 val base_latency : t -> Ihnet_util.Units.ns
 (** Sum of link base latencies (the zero-load path latency). *)
 
+val reverse : t -> t
+(** The same links from [dst] back to [src], each hop traversed in the
+    opposite direction: the route a reply retraces. *)
+
 val concat : t -> t -> t
 (** [concat a b] joins two paths end to end.
     @raise Invalid_argument unless [a.dst = b.src]. *)

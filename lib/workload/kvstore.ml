@@ -48,17 +48,6 @@ let path fabric a b =
   | Some p -> p
   | None -> invalid_arg "Kvstore: endpoints not connected"
 
-(* mechanical reversal: the response retraces the request's route *)
-let reverse_path (p : T.Path.t) =
-  {
-    T.Path.src = p.T.Path.dst;
-    dst = p.T.Path.src;
-    hops =
-      List.rev_map
-        (fun (h : T.Path.hop) -> { h with T.Path.dir = T.Link.opposite h.T.Path.dir })
-        p.T.Path.hops;
-  }
-
 let start fabric ?rng config =
   assert (config.request_rate > 0.0 && config.sample_rate > 0.0);
   let rng = match rng with Some r -> r | None -> U.Rng.split (Fabric.rng fabric) in
@@ -78,7 +67,8 @@ let start fabric ?rng config =
       (path fabric ext.T.Device.id nic.T.Device.id)
       (path fabric nic.T.Device.id target_dev.T.Device.id)
   in
-  let resp_path = reverse_path req_path in
+  (* the response retraces the request's route *)
+  let resp_path = T.Path.reverse req_path in
   let in_rate = config.request_rate *. config.request_bytes in
   let out_rate = config.request_rate *. config.response_bytes in
   let payload b = max 1 (int_of_float (Float.min b 4096.0)) in

@@ -28,8 +28,8 @@ let finish stream (flow : Flow.t) =
   stream.moved <- stream.moved +. flow.Flow.transferred;
   stream.live <- List.filter (fun (f : Flow.t) -> f.Flow.id <> flow.Flow.id) stream.live
 
-let poisson_transfers fabric ~rng ~tenant ?(cls = Flow.Payload) ?payload_bytes
-    ?(llc_target = false) ~rate_per_s ~size ~path ?on_transfer () =
+let poisson_transfers fabric ~rng ~tenant ?(llc_target = false) ~rate_per_s ~size ~path
+    ?on_transfer () =
   assert (rate_per_s > 0.0);
   let stream = make fabric in
   let sim = Fabric.sim fabric in
@@ -37,8 +37,7 @@ let poisson_transfers fabric ~rng ~tenant ?(cls = Flow.Payload) ?payload_bytes
     if not stream.stopped then begin
       let bytes = draw_size rng size in
       let flow =
-        Fabric.start_flow fabric ~tenant ~cls ?payload_bytes ~llc_target ~path
-          ~size:(Flow.Bytes bytes)
+        Fabric.start_flow fabric ~tenant ~llc_target ~path ~size:(Flow.Bytes bytes)
           ~on_complete:(fun f ->
             finish stream f;
             match on_transfer with
@@ -53,28 +52,20 @@ let poisson_transfers fabric ~rng ~tenant ?(cls = Flow.Payload) ?payload_bytes
   Sim.schedule sim ~after:(Rng.exponential rng (1e9 /. rate_per_s)) arrival;
   stream
 
-let constant_stream fabric ~tenant ?(cls = Flow.Payload) ?payload_bytes ?(llc_target = false)
-    ?weight ~rate ~path () =
+let constant_stream fabric ~tenant ~rate ~path () =
   assert (rate > 0.0);
   let stream = make fabric in
-  let flow =
-    Fabric.start_flow fabric ~tenant ~cls ?payload_bytes ~llc_target ?weight ~demand:rate ~path
-      ~size:Flow.Unbounded ()
-  in
+  let flow = Fabric.start_flow fabric ~tenant ~demand:rate ~path ~size:Flow.Unbounded () in
   track stream flow;
   stream
 
-let on_off_stream fabric ~tenant ?(cls = Flow.Payload) ?(llc_target = false) ~rate ~period ~duty
-    ~path () =
+let on_off_stream fabric ~tenant ~rate ~period ~duty ~path () =
   assert (duty > 0.0 && duty <= 1.0 && period > 0.0 && rate > 0.0);
   let stream = make fabric in
   let sim = Fabric.sim fabric in
   let rec on_phase _ =
     if not stream.stopped then begin
-      let flow =
-        Fabric.start_flow fabric ~tenant ~cls ~llc_target ~demand:rate ~path ~size:Flow.Unbounded
-          ()
-      in
+      let flow = Fabric.start_flow fabric ~tenant ~demand:rate ~path ~size:Flow.Unbounded () in
       track stream flow;
       Sim.schedule sim ~after:(period *. duty) (fun _ ->
           if flow.Flow.state = Flow.Running then begin

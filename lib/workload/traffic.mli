@@ -20,8 +20,6 @@ val poisson_transfers :
   Fabric.t ->
   rng:Ihnet_util.Rng.t ->
   tenant:int ->
-  ?cls:Flow.cls ->
-  ?payload_bytes:int ->
   ?llc_target:bool ->
   rate_per_s:float ->
   size:size_dist ->
@@ -30,36 +28,31 @@ val poisson_transfers :
   unit ->
   stream
 (** Transfers of random size arrive with exponential inter-arrival
-    times (mean [1/rate_per_s] seconds); each becomes a finite flow on
-    [path]. [on_transfer] fires at each completion with the measured
+    times (mean [1/rate_per_s] seconds); each becomes a finite
+    [Payload]-class flow on [path]. [on_transfer] fires at each completion with the measured
     duration. *)
 
 val constant_stream :
   Fabric.t ->
   tenant:int ->
-  ?cls:Flow.cls ->
-  ?payload_bytes:int ->
-  ?llc_target:bool ->
-  ?weight:float ->
   rate:float ->
   path:Ihnet_topology.Path.t ->
   unit ->
   stream
-(** An unbounded flow whose source offers exactly [rate] bytes/s. *)
+(** An unbounded [Payload]-class flow whose source offers exactly
+    [rate] bytes/s. *)
 
 val on_off_stream :
   Fabric.t ->
   tenant:int ->
-  ?cls:Flow.cls ->
-  ?llc_target:bool ->
   rate:float ->
   period:Ihnet_util.Units.ns ->
   duty:float ->
   path:Ihnet_topology.Path.t ->
   unit ->
   stream
-(** Bursty source: offers [rate] for [duty × period], then idles.
-    [duty] in (0,1]. *)
+(** Bursty [Payload]-class source: offers [rate] for [duty × period],
+    then idles. [duty] in (0,1]. *)
 
 val stop : stream -> unit
 (** Stop new arrivals and any active flow of this stream. Idempotent. *)

@@ -328,6 +328,28 @@ else
   wait "$gpid"
 fi
 
+# Fault lines name the controller's round, as the status block does:
+# after a 30-round script, a second script's crash lands at the
+# daemon's round 40 (it once printed "round 10", this invocation's own
+# count, above a status block at round 60)
+hsock="$tmp/h.sock"
+"$DAEMON" --fleet --seed 7 --socket "$hsock" --no-trace 2>"$tmp/h.err" &
+hpid=$!
+if ! await_socket "$hsock"; then
+  echo "FAIL fleet-clock-daemon-start: socket never appeared ($(cat "$tmp/h.err"))"
+  fails=$((fails + 1))
+else
+  expect fleet-clock-first 0 \
+    '^fleet: 8 host\(s\), 12 tenant\(s\)$' \
+    "$CTL" fleet --hosts 8 --tenants 12 --connect "$hsock"
+  "$CTL" fleet --hosts 0 --tenants 0 --crash host1 --decisions --connect "$hsock" \
+    >"$tmp/clock.out" 2>&1
+  expect_any fleet-clock-crash 0 '^round 40: crashed host1$' cat "$tmp/clock.out"
+  expect_any fleet-clock-restart 0 '^round 50: restarted host1$' cat "$tmp/clock.out"
+  expect fleet-clock-daemon-shutdown 0 '^bye$' "$CTL" shutdown --connect "$hsock"
+  wait "$hpid"
+fi
+
 if [ "$fails" -ne 0 ]; then
   echo "$fails CLI smoke(s) failed"
   exit 1

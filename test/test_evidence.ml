@@ -1,7 +1,7 @@
 (* Sensor-fault tolerance tests: the Sensorfault model, the trace codec
    for its injection ops, record → replay conformance with lying
    sensors, the monitor's validity metadata (telemetry staleness,
-   counter/sampler plausibility verdicts, coverage-discounted heartbeat
+   sampler plausibility verdicts, coverage-discounted heartbeat
    confidence), the evidence corroboration gate, the remediation
    migration rate limiter, and the qcheck interleaving property that no
    mix of lying sensors and real faults ever migrates traffic off a
@@ -257,24 +257,34 @@ let health_tests =
         sf_check "drifting series is physically impossible" true
           (List.exists (fun (id, d, v) -> id = drifted && d = ddir && v = `Out_of_range) verdicts));
     tc "counter flags a drifting device; honest devices stay clean" (fun () ->
-        let host, p = load_host () in
-        let topo = Ihnet.Host.topology host in
-        let s = Ihnet.Host.start_monitoring host () in
-        Ihnet.Host.run_for host (U.Units.ms 2.0);
-        let counter = Mon.Sampler.counter s in
-        Alcotest.(check (list reject)) "no verdicts while honest" [] (Mon.Counter.health counter);
-        (* drift the NIC the pipe actually enters through: a device
-           fault corrupts the counters of every incident link *)
-        let nic_link = hop_link p 0 in
-        let l = T.Topology.link topo nic_link in
-        let ext = dev topo "ext" in
-        let nic = if l.T.Link.a = ext then l.T.Link.b else l.T.Link.a in
-        E.Fabric.inject_sensor_fault (Ihnet.Host.fabric host)
-          (E.Sensorfault.Device nic)
-          (E.Sensorfault.drifting ~factor:10.0);
-        Ihnet.Host.run_for host (U.Units.ms 2.0);
-        let flagged = List.map fst (Mon.Counter.health counter) in
-        sf_check "nic-adjacent link flagged out-of-range" true (List.mem nic_link flagged));
+        (* over-reporting outruns the wire; under-reporting, begun
+           mid-run, steps the cumulative count backwards *)
+        List.iter
+          (fun factor ->
+            let host, p = load_host () in
+            let topo = Ihnet.Host.topology host in
+            let s = Ihnet.Host.start_monitoring host () in
+            Ihnet.Host.run_for host (U.Units.ms 2.0);
+            Alcotest.(check (list reject)) "no verdicts while honest" [] (Mon.Sampler.health s);
+            (* drift the NIC the pipe actually enters through: a device
+               fault corrupts the counter's reading of every incident
+               link, and the sampler judges what it stored of those
+               readings *)
+            let nic_link, nic_dir = hop p 0 in
+            let l = T.Topology.link topo nic_link in
+            let ext = dev topo "ext" in
+            let nic = if l.T.Link.a = ext then l.T.Link.b else l.T.Link.a in
+            E.Fabric.inject_sensor_fault (Ihnet.Host.fabric host)
+              (E.Sensorfault.Device nic)
+              (E.Sensorfault.drifting ~factor);
+            Ihnet.Host.run_for host (U.Units.ms 2.0);
+            sf_check
+              (Printf.sprintf "x%g: nic-adjacent link flagged out-of-range" factor)
+              true
+              (List.exists
+                 (fun (id, d, v) -> id = nic_link && d = nic_dir && v = `Out_of_range)
+                 (Mon.Sampler.health s)))
+          [ 10.0; 0.5 ]);
   ]
 
 (* {1 Evidence gate} *)

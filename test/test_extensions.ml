@@ -1,5 +1,5 @@
 (* Tests for the extension features: multimodal detection, CXL
-   substrate, fabric event subscription, trace capture. *)
+   substrate, fabric event subscription. *)
 
 module E = Ihnet_engine
 module T = Ihnet_topology
@@ -141,7 +141,7 @@ let cxl_tests =
             ignore (T.Builder.add_cxl_expander topo ~name:"cxl9" ~socket:9)));
   ]
 
-(* {1 Fabric events + trace capture} *)
+(* {1 Fabric events} *)
 
 let event_tests =
   [
@@ -169,37 +169,6 @@ let event_tests =
         Alcotest.(check (list string)) "sequence"
           [ "start"; "start"; "complete"; "stop"; "fault"; "clear" ]
           (List.rev !log));
-    tc "trace capture records finite payload flows only" (fun () ->
-        let _, sim, fab = make_host () in
-        let tr = W.Trace.capture fab in
-        let p = path fab "nic0" "dimm0.0.0" in
-        ignore (E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:(E.Flow.Bytes 1e6) ());
-        ignore (E.Fabric.start_flow fab ~tenant:2 ~path:p ~size:E.Flow.Unbounded ());
-        ignore
-          (E.Fabric.start_flow fab ~tenant:0 ~cls:E.Flow.Probe ~path:p ~size:(E.Flow.Bytes 64.0) ());
-        E.Sim.run ~until:(U.Units.ms 1.0) sim;
-        Alcotest.(check int) "one event" 1 (W.Trace.length tr);
-        let ev = List.hd (W.Trace.events tr) in
-        Alcotest.(check string) "src" "nic0" ev.W.Trace.src;
-        Alcotest.(check (float 0.0)) "bytes" 1e6 ev.W.Trace.bytes);
-    tc "captured trace replays on a fresh host" (fun () ->
-        let _, sim, fab = make_host () in
-        let tr = W.Trace.capture fab in
-        let p = path fab "nic0" "dimm0.0.0" in
-        let rng = U.Rng.create 5 in
-        let stream =
-          W.Traffic.poisson_transfers fab ~rng ~tenant:1 ~rate_per_s:5_000.0
-            ~size:(W.Traffic.Fixed 1e5) ~path:p ()
-        in
-        E.Sim.run ~until:(U.Units.ms 5.0) sim;
-        W.Traffic.stop stream;
-        let n = W.Trace.length tr in
-        Alcotest.(check bool) "captured some" true (n > 5);
-        (* replay on a new host *)
-        let _, sim2, fab2 = make_host () in
-        let stats = W.Trace.replay fab2 tr in
-        E.Sim.run sim2;
-        Alcotest.(check int) "all replayed" n stats.W.Trace.completed);
   ]
 
 (* {1 Device failure} *)

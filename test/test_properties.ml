@@ -176,26 +176,25 @@ let routing_props =
 let path_props =
   let topo = T.Builder.two_socket_server () in
   let n = T.Topology.device_count topo in
-  let reverse (p : T.Path.t) =
-    {
-      T.Path.src = p.T.Path.dst;
-      dst = p.T.Path.src;
-      hops =
-        List.rev_map
-          (fun (h : T.Path.hop) -> { h with T.Path.dir = T.Link.opposite h.T.Path.dir })
-          p.T.Path.hops;
-    }
+  let presets =
+    [|
+      topo; T.Builder.dgx_like (); T.Builder.epyc_like (); T.Builder.minimal ();
+    |]
   in
   [
-    prop "reverse is an involution and stays well-formed"
-      QCheck.(pair (int_range 0 100) (int_range 0 100))
-      (fun (a, b) ->
+    prop "reverse is an involution and stays well-formed" ~count:1000
+      QCheck.(triple (int_range 0 3) (int_range 0 1000) (int_range 0 1000))
+      (fun (k, a, b) ->
+        let topo = presets.(k) in
+        let n = T.Topology.device_count topo in
         let a = a mod n and b = b mod n in
         match T.Routing.shortest_path topo a b with
         | None -> true
         | Some p ->
-          let r = reverse p in
-          T.Path.well_formed topo r && reverse r = p);
+          let r = T.Path.reverse p in
+          T.Path.well_formed topo r
+          && T.Path.reverse r = p
+          && T.Path.devices r = List.rev (T.Path.devices p));
     prop "concat of a path split at any hop reproduces it"
       QCheck.(pair (int_range 0 100) (int_range 0 100))
       (fun (a, b) ->
@@ -287,34 +286,6 @@ let histogram_props =
           [ 0.5; 0.9; 0.99 ]);
   ]
 
-(* {1 Trace CSV} *)
-
-let trace_props =
-  [
-    prop "csv round trip preserves every event" ~count:100
-      QCheck.(
-        list_of_size
-          Gen.(int_range 0 30)
-          (quad (float_range 0.0 1e9) (int_range 0 5) (int_range 0 5) (float_range 1.0 1e9)))
-      (fun evs ->
-        let names = [| "nic0"; "gpu0"; "ssd0"; "socket0"; "dimm0.0.0"; "ext" |] in
-        let tr = W.Trace.empty () in
-        List.iter
-          (fun (at, s, d, bytes) ->
-            W.Trace.add tr
-              {
-                W.Trace.at = Float.round at;
-                src = names.(s);
-                dst = names.(d);
-                bytes = Float.round bytes;
-                tenant = s + d;
-              })
-          evs;
-        match W.Trace.of_csv (W.Trace.to_csv tr) with
-        | Ok tr' -> W.Trace.events tr' = W.Trace.events tr
-        | Error _ -> false);
-  ]
-
 (* {1 Sim ordering} *)
 
 let sim_props =
@@ -363,7 +334,6 @@ let suites =
     ("props.path", path_props);
     ("props.scheduler", scheduler_props);
     ("props.histogram", histogram_props);
-    ("props.trace", trace_props);
     ("props.sim", sim_props);
     ("props.conservation", conservation_props);
   ]

@@ -453,11 +453,8 @@ let attach_sampler sim fab store ~until =
   E.Sim.every sim ~period:sample_period ~until (fun s ->
       List.iter
         (fun (l, dir) ->
-          let series =
-            Printf.sprintf "link.%d.%s.bytes" l
-              (match dir with T.Link.Fwd -> "fwd" | T.Link.Rev -> "rev")
-          in
-          Mon.Telemetry.record store ~series ~at:(E.Sim.now s) (E.Fabric.link_bytes fab l dir))
+          Mon.Telemetry.record store ~series:(Mon.Sampler.bytes_series l dir) ~at:(E.Sim.now s)
+            (E.Fabric.link_bytes fab l dir))
         watched_links)
 
 let alloc_snapshot fab =

@@ -448,50 +448,6 @@ let allreduce_tests =
         Alcotest.(check int) "no leaked flows" 0 (E.Fabric.flow_count fab));
   ]
 
-(* {1 Trace} *)
-
-let trace_tests =
-  [
-    tc "csv round trip" (fun () ->
-        let tr = Trace.empty () in
-        Trace.add tr { Trace.at = 100.0; src = "nic0"; dst = "dimm0.0.0"; bytes = 1e6; tenant = 1 };
-        Trace.add tr { Trace.at = 50.0; src = "gpu0"; dst = "socket0"; bytes = 2e6; tenant = 2 };
-        let csv = Trace.to_csv tr in
-        match Trace.of_csv csv with
-        | Error e -> Alcotest.fail e
-        | Ok tr' ->
-          Alcotest.(check int) "length" 2 (Trace.length tr');
-          let evs = Trace.events tr' in
-          Alcotest.(check bool) "sorted" true ((List.hd evs).Trace.at = 50.0));
-    tc "bad csv reports line" (fun () ->
-        match Trace.of_csv "at_ns,src,dst,bytes,tenant\nnot-a-number,a,b,1,1\n" with
-        | Error e -> Alcotest.(check bool) "mentions line" true (String.length e > 0)
-        | Ok _ -> Alcotest.fail "expected error");
-    tc "replay executes all transfers" (fun () ->
-        let _, sim, fab = make_host () in
-        let tr = Trace.empty () in
-        for i = 0 to 9 do
-          Trace.add tr
-            {
-              Trace.at = float_of_int i *. U.Units.us 100.0;
-              src = "nic0";
-              dst = "dimm0.0.0";
-              bytes = 1e5;
-              tenant = 1;
-            }
-        done;
-        let stats = Trace.replay fab tr in
-        E.Sim.run sim;
-        Alcotest.(check int) "completed" 10 stats.Trace.completed;
-        check_close "bytes" 1e6 stats.Trace.total_bytes);
-    tc "replay rejects unknown devices" (fun () ->
-        let _, _, fab = make_host () in
-        let tr = Trace.empty () in
-        Trace.add tr { Trace.at = 0.0; src = "nope"; dst = "dimm0.0.0"; bytes = 1.0; tenant = 1 };
-        Alcotest.check_raises "unknown" (Invalid_argument "Trace.replay: no device nope")
-          (fun () -> ignore (Trace.replay fab tr)));
-  ]
-
 let suites =
   [
     ("workload.tenant", tenant_tests);
@@ -501,5 +457,4 @@ let suites =
     ("workload.rdma", rdma_tests);
     ("workload.storage", storage_tests);
     ("workload.allreduce", allreduce_tests);
-    ("workload.trace", trace_tests);
   ]
