@@ -289,6 +289,22 @@ let bench_scanport_idle () =
   in
   time_sim_ms sim
 
+(* {1 monitor-idle: what the always-on sampler costs}
+
+   perfbench's host-churn set-up host with no flows: a DGX host with
+   the manager's 50 µs shim and the default 100 µs counter sampler. It
+   first runs 1024 periods, so the telemetry store is full and every
+   further sample overwrites the oldest; one op is then one simulated
+   ms (ten sampler ticks). *)
+
+let bench_monitor_idle () =
+  let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Dgx in
+  ignore (Ihnet.Host.enable_manager host ());
+  let s = Ihnet.Host.start_monitoring host () in
+  Ihnet.Host.run_for host (1024.0 *. (Mon.Sampler.default_config ()).Mon.Sampler.period);
+  if Mon.Sampler.ticks s <> 1024 then failwith "fabric_bench: monitor-idle store not full";
+  time_ops (fun () -> Ihnet.Host.run_for host 1e6)
+
 (* {1 scan-digest: what a Scan reply costs}
 
    A two-socket host carrying 64 flows, as in perfbench's ihnetd-rpc,
@@ -539,6 +555,7 @@ let () =
       ("sketch-idle", bench_sketch_idle);
       ("flow-churn-sketch-4096", fun () -> bench_churn_sketch 4096);
       ("scanport-idle", bench_scanport_idle);
+      ("monitor-idle", bench_monitor_idle);
       ("scan-digest", bench_scan_digest);
       ("fleet-idle", bench_fleet_idle);
       ("fleet-churn-1k", bench_fleet_churn);

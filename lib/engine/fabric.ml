@@ -1390,6 +1390,7 @@ let clear_sensor_fault t target =
 let clear_all_sensor_faults t =
   List.iter (fun (tg, _) -> clear_sensor_fault t tg) (Sensorfault.active t.sensorfaults)
 
+let sensor_faults_armed t = Sensorfault.count t.sensorfaults > 0
 let sensor_fault_of t target = Sensorfault.get t.sensorfaults target
 let sensor_faults t = Sensorfault.active t.sensorfaults
 

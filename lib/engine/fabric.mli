@@ -264,6 +264,11 @@ val inject_sensor_fault : t -> Sensorfault.target -> Sensorfault.sensor_fault ->
 val clear_sensor_fault : t -> Sensorfault.target -> unit
 val clear_all_sensor_faults : t -> unit
 
+val sensor_faults_armed : t -> bool
+(** Whether any sensor fault is installed. While it is false every
+    target reads {!Sensorfault.none}, so a telemetry reader can skip
+    building the lookup key altogether. *)
+
 val sensor_fault_of : t -> Sensorfault.target -> Sensorfault.sensor_fault
 (** {!Sensorfault.none} when the target is healthy. *)
 

@@ -18,18 +18,34 @@ type t = {
   fidelity : fidelity;
   noise : float;
   rng : Ihnet_util.Rng.t;
-  cache : (int, reading) Hashtbl.t; (* resource -> last reading (Hardware rate limit) *)
+  (* Hardware rate limit: the last fresh reading of each resource
+     ([res_key]), one flat array per field; a NaN [at] is never read.
+     Empty under the other fidelities. *)
+  last_at : float array;
+  last_wire : float array;
+  last_util : float array;
+  last_induced : float array;
   frozen : (int, reading) Hashtbl.t; (* resource -> reading a stuck counter froze at *)
 }
 
 let create ?(noise = 0.0) fabric ~fidelity =
-  assert (noise >= 0.0);
+  (* NaN fails the comparison too *)
+  if not (noise >= 0.0) then
+    invalid_arg (Printf.sprintf "Counter.create: noise must be >= 0 (got %g)" noise);
+  let nres =
+    match fidelity with
+    | Hardware _ -> 2 * T.Topology.link_count (Fabric.topology fabric)
+    | Software | Oracle -> 0
+  in
   {
     fabric;
     fidelity;
     noise;
     rng = Ihnet_util.Rng.split (Fabric.rng fabric);
-    cache = Hashtbl.create 64;
+    last_at = Array.make nres nan;
+    last_wire = Array.make nres 0.0;
+    last_util = Array.make nres 0.0;
+    last_induced = Array.make nres 0.0;
     frozen = Hashtbl.create 8;
   }
 
@@ -72,14 +88,18 @@ let fresh_reading t link_id dir ~tenants =
 
 (* Device-scoped sensor faults corrupt every counter of links incident
    to the faulted device. Applied on top of the (true) cached reading,
-   so clearing the fault immediately restores honest values. *)
-let corrupt t link_id dir (r : reading) =
+   so clearing the fault immediately restores honest values. A frozen
+   reading lasts one stuck episode: the first read that finds the
+   link's devices not stuck forgets it, so the next episode freezes
+   the value read when it starts. *)
+let corrupt_armed t link_id dir (r : reading) =
   let sf = Fabric.link_sensor_fault t.fabric link_id in
+  let key = res_key link_id dir in
+  if (not sf.Sensorfault.stuck) && Hashtbl.length t.frozen > 0 then Hashtbl.remove t.frozen key;
   if Sensorfault.is_none sf then r
   else begin
     let r =
       if sf.Sensorfault.stuck then (
-        let key = res_key link_id dir in
         match Hashtbl.find_opt t.frozen key with
         | Some fr -> { fr with at = r.at } (* value froze; the read clock did not *)
         | None ->
@@ -99,19 +119,37 @@ let corrupt t link_id dir (r : reading) =
       }
   end
 
+(* with no sensor fault armed nothing is stuck, so nothing stays frozen *)
+let corrupt t link_id dir r =
+  if Fabric.sensor_faults_armed t.fabric then corrupt_armed t link_id dir r
+  else begin
+    if Hashtbl.length t.frozen > 0 then Hashtbl.reset t.frozen;
+    r
+  end
+
 let read t link_id dir ~tenants =
   let raw =
     match t.fidelity with
     | Software | Oracle -> fresh_reading t link_id dir ~tenants
-    | Hardware { max_read_hz } -> (
-      let key = res_key link_id dir in
-      let min_interval = 1e9 /. max_read_hz in
-      match Hashtbl.find_opt t.cache key with
-      | Some prev when Fabric.now t.fabric -. prev.at < min_interval -> prev
-      | Some _ | None ->
+    | Hardware { max_read_hz } ->
+      let k = res_key link_id dir in
+      let at = t.last_at.(k) in
+      if Fabric.now t.fabric -. at < 1e9 /. max_read_hz then
+        {
+          at;
+          wire_bytes = t.last_wire.(k);
+          utilization = t.last_util.(k);
+          per_tenant = [];
+          induced_bytes = t.last_induced.(k);
+        }
+      else begin
         let r = fresh_reading t link_id dir ~tenants in
-        Hashtbl.replace t.cache key r;
-        r)
+        t.last_at.(k) <- r.at;
+        t.last_wire.(k) <- r.wire_bytes;
+        t.last_util.(k) <- r.utilization;
+        t.last_induced.(k) <- r.induced_bytes;
+        r
+      end
   in
   corrupt t link_id dir raw
 

@@ -41,7 +41,8 @@ val create : ?noise:float -> Ihnet_engine.Fabric.t -> fidelity:fidelity -> t
     utilization points, of Gaussian measurement noise applied to
     utilization and hit-rate readings — real PMU reads are noisy, and
     detector comparisons are only meaningful against that noise.
-    Deterministic per fabric seed. *)
+    Deterministic per fabric seed.
+    @raise Invalid_argument unless [noise >= 0] (NaN included). *)
 
 val fidelity : t -> fidelity
 val fabric : t -> Ihnet_engine.Fabric.t
@@ -52,8 +53,13 @@ val read :
     reads faster than [max_read_hz] return the cached previous reading
     (stale timestamps included) — exactly how rate-limited PMU access
     behaves. A device-scoped sensor fault on either end of the link
-    corrupts the returned reading (drift scales it, stuck freezes it);
-    {!Sampler.health} judges what the sampler stores of it. *)
+    corrupts the returned reading (drift scales it, stuck freezes it
+    for the episode: the first read that finds the link's devices not
+    stuck forgets the frozen reading, so a stuck fault armed again
+    freezes the value read at re-arming); {!Sampler.health} judges
+    what the sampler stores of it. While no sensor fault is armed
+    ({!Ihnet_engine.Fabric.sensor_faults_armed}), the raw reading is
+    returned with no lookup. *)
 
 val ddio_hit_rate : t -> socket:int -> float option
 (** LLC I/O-way hit rate; [None] under [Software] fidelity (no CPU

@@ -33,12 +33,24 @@ type t = {
   telemetry : Telemetry.t;
   rng : Ihnet_util.Rng.t; (* drawn from ONLY while a sensor fault is active *)
   held : (string, float) Hashtbl.t; (* stuck series -> frozen value *)
+  (* The tick's walk, fixed at start: [links] in topology order, and
+     every per-(link, dir) array indexed [2 * i + dir] in that order *)
+  links : T.Link.id array;
+  util_h : Telemetry.handle array;
+  bytes_h : Telemetry.handle array;
+  tenant_h : Telemetry.handle array array; (* one per configured tenant *)
+  sockets : int array;
+  ddio_h : Telemetry.handle array;
+  (* percentile sub-series of each (link, dir), then of the flow
+     roll-up; a slot is interned at its first snapshot *)
+  latency_h : Telemetry.handle array array;
   mutable ship_flows : Flow.t list;
   mutable ticks : int;
   mutable cpu : float;
   mutable stopped : bool;
 }
 
+let dirs = [| T.Link.Fwd; T.Link.Rev |]
 let dir_label = function T.Link.Fwd -> "fwd" | T.Link.Rev -> "rev"
 let util_series id dir = Printf.sprintf "link.%d.%s.util" id (dir_label dir)
 let bytes_series id dir = Printf.sprintf "link.%d.%s.bytes" id (dir_label dir)
@@ -61,14 +73,12 @@ let sockets_of topo =
    plane on, each (link, dir) and the flow roll-up add one percentile
    snapshot = 7 scalar fields. *)
 let samples_per_tick t =
-  let topo = Fabric.topology t.fabric in
+  let nlinks = Array.length t.links in
   let per_link = 2 * (2 + List.length t.config.tenants) in
   let latency =
-    if Fabric.latency_sketches_enabled t.fabric then
-      7 * ((2 * T.Topology.link_count topo) + 1)
-    else 0
+    if Fabric.latency_sketches_enabled t.fabric then 7 * ((2 * nlinks) + 1) else 0
   in
-  (T.Topology.link_count topo * per_link) + List.length (sockets_of topo) + latency
+  (nlinks * per_link) + Array.length t.sockets + latency
 
 (* When shipping, telemetry flows run from every I/O device to the
    collector, splitting the aggregate telemetry rate evenly — a fluid
@@ -101,13 +111,14 @@ let setup_shipping t =
           sources
     end
 
-(* Every sample funnels through here so a [Series]-scoped sensor fault
-   can corrupt it. The healthy path is a plain record — no RNG draws,
-   no table lookups beyond one hashtable probe — so fault-free runs
-   stay bit-identical to a build without sensor faults. *)
-let put t ~series ~at value =
+(* A series-scoped sensor fault, looked up by the handle's name. A
+   frozen value lasts one stuck episode: the first sample that finds
+   its series not stuck forgets it. *)
+let put_armed t h ~at value =
+  let series = Telemetry.name h in
   let sf = Fabric.sensor_fault_of t.fabric (Sensorfault.Series series) in
-  if Sensorfault.is_none sf then Telemetry.record t.telemetry ~series ~at value
+  if (not sf.Sensorfault.stuck) && Hashtbl.length t.held > 0 then Hashtbl.remove t.held series;
+  if Sensorfault.is_none sf then Telemetry.push h ~at value
   else begin
     let at = at +. sf.Sensorfault.skew in
     let value =
@@ -122,57 +133,80 @@ let put t ~series ~at value =
     let value = value *. sf.Sensorfault.drift in
     if U.Rng.float t.rng 1.0 < sf.Sensorfault.drop_prob then ()
     else begin
-      Telemetry.record t.telemetry ~series ~at value;
-      if U.Rng.float t.rng 1.0 < sf.Sensorfault.dup_prob then
-        Telemetry.record t.telemetry ~series ~at value
+      Telemetry.push h ~at value;
+      if U.Rng.float t.rng 1.0 < sf.Sensorfault.dup_prob then Telemetry.push h ~at value
     end
   end
 
+(* Every sample funnels through here so a [Series]-scoped sensor fault
+   can corrupt it. While no sensor fault is armed it is one predicate
+   and two stores — no key built, no RNG draw — so fault-free runs stay
+   bit-identical to a build without sensor faults. *)
+let put t h ~at value =
+  if Fabric.sensor_faults_armed t.fabric then put_armed t h ~at value
+  else Telemetry.push h ~at value
+
+(* [per_tenant] lists the tenants in the order [Counter.read] was
+   asked for them, which is the order of [hs] *)
+let rec put_tenants t hs ~at j = function
+  | [] -> ()
+  | (_, b) :: rest ->
+    put t hs.(j) ~at b;
+    put_tenants t hs ~at (j + 1) rest
+
+(* Latency percentiles, one sub-series per field, so each funnels
+   through [put] and stays individually corruptible by a
+   [Series]-scoped sensor fault. Slot [k] of [latency_h] is interned
+   under [base ()] at its first snapshot. *)
+let put_latency t k ~base ~at = function
+  | Some sk when U.Sketch.count sk > 0 ->
+    let fields = Telemetry.pct_fields (U.Sketch.snapshot sk) in
+    if Array.length t.latency_h.(k) = 0 then begin
+      let series = base () in
+      t.latency_h.(k) <-
+        Array.of_list
+          (List.map
+             (fun (f, _) -> Telemetry.handle t.telemetry (Telemetry.pct_series ~series f))
+             fields)
+    end;
+    List.iteri (fun j (_, v) -> put t t.latency_h.(k).(j) ~at v) fields
+  | Some _ | None -> ()
+
 let rec tick t _sim =
   if not t.stopped then begin
-    let topo = Fabric.topology t.fabric in
     let now = Fabric.now t.fabric in
-    List.iter
-      (fun (l : T.Link.t) ->
-        List.iter
-          (fun dir ->
-            let r = Counter.read t.counter l.T.Link.id dir ~tenants:t.config.tenants in
-            put t ~series:(util_series l.T.Link.id dir) ~at:now r.Counter.utilization;
-            put t ~series:(bytes_series l.T.Link.id dir) ~at:now r.Counter.wire_bytes;
-            List.iter
-              (fun (tn, b) ->
-                put t ~series:(tenant_series l.T.Link.id dir ~tenant:tn) ~at:now b)
-              r.Counter.per_tenant)
-          [ T.Link.Fwd; T.Link.Rev ])
-      (T.Topology.links topo);
-    List.iter
-      (fun s ->
-        match Counter.ddio_hit_rate t.counter ~socket:s with
-        | Some h -> put t ~series:(ddio_series ~socket:s) ~at:now h
-        | None -> ())
-      (sockets_of topo);
-    (* Latency percentiles, one sub-series per field so each funnels
-       through [put] and stays individually corruptible by a
-       [Series]-scoped sensor fault. Dormant sketch plane: zero work. *)
-    if Fabric.latency_sketches_enabled t.fabric then begin
-      let put_pct ~base sk =
-        if U.Sketch.count sk > 0 then
-          List.iter
-            (fun (f, v) -> put t ~series:(Telemetry.pct_series ~series:base f) ~at:now v)
-            (Telemetry.pct_fields (U.Sketch.snapshot sk))
-      in
-      List.iter
-        (fun (l : T.Link.t) ->
-          List.iter
-            (fun dir ->
-              match Fabric.link_latency_sketch t.fabric l.T.Link.id dir with
-              | Some sk -> put_pct ~base:(latency_series l.T.Link.id dir) sk
-              | None -> ())
-            [ T.Link.Fwd; T.Link.Rev ])
-        (T.Topology.links topo);
-      match Fabric.flow_latency_sketch t.fabric with
-      | Some sk -> put_pct ~base:flow_latency_series sk
+    let tenants = t.config.tenants in
+    (* nothing armed: no target is stuck, so nothing stays frozen *)
+    if Hashtbl.length t.held > 0 && not (Fabric.sensor_faults_armed t.fabric) then
+      Hashtbl.reset t.held;
+    for i = 0 to Array.length t.links - 1 do
+      for d = 0 to 1 do
+        let k = (2 * i) + d in
+        let r = Counter.read t.counter t.links.(i) dirs.(d) ~tenants in
+        put t t.util_h.(k) ~at:now r.Counter.utilization;
+        put t t.bytes_h.(k) ~at:now r.Counter.wire_bytes;
+        put_tenants t t.tenant_h.(k) ~at:now 0 r.Counter.per_tenant
+      done
+    done;
+    for j = 0 to Array.length t.sockets - 1 do
+      match Counter.ddio_hit_rate t.counter ~socket:t.sockets.(j) with
+      | Some h -> put t t.ddio_h.(j) ~at:now h
       | None -> ()
+    done;
+    (* dormant sketch plane: zero work *)
+    if Fabric.latency_sketches_enabled t.fabric then begin
+      for i = 0 to Array.length t.links - 1 do
+        for d = 0 to 1 do
+          let id = t.links.(i) and dir = dirs.(d) in
+          put_latency t ((2 * i) + d)
+            ~base:(fun () -> latency_series id dir)
+            ~at:now
+            (Fabric.link_latency_sketch t.fabric id dir)
+        done
+      done;
+      put_latency t (2 * Array.length t.links)
+        ~base:(fun () -> flow_latency_series)
+        ~at:now (Fabric.flow_latency_sketch t.fabric)
     end;
     t.ticks <- t.ticks + 1;
     (match t.config.processing with
@@ -186,17 +220,36 @@ let start fabric config =
   (* NaN fails the comparison too *)
   if not (config.period > 0.0) then
     invalid_arg (Printf.sprintf "Sampler.start: period must be > 0 (got %g)" config.period);
+  let topo = Fabric.topology fabric in
+  let telemetry = Telemetry.create () in
+  let links =
+    Array.of_list (List.map (fun (l : T.Link.t) -> l.T.Link.id) (T.Topology.links topo))
+  in
+  let per_dir f = Array.init (2 * Array.length links) (fun k -> f links.(k / 2) dirs.(k mod 2)) in
+  let sockets = Array.of_list (sockets_of topo) in
   let t =
     {
       fabric;
       config;
       counter = Counter.create ~noise:config.noise fabric ~fidelity:config.fidelity;
-      telemetry = Telemetry.create ();
+      telemetry;
       (* split off a COPY: deriving from the shared stream directly
          would advance it and perturb every later consumer's draws
          (heartbeat streams etc.) even in fault-free runs *)
       rng = U.Rng.split (U.Rng.copy (Fabric.rng fabric));
       held = Hashtbl.create 8;
+      links;
+      util_h = per_dir (fun id dir -> Telemetry.handle telemetry (util_series id dir));
+      bytes_h = per_dir (fun id dir -> Telemetry.handle telemetry (bytes_series id dir));
+      tenant_h =
+        per_dir (fun id dir ->
+            Array.of_list
+              (List.map
+                 (fun tenant -> Telemetry.handle telemetry (tenant_series id dir ~tenant))
+                 config.tenants));
+      sockets;
+      ddio_h = Array.map (fun socket -> Telemetry.handle telemetry (ddio_series ~socket)) sockets;
+      latency_h = Array.make ((2 * Array.length links) + 1) [||];
       ship_flows = [];
       ticks = 0;
       cpu = 0.0;

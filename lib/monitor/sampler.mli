@@ -33,8 +33,15 @@ type t
 
 val start : Ihnet_engine.Fabric.t -> config -> t
 (** Begins ticking immediately (first tick one period from now) into a
-    fresh telemetry store.
-    @raise Invalid_argument unless [config.period > 0]. *)
+    fresh telemetry store. Every series a tick writes is interned here
+    as a {!Telemetry.handle} (latency-percentile sub-series at their
+    first sample), so a tick formats and hashes no name: while no
+    sensor fault is armed, a sample is two float stores. A
+    [Series]-scoped sensor fault is looked up by the handle's name; a
+    stuck one freezes the value read at the first sample of its
+    episode, and forgets it once the series reads not stuck.
+    @raise Invalid_argument unless [config.period > 0], or when
+    {!Counter.create} refuses [config.noise]. *)
 
 val stop : t -> unit
 

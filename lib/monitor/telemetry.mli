@@ -1,17 +1,39 @@
 (** Telemetry store: bounded time series.
 
-    One ring buffer of [(time, value)] samples per series; series are
-    named strings (["link.3.fwd.util"], ["ddio.0.hit"]). The bound is
-    the §3.1-Q2 "storage" half: memory is finite, old samples are
-    overwritten, and {!dropped_samples} quantifies the loss. *)
+    One ring of [(time, value)] samples per series; series are named
+    strings (["link.3.fwd.util"], ["ddio.0.hit"]). The bound is the
+    §3.1-Q2 "storage" half: memory is finite, old samples are
+    overwritten, and {!dropped_samples} quantifies the loss.
+
+    A writer that samples the same series over and over interns its
+    name once ({!handle}) and writes through the handle ({!push}): a
+    sample is then two stores into flat float arrays, with no name
+    formatted or hashed and nothing boxed. Names stay at the edges —
+    queries, CSV, the wire. *)
 
 type sample = { at : Ihnet_util.Units.ns; value : float }
 type t
 
 val create : ?capacity_per_series:int -> unit -> t
-(** Default capacity: 1024 samples per series. *)
+(** Default capacity: 1024 samples per series.
+    @raise Invalid_argument unless [capacity_per_series > 0]. *)
+
+type handle
+(** One series of one store. *)
+
+val handle : t -> string -> handle
+(** The series named so, created (empty) on first use: a name and its
+    handle always refer to the same ring. A series that holds no
+    sample yet is invisible to every reader, so interning ahead of use
+    changes no output. *)
+
+val name : handle -> string
+
+val push : handle -> at:Ihnet_util.Units.ns -> float -> unit
+(** Append a sample, overwriting the oldest when the ring is full. *)
 
 val record : t -> series:string -> at:Ihnet_util.Units.ns -> float -> unit
+(** [push (handle t series)]. *)
 
 val series_names : t -> string list
 val length : t -> series:string -> int
@@ -76,5 +98,3 @@ val to_csv : ?series:string list -> t -> string
 (** Export retained samples as CSV ([series,at_ns,value]), ordered by
     series then time. [series] (default: all) selects which to dump —
     how an operator gets the data off the host. *)
-
-val clear : t -> unit

@@ -285,6 +285,62 @@ let health_tests =
                  (fun (id, d, v) -> id = nic_link && d = nic_dir && v = `Out_of_range)
                  (Mon.Sampler.health s)))
           [ 10.0; 0.5 ]);
+    tc "a re-armed stuck sensor freezes afresh; a cleared one reads true" (fun () ->
+        (* a 5 GB/s ext -> socket0 flow, and a fault-free twin host *)
+        let make () =
+          let host = Ihnet.Host.create ~seed:5 Ihnet.Host.Two_socket in
+          let p = route (Ihnet.Host.topology host) "ext" "socket0" in
+          ignore
+            (E.Fabric.start_flow (Ihnet.Host.fabric host) ~tenant:1
+               ~demand:(U.Units.gbytes_per_s 5.0) ~path:p ~size:E.Flow.Unbounded ());
+          (host, p, Ihnet.Host.start_monitoring host ())
+        in
+        List.iter
+          (fun scope ->
+            let host, p, s = make () and twin, _, ts = make () in
+            let fab = Ihnet.Host.fabric host in
+            let hop = List.hd p.T.Path.hops in
+            let l = hop.T.Path.link in
+            let series = Mon.Sampler.bytes_series l.T.Link.id hop.T.Path.dir in
+            let target =
+              match scope with
+              | `Series -> E.Sensorfault.Series series
+              | `Device ->
+                (* the device the pipe enters through: its stuck
+                   counters freeze every incident link's reading *)
+                let ext = dev (Ihnet.Host.topology host) "ext" in
+                E.Sensorfault.Device (if l.T.Link.a = ext then l.T.Link.b else l.T.Link.a)
+            in
+            let label = E.Sensorfault.target_label target in
+            let run ms = List.iter (fun h -> Ihnet.Host.run_for h (U.Units.ms ms)) [ host; twin ] in
+            let since sampler at =
+              List.map
+                (fun x -> x.Mon.Telemetry.value)
+                (Mon.Telemetry.window (Mon.Sampler.telemetry sampler) ~series ~since:at)
+            in
+            let latest sampler = List.rev (since sampler neg_infinity) |> List.hd in
+            let episode n =
+              let armed = E.Fabric.now fab +. 1.0 in
+              E.Fabric.inject_sensor_fault fab target E.Sensorfault.stuck_at;
+              run 1.0;
+              let read_at_arming = List.hd (since ts armed) in
+              let held = since s armed in
+              Alcotest.(check int) "one sample per tick" 10 (List.length held);
+              Alcotest.(check (list (float 0.0)))
+                (Printf.sprintf "%s, episode %d: holds the value read at arming" label n)
+                (List.map (fun _ -> read_at_arming) held)
+                held;
+              sf_check "the twin's count moved on" true (latest ts > read_at_arming);
+              E.Fabric.clear_sensor_fault fab target;
+              run 1.0;
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "%s, cleared after episode %d: reads as the twin" label n)
+                (latest ts) (latest s)
+            in
+            run 1.0;
+            episode 1;
+            episode 2)
+          [ `Series; `Device ]);
   ]
 
 (* {1 Evidence gate} *)

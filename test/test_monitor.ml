@@ -8,6 +8,9 @@ module W = Ihnet_workload
 
 let tc name f = Alcotest.test_case name `Quick f
 
+let prop name ?(count = 200) gen f =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
+
 let make_host ?config () =
   let topo = T.Builder.two_socket_server ?config () in
   let sim = E.Sim.create () in
@@ -72,6 +75,19 @@ let counter_tests =
         E.Sim.run ~until:(U.Units.ms 3.0) sim;
         let r3 = Counter.read c link dir ~tenants:[] in
         Alcotest.(check bool) "fresh" true (r3.Counter.wire_bytes > r1.Counter.wire_bytes));
+    tc "create refuses a negative or NaN noise" (fun () ->
+        let _, _, fab = make_host () in
+        List.iter
+          (fun noise ->
+            match Counter.create ~noise fab ~fidelity:Counter.Oracle with
+            | _ -> Alcotest.failf "noise %g accepted" noise
+            | exception Invalid_argument m ->
+              Alcotest.(check string) "names the field"
+                (Printf.sprintf "Counter.create: noise must be >= 0 (got %g)" noise)
+                m)
+          [ -0.5; Float.nan ];
+        (* exact counters are the default *)
+        ignore (Counter.create ~noise:0.0 fab ~fidelity:Counter.Oracle));
     tc "oracle sees everything" (fun () ->
         let _, sim, fab = make_host () in
         let c = Counter.create fab ~fidelity:Counter.Oracle in
@@ -151,6 +167,75 @@ let telemetry_tests =
         match Telemetry.rate_of_change tm ~series:"c" with
         | Some r -> Alcotest.(check (float 1.0)) "last two samples only" 3e9 r
         | None -> Alcotest.fail "expected a rate");
+    tc "create refuses a non-positive capacity" (fun () ->
+        List.iter
+          (fun capacity_per_series ->
+            match Telemetry.create ~capacity_per_series () with
+            | _ -> Alcotest.failf "capacity %d accepted" capacity_per_series
+            | exception Invalid_argument m ->
+              Alcotest.(check string) "names the field"
+                (Printf.sprintf "Telemetry.create: capacity_per_series must be > 0 (got %d)"
+                   capacity_per_series)
+                m)
+          [ 0; -3 ]);
+    tc "an interned handle is invisible until its first sample" (fun () ->
+        let tm = Telemetry.create () in
+        let h = Telemetry.handle tm "x" in
+        Alcotest.(check string) "name" "x" (Telemetry.name h);
+        Alcotest.(check (list string)) "no names" [] (Telemetry.series_names tm);
+        Alcotest.(check int) "no samples" 0 (Telemetry.memory_samples tm);
+        Alcotest.(check bool) "no latest" true (Telemetry.latest tm ~series:"x" = None);
+        Alcotest.(check string) "empty csv" "series,at_ns,value\n" (Telemetry.to_csv tm);
+        Telemetry.push h ~at:1.0 2.0;
+        Alcotest.(check (list string)) "named once sampled" [ "x" ] (Telemetry.series_names tm);
+        Alcotest.(check string) "csv" "series,at_ns,value\nx,1,2\n" (Telemetry.to_csv tm));
+    prop "length never exceeds capacity" QCheck.(pair (int_range 1 20) (list small_int))
+      (fun (cap, xs) ->
+        let tm = Telemetry.create ~capacity_per_series:cap () in
+        List.iteri (fun i x -> Telemetry.record tm ~series:"s" ~at:(float_of_int i) (float_of_int x)) xs;
+        let n = List.length xs in
+        Telemetry.length tm ~series:"s" = min cap n
+        && Telemetry.memory_samples tm = min cap n
+        && Telemetry.dropped_samples tm = max 0 (n - cap));
+    prop "window is the newest-cap suffix of the writes"
+      QCheck.(pair (int_range 1 16) (list small_int))
+      (fun (cap, xs) ->
+        (* half the writes go through the name, half through the
+           handle: both reach the one ring *)
+        let tm = Telemetry.create ~capacity_per_series:cap () in
+        let h = Telemetry.handle tm "s" in
+        List.iteri
+          (fun i x ->
+            let at = float_of_int i and v = float_of_int x in
+            if i mod 2 = 0 then Telemetry.record tm ~series:"s" ~at v else Telemetry.push h ~at v)
+          xs;
+        let n = List.length xs in
+        let expect =
+          List.filteri (fun i _ -> i >= n - cap) (List.mapi (fun i x -> (float_of_int i, float_of_int x)) xs)
+        in
+        List.map
+          (fun s -> (s.Telemetry.at, s.Telemetry.value))
+          (Telemetry.window tm ~series:"s" ~since:neg_infinity)
+        = expect
+        && Telemetry.dropped_samples tm = max 0 (n - cap));
+    prop "values, latest, rate and last_update agree with window"
+      QCheck.(pair (int_range 1 16) (list small_int))
+      (fun (cap, xs) ->
+        let tm = Telemetry.create ~capacity_per_series:cap () in
+        List.iteri
+          (fun i x -> Telemetry.record tm ~series:"s" ~at:(1e9 *. float_of_int i) (float_of_int x))
+          xs;
+        let w = Telemetry.window tm ~series:"s" ~since:neg_infinity in
+        let last = match List.rev w with s :: _ -> Some s | [] -> None in
+        let rate =
+          match List.rev w with
+          | b :: a :: _ -> Some (b.Telemetry.value -. a.Telemetry.value)
+          | _ -> None
+        in
+        Array.to_list (Telemetry.values tm ~series:"s") = List.map (fun s -> s.Telemetry.value) w
+        && Telemetry.latest tm ~series:"s" = last
+        && Telemetry.rate_of_change tm ~series:"s" = rate
+        && Telemetry.last_update tm ~series:"s" = Option.map (fun s -> s.Telemetry.at) last);
     tc "to_csv orders by series name then time" (fun () ->
         let tm = Telemetry.create () in
         (* interleaved, registered b-first: output must still be sorted *)
@@ -251,6 +336,28 @@ let sampler_tests =
         Alcotest.(check bool) "has util series" true
           (List.exists (fun n -> n = Sampler.util_series 0 T.Link.Fwd) names);
         Sampler.stop s);
+    tc "an idle DGX tick stores flat samples and allocates little" (fun () ->
+        let sim = E.Sim.create () in
+        let fab = E.Fabric.create sim (T.Builder.dgx_like ()) in
+        let config = Sampler.default_config () in
+        let s = Sampler.start fab config in
+        let run ticks =
+          E.Sim.run ~until:(E.Sim.now sim +. (float_of_int ticks *. config.Sampler.period)) sim
+        in
+        run 1024;
+        Alcotest.(check int) "store full" 1024 (Sampler.ticks s);
+        let tm = Sampler.telemetry s in
+        let words = Obj.reachable_words (Obj.repr tm) in
+        let per_sample = float_of_int words /. float_of_int (Telemetry.memory_samples tm) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.3f words per retained sample <= 2.1" per_sample)
+          true (per_sample <= 2.1);
+        let w0 = Gc.minor_words () in
+        run 100;
+        let per_tick = (Gc.minor_words () -. w0) /. 100.0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f minor words per tick <= 4000" per_tick)
+          true (per_tick <= 4000.0));
     tc "start refuses a non-positive or NaN period" (fun () ->
         let _, _, fab = make_host () in
         List.iter

@@ -336,62 +336,6 @@ let heap_tests =
         drained = List.sort compare xs && via_top [] = drained);
   ]
 
-(* {1 Ring buffer} *)
-
-let ring_tests =
-  [
-    tc "keeps the newest when full" (fun () ->
-        let r = Ring_buffer.create 3 in
-        List.iter (Ring_buffer.push r) [ 1; 2; 3; 4; 5 ];
-        Alcotest.(check (list int)) "window" [ 3; 4; 5 ] (Ring_buffer.to_list r);
-        Alcotest.(check int) "dropped" 2 (Ring_buffer.dropped r));
-    tc "oldest and newest" (fun () ->
-        let r = Ring_buffer.create 4 in
-        List.iter (Ring_buffer.push r) [ 10; 20; 30 ];
-        Alcotest.(check (option int)) "oldest" (Some 10) (Ring_buffer.oldest r);
-        Alcotest.(check (option int)) "newest" (Some 30) (Ring_buffer.newest r));
-    tc "get bounds" (fun () ->
-        let r = Ring_buffer.create 2 in
-        Ring_buffer.push r 1;
-        Alcotest.check_raises "oob" (Invalid_argument "Ring_buffer.get") (fun () ->
-            ignore (Ring_buffer.get r 1)));
-    tc "clear" (fun () ->
-        let r = Ring_buffer.create 2 in
-        Ring_buffer.push r 1;
-        Ring_buffer.clear r;
-        Alcotest.(check int) "len" 0 (Ring_buffer.length r));
-    prop "length never exceeds capacity" QCheck.(pair (int_range 1 20) (list small_int))
-      (fun (cap, xs) ->
-        let r = Ring_buffer.create cap in
-        List.iter (Ring_buffer.push r) xs;
-        Ring_buffer.length r <= cap
-        && Ring_buffer.length r = min cap (List.length xs));
-    prop "to_list is the newest-cap suffix of the pushes"
-      QCheck.(pair (int_range 1 16) (list small_int))
-      (fun (cap, xs) ->
-        let r = Ring_buffer.create cap in
-        List.iter (Ring_buffer.push r) xs;
-        let n = List.length xs in
-        let expect = List.filteri (fun i _ -> i >= n - cap) xs in
-        Ring_buffer.to_list r = expect
-        && Ring_buffer.dropped r = max 0 (n - cap)
-        && Ring_buffer.oldest r = (match expect with [] -> None | x :: _ -> Some x)
-        && Ring_buffer.newest r
-           = (match List.rev expect with [] -> None | x :: _ -> Some x));
-    prop "get, iter and fold agree with to_list"
-      QCheck.(pair (int_range 1 16) (list small_int))
-      (fun (cap, xs) ->
-        let r = Ring_buffer.create cap in
-        List.iter (Ring_buffer.push r) xs;
-        let window = Ring_buffer.to_list r in
-        let via_get = List.init (Ring_buffer.length r) (Ring_buffer.get r) in
-        let via_iter = ref [] in
-        Ring_buffer.iter (fun x -> via_iter := x :: !via_iter) r;
-        via_get = window
-        && List.rev !via_iter = window
-        && Ring_buffer.fold (fun acc x -> x :: acc) [] r = !via_iter);
-  ]
-
 (* {1 Table} *)
 
 let table_tests =
@@ -547,7 +491,6 @@ let suites =
     ("util.stats", stats_tests);
     ("util.histogram", histogram_tests);
     ("util.heap", heap_tests);
-    ("util.ring_buffer", ring_tests);
     ("util.table", table_tests);
     ("util.vec", vec_tests);
   ]
