@@ -18,7 +18,12 @@
      switch/socket boundaries (gpu_i->nic_{i+3 mod 8}), welding the
      whole host into one contention component. Worst case: the
      component IS the full flow set, so only the allocator speedup
-     shows, not the scoping.
+     shows, not the scoping. Its churned flow is identical each time,
+     so after the first lap every epoch replays the component memo.
+   - flow-churn-miss-1k: 1000 flows on the coupled paths, and an op
+     that stops a random flow and starts one on a random path, so that
+     every epoch misses the memo: a full solve of a 1000-flow
+     component, as host-churn pays it.
    - the *-idle subjects, scan-digest, fleet-churn-1k and
      daemon-cmds-4: see their sections below.
 
@@ -160,22 +165,23 @@ let bench_allocate n =
 
 (* {1 flow-churn-n: start/stop against a loaded fabric} *)
 
-let bench_churn ?(wire = fun _ -> ()) ~nic_of n =
-  let topo = T.Builder.dgx_like () in
-  let sim = E.Sim.create () in
-  let fab = E.Fabric.create sim topo in
-  wire fab;
+(* the eight gpu_i -> nic_(nic_of i) paths of a dgx-like topology *)
+let gpu_nic_paths topo ~nic_of =
   let dev name =
     match T.Topology.device_by_name topo name with
     | Some d -> d.T.Device.id
     | None -> failwith ("fabric_bench: no device " ^ name)
   in
-  let paths =
-    List.init 8 (fun i ->
-        let src = Printf.sprintf "gpu%d" i and dst = Printf.sprintf "nic%d" (nic_of i) in
-        Option.get (T.Routing.shortest_path topo (dev src) (dev dst)))
-    |> Array.of_list
-  in
+  Array.init 8 (fun i ->
+      let src = Printf.sprintf "gpu%d" i and dst = Printf.sprintf "nic%d" (nic_of i) in
+      Option.get (T.Routing.shortest_path topo (dev src) (dev dst)))
+
+let bench_churn ?(wire = fun _ -> ()) ~nic_of n =
+  let topo = T.Builder.dgx_like () in
+  let sim = E.Sim.create () in
+  let fab = E.Fabric.create sim topo in
+  wire fab;
+  let paths = gpu_nic_paths topo ~nic_of in
   E.Fabric.batch fab (fun () ->
       for i = 0 to n - 1 do
         ignore
@@ -191,6 +197,32 @@ let bench_churn ?(wire = fun _ -> ()) ~nic_of n =
 
 let bench_churn_local n = bench_churn ~nic_of:Fun.id n
 let bench_churn_coupled n = bench_churn ~nic_of:(fun i -> (i + 3) mod 8) n
+
+(* flow-churn-miss-1k: each started flow has a weight of its own, and
+   the flow just started is never the one stopped (stopping it would
+   return the component to its value before the start), so no
+   component value recurs and every epoch is a memo miss. *)
+let bench_churn_miss n =
+  let topo = T.Builder.dgx_like () in
+  let sim = E.Sim.create () in
+  let fab = E.Fabric.create sim topo in
+  let paths = gpu_nic_paths topo ~nic_of:(fun i -> (i + 3) mod 8) in
+  let rng = U.Rng.create 3 and started = ref 0 in
+  let start i =
+    incr started;
+    E.Fabric.start_flow fab ~tenant:(1 + (i mod 16))
+      ~weight:(1.0 +. (1e-4 *. float_of_int !started))
+      ~path:(U.Rng.pick rng paths) ~size:E.Flow.Unbounded ()
+  in
+  let live = ref [||] in
+  E.Fabric.batch fab (fun () -> live := Array.init n start);
+  let live = !live and last = ref (-1) in
+  time_ops (fun () ->
+      let i = U.Rng.int rng n in
+      let i = if i = !last then (i + 1) mod n else i in
+      E.Fabric.stop_flow fab live.(i);
+      live.(i) <- start i;
+      last := i)
 
 (* flow-churn-sketch-4096 is flow-churn-4096 with the always-on
    latency-sketch plane recording at every reallocation epoch — the
@@ -549,6 +581,7 @@ let () =
       ("flow-churn-256", fun () -> bench_churn_local 256);
       ("flow-churn-4096", fun () -> bench_churn_local 4096);
       ("flow-churn-coupled-4096", fun () -> bench_churn_coupled 4096);
+      ("flow-churn-miss-1k", fun () -> bench_churn_miss 1000);
       ("remediation-idle", bench_remediation_idle);
       ("recorder-idle", bench_recorder_idle);
       ("evidence-idle", bench_evidence_idle);

@@ -35,7 +35,7 @@ type socket_mem = {
    full-width (indexed by global socket number) but only the slots in
    [c_sockets] are meaningful. *)
 type comp_result = {
-  cr_rates : float array; (* per entry, in c_entries order *)
+  cr_rates : float array; (* per entry, in c_entries order; may run past the last *)
   cr_write : float array;
   cr_hit : float array;
   cr_wb : float array;
@@ -51,18 +51,31 @@ type comp_result = {
    connectivity footprint, an effective capacity, the cache config
    generation — misses and recomputes. Entry identity does not matter,
    only values: a stopped-and-restarted identical flow legitimately
-   hits. *)
+   hits.
+
+   The per-entry arrays hold [m_n] entries and may be longer: a miss
+   refills the arrays of the memo it evicts (see [memo_evict]), so the
+   slots past [m_n] hold stale demand records and footprints, never a
+   flow. *)
 type comp_memo = {
-  m_dems : Fairshare.demand array; (* snapshot, c_entries order *)
-  m_conn : int array array;
-  m_llc : bool array;
-  m_res : int array;
-  m_sockets : int array;
-  m_caps : float array; (* effective capacities at m_res indices *)
-  m_gen : int; (* cache-config generation at compute time *)
-  m_result : comp_result;
+  mutable m_n : int; (* entry count *)
+  mutable m_dems : Fairshare.demand array; (* snapshot, c_entries order *)
+  mutable m_conn : int array array;
+  mutable m_llc : bool array;
+  mutable m_res : int array;
+  mutable m_sockets : int array;
+  mutable m_caps : float array; (* effective capacities at m_res indices *)
+  mutable m_gen : int; (* cache-config generation at compute time *)
+  mutable m_result : comp_result;
   mutable m_epoch : int; (* last hit, for LRU within a bucket *)
 }
+
+(* [Fabric.batch]'s state. While [is_open], reallocation is deferred,
+   and each resource the batch's commands pass to [reallocate] is noted
+   once: flagged in [marks] (indexed like [res_slots]) and listed in
+   [seeds]. Made at a fabric's first batch, so a fabric that never
+   batches pays nothing for it. *)
+type batch_scope = { mutable is_open : bool; marks : bool array; seeds : int U.Vec.t }
 
 (* The always-on latency plane: one fixed-geometry sketch per (link,
    dir) resource plus one for end-to-end flow latencies. Off by default
@@ -97,7 +110,7 @@ type t = {
   cls_rows : float array array; (* cls index -> per-resource bytes *)
   induced_trow : float array; (* tenant 0's row, cached for the spill path *)
   mutable allocs : int;
-  mutable in_batch : bool; (* defer reallocation inside Fabric.batch *)
+  mutable scope : batch_scope option; (* None before the first batch *)
   mutable listeners : (event -> unit) list; (* registration order *)
   (* incremental allocation state *)
   nr : int; (* real (link, dir) resource count *)
@@ -124,11 +137,11 @@ type t = {
   flowsb : int array; (* scratch: per-resource flow count, all zero between computes *)
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
   (* component-result memo *)
-  warm : bool; (* memo on *)
+  memo : bool; (* memo on *)
   comp_cache : (int, comp_memo list) Hashtbl.t; (* min component resource -> memos *)
   mutable cache_gen : int; (* bumped when the cache config changes *)
-  mutable warm_hits : int;
-  mutable warm_misses : int;
+  mutable memo_hits : int;
+  mutable memo_misses : int;
   mutable solver_stats : Fairshare.stats; (* cumulative, over component computes *)
   mutable sketches : sketch_plane option; (* latency plane, off by default *)
 }
@@ -242,7 +255,7 @@ let refresh_link_caps t link_id =
 let refresh_all_caps t =
   List.iter (fun (l : T.Link.t) -> refresh_link_caps t l.T.Link.id) (T.Topology.links t.topo)
 
-let create ?(seed = 42) ?(warm = true) sim topo =
+let create ?(seed = 42) ?(memo = true) sim topo =
   let nr = nresources topo in
   let socket_mems = build_socket_mems topo in
   let ns = Array.length socket_mems in
@@ -284,7 +297,7 @@ let create ?(seed = 42) ?(warm = true) sim topo =
       cls_rows = Array.init cls_count (fun _ -> Array.make nr 0.0);
       induced_trow;
       allocs = 0;
-      in_batch = false;
+      scope = None;
       listeners = [];
       nr;
       res_slots = Array.make (nr + ns) [||];
@@ -306,11 +319,11 @@ let create ?(seed = 42) ?(warm = true) sim topo =
       loadb = Array.make nr 0.0;
       flowsb = Array.make nr 0;
       cheap = U.Heap.create ();
-      warm;
+      memo;
       comp_cache = Hashtbl.create 64;
       cache_gen = 0;
-      warm_hits = 0;
-      warm_misses = 0;
+      memo_hits = 0;
+      memo_misses = 0;
       solver_stats = { Fairshare.solves = 0; full_rebuilds = 0; incremental = 0; unchanged = 0 };
       sketches = None;
     }
@@ -632,8 +645,11 @@ let reserve_solve t need =
    would build the same demands and so reproduce the same rates,
    write, hit, wb and rr. Stopping there is exact, not an
    approximation; the skipped iterations are counted as [unchanged]
-   in the solver ledger. *)
-let compute_component t (c : component) =
+   in the solver ledger.
+
+   The rates go into [into] when it holds them all: the rate array of
+   the memo this miss evicts. *)
+let compute_component t (c : component) ~into =
   let nc = Array.length c.c_entries in
   let ns = Array.length t.socket_mems in
   let ddio_on = Cache.enabled t.cache in
@@ -738,8 +754,13 @@ let compute_component t (c : component) =
     loadb.(res) <- 0.0;
     flowsb.(res) <- 0
   done;
+  let cr_rates =
+    if Array.length into >= nc then into
+    else Array.make (if t.memo then nc + (nc / 8) else nc) 0.0
+  in
+  Array.blit rates 0 cr_rates 0 nc;
   {
-    cr_rates = Array.sub rates 0 nc;
+    cr_rates;
     cr_write = write;
     cr_hit = hit;
     cr_wb = wb;
@@ -825,7 +846,7 @@ let demand_eq (d1 : Fairshare.demand) (d2 : Fairshare.demand) =
 let memo_match t (c : component) (m : comp_memo) =
   let n = Array.length c.c_entries in
   m.m_gen = t.cache_gen
-  && Array.length m.m_dems = n
+  && m.m_n = n
   && int_array_eq m.m_res c.c_res
   && int_array_eq m.m_sockets c.c_sockets
   && (let nres = Array.length c.c_res in
@@ -843,10 +864,14 @@ let memo_match t (c : component) (m : comp_memo) =
       in
       entries_ok 0)
 
-let memo_find t (c : component) =
-  if Array.length c.c_res = 0 then None
+(* A component's memo bucket: its least resource, or -1 for a
+   component with no real resource, which is never memoized. *)
+let memo_key (c : component) =
+  if Array.length c.c_res = 0 then -1 else Array.fold_left min c.c_res.(0) c.c_res
+
+let memo_find t (c : component) key =
+  if key < 0 then None
   else
-    let key = Array.fold_left min c.c_res.(0) c.c_res in
     match Hashtbl.find_opt t.comp_cache key with
     | None -> None
     | Some ms ->
@@ -856,43 +881,73 @@ let memo_find t (c : component) =
       in
       go ms
 
-let memo_store t (c : component) (r : comp_result) =
-  if Array.length c.c_res > 0 then begin
-    let key = Array.fold_left min c.c_res.(0) c.c_res in
-    (* made with an old filler, then filled: [Array.map] would seed them
-       with the first entry's demand and footprint, which are young
-       whenever the BFS started from a flow just started, and a young
-       seed costs a minor collection (see [nil_demand]) *)
+(* At most two memos per bucket — the new one plus the most recently
+   hit survivor. Churn steady state alternates between the with-flow
+   and without-flow values of one component, so two slots make every
+   post-warmup epoch a hit.
+
+   On a miss in a full bucket, the older memo is taken out of the
+   bucket before the component is computed, and its arrays take the
+   new result: the compute writes its rates into the victim's, and
+   [memo_store] refills the rest. That is exact. The bucket belongs to
+   this component's least resource, the components of one epoch are
+   resource-disjoint, and commit copies every value out of a result
+   before the next component starts, so no one reads the victim again.
+   Taking it out first means a compute that raises leaves no
+   half-refilled memo to replay. *)
+let memo_evict t key =
+  match Hashtbl.find_opt t.comp_cache key with
+  | Some [ x; y ] ->
+    let keep, victim = if x.m_epoch >= y.m_epoch then (x, y) else (y, x) in
+    Hashtbl.replace t.comp_cache key [ keep ];
+    Some victim
+  | None | Some _ -> None
+
+let memo_store t (c : component) key (r : comp_result) victim =
+  if key >= 0 then begin
     let n = Array.length c.c_entries in
-    let dems = Array.make n nil_demand and conn = Array.make n [||] in
+    let m =
+      match victim with
+      | Some m -> m
+      | None ->
+        {
+          m_n = 0;
+          m_dems = [||];
+          m_conn = [||];
+          m_llc = [||];
+          m_res = [||];
+          m_sockets = [||];
+          m_caps = [||];
+          m_gen = 0;
+          m_result = r;
+          m_epoch = 0;
+        }
+    in
+    (* made with an eighth of headroom, around an old filler, then
+       filled: [Array.map] would seed them with the first entry's
+       demand and footprint, which are young whenever the BFS started
+       from a flow just started, and a young seed costs a minor
+       collection (see [nil_demand]) *)
+    if Array.length m.m_dems < n then begin
+      let size = n + (n / 8) in
+      m.m_dems <- Array.make size nil_demand;
+      m.m_conn <- Array.make size [||];
+      m.m_llc <- Array.make size false
+    end;
     for i = 0 to n - 1 do
       let e = c.c_entries.(i) in
-      dems.(i) <- e.dem;
-      conn.(i) <- e.conn
+      m.m_dems.(i) <- e.dem;
+      m.m_conn.(i) <- e.conn;
+      m.m_llc.(i) <- e.flow.Flow.llc_target
     done;
-    let m =
-      {
-        m_dems = dems;
-        m_conn = conn;
-        m_llc = Array.map (fun e -> e.flow.Flow.llc_target) c.c_entries;
-        m_res = c.c_res;
-        m_sockets = c.c_sockets;
-        m_caps = Array.map (fun res -> t.caps.(res)) c.c_res;
-        m_gen = t.cache_gen;
-        m_result = r;
-        m_epoch = t.epoch;
-      }
-    in
-    (* at most two memos per bucket — the new one plus the most
-       recently hit survivor. Churn steady state alternates between
-       the with-flow and without-flow values of one component, so two
-       slots make every post-warmup epoch a hit. *)
-    let keep =
-      match Hashtbl.find_opt t.comp_cache key with
-      | None | Some [] -> []
-      | Some [ x ] -> [ x ]
-      | Some (x :: y :: _) -> if x.m_epoch >= y.m_epoch then [ x ] else [ y ]
-    in
+    m.m_n <- n;
+    m.m_res <- c.c_res;
+    m.m_sockets <- c.c_sockets;
+    m.m_caps <- Array.map (fun res -> t.caps.(res)) c.c_res;
+    m.m_gen <- t.cache_gen;
+    m.m_result <- r;
+    m.m_epoch <- t.epoch;
+    let keep = Option.value (Hashtbl.find_opt t.comp_cache key) ~default:[] in
     Hashtbl.replace t.comp_cache key (m :: keep)
   end
 
@@ -1023,8 +1078,17 @@ let record_link_latencies t sk (c : component) =
    computed, then committed, so a memoized run commits byte-identical
    state to a memo-free one. *)
 let rec reallocate t seeds =
-  if t.in_batch then ()
-  else reallocate_now t seeds
+  match t.scope with
+  | Some sc when sc.is_open ->
+    (* inside a batch: note each seed once, for the closing epoch *)
+    for k = 0 to Array.length seeds - 1 do
+      let r = seeds.(k) in
+      if not sc.marks.(r) then begin
+        sc.marks.(r) <- true;
+        U.Vec.push sc.seeds r
+      end
+    done
+  | Some _ | None -> reallocate_now t seeds
 
 and reallocate_now t seeds =
   sync t;
@@ -1034,14 +1098,17 @@ and reallocate_now t seeds =
   let comps = collect_components t seeds in
   List.iter
     (fun c ->
+      let key = memo_key c in
       let r =
-        match if t.warm then memo_find t c else None with
+        match if t.memo then memo_find t c key else None with
         | Some m ->
           m.m_epoch <- t.epoch;
-          t.warm_hits <- t.warm_hits + 1;
+          t.memo_hits <- t.memo_hits + 1;
           m.m_result
         | None ->
-          let r = compute_component t c in
+          let victim = if t.memo then memo_evict t key else None in
+          let into = match victim with Some m -> m.m_result.cr_rates | None -> [||] in
+          let r = compute_component t c ~into in
           (* cumulative solver-work ledger; memo hits replay a result
              without solving, so only fresh computes contribute *)
           let s = r.cr_stats and acc = t.solver_stats in
@@ -1052,9 +1119,9 @@ and reallocate_now t seeds =
               incremental = acc.Fairshare.incremental + s.Fairshare.incremental;
               unchanged = acc.Fairshare.unchanged + s.Fairshare.unchanged;
             };
-          if t.warm then begin
-            t.warm_misses <- t.warm_misses + 1;
-            memo_store t c r
+          if t.memo then begin
+            t.memo_misses <- t.memo_misses + 1;
+            memo_store t c key r victim
           end;
           r
       in
@@ -1280,15 +1347,39 @@ let find_flow t id = Option.map (fun e -> e.flow) (Hashtbl.find_opt t.entries id
 let flow_count t = Hashtbl.length t.entries
 let refresh t = observed_sync t
 
+(* One epoch per batch, seeded by the distinct resources its commands
+   touched, in ascending order: components the batch did not touch keep
+   their rates, loads and completion keys, as they do after a lone
+   command. *)
 let batch t f =
-  if t.in_batch then f ()
+  let sc =
+    match t.scope with
+    | Some sc -> sc
+    | None ->
+      let sc =
+        {
+          is_open = false;
+          marks = Array.make (Array.length t.res_slots) false;
+          seeds = U.Vec.create ();
+        }
+      in
+      t.scope <- Some sc;
+      sc
+  in
+  if sc.is_open then f ()
   else begin
     if t.listeners <> [] then emit t Batch_started;
-    t.in_batch <- true;
+    sc.is_open <- true;
     Fun.protect
       ~finally:(fun () ->
-        t.in_batch <- false;
-        reallocate t (all_seeds t);
+        sc.is_open <- false;
+        (* taken and cleared before the epoch runs: an exception from it
+           leaves no seed behind for the next batch *)
+        let seeds = U.Vec.to_array sc.seeds in
+        U.Vec.clear sc.seeds;
+        Array.iter (fun r -> sc.marks.(r) <- false) seeds;
+        Array.sort Int.compare seeds;
+        reallocate t seeds;
         if t.listeners <> [] then emit t Batch_ended)
       f
   end
@@ -1438,9 +1529,11 @@ let link_latency_sketch t link_id dir =
 let flow_latency_sketch t = Option.map (fun sk -> sk.sk_flows) t.sketches
 
 let reallocations t = t.allocs
-let warm_enabled t = t.warm
-let warm_hits t = t.warm_hits
-let warm_misses t = t.warm_misses
+let memo_enabled t = t.memo
+let memo_hits t = t.memo_hits
+let memo_misses t = t.memo_misses
+let warm_hits = memo_hits
+let warm_misses = memo_misses
 
 (* {2 Out-of-band scan exposition}
 
@@ -1482,7 +1575,7 @@ let scan_completion_heap t =
 let scan_memo_keys t =
   Hashtbl.fold
     (fun key ms acc ->
-      List.fold_left (fun acc m -> (key, Array.length m.m_dems, m.m_epoch) :: acc) acc ms)
+      List.fold_left (fun acc m -> (key, m.m_n, m.m_epoch) :: acc) acc ms)
     t.comp_cache []
   |> List.sort compare
 

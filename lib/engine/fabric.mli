@@ -13,12 +13,12 @@
     scheduled from a min-heap of predicted completion times rather
     than a scan over the flow table.
 
-    A reallocation on a loaded fabric allocates little beyond what the
-    component memo keeps: each flow's usage is one pair of flat arrays
-    ({!Fairshare.demand}), the resource → flows index and the
-    partition walk's scratch are int arrays, and no component-sized
-    array is made around a young seed, so an epoch forces no minor
-    collection (MODEL.md §4). Neither the index nor the scratch keeps
+    A reallocation on a loaded fabric allocates little: each flow's
+    usage is one pair of flat arrays ({!Fairshare.demand}), the
+    resource → flows index and the partition walk's scratch are int
+    arrays, a memo miss refills the arrays of the memo it evicts, and
+    no component-sized array is made around a young seed, so an epoch
+    forces no minor collection (MODEL.md §4). Neither the index nor the scratch keeps
     a stopped or completed flow reachable; only the completion heap's
     lazily deleted entries may, until they surface or the heap is
     compacted.
@@ -40,10 +40,10 @@
 
 type t
 
-val create : ?seed:int -> ?warm:bool -> Sim.t -> Ihnet_topology.Topology.t -> t
-(** [warm] is the component memo switch (default on): component
+val create : ?seed:int -> ?memo:bool -> Sim.t -> Ihnet_topology.Topology.t -> t
+(** [memo] is the component memo switch (default on): component
     results are memoized against their exact inputs and replayed when
-    those inputs recur. [~warm:false] computes every component afresh;
+    those inputs recur. [~memo:false] computes every component afresh;
     it is the memo-free reference the differential tests compare
     against. Rates, counters, digests and replay are bit-identical memo
     on or off (MODEL.md §13); only the time spent computing them
@@ -107,9 +107,13 @@ val refresh : t -> unit
 val batch : t -> (unit -> unit) -> unit
 (** [batch t f] runs [f] with rate reallocation deferred, then
     reallocates once — one epoch per batch, even when [f] changed
-    nothing, which recorded traces rely on to replay. Used by the
-    arbiter to push many limit updates as a single enforcement action.
-    Nested batches are flattened. *)
+    nothing, which recorded traces rely on to replay. The epoch is
+    seeded by the distinct resources [f]'s commands touched, in
+    ascending order, so it recomputes only the contention components
+    they reach; every other flow keeps its rate, its loads and its
+    completion key, as after a lone command (MODEL.md §12). Used by
+    the arbiter to push many limit updates as a single enforcement
+    action. Nested batches are flattened. *)
 
 (** {1 Event subscription}
 
@@ -304,17 +308,23 @@ val reallocations : t -> int
 
 (** {1 Memo observability} *)
 
-val warm_enabled : t -> bool
+val memo_enabled : t -> bool
 (** Whether the component memo is on (see {!create}). *)
 
-val warm_hits : t -> int
+val memo_hits : t -> int
 (** Memo hits: components replayed from the memo instead of being
     recomputed. *)
 
-val warm_misses : t -> int
+val memo_misses : t -> int
 (** Memo misses: components that had to be computed. Both counters
     stay 0 when the memo is off. Tests use hits/misses to assert that
     fault, limit and config changes actually invalidate the memo. *)
+
+val warm_hits : t -> int
+(** {!memo_hits}, under the name the benchmark reads. *)
+
+val warm_misses : t -> int
+(** {!memo_misses}, under the name the benchmark reads. *)
 
 (** {1 Out-of-band scan exposition}
 

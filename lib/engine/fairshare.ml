@@ -313,6 +313,11 @@ let allocate_into ~capacities ~n demands out =
   ws.ucoef <- grow ws.ucoef m 0.0;
   ws.inc_d <- grow ws.inc_d m 0;
   let ures = ws.ures and ucoef = ws.ucoef and weight = ws.weight and cap = ws.cap in
+  (* the fill also counts each resource's usage entries, the first half
+     of the resource-major transpose below, into [inc_off.(r + 1)] *)
+  let inc_off = ws.inc_off in
+  Array.fill inc_off 0 (nr + 1) 0;
+  let any_floor = ref false in
   (* validation is fused into the CSR fill so each usage is read
      exactly once. The fast path is one combined comparison
      (NaN-rejecting: a NaN compares false and falls through); only the
@@ -323,13 +328,15 @@ let allocate_into ~capacities ~n demands out =
     let k = Array.length d.res and o = off.(i) in
     if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0 && Array.length d.coeff = k) then
       check_demand ~nr i d;
+    if d.floor > 0.0 then any_floor := true;
     weight.(i) <- d.weight;
     cap.(i) <- d.cap;
     for j = 0 to k - 1 do
       let r = d.res.(j) and c = d.coeff.(j) in
       if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
       ures.(o + j) <- r;
-      ucoef.(o + j) <- c
+      ucoef.(o + j) <- c;
+      inc_off.(r + 1) <- inc_off.(r + 1) + 1
     done
   done;
   (* seed rates: floors, clipped by caps, scaled down locally where
@@ -339,29 +346,36 @@ let allocate_into ~capacities ~n demands out =
     rates.(i) <- Float.min demands.(i).floor cap.(i)
   done;
   let load = ws.load in
-  Array.fill load 0 nr 0.0;
-  for i = 0 to n - 1 do
-    for j = off.(i) to off.(i + 1) - 1 do
-      load.(ures.(j)) <- load.(ures.(j)) +. (rates.(i) *. ucoef.(j))
-    done
-  done;
-  let any_over = ref false in
-  let scale = ws.scale in
-  Array.fill scale 0 nr 1.0;
-  for r = 0 to nr - 1 do
-    if load.(r) > capacities.(r) then begin
-      any_over := true;
-      scale.(r) <- (if load.(r) > 0.0 then capacities.(r) /. load.(r) else 0.0)
-    end
-  done;
-  if !any_over then
+  (* With no floor above zero every seed rate is a zero, so every load
+     sums to 0.0 (or NaN, under an infinite coefficient) and none
+     exceeds a capacity unless that capacity is negative; the scale-down
+     of a zero rate then leaves its bits as they were. The pass would
+     change nothing, so it is skipped. *)
+  if !any_floor then begin
+    Array.fill load 0 nr 0.0;
     for i = 0 to n - 1 do
-      let f = ref 1.0 in
       for j = off.(i) to off.(i + 1) - 1 do
-        f := Float.min !f scale.(ures.(j))
-      done;
-      if !f < 1.0 then rates.(i) <- rates.(i) *. !f
+        load.(ures.(j)) <- load.(ures.(j)) +. (rates.(i) *. ucoef.(j))
+      done
     done;
+    let any_over = ref false in
+    let scale = ws.scale in
+    Array.fill scale 0 nr 1.0;
+    for r = 0 to nr - 1 do
+      if load.(r) > capacities.(r) then begin
+        any_over := true;
+        scale.(r) <- (if load.(r) > 0.0 then capacities.(r) /. load.(r) else 0.0)
+      end
+    done;
+    if !any_over then
+      for i = 0 to n - 1 do
+        let f = ref 1.0 in
+        for j = off.(i) to off.(i + 1) - 1 do
+          f := Float.min !f scale.(ures.(j))
+        done;
+        if !f < 1.0 then rates.(i) <- rates.(i) *. !f
+      done
+  end;
   let active = ws.active in
   for i = 0 to n - 1 do
     if off.(i + 1) = off.(i) then begin
@@ -370,12 +384,8 @@ let allocate_into ~capacities ~n demands out =
     end
     else active.(i) <- rates.(i) < cap.(i) -. eps
   done;
-  (* resource → usage-entry incidence, CSR again *)
-  let inc_off = ws.inc_off in
-  Array.fill inc_off 0 (nr + 1) 0;
-  for j = 0 to m - 1 do
-    inc_off.(ures.(j) + 1) <- inc_off.(ures.(j) + 1) + 1
-  done;
+  (* resource → usage-entry incidence, CSR again, from the counts the
+     fill left in [inc_off] *)
   for r = 0 to nr - 1 do
     inc_off.(r + 1) <- inc_off.(r + 1) + inc_off.(r)
   done;
@@ -395,12 +405,23 @@ let allocate_into ~capacities ~n demands out =
   Array.fill tau_r 0 nr 0.0;
   Array.fill version 0 nr 0;
   Array.fill load 0 nr 0.0;
+  (* whether a demand grows is fixed per demand, so the test is made
+     once per demand, not once per usage entry *)
   for i = 0 to n - 1 do
-    for j = off.(i) to off.(i + 1) - 1 do
-      let r = ures.(j) in
-      load.(r) <- load.(r) +. (rates.(i) *. ucoef.(j));
-      if active.(i) then speed.(r) <- speed.(r) +. (weight.(i) *. ucoef.(j))
-    done
+    let ri = rates.(i) in
+    if active.(i) then begin
+      let w = weight.(i) in
+      for j = off.(i) to off.(i + 1) - 1 do
+        let r = ures.(j) in
+        load.(r) <- load.(r) +. (ri *. ucoef.(j));
+        speed.(r) <- speed.(r) +. (w *. ucoef.(j))
+      done
+    end
+    else
+      for j = off.(i) to off.(i + 1) - 1 do
+        let r = ures.(j) in
+        load.(r) <- load.(r) +. (ri *. ucoef.(j))
+      done
   done;
   let start_rate = ws.start_rate in
   Array.blit rates 0 start_rate 0 n;
@@ -425,11 +446,16 @@ let allocate_into ~capacities ~n demands out =
   let freeze i at =
     if active.(i) then begin
       active.(i) <- false;
-      rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (weight.(i) *. at));
+      let w = weight.(i) in
+      rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (w *. at));
       for j = off.(i) to off.(i + 1) - 1 do
         let r = ures.(j) in
-        touch r at;
-        speed.(r) <- speed.(r) -. (weight.(i) *. ucoef.(j));
+        (* [touch r at], inlined: this runs once per usage entry *)
+        if at > tau_r.(r) then begin
+          load.(r) <- load.(r) +. (speed.(r) *. (at -. tau_r.(r)));
+          tau_r.(r) <- at
+        end;
+        speed.(r) <- speed.(r) -. (w *. ucoef.(j));
         (* invalidate r's in-heap saturation event; it will be
            re-keyed lazily if it surfaces before r saturates *)
         version.(r) <- version.(r) + 1

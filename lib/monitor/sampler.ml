@@ -278,51 +278,69 @@ let shipping_rate t =
 (* The one plausibility judge, over the retained telemetry: it sees a
    device-scoped fault through the counter's corrupted reading and a
    series-scoped one through [put]. Computed on demand, so ticks stay
-   cheap; the price is that it forgets what the ring has dropped. *)
+   cheap; the price is that it forgets what the ring has dropped. It
+   reads each ring in place ([Telemetry.walk]) and keeps a few numbers
+   per series, so a call allocates next to nothing however full the
+   store is. *)
 let health t =
   let topo = Fabric.topology t.fabric in
   let found = ref [] in
-  List.iter
-    (fun (l : T.Link.t) ->
-      List.iter
-        (fun dir ->
-          let id = l.T.Link.id in
-          let bytes =
-            Telemetry.window t.telemetry ~series:(bytes_series id dir) ~since:neg_infinity
-          in
-          let nominal = l.T.Link.capacity in
-          (* a cumulative byte count can neither outrun the wire nor
-             step backwards *)
-          let rec out_of_range = function
-            | (a : Telemetry.sample) :: (b :: _ as rest) ->
-              let dt_s = (b.Telemetry.at -. a.Telemetry.at) /. 1e9 in
-              let delta = b.Telemetry.value -. a.Telemetry.value in
-              if dt_s > 0.0 && (delta > (nominal *. dt_s *. 1.05) +. 1.0 || delta < 0.0) then true
-              else out_of_range rest
-            | _ -> false
-          in
-          let flatline =
-            match List.rev bytes with
-            | c :: b :: a :: _
-              when c.Telemetry.value = b.Telemetry.value
-                   && b.Telemetry.value = a.Telemetry.value ->
-              (* constant bytes are only suspicious while the link shows load *)
-              let utils = Telemetry.values t.telemetry ~series:(util_series id dir) in
-              let n = Array.length utils in
-              let k = min 3 n in
-              k > 0
-              &&
-              let s = ref 0.0 in
-              for i = n - k to n - 1 do
-                s := !s +. utils.(i)
-              done;
-              !s /. float_of_int k > 0.02
-            | _ -> false
-          in
-          if out_of_range bytes then found := (id, dir, `Out_of_range) :: !found;
-          if flatline then found := (id, dir, `Flatline) :: !found)
-        [ T.Link.Fwd; T.Link.Rev ])
-    (T.Topology.links topo);
+  (* one walk's state: the link's nominal capacity, the previous
+     sample's slot, whether a step was out of range, and the values of
+     the three newest samples, newest first, with how many were seen *)
+  let nominal = [| 0.0 |] in
+  let prev = ref (-1) and out = ref false in
+  let newest = [| 0.0; 0.0; 0.0 |] and seen = ref 0 in
+  (* a cumulative byte count can neither outrun the wire nor step
+     backwards. A sample with a NaN time is skipped, as a window over
+     all time skips it. *)
+  let judge ats values j =
+    if not (Float.is_nan ats.(j)) then begin
+      let i = !prev in
+      if i >= 0 && not !out then begin
+        let dt_s = (ats.(j) -. ats.(i)) /. 1e9 in
+        let delta = values.(j) -. values.(i) in
+        if dt_s > 0.0 && (delta > (nominal.(0) *. dt_s *. 1.05) +. 1.0 || delta < 0.0) then
+          out := true
+      end;
+      prev := j;
+      newest.(2) <- newest.(1);
+      newest.(1) <- newest.(0);
+      newest.(0) <- values.(j);
+      incr seen
+    end
+  in
+  let util_sum = [| 0.0 |] and util_n = ref 0 in
+  let add_util _ values j =
+    util_sum.(0) <- util_sum.(0) +. values.(j);
+    incr util_n
+  in
+  for i = 0 to Array.length t.links - 1 do
+    let id = t.links.(i) in
+    nominal.(0) <- (T.Topology.link topo id).T.Link.capacity;
+    for d = 0 to 1 do
+      let k = (2 * i) + d and dir = dirs.(d) in
+      prev := -1;
+      out := false;
+      seen := 0;
+      Telemetry.walk t.bytes_h.(k) judge;
+      let flatline =
+        !seen >= 3
+        && newest.(0) = newest.(1)
+        && newest.(1) = newest.(2)
+        &&
+        begin
+          (* constant bytes are only suspicious while the link shows load *)
+          util_sum.(0) <- 0.0;
+          util_n := 0;
+          Telemetry.walk ~last:3 t.util_h.(k) add_util;
+          !util_n > 0 && util_sum.(0) /. float_of_int !util_n > 0.02
+        end
+      in
+      if !out then found := (id, dir, `Out_of_range) :: !found;
+      if flatline then found := (id, dir, `Flatline) :: !found
+    done
+  done;
   List.sort_uniq compare !found
 
 let monitoring_wire_bytes t =

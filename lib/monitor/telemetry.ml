@@ -62,6 +62,12 @@ let sample h i =
 (* retained samples, oldest first *)
 let samples h = List.init h.len (sample h)
 
+let walk ?last h f =
+  let n = match last with None -> h.len | Some k -> max 0 (min k h.len) in
+  for i = h.len - n to h.len - 1 do
+    f h.ats h.values (slot h i)
+  done
+
 (* a series exists for readers once it holds a sample *)
 let find t series =
   match Hashtbl.find_opt t.series series with Some h when h.len > 0 -> Some h | _ -> None

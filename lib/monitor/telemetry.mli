@@ -35,6 +35,13 @@ val push : handle -> at:Ihnet_util.Units.ns -> float -> unit
 val record : t -> series:string -> at:Ihnet_util.Units.ns -> float -> unit
 (** [push (handle t series)]. *)
 
+val walk : ?last:int -> handle -> (float array -> float array -> int -> unit) -> unit
+(** [walk h f] calls [f ats values j] once per retained sample of [h],
+    oldest first, with [last] (default: all) the newest so many: the
+    sample's time is [ats.(j)] and its value [values.(j)]. The two
+    arrays are the ring itself, read in place, so a walk allocates
+    nothing per sample; [f] must not write them. *)
+
 val series_names : t -> string list
 val length : t -> series:string -> int
 

@@ -232,9 +232,9 @@ let walk ?remediation ?evidence fab sink =
        arch "sketch/flows/hash" 0 "" H (hash_sketch sk)
    end);
   (* microarchitectural registers: how the answer was produced *)
-  micro "warm/enabled" 0 "" B (E.Fabric.warm_enabled fab);
-  micro "warm/hits" 0 "" I (E.Fabric.warm_hits fab);
-  micro "warm/misses" 0 "" I (E.Fabric.warm_misses fab);
+  micro "memo/enabled" 0 "" B (E.Fabric.memo_enabled fab);
+  micro "memo/hits" 0 "" I (E.Fabric.memo_hits fab);
+  micro "memo/misses" 0 "" I (E.Fabric.memo_misses fab);
   List.iteri
     (fun i (key, entries, hit_epoch) ->
       micro "memo" i "key" I key;

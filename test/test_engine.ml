@@ -207,6 +207,52 @@ let fairshare_tests =
         Alcotest.(check int) "allocate: its n+1-word result" (n + 1)
           (direct_major (fun () ->
                ignore (Sys.opaque_identity (Fairshare.allocate ~capacities demands)))));
+    (* The oracle property bounds the solver's error; this pins its
+       bits. The fabric's digests hash raw rate bits, so a rewrite of
+       the solver must leave every rate bit where it was, not merely
+       close. The cases come from a fixed LCG and cover floors (some
+       jointly infeasible), zero and infinite caps, zero capacities and
+       demands with no usage. *)
+    tc "rate bits over a fixed seeded case set are pinned" (fun () ->
+        let state = ref 0x2545F491 in
+        let next bound =
+          state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+          !state mod bound
+        in
+        let unit_float () = float_of_int (next 1_000_000) /. 1e6 in
+        let digest = ref Ihnet_record.Trace.fnv_basis and solved = ref 0 in
+        for _ = 1 to 2000 do
+          let nr = 1 + next 8 in
+          let capacities =
+            Array.init nr (fun _ -> if next 8 = 0 then 0.0 else 1.0 +. (200.0 *. unit_float ()))
+          in
+          (* half the cases hold no floor at all *)
+          let floors = next 2 = 0 in
+          let demands =
+            Array.init (next 14) (fun _ ->
+                let usage =
+                  List.sort_uniq
+                    (fun (a, _) (b, _) -> compare a b)
+                    (List.init (next 4) (fun _ -> (next nr, 1.0 +. (0.5 *. unit_float ()))))
+                in
+                fs_demand
+                  ~weight:(0.25 +. (4.0 *. unit_float ()))
+                  ~floor:(if floors && next 2 = 0 then 40.0 *. unit_float () else 0.0)
+                  ~cap:
+                    (match next 8 with
+                    | 0 -> 0.0
+                    | 1 | 2 | 3 -> infinity
+                    | _ -> 90.0 *. unit_float ())
+                  usage)
+          in
+          Array.iter
+            (fun r ->
+              incr solved;
+              digest := Ihnet_record.Trace.fnv_float !digest r)
+            (Fairshare.allocate ~capacities demands)
+        done;
+        Alcotest.(check int) "rates solved" 12497 !solved;
+        Alcotest.(check string) "rate digest" "f9e148327e4b4adf" (Printf.sprintf "%016Lx" !digest));
   ]
 
 (* Feasibility property: no resource over capacity, floors/caps respected. *)
@@ -697,6 +743,41 @@ let epoch_tests =
         let before = minors () in
         ignore (Fabric.start_flow fab ~tenant:1 ~path:paths.(0) ~size:Flow.Unbounded ());
         Alcotest.(check int) "minor collections" 0 (minors () - before));
+    (* A batch's epoch is seeded by what its commands touched, as a
+       lone command's is: a component it did not reach is not looked
+       up, solved or recommitted, so its flows keep their completion
+       keys. *)
+    tc "a batch reallocates only the components its commands touched" (fun () ->
+        let topo = T.Builder.two_socket_server () in
+        let sim = Sim.create () in
+        let fab = Fabric.create sim topo in
+        (* two link-disjoint paths: one contention component each *)
+        let pa = path topo "gpu0" "nic0" and pb = path topo "ssd1" "gpu1" in
+        let a = Array.init 4 (fun _ -> Fabric.start_flow fab ~tenant:1 ~path:pa ~size:Flow.Unbounded ()) in
+        let b =
+          List.init 4 (fun i ->
+              Fabric.start_flow fab ~tenant:2 ~path:pb ~size:(Flow.Bytes (1e9 *. float_of_int (i + 1))) ())
+        in
+        (* let time pass, so that re-keying a completion would move it *)
+        Sim.run ~until:1000.0 sim;
+        let b_ids = List.map (fun (f : Flow.t) -> f.Flow.id) b in
+        let b_entries () =
+          List.filter
+            (fun (_, id, _, live) -> live && List.mem id b_ids)
+            (Fabric.scan_completion_heap fab)
+        in
+        let b_rates () = List.map (fun (f : Flow.t) -> Int64.bits_of_float f.Flow.rate) b in
+        let entries0 = b_entries () and rates0 = b_rates () in
+        Alcotest.(check int) "path B holds live completion entries" 4 (List.length entries0);
+        let lookups () = Fabric.memo_hits fab + Fabric.memo_misses fab in
+        let l0 = lookups () and epochs0 = Fabric.reallocations fab in
+        Fabric.batch fab (fun () ->
+            Fabric.stop_flow fab a.(0);
+            ignore (Fabric.start_flow fab ~tenant:1 ~path:pa ~size:Flow.Unbounded ()));
+        Alcotest.(check int) "one epoch" (epochs0 + 1) (Fabric.reallocations fab);
+        Alcotest.(check int) "memo lookups: path A's component only" 1 (lookups () - l0);
+        Alcotest.(check bool) "path B's completion entries unchanged" true (entries0 = b_entries ());
+        Alcotest.(check (list int64)) "path B's rates unchanged" rates0 (b_rates ()));
   ]
 
 (* Conservation property: random flow sets never oversubscribe links. *)

@@ -80,10 +80,10 @@ let fab_path topo a b =
 
 (* A two-socket fabric carrying 24 background flows on gpu0->nic0,
    plus the path and a faultable mid-path link. *)
-let loaded_fabric ?(warm = true) () =
+let loaded_fabric ?(memo = true) () =
   let topo = T.Builder.two_socket_server () in
   let sim = E.Sim.create () in
-  let fab = E.Fabric.create ~warm sim topo in
+  let fab = E.Fabric.create ~memo sim topo in
   let p = fab_path topo "gpu0" "nic0" in
   E.Fabric.batch fab (fun () ->
       for i = 1 to 24 do
@@ -100,37 +100,42 @@ let churn fab p =
 
 let test_fabric_steady_churn_hits () =
   let fab, p = loaded_fabric () in
-  Alcotest.(check bool) "warm enabled" true (E.Fabric.warm_enabled fab);
+  Alcotest.(check bool) "memo enabled" true (E.Fabric.memo_enabled fab);
   (* first lap populates the memo (both alternation values) *)
   churn fab p;
-  let h0 = E.Fabric.warm_hits fab and m0 = E.Fabric.warm_misses fab in
+  let h0 = E.Fabric.memo_hits fab and m0 = E.Fabric.memo_misses fab in
   for _ = 1 to 5 do
     churn fab p
   done;
-  Alcotest.(check int) "steady churn misses nothing" m0 (E.Fabric.warm_misses fab);
-  Alcotest.(check bool) "steady churn hits the memo" true (E.Fabric.warm_hits fab >= h0 + 10)
+  Alcotest.(check int) "steady churn misses nothing" m0 (E.Fabric.memo_misses fab);
+  Alcotest.(check bool) "steady churn hits the memo" true (E.Fabric.memo_hits fab >= h0 + 10)
 
 let test_fabric_invalidation () =
   let fab, p = loaded_fabric () in
   churn fab p;
   churn fab p;
   let expect_miss label act =
-    let m0 = E.Fabric.warm_misses fab in
+    let m0 = E.Fabric.memo_misses fab in
     act ();
-    if E.Fabric.warm_misses fab <= m0 then
+    if E.Fabric.memo_misses fab <= m0 then
       Alcotest.failf "%s did not invalidate the memo (misses stuck at %d)" label m0
   in
   (* capacities changed -> the cached caps row no longer matches *)
   let mid = List.nth p.T.Path.hops (List.length p.T.Path.hops / 2) in
+  (* The fabric was loaded in one batch, which seeds only the loaded
+     direction of [mid]; its idle reverse direction has no memo yet. A
+     no-op clear stores one, so both directions have a pre-fault memo
+     for [clear_fault] to replay. *)
+  E.Fabric.clear_fault fab mid.T.Path.link.T.Link.id;
   expect_miss "inject_fault" (fun () ->
       E.Fabric.inject_fault fab mid.T.Path.link.T.Link.id (E.Fault.degrade ~capacity_factor:0.5 ()));
   (* clearing restores the pre-fault capacities, which the bucket still
      holds — the memo is keyed by values, not invalidated by events, so
      returning to a previously-seen state is a legitimate hit *)
-  let h0 = E.Fabric.warm_hits fab and m1 = E.Fabric.warm_misses fab in
+  let h0 = E.Fabric.memo_hits fab and m1 = E.Fabric.memo_misses fab in
   E.Fabric.clear_fault fab mid.T.Path.link.T.Link.id;
-  Alcotest.(check int) "clear_fault replays the pre-fault memo" m1 (E.Fabric.warm_misses fab);
-  Alcotest.(check bool) "clear_fault hits" true (E.Fabric.warm_hits fab > h0);
+  Alcotest.(check int) "clear_fault replays the pre-fault memo" m1 (E.Fabric.memo_misses fab);
+  Alcotest.(check bool) "clear_fault hits" true (E.Fabric.memo_hits fab > h0);
   (* a never-seen degradation level must miss again *)
   expect_miss "inject_fault (new level)" (fun () ->
       E.Fabric.inject_fault fab mid.T.Path.link.T.Link.id (E.Fault.degrade ~capacity_factor:0.7 ()));
@@ -147,25 +152,25 @@ let test_fabric_invalidation () =
         { T.Hostconfig.default with T.Hostconfig.ddio = T.Hostconfig.Ddio_off });
   (* and after each upset, steady churn re-converges to pure hits *)
   churn fab p;
-  let m0 = E.Fabric.warm_misses fab in
+  let m0 = E.Fabric.memo_misses fab in
   churn fab p;
-  Alcotest.(check int) "re-converged to hits" m0 (E.Fabric.warm_misses fab)
+  Alcotest.(check int) "re-converged to hits" m0 (E.Fabric.memo_misses fab)
 
 let test_fabric_cold_counters_stay_zero () =
-  let fab, p = loaded_fabric ~warm:false () in
-  Alcotest.(check bool) "warm disabled" false (E.Fabric.warm_enabled fab);
+  let fab, p = loaded_fabric ~memo:false () in
+  Alcotest.(check bool) "memo disabled" false (E.Fabric.memo_enabled fab);
   for _ = 1 to 3 do
     churn fab p
   done;
-  Alcotest.(check int) "no hits" 0 (E.Fabric.warm_hits fab);
-  Alcotest.(check int) "no misses" 0 (E.Fabric.warm_misses fab)
+  Alcotest.(check int) "no hits" 0 (E.Fabric.memo_hits fab);
+  Alcotest.(check int) "no misses" 0 (E.Fabric.memo_misses fab)
 
 (* Same seed, same scenario, memo on vs off: every flow rate must be
    bit-identical (the memo may only change how fast rates are
    computed, never their bits). *)
-let test_fabric_warm_cold_rates_bitwise () =
-  let run warm =
-    let fab, p = loaded_fabric ~warm () in
+let test_fabric_memo_on_off_rates_bitwise () =
+  let run memo =
+    let fab, p = loaded_fabric ~memo () in
     churn fab p;
     let mid = List.nth p.T.Path.hops (List.length p.T.Path.hops / 2) in
     E.Fabric.inject_fault fab mid.T.Path.link.T.Link.id (E.Fault.degrade ~capacity_factor:0.25 ());
@@ -182,8 +187,65 @@ let test_fabric_warm_cold_rates_bitwise () =
     (fun (wi, wr) (ci, cr) ->
       Alcotest.(check int) "same flow id" ci wi;
       if not (bits_eq wr cr) then
-        Alcotest.failf "flow %d: warm rate %h <> cold rate %h" wi wr cr)
+        Alcotest.failf "flow %d: memo-on rate %h <> memo-off rate %h" wi wr cr)
     w c
+
+(* A miss refills the arrays of the memo it evicts, so a miss-only
+   churn on a 1000-flow component allocates directly on the major heap
+   only the component's entry array: one word per flow. Words counted
+   as allocated on the major heap but not promoted from the minor heap
+   were allocated there directly. Snapshotting each miss into fresh
+   arrays cost about five words per flow. *)
+let test_fabric_miss_reuses_evicted_arrays () =
+  let topo = T.Builder.dgx_like () in
+  let sim = E.Sim.create () in
+  let fab = E.Fabric.create sim topo in
+  let paths =
+    Array.init 8 (fun n ->
+        fab_path topo (Printf.sprintf "gpu%d" n) (Printf.sprintf "nic%d" ((n + 3) mod 8)))
+  in
+  let rng = Ihnet_util.Rng.create 7 in
+  let n = 1000 and started = ref 0 in
+  (* every flow's weight is its own, so no component value recurs and
+     every epoch misses *)
+  let start () =
+    incr started;
+    E.Fabric.start_flow fab ~tenant:1
+      ~weight:(1.0 +. (float_of_int !started /. 1e4))
+      ~path:(Ihnet_util.Rng.pick rng paths) ~size:E.Flow.Unbounded ()
+  in
+  let live = ref [||] in
+  E.Fabric.batch fab (fun () -> live := Array.init n (fun _ -> start ()));
+  let live = !live and last = ref (-1) in
+  let churn () =
+    (* never the flow just started: stopping it would return the
+       component to the value before its start, a hit *)
+    let i = Ihnet_util.Rng.int rng n in
+    let i = if i = !last then (i + 1) mod n else i in
+    E.Fabric.stop_flow fab live.(i);
+    live.(i) <- start ();
+    last := i
+  in
+  for _ = 1 to 20 do
+    churn ()
+  done;
+  let h0 = E.Fabric.memo_hits fab and m0 = E.Fabric.memo_misses fab in
+  let r0 = E.Fabric.reallocations fab in
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to 200 do
+    churn ()
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let epochs = E.Fabric.reallocations fab - r0 in
+  Alcotest.(check int) "epochs" 400 epochs;
+  Alcotest.(check int) "every epoch misses" 400 (E.Fabric.memo_misses fab - m0);
+  Alcotest.(check int) "no epoch hits" 0 (E.Fabric.memo_hits fab - h0);
+  let per_flow =
+    (major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int (epochs * n)
+  in
+  if per_flow > 1.1 then
+    Alcotest.failf "%.2f words per flow per reallocation directly on the major heap (> 1.1)"
+      per_flow
 
 let fabric_tests =
   [
@@ -191,11 +253,13 @@ let fabric_tests =
       test_fabric_steady_churn_hits;
     Alcotest.test_case "faults, limit updates and config swaps invalidate" `Quick
       test_fabric_invalidation;
-    Alcotest.test_case "disabled warm-start keeps counters at zero" `Quick
+    Alcotest.test_case "a disabled memo keeps its counters at zero" `Quick
       test_fabric_cold_counters_stay_zero;
-    Alcotest.test_case "warm and cold fabrics produce bit-identical rates" `Quick
-      test_fabric_warm_cold_rates_bitwise;
+    Alcotest.test_case "memo on and off produce bit-identical rates" `Quick
+      test_fabric_memo_on_off_rates_bitwise;
+    Alcotest.test_case "a miss refills the arrays of the memo it evicts" `Quick
+      test_fabric_miss_reuses_evicted_arrays;
   ]
 
 let suites =
-  [ ("warm.units", unit_tests); ("warm.fabric", fabric_tests) ]
+  [ ("memo.units", unit_tests); ("memo.fabric", fabric_tests) ]

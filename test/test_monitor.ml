@@ -358,6 +358,23 @@ let sampler_tests =
         Alcotest.(check bool)
           (Printf.sprintf "%.0f minor words per tick <= 4000" per_tick)
           true (per_tick <= 4000.0));
+    (* [health] judges every bytes ring, and on an idle host every one
+       is constant, so each also reads its util ring. It reads both in
+       place: built as sample lists, one call cost 1.7M words here. *)
+    tc "health over a full idle DGX store reads the rings in place" (fun () ->
+        let sim = E.Sim.create () in
+        let fab = E.Fabric.create sim (T.Builder.dgx_like ()) in
+        let config = Sampler.default_config () in
+        let s = Sampler.start fab config in
+        E.Sim.run ~until:(1024.0 *. config.Sampler.period) sim;
+        Alcotest.(check int) "store full" 1024 (Sampler.ticks s);
+        let w0 = Gc.minor_words () in
+        let verdicts = Sampler.health s in
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) "no verdicts on an idle host" 0 (List.length verdicts);
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f minor words per call <= 10000" words)
+          true (words <= 10_000.0));
     tc "start refuses a non-positive or NaN period" (fun () ->
         let _, _, fab = make_host () in
         List.iter

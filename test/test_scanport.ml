@@ -15,10 +15,10 @@ let prop name ?(count = 30) gen f =
 
 (* {1 A deterministic loaded fabric driven from a command script} *)
 
-let make_fabric ?warm () =
+let make_fabric ?memo () =
   let topo = T.Builder.two_socket_server () in
   let sim = E.Sim.create () in
-  let fab = E.Fabric.create ~seed:42 ?warm sim topo in
+  let fab = E.Fabric.create ~seed:42 ?memo sim topo in
   (sim, fab)
 
 let dev topo name =
@@ -82,8 +82,8 @@ let apply_ops (sim, fab) ops =
     ops;
   E.Sim.run ~until:(E.Sim.now sim +. 1e6) sim
 
-let scan_after ?warm ops =
-  let sim, fab = make_fabric ?warm () in
+let scan_after ?memo ops =
+  let sim, fab = make_fabric ?memo () in
   apply_ops (sim, fab) ops;
   Rec.Scanport.capture fab
 
@@ -142,14 +142,14 @@ let unit_tests =
           Alcotest.(check bool) "counts" true (m.Rec.Scanport.d_total > 0));
     tc "warm and cold runs diff clean on arch, dirty on micro" (fun () ->
         let ops = [ 3; 8; 16; 23; 6; 31 ] in
-        let w = scan_after ~warm:true ops and c = scan_after ~warm:false ops in
+        let w = scan_after ~memo:true ops and c = scan_after ~memo:false ops in
         Alcotest.(check bool) "arch clean" true (Rec.Scanport.diff w c = None);
         Alcotest.(check int64) "digests equal" (Rec.Scanport.digest w) (Rec.Scanport.digest c);
         match Rec.Scanport.diff ~scope:`All w c with
         | Some m ->
-          (* warm/enabled is the first micro register that can differ *)
-          Alcotest.(check string) "micro path" "warm/enabled" m.Rec.Scanport.d_path
-        | None -> Alcotest.fail "warm flag should differ at `All scope");
+          (* memo/enabled is the first micro register that can differ *)
+          Alcotest.(check string) "micro path" "memo/enabled" m.Rec.Scanport.d_path
+        | None -> Alcotest.fail "memo flag should differ at `All scope");
     tc "the LLC opcode drives the spill loop past its first iteration" (fun () ->
         let sim, fab = make_fabric () in
         apply_ops (sim, fab) [ 7; 15 ];
@@ -157,7 +157,7 @@ let unit_tests =
            solve; more solves than computes means a spill iteration ran *)
         let st = E.Fabric.scan_solver_stats fab in
         Alcotest.(check bool) "spill iterations solved" true
-          (st.E.Fairshare.solves > E.Fabric.warm_misses fab));
+          (st.E.Fairshare.solves > E.Fabric.memo_misses fab));
     tc "capture is a pure read" (fun () ->
         let sim, fab = make_fabric () in
         apply_ops (sim, fab) [ 3; 8; 16; 23 ];
@@ -280,7 +280,7 @@ let summary_tests =
 let property_tests =
   [
     prop "scan chain is identical warm and cold" gen_ops (fun ops ->
-        let warm = scan_after ~warm:true ops and cold = scan_after ~warm:false ops in
+        let warm = scan_after ~memo:true ops and cold = scan_after ~memo:false ops in
         Rec.Scanport.digest cold = Rec.Scanport.digest warm && Rec.Scanport.diff warm cold = None);
     prop "codec round-trips any reachable snapshot" gen_ops (fun ops ->
         let s = scan_after ops in
