@@ -102,12 +102,15 @@ val validate : capacities:float array -> demand array -> unit
 
 type stats = {
   solves : int;  (** Solver calls ([allocate] or [allocate_into]). *)
-  full_rebuilds : int;  (** Equal to [solves]: every call builds from scratch. *)
-  incremental : int;  (** Always 0; kept so ledger readers stay stable. *)
+  full_rebuilds : int;  (** Always equal to [solves]: every call builds from scratch. *)
+  incremental : int;  (** Always 0: no call updates an earlier solution. *)
   unchanged : int;
       (** DDIO spill iterations skipped because the previous one
           reached the fixed point. *)
 }
 (** The fabric's solver-work ledger, summed over the components it
     computes ({!Fabric.scan_solver_stats}). Memo hits replay a result
-    without solving and add nothing. *)
+    without solving and add nothing. [full_rebuilds] and [incremental]
+    say nothing that [solves] does not; both stay because the
+    benchmark reads them ([fairshare.full_rebuilds_per_op] and
+    [fairshare.incremental_per_op] in [perfbench/]). *)

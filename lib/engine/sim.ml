@@ -9,16 +9,23 @@ let now t = t.clock
 let set_tap t f = t.tap <- Some f
 let clear_tap t = t.tap <- None
 
+let push t time f = Ihnet_util.Heap.push t.queue (Float.max time t.clock) f
+
+(* Each field check is one comparison, since every event pays it. NaN
+   fails [>=] and [>]; queued at NaN, an event would never run under
+   [run ~until]. *)
 let schedule_at t time f =
-  let time = Float.max time t.clock in
-  Ihnet_util.Heap.push t.queue time f
+  if Float.is_nan time then invalid_arg "Sim.schedule_at: time must not be NaN";
+  push t time f
 
 let schedule t ~after f =
-  assert (after >= 0.0);
-  schedule_at t (t.clock +. after) f
+  if not (after >= 0.0) then
+    invalid_arg (Printf.sprintf "Sim.schedule: after must be >= 0 (got %g)" after);
+  push t (t.clock +. after) f
 
 let every t ~period ?until f =
-  assert (period > 0.0);
+  if not (period > 0.0) then
+    invalid_arg (Printf.sprintf "Sim.every: period must be > 0 (got %g)" period);
   let rec tick sim =
     match until with
     | Some u when sim.clock > u -> ()

@@ -128,6 +128,8 @@ type tenant = {
   tn_id : int;
   tn_intent : M.Intent.t;
   mutable tn_state : tenant_view;
+  mutable tn_at : int;  (* host index of [Placed]/[Placing], [Migrating]'s [from_]; else -1 *)
+  mutable tn_to : int;  (* host index of [Migrating]'s [to_]; else -1 *)
   mutable tn_prev : string option;  (* origin of a pending move, for the decision *)
   mutable tn_reason : reason option;
   mutable tn_was_degraded : bool;
@@ -157,10 +159,11 @@ type t = {
   mutable nhosts : int;
   host_by_label : (string, int) Hashtbl.t;
   tenant_tbl : (int, tenant) Hashtbl.t;
-  mutable tenant_order : int list;  (* ascending ids *)
+  mutable tenant_order : Int_set.t;  (* registered ids, iterated ascending *)
   mutable round_no : int;
   mutable next_seq : int;
   inflight : (int, inflight) Hashtbl.t;
+  primary_inflight : (int, int) Hashtbl.t;  (* tenant id -> Primary commands in [inflight] *)
   mutable log : decision list;  (* newest first *)
   mutable fp : int64;
 }
@@ -174,10 +177,11 @@ let create ?(config = default_config) ?(seed = 42) ?domains () =
     nhosts = 0;
     host_by_label = Hashtbl.create 64;
     tenant_tbl = Hashtbl.create 64;
-    tenant_order = [];
+    tenant_order = Int_set.empty;
     round_no = 0;
     next_seq = 0;
     inflight = Hashtbl.create 17;
+    primary_inflight = Hashtbl.create 17;
     log = [];
     fp = Trace.fnv_basis;
   }
@@ -186,10 +190,12 @@ let record t d =
   t.log <- d :: t.log;
   t.fp <- Trace.fnv_string (Trace.fnv_int t.fp t.round_no) (decision_to_string d)
 
-let get t label =
+let index_of t label =
   match Hashtbl.find_opt t.host_by_label label with
-  | Some i -> t.harr.(i)
+  | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Fleet.Controller: unknown host %S" label)
+
+let get t label = t.harr.(index_of t label)
 
 (* {1 Membership} *)
 
@@ -303,6 +309,8 @@ let submit t intent =
       tn_id = id;
       tn_intent = intent;
       tn_state = Unplaced;
+      tn_at = -1;
+      tn_to = -1;
       tn_prev = None;
       tn_reason = None;
       tn_was_degraded = false;
@@ -311,60 +319,54 @@ let submit t intent =
       tn_retry_at = 0;
       tn_gone = false;
     };
-  t.tenant_order <- List.sort compare (id :: t.tenant_order)
+  t.tenant_order <- Int_set.add id t.tenant_order
 
 let revoke t ~tenant =
   match Hashtbl.find_opt t.tenant_tbl tenant with
   | None -> ()
   | Some tn -> tn.tn_gone <- true
 
-(* The per-host index of [Placed] tenants. Every [tn_state] change goes
-   through [set_state] (and [remove_tenant]), so the index is exact at
-   every instant: a per-round rebuild would not be, because an ack
-   received earlier in the same receive phase can move a tenant to
-   [Placed] on a host whose report comes later. *)
+(* The per-host index of [Placed] tenants, and each tenant's host
+   indices ([tn_at], [tn_to]). Every [tn_state] change goes through
+   [set_state] (and [remove_tenant]), so both are exact at every
+   instant: a per-round rebuild would not be, because an ack received
+   earlier in the same receive phase can move a tenant to [Placed] on a
+   host whose report comes later. *)
 let update_placed t tn f =
   match tn.tn_state with
-  | Placed l ->
-    let h = get t l in
+  | Placed _ ->
+    let h = t.harr.(tn.tn_at) in
     h.h_placed <- f tn.tn_id h.h_placed
   | Unplaced | Placing _ | Migrating _ | Fleet_degraded -> ()
 
 let set_state t tn s =
   update_placed t tn Int_set.remove;
   tn.tn_state <- s;
+  (match s with
+  | Placed l | Placing l ->
+    tn.tn_at <- index_of t l;
+    tn.tn_to <- -1
+  | Migrating { from_; to_ } ->
+    tn.tn_at <- index_of t from_;
+    tn.tn_to <- index_of t to_
+  | Unplaced | Fleet_degraded ->
+    tn.tn_at <- -1;
+    tn.tn_to <- -1);
   update_placed t tn Int_set.add
 
 let remove_tenant t id =
   Option.iter (fun tn -> update_placed t tn Int_set.remove) (Hashtbl.find_opt t.tenant_tbl id);
   Hashtbl.remove t.tenant_tbl id;
-  t.tenant_order <- List.filter (fun x -> x <> id) t.tenant_order
+  t.tenant_order <- Int_set.remove id t.tenant_order
 
 let iter_tenants t f =
-  List.iter
+  Int_set.iter
     (fun id -> match Hashtbl.find_opt t.tenant_tbl id with Some tn -> f tn | None -> ())
     t.tenant_order
 
-(* Guaranteed bytes/s the controller believes it has routed to host
-   [i]; make-before-break counts a migrating tenant on both ends. *)
-let load_of t i =
-  let lbl = t.harr.(i).h_label in
-  let total = ref 0.0 in
-  iter_tenants t (fun tn ->
-      if not tn.tn_gone then
-        let here =
-          match tn.tn_state with
-          | Placed l | Placing l -> l = lbl
-          | Migrating { from_; to_ } -> from_ = lbl || to_ = lbl
-          | Unplaced | Fleet_degraded -> false
-        in
-        if here then total := !total +. M.Intent.total_guaranteed tn.tn_intent);
-  !total
-
-let has_primary_inflight t id =
-  Hashtbl.fold
-    (fun _ inf acc -> acc || (inf.if_purpose = Primary && inf.if_tenant = id))
-    t.inflight false
+(* Keyed by tenant id, not by tenant record: it also answers for an id
+   removed (or registered again) while its command is in flight. *)
+let has_primary_inflight t id = Hashtbl.mem t.primary_inflight id
 
 let has_cleanup_revoke t ~host ~tenant =
   Hashtbl.fold
@@ -377,6 +379,9 @@ let has_cleanup_revoke t ~host ~tenant =
 let send_cmd t h purpose tenant body =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  if purpose = Primary then
+    Hashtbl.replace t.primary_inflight tenant
+      (1 + Option.value (Hashtbl.find_opt t.primary_inflight tenant) ~default:0);
   Hashtbl.replace t.inflight seq
     {
       if_seq = seq;
@@ -388,6 +393,15 @@ let send_cmd t h purpose tenant body =
       if_deadline = t.round_no + t.cfg.cmd_timeout;
     };
   Channel.send h.h_cmd { c_seq = seq; c_epoch = h.h_known_epoch; c_body = body }
+
+(* The one way a command leaves [inflight]: it keeps
+   [primary_inflight]'s counts equal to the table's. *)
+let forget_inflight t inf =
+  Hashtbl.remove t.inflight inf.if_seq;
+  if inf.if_purpose = Primary then
+    match Hashtbl.find t.primary_inflight inf.if_tenant with
+    | 1 -> Hashtbl.remove t.primary_inflight inf.if_tenant
+    | n -> Hashtbl.replace t.primary_inflight inf.if_tenant (n - 1)
 
 let cleanup_revoke t h tenant =
   Hashtbl.replace h.h_revoked tenant t.round_no;
@@ -496,12 +510,7 @@ let recently_revoked h tenant report_round =
    are revoked; desired tenants the host no longer carries (it
    restarted) go back to placement. *)
 let reconcile t h r =
-  let assigned_here tn =
-    match tn.tn_state with
-    | Placed l | Placing l -> l = h.h_label
-    | Migrating { from_; to_ } -> from_ = h.h_label || to_ = h.h_label
-    | Unplaced | Fleet_degraded -> false
-  in
+  let assigned_here tn = tn.tn_at = h.h_index || tn.tn_to = h.h_index in
   let strays =
     List.filter
       (fun id ->
@@ -570,7 +579,7 @@ let on_ack t h a =
   match Hashtbl.find_opt t.inflight a.a_seq with
   | None -> ()  (* stale: the command was abandoned; reconciliation owns it now *)
   | Some inf -> (
-    Hashtbl.remove t.inflight a.a_seq;
+    forget_inflight t inf;
     match inf.if_purpose with
     | Cleanup -> ()
     | Primary -> (
@@ -620,7 +629,7 @@ let abandon_host t h =
     (fun seq ->
       match Hashtbl.find_opt t.inflight seq with
       | Some inf when inf.if_host = h.h_index ->
-        Hashtbl.remove t.inflight seq;
+        forget_inflight t inf;
         if inf.if_purpose = Primary then
           record t
             (D_command_failed
@@ -671,7 +680,7 @@ let retry_commands t =
         if t.round_no >= inf.if_deadline then begin
           let h = t.harr.(inf.if_host) in
           if inf.if_attempt >= t.cfg.max_retries then begin
-            Hashtbl.remove t.inflight seq;
+            forget_inflight t inf;
             record t
               (D_command_failed
                  {
@@ -712,48 +721,47 @@ let retry_commands t =
         end)
     (sorted_inflight t)
 
-(* The believed load of every host, computed once per control step
-   (O(hosts + tenants)) and updated incrementally as placements are
-   routed within the same pass — [load_of] per candidate would make
-   each drive pass O(hosts × tenants) and fleet-scale rounds cubic. *)
+(* Guaranteed bytes/s the controller believes it has routed to each
+   host; make-before-break counts a migrating tenant on both ends.
+   Computed once per control step, O(hosts + tenants), and updated as
+   placements are routed within the same pass: a load per candidate
+   would make each pass O(hosts × tenants) and fleet-scale rounds
+   cubic. It is a fresh sum in ascending tenant order every time, never
+   a running total: adding and subtracting would move the sums' low
+   bits, and equal loads decide placement by index. *)
 let compute_loads t =
   let loads = Array.make (max 1 t.nhosts) 0.0 in
-  let add lbl g =
-    match Hashtbl.find_opt t.host_by_label lbl with
-    | Some i -> loads.(i) <- loads.(i) +. g
-    | None -> ()
-  in
   iter_tenants t (fun tn ->
-      if not tn.tn_gone then
+      if (not tn.tn_gone) && tn.tn_at >= 0 then begin
         let g = M.Intent.total_guaranteed tn.tn_intent in
-        match tn.tn_state with
-        | Placed l | Placing l -> add l g
-        | Migrating { from_; to_ } ->
-          add from_ g;
-          add to_ g
-        | Unplaced | Fleet_degraded -> ());
+        loads.(tn.tn_at) <- loads.(tn.tn_at) +. g;
+        if tn.tn_to >= 0 then loads.(tn.tn_to) <- loads.(tn.tn_to) +. g
+      end);
   loads
 
-let candidates t tn ~loads ~exclude =
-  let rec collect i acc =
-    if i < 0 then acc
-    else
-      let h = t.harr.(i) in
-      let ok =
-        h.h_belief = `Reachable
-        && t.round_no >= h.h_held_until
-        && (not (List.mem i tn.tn_tried))
-        && not (List.mem i exclude)
-      in
-      collect (i - 1) (if ok then i :: acc else acc)
-  in
-  collect (t.nhosts - 1) []
-  |> List.map (fun i -> (loads.(i), i))
-  |> List.sort compare |> List.map snd
+(* The placement rule: of the reachable hosts out of holddown that the
+   tenant has not tried and that are not [exclude], the one with the
+   least believed load, the lowest index among equals; -1 if none.
+   Scanning upward and replacing only on a strictly smaller
+   [Float.compare] gives the least (load, index) pair in [compare]'s
+   order. *)
+let least_loaded t tn ~loads ~exclude =
+  let best = ref (-1) in
+  for i = 0 to t.nhosts - 1 do
+    let h = t.harr.(i) in
+    if
+      h.h_belief = `Reachable
+      && t.round_no >= h.h_held_until
+      && i <> exclude
+      && (not (List.mem i tn.tn_tried))
+      && (!best < 0 || Float.compare loads.(i) loads.(!best) < 0)
+    then best := i
+  done;
+  !best
 
 let try_place t tn ~loads =
-  match candidates t tn ~loads ~exclude:[] with
-  | [] ->
+  match least_loaded t tn ~loads ~exclude:(-1) with
+  | -1 ->
     if tn.tn_state <> Fleet_degraded then begin
       set_state t tn Fleet_degraded;
       tn.tn_was_degraded <- true;
@@ -763,27 +771,26 @@ let try_place t tn ~loads =
     end;
     tn.tn_tried <- [];
     tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
-  | i :: _ ->
+  | i ->
     let h = t.harr.(i) in
     set_state t tn (Placing h.h_label);
     loads.(i) <- loads.(i) +. M.Intent.total_guaranteed tn.tn_intent;
     send_cmd t h Primary tn.tn_id (Cplace tn.tn_intent)
 
-let try_migrate t tn from_label ~loads =
-  let from_i = Hashtbl.find t.host_by_label from_label in
-  match candidates t tn ~loads ~exclude:[ from_i ] with
-  | [] -> tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
-  | i :: _ ->
+let try_migrate t tn from ~loads =
+  match least_loaded t tn ~loads ~exclude:from.h_index with
+  | -1 -> tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
+  | i ->
     let h = t.harr.(i) in
-    set_state t tn (Migrating { from_ = from_label; to_ = h.h_label });
-    tn.tn_prev <- Some from_label;
+    set_state t tn (Migrating { from_ = from.h_label; to_ = h.h_label });
+    tn.tn_prev <- Some from.h_label;
     tn.tn_reason <- Some Slo;
     loads.(i) <- loads.(i) +. M.Intent.total_guaranteed tn.tn_intent;
     send_cmd t h Primary tn.tn_id (Cplace tn.tn_intent)
 
 let drive_tenants t =
   let loads = compute_loads t in
-  List.iter
+  Int_set.iter
     (fun id ->
       match Hashtbl.find_opt t.tenant_tbl id with
       | None -> ()
@@ -791,8 +798,8 @@ let drive_tenants t =
         if tn.tn_gone then begin
           match tn.tn_state with
           | Unplaced | Fleet_degraded -> remove_tenant t id
-          | Placed l when not (has_primary_inflight t id) ->
-            let h = get t l in
+          | Placed _ when not (has_primary_inflight t id) ->
+            let h = t.harr.(tn.tn_at) in
             if h.h_belief = `Reachable then send_cmd t h Primary id (Crevoke id)
             else (
               (* the host is gone; drop the desire and let
@@ -806,9 +813,9 @@ let drive_tenants t =
           | Fleet_degraded when t.round_no >= tn.tn_retry_at ->
             tn.tn_tried <- [];
             try_place t tn ~loads
-          | Placed l when t.round_no >= tn.tn_retry_at ->
-            let h = get t l in
-            if h.h_belief = `Reachable && List.mem id h.h_sick then try_migrate t tn l ~loads
+          | Placed _ when t.round_no >= tn.tn_retry_at ->
+            let h = t.harr.(tn.tn_at) in
+            if h.h_belief = `Reachable && List.mem id h.h_sick then try_migrate t tn h ~loads
           | _ -> ())
     t.tenant_order
 
@@ -846,7 +853,7 @@ let host_view t label =
 let tenant_view t id =
   Option.map (fun tn -> tn.tn_state) (Hashtbl.find_opt t.tenant_tbl id)
 
-let tenants t = t.tenant_order
+let tenants t = Int_set.elements t.tenant_order
 let decisions t = List.rev t.log
 let decisions_fingerprint t = t.fp
 
@@ -904,8 +911,9 @@ let pp ppf t =
   Format.fprintf ppf
     "fleet: %d host(s) (%d reachable, %d unreachable, %d crashed), %d tenant(s), round %d, %d decision(s)@."
     t.nhosts !reach !unreach !crashed
-    (List.length t.tenant_order)
+    (Int_set.cardinal t.tenant_order)
     t.round_no (List.length t.log);
+  let loads = compute_loads t in
   for i = 0 to t.nhosts - 1 do
     let h = t.harr.(i) in
     let state =
@@ -913,7 +921,7 @@ let pp ppf t =
       else match h.h_belief with `Reachable -> "reachable" | `Unreachable -> "unreachable"
     in
     Format.fprintf ppf "  %-16s %-11s epoch=%d load=%a tenants=[%s]@." h.h_label state
-      h.h_epoch Units.pp_rate (load_of t i)
+      h.h_epoch Units.pp_rate loads.(i)
       (String.concat "," (List.map string_of_int (Int_set.elements h.h_placed)))
   done;
   iter_tenants t (fun tn ->

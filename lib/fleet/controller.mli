@@ -129,7 +129,8 @@ val host : t -> string -> Ihnet.Host.t option
 
 val submit : t -> Ihnet_manager.Intent.t -> unit
 (** Register the intent's tenant with the fleet; the next {!round}s
-    place it on the least-loaded host that admits it.
+    place it on the host with the least believed load that admits it,
+    the lowest host index among equal loads.
     @raise Invalid_argument if the tenant is already registered. *)
 
 val revoke : t -> tenant:int -> unit

@@ -280,10 +280,11 @@ let run_gen ?setup ?perturb ?(reference = []) ?on_digest (trace : Trace.t) =
           if epoch mod st.digest_every = 0 then check_digest st epoch
         | E.Fabric.Flow_completed f -> check_completion st f
         | _ -> ());
-    (* clock monotonicity of the trace itself *)
+    (* clock monotonicity of the trace itself; a NaN time fails [>=] and
+       counts as a regression *)
     let prev_at = ref neg_infinity in
     let monotone at =
-      if at < !prev_at then
+      if not (at >= !prev_at) then
         st.invariant_failures <-
           Printf.sprintf "clock regression in trace: %.17g after %.17g" at !prev_at
           :: st.invariant_failures

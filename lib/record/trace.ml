@@ -624,7 +624,13 @@ let line_of_json j =
         digest_every = as_int (field j "digest_every");
         host_config = config_of_json (field j "config");
       }
-  | "op" -> Op { at = as_float (field j "at"); op = op_of_json j }
+  | "op" ->
+    (* replay schedules an op at its [at]: queued at NaN it never runs
+       under [Sim.run ~until], at infinity it runs after everything *)
+    let at = as_float (field j "at") in
+    if not (Float.is_finite at) then
+      raise (Parse_error (Printf.sprintf "at must be finite (got %s)" (Float.to_string at)));
+    Op { at; op = op_of_json j }
   | "done" ->
     Completed
       {

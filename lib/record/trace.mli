@@ -11,7 +11,9 @@
 
     Every value round-trips exactly: floats are printed with 17
     significant digits (and [inf]/[-inf]/[nan] as tagged strings), so
-    [line_of_string (line_to_string l) = Ok l]. The digest hashes are
+    [line_of_string (line_to_string l) = Ok l] for every line a
+    recorder writes (an op's time is always finite; see
+    {!line_of_string}). The digest hashes are
     FNV-1a over the raw IEEE-754 bits, making a digest comparison an
     exact — not approximate — state equality check. *)
 
@@ -122,6 +124,10 @@ val line_to_string : line -> string
 (** One line of JSON, no trailing newline. *)
 
 val line_of_string : string -> (line, string) result
+(** Refuses an [op] line whose [at] is not finite, naming the field
+    ([at must be finite (got nan)]): replay schedules each op at its
+    [at]. The other lines' times are expectations replay compares
+    against its own clock, so they keep the full float range. *)
 
 (** {1 Whole traces} *)
 

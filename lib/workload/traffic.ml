@@ -28,9 +28,14 @@ let finish stream (flow : Flow.t) =
   stream.moved <- stream.moved +. flow.Flow.transferred;
   stream.live <- List.filter (fun (f : Flow.t) -> f.Flow.id <> flow.Flow.id) stream.live
 
+let invalidf fmt = Printf.ksprintf invalid_arg fmt
+
+(* NaN fails every comparison, so each check refuses it too. *)
 let poisson_transfers fabric ~rng ~tenant ?(llc_target = false) ~rate_per_s ~size ~path
     ?on_transfer () =
-  assert (rate_per_s > 0.0);
+  (* an infinite rate draws zero gaps: endless arrivals at one instant *)
+  if not (rate_per_s > 0.0 && rate_per_s < infinity) then
+    invalidf "Traffic.poisson_transfers: rate_per_s must be finite and > 0 (got %g)" rate_per_s;
   let stream = make fabric in
   let sim = Fabric.sim fabric in
   let rec arrival _ =
@@ -53,14 +58,17 @@ let poisson_transfers fabric ~rng ~tenant ?(llc_target = false) ~rate_per_s ~siz
   stream
 
 let constant_stream fabric ~tenant ~rate ~path () =
-  assert (rate > 0.0);
+  if not (rate > 0.0) then invalidf "Traffic.constant_stream: rate must be > 0 (got %g)" rate;
   let stream = make fabric in
   let flow = Fabric.start_flow fabric ~tenant ~demand:rate ~path ~size:Flow.Unbounded () in
   track stream flow;
   stream
 
 let on_off_stream fabric ~tenant ~rate ~period ~duty ~path () =
-  assert (duty > 0.0 && duty <= 1.0 && period > 0.0 && rate > 0.0);
+  if not (duty > 0.0 && duty <= 1.0) then
+    invalidf "Traffic.on_off_stream: duty must be in (0, 1] (got %g)" duty;
+  if not (period > 0.0) then invalidf "Traffic.on_off_stream: period must be > 0 (got %g)" period;
+  if not (rate > 0.0) then invalidf "Traffic.on_off_stream: rate must be > 0 (got %g)" rate;
   let stream = make fabric in
   let sim = Fabric.sim fabric in
   let rec on_phase _ =

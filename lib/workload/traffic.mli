@@ -30,7 +30,8 @@ val poisson_transfers :
 (** Transfers of random size arrive with exponential inter-arrival
     times (mean [1/rate_per_s] seconds); each becomes a finite
     [Payload]-class flow on [path]. [on_transfer] fires at each completion with the measured
-    duration. *)
+    duration.
+    @raise Invalid_argument unless [rate_per_s] is finite and [> 0.]. *)
 
 val constant_stream :
   Fabric.t ->
@@ -40,7 +41,8 @@ val constant_stream :
   unit ->
   stream
 (** An unbounded [Payload]-class flow whose source offers exactly
-    [rate] bytes/s. *)
+    [rate] bytes/s.
+    @raise Invalid_argument unless [rate > 0.]. *)
 
 val on_off_stream :
   Fabric.t ->
@@ -52,7 +54,9 @@ val on_off_stream :
   unit ->
   stream
 (** Bursty [Payload]-class source: offers [rate] for [duty × period],
-    then idles. [duty] in (0,1]. *)
+    then idles.
+    @raise Invalid_argument unless [duty] is in (0,1], [period > 0.]
+    and [rate > 0.]. *)
 
 val stop : stream -> unit
 (** Stop new arrivals and any active flow of this stream. Idempotent. *)

@@ -67,6 +67,19 @@ let sim_tests =
         Sim.schedule sim ~after:10.0 (fun s -> Sim.schedule_at s 5.0 (fun _ -> ()));
         Sim.run sim;
         check_close "clock" 10.0 (Sim.now sim));
+    tc "schedule, schedule_at and every refuse a bad time, naming the field" (fun () ->
+        let sim = Sim.create () in
+        let refuses msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+        refuses "Sim.schedule: after must be >= 0 (got nan)" (fun () ->
+            Sim.schedule sim ~after:nan ignore);
+        refuses "Sim.schedule: after must be >= 0 (got -1)" (fun () ->
+            Sim.schedule sim ~after:(-1.0) ignore);
+        refuses "Sim.schedule_at: time must not be NaN" (fun () -> Sim.schedule_at sim nan ignore);
+        refuses "Sim.every: period must be > 0 (got nan)" (fun () ->
+            Sim.every sim ~period:nan ignore);
+        refuses "Sim.every: period must be > 0 (got 0)" (fun () ->
+            Sim.every sim ~period:0.0 ignore);
+        Alcotest.(check int) "nothing queued" 0 (Sim.pending sim));
   ]
 
 (* {1 Fairshare} *)

@@ -29,7 +29,8 @@ let mk ?(hosts = 2) ?(config = quick_config) ?(seed = 9) ?domains () =
   done;
   t
 
-let intent i = M.Intent.pipe ~tenant:i ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0)
+let pipe i gbps = M.Intent.pipe ~tenant:i ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps gbps)
+let intent i = pipe i 2.0
 
 let placements_of t label tenant =
   match F.Controller.host t label with
@@ -372,6 +373,209 @@ let idle_round_tests =
           ids);
   ]
 
+(* {1 In-flight commands: each way a Primary command ends frees its tenant}
+
+   The control step sends a tenant no new Primary command while one is
+   in flight. Each test ends one command a different way and then needs
+   the control step to act on the same tenant again: a tenant the
+   controller still believed busy would stay unplaced. *)
+
+let view t i =
+  match F.Controller.tenant_view t i with
+  | None -> "unregistered"
+  | Some F.Controller.Unplaced -> "unplaced"
+  | Some (F.Controller.Placing l) -> "placing on " ^ l
+  | Some (F.Controller.Placed l) -> "placed on " ^ l
+  | Some (F.Controller.Migrating { from_; to_ }) -> Printf.sprintf "migrating %s -> %s" from_ to_
+  | Some F.Controller.Fleet_degraded -> "fleet-degraded"
+
+(* run rounds until tenant [i] is placed on [label], at most [within] *)
+let lands t i label ~within =
+  let want = "placed on " ^ label in
+  let n = ref 0 in
+  while !n < within && view t i <> want do
+    incr n;
+    F.Controller.round t
+  done;
+  Alcotest.(check string) (Printf.sprintf "tenant %d within %d round(s)" i within) want (view t i)
+
+let command_failed t ~host ~tenant error =
+  has_decision t (function
+    | F.Controller.D_command_failed d -> d.host = host && d.tenant = tenant && d.error = error
+    | _ -> false)
+
+let inflight_tests =
+  [
+    tc "an acked place frees the tenant for its failover" (fun () ->
+        let t = mk ~hosts:2 () in
+        F.Controller.submit t (intent 1);
+        F.Controller.run t ~rounds:2;
+        Alcotest.(check string) "placed by the ack" "host0" (placed_on t 1);
+        F.Controller.crash t "host0";
+        (* lost after unreachable_after = 3 silent rounds, placed one round later *)
+        lands t 1 "host1" ~within:6);
+    tc "a refused place spills the tenant to the next host" (fun () ->
+        let t = F.Controller.create ~config:quick_config ~seed:9 () in
+        F.Controller.spawn t ~preset:Ihnet.Host.Minimal "host0";
+        F.Controller.spawn t ~preset:Ihnet.Host.Two_socket "host1";
+        (* a Minimal host has no gpu0, so host0 refuses; equal loads sent it there first *)
+        F.Controller.submit t
+          (M.Intent.pipe ~tenant:1 ~src:"gpu0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0));
+        (* sent in round 1, refused in round 2, whose control step re-places it *)
+        F.Controller.run t ~rounds:2;
+        Alcotest.(check string) "refused, then sent on" "placing on host1" (view t 1);
+        lands t 1 "host1" ~within:1;
+        Alcotest.(check int) "the refusing host holds nothing" 0
+          (List.length (placements_of t "host0" 1)));
+    tc "an exhausted place frees the tenant for the next host" (fun () ->
+        let config =
+          {
+            quick_config with
+            F.Controller.cmd_timeout = 1;
+            max_retries = 1;
+            backoff_factor = 1.0;
+            unreachable_after = 20;
+          }
+        in
+        let t = mk ~hosts:2 ~config () in
+        F.Controller.set_chanfault t "host0" (Chanfault.lossy ~loss:1.0 ());
+        F.Controller.submit t (intent 1);
+        (* sent in round 1, resent in round 2, abandoned in round 3 *)
+        F.Controller.run t ~rounds:3;
+        Alcotest.(check bool) "Retries_exhausted" true
+          (command_failed t ~host:"host0" ~tenant:1
+             (M.Mgr_error.Retries_exhausted { host = "host0"; command = "place" }));
+        lands t 1 "host1" ~within:2;
+        Alcotest.(check bool) "host0 never declared lost" false
+          (has_decision t (function F.Controller.D_host_lost _ -> true | _ -> false)));
+    tc "losing the host under an in-flight place frees the tenant" (fun () ->
+        let t = mk ~hosts:2 () in
+        F.Controller.submit t (intent 1);
+        F.Controller.round t;
+        Alcotest.(check string) "place in flight" "placing on host0" (view t 1);
+        F.Controller.crash t "host0";
+        (* its last report was round 1's: lost in round 5, which abandons
+           the retried place before its retries run out *)
+        F.Controller.run t ~rounds:4;
+        Alcotest.(check bool) "abandoned as Host_unreachable" true
+          (command_failed t ~host:"host0" ~tenant:1 (M.Mgr_error.Host_unreachable "host0"));
+        lands t 1 "host1" ~within:2);
+  ]
+
+(* {1 Placement: least believed load, then lowest index} *)
+
+(* Starve tenant [i]'s placement on [label] with a running flow over a
+   link degraded to 1% of its capacity: the host's next report names it
+   sick, which sends it to migration. *)
+let make_sick t label i =
+  match F.Controller.host t label with
+  | None -> Alcotest.failf "%s is down" label
+  | Some host ->
+    let mgr = Option.get (Ihnet.Host.manager host) and fab = Ihnet.Host.fabric host in
+    let p =
+      List.find (fun (p : M.Placement.t) -> p.M.Placement.tenant = i) (M.Manager.placements mgr)
+    in
+    let path = p.M.Placement.path in
+    let f = E.Fabric.start_flow fab ~tenant:i ~path ~size:E.Flow.Unbounded () in
+    ignore (M.Manager.attach mgr f);
+    let hop = List.hd path.T.Path.hops in
+    E.Fabric.inject_fault fab hop.T.Path.link.T.Link.id (E.Fault.degrade ~capacity_factor:0.01 ())
+
+let placement_tests =
+  [
+    tc "equal believed loads go to the lowest host index" (fun () ->
+        let t = mk ~hosts:4 () in
+        List.iter (fun i -> F.Controller.submit t (intent i)) [ 1; 2; 3; 4 ];
+        F.Controller.run t ~rounds:3;
+        Alcotest.(check (list string)) "one each, in index order"
+          [ "host0"; "host1"; "host2"; "host3" ]
+          (List.map (placed_on t) [ 1; 2; 3; 4 ]);
+        (* every host now carries 2 Gb/s: the tie goes to host0 again *)
+        F.Controller.submit t (intent 5);
+        lands t 5 "host0" ~within:2;
+        F.Controller.revoke t ~tenant:2;
+        F.Controller.revoke t ~tenant:3;
+        F.Controller.run t ~rounds:3;
+        (* host1 and host2 tie at zero below host0 and host3 *)
+        F.Controller.submit t (intent 6);
+        lands t 6 "host1" ~within:2);
+    tc "a held-down host is skipped although it is least loaded" (fun () ->
+        let config =
+          {
+            quick_config with
+            F.Controller.unreachable_after = 1;
+            flap_threshold = 2;
+            holddown = 50;
+          }
+        in
+        let t = mk ~hosts:2 ~config () in
+        F.Controller.partition t "host0";
+        F.Controller.run t ~rounds:2;
+        F.Controller.heal t "host0";
+        F.Controller.round t;
+        Alcotest.(check bool) "lost and recovered: held down" true
+          (has_decision t (function
+            | F.Controller.D_held_down { host } -> host = "host0"
+            | _ -> false));
+        F.Controller.submit t (intent 1);
+        lands t 1 "host1" ~within:2);
+    tc "a migrating tenant's guarantee counts on both ends" (fun () ->
+        let t = mk ~hosts:3 () in
+        F.Controller.submit t (pipe 1 3.0);
+        F.Controller.submit t (pipe 2 1.0);
+        F.Controller.submit t (pipe 3 2.0);
+        F.Controller.run t ~rounds:3;
+        Alcotest.(check (list string)) "3, 1 and 2 Gb/s on hosts 0, 1, 2"
+          [ "host0"; "host1"; "host2" ]
+          (List.map (placed_on t) [ 1; 2; 3 ]);
+        (* delay host1's channels so the move stays in flight for rounds *)
+        F.Controller.set_chanfault t "host1" (Chanfault.delayed ~lo:2 ~hi:2);
+        make_sick t "host0" 1;
+        F.Controller.round t;
+        Alcotest.(check string) "tenant 1 moves to the least-loaded other host"
+          "migrating host0 -> host1" (view t 1);
+        (* believed: host0 3, host1 1 + 3, host2 2; counting the mover on
+           one end only would send tenant 4 to host0 or host1 *)
+        F.Controller.submit t (pipe 4 1.0);
+        F.Controller.round t;
+        Alcotest.(check string) "still migrating" "migrating host0 -> host1" (view t 1);
+        Alcotest.(check string) "tenant 4 goes to host2" "placing on host2" (view t 4));
+    tc "placing a tenant allocates at most 500 words more than an idle round" (fun () ->
+        let converged () =
+          let t =
+            F.Controller.create ~config:F.Controller.default_config ~seed:13 ~domains:1 ()
+          in
+          for i = 0 to 199 do
+            F.Controller.spawn t ~preset:Ihnet.Host.Minimal (Printf.sprintf "host%03d" i)
+          done;
+          for i = 1 to 200 do
+            F.Controller.submit t (intent i)
+          done;
+          F.Controller.run t ~rounds:30;
+          ignore (placed_on t 200);
+          t
+        in
+        let words t =
+          let before = Gc.minor_words () in
+          F.Controller.round t;
+          Gc.minor_words () -. before
+        in
+        (* the shared pool only grows: drop it, so that ~domains:1 runs
+           every host advance on this domain, where Gc.minor_words
+           counts it *)
+        U.Pool.shutdown (U.Pool.get 1);
+        let busy = converged () and idle = converged () in
+        F.Controller.submit busy (intent 201);
+        let placing = words busy in
+        let idling = words idle in
+        Alcotest.(check bool) "the round sent the place" true
+          (String.starts_with ~prefix:"placing on " (view busy 201));
+        let extra = placing -. idling in
+        if extra > 500.0 then
+          Alcotest.failf "placing one tenant allocated %.0f more minor words than an idle round"
+            extra);
+  ]
+
 (* {1 Determinism: byte-identical at every pool width} *)
 
 (* A random fleet op sequence, interpreted identically against
@@ -424,5 +628,7 @@ let suites =
     ("fleet.controller", controller_tests);
     ("fleet.idle", idle_tests);
     ("fleet.idle-round", idle_round_tests);
+    ("fleet.inflight", inflight_tests);
+    ("fleet.placement", placement_tests);
     ("fleet.determinism", determinism_props);
   ]

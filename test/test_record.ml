@@ -208,6 +208,42 @@ let codec_tests =
         | Ok _ -> Alcotest.fail "a trace with a bogus flow class loaded"
         | Error e ->
           Alcotest.(check bool) ("trace error names the class: " ^ e) true (contains e "bogus"));
+    tc "an op line whose at is not finite is refused, naming at" (fun () ->
+        let good =
+          Rec.Trace.line_to_string (Rec.Trace.Op { at = 5.0; op = Rec.Trace.Stop_flow 3 })
+        in
+        let marker = {|"at":5|} in
+        let with_at v =
+          match index_of good marker with
+          | Some i ->
+            let rest = i + String.length marker in
+            String.sub good 0 i ^ {|"at":|} ^ v ^ String.sub good rest (String.length good - rest)
+          | None -> Alcotest.fail ("no at field in " ^ good)
+        in
+        let header =
+          Rec.Trace.line_to_string
+            (Rec.Trace.Header
+               {
+                 Rec.Trace.version = Rec.Trace.version;
+                 preset = "two-socket-server";
+                 seed = 1;
+                 label = "";
+                 digest_every = 8;
+                 host_config = sample_config;
+               })
+        in
+        List.iter
+          (fun (v, shown) ->
+            let why = Printf.sprintf "at must be finite (got %s)" shown in
+            Alcotest.(check (result unit string)) ("line " ^ v) (Error why)
+              (Result.map ignore (Rec.Trace.line_of_string (with_at v)));
+            match Rec.Trace.parse (header ^ "\n" ^ with_at v ^ "\n") with
+            | Ok _ -> Alcotest.failf "a trace with an op at %s loaded" v
+            | Error e -> Alcotest.(check string) ("trace " ^ v) ("line 2: " ^ why) e)
+          [ ({|"nan"|}, "nan"); ({|"inf"|}, "inf"); ({|"-inf"|}, "-inf") ];
+        match Rec.Trace.line_of_string (with_at "7.5") with
+        | Ok (Rec.Trace.Op { at = 7.5; _ }) -> ()
+        | _ -> Alcotest.fail "a finite at no longer parses");
     tc "awkward floats survive the trip" (fun () ->
         (* 17 significant digits: the bit pattern must be identical *)
         List.iter
@@ -292,6 +328,24 @@ let replay_tests =
         Alcotest.(check bool)
           "completions were actually checked" true
           (r.Rec.Replay.completions_checked > 0));
+    tc "a NaN annotation time counts as a clock regression" (fun () ->
+        let trace = record_mixed () in
+        let poisoned = ref false in
+        let lines =
+          List.map
+            (function
+              | Rec.Trace.Completed c when not !poisoned ->
+                poisoned := true;
+                Rec.Trace.Completed { c with at = nan }
+              | l -> l)
+            trace.Rec.Trace.lines
+        in
+        Alcotest.(check bool) "the trace has a completion" true !poisoned;
+        let r = replay_exn { trace with Rec.Trace.lines } in
+        Alcotest.(check bool) "named as a clock regression" true
+          (List.exists
+             (fun f -> contains f "clock regression in trace: nan after")
+             r.Rec.Replay.invariant_failures));
     tc "perturbed replay diverges at the first post-perturbation digest" (fun () ->
         (* cadence 1 pins the first divergence to a single epoch *)
         let trace = record_mixed ~digest_every:1 () in

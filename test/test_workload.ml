@@ -131,6 +131,36 @@ let traffic_tests =
               (Traffic.current_rate s))
           [ 0.5; 1.5; 2.5 ];
         Traffic.stop s);
+    tc "constructors refuse NaN and out-of-range fields, naming them" (fun () ->
+        let _, _, fab = make_host () in
+        let p = path fab "nic0" "dimm0.0.0" in
+        let rng = U.Rng.create 7 in
+        let refuses msg f =
+          Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+        in
+        let poisson r () =
+          Traffic.poisson_transfers fab ~rng ~tenant:1 ~rate_per_s:r ~size:(Traffic.Fixed 1e4)
+            ~path:p ()
+        in
+        refuses "Traffic.poisson_transfers: rate_per_s must be finite and > 0 (got nan)"
+          (poisson nan);
+        refuses "Traffic.poisson_transfers: rate_per_s must be finite and > 0 (got 0)"
+          (poisson 0.0);
+        refuses "Traffic.poisson_transfers: rate_per_s must be finite and > 0 (got inf)"
+          (poisson infinity);
+        let constant r () = Traffic.constant_stream fab ~tenant:1 ~rate:r ~path:p () in
+        refuses "Traffic.constant_stream: rate must be > 0 (got nan)" (constant nan);
+        refuses "Traffic.constant_stream: rate must be > 0 (got -1)" (constant (-1.0));
+        let on_off ?(rate = 1e9) ?(period = U.Units.ms 1.0) ?(duty = 0.5) () =
+          Traffic.on_off_stream fab ~tenant:1 ~rate ~period ~duty ~path:p ()
+        in
+        refuses "Traffic.on_off_stream: duty must be in (0, 1] (got nan)" (on_off ~duty:nan);
+        refuses "Traffic.on_off_stream: duty must be in (0, 1] (got 1.5)" (on_off ~duty:1.5);
+        refuses "Traffic.on_off_stream: period must be > 0 (got nan)" (on_off ~period:nan);
+        refuses "Traffic.on_off_stream: period must be > 0 (got 0)" (on_off ~period:0.0);
+        refuses "Traffic.on_off_stream: rate must be > 0 (got nan)" (on_off ~rate:nan);
+        refuses "Traffic.on_off_stream: rate must be > 0 (got -1)" (on_off ~rate:(-1.0));
+        Alcotest.(check int) "no flow started" 0 (E.Fabric.flow_count fab));
     tc "size distributions respect bounds" (fun () ->
         let rng = U.Rng.create 3 in
         for _ = 1 to 200 do
