@@ -167,14 +167,8 @@ let bench_allocate n =
 
 (* the eight gpu_i -> nic_(nic_of i) paths of a dgx-like topology *)
 let gpu_nic_paths topo ~nic_of =
-  let dev name =
-    match T.Topology.device_by_name topo name with
-    | Some d -> d.T.Device.id
-    | None -> failwith ("fabric_bench: no device " ^ name)
-  in
   Array.init 8 (fun i ->
-      let src = Printf.sprintf "gpu%d" i and dst = Printf.sprintf "nic%d" (nic_of i) in
-      Option.get (T.Routing.shortest_path topo (dev src) (dev dst)))
+      T.Routing.route topo (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" (nic_of i)))
 
 let bench_churn ?(wire = fun _ -> ()) ~nic_of n =
   let topo = T.Builder.dgx_like () in
@@ -378,17 +372,7 @@ let bench_scan_digest () =
    flow, with no tenant and no channel fault *)
 let bench_fleet_idle () =
   let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Minimal in
-  let topo = Ihnet.Host.topology host in
-  let dev name =
-    match T.Topology.device_by_name topo name with
-    | Some d -> d.T.Device.id
-    | None -> failwith ("fabric_bench: no device " ^ name)
-  in
-  let path =
-    match T.Routing.shortest_path topo (dev "nic0") (dev "socket0") with
-    | Some p -> p
-    | None -> failwith "fabric_bench: no nic0->socket0 path"
-  in
+  let path = T.Routing.route (Ihnet.Host.topology host) "nic0" "socket0" in
   ignore (E.Fabric.start_flow (Ihnet.Host.fabric host) ~tenant:1 ~path ~size:E.Flow.Unbounded ());
   let cfg = { F.Controller.default_config with F.Controller.round_len = U.Units.us 100.0 } in
   let t = F.Controller.create ~config:cfg ~seed:7 () in

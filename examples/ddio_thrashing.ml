@@ -20,9 +20,7 @@ let show host label =
     (E.Fabric.ddio_spill_rate fab ~socket:0)
 
 let writer host nic =
-  let topo = Host.topology host in
-  let dev n = (Option.get (T.Topology.device_by_name topo n)).T.Device.id in
-  let path = Option.get (T.Routing.shortest_path topo (dev nic) (dev "socket0")) in
+  let path = T.Routing.route (Host.topology host) nic "socket0" in
   E.Fabric.start_flow (Host.fabric host) ~tenant:1 ~llc_target:true ~path ~size:E.Flow.Unbounded
     ()
 

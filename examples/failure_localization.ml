@@ -16,8 +16,7 @@ let () =
   let topo = Host.topology host in
 
   (* background traffic so the host looks alive *)
-  let dev n = (Option.get (T.Topology.device_by_name topo n)).T.Device.id in
-  let path = Option.get (T.Routing.shortest_path topo (dev "nic0") (dev "socket0")) in
+  let path = T.Routing.route topo "nic0" "socket0" in
   ignore
     (E.Fabric.start_flow fab ~tenant:1 ~demand:10e9 ~llc_target:true ~path ~size:E.Flow.Unbounded
        ());
@@ -29,11 +28,7 @@ let () =
     (List.length (Mon.Heartbeat.failing_pairs hb));
 
   (* inject: the switch's upstream link silently adds 5 us per crossing *)
-  let bad =
-    match T.Topology.links_between topo (dev "rp0.0") (dev "pciesw0") with
-    | [ l ] -> l
-    | _ -> failwith "expected one rp0.0-pciesw0 link"
-  in
+  let bad = T.Topology.link_named topo "rp0.0" "pciesw0" in
   Format.printf "\n[fault injected at t=%a: +5 us on the %s link — silently]@.@."
     U.Units.pp_time (Host.now host)
     (T.Link.kind_label bad.T.Link.kind);

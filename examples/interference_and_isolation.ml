@@ -51,10 +51,7 @@ let () =
   let after = Mon.Rootcause.snapshot counter ~tenants:[ kv_tenant; ml_tenant ] in
   let topo = Host.topology host in
   let request_path =
-    let dev n = (Option.get (T.Topology.device_by_name topo n)).T.Device.id in
-    T.Path.concat
-      (Option.get (T.Routing.shortest_path topo (dev "ext") (dev "nic0")))
-      (Option.get (T.Routing.shortest_path topo (dev "nic0") (dev "socket0")))
+    T.Path.concat (T.Routing.route topo "ext" "nic0") (T.Routing.route topo "nic0" "socket0")
   in
   (* diagnose the full round trip: the response direction matters too *)
   let round_trip =

@@ -31,25 +31,19 @@ let () =
 
   (* their traffic *)
   let topo = Host.topology host in
-  let dev n = (Option.get (T.Topology.device_by_name topo n)).T.Device.id in
-  let route a b = Option.get (T.Routing.shortest_path topo (dev a) (dev b)) in
   ignore
     (E.Fabric.start_flow fab ~tenant:1 ~demand:(U.Units.gbps 30.0) ~llc_target:true
-       ~path:(route "nic1" "socket0") ~size:E.Flow.Unbounded ());
+       ~path:(T.Routing.route topo "nic1" "socket0") ~size:E.Flow.Unbounded ());
   ignore
     (E.Fabric.start_flow fab ~tenant:2 ~demand:(U.Units.gbps 50.0) ~llc_target:true
-       ~path:(route "nic0" "socket0") ~size:E.Flow.Unbounded ());
+       ~path:(T.Routing.route topo "nic0" "socket0") ~size:E.Flow.Unbounded ());
   Host.run_for host (U.Units.ms 5.0);
 
   print_endline "healthy fabric:";
   Format.printf "%a@." R.Slo.pp (R.Slo.check mgr);
 
   (* a silent fault on tenant 1's root-port link: +4 us, no counter *)
-  let bad =
-    match T.Topology.links_between topo (dev "rp0.1") (dev "nic1") with
-    | l :: _ -> l
-    | [] -> failwith "no rp0.1-nic1 link"
-  in
+  let bad = T.Topology.link_named topo "rp0.1" "nic1" in
   Format.printf "[silent fault injected: +4 us on %s]@.@."
     (T.Link.kind_label bad.T.Link.kind);
   E.Fabric.inject_fault fab bad.T.Link.id

@@ -27,10 +27,7 @@ let create ?recorder ~spec target =
 
 let local spec = create ~spec (Host (Host_spec.create_host spec))
 
-let target t = t.target
-let spec t = t.spec
 let host t = match t.target with Host h -> Some h | Fleet _ -> None
-let fleet t = match t.target with Fleet f -> Some f | Host _ -> None
 let commands t = t.commands
 let set_clients t n = t.clients <- n
 
@@ -155,8 +152,10 @@ let perf host ~src ~dst ~load =
 let dump host ~a ~b ~load =
   apply_load host load;
   let topo = Ihnet.Host.topology host in
-  let dev = Host_spec.device_id topo in
-  match T.Topology.links_between topo (dev a) (dev b) with
+  match
+    T.Topology.links_between topo (T.Topology.device_named topo a).T.Device.id
+      (T.Topology.device_named topo b).T.Device.id
+  with
   | [] -> Resp.Dump_report { a; b; found = false; flows = [] }
   | l :: _ ->
     Resp.Dump_report
@@ -187,14 +186,10 @@ let heartbeat host ~degrade =
   Ihnet.Host.run_for host (U.Units.ms 10.0);
   let injected =
     match degrade with
-    | Some (a, b) -> (
-      let dev = Host_spec.device_id topo in
-      match T.Topology.links_between topo (dev a) (dev b) with
-      | l :: _ ->
-        E.Fabric.inject_fault fab l.T.Link.id
-          { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 5.0; loss_prob = 0.0 };
-        Some (a, b)
-      | [] -> failwith "no such link")
+    | Some (a, b) ->
+      E.Fabric.inject_fault fab (T.Topology.link_named topo a b).T.Link.id
+        { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 5.0; loss_prob = 0.0 };
+      Some (a, b)
     | None -> None
   in
   Ihnet.Host.run_for host (U.Units.ms 10.0);
@@ -248,11 +243,7 @@ let heal t host ~src ~dst ~gbps ~fault_link ~factor ~silent ~flap ~ms =
   let pre = tenant_rate () in
   let bad =
     match fault_link with
-    | Some (a, b) -> (
-      let dev = Host_spec.device_id topo in
-      match T.Topology.links_between topo (dev a) (dev b) with
-      | l :: _ -> l.T.Link.id
-      | [] -> failwith "no such link")
+    | Some (a, b) -> (T.Topology.link_named topo a b).T.Link.id
     | None -> (
       match p.R.Placement.path.T.Path.hops with
       | _ :: h :: _ | [ h ] -> h.T.Path.link.T.Link.id
@@ -433,7 +424,7 @@ let latency host ~link ~ms ~load =
       List.concat_map
         (fun (l : T.Link.t) ->
           List.filter_map
-            (fun (dir, label) ->
+            (fun dir ->
               match E.Fabric.link_latency_sketch fab l.T.Link.id dir with
               | Some sk when U.Sketch.count sk > 0 ->
                 let s = U.Sketch.snapshot sk in
@@ -441,7 +432,7 @@ let latency host ~link ~ms ~load =
                   {
                     Resp.lr_id = l.T.Link.id;
                     lr_route = Printf.sprintf "%s<->%s" (name l.T.Link.a) (name l.T.Link.b);
-                    lr_dir = label;
+                    lr_dir = T.Link.dir_label dir;
                     lr_count = s.U.Sketch.s_count;
                     lr_p50 = s.U.Sketch.s_p50;
                     lr_p99 = s.U.Sketch.s_p99;
@@ -449,7 +440,7 @@ let latency host ~link ~ms ~load =
                     lr_max = s.U.Sketch.s_max;
                   }
               | Some _ | None -> None)
-            [ (T.Link.Fwd, "fwd"); (T.Link.Rev, "rev") ])
+            [ T.Link.Fwd; T.Link.Rev ])
         (T.Topology.links topo)
     end
   in
@@ -492,16 +483,12 @@ let scan host ~ms ~load ~step ~snapshot =
     }
 
 let flow_start host ~tenant ~src ~dst ~gbps =
-  let topo = Ihnet.Host.topology host in
-  let dev = Host_spec.device_id topo in
-  match T.Routing.shortest_path topo (dev src) (dev dst) with
-  | None -> failwith (Printf.sprintf "no path from %s to %s" src dst)
-  | Some path ->
-    let f =
-      E.Fabric.start_flow (Ihnet.Host.fabric host) ~tenant
-        ?demand:(Option.map U.Units.gbps gbps) ~path ~size:E.Flow.Unbounded ()
-    in
-    Resp.Flow_ok { flow = f.E.Flow.id }
+  let path = T.Routing.route (Ihnet.Host.topology host) src dst in
+  let f =
+    E.Fabric.start_flow (Ihnet.Host.fabric host) ~tenant
+      ?demand:(Option.map U.Units.gbps gbps) ~path ~size:E.Flow.Unbounded ()
+  in
+  Resp.Flow_ok { flow = f.E.Flow.id }
 
 let flow_stop host ~flow =
   let fab = Ihnet.Host.fabric host in
@@ -521,20 +508,15 @@ let submit host intent =
         placements = List.map (asp R.Placement.pp) placements;
       }
 
-let find_link host ~a ~b =
-  let topo = Ihnet.Host.topology host in
-  let dev = Host_spec.device_id topo in
-  match T.Topology.links_between topo (dev a) (dev b) with
-  | l :: _ -> l.T.Link.id
-  | [] -> failwith (Printf.sprintf "no link between %s and %s" a b)
-
 let fault_inject host ~a ~b ~factor ~extra_us ~loss =
-  E.Fabric.inject_fault (Ihnet.Host.fabric host) (find_link host ~a ~b)
+  let l = T.Topology.link_named (Ihnet.Host.topology host) a b in
+  E.Fabric.inject_fault (Ihnet.Host.fabric host) l.T.Link.id
     { E.Fault.capacity_factor = factor; extra_latency = U.Units.us extra_us; loss_prob = loss };
   Resp.Ack
 
 let fault_clear host ~a ~b =
-  E.Fabric.clear_fault (Ihnet.Host.fabric host) (find_link host ~a ~b);
+  let l = T.Topology.link_named (Ihnet.Host.topology host) a b in
+  E.Fabric.clear_fault (Ihnet.Host.fabric host) l.T.Link.id;
   Resp.Ack
 
 let stats t host =

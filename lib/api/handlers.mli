@@ -24,10 +24,7 @@ val create :
 val local : Host_spec.t -> t
 (** Build the host from the spec and wrap it. *)
 
-val target : t -> target
-val spec : t -> Host_spec.t
 val host : t -> Ihnet.Host.t option
-val fleet : t -> Ihnet_fleet.Controller.t option
 
 val commands : t -> int
 (** Commands executed so far (for [Stats]). *)

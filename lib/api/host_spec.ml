@@ -58,8 +58,3 @@ let config t =
 
 let create_host t =
   Ihnet.Host.create ~config:(config t) ?seed:t.seed t.preset
-
-let device_id topo name =
-  match T.Topology.device_by_name topo name with
-  | Some d -> d.T.Device.id
-  | None -> failwith ("no device " ^ name)

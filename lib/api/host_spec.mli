@@ -58,9 +58,3 @@ val create_host : t -> Ihnet.Host.t
 (** Build (and validate) the host — the one construction path every
     binary shares.
     @raise Invalid_argument if a custom topology fails validation. *)
-
-val device_id :
-  Ihnet_topology.Topology.t -> string -> Ihnet_topology.Device.id
-(** Resolve a device by name.
-    @raise Failure ["no device <name>"] when absent — the message every
-    CLI path has always printed. *)

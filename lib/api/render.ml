@@ -87,10 +87,10 @@ let print = function
     (match h.Resp.he_ttr with
     | Some d -> Format.printf "time-to-recover: %a@." pp_time d
     | None -> print_endline "time-to-recover: (not recovered)");
-    Format.printf "%s" h.Resp.he_status;
+    print_string h.Resp.he_status;
     print_endline "timeline:";
-    Format.printf "%s" h.Resp.he_timeline;
-    Format.printf "%s" h.Resp.he_slo
+    print_string h.Resp.he_timeline;
+    print_string h.Resp.he_slo
   | Resp.Scenario_names names -> List.iter (fun (n, d) -> Printf.printf "%-14s %s\n" n d) names
   | Resp.Scenario_unknown name -> Printf.eprintf "unknown scenario %S; try --list\n" name
   | Resp.Scenario_report s ->
@@ -104,9 +104,9 @@ let print = function
       Printf.printf "\n%s\n" p.Resp.pr_note;
       Printf.printf "after another %.0f ms under management:\n" p.Resp.pr_ms;
       List.iter (fun (k, v) -> Printf.printf "  %-22s %s\n" k v) p.Resp.pr_metrics;
-      Format.printf "%s" p.Resp.pr_slo)
+      print_string p.Resp.pr_slo)
   | Resp.Csv csv -> print_string csv
-  | Resp.Health text -> Format.printf "%s" text
+  | Resp.Health text -> print_string text
   | Resp.Plan_report { intents; headroom; fits; scale; bottlenecks } ->
     Printf.printf "deployment: %d intent(s), headroom %.0f%%\n" intents (headroom *. 100.0);
     if fits then begin
@@ -158,7 +158,7 @@ let print = function
     Printf.printf "reallocations %d, clients %d, commands %d\n" reallocs clients commands
   | Resp.Fleet_status_report { hosts; rounds; digest; decisions; text; decision_log } ->
     Printf.printf "fleet: %d host(s), %d round(s)\n" hosts rounds;
-    Format.printf "%s" text;
+    print_string text;
     Printf.printf "fleet digest 0x%016Lx decisions 0x%016Lx\n" digest decisions;
     List.iter (Printf.printf "  %s\n") decision_log
   | Resp.Bye -> print_endline "bye"

@@ -60,6 +60,3 @@ val stop : t -> unit
     every connection and the listening socket, remove the socket
     file. Idempotent; {!serve} callers reach it through [Shutdown]
     instead. *)
-
-val clients : t -> int
-(** Live connections. *)

@@ -65,7 +65,6 @@ let create ?(seed = 42) ?config preset =
 let sim t = t.sim
 let fabric t = t.fabric
 let topology t = E.Fabric.topology t.fabric
-let tenants t = t.tenants
 let now t = E.Sim.now t.sim
 
 let run_for t duration =

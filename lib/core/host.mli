@@ -52,7 +52,6 @@ val create : ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> preset -> t
 val sim : t -> Ihnet_engine.Sim.t
 val fabric : t -> Ihnet_engine.Fabric.t
 val topology : t -> Ihnet_topology.Topology.t
-val tenants : t -> Ihnet_workload.Tenant.registry
 
 val now : t -> Ihnet_util.Units.ns
 val run_for : t -> Ihnet_util.Units.ns -> unit

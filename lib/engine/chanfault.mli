@@ -32,8 +32,6 @@ type fault = {
 val none : fault
 (** The healthy channel: immediate, exactly-once delivery. *)
 
-val is_none : fault -> bool
-
 val lossy : loss:float -> ?dup_prob:float -> unit -> fault
 val delayed : lo:int -> hi:int -> fault
 val partition : fault

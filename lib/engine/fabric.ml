@@ -178,10 +178,7 @@ let nresources topo = 2 * T.Topology.link_count topo
    mesh link carries 1/#mc of the rate, each DDR channel 1/#channels
    (hardware interleaving). *)
 let build_socket_mems topo =
-  let sockets =
-    T.Topology.find_devices topo (fun d ->
-        match d.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false)
-  in
+  let sockets = T.Topology.sockets topo in
   let max_socket =
     List.fold_left (fun acc (d : T.Device.t) -> max acc d.socket) (-1) sockets
   in
@@ -1258,12 +1255,8 @@ let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(
       p
     | None -> (T.Topology.config t.topo).T.Hostconfig.pcie_mps
   in
-  if llc_target then begin
-    let dst_kind = (T.Topology.device t.topo path.T.Path.dst).T.Device.kind in
-    match dst_kind with
-    | T.Device.Cpu_socket _ -> ()
-    | _ -> invalid_arg "Fabric.start_flow: llc_target path must end at a CPU socket"
-  end;
+  if llc_target && not (T.Device.is_socket (T.Topology.device t.topo path.T.Path.dst)) then
+    invalid_arg "Fabric.start_flow: llc_target path must end at a CPU socket";
   let flow =
     {
       Flow.id = t.next_flow_id;

@@ -7,9 +7,6 @@
     measurement studies of PCIe/memory fabrics report (latency roughly
     flat until ~70% load, then a sharp rise). *)
 
-val beta : float
-(** Queueing-sensitivity coefficient (0.5). *)
-
 val max_inflation : float
 (** Latency inflation ceiling (100×): models bounded on-device queues —
     beyond this, loss/backpressure rather than delay. *)

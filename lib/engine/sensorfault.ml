@@ -47,16 +47,29 @@ let merge a b =
     probe_slow = por a.probe_slow b.probe_slow;
   }
 
+(* Every comparison is written so that NaN fails it. *)
+let validate f =
+  let bad fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let prob name p = if p >= 0.0 && p <= 1.0 then None else Some (name, p) in
+  match
+    List.find_map Fun.id
+      [
+        prob "drop_prob" f.drop_prob;
+        prob "dup_prob" f.dup_prob;
+        prob "probe_loss" f.probe_loss;
+        prob "probe_slow" f.probe_slow;
+      ]
+  with
+  | Some (name, p) -> bad "%s must be in [0, 1] (got %g)" name p
+  | None ->
+    if not (f.drift >= 0.0) then bad "drift must be >= 0 (got %g)" f.drift
+    else if not (Float.is_finite f.skew) then bad "skew must be finite (got %g)" f.skew
+    else Ok ()
+
 let inject t target f =
-  let prob name p =
-    if p < 0.0 || p > 1.0 then invalid_arg ("Sensorfault.inject: " ^ name ^ " not in [0,1]")
-  in
-  prob "drop_prob" f.drop_prob;
-  prob "dup_prob" f.dup_prob;
-  prob "probe_loss" f.probe_loss;
-  prob "probe_slow" f.probe_slow;
-  if f.drift < 0.0 then invalid_arg "Sensorfault.inject: negative drift factor";
-  Hashtbl.replace t target f
+  match validate f with
+  | Ok () -> Hashtbl.replace t target f
+  | Error e -> invalid_arg ("Sensorfault.inject: " ^ e)
 
 let clear t target = Hashtbl.remove t target
 let clear_all t = Hashtbl.reset t

@@ -57,8 +57,15 @@ val merge : sensor_fault -> sensor_fault -> sensor_fault
     devices of a link): stuck if either is stuck, drifts multiply,
     probabilities combine independently, skews add. *)
 
+val validate : sensor_fault -> (unit, string) result
+(** [Error] names the first bad field and its value, e.g. ["drift must
+    be >= 0 (got nan)"]: a probability outside \[0, 1\], a [drift]
+    that is not [>= 0] or a [skew] that is not finite (NaN fails every
+    check). *)
+
 val inject : t -> target -> sensor_fault -> unit
-(** @raise Invalid_argument on out-of-range parameters. *)
+(** @raise Invalid_argument ["Sensorfault.inject: "] followed by the
+    {!validate} error. *)
 
 val clear : t -> target -> unit
 val clear_all : t -> unit

@@ -1,13 +1,7 @@
-type t = {
-  mutable clock : float;
-  queue : (t -> unit) Ihnet_util.Heap.t;
-  mutable tap : (float -> unit) option;
-}
+type t = { mutable clock : float; queue : (t -> unit) Ihnet_util.Heap.t }
 
-let create () = { clock = 0.0; queue = Ihnet_util.Heap.create (); tap = None }
+let create () = { clock = 0.0; queue = Ihnet_util.Heap.create () }
 let now t = t.clock
-let set_tap t f = t.tap <- Some f
-let clear_tap t = t.tap <- None
 
 let push t time f = Ihnet_util.Heap.push t.queue (Float.max time t.clock) f
 
@@ -46,7 +40,6 @@ let step t =
     let time = Ihnet_util.Heap.top_prio q and f = Ihnet_util.Heap.top q in
     Ihnet_util.Heap.drop_top q;
     t.clock <- Float.max t.clock time;
-    (match t.tap with None -> () | Some g -> g t.clock);
     f t;
     true
   end

@@ -34,13 +34,3 @@ val run : ?until:Ihnet_util.Units.ns -> t -> unit
 
 val pending : t -> int
 (** Number of queued events (testing aid). *)
-
-val set_tap : t -> (Ihnet_util.Units.ns -> unit) -> unit
-(** [set_tap t f] installs a dispatch observer: [f time] runs before
-    every event executes, after the clock has advanced to the event's
-    time. One tap at most; [clear_tap] removes it. The tap must not
-    schedule events or mutate simulation state — it exists so a flight
-    recorder can observe dispatch without perturbing the run. When no
-    tap is installed the per-event cost is a single immediate check. *)
-
-val clear_tap : t -> unit

@@ -24,9 +24,8 @@ let run_a1 () =
   let topo = Ihnet.Host.topology host in
   let path =
     T.Path.concat
-      (Option.get (T.Routing.shortest_path topo (device_id host "ext") (device_id host "nic0")))
-      (Option.get
-         (T.Routing.shortest_path topo (device_id host "nic0") (device_id host "socket0")))
+      (T.Routing.route topo "ext" "nic0")
+      (T.Routing.route topo "nic0" "socket0")
   in
   let table =
     U.Table.create ~title:"A1: load-dependent vs fixed latency model (kv request path)"
@@ -83,11 +82,12 @@ let run_a2 () =
     in
     setup host fab;
     Ihnet.Host.run_for host (U.Units.ms 30.0);
+    let uplink = T.Topology.link_named (Ihnet.Host.topology host) "rp0.0" "pciesw0" in
     let result =
       ( label,
         p99 (W.Kvstore.latencies kv),
         W.Mltrain.iterations_done ml,
-        E.Fabric.link_utilization fab (find_link host "rp0.0" "pciesw0").T.Link.id T.Link.Fwd )
+        E.Fabric.link_utilization fab uplink.T.Link.id T.Link.Fwd )
     in
     W.Kvstore.stop kv;
     W.Mltrain.stop ml;
@@ -171,9 +171,8 @@ let run_a3 () =
     let topo = Ihnet.Host.topology host in
     let victim_path =
       T.Path.concat
-        (Option.get (T.Routing.shortest_path topo (device_id host "ext") (device_id host "nic0")))
-        (Option.get
-           (T.Routing.shortest_path topo (device_id host "nic0") (device_id host "socket0")))
+        (T.Routing.route topo "ext" "nic0")
+        (T.Routing.route topo "nic0" "socket0")
     in
     ignore
       (E.Fabric.start_flow fab ~tenant:1 ~demand:1e8 ~llc_target:true ~path:victim_path

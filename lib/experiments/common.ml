@@ -18,17 +18,5 @@ let print_result r =
 let fresh_host ?(seed = 42) ?config () = Ihnet.Host.create ~seed ?config Ihnet.Host.Two_socket
 let gb r = r /. 1e9
 
-let device_id host name =
-  match T.Topology.device_by_name (Ihnet.Host.topology host) name with
-  | Some d -> d.T.Device.id
-  | None -> failwith ("experiment: no device " ^ name)
-
-let find_link host a b =
-  let topo = Ihnet.Host.topology host in
-  match T.Topology.links_between topo (device_id host a) (device_id host b) with
-  | [ l ] -> l
-  | [] -> failwith (Printf.sprintf "experiment: no link %s-%s" a b)
-  | _ -> failwith (Printf.sprintf "experiment: ambiguous link %s-%s" a b)
-
 let p50 h = U.Sketch.percentile h 0.5
 let p99 h = U.Sketch.percentile h 0.99

@@ -16,10 +16,5 @@ val fresh_host : ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> unit -> Ihn
 val gb : float -> float
 (** Bytes/s → GB/s for table cells. *)
 
-val device_id : Ihnet.Host.t -> string -> Ihnet_topology.Device.id
-val find_link : Ihnet.Host.t -> string -> string -> Ihnet_topology.Link.t
-(** The unique link between two named devices.
-    @raise Failure if absent or ambiguous. *)
-
 val p50 : Ihnet_util.Sketch.t -> float
 val p99 : Ihnet_util.Sketch.t -> float

@@ -42,12 +42,7 @@ let scale_row ~sockets ~switches ~devices =
   (* arbiter enforcement: re-sharing one placement among 8 live flows *)
   let mgr = R.Manager.create fab () in
   (match R.Manager.submit mgr intent with Ok _ -> () | Error e -> failwith (R.Mgr_error.to_string e));
-  let path =
-    Option.get
-      (T.Routing.shortest_path topo
-         (T.Topology.device_by_name topo "nic0" |> Option.get).T.Device.id
-         (T.Topology.device_by_name topo "socket0" |> Option.get).T.Device.id)
-  in
+  let path = T.Routing.route topo "nic0" "socket0" in
   let flows =
     List.init 8 (fun _ -> E.Fabric.start_flow fab ~tenant:1 ~path ~size:E.Flow.Unbounded ())
   in

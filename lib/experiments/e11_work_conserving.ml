@@ -32,9 +32,8 @@ let run_mode ~work_conserving =
   (match R.Manager.submit mgr (intent 2) with Ok _ -> () | Error e -> failwith (R.Mgr_error.to_string e));
   let path =
     T.Path.concat
-      (Option.get (T.Routing.shortest_path topo (device_id host "ext") (device_id host "nic0")))
-      (Option.get
-         (T.Routing.shortest_path topo (device_id host "nic0") (device_id host "socket0")))
+      (T.Routing.route topo "ext" "nic0")
+      (T.Routing.route topo "nic0" "socket0")
   in
   (* tenant A: always-on elastic; tenant B: 50% duty cycle, 2 ms period *)
   let a = E.Fabric.start_flow fab ~tenant:1 ~llc_target:true ~path ~size:E.Flow.Unbounded () in

@@ -41,24 +41,21 @@ let modal_series = [ Mon.Sampler.ddio_series ~socket:0; Mon.Sampler.ddio_series 
 let start_baseline host =
   let fab = Ihnet.Host.fabric host in
   let topo = Ihnet.Host.topology host in
-  let route a b =
-    Option.get (T.Routing.shortest_path topo (device_id host a) (device_id host b))
-  in
   ignore
     (E.Fabric.start_flow fab ~tenant:1 ~demand:26e9 ~llc_target:true
-       ~path:(route "nic0" "socket0") ~size:E.Flow.Unbounded ());
+       ~path:(T.Routing.route topo "nic0" "socket0") ~size:E.Flow.Unbounded ());
   let dimms = List.init 6 (fun i -> Printf.sprintf "dimm0.%d.%d" (i / 3) (i mod 3)) in
   let direct =
     List.map
       (fun d ->
-        E.Fabric.start_flow fab ~tenant:2 ~demand:1.5e9 ~path:(route "nic1" d)
+        E.Fabric.start_flow fab ~tenant:2 ~demand:1.5e9 ~path:(T.Routing.route topo "nic1" d)
           ~size:E.Flow.Unbounded ())
       dimms
   in
   List.iter
     (fun d ->
       ignore
-        (E.Fabric.start_flow fab ~tenant:3 ~demand:1.0e9 ~path:(route d "ssd0")
+        (E.Fabric.start_flow fab ~tenant:3 ~demand:1.0e9 ~path:(T.Routing.route topo d "ssd0")
            ~size:E.Flow.Unbounded ()))
     dimms;
   direct
@@ -68,13 +65,10 @@ let start_baseline host =
 let inject_anomaly host direct =
   let fab = Ihnet.Host.fabric host in
   let topo = Ihnet.Host.topology host in
-  let route a b =
-    Option.get (T.Routing.shortest_path topo (device_id host a) (device_id host b))
-  in
   List.iter (E.Fabric.stop_flow fab) direct;
   ignore
     (E.Fabric.start_flow fab ~tenant:2 ~demand:9e9 ~llc_target:true
-       ~path:(route "nic1" "socket0") ~size:E.Flow.Unbounded ())
+       ~path:(T.Routing.route topo "nic1" "socket0") ~size:E.Flow.Unbounded ())
 
 type outcome = { false_alarms : int; latency : float (* ns; nan = not detected *) }
 

@@ -28,20 +28,19 @@ open Common
 let media_latency = 60.0
 
 let one_way fab topo a b =
-  let path = Option.get (T.Routing.shortest_path topo a b) in
+  let path = T.Routing.route topo a b in
   (E.Fabric.path_latency fab path, path)
 
 let run () =
   let topo = T.Builder.two_socket_with_cxl () in
   let sim = E.Sim.create () in
   let fab = E.Fabric.create sim topo in
-  let dev n = (Option.get (T.Topology.device_by_name topo n)).T.Device.id in
   let table =
     U.Table.create ~title:"E13: CXL vs PCIe access paths (idle host)"
       ~columns:[ "access"; "mechanism"; "latency"; "paper says" ]
   in
   (* 1. device -> host DRAM over CXL: one-way coherent store *)
-  let cxl_to_dram, _ = one_way fab topo (dev "cxl0") (dev "dimm0.0.0") in
+  let cxl_to_dram, _ = one_way fab topo "cxl0" "dimm0.0.0" in
   U.Table.add_row table
     [
       "cxl0 -> host DRAM";
@@ -50,7 +49,7 @@ let run () =
       "~150 ns";
     ];
   (* 2. the same reach over PCIe DMA: round trip + translation *)
-  let nic_path_lat, _ = one_way fab topo (dev "nic0") (dev "dimm0.0.0") in
+  let nic_path_lat, _ = one_way fab topo "nic0" "dimm0.0.0" in
   let pcie_read = 2.0 *. nic_path_lat in
   U.Table.add_row table
     [
@@ -60,7 +59,7 @@ let run () =
       "higher than CXL";
     ];
   (* 3. CPU -> CXL expander media: the remote-NUMA framing *)
-  let cpu_to_cxl, _ = one_way fab topo (dev "socket0") (dev "cxl0") in
+  let cpu_to_cxl, _ = one_way fab topo "socket0" "cxl0" in
   let cpu_to_cxl = cpu_to_cxl +. media_latency in
   U.Table.add_row table
     [
@@ -70,7 +69,7 @@ let run () =
       "like a NUMA hop";
     ];
   (* 4. reference: CPU -> other socket's DRAM *)
-  let cpu_remote_dram, _ = one_way fab topo (dev "socket0") (dev "dimm1.0.0") in
+  let cpu_remote_dram, _ = one_way fab topo "socket0" "dimm1.0.0" in
   U.Table.add_row table
     [
       "socket0 -> socket1 DRAM";

@@ -31,8 +31,7 @@ let run_ring host ring =
   (med, bw)
 
 let inter_socket_crossings topo ring =
-  let id name = (Option.get (T.Topology.device_by_name topo name)).T.Device.id in
-  let ids = List.map id ring in
+  let ids = List.map (fun name -> (T.Topology.device_named topo name).T.Device.id) ring in
   let n = List.length ids in
   List.length
     (List.filteri

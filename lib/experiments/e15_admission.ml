@@ -39,9 +39,8 @@ let run_headroom headroom =
   let next_tenant = ref 1 in
   let probe_path =
     T.Path.concat
-      (Option.get (T.Routing.shortest_path topo (device_id host "ext") (device_id host "nic0")))
-      (Option.get
-         (T.Routing.shortest_path topo (device_id host "nic0") (device_id host "socket0")))
+      (T.Routing.route topo "ext" "nic0")
+      (T.Routing.route topo "nic0" "socket0")
   in
   let latencies = U.Stats.Online.create () in
   (* tenant arrivals *)
@@ -56,10 +55,7 @@ let run_headroom headroom =
        with
       | Ok _ ->
         incr admitted;
-        let path =
-          Option.get
-            (T.Routing.shortest_path topo (device_id host nic) (device_id host "socket0"))
-        in
+        let path = T.Routing.route topo nic "socket0" in
         let flow =
           E.Fabric.start_flow fab ~tenant ~demand:guarantee ~llc_target:true ~path
             ~size:E.Flow.Unbounded ()

@@ -24,7 +24,7 @@ let run_period period =
   let warm = 10.0 *. period in
   Ihnet.Host.run_for host warm;
   let probe_rate = Mon.Heartbeat.probe_wire_bytes hb /. (warm /. 1e9) in
-  let bad = (find_link host "rp0.0" "pciesw0").T.Link.id in
+  let bad = (T.Topology.link_named (Ihnet.Host.topology host) "rp0.0" "pciesw0").T.Link.id in
   let t_inject = Ihnet.Host.now host in
   E.Fabric.inject_fault fab bad
     { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 5.0; loss_prob = 0.0 };

@@ -113,9 +113,10 @@ let run_one ~gated =
      cross-socket link are stuck at their last value. *)
   let fab = Ihnet.Host.fabric host in
   let h0 = hop_link p 0 and bad = hop_link p 1 in
-  let cross = (find_link host "socket0" "socket1").T.Link.id in
+  let topo = Ihnet.Host.topology host in
+  let cross = (T.Topology.link_named topo "socket0" "socket1").T.Link.id in
   E.Fabric.inject_sensor_fault fab
-    (E.Sensorfault.Device (device_id host "nic0"))
+    (E.Sensorfault.Device (T.Topology.device_named topo "nic0").T.Device.id)
     (E.Sensorfault.probe_corruption ~loss:0.9 ());
   List.iter
     (fun dir ->

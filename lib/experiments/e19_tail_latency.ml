@@ -37,14 +37,7 @@ let slice = U.Units.us 20.0
 let idle_latency host =
   let fab = Ihnet.Host.fabric host in
   let topo = E.Fabric.topology fab in
-  let path =
-    match
-      T.Routing.shortest_path topo (device_id host "ext") (device_id host "socket0")
-    with
-    | Some p -> p
-    | None -> failwith "E19: no ext->socket0 path"
-  in
-  E.Fabric.path_latency fab path
+  E.Fabric.path_latency fab (T.Routing.route topo "ext" "socket0")
 
 let slo_label host =
   match Ihnet.Host.manager host with

@@ -43,7 +43,7 @@ let rows =
    socket driven in parallel. Handled separately below. *)
 
 let measure_link_rate host (a, b) =
-  let link = find_link host a b in
+  let link = T.Topology.link_named (Ihnet.Host.topology host) a b in
   let fab = Ihnet.Host.fabric host in
   Float.max
     (E.Fabric.link_rate fab link.T.Link.id T.Link.Fwd)
@@ -52,11 +52,7 @@ let measure_link_rate host (a, b) =
 let probe_and_measure host (src, dst) watch =
   let fab = Ihnet.Host.fabric host in
   let topo = Ihnet.Host.topology host in
-  let path =
-    match T.Routing.shortest_path topo (device_id host src) (device_id host dst) with
-    | Some p -> p
-    | None -> failwith "E1: no probe path"
-  in
+  let path = T.Routing.route topo src dst in
   let flow =
     E.Fabric.start_flow fab ~tenant:1 ~cls:E.Flow.Probe ~path ~size:E.Flow.Unbounded ()
   in
@@ -65,7 +61,8 @@ let probe_and_measure host (src, dst) watch =
   E.Fabric.stop_flow fab flow;
   rate
 
-let base_latency_of host (a, b) = (find_link host a b).T.Link.base_latency
+let base_latency_of host (a, b) =
+  (T.Topology.link_named (Ihnet.Host.topology host) a b).T.Link.base_latency
 
 let memory_aggregate host =
   let fab = Ihnet.Host.fabric host in
@@ -75,11 +72,10 @@ let memory_aggregate host =
         (match d.T.Device.kind with T.Device.Dimm _ -> true | _ -> false)
         && d.T.Device.socket = 0)
   in
-  let sock = device_id host "socket0" in
   let flows =
     List.map
       (fun (d : T.Device.t) ->
-        let path = Option.get (T.Routing.shortest_path topo sock d.T.Device.id) in
+        let path = T.Routing.route topo "socket0" d.T.Device.name in
         E.Fabric.start_flow fab ~tenant:1 ~cls:E.Flow.Probe ~path ~size:E.Flow.Unbounded ())
       dimms
   in

@@ -14,13 +14,7 @@ open Common
 
 let victim_path host =
   let topo = Ihnet.Host.topology host in
-  let p1 =
-    Option.get (T.Routing.shortest_path topo (device_id host "ext") (device_id host "nic0"))
-  in
-  let p2 =
-    Option.get (T.Routing.shortest_path topo (device_id host "nic0") (device_id host "socket0"))
-  in
-  T.Path.concat p1 p2
+  T.Path.concat (T.Routing.route topo "ext" "nic0") (T.Routing.route topo "nic0" "socket0")
 
 let run () =
   let host = fresh_host () in

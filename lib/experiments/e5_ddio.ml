@@ -17,17 +17,16 @@ open Common
 let writer host name =
   let topo = Ihnet.Host.topology host in
   let fab = Ihnet.Host.fabric host in
-  let path =
-    Option.get (T.Routing.shortest_path topo (device_id host name) (device_id host "socket0"))
-  in
+  let path = T.Routing.route topo name "socket0" in
   E.Fabric.start_flow fab ~tenant:1 ~llc_target:true ~path ~size:E.Flow.Unbounded ()
 
 let mem_bus_rate host =
   (* wire rate on the socket0 <-> mc links, both directions *)
   let fab = Ihnet.Host.fabric host in
+  let topo = Ihnet.Host.topology host in
   List.fold_left
     (fun acc mc ->
-      let l = find_link host "socket0" mc in
+      let l = T.Topology.link_named topo "socket0" mc in
       acc
       +. E.Fabric.link_rate fab l.T.Link.id T.Link.Fwd
       +. E.Fabric.link_rate fab l.T.Link.id T.Link.Rev)

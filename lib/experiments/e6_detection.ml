@@ -30,9 +30,7 @@ let background host =
   (* steady load through the switch subtree at ~40% of the x16 slot *)
   let fab = Ihnet.Host.fabric host in
   let topo = Ihnet.Host.topology host in
-  let path =
-    Option.get (T.Routing.shortest_path topo (device_id host "nic0") (device_id host "socket0"))
-  in
+  let path = T.Routing.route topo "nic0" "socket0" in
   E.Fabric.start_flow fab ~tenant:1 ~demand:12e9 ~llc_target:true ~path ~size:E.Flow.Unbounded ()
 
 let run_variant ~label ~fault =
@@ -71,7 +69,7 @@ let run_variant ~label ~fault =
   Mon.Anomaly.feed platform (Mon.Sampler.telemetry sampler);
   Mon.Anomaly.clear_alarms platform;
   (* inject on the switch upstream link *)
-  let bad_link = (find_link host "rp0.0" "pciesw0").T.Link.id in
+  let bad_link = (T.Topology.link_named (Ihnet.Host.topology host) "rp0.0" "pciesw0").T.Link.id in
   let t_inject = Ihnet.Host.now host in
   E.Fabric.inject_fault fab bad_link fault;
   (* observe for 20 ms, feeding the platform each ms *)

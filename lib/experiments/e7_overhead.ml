@@ -28,7 +28,7 @@ let run_cell ~period ~processing =
         tenants = [];
       }
   in
-  let watched = (find_link host "pciesw0" "nic0").T.Link.id in
+  let watched = (T.Topology.link_named topo "pciesw0" "nic0").T.Link.id in
   let platform = Mon.Anomaly.create () in
   List.iter
     (fun dir ->
@@ -39,9 +39,7 @@ let run_cell ~period ~processing =
   Ihnet.Host.run_for host (U.Units.ms 20.0);
   (* congestion event: an elastic flow saturates the watched link *)
   let t_event = Ihnet.Host.now host in
-  let path =
-    Option.get (T.Routing.shortest_path topo (device_id host "nic0") (device_id host "socket0"))
-  in
+  let path = T.Routing.route topo "nic0" "socket0" in
   let agg = E.Fabric.start_flow fab ~tenant:9 ~llc_target:true ~path ~size:E.Flow.Unbounded () in
   (* feed the platform continuously until the alarm (or 50 ms) *)
   let detection = ref nan in

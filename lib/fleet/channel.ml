@@ -16,7 +16,6 @@ type 'a t = {
 
 let create rng = { rng; flt = Chanfault.none; next_seq = 0; inflight = [] }
 let set_fault t f = t.flt <- f
-let fault t = t.flt
 
 let send t msg =
   match Chanfault.apply t.rng t.flt with

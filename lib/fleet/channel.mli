@@ -25,7 +25,6 @@ val create : Ihnet_util.Rng.t -> 'a t
     one host never perturb another's draws. *)
 
 val set_fault : 'a t -> Ihnet_engine.Chanfault.fault -> unit
-val fault : 'a t -> Ihnet_engine.Chanfault.fault
 
 val send : 'a t -> 'a -> unit
 (** Pass the message through the fault model: it is dropped, delayed

@@ -439,25 +439,23 @@ let observe_host host =
 let advance_and_report t =
   let n = t.nhosts in
   if n > 0 then begin
-    let pool = Pool.get t.domains in
-    ignore
-      (Pool.map pool n (fun i ->
-           let h = t.harr.(i) in
-           match h.h_host with
-           | None -> ()
-           | Some host ->
-             Ihnet.Host.run_for host t.cfg.round_len;
-             let placed, sick, (deg, viol) = observe_host host in
-             Channel.send h.h_up
-               (Report
-                  {
-                    r_round = t.round_no;
-                    r_epoch = h.h_epoch;
-                    r_placed = placed;
-                    r_sick = sick;
-                    r_degraded = deg;
-                    r_violated = viol;
-                  })))
+    Pool.iter (Pool.get t.domains) ~width:t.domains n (fun i ->
+        let h = t.harr.(i) in
+        match h.h_host with
+        | None -> ()
+        | Some host ->
+          Ihnet.Host.run_for host t.cfg.round_len;
+          let placed, sick, (deg, viol) = observe_host host in
+          Channel.send h.h_up
+            (Report
+               {
+                 r_round = t.round_no;
+                 r_epoch = h.h_epoch;
+                 r_placed = placed;
+                 r_sick = sick;
+                 r_degraded = deg;
+                 r_violated = viol;
+               }))
   end
 
 (* {1 Phase 2: channel exchange (coordinator, host index order)} *)

@@ -103,9 +103,11 @@ type t
 
 val create : ?config:config -> ?seed:int -> ?domains:int -> unit -> t
 (** [domains] is the pool width for the host-shard phase (default
-    [IHNET_DOMAINS] via {!Ihnet_util.Pool.default_domains}) — results
-    are byte-identical for every width; the determinism property
-    compares widths side by side in one process. *)
+    [IHNET_DOMAINS] via {!Ihnet_util.Pool.default_domains}): exactly
+    that many domains advance the hosts, however wide the shared pool
+    has grown for other controllers. Results are byte-identical for
+    every width; the determinism property compares widths side by side
+    in one process. *)
 
 (** {1 Fleet membership} *)
 

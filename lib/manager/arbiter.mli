@@ -27,11 +27,6 @@ val remove_placement : t -> Placement.t -> unit
 
 val placements : t -> Placement.t list
 
-val attach : t -> Ihnet_engine.Flow.t -> bool
-(** Classify a flow against the placements (pipes take precedence over
-    hoses) and, on a match, install floor/cap. Returns [false] when no
-    placement matches — the flow stays best-effort. *)
-
 val attach_placement : t -> Ihnet_engine.Flow.t -> Placement.t option
 (** Like {!attach} but returns the matched placement, so callers (the
     manager) can reconcile the reservation with the flow's actual

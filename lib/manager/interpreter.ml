@@ -19,12 +19,6 @@ let find_device topo name =
   | Some d -> Ok d
   | None -> Error (Mgr_error.Unknown_device name)
 
-let home_socket topo (d : T.Device.t) =
-  let name = Printf.sprintf "socket%d" d.T.Device.socket in
-  match T.Topology.device_by_name topo name with
-  | Some s -> Ok s
-  | None -> Error (Mgr_error.No_home_socket { device = d.T.Device.name; socket = name })
-
 let filter_latency latency_bound candidates =
   match latency_bound with
   | None -> candidates
@@ -70,7 +64,14 @@ let compile topo (intent : Intent.t) =
           ]
     | Intent.Hose { endpoint; to_host; from_host } ->
       let* e = find_device topo endpoint in
-      let* sock = home_socket topo e in
+      let* sock =
+        match T.Topology.home_socket topo e with
+        | Some s -> Ok s
+        | None ->
+          Error
+            (Mgr_error.No_home_socket
+               { device = endpoint; socket = Printf.sprintf "socket%d" e.T.Device.socket })
+      in
       let* up =
         match T.Routing.shortest_path topo e.T.Device.id sock.T.Device.id with
         | Some p when p.T.Path.hops <> [] -> Ok p

@@ -465,7 +465,6 @@ let stop t =
   t.running <- false;
   t.gen <- t.gen + 1
 
-let running t = t.running
 let cases t = t.cases
 let actions t = List.rev t.history
 let actions_count t = List.length t.history

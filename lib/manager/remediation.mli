@@ -137,7 +137,6 @@ val start : t -> unit
 val stop : t -> unit
 (** Halt the loop; pending ticks self-cancel (generation-stamped). *)
 
-val running : t -> bool
 val tick : t -> unit
 (** One synchronous supervisor pass (poll sources, step every case) —
     what the loop runs each period; exposed for tests. *)

@@ -14,8 +14,6 @@ let create topo ?(headroom = 0.9) () =
     invalid_arg "Scheduler.create: headroom must be in (0, 1]";
   { topo; headroom; ledger = Array.make (2 * T.Topology.link_count topo) 0.0 }
 
-let headroom t = t.headroom
-let reserved t link dir = t.ledger.(res_of link dir)
 
 let limit t link = (T.Topology.link t.topo link).T.Link.capacity *. t.headroom
 

@@ -18,11 +18,6 @@ val create : Ihnet_topology.Topology.t -> ?headroom:float -> unit -> t
     direction, leaving slack for latency and unmanaged traffic. Raises
     [Invalid_argument] unless it is in (0, 1]. *)
 
-val headroom : t -> float
-
-val reserved : t -> Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> float
-(** Currently reserved bytes/s on a link direction. *)
-
 val reservation_ratio : t -> Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> float
 (** reserved / (headroom × capacity). *)
 

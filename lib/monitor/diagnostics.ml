@@ -4,16 +4,11 @@ module Sim = Ihnet_engine.Sim
 module T = Ihnet_topology
 module U = Ihnet_util
 
-let dev fabric name =
-  match T.Topology.device_by_name (Fabric.topology fabric) name with
-  | Some d -> d.T.Device.id
-  | None -> invalid_arg ("Diagnostics: no device " ^ name)
-
-let route fabric a b =
-  match T.Routing.shortest_path (Fabric.topology fabric) a b with
-  | Some p when p.T.Path.hops <> [] -> p
-  | Some _ -> invalid_arg "Diagnostics: src equals dst"
-  | None -> invalid_arg "Diagnostics: no route"
+(* a probe must leave its source *)
+let nonempty_route fabric src dst =
+  let p = T.Routing.route (Fabric.topology fabric) src dst in
+  if p.T.Path.hops = [] then invalid_arg "Diagnostics: src equals dst";
+  p
 
 (* {1 ihping} *)
 
@@ -27,7 +22,7 @@ let rtt fabric ~probe_bytes p =
 let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?on_done () =
   if count <= 0 then invalid_arg "Diagnostics.ping: count must be > 0";
   if not (interval > 0.0) then invalid_arg "Diagnostics.ping: interval must be > 0";
-  let p = route fabric (dev fabric src) (dev fabric dst) in
+  let p = nonempty_route fabric src dst in
   let report = { sent = 0; lost = 0; rtts = U.Sketch.create () } in
   let rng = U.Rng.split (Fabric.rng fabric) in
   let sim = Fabric.sim fabric in
@@ -43,7 +38,7 @@ let ping fabric ~src ~dst ?(count = 10) ?(interval = U.Units.us 100.0) ?on_done 
   report
 
 let ping_once fabric ~src ~dst =
-  let p = route fabric (dev fabric src) (dev fabric dst) in
+  let p = nonempty_route fabric src dst in
   if Fabric.probe_loss_prob fabric p >= 1.0 then None
   else Some (rtt fabric ~probe_bytes:64 p)
 
@@ -60,7 +55,7 @@ type trace_hop = {
 
 let trace fabric ~src ~dst =
   let topo = Fabric.topology fabric in
-  let p = route fabric (dev fabric src) (dev fabric dst) in
+  let p = nonempty_route fabric src dst in
   List.map
     (fun (hop : T.Path.hop) ->
       let l = hop.T.Path.link in
@@ -91,8 +86,9 @@ type perf_report = {
 }
 
 let perf fabric ~src ~dst ?(duration = U.Units.ms 10.0) ?on_done () =
-  assert (duration > 0.0);
-  let p = route fabric (dev fabric src) (dev fabric dst) in
+  if not (duration > 0.0) then
+    invalid_arg (Printf.sprintf "Diagnostics.perf: duration must be > 0 (got %g)" duration);
+  let p = nonempty_route fabric src dst in
   let flow = Fabric.start_flow fabric ~tenant:0 ~cls:Flow.Probe ~path:p ~size:Flow.Unbounded () in
   let sim = Fabric.sim fabric in
   Sim.schedule sim ~after:duration (fun _ ->
@@ -118,7 +114,7 @@ let perf fabric ~src ~dst ?(duration = U.Units.ms 10.0) ?on_done () =
       match on_done with Some cb -> cb report | None -> ())
 
 let perf_now fabric ~src ~dst =
-  let p = route fabric (dev fabric src) (dev fabric dst) in
+  let p = nonempty_route fabric src dst in
   match Fabric.transfer_time fabric ~path:p ~bytes:1e9 with
   | None -> 0.0
   | Some t -> 1e9 /. (t /. 1e9)

@@ -33,8 +33,10 @@ val ping :
     100 µs) apart; the returned report fills in as the simulation runs
     and [on_done] fires after the last probe. Lost probes (fault loss)
     count in [lost].
-    @raise Invalid_argument on unknown devices, no route, [count <= 0]
-    or [interval <= 0]. *)
+    @raise Invalid_argument on unknown devices or no route (the texts
+    of {!Ihnet_topology.Routing.route}), [src = dst], [count <= 0] or
+    [interval <= 0]. The other probes raise the same for the first
+    three. *)
 
 val ping_once : Ihnet_engine.Fabric.t -> src:string -> dst:string -> Ihnet_util.Units.ns option
 (** Immediate one-shot RTT under current load; [None] if lost. *)
@@ -73,7 +75,8 @@ val perf :
   unit ->
   unit
 (** Run an elastic [Probe]-class flow for [duration] (default 10 ms)
-    and report the achieved bandwidth — the intra-host iperf. *)
+    and report the achieved bandwidth — the intra-host iperf.
+    @raise Invalid_argument when [duration] is not [> 0]. *)
 
 val perf_now : Ihnet_engine.Fabric.t -> src:string -> dst:string -> float
 (** Instantaneous what-if bandwidth between two devices (the rate a new

@@ -33,11 +33,6 @@ let link_label topo (l : T.Link.t) dir =
   in
   Printf.sprintf "%s %s->%s" (T.Link.kind_label l.T.Link.kind) a b
 
-let sockets_of topo =
-  T.Topology.find_devices topo (fun d ->
-      match d.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false)
-  |> List.map (fun (d : T.Device.t) -> d.T.Device.socket)
-
 let collect counter ?(tenants = []) () =
   let window = U.Units.ms 1.0 in
   let fabric = Counter.fabric counter in
@@ -90,13 +85,14 @@ let collect counter ?(tenants = []) () =
   in
   let ddio =
     List.map
-      (fun socket ->
+      (fun (d : T.Device.t) ->
+        let socket = d.T.Device.socket in
         {
           socket;
           hit_rate = Counter.ddio_hit_rate counter ~socket;
           write_rate = Fabric.ddio_write_rate fabric ~socket;
         })
-      (sockets_of topo)
+      (T.Topology.sockets topo)
   in
   let monitoring_overhead =
     List.fold_left

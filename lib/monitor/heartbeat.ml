@@ -56,9 +56,7 @@ type t = {
 }
 
 let default_devices topo =
-  T.Topology.find_devices topo (fun d ->
-      T.Device.is_io_device d
-      || match d.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false)
+  T.Topology.find_devices topo (fun d -> T.Device.is_io_device d || T.Device.is_socket d)
   |> List.map (fun (d : T.Device.t) -> d.T.Device.id)
 
 let rec round t _sim =
@@ -121,7 +119,13 @@ let rec round t _sim =
   end
 
 let start fabric ?(config = default_config ()) ?devices () =
-  assert (config.period > 0.0 && config.rtt_factor > 1.0 && config.warmup_rounds >= 1);
+  let invalidf fmt = Printf.ksprintf invalid_arg fmt in
+  if not (config.period > 0.0) then
+    invalidf "Heartbeat.start: period must be > 0 (got %g)" config.period;
+  if not (config.rtt_factor > 1.0) then
+    invalidf "Heartbeat.start: rtt_factor must be > 1 (got %g)" config.rtt_factor;
+  if config.warmup_rounds < 1 then
+    invalidf "Heartbeat.start: warmup_rounds must be >= 1 (got %d)" config.warmup_rounds;
   let topo = Fabric.topology fabric in
   let devices = match devices with Some ds -> ds | None -> default_devices topo in
   let probe_rate = float_of_int config.probe_bytes /. (config.period /. 1e9) in

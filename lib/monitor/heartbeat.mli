@@ -51,7 +51,9 @@ type t
 val start :
   Ihnet_engine.Fabric.t -> ?config:config -> ?devices:Ihnet_topology.Device.id list -> unit -> t
 (** [devices] defaults to every endpoint I/O device plus the CPU
-    sockets. Probing starts immediately. *)
+    sockets. Probing starts immediately.
+    @raise Invalid_argument naming the field unless [period > 0],
+    [rtt_factor > 1] and [warmup_rounds >= 1] (NaN refused). *)
 
 val stop : t -> unit
 

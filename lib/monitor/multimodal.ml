@@ -56,7 +56,6 @@ let distance t x =
   let sum = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 z in
   (sum -. k) /. sqrt (2.0 *. k)
 
-let score t x = if t.seen < t.warmup then None else Some (distance t x)
 
 let observe t ~at x =
   if Array.length x <> Array.length t.series then
@@ -110,4 +109,3 @@ let feed t telemetry =
   end
 
 let alarms t = List.rev t.alarms
-let first_alarm t = match alarms t with [] -> None | a :: _ -> Some a

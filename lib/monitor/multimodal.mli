@@ -45,10 +45,6 @@ val feed : t -> Telemetry.t -> verdict option
     and {!observe} it. [None] when some series has no data yet or no
     series advanced since the last call. Call once per sampler tick. *)
 
-val score : t -> float array -> float option
-(** Instantaneous standardized distance of a vector under the learned
-    baseline, without updating state; [None] during warm-up. *)
-
 type alarm = {
   at : Ihnet_util.Units.ns;
   accumulated : float;  (** Accumulator value when it crossed. *)
@@ -60,5 +56,3 @@ type alarm = {
 
 val alarms : t -> alarm list
 (** All alarms so far, oldest first. *)
-
-val first_alarm : t -> alarm option

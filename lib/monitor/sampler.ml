@@ -51,23 +51,17 @@ type t = {
 }
 
 let dirs = [| T.Link.Fwd; T.Link.Rev |]
-let dir_label = function T.Link.Fwd -> "fwd" | T.Link.Rev -> "rev"
-let util_series id dir = Printf.sprintf "link.%d.%s.util" id (dir_label dir)
-let bytes_series id dir = Printf.sprintf "link.%d.%s.bytes" id (dir_label dir)
+let util_series id dir = Printf.sprintf "link.%d.%s.util" id (T.Link.dir_label dir)
+let bytes_series id dir = Printf.sprintf "link.%d.%s.bytes" id (T.Link.dir_label dir)
 
 let tenant_series id dir ~tenant =
-  Printf.sprintf "link.%d.%s.tenant.%d.bytes" id (dir_label dir) tenant
+  Printf.sprintf "link.%d.%s.tenant.%d.bytes" id (T.Link.dir_label dir) tenant
 
 let ddio_series ~socket = Printf.sprintf "ddio.%d.hit" socket
-let latency_series id dir = Printf.sprintf "link.%d.%s.latency" id (dir_label dir)
+let latency_series id dir = Printf.sprintf "link.%d.%s.latency" id (T.Link.dir_label dir)
 (* the host-wide end-to-end flow-latency snapshot, recorded at flow
    completions *)
 let flow_latency_series = "flow.latency"
-
-let sockets_of topo =
-  T.Topology.find_devices topo (fun d ->
-      match d.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false)
-  |> List.map (fun (d : T.Device.t) -> d.T.Device.socket)
 
 (* Number of scalar samples one tick produces. With the latency-sketch
    plane on, each (link, dir) and the flow roll-up add one percentile
@@ -88,11 +82,7 @@ let setup_shipping t =
   | Local _ -> ()
   | Ship { collector; bytes_per_sample } ->
     let topo = Fabric.topology t.fabric in
-    let collector_dev =
-      match T.Topology.device_by_name topo collector with
-      | Some d -> d
-      | None -> invalid_arg ("Sampler: no collector device " ^ collector)
-    in
+    let collector_dev = T.Topology.device_named topo collector in
     let sources = T.Topology.find_devices topo T.Device.is_io_device in
     if sources <> [] then begin
       let total_rate =
@@ -226,7 +216,9 @@ let start fabric config =
     Array.of_list (List.map (fun (l : T.Link.t) -> l.T.Link.id) (T.Topology.links topo))
   in
   let per_dir f = Array.init (2 * Array.length links) (fun k -> f links.(k / 2) dirs.(k mod 2)) in
-  let sockets = Array.of_list (sockets_of topo) in
+  let sockets =
+    Array.of_list (List.map (fun (d : T.Device.t) -> d.T.Device.socket) (T.Topology.sockets topo))
+  in
   let t =
     {
       fabric;
@@ -268,7 +260,6 @@ let stop t =
   end
 
 let telemetry t = t.telemetry
-let counter t = t.counter
 let ticks t = t.ticks
 let cpu_time_consumed t = t.cpu
 

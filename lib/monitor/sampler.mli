@@ -46,7 +46,6 @@ val start : Ihnet_engine.Fabric.t -> config -> t
 val stop : t -> unit
 
 val telemetry : t -> Telemetry.t
-val counter : t -> Counter.t
 val ticks : t -> int
 
 val cpu_time_consumed : t -> Ihnet_util.Units.ns
@@ -86,4 +85,3 @@ val latency_series : Ihnet_topology.Link.id -> Ihnet_topology.Link.dir -> string
     (["link.3.fwd.latency"]); fields live in [.p50]/[.p99]/… sub-series
     (see {!Telemetry.pct_series}). Sampled only while the fabric's
     latency-sketch plane is enabled, once the sketch has samples. *)
-

@@ -3,16 +3,9 @@ module M = Ihnet_manager
 module T = Ihnet_topology
 module U = Ihnet_util
 
-type scenario = {
-  name : string;
-  seed : int;
-  describe : string;
-  drive : sink:(Trace.line -> unit) -> unit;
-}
+type scenario = { name : string; seed : int; drive : sink:(Trace.line -> unit) -> unit }
 
 let name s = s.name
-let describe s = s.describe
-let seed s = s.seed
 
 (* Every scenario runs on the two-socket preset: it has every figure-1
    link class, alternate inter-socket routes for remediation to migrate
@@ -22,16 +15,6 @@ let fresh ~seed =
   let sim = E.Sim.create () in
   let fab = E.Fabric.create ~seed sim topo in
   (topo, sim, fab)
-
-let dev topo n =
-  match T.Topology.device_by_name topo n with
-  | Some d -> d.T.Device.id
-  | None -> failwith ("golden: no device " ^ n)
-
-let route topo a b =
-  match T.Routing.shortest_path topo (dev topo a) (dev topo b) with
-  | Some p -> p
-  | None -> failwith (Printf.sprintf "golden: %s unreachable from %s" b a)
 
 let run_for sim ns = E.Sim.run ~until:(E.Sim.now sim +. ns) sim
 
@@ -43,7 +26,7 @@ let drive_e1 ~sink =
   let r = Recorder.attach ~digest_every:4 ~label:"golden-e1" ~seed:7 ~sink fab in
   let probe a b =
     let f =
-      E.Fabric.start_flow fab ~tenant:1 ~cls:E.Flow.Probe ~path:(route topo a b)
+      E.Fabric.start_flow fab ~tenant:1 ~cls:E.Flow.Probe ~path:(T.Routing.route topo a b)
         ~size:E.Flow.Unbounded ()
     in
     run_for sim (U.Units.ms 1.0);
@@ -60,7 +43,7 @@ let drive_e1 ~sink =
         | T.Device.Dimm _ when d.T.Device.socket = 0 ->
           Some
             (E.Fabric.start_flow fab ~tenant:2 ~cls:E.Flow.Probe
-               ~path:(route topo "socket0" d.T.Device.name)
+               ~path:(T.Routing.route topo "socket0" d.T.Device.name)
                ~size:E.Flow.Unbounded ())
         | _ -> None)
       (T.Topology.devices topo)
@@ -68,7 +51,7 @@ let drive_e1 ~sink =
   run_for sim (U.Units.ms 1.0);
   List.iter (E.Fabric.stop_flow fab) mems;
   ignore
-    (E.Fabric.start_flow fab ~tenant:3 ~path:(route topo "ext" "socket0")
+    (E.Fabric.start_flow fab ~tenant:3 ~path:(T.Routing.route topo "ext" "socket0")
        ~size:(E.Flow.Bytes (U.Units.mib 64.0)) ());
   run_for sim (U.Units.ms 5.0);
   Recorder.stop r
@@ -80,7 +63,7 @@ let drive_e5 ~sink =
   let topo, sim, fab = fresh ~seed:5 in
   let r = Recorder.attach ~digest_every:4 ~label:"golden-e5" ~seed:5 ~sink fab in
   let writer n =
-    E.Fabric.start_flow fab ~tenant:1 ~llc_target:true ~path:(route topo n "socket0")
+    E.Fabric.start_flow fab ~tenant:1 ~llc_target:true ~path:(T.Routing.route topo n "socket0")
       ~size:E.Flow.Unbounded ()
   in
   let w0 = writer "nic0" in
@@ -91,7 +74,8 @@ let drive_e5 ~sink =
   E.Fabric.set_config fab T.Hostconfig.default;
   run_for sim (U.Units.ms 1.0);
   ignore
-    (E.Fabric.start_flow fab ~tenant:2 ~llc_target:true ~path:(route topo "nic0" "socket0")
+    (E.Fabric.start_flow fab ~tenant:2 ~llc_target:true
+       ~path:(T.Routing.route topo "nic0" "socket0")
        ~size:(E.Flow.Bytes (U.Units.mib 32.0)) ());
   run_for sim (U.Units.ms 3.0);
   E.Fabric.stop_flow fab w0;
@@ -139,14 +123,9 @@ let drive_e17 ~sink =
 
 let scenarios =
   [
-    { name = "e1"; seed = 7; describe = "figure-1 link classes + bounded DMA"; drive = drive_e1 };
-    { name = "e5"; seed = 5; describe = "DDIO thrash, off, on again"; drive = drive_e5 };
-    {
-      name = "e17";
-      seed = 17;
-      describe = "degrade + remediation + flapping link";
-      drive = drive_e17;
-    };
+    { name = "e1"; seed = 7; drive = drive_e1 };
+    { name = "e5"; seed = 5; drive = drive_e5 };
+    { name = "e17"; seed = 17; drive = drive_e17 };
   ]
 
 let find n = List.find_opt (fun s -> s.name = n) scenarios

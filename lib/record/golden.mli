@@ -20,8 +20,6 @@ val scenarios : scenario list
     [e17] (fault, remediation, flap). *)
 
 val name : scenario -> string
-val describe : scenario -> string
-val seed : scenario -> int
 val find : string -> scenario option
 
 val record : ?tee:(Trace.line -> unit) -> scenario -> Trace.t

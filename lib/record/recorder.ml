@@ -10,7 +10,6 @@ type t = {
   epoch0 : int; (* attach-time reallocation count *)
   mutable active : bool;
   mutable nlines : int;
-  mutable nsteps : int;
   mutable last_epoch : int; (* relative *)
 }
 
@@ -136,7 +135,6 @@ let attach ?(digest_every = 32) ?(label = "") ?preset ?(seed = 0) ~sink fabric =
       epoch0 = E.Fabric.reallocations fabric;
       active = true;
       nlines = 0;
-      nsteps = 0;
       last_epoch = 0;
     }
   in
@@ -151,7 +149,6 @@ let attach ?(digest_every = 32) ?(label = "") ?preset ?(seed = 0) ~sink fabric =
          host_config = T.Topology.config topo;
        });
   E.Fabric.subscribe fabric (on_event t);
-  E.Sim.set_tap (E.Fabric.sim fabric) (fun _ -> if t.active then t.nsteps <- t.nsteps + 1);
   t
 
 let stage_label : M.Remediation.stage -> string = function
@@ -177,12 +174,10 @@ let stop t =
        the final line by computing while still active *)
     let d = digest ~at:(now t) ~epoch:t.last_epoch t.fabric in
     put t (Trace.Final d);
-    t.active <- false;
-    E.Sim.clear_tap (E.Fabric.sim t.fabric)
+    t.active <- false
   end
 
 let lines t = t.nlines
-let steps t = t.nsteps
 
 let buffer_sink buf line =
   Buffer.add_string buf (Trace.line_to_string line);

@@ -11,11 +11,10 @@
     and checks the digests in order.
 
     Overhead: when nothing subscribes to the fabric, the recorder hooks
-    cost a single list-emptiness check per mutation (and one [option]
-    check per simulator dispatch) — recording off is free. When
-    recording, cost is O(serialized line) per event with no extra
-    simulator events: digests piggyback on reallocations and the
-    dispatch tap only counts. *)
+    cost a single list-emptiness check per mutation — recording off is
+    free. When recording, cost is O(serialized line) per fabric event,
+    nothing per simulator event, and no extra simulator events: digests
+    piggyback on reallocations. *)
 
 type t
 
@@ -30,8 +29,7 @@ val attach :
 (** Start recording. [digest_every] (default 32) sets the digest
     cadence in reallocation epochs; [preset] defaults to the topology's
     name (it must name a {!Ihnet_topology.Builder} preset for the trace
-    to be replayable); [seed]/[label] are provenance. Installs the
-    simulator dispatch tap (one per simulator).
+    to be replayable); [seed]/[label] are provenance.
     @raise Invalid_argument if the fabric already has active flows. *)
 
 val observe_remediation : t -> Ihnet_manager.Remediation.t -> unit
@@ -46,8 +44,7 @@ val stop : t -> unit
 (** Write the final digest line and detach. Idempotent. *)
 
 val lines : t -> int
-val steps : t -> int
-(** Simulator events dispatched while recording. *)
+(** Trace lines written so far. *)
 
 val buffer_sink : Buffer.t -> Trace.line -> unit
 (** Convenience sink: append JSON lines to a buffer. *)

@@ -45,7 +45,7 @@ let check_invariants ?manager fab =
         let rate = E.Fabric.link_rate fab l dir in
         if rate > (cap *. (1.0 +. 1e-6)) +. 1.0 then
           fail "link %d/%s over capacity: %.6g > %.6g" l
-            (match dir with T.Link.Fwd -> "fwd" | T.Link.Rev -> "rev")
+            (T.Link.dir_label dir)
             rate cap)
       [ T.Link.Fwd; T.Link.Rev ]
   done;

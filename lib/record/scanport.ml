@@ -92,7 +92,7 @@ let cls_paths =
 
 (* register tails per direction, forward first (resource [r] is link
    [r/2], forward when [r] is even) *)
-let per_dir f = [| f "fwd"; f "rev" |]
+let per_dir f = Array.map (fun d -> f (T.Link.dir_label d)) [| T.Link.Fwd; T.Link.Rev |]
 let link_tails = per_dir (fun d -> (d ^ "/rate", d ^ "/flows", d ^ "/bytes", d ^ "/cap"))
 let sketch_tails = per_dir (fun d -> (d ^ "/count", d ^ "/hash"))
 

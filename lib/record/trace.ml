@@ -541,20 +541,20 @@ let op_of_json j =
   | "clear" -> Clear_fault (as_int (field j "link"))
   | "clear_all" -> Clear_all_faults
   | "sensor_fault" ->
-    Inject_sensor_fault
+    let sf =
       {
-        starget = starget_of_json j;
-        sf =
-          {
-            E.Sensorfault.stuck = as_bool (field j "stuck");
-            drift = as_float (field j "drift");
-            drop_prob = as_float (field j "drop");
-            dup_prob = as_float (field j "dup");
-            skew = as_float (field j "skew");
-            probe_loss = as_float (field j "ploss");
-            probe_slow = as_float (field j "pslow");
-          };
+        E.Sensorfault.stuck = as_bool (field j "stuck");
+        drift = as_float (field j "drift");
+        drop_prob = as_float (field j "drop");
+        dup_prob = as_float (field j "dup");
+        skew = as_float (field j "skew");
+        probe_loss = as_float (field j "ploss");
+        probe_slow = as_float (field j "pslow");
       }
+    in
+    (* refused here, with its line, rather than at replay *)
+    (match E.Sensorfault.validate sf with Ok () -> () | Error e -> raise (Parse_error e));
+    Inject_sensor_fault { starget = starget_of_json j; sf }
   | "sensor_clear" -> Clear_sensor_fault (starget_of_json j)
   | "config" -> Set_config (config_of_json (field j "config"))
   | "sync" -> Sync
@@ -683,13 +683,6 @@ let load path =
   | s -> parse s
   | exception Sys_error e -> Error e
 
-let save path t =
-  Out_channel.with_open_text path (fun oc ->
-      List.iter
-        (fun l ->
-          Out_channel.output_string oc (line_to_string l);
-          Out_channel.output_char oc '\n')
-        (Header t.header :: t.lines))
 
 let fingerprint t =
   List.fold_left

@@ -143,8 +143,6 @@ val parse : string -> (t, string) result
 val load : string -> (t, string) result
 (** Read and parse a trace file. *)
 
-val save : string -> t -> unit
-
 val fingerprint : t -> int64
 (** FNV chain over every serialized line — a whole-trace identity used
     by the golden store. *)

@@ -36,6 +36,8 @@ let is_endpoint t =
     true
   | Memory_controller _ | Root_complex | Root_port | Pcie_switch _ -> false
 
+let is_socket t = match t.kind with Cpu_socket _ -> true | _ -> false
+
 let is_io_device t =
   match t.kind with
   | Nic _ | Gpu | Nvme_ssd | Fpga | Cxl_device -> true

@@ -43,6 +43,9 @@ val is_endpoint : t -> bool
     NICs, GPUs, SSDs, FPGAs, CXL devices); false for pure fabric
     elements (root complex/ports, switches, memory controllers). *)
 
+val is_socket : t -> bool
+(** True for CPU sockets ([Cpu_socket]). *)
+
 val is_io_device : t -> bool
 (** True for PCIe endpoint I/O devices (NIC, GPU, SSD, FPGA, CXL). *)
 

@@ -36,6 +36,7 @@ let kind_label = function
   | Inter_host -> "inter-host"
 
 let opposite = function Fwd -> Rev | Rev -> Fwd
+let dir_label = function Fwd -> "fwd" | Rev -> "rev"
 
 let pp ppf t =
   Format.fprintf ppf "link#%d[%s %d<->%d %a %a]" t.id (kind_label t.kind) t.a t.b

@@ -50,4 +50,9 @@ val figure1_class : t -> int option
 
 val kind_label : kind -> string
 val opposite : dir -> dir
+
+val dir_label : dir -> string
+(** ["fwd"] or ["rev"]: the direction's name in series names, scan
+    registers and traces. *)
+
 val pp : Format.formatter -> t -> unit

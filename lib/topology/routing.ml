@@ -75,6 +75,13 @@ let dijkstra ?(weight = `Latency) ?(avoid = []) ?(banned_devices = []) topo src 
 
 let shortest_path ?weight ?avoid topo src dst = dijkstra ?weight ?avoid topo src dst
 
+let route topo a b =
+  let src = Topology.device_named topo a in
+  let dst = Topology.device_named topo b in
+  match shortest_path topo src.Device.id dst.Device.id with
+  | Some p -> p
+  | None -> invalid_arg (Printf.sprintf "no path from %s to %s" a b)
+
 let reachable topo src dst = Option.is_some (shortest_path ~weight:`Hops topo src dst)
 
 let path_key (p : Path.t) = List.map (fun (h : Path.hop) -> h.link.Link.id) p.hops

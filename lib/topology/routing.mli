@@ -15,6 +15,13 @@ val shortest_path :
     (e.g. through [avoid]-induced cuts). A trivial path (empty hops) is
     returned when [src = dst]. *)
 
+val route : Topology.t -> string -> string -> Path.t
+(** [route topo a b] is {!shortest_path} (by latency) between the two
+    named devices; the empty path when [a = b].
+    @raise Invalid_argument ["no device NAME"] for an unknown name
+    (the source is checked first), or ["no path from A to B"] when [b]
+    is unreachable. *)
+
 val k_shortest_paths :
   ?weight:weight -> k:int -> Topology.t -> Device.id -> Device.id -> Path.t list
 (** Up to [k] loop-free paths, best first (Yen). *)

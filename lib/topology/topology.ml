@@ -54,6 +54,9 @@ let device t id =
 let device_by_name t n =
   Option.map (fun id -> t.devices.(id)) (Hashtbl.find_opt t.by_name n)
 
+let device_named t n =
+  match device_by_name t n with Some d -> d | None -> invalid_arg ("no device " ^ n)
+
 let add_link t ~kind ~a ~b ~capacity ~base_latency =
   if a < 0 || a >= t.ndevices || b < 0 || b >= t.ndevices then
     invalid_arg "Topology.add_link: unknown endpoint";
@@ -81,6 +84,18 @@ let neighbors t id = List.rev t.adjacency.(id)
 
 let links_between t a b =
   List.filter_map (fun (l, peer) -> if peer = b then Some l else None) t.adjacency.(a)
+
+let link_named t a b =
+  let da = device_named t a in
+  let db = device_named t b in
+  match links_between t da.Device.id db.Device.id with
+  | l :: _ -> l
+  | [] -> invalid_arg (Printf.sprintf "no link between %s and %s" a b)
+
+let sockets t = find_devices t Device.is_socket
+
+let home_socket t (d : Device.t) =
+  List.find_opt (fun (s : Device.t) -> s.socket = d.socket) (sockets t)
 
 (* "Higher" in the PCIe hierarchy: root complex > root port > switch >
    endpoint. Upstream link = the one whose upper endpoint is a root

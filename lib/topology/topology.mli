@@ -35,6 +35,14 @@ val device : t -> Device.id -> Device.t
 (** @raise Not_found on an unknown id. *)
 
 val device_by_name : t -> string -> Device.t option
+(** The device with this name, or [None]: for callers that handle
+    absence themselves. *)
+
+val device_named : t -> string -> Device.t
+(** The device with this name: how an operator's or a workload's
+    device name reaches the topology.
+    @raise Invalid_argument ["no device NAME"] when absent. *)
+
 val link : t -> Link.id -> Link.t
 val device_count : t -> int
 val link_count : t -> int
@@ -46,6 +54,20 @@ val neighbors : t -> Device.id -> (Link.t * Device.id) list
 (** Adjacent links with the peer endpoint for each. *)
 
 val links_between : t -> Device.id -> Device.id -> Link.t list
+
+val link_named : t -> string -> string -> Link.t
+(** The first link of {!links_between} the two named devices (no
+    preset has two links between one pair).
+    @raise Invalid_argument ["no device NAME"] for an unknown name, or
+    ["no link between A and B"] when the two are not adjacent. *)
+
+val sockets : t -> Device.t list
+(** The CPU sockets, in device (id) order. *)
+
+val home_socket : t -> Device.t -> Device.t option
+(** The first CPU socket, in device order, whose [socket] index is the
+    device's own: the socket it is attached to, whatever its name.
+    [None] when the topology has no socket with that index. *)
 
 val pcie_position : t -> Link.t -> [ `Upstream | `Downstream | `Not_pcie ]
 (** Figure 1 distinguishes switch upstream (3) from downstream (4)

@@ -16,6 +16,7 @@ type t = {
   finished : Condition.t; (* a batch's pending count reached zero *)
   mutable batch : batch option;
   mutable gen : int; (* bumped per published batch *)
+  mutable width : int; (* the published batch's width: workers 1 .. width - 1 join it *)
   mutable workers : unit Domain.t list;
   mutable nworkers : int;
   mutable stop : bool;
@@ -45,12 +46,14 @@ let drain t (b : batch) =
     end
   done
 
-let worker t init_gen () =
+(* Worker [k] (1-based) joins only batches wider than [k]; the others
+   stay parked through them. *)
+let worker t k init_gen () =
   let last = ref init_gen in
   let running = ref true in
   while !running do
     Mutex.lock t.m;
-    while (not t.stop) && t.gen = !last do
+    while (not t.stop) && (t.gen = !last || k >= t.width) do
       Condition.wait t.work t.m
     done;
     if t.stop then begin
@@ -70,8 +73,8 @@ let spawn_workers t k =
   let g = t.gen in
   Mutex.unlock t.m;
   for _ = 1 to k do
-    t.workers <- Domain.spawn (worker t g) :: t.workers;
-    t.nworkers <- t.nworkers + 1
+    t.nworkers <- t.nworkers + 1;
+    t.workers <- Domain.spawn (worker t t.nworkers g) :: t.workers
   done
 
 let create n =
@@ -83,6 +86,7 @@ let create n =
       finished = Condition.create ();
       batch = None;
       gen = 0;
+      width = 1;
       workers = [];
       nworkers = 0;
       stop = false;
@@ -108,23 +112,21 @@ let shutdown t =
     t.nworkers <- 0
   end
 
-let map t n f =
-  if t.shut then invalid_arg "Pool.map: pool is shut down";
-  if n <= 1 || t.nworkers = 0 then Array.init n f
+let iter t ~width n f =
+  if t.shut then invalid_arg "Pool.iter: pool is shut down";
+  let width = min (clamp width) (size t) in
+  if n <= 1 || width = 1 then
+    for i = 0 to n - 1 do
+      f i
+    done
   else begin
-    let results = Array.make n None in
     let b =
-      {
-        run = (fun i -> results.(i) <- Some (f i));
-        n;
-        next = Atomic.make 0;
-        pending = Atomic.make n;
-        err = Atomic.make None;
-      }
+      { run = f; n; next = Atomic.make 0; pending = Atomic.make n; err = Atomic.make None }
     in
     Mutex.lock t.m;
     t.batch <- Some b;
     t.gen <- t.gen + 1;
+    t.width <- width;
     Condition.broadcast t.work;
     Mutex.unlock t.m;
     drain t b;
@@ -134,9 +136,13 @@ let map t n f =
     done;
     t.batch <- None;
     Mutex.unlock t.m;
-    (match Atomic.get b.err with Some e -> raise e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
+    match Atomic.get b.err with Some e -> raise e | None -> ()
   end
+
+let map t n f =
+  let results = Array.make n None in
+  iter t ~width:(size t) n (fun i -> results.(i) <- Some (f i));
+  Array.map (function Some v -> v | None -> assert false) results
 
 let default_domains =
   let v =

@@ -3,17 +3,17 @@
     A hand-rolled work queue over [Domain] + [Mutex]/[Condition] (no
     dependencies beyond the OCaml 5 stdlib). A pool of size [n]
     consists of the calling domain plus [n - 1] worker domains parked
-    on a condition variable; {!map} fans a batch of index-addressed
-    tasks out to all of them and returns the results {e in index
-    order}, so callers see the same array regardless of which domain
-    computed which element — scheduling nondeterminism cannot leak
-    through the interface. Tasks must therefore be pure with respect
-    to shared mutable state (they may read anything that no other
-    task writes).
+    on a condition variable; {!iter} fans a batch of index-addressed
+    tasks out to as many of them as its caller asks for, and {!map}
+    returns the results {e in index order}, so callers see the same
+    array regardless of which domain computed which element —
+    scheduling nondeterminism cannot leak through the interface. Tasks
+    must therefore be pure with respect to shared mutable state (they
+    may read anything that no other task writes).
 
-    [map] is not reentrant: it may only be called from the domain
-    that created the pool (the coordinator), one batch at a time.
-    That is exactly the fleet controller's use
+    [iter] and [map] are not reentrant: they may only be called from
+    the domain that created the pool (the coordinator), one batch at a
+    time. That is exactly the fleet controller's use
     ([Ihnet_fleet.Controller]): the control loop lives on one domain
     and only the per-host advance phase fans out, one host per task. *)
 
@@ -28,14 +28,21 @@ val create : int -> t
 val size : t -> int
 (** Total domains (including the coordinator), as clamped. *)
 
-val map : t -> int -> (int -> 'a) -> 'a array
-(** [map p n f] computes [[| f 0; ...; f (n-1) |]]. Tasks are pulled
-    from a shared atomic counter by the coordinator and every worker;
-    the coordinator blocks until all [n] results landed. If any task
-    raises, the first exception (in completion order) is re-raised on
-    the coordinator after the batch drains. Results are published to
+val iter : t -> width:int -> int -> (int -> unit) -> unit
+(** [iter p ~width n f] runs [f 0], ..., [f (n-1)] on at most [width]
+    domains (clamped to [\[1, size p\]]): the coordinator and workers
+    [1 .. width - 1]; the pool's other workers stay parked. At width 1
+    it is a plain loop on the calling domain, and it allocates no
+    result array. Tasks are pulled from a shared atomic counter; the
+    coordinator blocks until all [n] finished. If any task raises,
+    the first exception (in completion order) is re-raised on the
+    coordinator after the batch drains. Task effects are published to
     the coordinator with release/acquire semantics via the pending
     counter, so no additional synchronization is needed to read them. *)
+
+val map : t -> int -> (int -> 'a) -> 'a array
+(** [map p n f] computes [[| f 0; ...; f (n-1) |]] with {!iter} at the
+    pool's full width. *)
 
 val shutdown : t -> unit
 (** Stop and join all worker domains. Idempotent; the pool must not
@@ -50,5 +57,6 @@ val get : int -> t
 (** [get n] returns the shared process-wide pool, grown to at least
     [n] total domains (workers are added, never removed, so every
     controller in the process reuses the same worker set — creating
-    many fleets never accumulates domains toward the runtime's limit). The
-    shared pool is shut down automatically [at_exit]. *)
+    many fleets never accumulates domains toward the runtime's limit).
+    A caller that wants width [n] passes it to {!iter}: the pool may be
+    wider. The shared pool is shut down automatically [at_exit]. *)

@@ -30,8 +30,6 @@ let create ?(sub = 32) ?(max_octave = 40) () =
     mx = neg_infinity;
   }
 
-let sub t = t.sub
-let max_octave t = t.max_octave
 
 let bucket_of t v =
   if v < 1.0 then int_of_float (v *. float_of_int t.sub)

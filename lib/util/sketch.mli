@@ -27,19 +27,12 @@ val create : ?sub:int -> ?max_octave:int -> unit -> t
     latencies); larger values clamp into the top bucket, with min/max
     staying exact. *)
 
-val sub : t -> int
-val max_octave : t -> int
-
 val record : t -> float -> unit
 (** Record a value. Non-finite or negative values are ignored.
     Allocation-free: a bucket index is computed with [Float.frexp] and a
     flat-array slot is bumped. *)
 
 val count : t -> int
-
-val total : t -> float
-(** Sum of bucket midpoints weighted by counts, accumulated in bucket
-    order (bit-deterministic); 0 when empty. *)
 
 val mean : t -> float
 (** [total t /. count t]; [nan] when empty. *)

@@ -20,24 +20,24 @@ type t = {
   mutable live : Flow.t list;
 }
 
-let dev fabric name =
-  match T.Topology.device_by_name (Fabric.topology fabric) name with
-  | Some d -> d.T.Device.id
-  | None -> invalid_arg ("Allreduce: no device " ^ name)
-
-let route fabric a b =
-  match T.Routing.shortest_path (Fabric.topology fabric) a b with
-  | Some p when p.T.Path.hops <> [] -> p
-  | Some _ | None -> invalid_arg "Allreduce: ring devices not connected"
-
 let ring_edges fabric ring =
-  let ids = List.map (dev fabric) ring in
-  let n = List.length ids in
-  List.mapi (fun i a -> route fabric a (List.nth ids ((i + 1) mod n))) ids
+  let topo = Fabric.topology fabric in
+  let n = List.length ring in
+  List.mapi
+    (fun i a ->
+      let p = T.Routing.route topo a (List.nth ring ((i + 1) mod n)) in
+      if p.T.Path.hops = [] then invalid_arg "Allreduce: ring devices not connected";
+      p)
+    ring
 
 let start fabric config =
   if List.length config.ring < 2 then invalid_arg "Allreduce: ring needs >= 2 devices";
-  assert (config.data_bytes > 0.0 && config.iterations > 0);
+  if not (config.data_bytes > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Allreduce.start: data_bytes must be > 0 (got %g)" config.data_bytes);
+  if config.iterations < 1 then
+    invalid_arg
+      (Printf.sprintf "Allreduce.start: iterations must be >= 1 (got %d)" config.iterations);
   let t =
     {
       fabric;
@@ -102,12 +102,7 @@ let algorithmic_bandwidth t =
 (* {1 Ring placement} *)
 
 let ring_cost topo ring =
-  let id name =
-    match T.Topology.device_by_name topo name with
-    | Some d -> d.T.Device.id
-    | None -> invalid_arg ("Allreduce.ring_cost: no device " ^ name)
-  in
-  let ids = List.map id ring in
+  let ids = List.map (fun name -> (T.Topology.device_named topo name).T.Device.id) ring in
   let n = List.length ids in
   List.fold_left ( +. ) 0.0
     (List.mapi

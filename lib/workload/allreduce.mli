@@ -21,8 +21,9 @@ type t
 val start : Ihnet_engine.Fabric.t -> config -> t
 (** Runs [iterations] allreduces back to back; each of the [2(N−1)]
     steps starts N concurrent chunk flows and waits for all of them.
-    @raise Invalid_argument on unknown devices or a ring shorter
-    than 2. *)
+    @raise Invalid_argument ["no device NAME"] on an unknown device,
+    on a ring shorter than 2 or with two equal neighbours, or naming
+    the field unless [data_bytes > 0] and [iterations >= 1]. *)
 
 val stop : t -> unit
 val iterations_done : t -> int

@@ -38,34 +38,28 @@ type t = {
   mutable stopped : bool;
 }
 
-let dev fabric name =
-  match T.Topology.device_by_name (Fabric.topology fabric) name with
-  | Some d -> d
-  | None -> invalid_arg ("Kvstore: no device " ^ name)
-
-let path fabric a b =
-  match T.Routing.shortest_path (Fabric.topology fabric) a b with
-  | Some p -> p
-  | None -> invalid_arg "Kvstore: endpoints not connected"
-
 let start fabric ?rng config =
-  assert (config.request_rate > 0.0 && config.sample_rate > 0.0);
+  if not (config.request_rate > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Kvstore.start: request_rate must be > 0 (got %g)" config.request_rate);
+  if not (config.sample_rate > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Kvstore.start: sample_rate must be > 0 (got %g)" config.sample_rate);
   let rng = match rng with Some r -> r | None -> U.Rng.split (Fabric.rng fabric) in
-  let nic = dev fabric config.nic in
-  let ext = dev fabric "ext" in
-  let llc_target, target_dev =
+  let topo = Fabric.topology fabric in
+  let llc_target, target =
     match config.target with
-    | `Llc ->
-      let sock_name = Printf.sprintf "socket%d" nic.T.Device.socket in
-      (true, dev fabric sock_name)
-    | `Dimm name -> (false, dev fabric name)
+    | `Llc -> (
+      let nic = T.Topology.device_named topo config.nic in
+      match T.Topology.home_socket topo nic with
+      | Some s -> (true, s.T.Device.name)
+      | None -> invalid_arg ("Kvstore.start: no home socket for " ^ config.nic))
+    | `Dimm name -> (false, name)
   in
   (* route via the configured NIC: shortest ext->target would be free
      to pick any NIC on the host *)
   let req_path =
-    T.Path.concat
-      (path fabric ext.T.Device.id nic.T.Device.id)
-      (path fabric nic.T.Device.id target_dev.T.Device.id)
+    T.Path.concat (T.Routing.route topo "ext" config.nic) (T.Routing.route topo config.nic target)
   in
   (* the response retraces the request's route *)
   let resp_path = T.Path.reverse req_path in
@@ -145,5 +139,3 @@ let achieved_rate t =
   let in_reqs = t.inbound.Flow.rate /. t.config.request_bytes in
   let out_reqs = t.outbound.Flow.rate /. t.config.response_bytes in
   Float.min in_reqs out_reqs
-
-let goodput t = t.inbound.Flow.rate +. t.outbound.Flow.rate

@@ -32,7 +32,11 @@ val default_config : tenant:int -> nic:string -> config
 type t
 
 val start : Ihnet_engine.Fabric.t -> ?rng:Ihnet_util.Rng.t -> config -> t
-(** @raise Invalid_argument when the NIC or DIMM does not exist. *)
+(** An [`Llc] store writes into the NIC's home socket
+    ({!Ihnet_topology.Topology.home_socket}).
+    @raise Invalid_argument ["no device NAME"] when the NIC or DIMM
+    does not exist, or naming the field unless [request_rate > 0] and
+    [sample_rate > 0]. *)
 
 val stop : t -> unit
 
@@ -45,6 +49,3 @@ val offered_rate : t -> float
 val achieved_rate : t -> float
 (** Requests/s actually sustainable at current fabric allocation
     (min of both directions' bandwidth over the per-request bytes). *)
-
-val goodput : t -> float
-(** Bytes/s currently allocated to the store (both directions). *)

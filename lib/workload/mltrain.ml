@@ -38,21 +38,10 @@ type t = {
   mutable current : Flow.t list;
 }
 
-let dev fabric name =
-  match T.Topology.device_by_name (Fabric.topology fabric) name with
-  | Some d -> d
-  | None -> invalid_arg ("Mltrain: no device " ^ name)
-
-let path fabric a b =
-  match T.Routing.shortest_path (Fabric.topology fabric) a b with
-  | Some p -> p
-  | None -> invalid_arg "Mltrain: endpoints not connected"
-
 (* The DIMMs loader streams read from: data_source first, then the
    other DIMMs on the GPU's socket, cycled. *)
-let loader_sources fabric config (gpu : T.Device.t) =
-  let topo = Fabric.topology fabric in
-  let primary = dev fabric config.data_source in
+let loader_sources topo config (gpu : T.Device.t) =
+  let primary = T.Topology.device_named topo config.data_source in
   let others =
     T.Topology.find_devices topo (fun d ->
         (match d.T.Device.kind with T.Device.Dimm _ -> true | _ -> false)
@@ -63,15 +52,23 @@ let loader_sources fabric config (gpu : T.Device.t) =
   List.init config.loader_streams (fun i -> List.nth pool (i mod List.length pool))
 
 let start fabric config =
-  assert (config.batch_bytes > 0.0 && config.compute_time >= 0.0 && config.loader_streams >= 1);
-  let gpu = dev fabric config.gpu in
-  let sources = loader_sources fabric config gpu in
+  if not (config.batch_bytes > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Mltrain.start: batch_bytes must be > 0 (got %g)" config.batch_bytes);
+  if not (config.compute_time >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Mltrain.start: compute_time must be >= 0 (got %g)" config.compute_time);
+  if config.loader_streams < 1 then
+    invalid_arg
+      (Printf.sprintf "Mltrain.start: loader_streams must be >= 1 (got %d)"
+         config.loader_streams);
+  let topo = Fabric.topology fabric in
+  let gpu = T.Topology.device_named topo config.gpu in
+  let sources = loader_sources topo config gpu in
   let load_paths =
-    List.map (fun (src : T.Device.t) -> path fabric src.T.Device.id gpu.T.Device.id) sources
+    List.map (fun (src : T.Device.t) -> T.Routing.route topo src.T.Device.name config.gpu) sources
   in
-  let sync_path =
-    Option.map (fun (nic, _) -> path fabric gpu.T.Device.id (dev fabric nic).T.Device.id) config.sync
-  in
+  let sync_path = Option.map (fun (nic, _) -> T.Routing.route topo config.gpu nic) config.sync in
   let t =
     {
       fabric;

@@ -35,6 +35,10 @@ val default_config : tenant:int -> gpu:string -> data_source:string -> config
 type t
 
 val start : Ihnet_engine.Fabric.t -> config -> t
+(** @raise Invalid_argument ["no device NAME"] on an unknown device, or
+    naming the field unless [batch_bytes > 0], [compute_time >= 0] and
+    [loader_streams >= 1]. *)
+
 val stop : t -> unit
 
 val iterations_done : t -> int

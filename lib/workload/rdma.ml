@@ -9,34 +9,26 @@ type loopback = {
   mutable stopped : bool;
 }
 
-let dev fabric name =
-  match T.Topology.device_by_name (Fabric.topology fabric) name with
-  | Some d -> d
-  | None -> invalid_arg ("Rdma: no device " ^ name)
-
-let path fabric a b =
-  match T.Routing.shortest_path (Fabric.topology fabric) a b with
-  | Some p -> p
-  | None -> invalid_arg "Rdma: endpoints not connected"
-
 let start_loopback fabric ~tenant ~nic ?target () =
-  let nic_dev = dev fabric nic in
+  let topo = Fabric.topology fabric in
+  let nic_dev = T.Topology.device_named topo nic in
   let mem =
     match target with
-    | Some name -> dev fabric name
-    | None -> dev fabric (Printf.sprintf "socket%d" nic_dev.T.Device.socket)
+    | Some name -> T.Topology.device_named topo name
+    | None -> (
+      match T.Topology.home_socket topo nic_dev with
+      | Some s -> s
+      | None -> invalid_arg ("Rdma.start_loopback: no home socket for " ^ nic))
   in
-  let llc_target =
-    match mem.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false
-  in
+  let llc_target = T.Device.is_socket mem in
   let read =
     Fabric.start_flow fabric ~tenant
-      ~path:(path fabric mem.T.Device.id nic_dev.T.Device.id)
+      ~path:(T.Routing.route topo mem.T.Device.name nic)
       ~size:Flow.Unbounded ()
   in
   let write =
     Fabric.start_flow fabric ~tenant ~llc_target
-      ~path:(path fabric nic_dev.T.Device.id mem.T.Device.id)
+      ~path:(T.Routing.route topo nic mem.T.Device.name)
       ~size:Flow.Unbounded ()
   in
   { fabric; read; write; stopped = false }
@@ -58,15 +50,8 @@ type hop_breakdown = {
 
 let remote_read_breakdown fabric ~nic ~target =
   let topo = Fabric.topology fabric in
-  let ext = dev fabric "ext" in
-  let nic_dev = dev fabric nic in
-  let target_dev = dev fabric target in
   (* enter through the named NIC, not whichever NIC is nearest *)
-  let p =
-    T.Path.concat
-      (path fabric ext.T.Device.id nic_dev.T.Device.id)
-      (path fabric nic_dev.T.Device.id target_dev.T.Device.id)
-  in
+  let p = T.Path.concat (T.Routing.route topo "ext" nic) (T.Routing.route topo nic target) in
   List.map
     (fun (hop : T.Path.hop) ->
       let l = hop.T.Path.link in

@@ -12,7 +12,9 @@ val start_loopback :
   Ihnet_engine.Fabric.t -> tenant:int -> nic:string -> ?target:string -> unit -> loopback
 (** Elastic loopback aggressor on [nic]: one DMA-read stream (memory →
     NIC) plus one DMA-write stream (NIC → memory). [target] is the
-    memory endpoint device (default: the NIC's socket, i.e. DDIO). *)
+    memory endpoint device (default: the NIC's home socket,
+    {!Ihnet_topology.Topology.home_socket}, i.e. DDIO).
+    @raise Invalid_argument ["no device NAME"] on an unknown device. *)
 
 val stop_loopback : loopback -> unit
 

@@ -14,17 +14,6 @@ type handle = {
 let time v = Format.asprintf "%a" U.Units.pp_time v
 let rate v = Format.asprintf "%a" U.Units.pp_rate v
 
-let route fabric a b =
-  let topo = Fabric.topology fabric in
-  let dev n =
-    match T.Topology.device_by_name topo n with
-    | Some d -> d.T.Device.id
-    | None -> invalid_arg ("Scenario: no device " ^ n)
-  in
-  match T.Routing.shortest_path topo (dev a) (dev b) with
-  | Some p -> p
-  | None -> invalid_arg "Scenario: not connected"
-
 let colocation fabric =
   let kv = Kvstore.start fabric (Kvstore.default_config ~tenant:1 ~nic:"nic0") in
   let ml =
@@ -55,7 +44,10 @@ let colocation fabric =
   }
 
 let loopback fabric =
-  let victim_path = T.Path.concat (route fabric "ext" "nic0") (route fabric "nic0" "socket0") in
+  let topo = Fabric.topology fabric in
+  let victim_path =
+    T.Path.concat (T.Routing.route topo "ext" "nic0") (T.Routing.route topo "nic0" "socket0")
+  in
   let victim =
     Fabric.start_flow fabric ~tenant:1 ~demand:20e9 ~llc_target:true ~path:victim_path
       ~size:Flow.Unbounded ()
@@ -81,12 +73,15 @@ let loopback fabric =
 (* two 200G NICs DDIO-writing into socket 0 (tenants 1, 2); metrics:
    hit rate, induced memory traffic *)
 let ddio_thrash fabric =
+  let topo = Fabric.topology fabric in
   let w1 =
-    Fabric.start_flow fabric ~tenant:1 ~llc_target:true ~path:(route fabric "nic0" "socket0")
+    Fabric.start_flow fabric ~tenant:1 ~llc_target:true
+      ~path:(T.Routing.route topo "nic0" "socket0")
       ~size:Flow.Unbounded ()
   in
   let w2 =
-    Fabric.start_flow fabric ~tenant:2 ~llc_target:true ~path:(route fabric "nic1" "socket0")
+    Fabric.start_flow fabric ~tenant:2 ~llc_target:true
+      ~path:(T.Routing.route topo "nic1" "socket0")
       ~size:Flow.Unbounded ()
   in
   {
@@ -111,19 +106,20 @@ let ddio_thrash fabric =
    striped reads), with no anomaly injected; metrics: ddio hit,
    aggregate rates *)
 let gray_failure fabric =
+  let topo = Fabric.topology fabric in
   let flows = ref [] in
   let start f = flows := f :: !flows in
   start
     (Fabric.start_flow fabric ~tenant:1 ~demand:26e9 ~llc_target:true
-       ~path:(route fabric "nic0" "socket0") ~size:Flow.Unbounded ());
+       ~path:(T.Routing.route topo "nic0" "socket0") ~size:Flow.Unbounded ());
   let dimms = List.init 6 (fun i -> Printf.sprintf "dimm0.%d.%d" (i / 3) (i mod 3)) in
   List.iter
     (fun d ->
       start
-        (Fabric.start_flow fabric ~tenant:2 ~demand:1.5e9 ~path:(route fabric "nic1" d)
+        (Fabric.start_flow fabric ~tenant:2 ~demand:1.5e9 ~path:(T.Routing.route topo "nic1" d)
            ~size:Flow.Unbounded ());
       start
-        (Fabric.start_flow fabric ~tenant:3 ~demand:1.0e9 ~path:(route fabric d "ssd0")
+        (Fabric.start_flow fabric ~tenant:3 ~demand:1.0e9 ~path:(T.Routing.route topo d "ssd0")
            ~size:Flow.Unbounded ()))
     dimms;
   {

@@ -37,27 +37,18 @@ type t = {
   mutable stopped : bool;
 }
 
-let dev fabric name =
-  match T.Topology.device_by_name (Fabric.topology fabric) name with
-  | Some d -> d
-  | None -> invalid_arg ("Storage: no device " ^ name)
-
-let path fabric a b =
-  match T.Routing.shortest_path (Fabric.topology fabric) a b with
-  | Some p -> p
-  | None -> invalid_arg "Storage: endpoints not connected"
-
 let start fabric ?rng config =
-  assert (config.iops > 0.0);
-  assert (config.read_fraction >= 0.0 && config.read_fraction <= 1.0);
+  if not (config.iops > 0.0) then
+    invalid_arg (Printf.sprintf "Storage.start: iops must be > 0 (got %g)" config.iops);
+  if not (config.read_fraction >= 0.0 && config.read_fraction <= 1.0) then
+    invalid_arg
+      (Printf.sprintf "Storage.start: read_fraction must be in [0, 1] (got %g)"
+         config.read_fraction);
   let rng = match rng with Some r -> r | None -> U.Rng.split (Fabric.rng fabric) in
-  let ssd = dev fabric config.ssd in
-  let target = dev fabric config.target in
-  let llc_target =
-    match target.T.Device.kind with T.Device.Cpu_socket _ -> true | _ -> false
-  in
-  let read_path = path fabric ssd.T.Device.id target.T.Device.id in
-  let write_path = path fabric target.T.Device.id ssd.T.Device.id in
+  let topo = Fabric.topology fabric in
+  let read_path = T.Routing.route topo config.ssd config.target in
+  let write_path = T.Routing.route topo config.target config.ssd in
+  let llc_target = T.Device.is_socket (T.Topology.device_named topo config.target) in
   let t =
     {
       fabric;

@@ -18,6 +18,10 @@ val default_config : tenant:int -> ssd:string -> target:string -> config
 type t
 
 val start : Ihnet_engine.Fabric.t -> ?rng:Ihnet_util.Rng.t -> config -> t
+(** @raise Invalid_argument ["no device NAME"] when the SSD or target
+    does not exist, or naming the field unless [iops > 0] and
+    [read_fraction] is in \[0, 1\]. *)
+
 val stop : t -> unit
 
 val completed_ops : t -> int

@@ -18,7 +18,6 @@ let register reg ~name ~kind =
 let infra reg = List.find (fun t -> t.id = 0) reg.tenants
 let find reg id = List.find_opt (fun t -> t.id = id) reg.tenants
 let find_by_name reg name = List.find_opt (fun t -> t.name = name) reg.tenants
-let all reg = List.rev reg.tenants
 let count reg = List.length reg.tenants
 
 let pp ppf t =

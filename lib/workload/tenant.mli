@@ -25,6 +25,5 @@ val register : registry -> name:string -> kind:kind -> t
 val infra : registry -> t
 val find : registry -> int -> t option
 val find_by_name : registry -> string -> t option
-val all : registry -> t list
 val count : registry -> int
 val pp : Format.formatter -> t -> unit

@@ -106,6 +106,12 @@ expect check-topo-file 1 \
   '^finding: nic nic0: inter-host port \(400 Gbps\) outruns its PCIe slot \(31\.5 GB/s\)$' \
   "$CTL" check -f "$tmp/fast.topo"
 
+# a name the topology does not know is refused in the topology's words
+expect ping-unknown-device 1 '^ihnetctl: no device nope$' \
+  "$CTL" ping nope socket0 -c 1
+expect heartbeat-no-link 1 '^ihnetctl: no link between nic0 and socket1$' \
+  "$CTL" heartbeat --degrade nic0:socket1
+
 expect fleet 0 \
   '^fleet: 3 host\(s\), 4 tenant\(s\)$' \
   "$CTL" fleet --hosts 3 --tenants 4 --rounds 24
@@ -309,7 +315,9 @@ else
 fi
 
 # One fleet script, two paths: in-process and against a fresh fleet
-# daemon (same default seed), the output is byte-identical
+# daemon (same default seed), the output is byte-identical; so is the
+# in-process run at pool width 4, where worker domains exist while the
+# status block is printed
 gsock="$tmp/g.sock"
 "$DAEMON" --fleet --socket "$gsock" --no-trace 2>"$tmp/g.err" &
 gpid=$!
@@ -319,8 +327,10 @@ if ! await_socket "$gsock"; then
 else
   twin="--hosts 3 --tenants 4 --rounds 12 --crash host1 --loss 0.2 --decisions"
   "$CTL" fleet $twin >"$tmp/twin.local" 2>&1
+  IHNET_DOMAINS=4 "$CTL" fleet $twin >"$tmp/twin.wide" 2>&1
   "$CTL" fleet $twin --connect "$gsock" >"$tmp/twin.remote" 2>&1
   expect fleet-connect-identical 0 '' cmp "$tmp/twin.local" "$tmp/twin.remote"
+  expect fleet-wide-identical 0 '' cmp "$tmp/twin.wide" "$tmp/twin.remote"
   expect_any fleet-connect-status 0 \
     '^fleet digest 0x[0-9a-f]{16} decisions 0x[0-9a-f]{16}$' \
     cat "$tmp/twin.remote"

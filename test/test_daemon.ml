@@ -426,15 +426,24 @@ let handlers_suite =
           match Api.Handlers.run h C.Shutdown with
           | Resp.Bye -> ()
           | _ -> Alcotest.fail "expected Bye");
-      tc "unknown device comes back as Failed, exit 1" (fun () ->
+      tc "unknown device comes back as Invalid \"no device NAME\", exit 1" (fun () ->
           let h = Api.Handlers.local Api.Host_spec.default in
-          match Api.Handlers.run h (C.Ping { src = "nope"; dst = "socket0"; count = 1; load = false })
-          with
-          | Resp.Err ((Err.Invalid msg | Err.Failed msg) as e) ->
-            Alcotest.(check int) "exit code" 1 (Err.exit_code e);
-            Alcotest.(check bool) "message names the device" true
-              (String.length msg >= 14 && String.sub msg (String.length msg - 14) 14 = "no device nope")
-          | _ -> Alcotest.fail "expected Err Invalid/Failed");
+          List.iter
+            (fun cmd ->
+              match Api.Handlers.run h cmd with
+              | Resp.Err (Err.Invalid msg as e) ->
+                Alcotest.(check int) "exit code" 1 (Err.exit_code e);
+                Alcotest.(check string) "message" "no device nope" msg
+              | r -> Alcotest.failf "expected Invalid, got %s" (Bytes.to_string (Api.Wire.encode (Resp.to_json r))))
+            [
+              C.Ping { src = "nope"; dst = "socket0"; count = 1; load = false };
+              C.Perf { src = "socket0"; dst = "nope"; load = false };
+              C.Dump { a = "nic0"; b = "nope"; load = false };
+              C.Heartbeat { degrade = Some ("nope", "nic0") };
+              C.Flow_start { tenant = 1; src = "nope"; dst = "socket0"; gbps = None };
+              C.Fault_inject { a = "rp0.0"; b = "nope"; factor = 0.5; extra_us = 0.0; loss = 0.0 };
+              C.Fault_clear { a = "nope"; b = "rp0.0" };
+            ]);
       tc "admission refusal crosses as the typed Mgr payload" (fun () ->
           let h = Api.Handlers.local Api.Host_spec.default in
           let greedy =
@@ -582,6 +591,33 @@ let handlers_suite =
           | Resp.Err (Err.Unsupported _ as e) ->
             Alcotest.(check int) "exit code" 4 (Err.exit_code e)
           | r -> Alcotest.failf "expected Err Unsupported, got %s" (show r));
+      tc "a device pair with no link is Invalid \"no link between A and B\"" (fun () ->
+          let h = Api.Handlers.local Api.Host_spec.default in
+          let heal fault =
+            C.Heal
+              {
+                src = "nic0";
+                dst = "socket0";
+                gbps = 10.0;
+                fault;
+                factor = 0.5;
+                silent = false;
+                flap = None;
+                ms = 1.0;
+              }
+          in
+          List.iter
+            (fun cmd ->
+              match Api.Handlers.run h cmd with
+              | Resp.Err (Err.Invalid msg) ->
+                Alcotest.(check string) "message" "no link between nic0 and socket1" msg
+              | r -> Alcotest.failf "expected Invalid, got %s" (Bytes.to_string (Api.Wire.encode (Resp.to_json r))))
+            [
+              C.Heartbeat { degrade = Some ("nic0", "socket1") };
+              heal (Some ("nic0", "socket1"));
+              C.Fault_inject { a = "nic0"; b = "socket1"; factor = 0.5; extra_us = 0.0; loss = 0.0 };
+              C.Fault_clear { a = "nic0"; b = "socket1" };
+            ]);
     ] )
 
 (* ------------------------------------------------------------------ *)
@@ -637,10 +673,9 @@ let loaded_handlers ?(flows = 2000) () =
   let host = Api.Host_spec.create_host (Api.Host_spec.make ~seed:5 ()) in
   let fab = Ihnet.Host.fabric host in
   let topo = Ihnet.Host.topology host in
-  let dev = Api.Host_spec.device_id topo in
   let paths =
     Array.map
-      (fun (a, b) -> Option.get (Ihnet_topology.Routing.shortest_path topo (dev a) (dev b)))
+      (fun (a, b) -> Ihnet_topology.Routing.route topo a b)
       [| ("nic0", "socket0"); ("gpu0", "socket0"); ("ext", "socket1"); ("gpu1", "socket1") |]
   in
   Ihnet_engine.Fabric.batch fab (fun () ->

@@ -7,16 +7,6 @@ module U = Ihnet_util.Units
 let tc name f = Alcotest.test_case name `Quick f
 let check_close ?(eps = 1e-6) msg expected actual = Alcotest.(check (float eps)) msg expected actual
 
-let dev_id topo name =
-  match T.Topology.device_by_name topo name with
-  | Some d -> d.T.Device.id
-  | None -> Alcotest.failf "no device %s" name
-
-let path topo a b =
-  match T.Routing.shortest_path topo (dev_id topo a) (dev_id topo b) with
-  | Some p -> p
-  | None -> Alcotest.failf "no path %s->%s" a b
-
 (* {1 Sim core} *)
 
 let sim_tests =
@@ -416,7 +406,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let fl = Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded () in
         (* bottleneck = DDR channel 25.6 GB/s (PCIe gen4 x16 ~31.5 raw,
            less protocol efficiency ~0.91 => ~28.6 goodput) *)
@@ -427,7 +417,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let done_at = ref nan in
         let fl =
           Fabric.start_flow fab ~tenant:1 ~path:p
@@ -444,8 +434,8 @@ let fabric_tests =
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
         (* both flows traverse the switch upstream link rp0.0-pciesw0 *)
-        let p1 = path topo "nic0" "dimm0.0.0" in
-        let p2 = path topo "gpu0" "dimm0.0.1" in
+        let p1 = T.Routing.route topo "nic0" "dimm0.0.0" in
+        let p2 = T.Routing.route topo "gpu0" "dimm0.0.1" in
         let f1 = Fabric.start_flow fab ~tenant:1 ~path:p1 ~size:Flow.Unbounded () in
         let f2 = Fabric.start_flow fab ~tenant:2 ~path:p2 ~size:Flow.Unbounded () in
         check_close ~eps:1e6 "even" f1.Flow.rate f2.Flow.rate;
@@ -455,7 +445,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let f1 = Fabric.start_flow fab ~tenant:1 ~cap:(U.gbytes_per_s 1.0) ~path:p ~size:Flow.Unbounded () in
         let f2 = Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded () in
         check_close ~eps:1e6 "capped" 1e9 f1.Flow.rate;
@@ -464,7 +454,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let f1 = Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded () in
         let f2 = Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded () in
         let before = f2.Flow.rate in
@@ -474,7 +464,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let fl = Fabric.start_flow fab ~tenant:7 ~path:p ~size:Flow.Unbounded () in
         Sim.run ~until:(U.ms 1.0) sim;
         let hop = List.hd p.T.Path.hops in
@@ -488,7 +478,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         ignore (Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded ());
         (* the DDR channel (last hop) should be fully utilized *)
         let hop = List.nth p.T.Path.hops (List.length p.T.Path.hops - 1) in
@@ -498,7 +488,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let idle = Fabric.path_latency fab p in
         ignore (Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded ());
         let busy = Fabric.path_latency fab p in
@@ -507,7 +497,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let fl = Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded () in
         let healthy_rate = fl.Flow.rate in
         let hop = List.hd p.T.Path.hops in
@@ -520,7 +510,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let fl = Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded () in
         let hop = List.hd p.T.Path.hops in
         Fabric.inject_fault fab hop.T.Path.link.T.Link.id Fault.down;
@@ -532,8 +522,8 @@ let fabric_tests =
         let fab = Fabric.create sim topo in
         (* nic0 (behind the switch) and nic1 (direct root port): their
            combined DDIO write rate exceeds the I/O ways' capacity *)
-        let p_nic0 = path topo "nic0" "socket0" in
-        let p_nic1 = path topo "nic1" "socket0" in
+        let p_nic0 = T.Routing.route topo "nic0" "socket0" in
+        let p_nic1 = T.Routing.route topo "nic1" "socket0" in
         ignore (Fabric.start_flow fab ~tenant:1 ~llc_target:true ~path:p_nic0 ~size:Flow.Unbounded ());
         let h1 = Fabric.ddio_hit_rate fab ~socket:0 in
         ignore (Fabric.start_flow fab ~tenant:2 ~llc_target:true ~path:p_nic1 ~size:Flow.Unbounded ());
@@ -545,7 +535,7 @@ let fabric_tests =
         let topo = T.Builder.two_socket_server ~config () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "socket0" in
+        let p = T.Routing.route topo "nic0" "socket0" in
         let fl = Fabric.start_flow fab ~tenant:1 ~llc_target:true ~path:p ~size:Flow.Unbounded () in
         check_close "no hits" 0.0 (Fabric.ddio_hit_rate fab ~socket:0);
         let spill = Fabric.ddio_spill_rate fab ~socket:0 in
@@ -555,7 +545,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let big = Fabric.start_flow fab ~tenant:1 ~payload_bytes:256 ~path:p ~size:Flow.Unbounded () in
         let big_rate = big.Flow.rate in
         Fabric.stop_flow fab big;
@@ -569,7 +559,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let before = Fabric.flow_count fab in
         (match Fabric.transfer_time fab ~path:p ~bytes:1e9 with
         | Some t -> Alcotest.(check bool) "sane" true (t > 0.0 && t < U.s 1.0)
@@ -579,7 +569,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let f1 = Fabric.start_flow fab ~tenant:1 ~weight:3.0 ~path:p ~size:Flow.Unbounded () in
         let f2 = Fabric.start_flow fab ~tenant:2 ~weight:1.0 ~path:p ~size:Flow.Unbounded () in
         Alcotest.(check bool) "3x" true
@@ -588,7 +578,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let f1 = Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded () in
         Fabric.set_flow_limits fab f1 ~cap:1e9 ();
         check_close ~eps:1e3 "capped now" 1e9 f1.Flow.rate);
@@ -596,7 +586,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let chained = ref false in
         let _ =
           Fabric.start_flow fab ~tenant:1 ~path:p ~size:(Flow.Bytes 1e6)
@@ -614,7 +604,8 @@ let fabric_tests =
         let topo = T.Builder.two_socket_server () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p0 = path topo "nic0" "socket0" and p1 = path topo "nic1" "socket0" in
+        let p0 = T.Routing.route topo "nic0" "socket0" in
+        let p1 = T.Routing.route topo "nic1" "socket0" in
         let f0 = Fabric.start_flow fab ~tenant:1 ~llc_target:true ~path:p0 ~size:Flow.Unbounded () in
         let f1 = Fabric.start_flow fab ~tenant:2 ~llc_target:true ~path:p1 ~size:Flow.Unbounded () in
         let r0 = f0.Flow.rate and r1 = f1.Flow.rate in
@@ -631,7 +622,7 @@ let fabric_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         ignore
           (Fabric.start_flow fab ~tenant:0 ~cls:Flow.Probe ~cap:1e8 ~path:p ~size:Flow.Unbounded ());
         Sim.run ~until:(U.ms 1.0) sim;
@@ -652,7 +643,8 @@ let fabric_tests =
    paths, which cross switches and sockets and so form one contention
    component. *)
 let coupled_paths topo =
-  Array.init 8 (fun n -> path topo (Printf.sprintf "gpu%d" n) (Printf.sprintf "nic%d" ((n + 3) mod 8)))
+  Array.init 8 (fun n ->
+      T.Routing.route topo (Printf.sprintf "gpu%d" n) (Printf.sprintf "nic%d" ((n + 3) mod 8)))
 
 let epoch_tests =
   [
@@ -660,7 +652,7 @@ let epoch_tests =
         let topo = T.Builder.minimal () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let f = Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded () in
         let rate = f.Flow.rate in
         let refused field start =
@@ -705,7 +697,7 @@ let epoch_tests =
         let topo = T.Builder.dgx_like () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
-        let p = path topo "gpu0" "nic3" in
+        let p = T.Routing.route topo "gpu0" "nic3" in
         let n = 200 in
         let started size =
           let w = Weak.create n in
@@ -765,7 +757,7 @@ let epoch_tests =
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
         (* two link-disjoint paths: one contention component each *)
-        let pa = path topo "gpu0" "nic0" and pb = path topo "ssd1" "gpu1" in
+        let pa = T.Routing.route topo "gpu0" "nic0" and pb = T.Routing.route topo "ssd1" "gpu1" in
         let a = Array.init 4 (fun _ -> Fabric.start_flow fab ~tenant:1 ~path:pa ~size:Flow.Unbounded ()) in
         let b =
           List.init 4 (fun i ->
@@ -849,7 +841,7 @@ let sketch_plane_tests =
      a stream of bounded requests whose completions hit the flow sketch *)
   let drive fab =
     let topo = Fabric.topology fab in
-    let p = path topo "ext" "socket0" in
+    let p = T.Routing.route topo "ext" "socket0" in
     ignore (Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded ());
     for i = 1 to 10 do
       ignore (Fabric.start_flow fab ~tenant:2 ~demand:1e9 ~path:p ~size:(Flow.Bytes 50_000.0) ());
@@ -873,7 +865,7 @@ let sketch_plane_tests =
         | Some sk ->
           Alcotest.(check bool) "completions observed" true (Ihnet_util.Sketch.count sk > 0)
         | None -> Alcotest.fail "flow sketch missing");
-        let p = path (Fabric.topology sketched) "ext" "socket0" in
+        let p = T.Routing.route (Fabric.topology sketched) "ext" "socket0" in
         let h = List.hd p.T.Path.hops in
         match Fabric.link_latency_sketch sketched h.T.Path.link.T.Link.id h.T.Path.dir with
         | Some sk -> Alcotest.(check bool) "epochs observed" true (Ihnet_util.Sketch.count sk > 0)

@@ -22,21 +22,25 @@ let fresh ?(seed = 11) () =
   let fab = E.Fabric.create ~seed sim topo in
   (topo, sim, fab)
 
-let dev topo n =
-  match T.Topology.device_by_name topo n with
-  | Some d -> d.T.Device.id
-  | None -> Alcotest.fail ("no device " ^ n)
-
-let route topo a b =
-  match T.Routing.shortest_path topo (dev topo a) (dev topo b) with
-  | Some p -> p
-  | None -> Alcotest.fail (Printf.sprintf "%s unreachable from %s" b a)
-
 let run_for sim ns = E.Sim.run ~until:(E.Sim.now sim +. ns) sim
 
 (* {1 Sensorfault model} *)
 
 let sf_check = Alcotest.(check bool)
+
+(* One bad field each, with the reason both [inject] and a trace give. *)
+let bad_sensor_faults =
+  let n = E.Sensorfault.none in
+  [
+    ({ n with E.Sensorfault.drop_prob = nan }, "drop_prob must be in [0, 1] (got nan)");
+    ({ n with E.Sensorfault.dup_prob = -0.1 }, "dup_prob must be in [0, 1] (got -0.1)");
+    ({ n with E.Sensorfault.probe_loss = 1.5 }, "probe_loss must be in [0, 1] (got 1.5)");
+    ({ n with E.Sensorfault.probe_slow = nan }, "probe_slow must be in [0, 1] (got nan)");
+    ({ n with E.Sensorfault.drift = nan }, "drift must be >= 0 (got nan)");
+    ({ n with E.Sensorfault.drift = -1.0 }, "drift must be >= 0 (got -1)");
+    ({ n with E.Sensorfault.skew = nan }, "skew must be finite (got nan)");
+    ({ n with E.Sensorfault.skew = infinity }, "skew must be finite (got inf)");
+  ]
 
 let sensorfault_tests =
   [
@@ -72,7 +76,7 @@ let sensorfault_tests =
     tc "inject validates parameters" (fun () ->
         let t = E.Sensorfault.create () in
         Alcotest.check_raises "drop_prob > 1"
-          (Invalid_argument "Sensorfault.inject: drop_prob not in [0,1]") (fun () ->
+          (Invalid_argument "Sensorfault.inject: drop_prob must be in [0, 1] (got 1.5)") (fun () ->
             E.Sensorfault.inject t (E.Sensorfault.Series "s")
               { E.Sensorfault.none with E.Sensorfault.drop_prob = 1.5 }));
     tc "active is deterministically ordered and clear removes" (fun () ->
@@ -104,6 +108,14 @@ let sensorfault_tests =
         let d = E.Sensorfault.describe (E.Sensorfault.drifting ~factor:1.5) in
         sf_check "mentions drift" true
           (String.length d >= 5 && String.sub d 0 5 = "drift"));
+    tc "inject refuses a NaN or out-of-range field, naming it" (fun () ->
+        let t = E.Sensorfault.create () in
+        List.iter
+          (fun (sf, why) ->
+            Alcotest.check_raises why (Invalid_argument ("Sensorfault.inject: " ^ why)) (fun () ->
+                E.Sensorfault.inject t (E.Sensorfault.Series "s") sf))
+          bad_sensor_faults;
+        Alcotest.(check int) "nothing installed" 0 (E.Sensorfault.count t));
   ]
 
 (* {1 Trace codec for sensor ops} *)
@@ -137,6 +149,14 @@ let codec_tests =
             Rec.Trace.Clear_sensor_fault (E.Sensorfault.Device 9);
             Rec.Trace.Clear_sensor_fault (E.Sensorfault.Series "link.4.fwd.bytes");
           ]);
+    tc "a sensor_fault op line with a bad field is refused, naming it" (fun () ->
+        List.iter
+          (fun (sf, why) ->
+            let op = Rec.Trace.Inject_sensor_fault { starget = E.Sensorfault.Device 2; sf } in
+            let line = Rec.Trace.line_to_string (Rec.Trace.Op { at = 1.0; op }) in
+            Alcotest.(check (result unit string)) why (Error why)
+              (Result.map ignore (Rec.Trace.line_of_string line)))
+          bad_sensor_faults);
   ]
 
 (* {1 Record → replay conformance with lying sensors} *)
@@ -152,17 +172,17 @@ let replay_tests =
         in
         ignore
           (E.Fabric.start_flow fab ~tenant:1 ~demand:(U.Units.gbytes_per_s 6.0)
-             ~path:(route topo "ext" "socket0") ~size:E.Flow.Unbounded ());
+             ~path:(T.Routing.route topo "ext" "socket0") ~size:E.Flow.Unbounded ());
         run_for sim (U.Units.us 200.0);
         E.Fabric.inject_sensor_fault fab
-          (E.Sensorfault.Device (dev topo "nic0"))
+          (E.Sensorfault.Device (T.Topology.device_named topo "nic0").T.Device.id)
           (E.Sensorfault.probe_corruption ~loss:0.8 ~slow:0.1 ());
         E.Fabric.inject_sensor_fault fab
           (E.Sensorfault.Series "link.3.fwd.bytes")
           (E.Sensorfault.drifting ~factor:3.0);
         run_for sim (U.Units.us 300.0);
         let sick =
-          (List.hd (route topo "ext" "socket0").T.Path.hops).T.Path.link.T.Link.id
+          (List.hd (T.Routing.route topo "ext" "socket0").T.Path.hops).T.Path.link.T.Link.id
         in
         E.Fabric.inject_fault fab sick (E.Fault.degrade ~capacity_factor:0.1 ());
         run_for sim (U.Units.us 300.0);
@@ -272,7 +292,7 @@ let health_tests =
                readings *)
             let nic_link, nic_dir = hop p 0 in
             let l = T.Topology.link topo nic_link in
-            let ext = dev topo "ext" in
+            let ext = (T.Topology.device_named topo "ext").T.Device.id in
             let nic = if l.T.Link.a = ext then l.T.Link.b else l.T.Link.a in
             E.Fabric.inject_sensor_fault (Ihnet.Host.fabric host)
               (E.Sensorfault.Device nic)
@@ -289,7 +309,7 @@ let health_tests =
         (* a 5 GB/s ext -> socket0 flow, and a fault-free twin host *)
         let make () =
           let host = Ihnet.Host.create ~seed:5 Ihnet.Host.Two_socket in
-          let p = route (Ihnet.Host.topology host) "ext" "socket0" in
+          let p = T.Routing.route (Ihnet.Host.topology host) "ext" "socket0" in
           ignore
             (E.Fabric.start_flow (Ihnet.Host.fabric host) ~tenant:1
                ~demand:(U.Units.gbytes_per_s 5.0) ~path:p ~size:E.Flow.Unbounded ());
@@ -308,7 +328,7 @@ let health_tests =
               | `Device ->
                 (* the device the pipe enters through: its stuck
                    counters freeze every incident link's reading *)
-                let ext = dev (Ihnet.Host.topology host) "ext" in
+                let ext = (T.Topology.device_named (Ihnet.Host.topology host) "ext").T.Device.id in
                 E.Sensorfault.Device (if l.T.Link.a = ext then l.T.Link.b else l.T.Link.a)
             in
             let label = E.Sensorfault.target_label target in
@@ -435,13 +455,17 @@ let false_positive_tests =
            produces a suspect at all — without needing near-total loss.
            The liar's leaf link must be crossed by liar pairs only, so
            healthy pairs can't exonerate it: no [ext] in the mesh *)
-        let devices = List.map (dev topo) [ "nic0"; "gpu0"; "ssd0"; "ssd1" ] in
+        let devices =
+          List.map
+            (fun n -> (T.Topology.device_named topo n).T.Device.id)
+            [ "nic0"; "gpu0"; "ssd0"; "ssd1" ]
+        in
         let hb = Mon.Heartbeat.start fab ~devices () in
         let ev = Mon.Evidence.create fab in
         run_for sim (U.Units.ms 6.0) (* baseline warm-up *);
         (* one corrupted probe agent, zero real faults *)
         E.Fabric.inject_sensor_fault fab
-          (E.Sensorfault.Device (dev topo "nic0"))
+          (E.Sensorfault.Device (T.Topology.device_named topo "nic0").T.Device.id)
           (E.Sensorfault.probe_corruption ~loss:0.5 ());
         let max_confidence = ref 0.0 in
         let accused = ref 0 in

@@ -15,17 +15,6 @@ let make_host ?config ?(builder = T.Builder.two_socket_server) () =
   let fab = E.Fabric.create sim topo in
   (topo, sim, fab)
 
-let dev topo name =
-  match T.Topology.device_by_name topo name with
-  | Some d -> d.T.Device.id
-  | None -> Alcotest.failf "no device %s" name
-
-let path fab a b =
-  let topo = E.Fabric.topology fab in
-  match T.Routing.shortest_path topo (dev topo a) (dev topo b) with
-  | Some p -> p
-  | None -> Alcotest.failf "no path %s->%s" a b
-
 (* {1 Multimodal detector} *)
 
 let feed_gaussian rng mm ~n ~mus ~sigma =
@@ -103,15 +92,13 @@ let cxl_tests =
     tc "two_socket_with_cxl validates and has the expander" (fun () ->
         let topo = T.Builder.two_socket_with_cxl () in
         Alcotest.(check bool) "valid" true (Result.is_ok (T.Topology.validate topo));
-        match T.Topology.device_by_name topo "cxl0" with
-        | Some d ->
-          Alcotest.(check bool) "kind" true (d.T.Device.kind = T.Device.Cxl_device)
-        | None -> Alcotest.fail "no cxl0");
+        let d = T.Topology.device_named topo "cxl0" in
+        Alcotest.(check bool) "kind" true (d.T.Device.kind = T.Device.Cxl_device));
     tc "device-to-host-DRAM is ~150ns as the paper quotes" (fun () ->
         let topo = T.Builder.two_socket_with_cxl () in
         let sim = E.Sim.create () in
         let fab = E.Fabric.create sim topo in
-        let p = Option.get (T.Routing.shortest_path topo (dev topo "cxl0") (dev topo "dimm0.0.0")) in
+        let p = T.Routing.route topo "cxl0" "dimm0.0.0" in
         let lat = E.Fabric.path_latency fab p in
         Alcotest.(check bool) "in 130..170ns" true (lat >= 130.0 && lat <= 170.0));
     tc "cxl link is not a Figure-1 class and not pcie-positioned" (fun () ->
@@ -128,7 +115,7 @@ let cxl_tests =
         let topo = T.Builder.two_socket_with_cxl () in
         let sim = E.Sim.create () in
         let fab = E.Fabric.create sim topo in
-        let p = Option.get (T.Routing.shortest_path topo (dev topo "cxl0") (dev topo "dimm0.0.0")) in
+        let p = T.Routing.route topo "cxl0" "dimm0.0.0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         (* bottleneck = the 25.6 GB/s DDR channel, not the 32 GB/s CXL phy *)
         Alcotest.(check bool) "channel-bound" true (f.E.Flow.rate > 24e9);
@@ -146,7 +133,7 @@ let cxl_tests =
 let event_tests =
   [
     tc "start/complete/stop events fire in order" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let log = ref [] in
         E.Fabric.subscribe fab (fun ev ->
             match ev with
@@ -159,7 +146,7 @@ let event_tests =
             | E.Fabric.All_faults_cleared | E.Fabric.Batch_started | E.Fabric.Batch_ended
             | E.Fabric.Synced | E.Fabric.Sensor_fault_injected _
             | E.Fabric.Sensor_fault_cleared _ -> ());
-        let p = path fab "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         ignore (E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:(E.Flow.Bytes 1e6) ());
         let f2 = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
@@ -177,18 +164,18 @@ let device_failure_tests =
   [
     tc "fail_device starves its flows; revive restores them" (fun () ->
         let topo, _, fab = make_host () in
-        let p = path fab "gpu0" "dimm0.0.0" in
+        let p = T.Routing.route topo "gpu0" "dimm0.0.0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         let healthy = f.E.Flow.rate in
-        E.Fabric.fail_device fab (dev topo "pciesw0");
+        E.Fabric.fail_device fab (T.Topology.device_named topo "pciesw0").T.Device.id;
         Alcotest.(check (float 0.0)) "starved" 0.0 f.E.Flow.rate;
-        E.Fabric.revive_device fab (dev topo "pciesw0");
+        E.Fabric.revive_device fab (T.Topology.device_named topo "pciesw0").T.Device.id;
         Alcotest.(check (float 1e6)) "restored" healthy f.E.Flow.rate);
     tc "heartbeats lose every probe through a dead device" (fun () ->
         let topo, sim, fab = make_host () in
         let hb = Mon.Heartbeat.start fab () in
         E.Sim.run ~until:(U.Units.ms 8.0) sim;
-        E.Fabric.fail_device fab (dev topo "pciesw0");
+        E.Fabric.fail_device fab (T.Topology.device_named topo "pciesw0").T.Device.id;
         E.Sim.run ~until:(U.Units.ms 12.0) sim;
         let lost =
           List.length
@@ -203,7 +190,7 @@ let device_failure_tests =
            top-score group *)
         (match Mon.Heartbeat.localize hb with
         | (top :: _) as suspects ->
-          let sw = dev topo "pciesw0" in
+          let sw = (T.Topology.device_named topo "pciesw0").T.Device.id in
           let top_group =
             List.filter
               (fun s -> s.Mon.Heartbeat.score >= top.Mon.Heartbeat.score -. 1e-9)
@@ -271,12 +258,16 @@ let slo_tests =
         | [ e ] -> Alcotest.(check bool) "inactive" true (e.R.Slo.state = R.Slo.Inactive)
         | _ -> Alcotest.fail "expected one entry"));
     tc "guaranteed flow under attack is Met" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = R.Manager.create fab () in
         (match R.Manager.submit mgr (R.Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:5e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Ihnet_manager.Mgr_error.to_string e));
-        let p = T.Path.concat (path fab "ext" "nic0") (path fab "nic0" "socket0") in
+        let p =
+          T.Path.concat
+            (T.Routing.route topo "ext" "nic0")
+            (T.Routing.route topo "nic0" "socket0")
+        in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         ignore (R.Manager.attach mgr f);
         let agg = W.Rdma.start_loopback fab ~tenant:2 ~nic:"nic0" () in
@@ -286,12 +277,16 @@ let slo_tests =
         Alcotest.(check int) "no violations" 0 report.R.Slo.violations;
         W.Rdma.stop_loopback agg);
     tc "violation reported when the floor is not honored" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = R.Manager.create fab () in
         (match R.Manager.submit mgr (R.Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:5e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Ihnet_manager.Mgr_error.to_string e));
-        let p = T.Path.concat (path fab "ext" "nic0") (path fab "nic0" "socket0") in
+        let p =
+          T.Path.concat
+            (T.Routing.route topo "ext" "nic0")
+            (T.Routing.route topo "nic0" "socket0")
+        in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         ignore (R.Manager.attach mgr f);
         (* a fault halves the slot: the guarantee physically cannot hold *)
@@ -303,12 +298,16 @@ let slo_tests =
         Alcotest.(check bool) "violated" true (report.R.Slo.violations > 0);
         Alcotest.(check bool) "tenant flagged" false (R.Slo.tenant_compliant report ~tenant:1));
     tc "demand below the guarantee is still compliant" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = R.Manager.create fab () in
         (match R.Manager.submit mgr (R.Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:5e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Ihnet_manager.Mgr_error.to_string e));
-        let p = T.Path.concat (path fab "ext" "nic0") (path fab "nic0" "socket0") in
+        let p =
+          T.Path.concat
+            (T.Routing.route topo "ext" "nic0")
+            (T.Routing.route topo "nic0" "socket0")
+        in
         (* the tenant only offers 100 MB/s of its 5 GB/s guarantee *)
         let f = E.Fabric.start_flow fab ~tenant:1 ~demand:1e8 ~path:p ~size:E.Flow.Unbounded () in
         ignore (R.Manager.attach mgr f);
@@ -316,7 +315,7 @@ let slo_tests =
         let report = R.Slo.check mgr in
         Alcotest.(check int) "no violations" 0 report.R.Slo.violations);
     tc "latency bound violations are caught" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = R.Manager.create fab () in
         let intent =
           {
@@ -325,7 +324,7 @@ let slo_tests =
           }
         in
         (match R.Manager.submit mgr intent with Ok _ -> () | Error e -> Alcotest.fail (Ihnet_manager.Mgr_error.to_string e));
-        let p = path fab "nic1" "socket0" in
+        let p = T.Routing.route topo "nic1" "socket0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~demand:1e8 ~path:p ~size:E.Flow.Unbounded () in
         ignore (R.Manager.attach mgr f);
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
@@ -393,11 +392,7 @@ let recovery_tests =
         let hb = Mon.Heartbeat.start fab () in
         E.Sim.run ~until:(U.Units.ms 8.0) sim;
         Alcotest.(check bool) "healthy before" true (Mon.Heartbeat.healthy hb);
-        let bad =
-          match T.Topology.links_between topo (dev topo "rp0.0") (dev topo "pciesw0") with
-          | l :: _ -> l.T.Link.id
-          | [] -> Alcotest.fail "no link"
-        in
+        let bad = (T.Topology.link_named topo "rp0.0" "pciesw0").T.Link.id in
         E.Fabric.inject_fault fab bad
           { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 5.0; loss_prob = 0.0 };
         E.Sim.run ~until:(U.Units.ms 11.0) sim;
@@ -426,9 +421,7 @@ let vnet_sim_tests =
         (* the vnet is an ordinary topology: boot a fabric on it *)
         let vsim = E.Sim.create () in
         let vfab = E.Fabric.create vsim vnet in
-        let nic = (Option.get (T.Topology.device_by_name vnet "nic1")).T.Device.id in
-        let sock = (Option.get (T.Topology.device_by_name vnet "socket0")).T.Device.id in
-        let p = Option.get (T.Routing.shortest_path vnet nic sock) in
+        let p = T.Routing.route vnet "nic1" "socket0" in
         let f = E.Fabric.start_flow vfab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         (* inside the illusion, the tenant's "link capacity" IS its
            allocation: an elastic flow gets ~the guaranteed 4 GB/s
@@ -550,9 +543,7 @@ let spec_tests =
           let sim = E.Sim.create () in
           let fab = E.Fabric.create sim topo in
           (* the nic's path to memory crosses both switches *)
-          let nic = (Option.get (T.Topology.device_by_name topo "n0")).T.Device.id in
-          let dimm = (Option.get (T.Topology.device_by_name topo "dimm0.0.0")).T.Device.id in
-          let p = Option.get (T.Routing.shortest_path topo nic dimm) in
+          let p = T.Routing.route topo "n0" "dimm0.0.0" in
           let names =
             List.map (fun id -> (T.Topology.device topo id).T.Device.name) (T.Path.devices p)
           in
@@ -565,7 +556,7 @@ let spec_tests =
         | Error e -> Alcotest.fail e
         | Ok topo ->
           (* both devices hang off the same rp0.0 *)
-          let rp = Option.get (T.Topology.device_by_name topo "rp0.0") in
+          let rp = T.Topology.device_named topo "rp0.0" in
           Alcotest.(check int) "rp has 3 links" 3
             (List.length (T.Topology.neighbors topo rp.T.Device.id)));
   ]
@@ -619,13 +610,15 @@ let telemetry_export_tests =
         Alcotest.(check bool) "empty nan" true (Float.is_nan (U.Stats.jain_index [||]));
         Alcotest.(check bool) "zeros nan" true (Float.is_nan (U.Stats.jain_index [| 0.0; 0.0 |])));
     tc "health fairness reflects the traffic mix" (fun () ->
-        let _, _, fab = make_host () in
+        let topo, _, fab = make_host () in
         (* two tenants with very different rates *)
         ignore
-          (E.Fabric.start_flow fab ~tenant:1 ~demand:20e9 ~path:(path fab "nic0" "socket0")
+          (E.Fabric.start_flow fab ~tenant:1 ~demand:20e9
+             ~path:(T.Routing.route topo "nic0" "socket0")
              ~llc_target:true ~size:E.Flow.Unbounded ());
         ignore
-          (E.Fabric.start_flow fab ~tenant:2 ~demand:1e9 ~path:(path fab "nic1" "socket0")
+          (E.Fabric.start_flow fab ~tenant:2 ~demand:1e9
+             ~path:(T.Routing.route topo "nic1" "socket0")
              ~llc_target:true ~size:E.Flow.Unbounded ());
         let counter = Mon.Counter.create fab ~fidelity:Mon.Counter.Oracle in
         let r = Mon.Health.collect counter ~tenants:[ 1; 2 ] () in

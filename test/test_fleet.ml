@@ -265,16 +265,7 @@ let idle_tests =
           let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Minimal in
           let fab = Ihnet.Host.fabric host in
           let topo = Ihnet.Host.topology host in
-          let dv name =
-            match T.Topology.device_by_name topo name with
-            | Some d -> d.T.Device.id
-            | None -> Alcotest.failf "no device %s" name
-          in
-          let p =
-            match T.Routing.shortest_path topo (dv "nic0") (dv "socket0") with
-            | Some p -> p
-            | None -> Alcotest.fail "no path"
-          in
+          let p = T.Routing.route topo "nic0" "socket0" in
           ignore (E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded ());
           host
         in
@@ -371,6 +362,30 @@ let idle_round_tests =
               (Printf.sprintf "tenant %d backed once, where it is Placed" i)
               [ placed_on t i ] (backers t i))
           ids);
+    tc "a width-1 round advances every host on the calling domain, however wide the pool"
+      (fun () ->
+        let idle_round_words () =
+          let t =
+            F.Controller.create ~config:F.Controller.default_config ~seed:13 ~domains:1 ()
+          in
+          for i = 0 to 199 do
+            F.Controller.spawn t ~preset:Ihnet.Host.Minimal (Printf.sprintf "host%03d" i)
+          done;
+          F.Controller.run t ~rounds:3;
+          let before = Gc.minor_words () in
+          F.Controller.round t;
+          Gc.minor_words () -. before
+        in
+        (* start from a shared pool that has never been wider than 1 *)
+        U.Pool.shutdown (U.Pool.get 1);
+        let alone = idle_round_words () in
+        F.Controller.run (mk ~hosts:8 ~domains:4 ()) ~rounds:3;
+        let after = idle_round_words () in
+        (* Gc.minor_words counts this domain only: a host advanced on a
+           worker would not show *)
+        if after <> alone then
+          Alcotest.failf "an idle width-1 round allocated %.0f words here after a 4-wide run, %.0f before"
+            after alone);
   ]
 
 (* {1 In-flight commands: each way a Primary command ends frees its tenant}
@@ -560,10 +575,6 @@ let placement_tests =
           F.Controller.round t;
           Gc.minor_words () -. before
         in
-        (* the shared pool only grows: drop it, so that ~domains:1 runs
-           every host advance on this domain, where Gc.minor_words
-           counts it *)
-        U.Pool.shutdown (U.Pool.get 1);
         let busy = converged () and idle = converged () in
         F.Controller.submit busy (intent 201);
         let placing = words busy in

@@ -133,13 +133,7 @@ let scenario_tests =
             ()
         in
         let topo = Host.topology h in
-        let nic = Option.get (T.Topology.device_by_name topo "nic0") in
-        let sw = Option.get (T.Topology.device_by_name topo "pciesw0") in
-        let link =
-          match T.Topology.links_between topo sw.T.Device.id nic.T.Device.id with
-          | [ l ] -> l.T.Link.id
-          | _ -> Alcotest.fail "expected one link"
-        in
+        let link = (T.Topology.link_named topo "pciesw0" "nic0").T.Link.id in
         let platform = Mon.Anomaly.create () in
         Mon.Anomaly.watch platform
           ~series:(Mon.Sampler.util_series link T.Link.Rev)
@@ -187,10 +181,6 @@ let scenario_tests =
 (* The enforcement shim runs every 50 µs for as long as the manager is
    on. A pass with no attached flow must cost nothing: no reallocation
    epoch, no trace line, no architectural register moved. *)
-let route h a b =
-  let topo = Host.topology h in
-  let dv name = (Option.get (T.Topology.device_by_name topo name)).T.Device.id in
-  Option.get (T.Routing.shortest_path topo (dv a) (dv b))
 
 let place_pipe h =
   match Host.submit_intent h (R.Intent.pipe ~tenant:1 ~src:"nic0" ~dst:"socket0" ~rate:2e9) with
@@ -218,7 +208,10 @@ let idle_tests =
         ignore (Host.enable_manager h ());
         let fab = Host.fabric h in
         for i = 0 to 7 do
-          let p = route h (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" ((i + 3) mod 8)) in
+          let p =
+            T.Routing.route (Host.topology h) (Printf.sprintf "gpu%d" i)
+              (Printf.sprintf "nic%d" ((i + 3) mod 8))
+          in
           ignore (E.Fabric.start_flow fab ~tenant:(i + 1) ~path:p ~size:E.Flow.Unbounded ())
         done;
         let allocs = E.Fabric.reallocations fab in
@@ -230,7 +223,8 @@ let idle_tests =
         let fab = Host.fabric h in
         let mgr = Option.get (Host.manager h) in
         let f =
-          E.Fabric.start_flow fab ~tenant:1 ~path:(route h "nic0" "socket0")
+          E.Fabric.start_flow fab ~tenant:1
+            ~path:(T.Routing.route (Host.topology h) "nic0" "socket0")
             ~size:E.Flow.Unbounded ()
         in
         Host.run_for h (U.Units.us 100.0);

@@ -15,17 +15,6 @@ let make_host () =
   let fab = E.Fabric.create sim topo in
   (topo, sim, fab)
 
-let dev topo name =
-  match T.Topology.device_by_name topo name with
-  | Some d -> d.T.Device.id
-  | None -> Alcotest.failf "no device %s" name
-
-let path fab a b =
-  let topo = E.Fabric.topology fab in
-  match T.Routing.shortest_path topo (dev topo a) (dev topo b) with
-  | Some p -> p
-  | None -> Alcotest.failf "no path %s->%s" a b
-
 (* {1 Intent} *)
 
 let intent_tests =
@@ -277,7 +266,7 @@ let arbiter_tests =
          with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let p = path fab "ext" "socket0" in
+        let p = T.Routing.route topo "ext" "socket0" in
         let victim = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         Alcotest.(check bool) "attached" true (Manager.attach mgr victim);
         (* aggressor floods the shared pcie subtree *)
@@ -287,12 +276,12 @@ let arbiter_tests =
         W.Rdma.stop_loopback agg;
         ignore topo);
     tc "floor is split among the placement's flows" (fun () ->
-        let _, _, fab = make_host () in
+        let topo, _, fab = make_host () in
         let mgr = Manager.create fab () in
         (match Manager.submit mgr (Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:6e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let p = path fab "ext" "socket0" in
+        let p = T.Routing.route topo "ext" "socket0" in
         let f1 = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         let f2 = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         ignore (Manager.attach mgr f1);
@@ -301,7 +290,7 @@ let arbiter_tests =
         check_close ~eps:1.0 "half" 3e9 (Arbiter.guaranteed_of arb f1);
         check_close ~eps:1.0 "half" 3e9 (Arbiter.guaranteed_of arb f2));
     tc "non-work-conserving caps at the guarantee" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = Manager.create fab () in
         let intent =
           {
@@ -310,42 +299,42 @@ let arbiter_tests =
           }
         in
         (match Manager.submit mgr intent with Ok _ -> () | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let p = path fab "ext" "socket0" in
+        let p = T.Routing.route topo "ext" "socket0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         ignore (Manager.attach mgr f);
         E.Sim.run ~until:(U.Units.us 10.0) sim;
         check_close ~eps:1e3 "capped" 2e9 f.E.Flow.rate);
     tc "work-conserving exceeds the floor when idle" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = Manager.create fab () in
         (match Manager.submit mgr (Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:2e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let p = path fab "ext" "socket0" in
+        let p = T.Routing.route topo "ext" "socket0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         ignore (Manager.attach mgr f);
         E.Sim.run ~until:(U.Units.us 10.0) sim;
         Alcotest.(check bool) "exceeds floor" true (f.E.Flow.rate > 10e9));
     tc "shim auto-attaches payload flows" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = Manager.create fab () in
         Manager.start_shim mgr ~period:(U.Units.us 50.0);
         (match Manager.submit mgr (Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:5e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let p = path fab "ext" "socket0" in
+        let p = T.Routing.route topo "ext" "socket0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         E.Sim.run ~until:(U.Units.us 200.0) sim;
         let arb = Manager.arbiter mgr in
         Alcotest.(check bool) "auto attached" true (Arbiter.guaranteed_of arb f > 0.0);
         Manager.stop_shim mgr);
     tc "detach returns a flow to best effort" (fun () ->
-        let _, _, fab = make_host () in
+        let topo, _, fab = make_host () in
         let mgr = Manager.create fab () in
         (match Manager.submit mgr (Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:5e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let p = path fab "ext" "socket0" in
+        let p = T.Routing.route topo "ext" "socket0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         ignore (Manager.attach mgr f);
         Manager.detach mgr f;
@@ -366,14 +355,16 @@ let arbiter_tests =
            microseconds while an aggressor hammers the subtree; whenever
            the shim has caught up, the tenant's aggregate must be at its
            floor *)
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = Manager.create fab () in
         Manager.start_shim mgr ~period:(U.Units.us 50.0);
         (match Manager.submit mgr (Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:6e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
         let p =
-          T.Path.concat (path fab "ext" "nic0") (path fab "nic0" "socket0")
+          T.Path.concat
+            (T.Routing.route topo "ext" "nic0")
+            (T.Routing.route topo "nic0" "socket0")
         in
         let agg = W.Rdma.start_loopback fab ~tenant:2 ~nic:"nic0" () in
         let live = ref [] in
@@ -406,12 +397,12 @@ let arbiter_tests =
           true
           (float_of_int !violations <= 0.2 *. float_of_int !samples));
     tc "reaction delay defers enforcement" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let mgr = Manager.create fab ~reaction_delay:(U.Units.us 100.0) () in
         (match Manager.submit mgr (Intent.pipe ~tenant:1 ~src:"ext" ~dst:"socket0" ~rate:5e9) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let p = path fab "ext" "socket0" in
+        let p = T.Routing.route topo "ext" "socket0" in
         let f = E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded () in
         ignore (Manager.attach mgr f);
         check_close "not yet" 0.0 f.E.Flow.floor;
@@ -441,39 +432,54 @@ let arbiter_tests =
 let hose_tests =
   [
     tc "to_host hose catches inbound flows of its endpoint only" (fun () ->
-        let _, _, fab = make_host () in
+        let topo, _, fab = make_host () in
         let mgr = Manager.create fab () in
         (match
            Manager.submit mgr (Intent.hose ~tenant:1 ~endpoint:"nic0" ~to_host:5e9 ~from_host:0.0)
          with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let via_nic0 = E.Fabric.start_flow fab ~tenant:1 ~path:(path fab "nic0" "socket0") ~size:E.Flow.Unbounded () in
-        let via_nic1 = E.Fabric.start_flow fab ~tenant:1 ~path:(path fab "nic1" "socket0") ~size:E.Flow.Unbounded () in
+        let via_nic0 =
+          E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "nic0" "socket0")
+            ~size:E.Flow.Unbounded ()
+        in
+        let via_nic1 =
+          E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "nic1" "socket0")
+            ~size:E.Flow.Unbounded ()
+        in
         Alcotest.(check bool) "nic0 flow matches" true (Manager.attach mgr via_nic0);
         Alcotest.(check bool) "nic1 flow does not" false (Manager.attach mgr via_nic1));
     tc "from_host hose anchors on the endpoint-adjacent hop" (fun () ->
-        let _, _, fab = make_host () in
+        let topo, _, fab = make_host () in
         let mgr = Manager.create fab () in
         (match
            Manager.submit mgr (Intent.hose ~tenant:1 ~endpoint:"nic0" ~to_host:0.0 ~from_host:5e9)
          with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let out_nic0 = E.Fabric.start_flow fab ~tenant:1 ~path:(path fab "socket0" "nic0") ~size:E.Flow.Unbounded () in
+        let out_nic0 =
+          E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "socket0" "nic0")
+            ~size:E.Flow.Unbounded ()
+        in
         (* same socket, different endpoint: must NOT be charged to nic0's hose *)
-        let out_gpu0 = E.Fabric.start_flow fab ~tenant:1 ~path:(path fab "socket0" "gpu0") ~size:E.Flow.Unbounded () in
+        let out_gpu0 =
+          E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "socket0" "gpu0")
+            ~size:E.Flow.Unbounded ()
+        in
         Alcotest.(check bool) "socket->nic0 matches" true (Manager.attach mgr out_nic0);
         Alcotest.(check bool) "socket->gpu0 does not" false (Manager.attach mgr out_gpu0));
     tc "other tenants never match a hose" (fun () ->
-        let _, _, fab = make_host () in
+        let topo, _, fab = make_host () in
         let mgr = Manager.create fab () in
         (match
            Manager.submit mgr (Intent.hose ~tenant:1 ~endpoint:"nic0" ~to_host:5e9 ~from_host:0.0)
          with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Mgr_error.to_string e));
-        let foreign = E.Fabric.start_flow fab ~tenant:2 ~path:(path fab "nic0" "socket0") ~size:E.Flow.Unbounded () in
+        let foreign =
+          E.Fabric.start_flow fab ~tenant:2 ~path:(T.Routing.route topo "nic0" "socket0")
+            ~size:E.Flow.Unbounded ()
+        in
         Alcotest.(check bool) "no match" false (Manager.attach mgr foreign));
   ]
 
@@ -493,8 +499,8 @@ let vnet_tests =
           (fun (l : T.Link.t) -> check_close "capacity = allocation" 4e9 l.T.Link.capacity)
           (T.Topology.links v);
         (* the vnet is a normal topology: routing works in the illusion *)
-        let nic = Option.get (T.Topology.device_by_name v "nic1") in
-        let sock = Option.get (T.Topology.device_by_name v "socket0") in
+        let nic = T.Topology.device_named v "nic1" in
+        let sock = T.Topology.device_named v "socket0" in
         Alcotest.(check bool) "routable" true
           (T.Routing.reachable v nic.T.Device.id sock.T.Device.id));
     tc "other tenants are invisible in the vnet" (fun () ->
@@ -633,17 +639,18 @@ let slo_tests =
 let policy_tests =
   [
     tc "static partition caps memory-crossing flows only" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let handle =
           Policy.install fab (Policy.Static_partition { tenants = [ 1; 2 ] })
             ~period:(U.Units.us 50.0)
         in
         let mem_flow =
-          E.Fabric.start_flow fab ~tenant:1 ~path:(path fab "ext" "dimm0.0.0")
+          E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "ext" "dimm0.0.0")
             ~size:E.Flow.Unbounded ()
         in
         let pcie_flow =
-          E.Fabric.start_flow fab ~tenant:2 ~path:(path fab "gpu0" "nic0") ~size:E.Flow.Unbounded ()
+          E.Fabric.start_flow fab ~tenant:2 ~path:(T.Routing.route topo "gpu0" "nic0")
+            ~size:E.Flow.Unbounded ()
         in
         E.Sim.run ~until:(U.Units.us 500.0) sim;
         Alcotest.(check bool) "memory flow capped" true (mem_flow.E.Flow.cap < infinity);

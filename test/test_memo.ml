@@ -68,23 +68,13 @@ let unit_tests =
 
 module T = Ihnet_topology
 
-let fab_path topo a b =
-  let dev n =
-    match T.Topology.device_by_name topo n with
-    | Some d -> d.T.Device.id
-    | None -> Alcotest.failf "no device %s" n
-  in
-  match T.Routing.shortest_path topo (dev a) (dev b) with
-  | Some p -> p
-  | None -> Alcotest.failf "no path %s->%s" a b
-
 (* A two-socket fabric carrying 24 background flows on gpu0->nic0,
    plus the path and a faultable mid-path link. *)
 let loaded_fabric ?(memo = true) () =
   let topo = T.Builder.two_socket_server () in
   let sim = E.Sim.create () in
   let fab = E.Fabric.create ~memo sim topo in
-  let p = fab_path topo "gpu0" "nic0" in
+  let p = T.Routing.route topo "gpu0" "nic0" in
   E.Fabric.batch fab (fun () ->
       for i = 1 to 24 do
         ignore
@@ -202,7 +192,7 @@ let test_fabric_miss_reuses_evicted_arrays () =
   let fab = E.Fabric.create sim topo in
   let paths =
     Array.init 8 (fun n ->
-        fab_path topo (Printf.sprintf "gpu%d" n) (Printf.sprintf "nic%d" ((n + 3) mod 8)))
+        T.Routing.route topo (Printf.sprintf "gpu%d" n) (Printf.sprintf "nic%d" ((n + 3) mod 8)))
   in
   let rng = Ihnet_util.Rng.create 7 in
   let n = 1000 and started = ref 0 in

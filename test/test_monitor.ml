@@ -17,17 +17,6 @@ let make_host ?config () =
   let fab = E.Fabric.create sim topo in
   (topo, sim, fab)
 
-let dev topo name =
-  match T.Topology.device_by_name topo name with
-  | Some d -> d.T.Device.id
-  | None -> Alcotest.failf "no device %s" name
-
-let path fab a b =
-  let topo = E.Fabric.topology fab in
-  match T.Routing.shortest_path topo (dev topo a) (dev topo b) with
-  | Some p -> p
-  | None -> Alcotest.failf "no path %s->%s" a b
-
 let first_link (p : T.Path.t) =
   match p.T.Path.hops with
   | h :: _ -> (h.T.Path.link.T.Link.id, h.T.Path.dir)
@@ -38,9 +27,9 @@ let first_link (p : T.Path.t) =
 let counter_tests =
   [
     tc "hardware fidelity hides per-tenant bytes" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let c = Counter.create fab ~fidelity:(Counter.Hardware { max_read_hz = 1000.0 }) in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         ignore (E.Fabric.start_flow fab ~tenant:3 ~path:p ~size:E.Flow.Unbounded ());
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
         let link, dir = first_link p in
@@ -48,9 +37,9 @@ let counter_tests =
         Alcotest.(check bool) "bytes visible" true (r.Counter.wire_bytes > 0.0);
         Alcotest.(check (list (pair int (float 0.0)))) "no tenant view" [] r.Counter.per_tenant);
     tc "software fidelity sees tenants but not induced traffic" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let c = Counter.create fab ~fidelity:Counter.Software in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         ignore (E.Fabric.start_flow fab ~tenant:3 ~path:p ~size:E.Flow.Unbounded ());
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
         let link, dir = first_link p in
@@ -60,9 +49,9 @@ let counter_tests =
         | _ -> Alcotest.fail "expected tenant 3 attribution");
         Alcotest.(check bool) "ddio hidden" true (Counter.ddio_hit_rate c ~socket:0 = None));
     tc "hardware reads are rate limited (stale reads)" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let c = Counter.create fab ~fidelity:(Counter.Hardware { max_read_hz = 1000.0 }) in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         ignore (E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded ());
         let link, dir = first_link p in
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
@@ -89,9 +78,9 @@ let counter_tests =
         (* exact counters are the default *)
         ignore (Counter.create ~noise:0.0 fab ~fidelity:Counter.Oracle));
     tc "oracle sees everything" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let c = Counter.create fab ~fidelity:Counter.Oracle in
-        let p = path fab "nic0" "socket0" in
+        let p = T.Routing.route topo "nic0" "socket0" in
         ignore (E.Fabric.start_flow fab ~tenant:2 ~llc_target:true ~path:p ~size:E.Flow.Unbounded ());
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
         Alcotest.(check bool) "ddio visible" true (Counter.ddio_hit_rate c ~socket:0 <> None);
@@ -255,9 +244,9 @@ let telemetry_tests =
 (* {1 Fleet ranking and snapshot stability} *)
 
 let fleet_member ?(busy = false) label =
-  let _, sim, fab = make_host () in
+  let topo, sim, fab = make_host () in
   if busy then
-    ignore (E.Fabric.start_flow fab ~tenant:1 ~path:(path fab "nic0" "socket0")
+    ignore (E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "nic0" "socket0")
               ~size:E.Flow.Unbounded ());
   ignore sim;
   { Fleet.label; counter = Counter.create fab ~fidelity:Counter.Software; tenants = [ 1 ]; slo = None }
@@ -284,8 +273,8 @@ let fleet_tests =
           "ties alphabetical" (List.sort compare labels)
           (List.map (fun s -> s.Fleet.label) t.Fleet.hosts));
     tc "top talkers break rate ties by tenant" (fun () ->
-        let _, _, fab = make_host () in
-        let p = path fab "nic0" "socket0" in
+        let topo, _, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "socket0" in
         (* same path, same limits: the shares are bit-identical *)
         List.iter
           (fun tenant ->
@@ -297,8 +286,8 @@ let fleet_tests =
           "tenant order deterministic" [ 1; 2; 3; 4 ]
           (List.map (fun (t : Health.talker) -> t.Health.tenant) h.Health.top_talkers));
     tc "health snapshots of a steady host are stable" (fun () ->
-        let _, _, fab = make_host () in
-        let p = path fab "nic0" "socket0" in
+        let topo, _, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "socket0" in
         ignore (E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded ());
         ignore (E.Fabric.start_flow fab ~tenant:2 ~path:p ~size:E.Flow.Unbounded ());
         let c = Counter.create fab ~fidelity:Counter.Software in
@@ -448,12 +437,7 @@ let heartbeat_tests =
         let hb = Heartbeat.start fab () in
         E.Sim.run ~until:(U.Units.ms 10.0) sim;
         (* degrade the rp0.0 - pciesw0 upstream link: extra 2 us silently *)
-        let rp = dev topo "rp0.0" and sw = dev topo "pciesw0" in
-        let bad_link =
-          match T.Topology.links_between topo rp sw with
-          | [ l ] -> l.T.Link.id
-          | _ -> Alcotest.fail "expected one link"
-        in
+        let bad_link = (T.Topology.link_named topo "rp0.0" "pciesw0").T.Link.id in
         E.Fabric.inject_fault fab bad_link
           (E.Fault.degrade ~capacity_factor:1.0 ~extra_latency:(U.Units.us 2.0) ());
         E.Sim.run ~until:(U.Units.ms 15.0) sim;
@@ -480,12 +464,7 @@ let heartbeat_tests =
         let topo, sim, fab = make_host () in
         let hb = Heartbeat.start fab () in
         E.Sim.run ~until:(U.Units.ms 10.0) sim;
-        let nic = dev topo "nic1" and rp = dev topo "rp0.1" in
-        let bad_link =
-          match T.Topology.links_between topo rp nic with
-          | [ l ] -> l.T.Link.id
-          | _ -> Alcotest.fail "expected one link"
-        in
+        let bad_link = (T.Topology.link_named topo "rp0.1" "nic1").T.Link.id in
         E.Fabric.inject_fault fab bad_link E.Fault.down;
         E.Sim.run ~until:(U.Units.ms 13.0) sim;
         let lost =
@@ -499,16 +478,19 @@ let heartbeat_tests =
         let topo, sim, fab = make_host () in
         (* only the two GPUs probe each other *)
         let hb =
-          Heartbeat.start fab ~devices:[ dev topo "gpu0"; dev topo "gpu1" ] ()
+          Heartbeat.start fab
+            ~devices:
+              [
+                (T.Topology.device_named topo "gpu0").T.Device.id;
+                (T.Topology.device_named topo "gpu1").T.Device.id;
+              ]
+            ()
         in
         E.Sim.run ~until:(U.Units.ms 10.0) sim;
         Alcotest.(check int) "two ordered pairs" 2 (List.length (Heartbeat.results hb));
         (* a fault on nic1's link is invisible to this mesh *)
-        (match T.Topology.links_between topo (dev topo "rp0.1") (dev topo "nic1") with
-        | [ l ] ->
-          E.Fabric.inject_fault fab l.T.Link.id
-            { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 50.0; loss_prob = 0.0 }
-        | _ -> Alcotest.fail "expected one link");
+        E.Fabric.inject_fault fab (T.Topology.link_named topo "rp0.1" "nic1").T.Link.id
+          { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 50.0; loss_prob = 0.0 };
         E.Sim.run ~until:(U.Units.ms 15.0) sim;
         Alcotest.(check bool) "blind outside its scope" true (Heartbeat.healthy hb);
         Heartbeat.stop hb);
@@ -518,6 +500,19 @@ let heartbeat_tests =
         E.Sim.run ~until:(U.Units.ms 5.0) sim;
         Alcotest.(check bool) "bytes" true (Heartbeat.probe_wire_bytes hb > 0.0);
         Heartbeat.stop hb);
+    tc "start refuses a NaN or out-of-range field, naming it" (fun () ->
+        let _, _, fab = make_host () in
+        let base = Heartbeat.default_config () in
+        Alcotest.check_raises "period"
+          (Invalid_argument "Heartbeat.start: period must be > 0 (got nan)") (fun () ->
+            ignore (Heartbeat.start fab ~config:{ base with Heartbeat.period = nan } ()));
+        Alcotest.check_raises "rtt_factor"
+          (Invalid_argument "Heartbeat.start: rtt_factor must be > 1 (got 1)") (fun () ->
+            ignore (Heartbeat.start fab ~config:{ base with Heartbeat.rtt_factor = 1.0 } ()));
+        Alcotest.check_raises "warmup_rounds"
+          (Invalid_argument "Heartbeat.start: warmup_rounds must be >= 1 (got 0)") (fun () ->
+            ignore (Heartbeat.start fab ~config:{ base with Heartbeat.warmup_rounds = 0 } ()));
+        Alcotest.(check int) "no probe flow started" 0 (E.Fabric.flow_count fab));
   ]
 
 (* {1 Anomaly platform} *)
@@ -589,9 +584,9 @@ let anomaly_tests =
 let rootcause_tests =
   [
     tc "names the aggressor tenant on the congested hop" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         (* victim: kv-like path; aggressor: tenant 7 loopback via same subtree *)
-        let victim_path = path fab "ext" "socket0" in
+        let victim_path = T.Routing.route topo "ext" "socket0" in
         ignore
           (E.Fabric.start_flow fab ~tenant:1 ~demand:1e8 ~path:victim_path
              ~size:E.Flow.Unbounded ());
@@ -609,18 +604,22 @@ let rootcause_tests =
         | None -> Alcotest.fail "no aggressor found");
         W.Rdma.stop_loopback agg);
     tc "snapshots must be ordered" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let counter = Counter.create fab ~fidelity:Counter.Oracle in
         let snap = Rootcause.snapshot counter ~tenants:[] in
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
         let later = Rootcause.snapshot counter ~tenants:[] in
-        let victim_path = path fab "ext" "socket0" in
+        let victim_path = T.Routing.route topo "ext" "socket0" in
         Alcotest.check_raises "order" (Invalid_argument "Rootcause.diagnose: snapshots out of order")
           (fun () -> ignore (Rootcause.diagnose counter ~before:later ~after:snap ~victim_path)));
     tc "hardware fidelity cannot name the aggressor" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         (* the victim enters via nic0, where the aggressor sits *)
-        let victim_path = T.Path.concat (path fab "ext" "nic0") (path fab "nic0" "socket0") in
+        let victim_path =
+          T.Path.concat
+            (T.Routing.route topo "ext" "nic0")
+            (T.Routing.route topo "nic0" "socket0")
+        in
         let agg = W.Rdma.start_loopback fab ~tenant:7 ~nic:"nic0" () in
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
         let counter = Counter.create fab ~fidelity:(Counter.Hardware { max_read_hz = 1e6 }) in
@@ -661,12 +660,8 @@ let diagnostics_tests =
         Alcotest.(check int) "rtts" 20 (U.Sketch.count report.Diagnostics.rtts));
     tc "ping counts losses on a faulty path" (fun () ->
         let topo, sim, fab = make_host () in
-        let nic = dev topo "nic1" and rp = dev topo "rp0.1" in
-        (match T.Topology.links_between topo rp nic with
-        | [ l ] ->
-          E.Fabric.inject_fault fab l.T.Link.id
-            { E.Fault.capacity_factor = 1.0; extra_latency = 0.0; loss_prob = 0.5 }
-        | _ -> Alcotest.fail "expected one link");
+        E.Fabric.inject_fault fab (T.Topology.link_named topo "rp0.1" "nic1").T.Link.id
+          { E.Fault.capacity_factor = 1.0; extra_latency = 0.0; loss_prob = 0.5 };
         let report = Diagnostics.ping fab ~src:"nic1" ~dst:"socket0" ~count:100 () in
         E.Sim.run sim;
         Alcotest.(check bool) "some lost" true
@@ -702,8 +697,8 @@ let diagnostics_tests =
         let bw = Diagnostics.perf_now fab ~src:"gpu0" ~dst:"ssd0" in
         Alcotest.(check bool) "pcie-ish" true (bw > 20e9 && bw < 35e9));
     tc "dump captures flows on a link sorted by rate" (fun () ->
-        let _, sim, fab = make_host () in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let topo, sim, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         ignore (E.Fabric.start_flow fab ~tenant:1 ~cap:1e9 ~path:p ~size:E.Flow.Unbounded ());
         ignore (E.Fabric.start_flow fab ~tenant:2 ~path:p ~size:E.Flow.Unbounded ());
         E.Sim.run ~until:(U.Units.us 10.0) sim;
@@ -718,6 +713,15 @@ let diagnostics_tests =
         (* direction filter: reverse dir sees nothing *)
         let captured_rev = Diagnostics.dump fab ~link ~dir:(T.Link.opposite dir) () in
         Alcotest.(check int) "dir filter" 0 (List.length captured_rev));
+    tc "perf refuses a NaN or non-positive duration, naming it" (fun () ->
+        let _, _, fab = make_host () in
+        List.iter
+          (fun (d, shown) ->
+            Alcotest.check_raises shown
+              (Invalid_argument ("Diagnostics.perf: duration must be > 0 (got " ^ shown ^ ")"))
+              (fun () -> Diagnostics.perf fab ~src:"nic0" ~dst:"socket0" ~duration:d ()))
+          [ (nan, "nan"); (0.0, "0"); (-1.0, "-1") ];
+        Alcotest.(check int) "no probe flow started" 0 (E.Fabric.flow_count fab));
   ]
 
 (* {1 Latency-percentile plane: telemetry, sampler, fleet, anomaly} *)
@@ -752,9 +756,9 @@ let latency_plane_tests =
         Alcotest.(check bool) "unknown series reads None" true
           (match Telemetry.latest_pct tm ~series:"nope" with None -> true | Some _ -> false));
     tc "sampler ships latency percentiles when the plane is on" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         E.Fabric.enable_latency_sketches fab;
-        let p = path fab "nic0" "socket0" in
+        let p = T.Routing.route topo "nic0" "socket0" in
         ignore (E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded ());
         let s = Sampler.start fab (Sampler.default_config ()) in
         E.Sim.run ~until:(U.Units.ms 1.0) sim;
@@ -764,8 +768,8 @@ let latency_plane_tests =
         | None -> Alcotest.fail "no latency snapshot in telemetry");
         Sampler.stop s);
     tc "dormant plane leaves telemetry latency-free" (fun () ->
-        let _, sim, fab = make_host () in
-        let p = path fab "nic0" "socket0" in
+        let topo, sim, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "socket0" in
         ignore (E.Fabric.start_flow fab ~tenant:1 ~path:p ~size:E.Flow.Unbounded ());
         let s = Sampler.start fab (Sampler.default_config ()) in
         E.Sim.run ~until:(U.Units.ms 1.0) sim;

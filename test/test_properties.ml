@@ -315,8 +315,7 @@ let conservation_props =
         let topo = T.Builder.minimal () in
         let sim = E.Sim.create () in
         let fab = E.Fabric.create sim topo in
-        let dev n = (Option.get (T.Topology.device_by_name topo n)).T.Device.id in
-        let p = Option.get (T.Routing.shortest_path topo (dev "nic0") (dev "dimm0.0.0")) in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let rate = gb *. 1e9 in
         ignore (E.Fabric.start_flow fab ~tenant:1 ~demand:rate ~path:p ~size:E.Flow.Unbounded ());
         E.Sim.run ~until:(U.Units.ms ms) sim;

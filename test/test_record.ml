@@ -18,16 +18,6 @@ let fresh ?(seed = 11) () =
   let fab = E.Fabric.create ~seed sim topo in
   (topo, sim, fab)
 
-let dev topo n =
-  match T.Topology.device_by_name topo n with
-  | Some d -> d.T.Device.id
-  | None -> Alcotest.fail ("no device " ^ n)
-
-let route topo a b =
-  match T.Routing.shortest_path topo (dev topo a) (dev topo b) with
-  | Some p -> p
-  | None -> Alcotest.fail (Printf.sprintf "%s unreachable from %s" b a)
-
 let run_for sim ns = E.Sim.run ~until:(E.Sim.now sim +. ns) sim
 
 let parse_buf buf =
@@ -282,7 +272,7 @@ let record_mixed ?(digest_every = 2) () =
       ~sink:(Rec.Recorder.buffer_sink buf) fab
   in
   let start ?size ?demand a b tenant =
-    E.Fabric.start_flow fab ~tenant ?demand ~path:(route topo a b)
+    E.Fabric.start_flow fab ~tenant ?demand ~path:(T.Routing.route topo a b)
       ~size:(match size with Some b -> E.Flow.Bytes b | None -> E.Flow.Unbounded)
       ()
   in
@@ -432,7 +422,7 @@ let replay_tests =
           (r.Rec.Replay.digests_checked >= before));
     tc "attach refuses a fabric with live flows" (fun () ->
         let topo, _sim, fab = fresh () in
-        ignore (E.Fabric.start_flow fab ~tenant:1 ~path:(route topo "ext" "socket0")
+        ignore (E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "ext" "socket0")
                   ~size:E.Flow.Unbounded ());
         match
           Rec.Recorder.attach ~sink:(fun _ -> ()) fab
@@ -441,9 +431,9 @@ let replay_tests =
         | _ -> Alcotest.fail "attach accepted a mid-flight fabric");
     tc "invariant checker passes on a healthy loaded fabric" (fun () ->
         let topo, sim, fab = fresh () in
-        ignore (E.Fabric.start_flow fab ~tenant:1 ~path:(route topo "ext" "socket0")
+        ignore (E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route topo "ext" "socket0")
                   ~size:E.Flow.Unbounded ());
-        ignore (E.Fabric.start_flow fab ~tenant:2 ~path:(route topo "gpu0" "ssd0")
+        ignore (E.Fabric.start_flow fab ~tenant:2 ~path:(T.Routing.route topo "gpu0" "ssd0")
                   ~size:(E.Flow.Bytes 8e6) ());
         run_for sim (U.Units.us 500.0);
         Alcotest.(check (list string)) "no failures" [] (Rec.Replay.check_invariants fab));
@@ -521,7 +511,7 @@ let run_property cmds =
   let routes =
     Array.of_list
       (List.map
-         (fun (a, b) -> route topo a b)
+         (fun (a, b) -> T.Routing.route topo a b)
          [
            ("ext", "socket0");
            ("nic0", "socket0");

@@ -21,15 +21,6 @@ let make_fabric ?memo () =
   let fab = E.Fabric.create ~seed:42 ?memo sim topo in
   (sim, fab)
 
-let dev topo name =
-  match T.Topology.device_by_name topo name with
-  | Some d -> d.T.Device.id
-  | None -> failwith ("test_scanport: no device " ^ name)
-
-let path_between fab a b =
-  let topo = E.Fabric.topology fab in
-  Option.get (T.Routing.shortest_path topo (dev topo a) (dev topo b))
-
 let endpoints =
   [| ("gpu0", "nic0"); ("ext", "gpu0"); ("nic0", "dimm0.0.0"); ("gpu0", "ssd0"); ("ext", "gpu1") |]
 
@@ -52,13 +43,13 @@ let apply_ops (sim, fab) ops =
         let f =
           E.Fabric.start_flow fab ~tenant:(1 + (code mod 5))
             ~weight:(1.0 +. float_of_int (code mod 3))
-            ~path:(path_between fab a b) ~size:E.Flow.Unbounded ()
+            ~path:(T.Routing.route (E.Fabric.topology fab) a b) ~size:E.Flow.Unbounded ()
         in
         unbounded := f :: !unbounded
       | 2 ->
         ignore
           (E.Fabric.start_flow fab ~tenant:(1 + (code mod 5))
-             ~path:(path_between fab a b)
+             ~path:(T.Routing.route (E.Fabric.topology fab) a b)
              ~size:(E.Flow.Bytes (1e5 +. (1e4 *. float_of_int (code mod 11))))
              ())
       | 3 -> (
@@ -75,7 +66,7 @@ let apply_ops (sim, fab) ops =
         let nic = if code / 8 mod 2 = 0 then "nic0" else "nic1" in
         let f =
           E.Fabric.start_flow fab ~tenant:(1 + (code mod 5)) ~llc_target:true
-            ~path:(path_between fab nic "socket0") ~size:E.Flow.Unbounded ()
+            ~path:(T.Routing.route (E.Fabric.topology fab) nic "socket0") ~size:E.Flow.Unbounded ()
         in
         unbounded := f :: !unbounded
       | _ -> E.Sim.run ~until:(E.Sim.now sim +. (5e4 *. float_of_int (1 + (code / 8 mod 8)))) sim)
@@ -176,7 +167,7 @@ let unit_tests =
         for i = 0 to 5 do
           let a, b = endpoints.(i mod Array.length endpoints) in
           ignore
-            (E.Fabric.start_flow fab ~tenant:1 ~path:(path_between fab a b)
+            (E.Fabric.start_flow fab ~tenant:1 ~path:(T.Routing.route (E.Fabric.topology fab) a b)
                ~size:(E.Flow.Bytes 2e5) ())
         done;
         let fz = Rec.Scanport.freeze fab in
@@ -243,7 +234,7 @@ let rpc_host () =
     ignore
       (E.Fabric.start_flow fab ~tenant:(1 + (i mod 16))
          ~demand:(U.Units.gbps (0.5 +. float_of_int (i mod 7)))
-         ~path:(path_between fab a b) ~size:E.Flow.Unbounded ())
+         ~path:(T.Routing.route (E.Fabric.topology fab) a b) ~size:E.Flow.Unbounded ())
   done;
   Ihnet.Host.run_for host 1e5;
   host
@@ -255,7 +246,8 @@ let summary_tests =
         List.iter
           (fun tenant ->
             ignore
-              (E.Fabric.start_flow fab ~tenant ~path:(path_between fab "gpu0" "nic0")
+              (E.Fabric.start_flow fab ~tenant
+                 ~path:(T.Routing.route (E.Fabric.topology fab) "gpu0" "nic0")
                  ~size:E.Flow.Unbounded ()))
           [ -7; min_int ];
         E.Sim.run ~until:1e5 sim;

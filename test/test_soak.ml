@@ -80,25 +80,13 @@ let soak ?record_buf () =
       { W.Allreduce.tenant = 4; ring = [ "gpu0"; "gpu1" ]; data_bytes = U.Units.mib 32.0; iterations = 1000 }
   in
   (* a fault that appears at 60 ms and is repaired at 120 ms *)
-  let bad_link =
-    match T.Topology.links_between topo
-            (Option.get (T.Topology.device_by_name topo "rp1.0")).T.Device.id
-            (Option.get (T.Topology.device_by_name topo "pciesw1")).T.Device.id
-    with
-    | l :: _ -> l.T.Link.id
-    | [] -> Alcotest.fail "no rp1.0-pciesw1 link"
-  in
+  let bad_link = (T.Topology.link_named topo "rp1.0" "pciesw1").T.Link.id in
   E.Sim.schedule sim ~after:(U.Units.ms 60.0) (fun _ ->
       E.Fabric.inject_fault fab bad_link
         { E.Fault.capacity_factor = 0.5; extra_latency = U.Units.us 3.0; loss_prob = 0.0 });
   E.Sim.schedule sim ~after:(U.Units.ms 120.0) (fun _ -> E.Fabric.clear_fault fab bad_link);
   (* tenant churn: short bulk transfers appearing at random *)
-  let churn_path =
-    Option.get
-      (T.Routing.shortest_path topo
-         (Option.get (T.Topology.device_by_name topo "nic2")).T.Device.id
-         (Option.get (T.Topology.device_by_name topo "dimm1.1.0")).T.Device.id)
-  in
+  let churn_path = T.Routing.route topo "nic2" "dimm1.1.0" in
   let rec churn _ =
     if E.Sim.now sim < U.Units.ms 190.0 then begin
       ignore
@@ -188,16 +176,20 @@ let high_churn ?record_buf () =
       record_buf
   in
   let rng = U.Rng.create 9 in
-  let dev n = (Option.get (T.Topology.device_by_name topo n)).T.Device.id in
-  let path a b = Option.get (T.Routing.shortest_path topo (dev a) (dev b)) in
   let local =
-    Array.init 8 (fun i -> path (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" i))
+    Array.init 8 (fun i ->
+        T.Routing.route topo (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" i))
   in
   let cross =
-    Array.init 8 (fun i -> path (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" ((i + 5) mod 8)))
+    Array.init 8 (fun i ->
+        T.Routing.route topo (Printf.sprintf "gpu%d" i) (Printf.sprintf "nic%d" ((i + 5) mod 8)))
   in
+  (* each GPU writes into its own socket's LLC *)
   let llc =
-    Array.init 8 (fun i -> path (Printf.sprintf "gpu%d" i) (Printf.sprintf "socket%d" (i / 4)))
+    Array.init 8 (fun i ->
+        let gpu = T.Topology.device_named topo (Printf.sprintf "gpu%d" i) in
+        let home = Option.get (T.Topology.home_socket topo gpu) in
+        T.Routing.route topo gpu.T.Device.name home.T.Device.name)
   in
   let floor = U.Units.gbps 2.0 in
   let protected_flow =

@@ -6,11 +6,6 @@ module U = Ihnet_util.Units
 let tc name f = Alcotest.test_case name `Quick f
 let check_close ?(eps = 1e-6) msg expected actual = Alcotest.(check (float eps)) msg expected actual
 
-let dev_id topo name =
-  match Topology.device_by_name topo name with
-  | Some d -> d.Device.id
-  | None -> Alcotest.failf "no device %s" name
-
 (* {1 PCIe model} *)
 
 let pcie_tests =
@@ -152,7 +147,9 @@ let builder_tests =
         Alcotest.(check bool) "valid large" true (Result.is_ok (Topology.validate large)));
     tc "pcie upstream/downstream classification" (fun () ->
         let topo = Builder.two_socket_server () in
-        let sw = dev_id topo "pciesw0" and rp = dev_id topo "rp0.0" and nic = dev_id topo "nic0" in
+        let sw = (Topology.device_named topo "pciesw0").Device.id in
+        let rp = (Topology.device_named topo "rp0.0").Device.id in
+        let nic = (Topology.device_named topo "nic0").Device.id in
         (match Topology.links_between topo rp sw with
         | [ l ] ->
           Alcotest.(check bool) "upstream" true (Topology.pcie_position topo l = `Upstream);
@@ -175,7 +172,8 @@ let routing_tests =
   [
     tc "shortest path nic0 -> dimm crosses expected devices" (fun () ->
         let topo = Builder.two_socket_server () in
-        let nic = dev_id topo "nic0" and dimm = dev_id topo "dimm0.0.0" in
+        let nic = (Topology.device_named topo "nic0").Device.id in
+        let dimm = (Topology.device_named topo "dimm0.0.0").Device.id in
         match Routing.shortest_path topo nic dimm with
         | None -> Alcotest.fail "no path"
         | Some p ->
@@ -187,22 +185,24 @@ let routing_tests =
           Alcotest.(check bool) "via socket" true (List.mem "socket0" names));
     tc "trivial path when src = dst" (fun () ->
         let topo = Builder.minimal () in
-        let nic = dev_id topo "nic0" in
+        let nic = (Topology.device_named topo "nic0").Device.id in
         match Routing.shortest_path topo nic nic with
         | Some p -> Alcotest.(check int) "no hops" 0 (Path.hop_count p)
         | None -> Alcotest.fail "expected trivial path");
     tc "avoid breaks the only route" (fun () ->
         let topo = Builder.minimal () in
-        let nic = dev_id topo "nic0" and rp = dev_id topo "rp0.0" in
+        let nic = (Topology.device_named topo "nic0").Device.id in
+        let rp = (Topology.device_named topo "rp0.0").Device.id in
         match Topology.links_between topo rp nic with
         | [ l ] ->
-          let sock = dev_id topo "socket0" in
+          let sock = (Topology.device_named topo "socket0").Device.id in
           Alcotest.(check bool) "unreachable" true
             (Routing.shortest_path ~avoid:[ l.Link.id ] topo nic sock = None)
         | _ -> Alcotest.fail "expected single link");
     tc "cross-socket path uses inter-socket link" (fun () ->
         let topo = Builder.two_socket_server () in
-        let gpu0 = dev_id topo "gpu0" and gpu1 = dev_id topo "gpu1" in
+        let gpu0 = (Topology.device_named topo "gpu0").Device.id in
+        let gpu1 = (Topology.device_named topo "gpu1").Device.id in
         match Routing.shortest_path topo gpu0 gpu1 with
         | None -> Alcotest.fail "no path"
         | Some p ->
@@ -210,7 +210,8 @@ let routing_tests =
           Alcotest.(check bool) "crosses sockets" true (List.mem "inter-socket" kinds));
     tc "path latency equals sum of link latencies" (fun () ->
         let topo = Builder.minimal () in
-        let nic = dev_id topo "nic0" and sock = dev_id topo "socket0" in
+        let nic = (Topology.device_named topo "nic0").Device.id in
+        let sock = (Topology.device_named topo "socket0").Device.id in
         match Routing.shortest_path topo nic sock with
         | None -> Alcotest.fail "no path"
         | Some p ->
@@ -220,7 +221,8 @@ let routing_tests =
           check_close "latency" expect (Path.base_latency p));
     tc "k_shortest returns distinct loop-free paths, best first" (fun () ->
         let topo = Builder.two_socket_server () in
-        let gpu0 = dev_id topo "gpu0" and d = dev_id topo "dimm1.0.0" in
+        let gpu0 = (Topology.device_named topo "gpu0").Device.id in
+        let d = (Topology.device_named topo "dimm1.0.0").Device.id in
         let paths = Routing.k_shortest_paths ~k:3 topo gpu0 d in
         Alcotest.(check bool) "at least one" true (List.length paths >= 1);
         let weights = List.map (Routing.path_weight `Latency) paths in
@@ -239,7 +241,8 @@ let routing_tests =
           paths);
     tc "weight `Hops minimizes hop count" (fun () ->
         let topo = Builder.two_socket_server () in
-        let nic = dev_id topo "nic0" and sock = dev_id topo "socket0" in
+        let nic = (Topology.device_named topo "nic0").Device.id in
+        let sock = (Topology.device_named topo "socket0").Device.id in
         match Routing.shortest_path ~weight:`Hops topo nic sock with
         | None -> Alcotest.fail "no path"
         | Some p -> Alcotest.(check int) "hops" 4 (Path.hop_count p));
@@ -282,6 +285,96 @@ let routing_properties =
            | _ -> false));
   ]
 
+(* {1 Lookups by name} *)
+
+let lookup_tests =
+  [
+    tc "device_named and link_named resolve names or name what is missing" (fun () ->
+        let topo = Builder.two_socket_server () in
+        let nic = Topology.device_named topo "nic0" in
+        Alcotest.(check string) "name" "nic0" nic.Device.name;
+        Alcotest.check_raises "no device" (Invalid_argument "no device nope") (fun () ->
+            ignore (Topology.device_named topo "nope"));
+        let l = Topology.link_named topo "pciesw0" "nic0" in
+        Alcotest.(check bool) "joins the two" true
+          (List.sort compare [ l.Link.a; l.Link.b ]
+          = List.sort compare [ nic.Device.id; (Topology.device_named topo "pciesw0").Device.id ]);
+        Alcotest.(check int) "either order" l.Link.id
+          (Topology.link_named topo "nic0" "pciesw0").Link.id;
+        Alcotest.check_raises "not adjacent" (Invalid_argument "no link between nic0 and socket1")
+          (fun () -> ignore (Topology.link_named topo "nic0" "socket1"));
+        Alcotest.check_raises "unknown end" (Invalid_argument "no device nope") (fun () ->
+            ignore (Topology.link_named topo "nic0" "nope")));
+    tc "no preset has two links between one pair of devices" (fun () ->
+        List.iter
+          (fun topo ->
+            List.iter
+              (fun (l : Link.t) ->
+                Alcotest.(check int) "one link" 1
+                  (List.length (Topology.links_between topo l.Link.a l.Link.b)))
+              (Topology.links topo))
+          [
+            Builder.two_socket_server ();
+            Builder.dgx_like ();
+            Builder.epyc_like ();
+            Builder.minimal ();
+          ]);
+    tc "route is the shortest path between names, refusing what it cannot join" (fun () ->
+        let topo = Builder.two_socket_server () in
+        let nic = Topology.device_named topo "nic0" in
+        let dimm = Topology.device_named topo "dimm1.0.0" in
+        let ids p = List.map (fun (l : Link.t) -> l.Link.id) (Path.links p) in
+        Alcotest.(check (list int)) "same hops as shortest_path"
+          (ids (Option.get (Routing.shortest_path topo nic.Device.id dimm.Device.id)))
+          (ids (Routing.route topo "nic0" "dimm1.0.0"));
+        Alcotest.(check int) "empty when a = b" 0
+          (Path.hop_count (Routing.route topo "gpu0" "gpu0"));
+        Alcotest.check_raises "source checked first" (Invalid_argument "no device x") (fun () ->
+            ignore (Routing.route topo "x" "y"));
+        (* two sockets with no link between them *)
+        let split = Topology.create ~name:"split" () in
+        let socket name i =
+          ignore
+            (Topology.add_device split ~name ~kind:(Device.Cpu_socket { cores = 1 }) ~socket:i)
+        in
+        socket "a" 0;
+        socket "b" 1;
+        Alcotest.check_raises "unreachable" (Invalid_argument "no path from a to b") (fun () ->
+            ignore (Routing.route split "a" "b")));
+    tc "sockets in device order; a home socket found by index" (fun () ->
+        let topo = Builder.dgx_like () in
+        let names = List.map (fun (d : Device.t) -> d.Device.name) (Topology.sockets topo) in
+        Alcotest.(check (list string)) "sockets" [ "socket0"; "socket1" ] names;
+        Alcotest.(check bool) "is_socket" true
+          (List.for_all Device.is_socket (Topology.sockets topo)
+          && not (Device.is_socket (Topology.device_named topo "nic0")));
+        List.iter
+          (fun (d : Device.t) ->
+            match Topology.home_socket topo d with
+            | Some s ->
+              (* presets name their sockets socketN *)
+              Alcotest.(check string) d.Device.name
+                ("socket" ^ string_of_int d.Device.socket)
+                s.Device.name
+            | None -> Alcotest.failf "%s has no home socket" d.Device.name)
+          (Topology.find_devices topo (fun d -> Device.is_io_device d || Device.is_socket d));
+        (* a socket named otherwise is found all the same; a missing index is None *)
+        let odd = Topology.create ~name:"odd" () in
+        let cpu =
+          Topology.add_device odd ~name:"cpu7" ~kind:(Device.Cpu_socket { cores = 1 }) ~socket:0
+        in
+        let nic =
+          Topology.add_device odd ~name:"n" ~kind:(Device.Nic { inter_host_gbps = 1.0 }) ~socket:0
+        in
+        let stray = Topology.add_device odd ~name:"g" ~kind:Device.Gpu ~socket:3 in
+        Alcotest.(check (option int)) "by index" (Some cpu.Device.id)
+          (Option.map (fun (s : Device.t) -> s.Device.id) (Topology.home_socket odd nic));
+        Alcotest.(check bool) "no socket 3" true (Topology.home_socket odd stray = None));
+    tc "dir_label names both directions" (fun () ->
+        Alcotest.(check (list string)) "labels" [ "fwd"; "rev" ]
+          (List.map Link.dir_label [ Link.Fwd; Link.Rev ]));
+  ]
+
 let suites =
   [
     ("topology.pcie", pcie_tests);
@@ -289,4 +382,5 @@ let suites =
     ("topology.graph", graph_tests);
     ("topology.builders", builder_tests);
     ("topology.routing", routing_tests @ routing_properties);
+    ("topology.lookups", lookup_tests);
   ]

@@ -14,17 +14,6 @@ let make_host () =
   let fab = E.Fabric.create sim topo in
   (topo, sim, fab)
 
-let path fab a b =
-  let topo = E.Fabric.topology fab in
-  let id name =
-    match T.Topology.device_by_name topo name with
-    | Some d -> d.T.Device.id
-    | None -> Alcotest.failf "no device %s" name
-  in
-  match T.Routing.shortest_path topo (id a) (id b) with
-  | Some p -> p
-  | None -> Alcotest.failf "no path %s->%s" a b
-
 (* {1 Tenant registry} *)
 
 let tenant_tests =
@@ -57,8 +46,8 @@ let tenant_tests =
 let traffic_tests =
   [
     tc "constant stream offers its configured rate" (fun () ->
-        let _, sim, fab = make_host () in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let topo, sim, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let s = Traffic.constant_stream fab ~tenant:1 ~rate:1e9 ~path:p () in
         check_close ~eps:1e3 "rate" 1e9 (Traffic.current_rate s);
         E.Sim.run ~until:(U.Units.ms 10.0) sim;
@@ -67,8 +56,8 @@ let traffic_tests =
         Traffic.stop s;
         check_close "stopped" 0.0 (Traffic.current_rate s));
     tc "poisson transfers complete and report durations" (fun () ->
-        let _, sim, fab = make_host () in
-        let p = path fab "ssd0" "dimm0.0.0" in
+        let topo, sim, fab = make_host () in
+        let p = T.Routing.route topo "ssd0" "dimm0.0.0" in
         let rng = U.Rng.create 7 in
         let count = ref 0 in
         let s =
@@ -84,8 +73,8 @@ let traffic_tests =
         (* ~100 arrivals expected in 10 ms at 10k/s *)
         Alcotest.(check bool) "plausible count" true (!count > 50 && !count < 200));
     tc "poisson arrivals stop after stop" (fun () ->
-        let _, sim, fab = make_host () in
-        let p = path fab "ssd0" "dimm0.0.0" in
+        let topo, sim, fab = make_host () in
+        let p = T.Routing.route topo "ssd0" "dimm0.0.0" in
         let rng = U.Rng.create 7 in
         let count = ref 0 in
         let s =
@@ -100,8 +89,8 @@ let traffic_tests =
         E.Sim.run ~until:(U.Units.ms 20.0) sim;
         Alcotest.(check int) "no new arrivals" at_stop !count);
     tc "on_off stream idles between bursts" (fun () ->
-        let _, sim, fab = make_host () in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let topo, sim, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let s =
           Traffic.on_off_stream fab ~tenant:1 ~rate:1e9 ~period:(U.Units.ms 1.0) ~duty:0.5
             ~path:p ()
@@ -117,8 +106,8 @@ let traffic_tests =
         check_close ~eps:1e3 "on again" 1e9 (Traffic.current_rate s);
         Traffic.stop s);
     tc "duty 1.0 keeps the source always on" (fun () ->
-        let _, sim, fab = make_host () in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let topo, sim, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let s =
           Traffic.on_off_stream fab ~tenant:1 ~rate:1e9 ~period:(U.Units.ms 1.0) ~duty:1.0
             ~path:p ()
@@ -132,8 +121,8 @@ let traffic_tests =
           [ 0.5; 1.5; 2.5 ];
         Traffic.stop s);
     tc "constructors refuse NaN and out-of-range fields, naming them" (fun () ->
-        let _, _, fab = make_host () in
-        let p = path fab "nic0" "dimm0.0.0" in
+        let topo, _, fab = make_host () in
+        let p = T.Routing.route topo "nic0" "dimm0.0.0" in
         let rng = U.Rng.create 7 in
         let refuses msg f =
           Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
@@ -205,7 +194,7 @@ let kvstore_tests =
         Kvstore.stop kv);
     tc "rejects unknown nic" (fun () ->
         let _, _, fab = make_host () in
-        Alcotest.check_raises "bad nic" (Invalid_argument "Kvstore: no device nicX") (fun () ->
+        Alcotest.check_raises "bad nic" (Invalid_argument "no device nicX") (fun () ->
             ignore (Kvstore.start fab (Kvstore.default_config ~tenant:1 ~nic:"nicX"))));
     tc "dimm-targeted store bypasses the LLC and touches the channel" (fun () ->
         let _, sim, fab = make_host () in
@@ -217,17 +206,12 @@ let kvstore_tests =
         (* no DDIO writes registered; the channel carries the requests *)
         Alcotest.(check (float 1e3)) "no ddio writes" 0.0
           (E.Fabric.ddio_write_rate fab ~socket:0);
-        let topo = E.Fabric.topology fab in
-        let mc = Option.get (T.Topology.device_by_name topo "mc0.0") in
-        let dimm = Option.get (T.Topology.device_by_name topo "dimm0.0.0") in
-        (match T.Topology.links_between topo mc.T.Device.id dimm.T.Device.id with
-        | [ l ] ->
-          let moved =
-            E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Fwd ~tenant:1
-            +. E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Rev ~tenant:1
-          in
-          Alcotest.(check bool) "channel traffic" true (moved > 1e5)
-        | _ -> Alcotest.fail "expected one channel link");
+        let l = T.Topology.link_named (E.Fabric.topology fab) "mc0.0" "dimm0.0.0" in
+        let moved =
+          E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Fwd ~tenant:1
+          +. E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Rev ~tenant:1
+        in
+        Alcotest.(check bool) "channel traffic" true (moved > 1e5);
         Kvstore.stop kv);
     tc "backlog penalty appears when the store is throttled" (fun () ->
         let _, sim, fab = make_host () in
@@ -246,6 +230,16 @@ let kvstore_tests =
         Alcotest.(check bool) "achieved collapsed" true
           (Kvstore.achieved_rate kv < Kvstore.offered_rate kv /. 10.0);
         Kvstore.stop kv);
+    tc "start refuses a NaN or non-positive rate, naming the field" (fun () ->
+        let _, _, fab = make_host () in
+        let base = Kvstore.default_config ~tenant:1 ~nic:"nic0" in
+        Alcotest.check_raises "request_rate"
+          (Invalid_argument "Kvstore.start: request_rate must be > 0 (got nan)") (fun () ->
+            ignore (Kvstore.start fab { base with Kvstore.request_rate = nan }));
+        Alcotest.check_raises "sample_rate"
+          (Invalid_argument "Kvstore.start: sample_rate must be > 0 (got 0)") (fun () ->
+            ignore (Kvstore.start fab { base with Kvstore.sample_rate = 0.0 }));
+        Alcotest.(check int) "nothing started" 0 (E.Fabric.flow_count fab));
   ]
 
 (* {1 ML trainer} *)
@@ -272,7 +266,7 @@ let mltrain_tests =
         Alcotest.(check bool) "duration sane" true
           (U.Sketch.percentile times 0.5 > U.Units.ms 3.0));
     tc "congestion stretches iterations" (fun () ->
-        let _, sim, fab = make_host () in
+        let topo, sim, fab = make_host () in
         let config =
           {
             (Mltrain.default_config ~tenant:1 ~gpu:"gpu0" ~data_source:"dimm0.0.0") with
@@ -285,7 +279,7 @@ let mltrain_tests =
         E.Sim.run sim;
         let t_alone = U.Sketch.mean (Mltrain.iteration_times alone) in
         (* competing bulk flow on the same path *)
-        let p = path fab "dimm0.0.0" "gpu0" in
+        let p = T.Routing.route topo "dimm0.0.0" "gpu0" in
         let agg = E.Fabric.start_flow fab ~tenant:2 ~path:p ~size:E.Flow.Unbounded () in
         let busy = Mltrain.start fab config in
         E.Sim.run sim;
@@ -307,17 +301,12 @@ let mltrain_tests =
         E.Sim.run sim;
         Alcotest.(check int) "iters" 2 (Mltrain.iterations_done ml);
         (* bytes must have crossed the gpu-switch link in both runs *)
-        let topo = E.Fabric.topology fab in
-        let gpu = Option.get (T.Topology.device_by_name topo "gpu0") in
-        let sw = Option.get (T.Topology.device_by_name topo "pciesw0") in
-        match T.Topology.links_between topo sw.T.Device.id gpu.T.Device.id with
-        | [ l ] ->
-          let b =
-            E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Fwd ~tenant:1
-            +. E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Rev ~tenant:1
-          in
-          Alcotest.(check bool) "nonzero" true (b > 3e6)
-        | _ -> Alcotest.fail "expected one sw-gpu link");
+        let l = T.Topology.link_named (E.Fabric.topology fab) "pciesw0" "gpu0" in
+        let b =
+          E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Fwd ~tenant:1
+          +. E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Rev ~tenant:1
+        in
+        Alcotest.(check bool) "nonzero" true (b > 3e6));
     tc "stop interrupts the loop" (fun () ->
         let _, sim, fab = make_host () in
         let ml =
@@ -328,6 +317,18 @@ let mltrain_tests =
         let done_at_stop = Mltrain.iterations_done ml in
         E.Sim.run ~until:(U.Units.ms 100.0) sim;
         Alcotest.(check int) "no progress after stop" done_at_stop (Mltrain.iterations_done ml));
+    tc "start refuses a NaN or out-of-range field, naming it" (fun () ->
+        let _, _, fab = make_host () in
+        let base = Mltrain.default_config ~tenant:1 ~gpu:"gpu0" ~data_source:"dimm0.0.0" in
+        Alcotest.check_raises "batch_bytes"
+          (Invalid_argument "Mltrain.start: batch_bytes must be > 0 (got nan)") (fun () ->
+            ignore (Mltrain.start fab { base with Mltrain.batch_bytes = nan }));
+        Alcotest.check_raises "compute_time"
+          (Invalid_argument "Mltrain.start: compute_time must be >= 0 (got -1)") (fun () ->
+            ignore (Mltrain.start fab { base with Mltrain.compute_time = -1.0 }));
+        Alcotest.check_raises "loader_streams"
+          (Invalid_argument "Mltrain.start: loader_streams must be >= 1 (got 0)") (fun () ->
+            ignore (Mltrain.start fab { base with Mltrain.loader_streams = 0 })));
   ]
 
 (* {1 RDMA} *)
@@ -389,16 +390,22 @@ let storage_tests =
         E.Sim.run ~until:(U.Units.ms 5.0) sim;
         Storage.stop st;
         (* writes go dimm -> ssd; no bytes should land in the ssd->dimm dir *)
-        let topo = E.Fabric.topology fab in
-        let ssd = Option.get (T.Topology.device_by_name topo "ssd0") in
-        let sw = Option.get (T.Topology.device_by_name topo "pciesw0") in
-        match T.Topology.links_between topo sw.T.Device.id ssd.T.Device.id with
-        | [ l ] ->
-          let into_ssd = E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Fwd ~tenant:1 in
-          let from_ssd = E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Rev ~tenant:1 in
-          Alcotest.(check bool) "writes flowed" true (into_ssd > 0.0);
-          Alcotest.(check (float 1.0)) "no reads" 0.0 from_ssd
-        | _ -> Alcotest.fail "expected one sw-ssd link");
+        let l = T.Topology.link_named (E.Fabric.topology fab) "pciesw0" "ssd0" in
+        let into_ssd = E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Fwd ~tenant:1 in
+        let from_ssd = E.Fabric.tenant_link_bytes fab l.T.Link.id T.Link.Rev ~tenant:1 in
+        Alcotest.(check bool) "writes flowed" true (into_ssd > 0.0);
+        Alcotest.(check (float 1.0)) "no reads" 0.0 from_ssd);
+    tc "start refuses a NaN or out-of-range field, naming it" (fun () ->
+        let _, _, fab = make_host () in
+        let base = Storage.default_config ~tenant:1 ~ssd:"ssd0" ~target:"dimm0.0.0" in
+        Alcotest.check_raises "iops" (Invalid_argument "Storage.start: iops must be > 0 (got nan)")
+          (fun () -> ignore (Storage.start fab { base with Storage.iops = nan }));
+        Alcotest.check_raises "read_fraction"
+          (Invalid_argument "Storage.start: read_fraction must be in [0, 1] (got 1.5)") (fun () ->
+            ignore (Storage.start fab { base with Storage.read_fraction = 1.5 }));
+        Alcotest.check_raises "read_fraction nan"
+          (Invalid_argument "Storage.start: read_fraction must be in [0, 1] (got nan)") (fun () ->
+            ignore (Storage.start fab { base with Storage.read_fraction = nan })));
   ]
 
 (* {1 Allreduce} *)
@@ -476,6 +483,103 @@ let allreduce_tests =
         E.Sim.run sim;
         Alcotest.(check int) "frozen" at_stop (Allreduce.iterations_done ar);
         Alcotest.(check int) "no leaked flows" 0 (E.Fabric.flow_count fab));
+    tc "start refuses a NaN or out-of-range field, naming it" (fun () ->
+        let _, _, fab = make_host () in
+        let base =
+          { Allreduce.tenant = 1; ring = [ "gpu0"; "gpu1" ]; data_bytes = 1e6; iterations = 1 }
+        in
+        Alcotest.check_raises "data_bytes"
+          (Invalid_argument "Allreduce.start: data_bytes must be > 0 (got nan)") (fun () ->
+            ignore (Allreduce.start fab { base with Allreduce.data_bytes = nan }));
+        Alcotest.check_raises "iterations"
+          (Invalid_argument "Allreduce.start: iterations must be >= 1 (got 0)") (fun () ->
+            ignore (Allreduce.start fab { base with Allreduce.iterations = 0 })));
+  ]
+
+(* {1 Device names} *)
+
+(* A one-socket host whose CPU socket is named "cpu0", not "socket0". *)
+let cpu0_host () =
+  let topo = T.Topology.create ~name:"cpu0-host" () in
+  let add name kind = T.Topology.add_device topo ~name ~kind ~socket:0 in
+  let cpu = add "cpu0" (T.Device.Cpu_socket { cores = 8 }) in
+  let mc = add "mc0.0" (T.Device.Memory_controller { channels = 1 }) in
+  let dimm = add "dimm0.0.0" (T.Device.Dimm { channel = 0 }) in
+  let link kind (a : T.Device.t) (b : T.Device.t) =
+    ignore
+      (T.Topology.add_link topo ~kind ~a:a.T.Device.id ~b:b.T.Device.id
+         ~capacity:(U.Units.gbytes_per_s 50.0) ~base_latency:40.0)
+  in
+  link T.Link.Intra_socket cpu mc;
+  link T.Link.Memory_channel mc dimm;
+  ignore (T.Builder.add_root_complex topo ~socket:cpu);
+  let rp = T.Builder.add_root_port topo ~socket:0 ~port:0 in
+  let nic = add "nic0" (T.Device.Nic { inter_host_gbps = 100.0 }) in
+  T.Builder.attach_pcie topo ~parent:rp.T.Device.id ~child:nic.T.Device.id ();
+  T.Builder.link_inter_host topo ~nic ~gbps:100.0;
+  let sim = E.Sim.create () in
+  (topo, sim, E.Fabric.create sim topo)
+
+let names_tests =
+  [
+    tc "an unknown device is refused as \"no device NAME\" by every workload and probe"
+      (fun () ->
+        let _, _, fab = make_host () in
+        let refused name f =
+          Alcotest.check_raises name (Invalid_argument ("no device " ^ name)) f
+        in
+        refused "nicX" (fun () ->
+            ignore (Kvstore.start fab (Kvstore.default_config ~tenant:1 ~nic:"nicX")));
+        refused "ssdX" (fun () ->
+            ignore
+              (Storage.start fab (Storage.default_config ~tenant:1 ~ssd:"ssdX" ~target:"socket0")));
+        refused "gpuX" (fun () ->
+            ignore
+              (Mltrain.start fab
+                 (Mltrain.default_config ~tenant:1 ~gpu:"gpuX" ~data_source:"dimm0.0.0")));
+        refused "dimmX" (fun () ->
+            ignore (Rdma.start_loopback fab ~tenant:1 ~nic:"nic0" ~target:"dimmX" ()));
+        refused "gpuX" (fun () ->
+            ignore
+              (Allreduce.start fab
+                 {
+                   Allreduce.tenant = 1;
+                   ring = [ "gpu0"; "gpuX" ];
+                   data_bytes = 1e6;
+                   iterations = 1;
+                 }));
+        let module D = Ihnet_monitor.Diagnostics in
+        refused "gpuX" (fun () -> ignore (D.trace fab ~src:"gpuX" ~dst:"nic0"));
+        refused "nicX" (fun () -> ignore (D.ping fab ~src:"socket0" ~dst:"nicX" ()));
+        (* ddio-thrash writes through nic1, which the minimal host lacks *)
+        let sim = E.Sim.create () in
+        let small = E.Fabric.create sim (T.Builder.minimal ()) in
+        refused "nic1" (fun () -> ignore ((Option.get (Scenario.find "ddio-thrash")) small)));
+    tc "a device's home socket is found by socket index, not by name" (fun () ->
+        let topo, sim, fab = cpu0_host () in
+        Alcotest.(check bool) "valid" true (Result.is_ok (T.Topology.validate topo));
+        let kv = Kvstore.start fab (Kvstore.default_config ~tenant:1 ~nic:"nic0") in
+        let lb = Rdma.start_loopback fab ~tenant:2 ~nic:"nic0" () in
+        E.Sim.run ~until:(U.Units.ms 1.0) sim;
+        let llc_dsts =
+          List.filter_map
+            (fun (f : E.Flow.t) ->
+              if f.E.Flow.llc_target then
+                Some (T.Topology.device topo f.E.Flow.path.T.Path.dst).T.Device.name
+              else None)
+            (E.Fabric.active_flows fab)
+        in
+        (* the store's requests and the loopback's writes *)
+        Alcotest.(check (list string)) "LLC writes land in cpu0" [ "cpu0"; "cpu0" ] llc_dsts;
+        Alcotest.(check bool) "kv serves requests" true (Kvstore.achieved_rate kv > 0.0);
+        Alcotest.(check bool) "loopback moves bytes" true (Rdma.loopback_rate lb > 0.0);
+        let mgr = Ihnet_manager.Manager.create fab () in
+        match
+          Ihnet_manager.Manager.submit mgr
+            (Ihnet_manager.Intent.hose ~tenant:3 ~endpoint:"nic0" ~to_host:1e9 ~from_host:1e9)
+        with
+        | Ok placements -> Alcotest.(check int) "hose up and down" 2 (List.length placements)
+        | Error e -> Alcotest.fail (Ihnet_manager.Manager.error_to_string e));
   ]
 
 let suites =
@@ -487,4 +591,5 @@ let suites =
     ("workload.rdma", rdma_tests);
     ("workload.storage", storage_tests);
     ("workload.allreduce", allreduce_tests);
+    ("workload.names", names_tests);
   ]
