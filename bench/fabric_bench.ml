@@ -331,6 +331,23 @@ let bench_monitor_idle () =
   if Mon.Sampler.ticks s <> 1024 then failwith "fabric_bench: monitor-idle store not full";
   time_ops (fun () -> Ihnet.Host.run_for host 1e6)
 
+(* {1 shim-idle: what an idle manager costs a host}
+
+   A fleet host between rounds: a Minimal host with the manager's
+   50 µs shim, one placed pipe and no flow, so no pass has anything to
+   do. One op is one simulated ms. *)
+
+let bench_shim_idle () =
+  let host = Ihnet.Host.create ~seed:11 Ihnet.Host.Minimal in
+  (match
+     Ihnet.Host.submit_intent host
+       (M.Intent.pipe ~tenant:1 ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0))
+   with
+  | Ok [ _ ] -> ()
+  | _ -> failwith "fabric_bench: shim-idle pipe refused");
+  Ihnet.Host.run_for host 1e7;
+  time_ops (fun () -> Ihnet.Host.run_for host 1e6)
+
 (* {1 scan-digest: what a Scan reply costs}
 
    A two-socket host carrying 64 flows, as in perfbench's ihnetd-rpc,
@@ -573,6 +590,7 @@ let () =
       ("flow-churn-sketch-4096", fun () -> bench_churn_sketch 4096);
       ("scanport-idle", bench_scanport_idle);
       ("monitor-idle", bench_monitor_idle);
+      ("shim-idle", bench_shim_idle);
       ("scan-digest", bench_scan_digest);
       ("fleet-idle", bench_fleet_idle);
       ("fleet-churn-1k", bench_fleet_churn);

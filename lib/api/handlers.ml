@@ -179,24 +179,24 @@ let dump host ~a ~b ~load =
 
 let check host = Resp.Check_report (Ihnet.Host.check_configuration host)
 
+(* Both commands resolve their link names before they touch the host,
+   so a refused name leaves it as it was. *)
 let heartbeat host ~degrade =
   let fab = Ihnet.Host.fabric host in
   let topo = Ihnet.Host.topology host in
+  let link = Option.map (fun (a, b) -> (T.Topology.link_named topo a b).T.Link.id) degrade in
   let hb = Ihnet.Host.start_heartbeats host () in
   Ihnet.Host.run_for host (U.Units.ms 10.0);
-  let injected =
-    match degrade with
-    | Some (a, b) ->
-      E.Fabric.inject_fault fab (T.Topology.link_named topo a b).T.Link.id
-        { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 5.0; loss_prob = 0.0 };
-      Some (a, b)
-    | None -> None
-  in
+  Option.iter
+    (fun l ->
+      E.Fabric.inject_fault fab l
+        { E.Fault.capacity_factor = 1.0; extra_latency = U.Units.us 5.0; loss_prob = 0.0 })
+    link;
   Ihnet.Host.run_for host (U.Units.ms 10.0);
   let name id = (T.Topology.device topo id).T.Device.name in
   Resp.Heartbeat_report
     {
-      injected;
+      injected = degrade;
       rounds = Mon.Heartbeat.rounds hb;
       failing = List.length (Mon.Heartbeat.failing_pairs hb);
       first = Mon.Heartbeat.first_detection hb;
@@ -211,6 +211,7 @@ let heartbeat host ~degrade =
 let heal t host ~src ~dst ~gbps ~fault_link ~factor ~silent ~flap ~ms =
   let fab = Ihnet.Host.fabric host in
   let topo = Ihnet.Host.topology host in
+  let named = Option.map (fun (a, b) -> (T.Topology.link_named topo a b).T.Link.id) fault_link in
   let mgr = Ihnet.Host.enable_manager host () in
   let rate = U.Units.gbps gbps in
   let p =
@@ -242,8 +243,8 @@ let heal t host ~src ~dst ~gbps ~fault_link ~factor ~silent ~flap ~ms =
   in
   let pre = tenant_rate () in
   let bad =
-    match fault_link with
-    | Some (a, b) -> (T.Topology.link_named topo a b).T.Link.id
+    match named with
+    | Some l -> l
     | None -> (
       match p.R.Placement.path.T.Path.hops with
       | _ :: h :: _ | [ h ] -> h.T.Path.link.T.Link.id

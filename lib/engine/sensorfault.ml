@@ -47,23 +47,33 @@ let merge a b =
     probe_slow = por a.probe_slow b.probe_slow;
   }
 
+type field = Drift | Drop_prob | Dup_prob | Skew | Probe_loss | Probe_slow
+
+let field_name = function
+  | Drift -> "drift"
+  | Drop_prob -> "drop_prob"
+  | Dup_prob -> "dup_prob"
+  | Skew -> "skew"
+  | Probe_loss -> "probe_loss"
+  | Probe_slow -> "probe_slow"
+
 (* Every comparison is written so that NaN fails it. *)
-let validate f =
+let validate ?(name = field_name) f =
   let bad fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let prob name p = if p >= 0.0 && p <= 1.0 then None else Some (name, p) in
+  let prob field p = if p >= 0.0 && p <= 1.0 then None else Some (field, p) in
   match
     List.find_map Fun.id
       [
-        prob "drop_prob" f.drop_prob;
-        prob "dup_prob" f.dup_prob;
-        prob "probe_loss" f.probe_loss;
-        prob "probe_slow" f.probe_slow;
+        prob Drop_prob f.drop_prob;
+        prob Dup_prob f.dup_prob;
+        prob Probe_loss f.probe_loss;
+        prob Probe_slow f.probe_slow;
       ]
   with
-  | Some (name, p) -> bad "%s must be in [0, 1] (got %g)" name p
+  | Some (field, p) -> bad "%s must be in [0, 1] (got %g)" (name field) p
   | None ->
-    if not (f.drift >= 0.0) then bad "drift must be >= 0 (got %g)" f.drift
-    else if not (Float.is_finite f.skew) then bad "skew must be finite (got %g)" f.skew
+    if not (f.drift >= 0.0) then bad "%s must be >= 0 (got %g)" (name Drift) f.drift
+    else if not (Float.is_finite f.skew) then bad "%s must be finite (got %g)" (name Skew) f.skew
     else Ok ()
 
 let inject t target f =

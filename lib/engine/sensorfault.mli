@@ -57,11 +57,16 @@ val merge : sensor_fault -> sensor_fault -> sensor_fault
     devices of a link): stuck if either is stuck, drifts multiply,
     probabilities combine independently, skews add. *)
 
-val validate : sensor_fault -> (unit, string) result
+(** The fields {!validate} checks. *)
+type field = Drift | Drop_prob | Dup_prob | Skew | Probe_loss | Probe_slow
+
+val validate : ?name:(field -> string) -> sensor_fault -> (unit, string) result
 (** [Error] names the first bad field and its value, e.g. ["drift must
     be >= 0 (got nan)"]: a probability outside \[0, 1\], a [drift]
     that is not [>= 0] or a [skew] that is not finite (NaN fails every
-    check). *)
+    check). [name] spells the field as the input did (default: its
+    record field name, e.g. ["drop_prob"]); a trace passes its line's
+    keys. *)
 
 val inject : t -> target -> sensor_fault -> unit
 (** @raise Invalid_argument ["Sensorfault.inject: "] followed by the

@@ -24,13 +24,32 @@ val every : t -> period:Ihnet_util.Units.ns -> ?until:Ihnet_util.Units.ns -> (t 
     [until] (absolute) when given.
     @raise Invalid_argument unless [period > 0.] (NaN included). *)
 
+val next_live : t -> period:Ihnet_util.Units.ns -> Ihnet_util.Units.ns
+(** Where a periodic chain that fires now, and would do nothing at its
+    next firings, next fires to any effect: the first of
+    [now t +. period], that [+. period], … (the repeated addition of
+    [schedule ~after:period]) that is at or after the next queued
+    event's time, or past the [until] of the innermost [run ~until] in
+    progress. Outside such a run, and inside a bare {!step}, that is
+    [now t +. period].
+
+    Skipping to it is exact. Every firing skipped would have run
+    before any other event and before [run] returned, so whenever
+    anything else runs, the queue holds the same events at the same
+    times in the same equal-time order as under a firing every
+    [period]. *)
+
 val step : t -> bool
-(** Execute the next event. [false] when the queue is empty. *)
+(** Execute the next event. [false] when the queue is empty. The event
+    runs outside any [run ~until] in progress (see {!next_live}), since
+    control returns to the caller after it. *)
 
 val run : ?until:Ihnet_util.Units.ns -> t -> unit
 (** Drain events. With [until] (absolute time), stops — without
     executing — at the first event past it and advances the clock to
-    exactly [until]. *)
+    exactly [until]. [run ~until] may nest inside an event; the
+    innermost one in progress is the horizon {!next_live} reads, until
+    it returns or raises. *)
 
 val pending : t -> int
 (** Number of queued events (testing aid). *)

@@ -79,13 +79,15 @@ let refresh_placement t (p : Placement.t) =
     List.iter (fun f -> enforce t f ~floor:share ~cap) p.Placement.attached
   end
 
+let has_attached t = List.exists (fun (p : Placement.t) -> p.Placement.attached <> []) t.placements
+
 (* One fabric enforcement action for the whole pass. A pass with no
    attached flow enforces nothing, so it opens no batch: the batch's
    closing reallocation would cost an epoch and change no rate. The
    rule lives here, not in [Fabric.batch], which keeps "one epoch per
    batch" so traces that recorded empty batches still replay. *)
 let refresh t =
-  if List.exists (fun (p : Placement.t) -> p.Placement.attached <> []) t.placements then
+  if has_attached t then
     Fabric.batch t.fabric (fun () -> List.iter (refresh_placement t) t.placements)
 
 let add_placement t p =
@@ -162,12 +164,20 @@ let start_shim ?attach:attach_opt t ~period =
         refresh t;
         (* with no placement nothing can attach, and with no flow there
            is nothing to classify: skip building the sorted flow list *)
-        if t.placements <> [] && Fabric.flow_count t.fabric > 0 then
+        let classify = t.placements <> [] && Fabric.flow_count t.fabric > 0 in
+        if classify then
           List.iter
             (fun (f : Flow.t) ->
               if f.Flow.cls = Flow.Payload && not (is_attached t f) then ignore (attach_fn f))
             (Fabric.active_flows t.fabric);
-        Sim.schedule (Fabric.sim t.fabric) ~after:period tick
+        (* A pass with nothing attached and nothing to classify does
+           nothing, and so do the passes after it until another event
+           runs or the run returns: only those can change what a pass
+           sees. The chain goes straight to the first pass that may
+           act, at the time it would have reached (MODEL.md §12). *)
+        let sim = Fabric.sim t.fabric in
+        if classify || has_attached t then Sim.schedule sim ~after:period tick
+        else Sim.schedule_at sim (Sim.next_live sim ~period) tick
       end
     in
     Sim.schedule (Fabric.sim t.fabric) ~after:0.0 tick

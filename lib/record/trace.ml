@@ -476,6 +476,16 @@ let starget_of_json j =
   | Some d -> E.Sensorfault.Device (as_int d)
   | None -> E.Sensorfault.Series (as_string (field j "series"))
 
+(* a sensor_fault line's key for each checked field, read and written
+   here and named in the line's errors *)
+let sf_key : E.Sensorfault.field -> string = function
+  | Drift -> "drift"
+  | Drop_prob -> "drop"
+  | Dup_prob -> "dup"
+  | Skew -> "skew"
+  | Probe_loss -> "ploss"
+  | Probe_slow -> "pslow"
+
 let op_to_fields = function
   | Start_flow s -> [ ("op", Str "start"); ("flow", spec_to_json s) ]
   | Stop_flow id -> [ ("op", Str "stop"); ("id", jint id) ]
@@ -502,12 +512,12 @@ let op_to_fields = function
     :: starget_field starget
     :: [
          ("stuck", Bool sf.E.Sensorfault.stuck);
-         ("drift", jfloat sf.E.Sensorfault.drift);
-         ("drop", jfloat sf.E.Sensorfault.drop_prob);
-         ("dup", jfloat sf.E.Sensorfault.dup_prob);
-         ("skew", jfloat sf.E.Sensorfault.skew);
-         ("ploss", jfloat sf.E.Sensorfault.probe_loss);
-         ("pslow", jfloat sf.E.Sensorfault.probe_slow);
+         (sf_key Drift, jfloat sf.E.Sensorfault.drift);
+         (sf_key Drop_prob, jfloat sf.E.Sensorfault.drop_prob);
+         (sf_key Dup_prob, jfloat sf.E.Sensorfault.dup_prob);
+         (sf_key Skew, jfloat sf.E.Sensorfault.skew);
+         (sf_key Probe_loss, jfloat sf.E.Sensorfault.probe_loss);
+         (sf_key Probe_slow, jfloat sf.E.Sensorfault.probe_slow);
        ]
   | Clear_sensor_fault starget -> [ ("op", Str "sensor_clear"); starget_field starget ]
   | Set_config c -> [ ("op", Str "config"); ("config", config_to_json c) ]
@@ -544,16 +554,18 @@ let op_of_json j =
     let sf =
       {
         E.Sensorfault.stuck = as_bool (field j "stuck");
-        drift = as_float (field j "drift");
-        drop_prob = as_float (field j "drop");
-        dup_prob = as_float (field j "dup");
-        skew = as_float (field j "skew");
-        probe_loss = as_float (field j "ploss");
-        probe_slow = as_float (field j "pslow");
+        drift = as_float (field j (sf_key Drift));
+        drop_prob = as_float (field j (sf_key Drop_prob));
+        dup_prob = as_float (field j (sf_key Dup_prob));
+        skew = as_float (field j (sf_key Skew));
+        probe_loss = as_float (field j (sf_key Probe_loss));
+        probe_slow = as_float (field j (sf_key Probe_slow));
       }
     in
-    (* refused here, with its line, rather than at replay *)
-    (match E.Sensorfault.validate sf with Ok () -> () | Error e -> raise (Parse_error e));
+    (* refused here, with its line and key, rather than at replay *)
+    (match E.Sensorfault.validate ~name:sf_key sf with
+    | Ok () -> ()
+    | Error e -> raise (Parse_error e));
     Inject_sensor_fault { starget = starget_of_json j; sf }
   | "sensor_clear" -> Clear_sensor_fault (starget_of_json j)
   | "config" -> Set_config (config_of_json (field j "config"))

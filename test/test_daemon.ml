@@ -618,6 +618,37 @@ let handlers_suite =
               C.Fault_inject { a = "nic0"; b = "socket1"; factor = 0.5; extra_us = 0.0; loss = 0.0 };
               C.Fault_clear { a = "nic0"; b = "socket1" };
             ]);
+      tc "a refused heartbeat or heal leaves the host untouched" (fun () ->
+          (* both resolve their link before they run the host, start
+             probes or place a tenant *)
+          let h = Api.Handlers.local Api.Host_spec.default in
+          let stats () =
+            match Api.Handlers.run h C.Stats with
+            | Resp.Stats_report { now; epoch; flows; _ } -> (now, epoch, flows)
+            | r -> Alcotest.failf "expected Stats_report, got %s" (show r)
+          in
+          let fresh = Alcotest.(triple (float 0.0) int int) in
+          Alcotest.check fresh "a fresh host" (0.0, 0, 0) (stats ());
+          List.iter
+            (fun cmd ->
+              (match Api.Handlers.run h cmd with
+              | Resp.Err (Err.Invalid _) -> ()
+              | r -> Alcotest.failf "expected Invalid, got %s" (show r));
+              Alcotest.check fresh "now, epoch and flows after the refusal" (0.0, 0, 0) (stats ()))
+            [
+              C.Heartbeat { degrade = Some ("nic0", "socket1") };
+              C.Heal
+                {
+                  src = "nic0";
+                  dst = "socket0";
+                  gbps = 10.0;
+                  fault = Some ("nic0", "socket1");
+                  factor = 0.5;
+                  silent = false;
+                  flap = None;
+                  ms = 1.0;
+                };
+            ]);
     ] )
 
 (* ------------------------------------------------------------------ *)

@@ -72,6 +72,152 @@ let sim_tests =
         Alcotest.(check int) "nothing queued" 0 (Sim.pending sim));
   ]
 
+(* {2 Skipping the idle firings of a periodic chain}
+
+   A chain fires every [period] from time 0. While it has work it logs
+   the firing and uses up one unit; with none, a firing does nothing.
+   The skipping chain schedules the firing after an idle one at
+   [Sim.next_live]; the reference fires every period. A random script
+   drives both sims the same way: runs to grid-aligned, random and
+   zero-length horizons, work set between runs, and events (at grid
+   and random times, so equal times occur) that log themselves, set
+   the work, schedule further events, step the sim or run it to a
+   nested horizon. Every firing with work, every event, and the clock
+   and queue length after every run must match. *)
+
+type when_ = Grid of int | After of float
+
+type act = Set_work of int | Spawn of when_ * ev | Nest of when_ | Nested_step
+and ev = { id : int; acts : act list }
+
+type top = Run of when_ | Work of int | Sched of when_ * ev | Top_step
+
+type entry = Fire of float | Event of int * float | Ran of float * int
+
+let rec pp_when = function Grid i -> Printf.sprintf "g%d" i | After d -> Printf.sprintf "+%h" d
+
+and pp_ev e = Printf.sprintf "ev%d[%s]" e.id (String.concat "; " (List.map pp_act e.acts))
+
+and pp_act = function
+  | Set_work n -> Printf.sprintf "work %d" n
+  | Spawn (w, e) -> Printf.sprintf "spawn %s %s" (pp_when w) (pp_ev e)
+  | Nest w -> "run " ^ pp_when w
+  | Nested_step -> "step"
+
+let pp_top = function
+  | Run w -> "run " ^ pp_when w
+  | Work n -> Printf.sprintf "work %d" n
+  | Sched (w, e) -> Printf.sprintf "at %s %s" (pp_when w) (pp_ev e)
+  | Top_step -> "step"
+
+let grid_len = 64
+
+let gen_skip_script =
+  let open QCheck.Gen in
+  let when_ =
+    frequency
+      [
+        (3, map (fun i -> Grid i) (int_bound (grid_len - 1)));
+        (2, map (fun d -> After d) (float_bound_inclusive 6.0));
+        (1, return (After 0.0));
+      ]
+  in
+  let ev =
+    fix
+      (fun self depth ->
+        let act =
+          frequency
+            ([
+               (3, map (fun n -> Set_work n) (int_bound 3));
+               (1, map (fun w -> Nest w) when_);
+               (1, return Nested_step);
+             ]
+            @ if depth > 0 then [ (2, map2 (fun w e -> Spawn (w, e)) when_ (self (depth - 1))) ] else [])
+        in
+        map2 (fun id acts -> { id; acts }) (int_bound 99) (list_size (int_bound 3) act))
+      2
+  in
+  let top =
+    frequency
+      [
+        (4, map (fun w -> Run w) when_);
+        (2, map (fun n -> Work n) (int_bound 3));
+        (4, map2 (fun w e -> Sched (w, e)) when_ ev);
+        (1, return Top_step);
+      ]
+  in
+  pair (oneofl [ 1.0; 0.1; 0.3; 2.5 ]) (list_size (int_range 1 16) top)
+
+(* the log of [script] run with a chain that skips idle firings or not *)
+let run_skip_script ~skip (period, script) =
+  let sim = Sim.create () and work = ref 0 and log = ref [] in
+  let note e = log := e :: !log in
+  let grid = Array.make grid_len 0.0 in
+  for i = 1 to grid_len - 1 do
+    grid.(i) <- grid.(i - 1) +. period
+  done;
+  let at = function Grid i -> grid.(i) | After d -> Sim.now sim +. d in
+  let ran () = note (Ran (Sim.now sim, Sim.pending sim)) in
+  let rec fire s =
+    if !work > 0 then begin
+      note (Fire (Sim.now s));
+      decr work
+    end;
+    if skip && !work = 0 then Sim.schedule_at s (Sim.next_live s ~period) fire
+    else Sim.schedule s ~after:period fire
+  in
+  let rec event e s =
+    note (Event (e.id, Sim.now s));
+    List.iter
+      (function
+        | Set_work n -> work := n
+        | Spawn (w, e') -> Sim.schedule_at s (at w) (event e')
+        | Nest w ->
+          Sim.run ~until:(at w) s;
+          ran ()
+        | Nested_step -> ignore (Sim.step s))
+      e.acts
+  in
+  Sim.schedule sim ~after:0.0 fire;
+  List.iter
+    (function
+      | Run w ->
+        Sim.run ~until:(at w) sim;
+        ran ()
+      | Work n -> work := n
+      | Sched (w, e) -> Sim.schedule_at sim (at w) (event e)
+      | Top_step ->
+        ignore (Sim.step sim);
+        ran ())
+    script;
+  List.rev !log
+
+let sim_skip_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"a chain that skips its idle firings matches one firing every period"
+         ~count:5000
+         (QCheck.make
+            ~print:(fun (p, s) -> Printf.sprintf "period %h: %s" p (String.concat " | " (List.map pp_top s)))
+            gen_skip_script)
+         (fun script -> run_skip_script ~skip:true script = run_skip_script ~skip:false script));
+    tc "next_live reads the innermost run ~until, and none after a run raised" (fun () ->
+        let sim = Sim.create () in
+        Sim.schedule sim ~after:100.0 ignore;
+        check_close "outside any run" 10.0 (Sim.next_live sim ~period:10.0);
+        Sim.schedule sim ~after:5.0 (fun s ->
+            check_close "inside run ~until:50" 55.0 (Sim.next_live s ~period:10.0);
+            Sim.schedule s ~after:2.0 (fun s ->
+                check_close "inside a nested run ~until:20" 27.0 (Sim.next_live s ~period:10.0));
+            Sim.run ~until:20.0 s;
+            check_close "back in run ~until:50" 60.0 (Sim.next_live s ~period:10.0);
+            failwith "boom");
+        Alcotest.check_raises "the event's exception" (Failure "boom") (fun () ->
+            Sim.run ~until:50.0 sim);
+        check_close "clock" 20.0 (Sim.now sim);
+        check_close "after the raise" 30.0 (Sim.next_live sim ~period:10.0));
+  ]
+
 (* {1 Fairshare} *)
 
 (* a demand from (resource, coefficient) pairs, hop order *)
@@ -907,7 +1053,7 @@ let label_tests =
 
 let suites =
   [
-    ("engine.sim", sim_tests);
+    ("engine.sim", sim_tests @ sim_skip_tests);
     ("engine.fairshare", fairshare_tests @ fairshare_properties);
     ("engine.latency", latency_tests);
     ("engine.iommu", iommu_tests);

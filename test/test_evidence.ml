@@ -28,18 +28,29 @@ let run_for sim ns = E.Sim.run ~until:(E.Sim.now sim +. ns) sim
 
 let sf_check = Alcotest.(check bool)
 
-(* One bad field each, with the reason both [inject] and a trace give. *)
+(* One bad field each, with the reason [inject] gives, naming the
+   record field, and the one a trace line gives, naming its key. *)
 let bad_sensor_faults =
   let n = E.Sensorfault.none in
   [
-    ({ n with E.Sensorfault.drop_prob = nan }, "drop_prob must be in [0, 1] (got nan)");
-    ({ n with E.Sensorfault.dup_prob = -0.1 }, "dup_prob must be in [0, 1] (got -0.1)");
-    ({ n with E.Sensorfault.probe_loss = 1.5 }, "probe_loss must be in [0, 1] (got 1.5)");
-    ({ n with E.Sensorfault.probe_slow = nan }, "probe_slow must be in [0, 1] (got nan)");
-    ({ n with E.Sensorfault.drift = nan }, "drift must be >= 0 (got nan)");
-    ({ n with E.Sensorfault.drift = -1.0 }, "drift must be >= 0 (got -1)");
-    ({ n with E.Sensorfault.skew = nan }, "skew must be finite (got nan)");
-    ({ n with E.Sensorfault.skew = infinity }, "skew must be finite (got inf)");
+    ( { n with E.Sensorfault.drop_prob = nan },
+      "drop_prob must be in [0, 1] (got nan)",
+      "drop must be in [0, 1] (got nan)" );
+    ( { n with E.Sensorfault.dup_prob = -0.1 },
+      "dup_prob must be in [0, 1] (got -0.1)",
+      "dup must be in [0, 1] (got -0.1)" );
+    ( { n with E.Sensorfault.probe_loss = 1.5 },
+      "probe_loss must be in [0, 1] (got 1.5)",
+      "ploss must be in [0, 1] (got 1.5)" );
+    ( { n with E.Sensorfault.probe_slow = nan },
+      "probe_slow must be in [0, 1] (got nan)",
+      "pslow must be in [0, 1] (got nan)" );
+    ({ n with E.Sensorfault.drift = nan }, "drift must be >= 0 (got nan)", "drift must be >= 0 (got nan)");
+    ({ n with E.Sensorfault.drift = -1.0 }, "drift must be >= 0 (got -1)", "drift must be >= 0 (got -1)");
+    ({ n with E.Sensorfault.skew = nan }, "skew must be finite (got nan)", "skew must be finite (got nan)");
+    ( { n with E.Sensorfault.skew = infinity },
+      "skew must be finite (got inf)",
+      "skew must be finite (got inf)" );
   ]
 
 let sensorfault_tests =
@@ -111,7 +122,7 @@ let sensorfault_tests =
     tc "inject refuses a NaN or out-of-range field, naming it" (fun () ->
         let t = E.Sensorfault.create () in
         List.iter
-          (fun (sf, why) ->
+          (fun (sf, why, _) ->
             Alcotest.check_raises why (Invalid_argument ("Sensorfault.inject: " ^ why)) (fun () ->
                 E.Sensorfault.inject t (E.Sensorfault.Series "s") sf))
           bad_sensor_faults;
@@ -151,7 +162,7 @@ let codec_tests =
           ]);
     tc "a sensor_fault op line with a bad field is refused, naming it" (fun () ->
         List.iter
-          (fun (sf, why) ->
+          (fun (sf, _, why) ->
             let op = Rec.Trace.Inject_sensor_fault { starget = E.Sensorfault.Device 2; sf } in
             let line = Rec.Trace.line_to_string (Rec.Trace.Op { at = 1.0; op }) in
             Alcotest.(check (result unit string)) why (Error why)

@@ -109,6 +109,28 @@ let arbiter_regressions =
         E.Fabric.stop_flow fab f;
         Alcotest.(check (list (pair int (float 0.0)))) "no stale floor" []
           (Arbiter.installed_floors arb));
+    tc "an idle shim costs at most 16 minor words per 1 ms advance" (fun () ->
+        (* a fleet host between rounds: the manager's 50 µs shim, one
+           placed pipe and no flow. Twenty idle passes per ms cost
+           about 126 words; skipping them leaves one pass per advance *)
+        let host = Ihnet.Host.create ~seed:5 Ihnet.Host.Minimal in
+        (match
+           Ihnet.Host.submit_intent host
+             (Intent.pipe ~tenant:1 ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 2.0))
+         with
+        | Ok [ _ ] -> ()
+        | _ -> Alcotest.fail "submit failed");
+        for _ = 1 to 10 do
+          Ihnet.Host.run_for host (U.Units.ms 1.0)
+        done;
+        let n = 100 in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          Ihnet.Host.run_for host (U.Units.ms 1.0)
+        done;
+        let per_ms = (Gc.minor_words () -. before) /. float_of_int n in
+        if per_ms > 16.0 then
+          Alcotest.failf "an idle 1 ms advance allocated %.1f minor words" per_ms);
   ]
 
 (* {1 Floors-consistency property}
