@@ -146,7 +146,7 @@ let print = function
           s.Resp.st_digest)
       steps;
     (match drained with
-    | Some n -> Printf.printf "event queue drained after %d epoch(s)\n" n
+    | Some n -> Printf.printf "no further epoch after %d epoch(s)\n" n
     | None -> ())
   | Resp.Flow_ok { flow } -> Printf.printf "started flow %d\n" flow
   | Resp.Submit_ok { tenant; placements } ->

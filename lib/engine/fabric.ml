@@ -10,12 +10,13 @@ module U = Ihnet_util
    component. *)
 type entry = {
   flow : Flow.t;
-  conn : int array;
+  conn : int array; (* the interned footprint: shared by every flow on it *)
+  fp : int; (* the footprint's id *)
+  uid : int; (* the usage vector's id *)
   mutable dem : Fairshare.demand;
-      (* cached allocator view, and the one copy of the flow's usage
-         ([res]/[coeff], hop order); rebuilt only when the flow's limits
-         change, not on every reallocation, and sharing the usage
-         arrays across rebuilds *)
+      (* cached allocator view, whose [res]/[coeff] are the interned
+         usage vector (hop order); rebuilt only when the flow's limits
+         change, not on every reallocation *)
   trow : float array; (* per-resource cumulative bytes, owning tenant's row *)
   crow : float array; (* per-resource cumulative bytes, traffic class row *)
   mutable slot : int; (* contention-index slot, -1 when not registered *)
@@ -68,6 +69,83 @@ type comp_memo = {
   mutable m_gen : int; (* cache-config generation at compute time *)
   mutable m_result : comp_result;
   mutable m_epoch : int; (* last hit, for LRU within a bucket *)
+}
+
+(* A path's usage: its resources and coefficients, hop order. *)
+type usage = { ures : int array; ucoeff : float array }
+
+(* Exact float equality: compares bits, so -0.0 <> 0.0 and any ULP
+   counts (the recorder digests raw rate bits). [=] at type [int64]
+   compares the bits unboxed; [Int64.equal] is a call that boxes them,
+   four words per comparison. *)
+let feq (a : float) (b : float) = Int64.bits_of_float a = Int64.bits_of_float b
+
+let int_array_eq (a : int array) (b : int array) =
+  a == b
+  || (Array.length a = Array.length b
+     &&
+     let n = Array.length a in
+     let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+     go 0)
+
+let float_array_eq (a : float array) (b : float array) =
+  a == b
+  || (Array.length a = Array.length b
+     &&
+     let n = Array.length a in
+     let rec go i = i >= n || (feq a.(i) b.(i) && go (i + 1)) in
+     go 0)
+
+let hash_ints h (a : int array) =
+  let h = ref h in
+  for i = 0 to Array.length a - 1 do
+    h := (!h * 65599) + a.(i)
+  done;
+  !h land max_int
+
+module Fp_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = int_array_eq
+  let hash a = hash_ints (Array.length a) a
+end)
+
+(* coefficients compare and hash by their bits, as the memo compares
+   them *)
+module Usage_tbl = Hashtbl.Make (struct
+  type t = usage
+
+  let equal a b = int_array_eq a.ures b.ures && float_array_eq a.ucoeff b.ucoeff
+
+  let hash u =
+    let h = ref (hash_ints (Array.length u.ures) u.ures) in
+    for j = 0 to Array.length u.ucoeff - 1 do
+      h := (!h * 65599) + Int64.to_int (Int64.bits_of_float u.ucoeff.(j))
+    done;
+    !h land max_int
+end)
+
+(* Interned footprints and usage vectors, the footprints on each row
+   of the contention index, and the solve scratch: made at a fabric's
+   first start_flow (see [make_interns]). *)
+type interns = {
+  fp_ids : (int array * int) Fp_tbl.t; (* footprint -> (itself, id) *)
+  mutable fp_refs : int array; (* id -> registered flows on it *)
+  mutable fp_mark : int array; (* id -> walk generation that met it *)
+  fp_free : int U.Vec.t; (* free ids, next to reuse last *)
+  u_ids : (usage * int) Usage_tbl.t; (* usage vector -> (itself, id) *)
+  u_vec : Fairshare.vectors; (* id -> the vector, as the solver reads it *)
+  mutable u_refs : int array; (* id -> registered flows on it *)
+  u_free : int U.Vec.t;
+  row_fps : int array array; (* conn resource -> live footprints on its row *)
+  row_nfp : int array; (* conn resource -> length of its [row_fps] *)
+  (* one solve's demands (grow-only): usage id, weight, floor, cap,
+     and the rates the solver writes *)
+  mutable s_usage : int array;
+  mutable s_weight : float array;
+  mutable s_floor : float array;
+  mutable s_cap : float array;
+  mutable s_rates : float array;
 }
 
 (* [Fabric.batch]'s state. While [is_open], reallocation is deferred,
@@ -131,8 +209,7 @@ type t = {
   comp_res : int U.Vec.t; (* scratch: current component's real resources *)
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
   comp_stack : int U.Vec.t; (* scratch: resources the BFS has yet to expand *)
-  mutable solve_dems : Fairshare.demand array; (* scratch: one solve's demands, grow-only *)
-  mutable solve_rates : float array; (* scratch: one solve's rates, same length *)
+  mutable ix : interns option; (* None before the first start_flow *)
   loadb : float array; (* scratch: per-resource load, all zero between computes *)
   flowsb : int array; (* scratch: per-resource flow count, all zero between computes *)
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
@@ -311,8 +388,7 @@ let create ?(seed = 42) ?(memo = true) sim topo =
       comp_res = U.Vec.create ();
       comp_sockets = U.Vec.create ();
       comp_stack = U.Vec.create ();
-      solve_dems = [||];
-      solve_rates = [||];
+      ix = None;
       loadb = Array.make nr 0.0;
       flowsb = Array.make nr 0;
       cheap = U.Heap.create ();
@@ -415,16 +491,9 @@ let llc_socket t (f : Flow.t) =
   | T.Device.Cpu_socket _ -> Some (T.Topology.device t.topo dst).T.Device.socket
   | _ -> None
 
-(* Exact float equality: compares bits, so -0.0 <> 0.0 and any ULP
-   counts (the recorder digests raw rate bits). *)
-let feq (a : float) (b : float) = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let demand_of_entry e : Fairshare.demand =
   let f = e.flow in
   { e.dem with Fairshare.weight = f.Flow.weight; floor = f.Flow.floor; cap = Flow.effective_demand f }
-
-let spill_demand rate res coeff : Fairshare.demand =
-  { Fairshare.weight = 1.0; floor = 0.0; cap = rate; res; coeff }
 
 (* Fillers for arrays made now and filled after. OCaml 5's
    [Array.make] of more than 256 words runs a minor collection first
@@ -456,6 +525,108 @@ let conn_of t (f : Flow.t) res =
   in
   Array.of_list (List.sort_uniq compare full)
 
+(* {2 Interned footprints and usage vectors}
+
+   Every flow on one path (same LLC flag, payload and working set)
+   shares one footprint array and one usage pair: [start_flow] looks
+   both up by value, and each distinct one has a small int id. An id's
+   refcount is the number of registered flows on it; the last flow to
+   leave releases it, and a released id is reused. Usage ids [2s] and
+   [2s + 1] are socket [s]'s spill fan-outs, to and from memory; they
+   are never released, and they are not in the table a flow's usage is
+   looked up in. Each vector is checked when it enters the table, so
+   the solver reads it by id and never re-checks it.
+
+   All of it is made at a fabric's first [start_flow], so a fabric
+   that never starts a flow pays one field. *)
+
+let spill_to s = 2 * s
+let spill_from s = (2 * s) + 1
+
+let make_interns t =
+  let ns = Array.length t.socket_mems in
+  let u_vec = Fairshare.vectors ~nr:t.nr in
+  Array.iteri
+    (fun s sm ->
+      match sm with
+      | None -> ()
+      | Some sm ->
+        Fairshare.set_vector u_vec (spill_to s) sm.to_res sm.to_coeff;
+        Fairshare.set_vector u_vec (spill_from s) sm.from_res sm.from_coeff)
+    t.socket_mems;
+  let nconn = Array.length t.res_slots in
+  {
+    fp_ids = Fp_tbl.create 16;
+    fp_refs = [||];
+    fp_mark = [||];
+    fp_free = U.Vec.create ();
+    u_ids = Usage_tbl.create 16;
+    u_vec;
+    u_refs = Array.make (2 * ns) 0;
+    u_free = U.Vec.create ();
+    row_fps = Array.make nconn [||];
+    row_nfp = Array.make nconn 0;
+    s_usage = [||];
+    s_weight = [||];
+    s_floor = [||];
+    s_cap = [||];
+    s_rates = [||];
+  }
+
+let interns t =
+  match t.ix with
+  | Some ix -> ix
+  | None ->
+    let ix = make_interns t in
+    t.ix <- Some ix;
+    ix
+
+(* [a] widened to [n] cells, the new ones [fill] *)
+let widen a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* The interned footprint equal to [conn], and its id. Each table
+   keeps its key beside the id, so a hit hands back the shared array. *)
+let intern_footprint ix conn =
+  match Fp_tbl.find_opt ix.fp_ids conn with
+  | Some hit -> hit
+  | None ->
+    if U.Vec.is_empty ix.fp_free then begin
+      let cap = Array.length ix.fp_refs in
+      let cap' = max 8 (2 * cap) in
+      ix.fp_refs <- widen ix.fp_refs cap' 0;
+      ix.fp_mark <- widen ix.fp_mark cap' 0;
+      for id = cap' - 1 downto cap do
+        U.Vec.push ix.fp_free id
+      done
+    end;
+    let hit = (conn, U.Vec.pop ix.fp_free) in
+    Fp_tbl.add ix.fp_ids conn hit;
+    hit
+
+(* Likewise for a usage vector; one the table has not met is checked
+   before anything changes. *)
+let intern_usage ix u =
+  match Usage_tbl.find_opt ix.u_ids u with
+  | Some hit -> hit
+  | None ->
+    if U.Vec.is_empty ix.u_free then begin
+      let cap = Array.length ix.u_refs in
+      let cap' = max 8 (2 * cap) in
+      ix.u_refs <- widen ix.u_refs cap' 0;
+      for id = cap' - 1 downto cap do
+        U.Vec.push ix.u_free id
+      done
+    end;
+    let id = U.Vec.get ix.u_free (U.Vec.length ix.u_free - 1) in
+    Fairshare.set_vector ix.u_vec id u.ures u.ucoeff;
+    ignore (U.Vec.pop ix.u_free);
+    let hit = (u, id) in
+    Usage_tbl.add ix.u_ids u hit;
+    hit
+
 (* {2 The contention index}
 
    Each registered entry holds a slot; [slot_entry] maps it back, and
@@ -465,7 +636,13 @@ let conn_of t (f : Flow.t) res =
    newest-registered first. That order is load-bearing — it fixes BFS
    discovery order, hence the solver's demand order and its float sums
    (MODEL.md §12) — so removal shifts the row's tail down one cell
-   rather than swapping the last cell in. *)
+   rather than swapping the last cell in.
+
+   Beside the slots, each conn resource lists the footprints on its
+   row: a footprint is listed on every resource it holds while at
+   least one registered flow has it (its refcount is its count on each
+   of those rows). The walk reads that list to skip rows it has
+   nothing left to find on. *)
 
 let grow_slots t =
   let cap = Array.length t.slot_entry in
@@ -479,7 +656,7 @@ let grow_slots t =
     U.Vec.push t.free_slots s
   done
 
-let register t e =
+let register t ix e =
   if U.Vec.is_empty t.free_slots then grow_slots t;
   let s = U.Vec.pop t.free_slots in
   t.slot_entry.(s) <- e;
@@ -490,17 +667,35 @@ let register t e =
       let row =
         if n < Array.length row then row
         else begin
-          let row' = Array.make (max 4 (2 * n)) 0 in
-          Array.blit row 0 row' 0 n;
+          let row' = widen row (max 4 (2 * n)) 0 in
           t.res_slots.(r) <- row';
           row'
         end
       in
       row.(n) <- s;
       t.res_len.(r) <- n + 1)
-    e.conn
+    e.conn;
+  let f = e.fp in
+  if ix.fp_refs.(f) = 0 then
+    (* the footprint's first flow lists it on each of its rows *)
+    Array.iter
+      (fun r ->
+        let fps = ix.row_fps.(r) and n = ix.row_nfp.(r) in
+        let fps =
+          if n < Array.length fps then fps
+          else begin
+            let fps' = widen fps (max 4 (2 * n)) 0 in
+            ix.row_fps.(r) <- fps';
+            fps'
+          end
+        in
+        fps.(n) <- f;
+        ix.row_nfp.(r) <- n + 1)
+      e.conn;
+  ix.fp_refs.(f) <- ix.fp_refs.(f) + 1;
+  ix.u_refs.(e.uid) <- ix.u_refs.(e.uid) + 1
 
-let unregister t e =
+let unregister t ix e =
   let s = e.slot in
   Array.iter
     (fun r ->
@@ -512,7 +707,29 @@ let unregister t e =
     e.conn;
   t.slot_entry.(s) <- vacant ();
   e.slot <- -1;
-  U.Vec.push t.free_slots s
+  U.Vec.push t.free_slots s;
+  let f = e.fp in
+  ix.fp_refs.(f) <- ix.fp_refs.(f) - 1;
+  if ix.fp_refs.(f) = 0 then begin
+    (* the last flow takes it off its rows; the rows' order of
+       footprints means nothing, so the last cell fills the hole *)
+    Array.iter
+      (fun r ->
+        let fps = ix.row_fps.(r) and n = ix.row_nfp.(r) in
+        let rec find k = if fps.(k) = f then k else find (k + 1) in
+        fps.(find 0) <- fps.(n - 1);
+        ix.row_nfp.(r) <- n - 1)
+      e.conn;
+    Fp_tbl.remove ix.fp_ids e.conn;
+    U.Vec.push ix.fp_free f
+  end;
+  let u = e.uid in
+  ix.u_refs.(u) <- ix.u_refs.(u) - 1;
+  if ix.u_refs.(u) = 0 then begin
+    Usage_tbl.remove ix.u_ids { ures = e.dem.Fairshare.res; ucoeff = e.dem.Fairshare.coeff };
+    Fairshare.clear_vector ix.u_vec u;
+    U.Vec.push ix.u_free u
+  end
 
 let all_seeds t = Array.init (Array.length t.res_slots) Fun.id
 
@@ -542,23 +759,49 @@ let rec claim_res t r =
     end
   end
 
+(* Whether row [r] holds a footprint the walk of generation [gen] has
+   not met yet. *)
+let row_fresh ix r gen =
+  let fps = ix.row_fps.(r) and mark = ix.fp_mark in
+  let k = ref (ix.row_nfp.(r) - 1) in
+  while !k >= 0 && mark.(fps.(!k)) = gen do
+    decr k
+  done;
+  !k >= 0
+
+(* The walk pays per footprint, not per flow, and meets its members in
+   the order a plain BFS would (MODEL.md §12). A flow with footprint F
+   sits on every row of F, so the row scan that first meets F finds all
+   of F's flows before the next resource is popped. Hence F's
+   resources need claiming only at its first flow ([claim_res] is
+   idempotent within a generation), and a row whose footprints have all
+   been met holds no flow left to find, so it is not scanned. *)
 let drain t =
   let gen = t.comp_gen in
-  while not (U.Vec.is_empty t.comp_stack) do
-    let r = U.Vec.pop t.comp_stack in
-    let row = t.res_slots.(r) in
-    for k = t.res_len.(r) - 1 downto 0 do
-      let s = row.(k) in
-      if t.slot_mark.(s) <> gen then begin
-        t.slot_mark.(s) <- gen;
-        U.Vec.push t.comp_slots s;
-        let conn = t.slot_entry.(s).conn in
-        for i = 0 to Array.length conn - 1 do
-          claim_res t conn.(i)
+  match t.ix with
+  | None -> U.Vec.clear t.comp_stack (* no flow ever registered: every row is empty *)
+  | Some ix ->
+    while not (U.Vec.is_empty t.comp_stack) do
+      let r = U.Vec.pop t.comp_stack in
+      if row_fresh ix r gen then begin
+        let row = t.res_slots.(r) in
+        for k = t.res_len.(r) - 1 downto 0 do
+          let s = row.(k) in
+          if t.slot_mark.(s) <> gen then begin
+            t.slot_mark.(s) <- gen;
+            U.Vec.push t.comp_slots s;
+            let e = t.slot_entry.(s) in
+            if ix.fp_mark.(e.fp) <> gen then begin
+              ix.fp_mark.(e.fp) <- gen;
+              let conn = e.conn in
+              for i = 0 to Array.length conn - 1 do
+                claim_res t conn.(i)
+              done
+            end
+          end
         done
       end
     done
-  done
 
 let clear_scratch t =
   U.Vec.clear t.comp_stack;
@@ -620,11 +863,14 @@ let collect_components t seeds =
 (* Grow the solve buffers to hold [need] demands. Grow-only, with an
    eighth of headroom, like the solver's own workspace: the buffers
    outlive every solve, so only what the memo keeps is fresh. *)
-let reserve_solve t need =
-  if Array.length t.solve_dems < need then begin
+let reserve_solve ix need =
+  if Array.length ix.s_usage < need then begin
     let size = need + (need / 8) in
-    t.solve_dems <- Array.make size nil_demand;
-    t.solve_rates <- Array.make size 0.0
+    ix.s_usage <- Array.make size 0;
+    ix.s_weight <- Array.make size 0.0;
+    ix.s_floor <- Array.make size 0.0;
+    ix.s_cap <- Array.make size 0.0;
+    ix.s_rates <- Array.make size 0.0
   end
 
 (* Rate computation for one component. It reads only state that is
@@ -655,10 +901,23 @@ let compute_component t (c : component) ~into =
   and write = Array.make (max 1 ns) 0.0
   and hit = Array.make (max 1 ns) (if ddio_on then 1.0 else 0.0) in
   (* the component's own demands first, then at most two spill demands
-     per socket *)
-  reserve_solve t (nc + (2 * Array.length c.c_sockets));
-  let dems = t.solve_dems and rates = t.solve_rates in
-  Array.iteri (fun i e -> dems.(i) <- e.dem) c.c_entries;
+     per socket. A fabric that never started a flow has no interns, and
+     no demand either: no entry, so no LLC write and no spill. *)
+  let rates =
+    match t.ix with
+    | None -> [||]
+    | Some ix ->
+      reserve_solve ix (nc + (2 * Array.length c.c_sockets));
+      for i = 0 to nc - 1 do
+        let e = c.c_entries.(i) in
+        let d = e.dem in
+        ix.s_usage.(i) <- e.uid;
+        ix.s_weight.(i) <- d.Fairshare.weight;
+        ix.s_floor.(i) <- d.Fairshare.floor;
+        ix.s_cap.(i) <- d.Fairshare.cap
+      done;
+      ix.s_rates
+  in
   (* the spill fixed point only matters when LLC-targeted flows exist *)
   let any_llc = Array.exists (fun e -> e.flow.Flow.llc_target) c.c_entries in
   let iterations = if Array.length c.c_sockets > 0 && any_llc then 4 else 1 in
@@ -668,22 +927,32 @@ let compute_component t (c : component) ~into =
     (* spill demands follow the component's, sockets last to first and
        re-read before write-back: the order the solver has always been
        given them in, which its float sums depend on *)
-    let n = ref nc in
-    for k = Array.length c.c_sockets - 1 downto 0 do
-      let s = c.c_sockets.(k) in
-      match t.socket_mems.(s) with
-      | None -> ()
-      | Some sm ->
-        if rr.(s) > 0.0 then begin
-          dems.(!n) <- spill_demand rr.(s) sm.from_res sm.from_coeff;
-          incr n
-        end;
-        if wb.(s) > 0.0 then begin
-          dems.(!n) <- spill_demand wb.(s) sm.to_res sm.to_coeff;
-          incr n
-        end
-    done;
-    Fairshare.allocate_into ~capacities:t.caps ~n:!n dems rates;
+    (match t.ix with
+    | None -> ()
+    | Some ix ->
+      let n = ref nc in
+      for k = Array.length c.c_sockets - 1 downto 0 do
+        let s = c.c_sockets.(k) in
+        match t.socket_mems.(s) with
+        | None -> ()
+        | Some _ ->
+          if rr.(s) > 0.0 then begin
+            ix.s_usage.(!n) <- spill_from s;
+            ix.s_weight.(!n) <- 1.0;
+            ix.s_floor.(!n) <- 0.0;
+            ix.s_cap.(!n) <- rr.(s);
+            incr n
+          end;
+          if wb.(s) > 0.0 then begin
+            ix.s_usage.(!n) <- spill_to s;
+            ix.s_weight.(!n) <- 1.0;
+            ix.s_floor.(!n) <- 0.0;
+            ix.s_cap.(!n) <- wb.(s);
+            incr n
+          end
+      done;
+      Fairshare.solve ~capacities:t.caps ix.u_vec ~n:!n ~usage:ix.s_usage ~weight:ix.s_weight
+        ~floor:ix.s_floor ~cap:ix.s_cap rates);
     (* recompute spill targets from the allocated LLC write rates *)
     Array.iter (fun s -> write.(s) <- 0.0) c.c_sockets;
     Array.iteri
@@ -815,22 +1084,6 @@ let commit_component t tnow (c : component) (r : comp_result) =
    digests raw rate bits, so -0.0 vs 0.0 or any ULP would fork the
    trace), and the hot path is pointer equality on the immutable
    per-entry [dem]/[conn] records. *)
-
-let int_array_eq (a : int array) (b : int array) =
-  a == b
-  || (Array.length a = Array.length b
-     &&
-     let n = Array.length a in
-     let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-     go 0)
-
-let float_array_eq (a : float array) (b : float array) =
-  a == b
-  || (Array.length a = Array.length b
-     &&
-     let n = Array.length a in
-     let rec go i = i >= n || (feq a.(i) b.(i) && go (i + 1)) in
-     go 0)
 
 let demand_eq (d1 : Fairshare.demand) (d2 : Fairshare.demand) =
   d1 == d2
@@ -1176,7 +1429,7 @@ and handle_completions t =
         f.Flow.completed_at <- tnow;
         f.Flow.rate <- 0.0;
         Hashtbl.remove t.entries f.Flow.id;
-        unregister t e;
+        unregister t (interns t) e;
         completed := e :: !completed
       end
       else if U.Heap.top_prio t.cheap <= tnow then begin
@@ -1226,11 +1479,12 @@ let hop_coeff t ~payload_bytes ~working_set_pages (hop : T.Path.hop) =
   | T.Link.Inter_socket | T.Link.Intra_socket | T.Link.Memory_channel | T.Link.Inter_host ->
     1.0
 
-(* A path's usage as (resources, coefficients), hop order. *)
 let usage_of_path t ~payload_bytes ~working_set_pages (path : T.Path.t) =
   let hops = Array.of_list path.T.Path.hops in
-  ( Array.map (fun (hop : T.Path.hop) -> res_of hop.link.T.Link.id hop.dir) hops,
-    Array.map (hop_coeff t ~payload_bytes ~working_set_pages) hops )
+  {
+    ures = Array.map (fun (hop : T.Path.hop) -> res_of hop.link.T.Link.id hop.dir) hops;
+    ucoeff = Array.map (hop_coeff t ~payload_bytes ~working_set_pages) hops;
+  }
 
 let invalidf fmt = Printf.ksprintf invalid_arg fmt
 
@@ -1257,6 +1511,9 @@ let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(
   in
   if llc_target && not (T.Device.is_socket (T.Topology.device t.topo path.T.Path.dst)) then
     invalid_arg "Fabric.start_flow: llc_target path must end at a CPU socket";
+  let ix = interns t in
+  (* before the flow exists, so that a refused vector leaves no trace *)
+  let u, uid = intern_usage ix (usage_of_path t ~payload_bytes ~working_set_pages path) in
   let flow =
     {
       Flow.id = t.next_flow_id;
@@ -1281,12 +1538,21 @@ let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(
     }
   in
   t.next_flow_id <- t.next_flow_id + 1;
-  let res, coeff = usage_of_path t ~payload_bytes ~working_set_pages path in
+  let conn, fp = intern_footprint ix (conn_of t flow u.ures) in
   let entry =
     {
       flow;
-      conn = conn_of t flow res;
-      dem = { Fairshare.weight; floor; cap = Flow.effective_demand flow; res; coeff };
+      conn;
+      fp;
+      uid;
+      dem =
+        {
+          Fairshare.weight;
+          floor;
+          cap = Flow.effective_demand flow;
+          res = u.ures;
+          coeff = u.ucoeff;
+        };
       trow = tenant_row t tenant;
       crow = t.cls_rows.(cls_index cls);
       slot = -1;
@@ -1294,7 +1560,7 @@ let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(
     }
   in
   Hashtbl.replace t.entries flow.Flow.id entry;
-  register t entry;
+  register t ix entry;
   reallocate t entry.conn;
   emit t (Flow_started flow);
   flow
@@ -1308,7 +1574,7 @@ let stop_flow t (f : Flow.t) =
     | Some e ->
       e.hstamp <- e.hstamp + 1;
       Hashtbl.remove t.entries f.Flow.id;
-      unregister t e;
+      unregister t (interns t) e;
       reallocate t e.conn
     | None -> ());
     emit t (Flow_stopped f)
@@ -1378,18 +1644,20 @@ let batch t f =
   end
 
 let transfer_time t ~path ~bytes =
-  let res, coeff = usage_of_path t ~payload_bytes:(T.Topology.config t.topo).T.Hostconfig.pcie_mps ~working_set_pages:32 path in
+  let u =
+    usage_of_path t ~payload_bytes:(T.Topology.config t.topo).T.Hostconfig.pcie_mps
+      ~working_set_pages:32 path
+  in
   (* the probe only contends with its own component; everything else
      is resource-disjoint and cannot shift its allocation *)
-  collect_component t res;
+  collect_component t u.ures;
   let nc = U.Vec.length t.comp_slots in
-  reserve_solve t (nc + 1);
+  let dems = Array.make (nc + 1) nil_demand in
   for i = 0 to nc - 1 do
-    t.solve_dems.(i) <- t.slot_entry.(U.Vec.get t.comp_slots i).dem
+    dems.(i) <- t.slot_entry.(U.Vec.get t.comp_slots i).dem
   done;
-  t.solve_dems.(nc) <- { Fairshare.weight = 1.0; floor = 0.0; cap = infinity; res; coeff };
-  Fairshare.allocate_into ~capacities:t.caps ~n:(nc + 1) t.solve_dems t.solve_rates;
-  let rate = t.solve_rates.(nc) in
+  dems.(nc) <- { Fairshare.weight = 1.0; floor = 0.0; cap = infinity; res = u.ures; coeff = u.ucoeff };
+  let rate = (Fairshare.allocate ~capacities:t.caps dems).(nc) in
   if rate <= 0.0 then None else Some (bytes /. rate *. 1e9)
 
 let link_bytes t link_id dir =
@@ -1574,12 +1842,47 @@ let scan_memo_keys t =
 
 let scan_solver_stats t = t.solver_stats
 
+let interned t =
+  match t.ix with
+  | None -> (0, 0)
+  | Some ix -> (Fp_tbl.length ix.fp_ids, Usage_tbl.length ix.u_ids)
+
+(* {2 The contention walk, read back} *)
+
+let footprint t (f : Flow.t) =
+  match Hashtbl.find_opt t.entries f.Flow.id with
+  | Some e when e.flow == f -> Some (Array.copy e.conn)
+  | Some _ | None -> None
+
+let claim_group t r =
+  let s = t.socket_of_res.(r) in
+  match if s >= 0 then t.socket_mems.(s) else None with
+  | None -> [| r |]
+  | Some sm ->
+    Array.of_list
+      (r :: List.filter (fun x -> x <> r) ((t.nr + s) :: Array.to_list sm.to_res @ Array.to_list sm.from_res))
+
+let walk t seeds =
+  List.concat_map
+    (fun c -> Array.to_list (Array.map (fun e -> e.flow.Flow.id) c.c_entries))
+    (collect_components t seeds)
+
 (* Advance the simulation by whole reallocation epochs: execute queued
    events one at a time until the epoch counter moves past where it
    was, then stop — the single-step half of the scan port's
    freeze/step protocol. Between calls the fabric is exactly at an
-   epoch boundary (nothing runs unless the sim is driven). *)
+   epoch boundary (nothing runs unless the sim is driven).
+
+   A queue can hold work that never ends and never reallocates: the
+   arbiter's shim on a host with a placement and no flow queues its
+   next pass from each pass, and in a bare [Sim.step] it cannot skip
+   ahead (MODEL.md §12). So a step gives up after [step_budget] events
+   with no epoch. The budget counts events, not time, so where a step
+   stops depends only on the simulation, and a replayed step stops at
+   the same event. *)
+let step_budget = 100_000
+
 let step_epoch t =
   let start = t.epoch in
-  let rec go () = t.epoch > start || (Sim.step t.sim && go ()) in
-  go ()
+  let rec go left = t.epoch > start || (left > 0 && Sim.step t.sim && go (left - 1)) in
+  go step_budget

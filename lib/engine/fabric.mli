@@ -403,12 +403,54 @@ val scan_memo_keys : t -> (int * int * int) list
 
 val scan_solver_stats : t -> Fairshare.stats
 (** The solver-work ledger, summed over every component compute:
-    [Fairshare.allocate_into] calls and DDIO spill iterations skipped at
+    [Fairshare.solve] calls and DDIO spill iterations skipped at
     the fixed point ({!Fairshare.stats}). Memo hits add nothing, so it
     is also microarchitectural. *)
+
+val interned : t -> int * int
+(** [(footprints, usage vectors)]: how many distinct connectivity
+    footprints and usage vectors the fabric holds interned. Flows on
+    one path share one of each; an entry is released when its last
+    flow stops or completes, so these are the distinct footprints and
+    usage vectors of the flows now active, and [(0, 0)] on a fabric
+    with none. The sockets' spill fan-outs are not counted. *)
+
+(** {1 The contention walk, read back}
+
+    Read-only views of the contention index, enough to check the walk
+    against a plain BFS: flows are found on a resource newest-started
+    first, and claiming a resource claims its {!claim_group}. None of
+    them changes committed state. *)
+
+val footprint : t -> Flow.t -> int array option
+(** The resources an active flow's reallocation reaches: its usage
+    resources, widened for an LLC-targeted flow with its socket's
+    coupling resource [scan_resources t + socket] and the socket's
+    memory resources; sorted ascending. [None] for a flow that is not
+    active. *)
+
+val claim_group : t -> int -> int array
+(** [claim_group t r] is what the walk claims when it claims [r], in
+    claim order: [r] alone, or for a resource of a DDIO-coupled socket
+    [r], then the socket's coupling resource, then its resources to
+    memory and from memory (each once). *)
+
+val walk : t -> int array -> int list
+(** The ids of the active flows a reallocation seeded by these
+    resources would hand the solver, in order: component by component
+    in seed order, each in walk order. *)
 
 val step_epoch : t -> bool
 (** Single-step the simulation by one reallocation epoch: execute
     queued events until the epoch counter advances, then stop at that
     boundary. [false] when the event queue drained without another
-    reallocation. The scan port's freeze/step hook. *)
+    reallocation, or when {!step_budget} events ran without one. The
+    scan port's freeze/step hook. *)
+
+val step_budget : int
+(** The most events {!step_epoch} runs looking for an epoch: 100,000.
+    A queue can hold work that never reallocates and never ends (the
+    arbiter's shim on a host with a placement and no flow queues each
+    pass from the last), so a step gives up there, having run those
+    events (on that host, 5 s of simulated time). The budget counts
+    events, not time, so a recorded step replays identically. *)

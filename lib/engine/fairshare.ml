@@ -18,20 +18,29 @@ let invalidf fmt = Printf.ksprintf invalid_arg fmt
    corrupts every rate downstream, far more expensive to debug than
    these comparisons are to run. The [not (...)] form keeps the
    NaN-rejecting behavior the asserts had. *)
+let check_fields i ~weight ~floor ~cap =
+  if not (weight > 0.0) then invalidf "Fairshare: demand %d: weight must be > 0" i;
+  if not (floor >= 0.0) then invalidf "Fairshare: demand %d: floor must be >= 0" i;
+  if not (cap >= 0.0) then invalidf "Fairshare: demand %d: cap must be >= 0" i
+
+(* The first broken invariant of a usage vector, as a message. *)
+let usage_fault ~nr res coeff =
+  let n = Array.length res in
+  if Array.length coeff <> n then
+    Some (Printf.sprintf "%d resources but %d coefficients" n (Array.length coeff))
+  else
+    let rec go j =
+      if j = n then None
+      else if res.(j) < 0 || res.(j) >= nr then
+        Some (Printf.sprintf "resource %d out of range [0, %d)" res.(j) nr)
+      else if not (coeff.(j) > 0.0) then Some "usage coefficient must be > 0"
+      else go (j + 1)
+    in
+    go 0
+
 let check_demand ~nr i d =
-  if not (d.weight > 0.0) then invalidf "Fairshare: demand %d: weight must be > 0" i;
-  if not (d.floor >= 0.0) then invalidf "Fairshare: demand %d: floor must be >= 0" i;
-  if not (d.cap >= 0.0) then invalidf "Fairshare: demand %d: cap must be >= 0" i;
-  if Array.length d.coeff <> Array.length d.res then
-    invalidf "Fairshare: demand %d: %d resources but %d coefficients" i (Array.length d.res)
-      (Array.length d.coeff);
-  Array.iteri
-    (fun j r ->
-      if r < 0 || r >= nr then
-        invalidf "Fairshare: demand %d: resource %d out of range [0, %d)" i r nr;
-      if not (d.coeff.(j) > 0.0) then
-        invalidf "Fairshare: demand %d: usage coefficient must be > 0" i)
-    d.res
+  check_fields i ~weight:d.weight ~floor:d.floor ~cap:d.cap;
+  Option.iter (invalidf "Fairshare: demand %d: %s" i) (usage_fault ~nr d.res d.coeff)
 
 (* [f r c] for each (resource, coefficient) pair of [d], in hop order *)
 let iter_usage f d = Array.iteri (fun j r -> f r d.coeff.(j)) d.res
@@ -216,6 +225,76 @@ let allocate_reference ~capacities demands =
    resource has at most one live saturation event, because it is
    re-pushed only after its stale event pops. *)
 
+(* {2 Usage vector tables}
+
+   Vector [u] is the [v_len.(u)] entries of [v_res]/[v_coeff] from
+   [v_start.(u)], so every vector of a table lies in two flat arrays.
+   Every vector is checked over the table's [v_nr] resources when it
+   enters, which is what lets [solve] trust its resources.
+   [set_vector] appends at [v_top]; a vector that is replaced or
+   cleared leaves a hole, and when the arrays are full they are rebuilt
+   from the live vectors alone, with room for as many entries again, so
+   they stay within about twice the live entries. *)
+
+type vectors = {
+  mutable v_nr : int;
+  mutable v_start : int array;
+  mutable v_len : int array;
+  mutable v_res : int array;
+  mutable v_coeff : float array;
+  mutable v_top : int; (* entries handed out *)
+  mutable v_live : int; (* entries of the live vectors *)
+}
+
+let vectors ~nr =
+  { v_nr = nr; v_start = [||]; v_len = [||]; v_res = [||]; v_coeff = [||]; v_top = 0; v_live = 0 }
+
+(* [a] widened to [n] cells, the new ones [fill] *)
+let widen a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let clear_vector v u =
+  if u >= 0 && u < Array.length v.v_len then begin
+    v.v_live <- v.v_live - v.v_len.(u);
+    v.v_len.(u) <- 0
+  end
+
+let set_vector v u res coeff =
+  if u < 0 then invalidf "Fairshare.set_vector: id %d must be >= 0" u;
+  Option.iter (invalidf "Fairshare: usage vector %d: %s" u) (usage_fault ~nr:v.v_nr res coeff);
+  clear_vector v u;
+  if u >= Array.length v.v_len then begin
+    let size = max (u + 1) (2 * Array.length v.v_len) in
+    v.v_start <- widen v.v_start size 0;
+    v.v_len <- widen v.v_len size 0
+  end;
+  let k = Array.length res in
+  if v.v_top + k > Array.length v.v_res then begin
+    let size = max 16 (2 * (v.v_live + k)) in
+    let res' = Array.make size 0 and coeff' = Array.make size 0.0 in
+    let top = ref 0 in
+    for w = 0 to Array.length v.v_len - 1 do
+      let l = v.v_len.(w) in
+      if l > 0 then begin
+        Array.blit v.v_res v.v_start.(w) res' !top l;
+        Array.blit v.v_coeff v.v_start.(w) coeff' !top l;
+        v.v_start.(w) <- !top;
+        top := !top + l
+      end
+    done;
+    v.v_res <- res';
+    v.v_coeff <- coeff';
+    v.v_top <- !top
+  end;
+  Array.blit res 0 v.v_res v.v_top k;
+  Array.blit coeff 0 v.v_coeff v.v_top k;
+  v.v_start.(u) <- v.v_top;
+  v.v_len.(u) <- k;
+  v.v_top <- v.v_top + k;
+  v.v_live <- v.v_live + k
+
 (* {2 Solver workspace}
 
    Every array the sweep needs, kept between calls and grown only when
@@ -228,12 +307,8 @@ let allocate_reference ~capacities demands =
    do not depend on what the workspace solved before. *)
 
 type workspace = {
-  mutable off : int array; (* n + 1: demand -> first usage entry (CSR) *)
-  mutable ures : int array; (* m: usage entry -> resource *)
-  mutable ucoef : float array; (* m: usage entry -> coefficient *)
+  mutable mult : int array; (* vector -> demands that use it *)
   mutable inc_d : int array; (* m: resource-major incidence -> demand *)
-  mutable weight : float array; (* n *)
-  mutable cap : float array; (* n *)
   mutable start_rate : float array; (* n: rate at fill time 0 *)
   mutable active : bool array; (* n *)
   mutable load : float array; (* nr *)
@@ -246,17 +321,20 @@ type workspace = {
   mutable inc_off : int array; (* nr + 1: resource -> first incidence entry *)
   mutable cursor : int array; (* nr + 1: transpose fill cursor *)
   events : int U.Heap.t;
+  (* [allocate_into]'s demands: demand [i] is vector [i] of [d_vec],
+     laid out in demand order *)
+  d_vec : vectors;
+  mutable d_ident : int array; (* d_ident.(i) = i *)
+  mutable d_weight : float array;
+  mutable d_floor : float array;
+  mutable d_cap : float array;
 }
 
 let workspace_key =
   Domain.DLS.new_key (fun () ->
       {
-        off = [||];
-        ures = [||];
-        ucoef = [||];
+        mult = [||];
         inc_d = [||];
-        weight = [||];
-        cap = [||];
         start_rate = [||];
         active = [||];
         load = [||];
@@ -269,6 +347,11 @@ let workspace_key =
         inc_off = [||];
         cursor = [||];
         events = U.Heap.create ();
+        d_vec = vectors ~nr:0;
+        d_ident = [||];
+        d_weight = [||];
+        d_floor = [||];
+        d_cap = [||];
       })
 
 (* [a] if it holds [need] slots, else a fresh array with an eighth of
@@ -277,17 +360,30 @@ let workspace_key =
    peak heap more than it saves in regrowth. *)
 let grow a need fill = if Array.length a >= need then a else Array.make (need + (need / 8)) fill
 
-let allocate_into ~capacities ~n demands out =
-  if n < 0 || n > Array.length demands then
-    invalidf "Fairshare.allocate_into: n = %d outside [0, %d]" n (Array.length demands);
-  if Array.length out < n then
-    invalidf "Fairshare.allocate_into: output holds %d rates, fewer than n = %d"
-      (Array.length out) n;
+(* The core. Demand [i] is [weight.(i)], [floor.(i)], [cap.(i)] and
+   vector [usage.(i)] of [vec]. Vectors are read in place; each was
+   checked when it entered its table, and each demand's fields are
+   checked here. Which demands share a vector changes no float
+   operation: a sum over a demand's usage runs in vector order, and a
+   sum over demands in demand order, so the rates depend only on the
+   demands' values and order. *)
+let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
+  if
+    n < 0
+    || n > Array.length usage
+    || n > Array.length weight
+    || n > Array.length floor
+    || n > Array.length cap
+  then invalidf "Fairshare.solve: n = %d outside the demand arrays" n;
+  if Array.length rates < n then
+    invalidf "Fairshare.solve: output holds %d rates, fewer than n = %d" (Array.length rates) n;
   let nr = Array.length capacities in
+  if vec.v_nr > nr then
+    invalidf "Fairshare.solve: vectors over %d resources, capacities for %d" vec.v_nr nr;
+  let nv = Array.length vec.v_len in
+  let vstart = vec.v_start and vlen = vec.v_len and vres = vec.v_res and vcoeff = vec.v_coeff in
   let ws = Domain.DLS.get workspace_key in
-  ws.off <- grow ws.off (n + 1) 0;
-  ws.weight <- grow ws.weight n 0.0;
-  ws.cap <- grow ws.cap n 0.0;
+  ws.mult <- grow ws.mult nv 0;
   ws.start_rate <- grow ws.start_rate n 0.0;
   ws.active <- grow ws.active n false;
   ws.load <- grow ws.load nr 0.0;
@@ -299,52 +395,46 @@ let allocate_into ~capacities ~n demands out =
   ws.sat_version <- grow ws.sat_version nr 0;
   ws.inc_off <- grow ws.inc_off (nr + 1) 0;
   ws.cursor <- grow ws.cursor (nr + 1) 0;
-  (* Concatenate the demands' usage arrays into CSR form in one pass:
-     every later sweep reads them by offset. The seeding below re-states
-     the seed_rates law over the CSR arrays — any divergence is caught
-     by the differential property test. *)
-  let off = ws.off in
-  off.(0) <- 0;
+  (* the demands' fields, how many demands use each vector, and the
+     seed rates: floors clipped by caps. The fast path is one combined
+     comparison (NaN-rejecting: a NaN compares false and falls
+     through); only the failing branch calls [check_fields], which
+     names the exact offending field. [mult] is all zero between
+     calls: the count below zeroes what it reads, and a refusal here
+     zeroes it before raising. *)
+  let mult = ws.mult in
+  let any_floor = ref false in
   for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + Array.length demands.(i).res
+    let u = usage.(i) and fl = floor.(i) and c = cap.(i) in
+    if not (weight.(i) > 0.0 && fl >= 0.0 && c >= 0.0 && u >= 0 && u < nv) then begin
+      Array.fill mult 0 nv 0;
+      check_fields i ~weight:weight.(i) ~floor:fl ~cap:c;
+      invalidf "Fairshare: demand %d: usage vector %d out of range [0, %d)" i u nv
+    end;
+    if fl > 0.0 then any_floor := true;
+    mult.(u) <- mult.(u) + 1;
+    rates.(i) <- Float.min fl c
   done;
-  let m = off.(n) in
-  ws.ures <- grow ws.ures m 0;
-  ws.ucoef <- grow ws.ucoef m 0.0;
-  ws.inc_d <- grow ws.inc_d m 0;
-  let ures = ws.ures and ucoef = ws.ucoef and weight = ws.weight and cap = ws.cap in
-  (* the fill also counts each resource's usage entries, the first half
-     of the resource-major transpose below, into [inc_off.(r + 1)] *)
+  (* each resource's incidence count, the first half of the
+     resource-major transpose below, into [inc_off.(r + 1)]: once per
+     distinct vector, times the demands that use it *)
   let inc_off = ws.inc_off in
   Array.fill inc_off 0 (nr + 1) 0;
-  let any_floor = ref false in
-  (* validation is fused into the CSR fill so each usage is read
-     exactly once. The fast path is one combined comparison
-     (NaN-rejecting: a NaN compares false and falls through); only the
-     failing branch calls [check_demand], which re-scans the demand and
-     raises [Invalid_argument] naming the exact offending field. *)
-  for i = 0 to n - 1 do
-    let d = demands.(i) in
-    let k = Array.length d.res and o = off.(i) in
-    if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0 && Array.length d.coeff = k) then
-      check_demand ~nr i d;
-    if d.floor > 0.0 then any_floor := true;
-    weight.(i) <- d.weight;
-    cap.(i) <- d.cap;
-    for j = 0 to k - 1 do
-      let r = d.res.(j) and c = d.coeff.(j) in
-      if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
-      ures.(o + j) <- r;
-      ucoef.(o + j) <- c;
-      inc_off.(r + 1) <- inc_off.(r + 1) + 1
-    done
+  let m = ref 0 in
+  for u = 0 to nv - 1 do
+    let k = mult.(u) in
+    if k > 0 then begin
+      mult.(u) <- 0;
+      m := !m + (k * vlen.(u));
+      for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+        let r = vres.(j) in
+        inc_off.(r + 1) <- inc_off.(r + 1) + k
+      done
+    end
   done;
-  (* seed rates: floors, clipped by caps, scaled down locally where
-     jointly infeasible (same law as seed_rates) *)
-  let rates = out in
-  for i = 0 to n - 1 do
-    rates.(i) <- Float.min demands.(i).floor cap.(i)
-  done;
+  ws.inc_d <- grow ws.inc_d !m 0;
+  (* the seed rates are scaled down locally where floors are jointly
+     infeasible (same law as seed_rates) *)
   let load = ws.load in
   (* With no floor above zero every seed rate is a zero, so every load
      sums to 0.0 (or NaN, under an infinite coefficient) and none
@@ -354,8 +444,9 @@ let allocate_into ~capacities ~n demands out =
   if !any_floor then begin
     Array.fill load 0 nr 0.0;
     for i = 0 to n - 1 do
-      for j = off.(i) to off.(i + 1) - 1 do
-        load.(ures.(j)) <- load.(ures.(j)) +. (rates.(i) *. ucoef.(j))
+      let u = usage.(i) in
+      for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+        load.(vres.(j)) <- load.(vres.(j)) +. (rates.(i) *. vcoeff.(j))
       done
     done;
     let any_over = ref false in
@@ -369,31 +460,33 @@ let allocate_into ~capacities ~n demands out =
     done;
     if !any_over then
       for i = 0 to n - 1 do
+        let u = usage.(i) in
         let f = ref 1.0 in
-        for j = off.(i) to off.(i + 1) - 1 do
-          f := Float.min !f scale.(ures.(j))
+        for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+          f := Float.min !f scale.(vres.(j))
         done;
         if !f < 1.0 then rates.(i) <- rates.(i) *. !f
       done
   end;
   let active = ws.active in
   for i = 0 to n - 1 do
-    if off.(i + 1) = off.(i) then begin
+    if vlen.(usage.(i)) = 0 then begin
       rates.(i) <- cap.(i);
       active.(i) <- false
     end
     else active.(i) <- rates.(i) < cap.(i) -. eps
   done;
-  (* resource → usage-entry incidence, CSR again, from the counts the
-     fill left in [inc_off] *)
+  (* resource → demand incidence, CSR, from the counts in [inc_off];
+     each resource lists its demands in demand order *)
   for r = 0 to nr - 1 do
     inc_off.(r + 1) <- inc_off.(r + 1) + inc_off.(r)
   done;
   let inc_d = ws.inc_d and cursor = ws.cursor in
   Array.blit inc_off 0 cursor 0 (nr + 1);
   for i = 0 to n - 1 do
-    for j = off.(i) to off.(i + 1) - 1 do
-      let r = ures.(j) in
+    let u = usage.(i) in
+    for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+      let r = vres.(j) in
       inc_d.(cursor.(r)) <- i;
       cursor.(r) <- cursor.(r) + 1
     done
@@ -408,19 +501,19 @@ let allocate_into ~capacities ~n demands out =
   (* whether a demand grows is fixed per demand, so the test is made
      once per demand, not once per usage entry *)
   for i = 0 to n - 1 do
-    let ri = rates.(i) in
+    let ri = rates.(i) and u = usage.(i) in
     if active.(i) then begin
       let w = weight.(i) in
-      for j = off.(i) to off.(i + 1) - 1 do
-        let r = ures.(j) in
-        load.(r) <- load.(r) +. (ri *. ucoef.(j));
-        speed.(r) <- speed.(r) +. (w *. ucoef.(j))
+      for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+        let r = vres.(j) in
+        load.(r) <- load.(r) +. (ri *. vcoeff.(j));
+        speed.(r) <- speed.(r) +. (w *. vcoeff.(j))
       done
     end
     else
-      for j = off.(i) to off.(i + 1) - 1 do
-        let r = ures.(j) in
-        load.(r) <- load.(r) +. (ri *. ucoef.(j))
+      for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+        let r = vres.(j) in
+        load.(r) <- load.(r) +. (ri *. vcoeff.(j))
       done
   done;
   let start_rate = ws.start_rate in
@@ -446,16 +539,16 @@ let allocate_into ~capacities ~n demands out =
   let freeze i at =
     if active.(i) then begin
       active.(i) <- false;
-      let w = weight.(i) in
+      let w = weight.(i) and u = usage.(i) in
       rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (w *. at));
-      for j = off.(i) to off.(i + 1) - 1 do
-        let r = ures.(j) in
+      for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+        let r = vres.(j) in
         (* [touch r at], inlined: this runs once per usage entry *)
         if at > tau_r.(r) then begin
           load.(r) <- load.(r) +. (speed.(r) *. (at -. tau_r.(r)));
           tau_r.(r) <- at
         end;
-        speed.(r) <- speed.(r) -. (w *. ucoef.(j));
+        speed.(r) <- speed.(r) -. (w *. vcoeff.(j));
         (* invalidate r's in-heap saturation event; it will be
            re-keyed lazily if it surfaces before r saturates *)
         version.(r) <- version.(r) + 1
@@ -508,6 +601,58 @@ let allocate_into ~capacities ~n demands out =
       rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (weight.(i) *. !tau))
     end
   done
+
+(* Each demand is its own vector: the demands' usage is laid out in
+   [d_vec] in demand order, in one pass that also checks it. *)
+let allocate_into ~capacities ~n demands out =
+  if n < 0 || n > Array.length demands then
+    invalidf "Fairshare.allocate_into: n = %d outside [0, %d]" n (Array.length demands);
+  if Array.length out < n then
+    invalidf "Fairshare.allocate_into: output holds %d rates, fewer than n = %d"
+      (Array.length out) n;
+  let nr = Array.length capacities in
+  let ws = Domain.DLS.get workspace_key in
+  let v = ws.d_vec in
+  v.v_nr <- nr;
+  if Array.length ws.d_ident < n then ws.d_ident <- Array.init (n + (n / 8)) Fun.id;
+  v.v_start <- grow v.v_start n 0;
+  v.v_len <- grow v.v_len n 0;
+  ws.d_weight <- grow ws.d_weight n 0.0;
+  ws.d_floor <- grow ws.d_floor n 0.0;
+  ws.d_cap <- grow ws.d_cap n 0.0;
+  let vstart = v.v_start and vlen = v.v_len in
+  let weight = ws.d_weight and floor = ws.d_floor and cap = ws.d_cap in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    vstart.(i) <- !m;
+    m := !m + Array.length demands.(i).res
+  done;
+  v.v_res <- grow v.v_res !m 0;
+  v.v_coeff <- grow v.v_coeff !m 0.0;
+  let vres = v.v_res and vcoeff = v.v_coeff in
+  (* validation is fused into the fill so each usage is read exactly
+     once. The fast path is one combined comparison per demand and one
+     per usage entry; only a failure calls [check_demand], which
+     re-scans the demand and names the exact offending field. *)
+  for i = 0 to n - 1 do
+    let d = demands.(i) in
+    let k = Array.length d.res and o = vstart.(i) in
+    if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0 && Array.length d.coeff = k) then
+      check_demand ~nr i d;
+    for j = 0 to k - 1 do
+      let r = d.res.(j) and c = d.coeff.(j) in
+      if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
+      vres.(o + j) <- r;
+      vcoeff.(o + j) <- c
+    done;
+    vlen.(i) <- k;
+    weight.(i) <- d.weight;
+    floor.(i) <- d.floor;
+    cap.(i) <- d.cap
+  done;
+  (* the slots past [n] hold an earlier call's vectors; no demand names
+     them, so [solve] never reads them *)
+  solve ~capacities v ~n ~usage:ws.d_ident ~weight ~floor ~cap out
 
 let allocate ~capacities demands =
   let n = Array.length demands in

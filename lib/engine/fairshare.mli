@@ -25,12 +25,11 @@ type demand = {
           >= 1 typically. *)
 }
 (** A demand's usage is two flat arrays, so the fabric's byte
-    integration, the solver's CSR fill and the fabric's load fold read
-    it with plain loops that allocate nothing. The solver sums over a
-    demand's usage in array order;
-    callers that need bit-identical rates must keep that order. The
-    solver only reads the arrays, so a caller may share them between
-    demands. *)
+    integration, the solver and the fabric's load fold read it with
+    plain loops that allocate nothing. The solver sums over a demand's
+    usage in array order; callers that need bit-identical rates must
+    keep that order. The solver only reads the arrays, so a caller may
+    share them between demands. *)
 
 val allocate : capacities:float array -> demand array -> float array
 (** [allocate ~capacities demands] returns one rate per demand such
@@ -46,9 +45,9 @@ val allocate : capacities:float array -> demand array -> float array
 
     Demands with an empty [res] get their cap.
 
-    This is the production solver. The fabric runs it, through
-    {!allocate_into}, once per DDIO spill iteration of every component
-    it computes (MODEL.md §13).
+    This is the production solver. The fabric runs its core,
+    {!solve}, once per DDIO spill iteration of every component it
+    computes (MODEL.md §13).
 
     Implementation: an event-driven sweep over the progressive-filling
     front — next cap hits and next resource saturations live in one
@@ -57,7 +56,8 @@ val allocate : capacities:float array -> demand array -> float array
     reference's O(n · (n + Σ|usage|)).
 
     [allocate] is {!allocate_into} on a fresh array: its only
-    allocation of any size is the result. *)
+    allocation of any size is the result. Both go through {!solve},
+    each demand being its own usage vector. *)
 
 val allocate_into :
   capacities:float array -> n:int -> demand array -> float array -> unit
@@ -68,12 +68,13 @@ val allocate_into :
     left untouched, so a caller can keep grow-only demand and rate
     buffers of its own.
 
-    The solver's scratch (CSR usage and incidence arrays, per-demand
-    and per-resource arrays, event heap) lives in a workspace owned by
+    The solver's scratch (the incidence arrays, the per-demand and
+    per-resource arrays, the event heap) lives in a workspace owned by
     the calling domain. It grows to the largest problem solved so far
     and is reused by every later call on that domain; solves on
     different domains never share one. The workspace is invisible in
-    results: a call resets every slot it reads.
+    results: a call resets every slot it reads, and it keeps no
+    reference to a caller's usage arrays once it returns.
 
     Not reentrant within a domain: a second call that started before
     the first returned would overwrite its workspace. It calls nothing
@@ -83,6 +84,61 @@ val allocate_into :
     @raise Invalid_argument when [n < 0], [n > Array.length demands],
     [Array.length out < n], or one of the first [n] demands breaks an
     invariant {!validate} checks. *)
+
+type vectors
+(** A table of usage vectors over a fixed number of resources, indexed
+    by small int ids that its owner hands out. The vectors are stored
+    flat, each one checked when it enters ({!set_vector}), so {!solve}
+    reads them in place and never re-checks them. *)
+
+val vectors : nr:int -> vectors
+(** An empty table for vectors over resources [\[0, nr)]. *)
+
+val set_vector : vectors -> int -> int array -> float array -> unit
+(** [set_vector v u res coeff] makes vector [u] the resources [res]
+    with coefficients [coeff] (copied), replacing what [u] held. The
+    table grows to hold [u].
+
+    @raise Invalid_argument, changing nothing, when [u < 0] or the
+    vector breaks an invariant: [res] and [coeff] of one length,
+    resources within the table's, coefficients > 0 (NaN fails). *)
+
+val clear_vector : vectors -> int -> unit
+(** Empty vector [u] and free its entries. *)
+
+val solve :
+  capacities:float array ->
+  vectors ->
+  n:int ->
+  usage:int array ->
+  weight:float array ->
+  floor:float array ->
+  cap:float array ->
+  float array ->
+  unit
+(** The solver core, over demands that share usage vectors by id.
+    [solve ~capacities vec ~n ~usage ~weight ~floor ~cap out] solves
+    [n] demands: demand [i] has weight [weight.(i)], floor [floor.(i)],
+    cap [cap.(i)] and the usage of vector [usage.(i)] of [vec]. It
+    writes demand [i]'s rate into [out.(i)]: bit for bit what
+    {!allocate_into} writes for the same demands with their usage as
+    records, since every float operation has the same operands in the
+    same order.
+
+    The vectors are read in place, never copied. The incidence counts
+    are taken once per distinct vector, times the number of demands
+    that use it, so [n] demands on few vectors cost [n] plus those
+    vectors' entries there, not their total usage. Every demand's
+    fields are checked (as {!validate} does), and each [usage.(i)]
+    must name a vector of [vec]; vectors no demand names are never
+    read.
+
+    The workspace and reentrancy rules of {!allocate_into} apply.
+
+    @raise Invalid_argument when [n] exceeds a per-demand array,
+    [Array.length out < n], [capacities] covers fewer resources than
+    the table, a demand's weight, floor or cap is out of range, or a
+    usage id is outside the table. *)
 
 val allocate_reference : capacities:float array -> demand array -> float array
 (** The original round-based progressive-filling implementation,
@@ -101,7 +157,7 @@ val validate : capacities:float array -> demand array -> unit
     not [assert], so they survive [-noassert] builds. *)
 
 type stats = {
-  solves : int;  (** Solver calls ([allocate] or [allocate_into]). *)
+  solves : int;  (** Solver calls. *)
   full_rebuilds : int;  (** Always equal to [solves]: every call builds from scratch. *)
   incremental : int;  (** Always 0: no call updates an earlier solution. *)
   unchanged : int;

@@ -258,6 +258,32 @@ else
     "$CTL" replay "$dtrace"
 fi
 
+# A scan step on a host whose queue holds only the manager's idle shim
+# (a placed pipe, no flow) once never returned, and the daemon answered
+# nothing more: it now gives up at its event budget with no epoch. The
+# commands are time-bounded and the daemon is killed at the end, so a
+# daemon stuck in a step fails here instead of hanging the suite.
+ssock="$tmp/s.sock"
+"$DAEMON" --preset minimal --socket "$ssock" --no-trace 2>"$tmp/s.err" &
+spid=$!
+if ! await_socket "$ssock"; then
+  echo "FAIL step-daemon-start: socket never appeared ($(cat "$tmp/s.err"))"
+  fails=$((fails + 1))
+else
+  expect step-daemon-submit 0 \
+    '^tenant 1: [0-9]+ placement\(s\)$' \
+    $bounded "$CTL" submit -t 1 --pipe nic0:socket0:10 --connect "$ssock"
+  expect_any step-daemon-scan-idle 0 \
+    '^no further epoch after 0 epoch\(s\)$' \
+    $bounded "$CTL" scan --step 1 --connect "$ssock"
+  expect step-daemon-stats-after 0 \
+    '^now .*aggregate$' \
+    $bounded "$CTL" stats --connect "$ssock"
+  expect step-daemon-shutdown 0 '^bye$' $bounded "$CTL" shutdown --connect "$ssock"
+fi
+kill "$spid" 2>/dev/null
+wait "$spid" 2>/dev/null
+
 # A daemon serving a topology file: check inspects the served host (it
 # once checked a fresh minimal host and reported it clean)
 csock="$tmp/c.sock"

@@ -444,6 +444,46 @@ let handlers_suite =
               C.Fault_inject { a = "rp0.0"; b = "nope"; factor = 0.5; extra_us = 0.0; loss = 0.0 };
               C.Fault_clear { a = "nope"; b = "rp0.0" };
             ]);
+      (* the queue of a host with a placed pipe and no flow holds only
+         the shim's idle passes, each queueing the next: a step once
+         ran them forever, and the daemon answered nothing more *)
+      tc "a scan step with no epoch to find is answered, and so is what follows" (fun () ->
+          let spec = Api.Host_spec.make ~preset:Ihnet.Host.Minimal ~seed:5 () in
+          let host = Api.Host_spec.create_host spec in
+          let buf = Buffer.create 4096 in
+          let recorder =
+            Rec.Recorder.attach ~label:"scan-step" ~seed:5 ~digest_every:1
+              ~sink:(Rec.Recorder.buffer_sink buf) (Ihnet.Host.fabric host)
+          in
+          let h = Api.Handlers.create ~recorder ~spec (Api.Handlers.Host host) in
+          let run cmd =
+            match Api.Handlers.run h cmd with
+            | Resp.Err _ as r -> Alcotest.failf "refused: %s" (show r)
+            | r -> r
+          in
+          ignore
+            (run (C.Submit (R.Intent.pipe ~tenant:1 ~src:"nic0" ~dst:"socket0" ~rate:(U.Units.gbps 10.0))));
+          (match run (C.Scan { ms = 0.0; load = false; step = Some 1; snapshot = false }) with
+          | Resp.Scan_report { steps = []; drained = Some 0; _ } -> ()
+          | r -> Alcotest.failf "expected a scan with no step, got %s" (show r));
+          (match run C.Stats with
+          | Resp.Stats_report { epoch; flows; _ } ->
+            Alcotest.(check (pair int int)) "epoch and flows" (0, 0) (epoch, flows)
+          | r -> Alcotest.failf "expected Stats_report, got %s" (show r));
+          (* the session, the step's clock included, replays *)
+          ignore (run (C.Flow_start { tenant = 1; src = "nic0"; dst = "socket0"; gbps = Some 1.0 }));
+          ignore (run (C.Run_for { ms = 0.2 }));
+          Rec.Recorder.stop recorder;
+          match Rec.Trace.parse (Buffer.contents buf) with
+          | Error e -> Alcotest.fail ("trace parse: " ^ e)
+          | Ok trace -> (
+            match Rec.Replay.run trace with
+            | Error e -> Alcotest.fail ("replay: " ^ e)
+            | Ok report ->
+              if not (Rec.Replay.ok report) then
+                Alcotest.fail (Format.asprintf "%a" Rec.Replay.pp_report report);
+              Alcotest.(check bool) "digests were checked" true
+                (report.Rec.Replay.digests_checked > 0)));
       tc "admission refusal crosses as the typed Mgr payload" (fun () ->
           let h = Api.Handlers.local Api.Host_spec.default in
           let greedy =

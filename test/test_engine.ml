@@ -931,6 +931,184 @@ let epoch_tests =
         Alcotest.(check (list int64)) "path B's rates unchanged" rates0 (b_rates ()));
   ]
 
+(* {1 Interned footprints and usage vectors, and the walk's order} *)
+
+(* Distinct footprints of the active flows, through the read-back *)
+let live_footprints fab =
+  List.sort_uniq compare (List.filter_map (Fabric.footprint fab) (Fabric.active_flows fab))
+
+let intern_tests =
+  [
+    (* Every path of a DGX host, under two MaxPayloadSizes so that each
+       PCIe path gets two coefficient vectors: the tables hold the
+       paths' distinct footprints and one usage vector per path and
+       setting, and nothing once the flows are gone. *)
+    tc "interned footprints and usage vectors go with their last flow" (fun () ->
+        let topo = T.Builder.dgx_like () in
+        let fab = Fabric.create (Sim.create ()) topo in
+        let devices = T.Topology.devices topo in
+        let usages = Hashtbl.create 64 in
+        let start_all () =
+          let mps = (T.Topology.config topo).T.Hostconfig.pcie_mps in
+          Fabric.batch fab (fun () ->
+              List.iter
+                (fun (a : T.Device.t) ->
+                  List.iter
+                    (fun (b : T.Device.t) ->
+                      match T.Routing.shortest_path topo a.T.Device.id b.T.Device.id with
+                      | Some p when p.T.Path.hops <> [] ->
+                        let hops =
+                          List.map (fun (h : T.Path.hop) -> (h.T.Path.link.T.Link.id, h.T.Path.dir)) p.T.Path.hops
+                        and pcie =
+                          List.exists
+                            (fun (h : T.Path.hop) ->
+                              match h.T.Path.link.T.Link.kind with T.Link.Pcie _ -> true | _ -> false)
+                            p.T.Path.hops
+                        in
+                        Hashtbl.replace usages (hops, if pcie then mps else 0) ();
+                        ignore
+                          (Fabric.start_flow fab ~tenant:1 ~llc_target:(T.Device.is_socket b) ~path:p
+                             ~size:Flow.Unbounded ())
+                      | Some _ | None -> ())
+                    devices)
+                devices)
+        in
+        let check what =
+          Alcotest.(check (pair int int))
+            what
+            (List.length (live_footprints fab), Hashtbl.length usages)
+            (Fabric.interned fab)
+        in
+        start_all ();
+        check "one mps";
+        let fps, vectors = Fabric.interned fab in
+        Fabric.set_config fab { (T.Topology.config topo) with T.Hostconfig.pcie_mps = 128 };
+        start_all ();
+        check "two mps";
+        Alcotest.(check int) "the same footprints" fps (fst (Fabric.interned fab));
+        Alcotest.(check bool) "more usage vectors" true (snd (Fabric.interned fab) > vectors);
+        let flows = Fabric.active_flows fab in
+        Fabric.batch fab (fun () -> List.iter (Fabric.stop_flow fab) flows);
+        Alcotest.(check (pair int int)) "all stopped" (0, 0) (Fabric.interned fab));
+    (* A fleet holds hundreds of hosts that never start a flow, so what a
+       fabric carries before its first flow, every one of them pays. It
+       was 1,187 words before footprints were interned; the tables are
+       made at the first start_flow, and until then cost one field. *)
+    tc "a fabric that never started a flow carries no intern tables" (fun () ->
+        let fab = Fabric.create (Sim.create ()) (T.Builder.minimal ()) in
+        let words = Obj.reachable_words (Obj.repr fab) in
+        if words > 1187 + 4 then Alcotest.failf "%d reachable words, over 1,187 + 4" words;
+        Alcotest.(check (pair int int)) "nothing interned" (0, 0) (Fabric.interned fab));
+  ]
+
+(* The walk skips rows and claims that cannot find anything new. That is
+   exact only if it meets the same flows in the same order as a plain
+   BFS that scans every row it pops and claims every member's
+   footprint: this one, built from the read-back alone. A row lists its
+   flows newest-started first, and flow ids are handed out in start
+   order. *)
+let plain_walk fab seeds =
+  let flows = Fabric.active_flows fab in
+  let fps = List.map (fun f -> (f.Flow.id, Option.get (Fabric.footprint fab f))) flows in
+  let rows = Hashtbl.create 64 in
+  List.iter
+    (fun (id, fp) ->
+      Array.iter
+        (fun r -> Hashtbl.replace rows r (id :: Option.value (Hashtbl.find_opt rows r) ~default:[]))
+        fp)
+    fps;
+  let fp_of = Hashtbl.of_seq (List.to_seq fps) in
+  let claimed = Hashtbl.create 64 and met = Hashtbl.create 64 and stack = Stack.create () in
+  let claim r =
+    if not (Hashtbl.mem claimed r) then
+      Array.iter
+        (fun x ->
+          if not (Hashtbl.mem claimed x) then begin
+            Hashtbl.replace claimed x ();
+            Stack.push x stack
+          end)
+        (Fabric.claim_group fab r)
+  in
+  let members = ref [] in
+  Array.iter
+    (fun seed ->
+      if not (Hashtbl.mem claimed seed) then begin
+        claim seed;
+        while not (Stack.is_empty stack) do
+          List.iter
+            (fun id ->
+              if not (Hashtbl.mem met id) then begin
+                Hashtbl.replace met id ();
+                members := id :: !members;
+                Array.iter claim (Hashtbl.find fp_of id)
+              end)
+            (Option.value (Hashtbl.find_opt rows (Stack.pop stack)) ~default:[])
+        done
+      end)
+    seeds;
+  List.rev !members
+
+let walk_properties =
+  let ends = [| "gpu0"; "gpu3"; "gpu5"; "nic1"; "nic4"; "nic6"; "socket0"; "socket1"; "dimm0.1.0"; "ext" |] in
+  let gen =
+    QCheck.make
+      ~print:(fun ops -> String.concat ";" (List.map (fun (k, x) -> Printf.sprintf "%d:%d" k x) ops))
+      QCheck.Gen.(list_size (int_range 10 60) (pair (int_bound 9) (int_bound 1_000_000)))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"the walk meets the flows a plain BFS meets, in its order" ~count:100
+         gen (fun ops ->
+           let topo = T.Builder.dgx_like () in
+           let sim = Sim.create () in
+           let fab = Fabric.create sim topo in
+           let nth_flow x =
+             match Fabric.active_flows fab with
+             | [] -> None
+             | fl -> Some (List.nth fl (x mod List.length fl))
+           in
+           let nlinks = T.Topology.link_count topo in
+           let step (k, x) =
+             match k with
+             | 0 | 1 | 2 | 3 ->
+               let a = ends.(x mod Array.length ends) and b = ends.(x / 10 mod Array.length ends) in
+               if a <> b then begin
+                 let p = T.Routing.route topo a b in
+                 let llc = T.Device.is_socket (T.Topology.device topo p.T.Path.dst) && x mod 3 = 0 in
+                 let size = if x mod 4 = 0 then Flow.Bytes (1e5 *. float_of_int (1 + (x mod 7))) else Flow.Unbounded in
+                 ignore
+                   (Fabric.start_flow fab ~tenant:(1 + (x mod 3)) ~llc_target:llc
+                      ~payload_bytes:(if x mod 5 = 0 then 64 else 256)
+                      ~path:p ~size ())
+               end
+             | 4 | 5 -> Option.iter (Fabric.stop_flow fab) (nth_flow x)
+             | 6 ->
+               Option.iter
+                 (fun f ->
+                   Fabric.set_flow_limits fab f ~weight:(1.0 +. float_of_int (x mod 3))
+                     ~floor:(if x mod 2 = 0 then 1e9 else 0.0) ())
+                 (nth_flow x)
+             | 7 ->
+               let l = x mod nlinks in
+               if x mod 2 = 0 then Fabric.inject_fault fab l (Fault.degrade ~capacity_factor:0.5 ())
+               else Fabric.clear_fault fab l
+             | _ -> Sim.run ~until:(Sim.now sim +. float_of_int (x mod 50_000)) sim
+           in
+           List.for_all
+             (fun op ->
+               step op;
+               let live = live_footprints fab in
+               let all = Array.of_list (List.sort_uniq compare (List.concat_map Array.to_list live)) in
+               let one = match nth_flow (snd op) with Some f -> Option.get (Fabric.footprint fab f) | None -> [||] in
+               let l = snd op mod nlinks in
+               List.for_all
+                 (fun seeds -> Fabric.walk fab seeds = plain_walk fab seeds)
+                 [ all; one; [| 2 * l; (2 * l) + 1 |] ]
+               && fst (Fabric.interned fab) = List.length live
+               && snd (Fabric.interned fab) <= Fabric.flow_count fab)
+             ops));
+  ]
+
 (* Conservation property: random flow sets never oversubscribe links. *)
 let fabric_properties =
   let gen =
@@ -1059,7 +1237,8 @@ let suites =
     ("engine.iommu", iommu_tests);
     ("engine.cache", cache_tests);
     ("engine.fabric", fabric_tests @ fabric_properties);
-    ("engine.epoch", epoch_tests);
+    ("engine.epoch", epoch_tests @ intern_tests);
+    ("engine.walk", walk_properties);
     ("engine.sketches", sketch_plane_tests);
     ("engine.labels", label_tests);
   ]

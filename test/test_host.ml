@@ -203,6 +203,25 @@ let idle_tests =
         match Ihnet_record.Scanport.diff ~scope:`Arch (Host.scan bare) (Host.scan h) with
         | None -> ()
         | Some m -> Alcotest.failf "%a" Ihnet_record.Scanport.pp_mismatch m);
+    (* Each idle pass queues the next, and a bare step cannot skip
+       ahead: a step looking for an epoch here ran forever before it
+       had an event budget. Where it gives up depends on events, not
+       on time, so two hosts stop in the same state. *)
+    tc "a scan step on a placed pipe with no flow gives up with no epoch" (fun () ->
+        let stepped () =
+          let h = Host.create ~seed:5 Host.Minimal in
+          place_pipe h;
+          let fab = Host.fabric h in
+          let epoch = E.Fabric.scan_epoch fab in
+          let fz = Ihnet_record.Scanport.freeze fab in
+          Alcotest.(check int) "epochs stepped" 0 (Ihnet_record.Scanport.step fz 1);
+          Alcotest.(check int) "epoch" epoch (E.Fabric.scan_epoch fab);
+          Alcotest.(check bool) "the shim ran" true (E.Fabric.scan_clock fab > 0.0);
+          Host.scan h
+        in
+        match Ihnet_record.Scanport.diff ~scope:`Arch (stepped ()) (stepped ()) with
+        | None -> ()
+        | Some m -> Alcotest.failf "%a" Ihnet_record.Scanport.pp_mismatch m);
     tc "unmanaged flows and no placement cost the shim no epoch" (fun () ->
         let h = Host.create Host.Dgx in
         ignore (Host.enable_manager h ());
