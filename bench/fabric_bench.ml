@@ -23,7 +23,12 @@
    - flow-churn-miss-1k: 1000 flows on the coupled paths, and an op
      that stops a random flow and starts one on a random path, so that
      every epoch misses the memo: a full solve of a 1000-flow
-     component, as host-churn pays it.
+     component. Every flow has a weight of its own, a long-mantissa
+     one, so every flow is its own demand class and the component fails
+     the exactness certificate: the solver gets one demand per flow.
+   - flow-churn-classes-1k: the same op over flows weighted 1 + i mod 3,
+     as host-churn weights them: 1000 flows in 24 demand classes, so
+     the solver gets one demand per class, as host-churn pays it.
    - the *-idle subjects, scan-digest, fleet-churn-1k and
      daemon-cmds-4: see their sections below.
 
@@ -192,11 +197,12 @@ let bench_churn ?(wire = fun _ -> ()) ~nic_of n =
 let bench_churn_local n = bench_churn ~nic_of:Fun.id n
 let bench_churn_coupled n = bench_churn ~nic_of:(fun i -> (i + 3) mod 8) n
 
-(* flow-churn-miss-1k: each started flow has a weight of its own, and
-   the flow just started is never the one stopped (stopping it would
-   return the component to its value before the start), so no
-   component value recurs and every epoch is a memo miss. *)
-let bench_churn_miss n =
+(* flow-churn-miss-1k and flow-churn-classes-1k: an op stops a random
+   flow and starts one on a random path; the flow just started is never
+   the one stopped (stopping it would return the component to its value
+   before the start). [weight k i] weighs the [k]th flow started, in
+   slot [i]. *)
+let bench_churn_random ~weight n =
   let topo = T.Builder.dgx_like () in
   let sim = E.Sim.create () in
   let fab = E.Fabric.create sim topo in
@@ -204,8 +210,7 @@ let bench_churn_miss n =
   let rng = U.Rng.create 3 and started = ref 0 in
   let start i =
     incr started;
-    E.Fabric.start_flow fab ~tenant:(1 + (i mod 16))
-      ~weight:(1.0 +. (1e-4 *. float_of_int !started))
+    E.Fabric.start_flow fab ~tenant:(1 + (i mod 16)) ~weight:(weight !started i)
       ~path:(U.Rng.pick rng paths) ~size:E.Flow.Unbounded ()
   in
   let live = ref [||] in
@@ -217,6 +222,13 @@ let bench_churn_miss n =
       E.Fabric.stop_flow fab live.(i);
       live.(i) <- start i;
       last := i)
+
+(* each started flow has a weight of its own, so no component value
+   recurs and every epoch is a memo miss *)
+let bench_churn_miss n = bench_churn_random ~weight:(fun k _ -> 1.0 +. (1e-4 *. float_of_int k)) n
+
+let bench_churn_classes n =
+  bench_churn_random ~weight:(fun _ i -> 1.0 +. float_of_int (i mod 3)) n
 
 (* flow-churn-sketch-4096 is flow-churn-4096 with the always-on
    latency-sketch plane recording at every reallocation epoch — the
@@ -583,6 +595,7 @@ let () =
       ("flow-churn-4096", fun () -> bench_churn_local 4096);
       ("flow-churn-coupled-4096", fun () -> bench_churn_coupled 4096);
       ("flow-churn-miss-1k", fun () -> bench_churn_miss 1000);
+      ("flow-churn-classes-1k", fun () -> bench_churn_classes 1000);
       ("remediation-idle", bench_remediation_idle);
       ("recorder-idle", bench_recorder_idle);
       ("evidence-idle", bench_evidence_idle);

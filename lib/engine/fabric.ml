@@ -13,6 +13,7 @@ type entry = {
   conn : int array; (* the interned footprint: shared by every flow on it *)
   fp : int; (* the footprint's id *)
   uid : int; (* the usage vector's id *)
+  mutable dc : int; (* the demand class's id: see [interns] *)
   mutable dem : Fairshare.demand;
       (* cached allocator view, whose [res]/[coeff] are the interned
          usage vector (hop order); rebuilt only when the flow's limits
@@ -125,9 +126,27 @@ module Usage_tbl = Hashtbl.Make (struct
     !h land max_int
 end)
 
-(* Interned footprints and usage vectors, the footprints on each row
-   of the contention index, and the solve scratch: made at a fabric's
-   first start_flow (see [make_interns]). *)
+(* A demand class: a usage vector's id and the weight, floor and cap
+   of the demands on it. Flows of one class hand the solver identical
+   demands. The floats compare and hash by their bits. *)
+type class_key = { k_uid : int; k_weight : float; k_floor : float; k_cap : float }
+
+module Class_tbl = Hashtbl.Make (struct
+  type t = class_key
+
+  let equal a b =
+    a.k_uid = b.k_uid && feq a.k_weight b.k_weight && feq a.k_floor b.k_floor && feq a.k_cap b.k_cap
+
+  let hash k =
+    let bits x = Int64.to_int (Int64.bits_of_float x) in
+    let h = (k.k_uid * 65599) + bits k.k_weight in
+    let h = (h * 65599) + bits k.k_floor in
+    ((h * 65599) + bits k.k_cap) land max_int
+end)
+
+(* Interned footprints, usage vectors and demand classes, the
+   footprints on each row of the contention index, and the solve
+   scratch: made at a fabric's first start_flow (see [make_interns]). *)
 type interns = {
   fp_ids : (int array * int) Fp_tbl.t; (* footprint -> (itself, id) *)
   mutable fp_refs : int array; (* id -> registered flows on it *)
@@ -139,13 +158,28 @@ type interns = {
   u_free : int U.Vec.t;
   row_fps : int array array; (* conn resource -> live footprints on its row *)
   row_nfp : int array; (* conn resource -> length of its [row_fps] *)
+  dc_ids : int Class_tbl.t; (* demand class -> id *)
+  mutable dc_refs : int array; (* id -> registered flows in it *)
+  mutable dc_exp : int array; (* id -> E: each weight x coefficient product is a multiple of 2^E *)
+  mutable dc_sum : float array; (* id -> sum of those products; infinity when uncertified *)
+  mutable dc_mark : int array; (* id -> the compute that met it *)
+  mutable dc_slot : int array; (* id -> its demand in that compute *)
+  dc_free : int U.Vec.t;
+  mutable dc_gen : int; (* compute counter, for [dc_mark] *)
+  sk_exp : int array; (* socket -> [dc_exp] of its spill fan-outs *)
+  sk_sum : float array; (* socket -> [dc_sum] of its spill fan-outs *)
+  mutable solved : int; (* demands handed to the solver, cumulative *)
   (* one solve's demands (grow-only): usage id, weight, floor, cap,
-     and the rates the solver writes *)
+     multiplicity, and the rates the solver writes; then each entry's
+     demand and rate *)
   mutable s_usage : int array;
   mutable s_weight : float array;
   mutable s_floor : float array;
   mutable s_cap : float array;
+  mutable s_mult : float array;
   mutable s_rates : float array;
+  mutable e_slot : int array;
+  mutable e_rates : float array;
 }
 
 (* [Fabric.batch]'s state. While [is_open], reallocation is deferred,
@@ -543,16 +577,70 @@ let conn_of t (f : Flow.t) res =
 let spill_to s = 2 * s
 let spill_from s = (2 * s) + 1
 
+(* {2 Demand classes and the exactness certificate}
+
+   Flows with one usage vector, weight, floor and cap form a demand
+   class: they hand the solver identical demands. Each class is
+   interned like a usage vector, refcounted by the registered flows in
+   it and released with the last; [set_flow_limits] moves a flow to the
+   class of its new limits. A compute hands the solver one demand per
+   class, with the class's multiplicity, when the component passes the
+   certificate below, and one per flow otherwise (MODEL.md §4).
+
+   The certificate is read from per-class data stored at intern time:
+   [dc_exp], an [E] such that each weight x coefficient product of the
+   class is a multiple of 2^E, and [dc_sum], the sum of those products
+   (infinity for a class with a floor above zero, or a product that is
+   not a positive finite float). A component passes when the sum of
+   its flows' [dc_sum] and its claimed sockets' spill fan-outs stays
+   below 2^(51+E) for the least [E] among them: then every sum the
+   solver forms of those products, times any multiplicity, is exact,
+   and merging a class's flows moves no bit ([Fairshare.solve]). *)
+
+(* [E] for a class with no product: above any float's lowest set bit,
+   and small enough that 2^(51+E) does not overflow an int *)
+let no_product = 1100
+
+(* The exponent of the lowest set bit of a finite [x <> 0]: [x] is an
+   odd multiple of 2^(lowbit x). *)
+let lowbit x =
+  let fr, e = Float.frexp x in
+  let m = ref (Float.to_int (Float.ldexp (Float.abs fr) 53)) and b = ref (e - 53) in
+  while !m land 1 = 0 do
+    m := !m lsr 1;
+    incr b
+  done;
+  !b
+
+(* [(E, sum)] of the products [w *. c] over [coeff] *)
+let products w coeff =
+  let e = ref no_product and sum = ref 0.0 in
+  Array.iter
+    (fun c ->
+      let p = w *. c in
+      if p > 0.0 && p < infinity then begin
+        e := min !e (lowbit p);
+        sum := !sum +. p
+      end
+      else sum := infinity)
+    coeff;
+  (!e, !sum)
+
 let make_interns t =
   let ns = Array.length t.socket_mems in
   let u_vec = Fairshare.vectors ~nr:t.nr in
+  let sk_exp = Array.make ns no_product and sk_sum = Array.make ns 0.0 in
   Array.iteri
     (fun s sm ->
       match sm with
       | None -> ()
       | Some sm ->
         Fairshare.set_vector u_vec (spill_to s) sm.to_res sm.to_coeff;
-        Fairshare.set_vector u_vec (spill_from s) sm.from_res sm.from_coeff)
+        Fairshare.set_vector u_vec (spill_from s) sm.from_res sm.from_coeff;
+        (* a spill demand has weight 1.0 *)
+        let e_to, sum_to = products 1.0 sm.to_coeff and e_from, sum_from = products 1.0 sm.from_coeff in
+        sk_exp.(s) <- min e_to e_from;
+        sk_sum.(s) <- sum_to +. sum_from)
     t.socket_mems;
   let nconn = Array.length t.res_slots in
   {
@@ -566,11 +654,25 @@ let make_interns t =
     u_free = U.Vec.create ();
     row_fps = Array.make nconn [||];
     row_nfp = Array.make nconn 0;
+    dc_ids = Class_tbl.create 16;
+    dc_refs = [||];
+    dc_exp = [||];
+    dc_sum = [||];
+    dc_mark = [||];
+    dc_slot = [||];
+    dc_free = U.Vec.create ();
+    dc_gen = 0;
+    sk_exp;
+    sk_sum;
+    solved = 0;
     s_usage = [||];
     s_weight = [||];
     s_floor = [||];
     s_cap = [||];
+    s_mult = [||];
     s_rates = [||];
+    e_slot = [||];
+    e_rates = [||];
   }
 
 let interns t =
@@ -626,6 +728,47 @@ let intern_usage ix u =
     let hit = (u, id) in
     Usage_tbl.add ix.u_ids u hit;
     hit
+
+let class_key uid (d : Fairshare.demand) =
+  { k_uid = uid; k_weight = d.Fairshare.weight; k_floor = d.Fairshare.floor; k_cap = d.Fairshare.cap }
+
+(* The class of demand [d] on usage vector [uid], and its id; the
+   refcount is the caller's to take *)
+let intern_class ix uid (d : Fairshare.demand) =
+  let key = class_key uid d in
+  match Class_tbl.find ix.dc_ids key with
+  | id -> id
+  | exception Not_found ->
+    if U.Vec.is_empty ix.dc_free then begin
+      let cap = Array.length ix.dc_refs in
+      let cap' = max 8 (2 * cap) in
+      ix.dc_refs <- widen ix.dc_refs cap' 0;
+      ix.dc_exp <- widen ix.dc_exp cap' 0;
+      ix.dc_sum <- widen ix.dc_sum cap' 0.0;
+      ix.dc_mark <- widen ix.dc_mark cap' 0;
+      ix.dc_slot <- widen ix.dc_slot cap' 0;
+      for id = cap' - 1 downto cap do
+        U.Vec.push ix.dc_free id
+      done
+    end;
+    let id = U.Vec.pop ix.dc_free in
+    let e, sum =
+      if d.Fairshare.floor > 0.0 then (no_product, infinity)
+      else products d.Fairshare.weight d.Fairshare.coeff
+    in
+    ix.dc_exp.(id) <- e;
+    ix.dc_sum.(id) <- sum;
+    Class_tbl.add ix.dc_ids key id;
+    id
+
+(* One flow of [e]'s class leaves it; the last releases it *)
+let release_class ix e =
+  let d = e.dc in
+  ix.dc_refs.(d) <- ix.dc_refs.(d) - 1;
+  if ix.dc_refs.(d) = 0 then begin
+    Class_tbl.remove ix.dc_ids (class_key e.uid e.dem);
+    U.Vec.push ix.dc_free d
+  end
 
 (* {2 The contention index}
 
@@ -693,7 +836,8 @@ let register t ix e =
         ix.row_nfp.(r) <- n + 1)
       e.conn;
   ix.fp_refs.(f) <- ix.fp_refs.(f) + 1;
-  ix.u_refs.(e.uid) <- ix.u_refs.(e.uid) + 1
+  ix.u_refs.(e.uid) <- ix.u_refs.(e.uid) + 1;
+  ix.dc_refs.(e.dc) <- ix.dc_refs.(e.dc) + 1
 
 let unregister t ix e =
   let s = e.slot in
@@ -723,6 +867,7 @@ let unregister t ix e =
     Fp_tbl.remove ix.fp_ids e.conn;
     U.Vec.push ix.fp_free f
   end;
+  release_class ix e;
   let u = e.uid in
   ix.u_refs.(u) <- ix.u_refs.(u) - 1;
   if ix.u_refs.(u) = 0 then begin
@@ -860,18 +1005,73 @@ let collect_components t seeds =
     seeds;
   List.rev !comps
 
-(* Grow the solve buffers to hold [need] demands. Grow-only, with an
-   eighth of headroom, like the solver's own workspace: the buffers
-   outlive every solve, so only what the memo keeps is fresh. *)
-let reserve_solve ix need =
+(* Grow the solve buffers to hold [need] demands and the entry
+   buffers [nc] entries. Grow-only, with an eighth of headroom, like
+   the solver's own workspace: the buffers outlive every solve, so only
+   what the memo keeps is fresh. *)
+let reserve_solve ix ~nc need =
   if Array.length ix.s_usage < need then begin
     let size = need + (need / 8) in
     ix.s_usage <- Array.make size 0;
     ix.s_weight <- Array.make size 0.0;
     ix.s_floor <- Array.make size 0.0;
     ix.s_cap <- Array.make size 0.0;
+    ix.s_mult <- Array.make size 0.0;
     ix.s_rates <- Array.make size 0.0
+  end;
+  if Array.length ix.e_slot < nc then begin
+    let size = nc + (nc / 8) in
+    ix.e_slot <- Array.make size 0;
+    ix.e_rates <- Array.make size 0.0
   end
+
+(* The component's demands, into the solve buffers: one per demand
+   class, in order of its first entry, with the class's multiplicity,
+   when the component passes the exactness certificate; otherwise one
+   per entry, in entry order, each of multiplicity 1, which is the
+   per-flow solve operand for operand. Entry [i]'s demand is
+   [e_slot.(i)]. Returns how many demands there are. Allocates
+   nothing: no closure captures the float ref, so it stays unboxed
+   (pinned in [engine.classes]). *)
+let class_demands ix (c : component) =
+  let nc = Array.length c.c_entries in
+  let total = ref 0.0 and least = ref no_product in
+  for i = 0 to nc - 1 do
+    let d = c.c_entries.(i).dc in
+    total := !total +. ix.dc_sum.(d);
+    if ix.dc_exp.(d) < !least then least := ix.dc_exp.(d)
+  done;
+  for k = 0 to Array.length c.c_sockets - 1 do
+    let s = c.c_sockets.(k) in
+    total := !total +. ix.sk_sum.(s);
+    if ix.sk_exp.(s) < !least then least := ix.sk_exp.(s)
+  done;
+  let merge = !total < Float.ldexp 1.0 (51 + !least) in
+  ix.dc_gen <- ix.dc_gen + 1;
+  let gen = ix.dc_gen and n = ref 0 in
+  for i = 0 to nc - 1 do
+    let en = c.c_entries.(i) in
+    let d = en.dc in
+    if merge && ix.dc_mark.(d) = gen then begin
+      let k = ix.dc_slot.(d) in
+      ix.s_mult.(k) <- ix.s_mult.(k) +. 1.0;
+      ix.e_slot.(i) <- k
+    end
+    else begin
+      let k = !n in
+      incr n;
+      ix.dc_mark.(d) <- gen;
+      ix.dc_slot.(d) <- k;
+      let dem = en.dem in
+      ix.s_usage.(k) <- en.uid;
+      ix.s_weight.(k) <- dem.Fairshare.weight;
+      ix.s_floor.(k) <- dem.Fairshare.floor;
+      ix.s_cap.(k) <- dem.Fairshare.cap;
+      ix.s_mult.(k) <- 1.0;
+      ix.e_slot.(i) <- k
+    end
+  done;
+  !n
 
 (* Rate computation for one component. It reads only state that is
    frozen for the duration of a reallocation (caps, cache model,
@@ -890,6 +1090,10 @@ let reserve_solve ix need =
    approximation; the skipped iterations are counted as [unchanged]
    in the solver ledger.
 
+   The solver sees a demand per class (see [class_demands]); every
+   entry takes its demand's rate, and everything after the solve reads
+   those per entry, in entry order.
+
    The rates go into [into] when it holds them all: the rate array of
    the memo this miss evicts. *)
 let compute_component t (c : component) ~into =
@@ -903,21 +1107,14 @@ let compute_component t (c : component) ~into =
   (* the component's own demands first, then at most two spill demands
      per socket. A fabric that never started a flow has no interns, and
      no demand either: no entry, so no LLC write and no spill. *)
-  let rates =
+  let nd =
     match t.ix with
-    | None -> [||]
+    | None -> 0
     | Some ix ->
-      reserve_solve ix (nc + (2 * Array.length c.c_sockets));
-      for i = 0 to nc - 1 do
-        let e = c.c_entries.(i) in
-        let d = e.dem in
-        ix.s_usage.(i) <- e.uid;
-        ix.s_weight.(i) <- d.Fairshare.weight;
-        ix.s_floor.(i) <- d.Fairshare.floor;
-        ix.s_cap.(i) <- d.Fairshare.cap
-      done;
-      ix.s_rates
+      reserve_solve ix ~nc (nc + (2 * Array.length c.c_sockets));
+      class_demands ix c
   in
+  let rates = match t.ix with None -> [||] | Some ix -> ix.e_rates in
   (* the spill fixed point only matters when LLC-targeted flows exist *)
   let any_llc = Array.exists (fun e -> e.flow.Flow.llc_target) c.c_entries in
   let iterations = if Array.length c.c_sockets > 0 && any_llc then 4 else 1 in
@@ -930,7 +1127,7 @@ let compute_component t (c : component) ~into =
     (match t.ix with
     | None -> ()
     | Some ix ->
-      let n = ref nc in
+      let n = ref nd in
       for k = Array.length c.c_sockets - 1 downto 0 do
         let s = c.c_sockets.(k) in
         match t.socket_mems.(s) with
@@ -941,6 +1138,7 @@ let compute_component t (c : component) ~into =
             ix.s_weight.(!n) <- 1.0;
             ix.s_floor.(!n) <- 0.0;
             ix.s_cap.(!n) <- rr.(s);
+            ix.s_mult.(!n) <- 1.0;
             incr n
           end;
           if wb.(s) > 0.0 then begin
@@ -948,11 +1146,16 @@ let compute_component t (c : component) ~into =
             ix.s_weight.(!n) <- 1.0;
             ix.s_floor.(!n) <- 0.0;
             ix.s_cap.(!n) <- wb.(s);
+            ix.s_mult.(!n) <- 1.0;
             incr n
           end
       done;
       Fairshare.solve ~capacities:t.caps ix.u_vec ~n:!n ~usage:ix.s_usage ~weight:ix.s_weight
-        ~floor:ix.s_floor ~cap:ix.s_cap rates);
+        ~floor:ix.s_floor ~cap:ix.s_cap ~mult:ix.s_mult ix.s_rates;
+      ix.solved <- ix.solved + !n;
+      for i = 0 to nc - 1 do
+        rates.(i) <- ix.s_rates.(ix.e_slot.(i))
+      done);
     (* recompute spill targets from the allocated LLC write rates *)
     Array.iter (fun s -> write.(s) <- 0.0) c.c_sockets;
     Array.iteri
@@ -1539,20 +1742,17 @@ let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(
   in
   t.next_flow_id <- t.next_flow_id + 1;
   let conn, fp = intern_footprint ix (conn_of t flow u.ures) in
+  let dem =
+    { Fairshare.weight; floor; cap = Flow.effective_demand flow; res = u.ures; coeff = u.ucoeff }
+  in
   let entry =
     {
       flow;
       conn;
       fp;
       uid;
-      dem =
-        {
-          Fairshare.weight;
-          floor;
-          cap = Flow.effective_demand flow;
-          res = u.ures;
-          coeff = u.ucoeff;
-        };
+      dc = intern_class ix uid dem;
+      dem;
       trow = tenant_row t tenant;
       crow = t.cls_rows.(cls_index cls);
       slot = -1;
@@ -1593,7 +1793,22 @@ let set_flow_limits t (f : Flow.t) ?weight ?floor ?cap () =
   if f.Flow.state = Flow.Running then
     match Hashtbl.find_opt t.entries f.Flow.id with
     | Some e ->
-      e.dem <- demand_of_entry e;
+      let old = e.dem and dem = demand_of_entry e in
+      (* limits that keep their bits keep their class; [release_class]
+         finds the old class by [e.dem], so it runs before that moves *)
+      if
+        not
+          (feq dem.Fairshare.weight old.Fairshare.weight
+          && feq dem.Fairshare.floor old.Fairshare.floor
+          && feq dem.Fairshare.cap old.Fairshare.cap)
+      then begin
+        let ix = interns t in
+        let dc = intern_class ix e.uid dem in
+        ix.dc_refs.(dc) <- ix.dc_refs.(dc) + 1;
+        release_class ix e;
+        e.dc <- dc
+      end;
+      e.dem <- dem;
       reallocate t e.conn;
       if t.listeners <> [] then emit t (Limits_changed f)
     | None -> reallocate t (all_seeds t)
@@ -1847,11 +2062,21 @@ let interned t =
   | None -> (0, 0)
   | Some ix -> (Fp_tbl.length ix.fp_ids, Usage_tbl.length ix.u_ids)
 
+let demand_classes t = match t.ix with None -> 0 | Some ix -> Class_tbl.length ix.dc_ids
+let demands_solved t = match t.ix with None -> 0 | Some ix -> ix.solved
+
 (* {2 The contention walk, read back} *)
 
 let footprint t (f : Flow.t) =
   match Hashtbl.find_opt t.entries f.Flow.id with
   | Some e when e.flow == f -> Some (Array.copy e.conn)
+  | Some _ | None -> None
+
+let demand t (f : Flow.t) =
+  match Hashtbl.find_opt t.entries f.Flow.id with
+  | Some e when e.flow == f ->
+    let d = e.dem in
+    Some { d with Fairshare.res = Array.copy d.Fairshare.res; coeff = Array.copy d.Fairshare.coeff }
   | Some _ | None -> None
 
 let claim_group t r =

@@ -415,6 +415,21 @@ val interned : t -> int * int
     usage vectors of the flows now active, and [(0, 0)] on a fabric
     with none. The sockets' spill fan-outs are not counted. *)
 
+val demand_classes : t -> int
+(** How many demand classes the fabric holds interned: the distinct
+    (usage vector, weight, floor, cap) of the active flows, each of
+    which hands the solver identical demands. A class is released when
+    its last flow stops or completes, or moves to another class through
+    {!set_flow_limits}; 0 on a fabric with no active flow. *)
+
+val demands_solved : t -> int
+(** The demands handed to [Fairshare.solve], summed over every solve
+    of every component compute (spill demands included). A component
+    that passes the exactness certificate (MODEL.md §4) hands it one
+    demand per demand class, otherwise one per flow, so this divided by
+    [(scan_solver_stats t).solves] is the mean demands per solve. Memo
+    hits add nothing. *)
+
 (** {1 The contention walk, read back}
 
     Read-only views of the contention index, enough to check the walk
@@ -428,6 +443,12 @@ val footprint : t -> Flow.t -> int array option
     coupling resource [scan_resources t + socket] and the socket's
     memory resources; sorted ascending. [None] for a flow that is not
     active. *)
+
+val demand : t -> Flow.t -> Fairshare.demand option
+(** The demand an active flow hands the solver: its weight, floor,
+    cap (folded with its offered demand) and usage, hop order, as the
+    fabric caches it (the arrays are copies). [None] for a flow that is
+    not active. *)
 
 val claim_group : t -> int -> int array
 (** [claim_group t r] is what the walk claims when it claims [r], in

@@ -307,7 +307,7 @@ let set_vector v u res coeff =
    do not depend on what the workspace solved before. *)
 
 type workspace = {
-  mutable mult : int array; (* vector -> demands that use it *)
+  mutable users : int array; (* vector -> demands that use it *)
   mutable inc_d : int array; (* m: resource-major incidence -> demand *)
   mutable start_rate : float array; (* n: rate at fill time 0 *)
   mutable active : bool array; (* n *)
@@ -328,12 +328,13 @@ type workspace = {
   mutable d_weight : float array;
   mutable d_floor : float array;
   mutable d_cap : float array;
+  mutable d_mult : float array; (* all 1.0 *)
 }
 
 let workspace_key =
   Domain.DLS.new_key (fun () ->
       {
-        mult = [||];
+        users = [||];
         inc_d = [||];
         start_rate = [||];
         active = [||];
@@ -352,6 +353,7 @@ let workspace_key =
         d_weight = [||];
         d_floor = [||];
         d_cap = [||];
+        d_mult = [||];
       })
 
 (* [a] if it holds [need] slots, else a fresh array with an eighth of
@@ -361,19 +363,24 @@ let workspace_key =
 let grow a need fill = if Array.length a >= need then a else Array.make (need + (need / 8)) fill
 
 (* The core. Demand [i] is [weight.(i)], [floor.(i)], [cap.(i)] and
-   vector [usage.(i)] of [vec]. Vectors are read in place; each was
-   checked when it entered its table, and each demand's fields are
-   checked here. Which demands share a vector changes no float
-   operation: a sum over a demand's usage runs in vector order, and a
-   sum over demands in demand order, so the rates depend only on the
-   demands' values and order. *)
-let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
+   vector [usage.(i)] of [vec], taken [mult.(i)] times. Vectors are read
+   in place; each was checked when it entered its table, and each
+   demand's fields are checked here. Which demands share a vector
+   changes no float operation: a sum over a demand's usage runs in
+   vector order, and a sum over demands in demand order, so the rates
+   depend only on the demands' values and order.
+
+   A demand's multiplicity [k] scales each of its load and speed terms
+   as [k *. (x *. c)]: at [k = 1.0] that is [x *. c], bit for bit, so a
+   solve of multiplicity-1 demands is the solve of those demands. *)
+let solve ~capacities vec ~n ~usage ~weight ~floor ~cap ~mult rates =
   if
     n < 0
     || n > Array.length usage
     || n > Array.length weight
     || n > Array.length floor
     || n > Array.length cap
+    || n > Array.length mult
   then invalidf "Fairshare.solve: n = %d outside the demand arrays" n;
   if Array.length rates < n then
     invalidf "Fairshare.solve: output holds %d rates, fewer than n = %d" (Array.length rates) n;
@@ -383,7 +390,7 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
   let nv = Array.length vec.v_len in
   let vstart = vec.v_start and vlen = vec.v_len and vres = vec.v_res and vcoeff = vec.v_coeff in
   let ws = Domain.DLS.get workspace_key in
-  ws.mult <- grow ws.mult nv 0;
+  ws.users <- grow ws.users nv 0;
   ws.start_rate <- grow ws.start_rate n 0.0;
   ws.active <- grow ws.active n false;
   ws.load <- grow ws.load nr 0.0;
@@ -399,20 +406,25 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
      seed rates: floors clipped by caps. The fast path is one combined
      comparison (NaN-rejecting: a NaN compares false and falls
      through); only the failing branch calls [check_fields], which
-     names the exact offending field. [mult] is all zero between
+     names the exact offending field. [users] is all zero between
      calls: the count below zeroes what it reads, and a refusal here
      zeroes it before raising. *)
-  let mult = ws.mult in
+  let users = ws.users in
   let any_floor = ref false in
   for i = 0 to n - 1 do
-    let u = usage.(i) and fl = floor.(i) and c = cap.(i) in
-    if not (weight.(i) > 0.0 && fl >= 0.0 && c >= 0.0 && u >= 0 && u < nv) then begin
-      Array.fill mult 0 nv 0;
+    let u = usage.(i) and fl = floor.(i) and c = cap.(i) and k = mult.(i) in
+    if
+      not
+        (weight.(i) > 0.0 && fl >= 0.0 && c >= 0.0 && k >= 1.0 && k < infinity && u >= 0 && u < nv)
+    then begin
+      Array.fill users 0 nv 0;
       check_fields i ~weight:weight.(i) ~floor:fl ~cap:c;
+      if not (k >= 1.0 && k < infinity) then
+        invalidf "Fairshare: demand %d: multiplicity must be finite and >= 1 (got %g)" i k;
       invalidf "Fairshare: demand %d: usage vector %d out of range [0, %d)" i u nv
     end;
     if fl > 0.0 then any_floor := true;
-    mult.(u) <- mult.(u) + 1;
+    users.(u) <- users.(u) + 1;
     rates.(i) <- Float.min fl c
   done;
   (* each resource's incidence count, the first half of the
@@ -420,15 +432,16 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
      distinct vector, times the demands that use it *)
   let inc_off = ws.inc_off in
   Array.fill inc_off 0 (nr + 1) 0;
-  let m = ref 0 in
+  let m = ref 0 and any_inf = ref false in
   for u = 0 to nv - 1 do
-    let k = mult.(u) in
+    let k = users.(u) in
     if k > 0 then begin
-      mult.(u) <- 0;
+      users.(u) <- 0;
       m := !m + (k * vlen.(u));
       for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
         let r = vres.(j) in
-        inc_off.(r + 1) <- inc_off.(r + 1) + k
+        inc_off.(r + 1) <- inc_off.(r + 1) + k;
+        if vcoeff.(j) = infinity then any_inf := true
       done
     end
   done;
@@ -444,9 +457,9 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
   if !any_floor then begin
     Array.fill load 0 nr 0.0;
     for i = 0 to n - 1 do
-      let u = usage.(i) in
+      let u = usage.(i) and k = mult.(i) in
       for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
-        load.(vres.(j)) <- load.(vres.(j)) +. (rates.(i) *. vcoeff.(j))
+        load.(vres.(j)) <- load.(vres.(j)) +. (k *. (rates.(i) *. vcoeff.(j)))
       done
     done;
     let any_over = ref false in
@@ -498,23 +511,29 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
   Array.fill tau_r 0 nr 0.0;
   Array.fill version 0 nr 0;
   Array.fill load 0 nr 0.0;
-  (* whether a demand grows is fixed per demand, so the test is made
-     once per demand, not once per usage entry *)
-  for i = 0 to n - 1 do
-    let ri = rates.(i) and u = usage.(i) in
-    if active.(i) then begin
-      let w = weight.(i) in
+  (* the initial loads, then the growth speeds. With no floor above
+     zero every seed rate on a usage entry is a zero, and a zero times a
+     finite coefficient adds a zero to a load that starts at 0.0, so the
+     loads stay 0.0 and their pass is skipped; not under an infinite
+     coefficient, whose product with a zero is NaN. Whether a demand
+     grows is fixed per demand, so the test is made once per demand,
+     not once per usage entry. *)
+  if !any_floor || !any_inf then
+    for i = 0 to n - 1 do
+      let ri = rates.(i) and u = usage.(i) and k = mult.(i) in
       for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
         let r = vres.(j) in
-        load.(r) <- load.(r) +. (ri *. vcoeff.(j));
-        speed.(r) <- speed.(r) +. (w *. vcoeff.(j))
+        load.(r) <- load.(r) +. (k *. (ri *. vcoeff.(j)))
+      done
+    done;
+  for i = 0 to n - 1 do
+    if active.(i) then begin
+      let w = weight.(i) and u = usage.(i) and k = mult.(i) in
+      for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
+        let r = vres.(j) in
+        speed.(r) <- speed.(r) +. (k *. (w *. vcoeff.(j)))
       done
     end
-    else
-      for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
-        let r = vres.(j) in
-        load.(r) <- load.(r) +. (ri *. vcoeff.(j))
-      done
   done;
   let start_rate = ws.start_rate in
   Array.blit rates 0 start_rate 0 n;
@@ -539,7 +558,7 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
   let freeze i at =
     if active.(i) then begin
       active.(i) <- false;
-      let w = weight.(i) and u = usage.(i) in
+      let w = weight.(i) and u = usage.(i) and k = mult.(i) in
       rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (w *. at));
       for j = vstart.(u) to vstart.(u) + vlen.(u) - 1 do
         let r = vres.(j) in
@@ -548,7 +567,7 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap rates =
           load.(r) <- load.(r) +. (speed.(r) *. (at -. tau_r.(r)));
           tau_r.(r) <- at
         end;
-        speed.(r) <- speed.(r) -. (w *. vcoeff.(j));
+        speed.(r) <- speed.(r) -. (k *. (w *. vcoeff.(j)));
         (* invalidate r's in-heap saturation event; it will be
            re-keyed lazily if it surfaces before r saturates *)
         version.(r) <- version.(r) + 1
@@ -620,6 +639,8 @@ let allocate_into ~capacities ~n demands out =
   ws.d_weight <- grow ws.d_weight n 0.0;
   ws.d_floor <- grow ws.d_floor n 0.0;
   ws.d_cap <- grow ws.d_cap n 0.0;
+  (* made all 1.0 and never written *)
+  ws.d_mult <- grow ws.d_mult n 1.0;
   let vstart = v.v_start and vlen = v.v_len in
   let weight = ws.d_weight and floor = ws.d_floor and cap = ws.d_cap in
   let m = ref 0 in
@@ -652,7 +673,7 @@ let allocate_into ~capacities ~n demands out =
   done;
   (* the slots past [n] hold an earlier call's vectors; no demand names
      them, so [solve] never reads them *)
-  solve ~capacities v ~n ~usage:ws.d_ident ~weight ~floor ~cap out
+  solve ~capacities v ~n ~usage:ws.d_ident ~weight ~floor ~cap ~mult:ws.d_mult out
 
 let allocate ~capacities demands =
   let n = Array.length demands in

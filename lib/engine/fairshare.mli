@@ -57,7 +57,7 @@ val allocate : capacities:float array -> demand array -> float array
 
     [allocate] is {!allocate_into} on a fresh array: its only
     allocation of any size is the result. Both go through {!solve},
-    each demand being its own usage vector. *)
+    each demand being its own usage vector, of multiplicity 1. *)
 
 val allocate_into :
   capacities:float array -> n:int -> demand array -> float array -> unit
@@ -114,16 +114,39 @@ val solve :
   weight:float array ->
   floor:float array ->
   cap:float array ->
+  mult:float array ->
   float array ->
   unit
 (** The solver core, over demands that share usage vectors by id.
-    [solve ~capacities vec ~n ~usage ~weight ~floor ~cap out] solves
-    [n] demands: demand [i] has weight [weight.(i)], floor [floor.(i)],
-    cap [cap.(i)] and the usage of vector [usage.(i)] of [vec]. It
-    writes demand [i]'s rate into [out.(i)]: bit for bit what
-    {!allocate_into} writes for the same demands with their usage as
-    records, since every float operation has the same operands in the
-    same order.
+    [solve ~capacities vec ~n ~usage ~weight ~floor ~cap ~mult out]
+    solves [n] demands: demand [i] has weight [weight.(i)], floor
+    [floor.(i)], cap [cap.(i)], the usage of vector [usage.(i)] of
+    [vec], and multiplicity [mult.(i)]. It writes demand [i]'s rate
+    into [out.(i)].
+
+    {b Multiplicity.} Demand [i] stands for [k = mult.(i)] identical
+    demands, each of which gets the rate [out.(i)]: every load and
+    growth-speed term it adds to a resource is [k *. (x *. c)], where
+    [x *. c] is the term one such demand adds ([x] its rate or its
+    weight, [c] its coefficient there). At [k = 1.0] that is [x *. c]
+    bit for bit, so a solve whose multiplicities are all 1.0 is, bit for
+    bit, what {!allocate_into} writes for the same demands with their
+    usage as records: every float operation has the same operands in
+    the same order.
+
+    Merging [k] identical demands into one of multiplicity [k] is exact
+    (the rates equal, bit for bit, those of the solve with the [k]
+    demands listed one by one, wherever they stood in the demand order)
+    when no floor is above zero and the sums the sweep forms are exact:
+    every product [weight.(i) *. c] over a demand's coefficients is a
+    multiple of [2{^E}] for one [E], and the multiplicity-weighted total
+    of those products stays below [2{^51+E}]. Then every partial sum of
+    a growth speed, every [k *. (w *. c)] product and every freeze's
+    subtraction is exact, so no sum depends on the order of its terms,
+    and equal-time events commute: a freeze brings each resource's
+    load forward before it subtracts that resource's speed. Otherwise
+    the merged solve agrees with the listed one to rounding (the
+    property tests hold it to 1e-9 relative), not bit for bit.
 
     The vectors are read in place, never copied. The incidence counts
     are taken once per distinct vector, times the number of demands
@@ -137,8 +160,9 @@ val solve :
 
     @raise Invalid_argument when [n] exceeds a per-demand array,
     [Array.length out < n], [capacities] covers fewer resources than
-    the table, a demand's weight, floor or cap is out of range, or a
-    usage id is outside the table. *)
+    the table, a demand's weight, floor or cap is out of range, its
+    multiplicity is below 1, infinite or NaN, or a usage id is outside
+    the table; the message names the demand. *)
 
 val allocate_reference : capacities:float array -> demand array -> float array
 (** The original round-based progressive-filling implementation,

@@ -1,5 +1,6 @@
 let miss_rate ~entries ~working_set_pages =
-  assert (entries > 0);
+  if entries <= 0 then
+    invalid_arg (Printf.sprintf "Iommu.miss_rate: entries must be > 0 (got %d)" entries);
   if working_set_pages <= entries then 0.0
   else 1.0 -. (float_of_int entries /. float_of_int working_set_pages)
 

@@ -8,7 +8,8 @@
     pressure: miss rate ≈ max(0, 1 − entries / working-set-pages). *)
 
 val miss_rate : entries:int -> working_set_pages:int -> float
-(** In [\[0,1\]]; 0 when the working set fits. *)
+(** In [\[0,1\]]; 0 when the working set fits.
+    @raise Invalid_argument naming [entries] when [entries <= 0]. *)
 
 val expected_translation_latency :
   Ihnet_topology.Hostconfig.iommu -> working_set_pages:int -> Ihnet_util.Units.ns

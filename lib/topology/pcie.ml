@@ -28,7 +28,7 @@ let raw_bandwidth t =
 let tlp_header_bytes = 26
 
 let payload_efficiency ~mps =
-  assert (mps > 0);
+  if mps <= 0 then invalid_arg (Printf.sprintf "Pcie.payload_efficiency: mps must be > 0 (got %d)" mps);
   float_of_int mps /. float_of_int (mps + tlp_header_bytes)
 
 let gen_label = function

@@ -37,7 +37,8 @@ val raw_bandwidth : t -> Ihnet_util.Units.bytes_per_s
 val payload_efficiency : mps:int -> float
 (** [payload_efficiency ~mps] is [mps / (mps + h)], where [h] is the
     per-TLP overhead (26 B: framing, sequence number, CRC and a 3-DW
-    header). *)
+    header).
+    @raise Invalid_argument naming [mps] when [mps <= 0]. *)
 
 val label : t -> string
 (** e.g. ["gen4 x16"]. *)

@@ -310,6 +310,23 @@ let fairshare_tests =
           (bits (Fairshare.allocate ~capacities prefix)) (bits (Array.sub out 0 3));
         Alcotest.(check (array (float 0.0))) "out past n untouched" [| -7.0; -7.0; -7.0 |]
           (Array.sub out 3 3));
+    tc "solve refuses a multiplicity below 1, infinite or NaN, naming the demand" (fun () ->
+        let vec = Fairshare.vectors ~nr:1 in
+        Fairshare.set_vector vec 0 [| 0 |] [| 1.0 |];
+        List.iter
+          (fun k ->
+            match
+              Fairshare.solve ~capacities:[| 10.0 |] vec ~n:2 ~usage:[| 0; 0 |] ~weight:[| 1.0; 1.0 |]
+                ~floor:[| 0.0; 0.0 |] ~cap:[| infinity; infinity |] ~mult:[| 1.0; k |]
+                (Array.make 2 0.0)
+            with
+            | () -> Alcotest.failf "multiplicity %g was accepted" k
+            | exception Invalid_argument m ->
+              Alcotest.(check string)
+                (Printf.sprintf "%g" k)
+                (Printf.sprintf "Fairshare: demand 1: multiplicity must be finite and >= 1 (got %g)" k)
+                m)
+          [ 0.5; 0.0; -1.0; nan; infinity ]);
     tc "allocate_into refuses a bad n or a short output" (fun () ->
         let capacities = [| 10.0 |] in
         let demands = [| fs_demand [ (0, 1.0) ]; fs_demand [ (0, 1.0) ] |] in
@@ -404,6 +421,77 @@ let fairshare_tests =
         Alcotest.(check string) "rate digest" "f9e148327e4b4adf" (Printf.sprintf "%016Lx" !digest));
   ]
 
+(* [classes] solved through [Fairshare.solve], class [c] as one demand
+   of multiplicity [k]: the pairs [(demand, k)], each on a vector of
+   its own *)
+let solve_merged ~capacities classes =
+  let n = Array.length classes in
+  let vec = Fairshare.vectors ~nr:(Array.length capacities) in
+  Array.iteri (fun c ((d : Fairshare.demand), _) -> Fairshare.set_vector vec c d.res d.coeff) classes;
+  let field f = Array.map (fun (d, _) -> f d) classes in
+  let out = Array.make n nan in
+  Fairshare.solve ~capacities vec ~n ~usage:(Array.init n Fun.id)
+    ~weight:(field (fun d -> d.Fairshare.weight))
+    ~floor:(field (fun d -> d.Fairshare.floor))
+    ~cap:(field (fun d -> d.Fairshare.cap))
+    ~mult:(Array.map (fun (_, k) -> float_of_int k) classes)
+    out;
+  out
+
+(* The demands of [order] (class indices) listed one by one, and the
+   same merged: one per class in order of first appearance, with its
+   count. Returns each listed demand's rate both ways. *)
+let listed_and_merged ~capacities (classes : Fairshare.demand array) order =
+  let slot = Array.make (Array.length classes) (-1) and merged = ref [] and count = ref 0 in
+  List.iter
+    (fun c ->
+      if slot.(c) < 0 then begin
+        slot.(c) <- !count;
+        incr count;
+        merged := c :: !merged
+      end)
+    order;
+  let merged = Array.of_list (List.rev !merged) in
+  let k = Array.map (fun c -> List.length (List.filter (( = ) c) order)) merged in
+  let listed = Fairshare.allocate ~capacities (Array.of_list (List.map (fun c -> classes.(c)) order)) in
+  let m = solve_merged ~capacities (Array.mapi (fun i c -> (classes.(c), k.(i))) merged) in
+  List.mapi (fun j c -> (listed.(j), m.(slot.(c)))) order
+
+let pp_case (caps, classes, order) =
+  Printf.sprintf "caps=[%s] classes=[%s] order=[%s]"
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") caps)))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (d : Fairshare.demand) ->
+               Printf.sprintf "w=%h f=%h c=%h u=%s" d.weight d.floor d.cap
+                 (String.concat ","
+                    (Array.to_list (Array.mapi (fun j r -> Printf.sprintf "%d:%h" r d.coeff.(j)) d.res))))
+             classes)))
+    (String.concat "," (List.map string_of_int order))
+
+(* A case: capacities, demand classes over them, and the order their
+   demands are listed in. The generators draw each capacity and each
+   class's weight, floor, cap (raised to its floor) and coefficients. *)
+let gen_merge_case ~capacity ~weight ~floor ~cap ~coeff =
+  QCheck.Gen.(
+    let* nr = int_range 1 4 in
+    let* caps = array_size (return nr) capacity in
+    let* nc = int_range 1 5 in
+    let* classes =
+      array_size (return nc)
+        (let* w = weight in
+         let* f = floor in
+         let* c = cap in
+         let* nuse = int_range 0 nr in
+         let* res = list_size (return nuse) (int_bound (nr - 1)) in
+         let* cs = list_size (return nuse) coeff in
+         let usage = List.sort_uniq (fun (a, _) (b, _) -> compare a b) (List.combine res cs) in
+         return (fs_demand ~weight:w ~floor:f ~cap:(Float.max c f) usage))
+    in
+    let* order = list_size (int_range 1 24) (int_bound (nc - 1)) in
+    return (caps, classes, order))
+
 (* Feasibility property: no resource over capacity, floors/caps respected. *)
 let fairshare_properties =
   let gen =
@@ -451,6 +539,46 @@ let fairshare_properties =
            in
            let nonneg = Array.for_all (fun r -> r >= -1e-9) rates in
            feasible && capped && nonneg));
+    (* Short dyadic products (integer and halved weights; coefficients
+       like PCIe's 141/128 and the spill fan-outs' 1/4 and 1/8) with no
+       floor: every sum the sweep forms is exact, so a class merged into
+       one demand of multiplicity k gets, bit for bit, the rate each of
+       its k listed demands gets. Capacities and caps come from a few
+       round values, so cap hits tie with each other and with
+       saturations, and some capacities are zero. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"merged dyadic demands get the listed demands' rate bits" ~count:500
+         (QCheck.make ~print:pp_case
+            (gen_merge_case
+               ~capacity:(QCheck.Gen.oneofl [ 0.0; 12.0; 24.0; 36.0; 7.25; 100.5 ])
+               ~weight:(QCheck.Gen.oneofl [ 1.0; 2.0; 3.0; 0.5; 1.5 ])
+               ~floor:(QCheck.Gen.oneofl [ 0.0; -0.0 ])
+               ~cap:(QCheck.Gen.oneofl [ infinity; infinity; 0.0; 2.0; 3.0; 4.0; 6.0; 12.0 ])
+               ~coeff:(QCheck.Gen.oneofl [ 1.0; 141.0 /. 128.0; 0.25; 0.125; 2.0; 1.25 ])))
+         (fun (capacities, classes, order) ->
+           List.for_all
+             (fun (listed, merged) -> Int64.bits_of_float listed = Int64.bits_of_float merged)
+             (listed_and_merged ~capacities classes order)));
+    (* Long mantissas and floors: the merge changes the order of inexact
+       sums, so it is held to rounding, not to the bit *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"merged demands agree with the listed ones to 1e-9" ~count:500
+         (QCheck.make ~print:pp_case
+            (gen_merge_case
+               ~capacity:
+                 QCheck.Gen.(frequency [ (1, return 0.0); (6, float_range 10.0 1000.0) ])
+               ~weight:(QCheck.Gen.float_range 0.3 4.0)
+               ~floor:QCheck.Gen.(frequency [ (1, return 0.0); (1, float_range 0.0 50.0) ])
+               ~cap:
+                 QCheck.Gen.(frequency [ (1, return infinity); (1, float_range 0.0 500.0) ])
+               ~coeff:(QCheck.Gen.float_range 1.0 2.0)))
+         (fun (capacities, classes, order) ->
+           List.for_all
+             (fun (listed, merged) ->
+               listed = merged
+               || Float.abs (listed -. merged)
+                  <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs listed) (Float.abs merged)))
+             (listed_and_merged ~capacities classes order)));
   ]
 
 (* {1 Latency model} *)
@@ -501,6 +629,14 @@ let iommu_tests =
         let large = Iommu.expected_translation_latency iommu ~working_set_pages:1024 in
         check_close "hit only" 10.0 small;
         Alcotest.(check bool) "more" true (large > 100.0));
+    tc "an IOTLB with no entry is refused, naming the field" (fun () ->
+        List.iter
+          (fun entries ->
+            Alcotest.check_raises (string_of_int entries)
+              (Invalid_argument
+                 (Printf.sprintf "Iommu.miss_rate: entries must be > 0 (got %d)" entries))
+              (fun () -> ignore (Iommu.miss_rate ~entries ~working_set_pages:32)))
+          [ 0; -64 ]);
     tc "off costs nothing" (fun () ->
         check_close "0" 0.0
           (Iommu.expected_translation_latency T.Hostconfig.Iommu_off ~working_set_pages:4096);
@@ -1048,8 +1184,11 @@ let plain_walk fab seeds =
     seeds;
   List.rev !members
 
+(* path ends on a DGX host: GPUs, NICs, sockets, a DIMM and the
+   external port, so random scripts cross switches, sockets and memory *)
+let dgx_ends = [| "gpu0"; "gpu3"; "gpu5"; "nic1"; "nic4"; "nic6"; "socket0"; "socket1"; "dimm0.1.0"; "ext" |]
+
 let walk_properties =
-  let ends = [| "gpu0"; "gpu3"; "gpu5"; "nic1"; "nic4"; "nic6"; "socket0"; "socket1"; "dimm0.1.0"; "ext" |] in
   let gen =
     QCheck.make
       ~print:(fun ops -> String.concat ";" (List.map (fun (k, x) -> Printf.sprintf "%d:%d" k x) ops))
@@ -1071,7 +1210,8 @@ let walk_properties =
            let step (k, x) =
              match k with
              | 0 | 1 | 2 | 3 ->
-               let a = ends.(x mod Array.length ends) and b = ends.(x / 10 mod Array.length ends) in
+               let a = dgx_ends.(x mod Array.length dgx_ends)
+               and b = dgx_ends.(x / 10 mod Array.length dgx_ends) in
                if a <> b then begin
                  let p = T.Routing.route topo a b in
                  let llc = T.Device.is_socket (T.Topology.device topo p.T.Path.dst) && x mod 3 = 0 in
@@ -1106,6 +1246,248 @@ let walk_properties =
                  [ all; one; [| 2 * l; (2 * l) + 1 |] ]
                && fst (Fabric.interned fab) = List.length live
                && snd (Fabric.interned fab) <= Fabric.flow_count fab)
+             ops));
+  ]
+
+(* {1 Demand classes: one solver demand per class}
+
+   Flows with one usage vector, weight, floor and cap hand the solver
+   one demand with a multiplicity when their component passes the
+   exactness certificate (MODEL.md §4), and one per flow otherwise; the
+   rates are the same bits either way. *)
+
+(* A memo-free DGX fabric holding [n] flows on the coupled paths,
+   weighted as host-churn weights them, with [extra] started after *)
+let class_fabric ?(extra = fun _ _ -> ()) n =
+  let topo = T.Builder.dgx_like () in
+  let fab = Fabric.create ~memo:false (Sim.create ()) topo in
+  let paths = coupled_paths topo in
+  let flows =
+    Array.init n (fun i ->
+        Fabric.start_flow fab ~tenant:(1 + (i mod 16))
+          ~weight:(1.0 +. float_of_int (i mod 3))
+          ~path:paths.(i mod 8) ~size:Flow.Unbounded ())
+  in
+  extra fab topo;
+  (fab, paths, flows)
+
+(* The demands and solves of [f ()] *)
+let solver_work fab f =
+  let d0 = Fabric.demands_solved fab and s0 = (Fabric.scan_solver_stats fab).Fairshare.solves in
+  f ();
+  (Fabric.demands_solved fab - d0, (Fabric.scan_solver_stats fab).Fairshare.solves - s0)
+
+let class_tests =
+  [
+    tc "demand classes go with their last flow, and a limit change moves a flow between them"
+      (fun () ->
+        let topo = T.Builder.dgx_like () in
+        let sim = Sim.create () in
+        let fab = Fabric.create sim topo in
+        let paths = coupled_paths topo in
+        let start ?(weight = 1.0) ?(size = Flow.Unbounded) k =
+          Fabric.start_flow fab ~tenant:1 ~weight ~path:paths.(k) ~size ()
+        in
+        let classes what n = Alcotest.(check int) what n (Fabric.demand_classes fab) in
+        let a = start 0 in
+        let b = start 0 in
+        classes "two flows, one class" 1;
+        let c = start ~weight:2.0 0 in
+        let d = start 1 in
+        classes "a weight and a path apart" 3;
+        Fabric.set_flow_limits fab a ~weight:2.0 ();
+        classes "a joins c; b keeps its class" 3;
+        Fabric.set_flow_limits fab b ~weight:2.0 ();
+        classes "b's old class goes with it" 2;
+        Fabric.set_flow_limits fab b ~floor:5e9 ();
+        classes "a floor is a class of its own" 3;
+        Fabric.set_flow_limits fab b ~floor:0.0 ();
+        classes "and back" 2;
+        Fabric.set_flow_limits fab d ~cap:1e9 ();
+        classes "a cap moves d, whose old class goes" 2;
+        Fabric.set_flow_limits fab d ();
+        classes "unchanged limits move nothing" 2;
+        let e = start ~size:(Flow.Bytes 1e6) 2 in
+        classes "a finite flow's class" 3;
+        Sim.run sim;
+        Alcotest.(check bool) "e completed" true (e.Flow.state = Flow.Completed);
+        classes "goes when it completes" 2;
+        List.iter (Fabric.stop_flow fab) [ a; b; c; d ];
+        classes "none left" 0;
+        let f = start 0 in
+        classes "a released id is reused" 1;
+        Fabric.stop_flow fab f;
+        classes "and released again" 0);
+    (* host-churn's shape: 1000 flows on 8 paths, weights 1 to 3, and
+       two LLC writers that bring the sockets' spill fan-outs into the
+       certificate. Memo off, so every epoch solves. *)
+    tc "a stop/start on host-churn's 1000 coupled flows solves at most 40 demands" (fun () ->
+        let llc fab topo =
+          List.iter
+            (fun (a, b) ->
+              ignore
+                (Fabric.start_flow fab ~tenant:100 ~llc_target:true ~path:(T.Routing.route topo a b)
+                   ~size:Flow.Unbounded ()))
+            [ ("nic0", "socket0"); ("nic4", "socket1") ]
+        in
+        let fab, paths, flows = class_fabric ~extra:llc 1000 in
+        let rng = Ihnet_util.Rng.create 5 in
+        for op = 1 to 20 do
+          let i = Ihnet_util.Rng.int rng 1000 in
+          let demands, solves =
+            solver_work fab (fun () ->
+                Fabric.stop_flow fab flows.(i);
+                flows.(i) <-
+                  Fabric.start_flow fab ~tenant:1
+                    ~weight:(1.0 +. float_of_int (i mod 3))
+                    ~path:(Ihnet_util.Rng.pick rng paths) ~size:Flow.Unbounded ())
+          in
+          if solves < 2 || demands > 40 * solves then
+            Alcotest.failf "op %d: %d demands over %d solves" op demands solves
+        done);
+    (* A floor, a non-dyadic weight or a non-dyadic coefficient fails
+       the certificate for the whole component: each flow is then its
+       own demand. A 65-page working set misses the 64-entry IOTLB
+       1/65 of the time, and its PCIe coefficient has a full mantissa
+       (at 96 pages the IOMMU factor is 893/768, but times PCIe's
+       141/128 = 3 * 47/128 the coefficient is 41971/32768, which
+       passes). No LLC writer, so no spill demand: a stop solves 1000
+       flows, and the start that follows 1001. *)
+    tc "a floor or a non-dyadic product hands the solver one demand per flow" (fun () ->
+        List.iter
+          (fun (what, odd) ->
+            let fab, paths, flows = class_fabric 1000 in
+            odd fab paths;
+            let demands, solves =
+              solver_work fab (fun () ->
+                  Fabric.stop_flow fab flows.(1);
+                  ignore (Fabric.start_flow fab ~tenant:1 ~path:paths.(1) ~size:Flow.Unbounded ()))
+            in
+            Alcotest.(check (pair int int)) what (1000 + 1001, 2) (demands, solves))
+          [
+            ( "a floor",
+              fun fab paths ->
+                let f = Fabric.start_flow fab ~tenant:1 ~path:paths.(0) ~size:Flow.Unbounded () in
+                Fabric.set_flow_limits fab f ~floor:1e9 () );
+            ( "a weight of 0.3",
+              fun fab paths ->
+                ignore (Fabric.start_flow fab ~tenant:1 ~weight:0.3 ~path:paths.(0) ~size:Flow.Unbounded ()) );
+            ( "a 65-page working set",
+              fun fab paths ->
+                ignore
+                  (Fabric.start_flow fab ~tenant:1 ~working_set_pages:65 ~path:paths.(0)
+                     ~size:Flow.Unbounded ()) );
+          ]);
+    (* Words per re-seed (a set_flow_limits that changes nothing, so one
+       epoch of the whole component), memo off. Per flow, a compute
+       allocates only commit's boxed rate store (2 words). A flow of
+       cap 0 never grows and adds 0.0 to every load, so it leaves the
+       sweep's events as they were; with a 65-page working set its
+       coefficients fail the certificate, and the same 1000 flows are
+       solved as 1000 demands instead of 25. Either way the words are
+       the same, so the class pass and the certificate allocate nothing
+       per demand either. *)
+    tc "the class pass and the certificate allocate nothing per compute" (fun () ->
+        let words ~pages n =
+          let idle fab topo =
+            ignore
+              (Fabric.start_flow fab ~tenant:1 ~cap:0.0 ~working_set_pages:pages
+                 ~path:(coupled_paths topo).(0) ~size:Flow.Unbounded ())
+          in
+          let fab, _, flows = class_fabric ~extra:idle n in
+          let reseed () = Fabric.set_flow_limits fab flows.(0) () in
+          reseed ();
+          reseed ();
+          let demands, solves = solver_work fab reseed in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 10 do
+            reseed ()
+          done;
+          let w = int_of_float (Gc.minor_words () -. w0) / 10 in
+          (w, demands / solves)
+        in
+        let merged, per_merged = words ~pages:32 1000 and listed, per_listed = words ~pages:65 1000 in
+        Alcotest.(check int) "merged: one demand per class" 25 per_merged;
+        Alcotest.(check int) "listed: one demand per flow" 1001 per_listed;
+        Alcotest.(check int) "the same words merged and listed" listed merged;
+        let small, _ = words ~pages:32 300 in
+        Alcotest.(check int) "per flow, only the commit's boxed rate" (2 * 700) (merged - small));
+  ]
+
+(* After every step of a random script, a re-seeded component's rates
+   are, bit for bit, what [Fairshare.allocate] gives its flows' demands
+   listed in walk order: merged or not, the fabric's solve is the
+   per-flow one. No LLC target, so no spill iteration; weights 1 to 3
+   and 0.3, floors, 96- and 65-page working sets (dyadic and
+   full-mantissa coefficients), stops, faults and completions make
+   components pass and fail the certificate. *)
+let class_properties =
+  let gen =
+    QCheck.make
+      ~print:(fun ops -> String.concat ";" (List.map (fun (k, x) -> Printf.sprintf "%d:%d" k x) ops))
+      QCheck.Gen.(list_size (int_range 10 40) (pair (int_bound 9) (int_bound 1_000_000)))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"a component's rates are the per-flow solve's, bit for bit" ~count:60
+         gen (fun ops ->
+           let topo = T.Builder.dgx_like () in
+           let sim = Sim.create () in
+           let fab = Fabric.create sim topo in
+           let nth_flow x =
+             match Fabric.active_flows fab with
+             | [] -> None
+             | fl -> Some (List.nth fl (x mod List.length fl))
+           in
+           let weight x = [| 1.0; 2.0; 3.0; 0.3 |].(x mod 4) in
+           let nlinks = T.Topology.link_count topo in
+           let step (k, x) =
+             match k with
+             | 0 | 1 | 2 | 3 ->
+               let a = dgx_ends.(x mod Array.length dgx_ends)
+               and b = dgx_ends.(x / 10 mod Array.length dgx_ends) in
+               if a <> b then begin
+                 let size = if x mod 4 = 0 then Flow.Bytes (1e5 *. float_of_int (1 + (x mod 7))) else Flow.Unbounded in
+                 for _ = 0 to x / 100 mod 6 do
+                   ignore
+                     (Fabric.start_flow fab ~tenant:(1 + (x mod 3))
+                        ~weight:(weight (x / 7))
+                        ~working_set_pages:[| 96; 65; 32; 32; 32 |].(x mod 5)
+                        ~path:(T.Routing.route topo a b) ~size ())
+                 done
+               end
+             | 4 | 5 -> Option.iter (Fabric.stop_flow fab) (nth_flow x)
+             | 6 ->
+               Option.iter
+                 (fun f ->
+                   Fabric.set_flow_limits fab f ~weight:(weight x)
+                     ~floor:(if x mod 3 = 0 then 1e9 else 0.0) ())
+                 (nth_flow x)
+             | 7 ->
+               let l = x mod nlinks in
+               if x mod 2 = 0 then Fabric.inject_fault fab l (Fault.degrade ~capacity_factor:0.5 ())
+               else Fabric.clear_fault fab l
+             | _ -> Sim.run ~until:(Sim.now sim +. float_of_int (x mod 50_000)) sim
+           in
+           List.for_all
+             (fun op ->
+               step op;
+               match nth_flow (snd op / 3) with
+               | None -> true
+               | Some f ->
+                 Fabric.set_flow_limits fab f ();
+                 let flows =
+                   List.map
+                     (fun id -> Option.get (Fabric.find_flow fab id))
+                     (Fabric.walk fab (Option.get (Fabric.footprint fab f)))
+                 in
+                 let rates =
+                   Fairshare.allocate ~capacities:(Fabric.scan_caps fab)
+                     (Array.of_list (List.map (fun g -> Option.get (Fabric.demand fab g)) flows))
+                 in
+                 List.for_all2
+                   (fun (g : Flow.t) r -> Int64.bits_of_float g.Flow.rate = Int64.bits_of_float r)
+                   flows (Array.to_list rates))
              ops));
   ]
 
@@ -1239,6 +1621,7 @@ let suites =
     ("engine.fabric", fabric_tests @ fabric_properties);
     ("engine.epoch", epoch_tests @ intern_tests);
     ("engine.walk", walk_properties);
+    ("engine.classes", class_tests @ class_properties);
     ("engine.sketches", sketch_plane_tests);
     ("engine.labels", label_tests);
   ]

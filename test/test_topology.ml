@@ -29,6 +29,15 @@ let pcie_tests =
         let e512 = Pcie.payload_efficiency ~mps:512 in
         Alcotest.(check bool) "monotone" true (e512 > e128);
         Alcotest.(check bool) "sub-unit" true (e512 < 1.0));
+    (* the coefficient a flow's PCIe hops cost comes from here, and a
+       bad MaxPayloadSize must name itself, not trip an assert *)
+    tc "payload efficiency refuses an MPS that is not positive, naming it" (fun () ->
+        List.iter
+          (fun mps ->
+            Alcotest.check_raises (string_of_int mps)
+              (Invalid_argument (Printf.sprintf "Pcie.payload_efficiency: mps must be > 0 (got %d)" mps))
+              (fun () -> ignore (Pcie.payload_efficiency ~mps)))
+          [ 0; -256 ]);
     tc "rejects bad lane counts" (fun () ->
         Alcotest.check_raises "x3" (Invalid_argument "Pcie.v: lanes must be one of 1,2,4,8,16")
           (fun () -> ignore (Pcie.v Pcie.Gen4 3)));
