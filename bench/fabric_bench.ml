@@ -17,15 +17,15 @@
    - flow-churn-coupled-4096: same, but every background flow crosses
      switch/socket boundaries (gpu_i->nic_{i+3 mod 8}), welding the
      whole host into one contention component. Worst case: the
-     component IS the full flow set, so only the allocator speedup
-     shows, not the scoping. Its churned flow is identical each time,
-     so after the first lap every epoch replays the component memo.
+     component IS the full flow set, so only the per-path walk and the
+     per-class solve show, not the scoping: every epoch walks, solves
+     and folds all 4096 flows in their 24 demand classes.
    - flow-churn-miss-1k: 1000 flows on the coupled paths, and an op
-     that stops a random flow and starts one on a random path, so that
-     every epoch misses the memo: a full solve of a 1000-flow
-     component. Every flow has a weight of its own, a long-mantissa
-     one, so every flow is its own demand class and the component fails
-     the exactness certificate: the solver gets one demand per flow.
+     that stops a random flow and starts one on a random path: a full
+     solve of a 1000-flow component at every epoch. Every flow has a
+     weight of its own, a long-mantissa one, so every flow is its own
+     demand class and the component fails the exactness certificate:
+     the solver gets one demand per flow.
    - flow-churn-classes-1k: the same op over flows weighted 1 + i mod 3,
      as host-churn weights them: 1000 flows in 24 demand classes, so
      the solver gets one demand per class, as host-churn pays it.
@@ -199,9 +199,9 @@ let bench_churn_coupled n = bench_churn ~nic_of:(fun i -> (i + 3) mod 8) n
 
 (* flow-churn-miss-1k and flow-churn-classes-1k: an op stops a random
    flow and starts one on a random path; the flow just started is never
-   the one stopped (stopping it would return the component to its value
-   before the start). [weight k i] weighs the [k]th flow started, in
-   slot [i]. *)
+   the one stopped, so the op is the one the committed references
+   measured. [weight k i] weighs the [k]th flow started, in slot
+   [i]. *)
 let bench_churn_random ~weight n =
   let topo = T.Builder.dgx_like () in
   let sim = E.Sim.create () in
@@ -223,8 +223,8 @@ let bench_churn_random ~weight n =
       live.(i) <- start i;
       last := i)
 
-(* each started flow has a weight of its own, so no component value
-   recurs and every epoch is a memo miss *)
+(* each started flow has a weight of its own, so every flow is its
+   own demand *)
 let bench_churn_miss n = bench_churn_random ~weight:(fun k _ -> 1.0 +. (1e-4 *. float_of_int k)) n
 
 let bench_churn_classes n =

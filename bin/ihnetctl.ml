@@ -325,8 +325,8 @@ let scan_cmd =
     Arg.(
       value & flag
       & info [ "all" ]
-          ~doc:"With $(b,--diff): also compare microarchitectural registers (memo and \
-                solver-work counters), not just the architectural contract.")
+          ~doc:"With $(b,--diff): also compare microarchitectural registers (the solver-work \
+                ledger), not just the architectural contract.")
   in
   let snap_a = Arg.(value & pos 0 (some file) None & info [] ~docv:"A") in
   let snap_b = Arg.(value & pos 1 (some file) None & info [] ~docv:"B") in

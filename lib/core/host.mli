@@ -45,8 +45,7 @@ type wiring = {
 val default_wiring : wiring
 
 val create : ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> preset -> t
-(** Builds (and validates) the topology and the fabric, with the
-    fabric's component memo on.
+(** Builds (and validates) the topology and the fabric.
     @raise Invalid_argument if a custom topology fails validation. *)
 
 val sim : t -> Ihnet_engine.Sim.t

@@ -33,45 +33,6 @@ type socket_mem = {
   from_coeff : float array;
 }
 
-(* What a component's allocation pass produces; the socket arrays are
-   full-width (indexed by global socket number) but only the slots in
-   [c_sockets] are meaningful. *)
-type comp_result = {
-  cr_rates : float array; (* per entry, in c_entries order; may run past the last *)
-  cr_write : float array;
-  cr_hit : float array;
-  cr_wb : float array;
-  cr_rr : float array;
-  cr_load : float array; (* per resource, in c_res order *)
-  cr_flows : int array; (* active flow count per resource, c_res order *)
-  cr_stats : Fairshare.stats; (* solver work this compute did *)
-}
-
-(* Component memo: one fully-computed component result, keyed by the
-   exact inputs [compute_component] read. A hit replays the result
-   without solving; any input difference — a demand record, the
-   connectivity footprint, an effective capacity, the cache config
-   generation — misses and recomputes. Entry identity does not matter,
-   only values: a stopped-and-restarted identical flow legitimately
-   hits.
-
-   The per-entry arrays hold [m_n] entries and may be longer: a miss
-   refills the arrays of the memo it evicts (see [memo_evict]), so the
-   slots past [m_n] hold stale demand records and footprints, never a
-   flow. *)
-type comp_memo = {
-  mutable m_n : int; (* entry count *)
-  mutable m_dems : Fairshare.demand array; (* snapshot, c_entries order *)
-  mutable m_conn : int array array;
-  mutable m_llc : bool array;
-  mutable m_res : int array;
-  mutable m_sockets : int array;
-  mutable m_caps : float array; (* effective capacities at m_res indices *)
-  mutable m_gen : int; (* cache-config generation at compute time *)
-  mutable m_result : comp_result;
-  mutable m_epoch : int; (* last hit, for LRU within a bucket *)
-}
-
 (* A path's usage: its resources and coefficients, hop order. *)
 type usage = { ures : int array; ucoeff : float array }
 
@@ -111,8 +72,7 @@ module Fp_tbl = Hashtbl.Make (struct
   let hash a = hash_ints (Array.length a) a
 end)
 
-(* coefficients compare and hash by their bits, as the memo compares
-   them *)
+(* coefficients compare and hash by their bits *)
 module Usage_tbl = Hashtbl.Make (struct
   type t = usage
 
@@ -244,15 +204,8 @@ type t = {
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
   comp_stack : int U.Vec.t; (* scratch: resources the BFS has yet to expand *)
   mutable ix : interns option; (* None before the first start_flow *)
-  loadb : float array; (* scratch: per-resource load, all zero between computes *)
-  flowsb : int array; (* scratch: per-resource flow count, all zero between computes *)
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
-  (* component-result memo *)
-  memo : bool; (* memo on *)
-  comp_cache : (int, comp_memo list) Hashtbl.t; (* min component resource -> memos *)
   mutable cache_gen : int; (* bumped when the cache config changes *)
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable solver_stats : Fairshare.stats; (* cumulative, over component computes *)
   mutable sketches : sketch_plane option; (* latency plane, off by default *)
 }
@@ -363,7 +316,7 @@ let refresh_link_caps t link_id =
 let refresh_all_caps t =
   List.iter (fun (l : T.Link.t) -> refresh_link_caps t l.T.Link.id) (T.Topology.links t.topo)
 
-let create ?(seed = 42) ?(memo = true) sim topo =
+let create ?(seed = 42) sim topo =
   let nr = nresources topo in
   let socket_mems = build_socket_mems topo in
   let ns = Array.length socket_mems in
@@ -423,14 +376,8 @@ let create ?(seed = 42) ?(memo = true) sim topo =
       comp_sockets = U.Vec.create ();
       comp_stack = U.Vec.create ();
       ix = None;
-      loadb = Array.make nr 0.0;
-      flowsb = Array.make nr 0;
       cheap = U.Heap.create ();
-      memo;
-      comp_cache = Hashtbl.create 64;
       cache_gen = 0;
-      memo_hits = 0;
-      memo_misses = 0;
       solver_stats = { Fairshare.solves = 0; full_rebuilds = 0; incremental = 0; unchanged = 0 };
       sketches = None;
     }
@@ -964,10 +911,9 @@ let collect_component t seeds =
   Array.iter (claim_res t) seeds;
   drain t
 
-(* A snapshot of one contention component: the unit of reallocation
-   and of the memo. Components reachable from distinct seeds are
-   resource-disjoint by construction, so their allocations are
-   independent. *)
+(* A snapshot of one contention component: the unit of reallocation.
+   Components reachable from distinct seeds are resource-disjoint by
+   construction, so their allocations are independent. *)
 type component = {
   c_entries : entry array; (* BFS discovery order *)
   c_res : int array; (* real resources the component touches *)
@@ -1007,8 +953,7 @@ let collect_components t seeds =
 
 (* Grow the solve buffers to hold [need] demands and the entry
    buffers [nc] entries. Grow-only, with an eighth of headroom, like
-   the solver's own workspace: the buffers outlive every solve, so only
-   what the memo keeps is fresh. *)
+   the solver's own workspace: the buffers outlive every solve. *)
 let reserve_solve ix ~nc need =
   if Array.length ix.s_usage < need then begin
     let size = need + (need / 8) in
@@ -1073,15 +1018,14 @@ let class_demands ix (c : component) =
   done;
   !n
 
-(* Rate computation for one component. It reads only state that is
-   frozen for the duration of a reallocation (caps, cache model,
-   topology, cached demands) and writes only scratch that it resets —
-   the solve buffers, [loadb]/[flowsb] — plus the result it returns.
-   So its result is a function of those inputs, and the component memo
-   may replay it whenever they recur. The DDIO
-   spill fixed point is resolved per affected socket by a short damped
-   iteration (spill depends on allocated write rates which depend on
-   memory-bus contention which includes spill), capped at 4 iterations.
+(* Rate computation for one component, committed as it is computed.
+   The solve reads only state that is frozen for the duration of a
+   reallocation (caps, cache model, topology, cached demands) and
+   writes only scratch: the solve buffers and the socket arrays.
+   The DDIO spill fixed point is resolved per affected socket by a
+   short damped iteration (spill depends on allocated write rates which
+   depend on memory-bus contention which includes spill), capped at 4
+   iterations.
 
    The iteration stops early at its fixed point: once an iteration
    leaves every socket's wb and rr bitwise unchanged, the next one
@@ -1094,9 +1038,11 @@ let class_demands ix (c : component) =
    entry takes its demand's rate, and everything after the solve reads
    those per entry, in entry order.
 
-   The rates go into [into] when it holds them all: the rate array of
-   the memo this miss evicts. *)
-let compute_component t (c : component) ~into =
+   Only then does the component commit, in a fixed order: each entry's
+   rate, stamp and completion key in walk order, then the claimed
+   sockets' DDIO state, then its resources' loads and flow counts,
+   folded in place. A solver refusal raises before any of it. *)
+let compute_component t tnow (c : component) =
   let nc = Array.length c.c_entries in
   let ns = Array.length t.socket_mems in
   let ddio_on = Cache.enabled t.cache in
@@ -1181,29 +1127,53 @@ let compute_component t (c : component) ~into =
         rr.(s) <- rr')
       c.c_sockets
   done;
-  (* Pre-aggregate the component-local loads and flow counts here (in
-     the memoizable part) so commit is O(resources) stores instead of
-     O(entries x usage) walks. The accumulation
-     order — entry-major over usages, then socket spill terms — is
-     exactly the order the commit-side recomputation used, so the float
-     sums are bitwise identical. Every resource written here is in
-     [c_res]: usage resources are in their entry's footprint, and a
-     claimed socket claims its memory links. So reading [c_res] back
-     also zeroes every slot this compute touched. *)
-  let loadb = t.loadb and flowsb = t.flowsb in
+  let acc = t.solver_stats in
+  t.solver_stats <-
+    {
+      Fairshare.solves = acc.Fairshare.solves + !solves;
+      full_rebuilds = acc.Fairshare.full_rebuilds + !solves;
+      incremental = acc.Fairshare.incremental;
+      unchanged = acc.Fairshare.unchanged + (iterations - !solves);
+    };
+  for i = 0 to nc - 1 do
+    let e = c.c_entries.(i) in
+    let f = e.flow in
+    f.Flow.rate <- rates.(i);
+    e.hstamp <- e.hstamp + 1;
+    if f.Flow.state = Flow.Running && f.Flow.remaining <> infinity && f.Flow.rate > 0.0 then
+      U.Heap.push t.cheap (tnow +. Flow.eta_ns f) (e, e.hstamp)
+  done;
+  Array.iter
+    (fun s ->
+      t.ddio_write.(s) <- write.(s);
+      t.ddio_hit.(s) <- hit.(s);
+      t.spill_wb.(s) <- wb.(s);
+      t.spill_rr.(s) <- rr.(s))
+    c.c_sockets;
+  (* The loads and flow counts, folded entry-major over usages, then
+     the sockets' spill terms, from the rate scratch. Every resource
+     the fold writes is in [c_res]: usage resources are in their
+     entry's footprint, and a claimed socket claims its memory links.
+     So zeroing [c_res] first leaves no stale term in any sum. *)
+  let load = t.load and flows_on = t.flows_on in
+  for k = 0 to Array.length c.c_res - 1 do
+    let r = c.c_res.(k) in
+    load.(r) <- 0.0;
+    flows_on.(r) <- 0
+  done;
   for i = 0 to nc - 1 do
     let d = c.c_entries.(i).dem in
     let res = d.Fairshare.res and coeff = d.Fairshare.coeff in
     for j = 0 to Array.length res - 1 do
       let r = res.(j) in
-      loadb.(r) <- loadb.(r) +. (rates.(i) *. coeff.(j));
-      flowsb.(r) <- flowsb.(r) + 1
+      load.(r) <- load.(r) +. (rates.(i) *. coeff.(j));
+      flows_on.(r) <- flows_on.(r) + 1
     done
   done;
   let add_spill rate res coeff =
     for j = 0 to Array.length res - 1 do
       let r = res.(j) in
-      loadb.(r) <- loadb.(r) +. (rate *. coeff.(j))
+      load.(r) <- load.(r) +. (rate *. coeff.(j))
     done
   in
   Array.iter
@@ -1213,196 +1183,7 @@ let compute_component t (c : component) ~into =
       | Some sm ->
         add_spill wb.(s) sm.to_res sm.to_coeff;
         add_spill rr.(s) sm.from_res sm.from_coeff)
-    c.c_sockets;
-  let nres = Array.length c.c_res in
-  let cr_load = Array.make nres 0.0 and cr_flows = Array.make nres 0 in
-  for k = 0 to nres - 1 do
-    let res = c.c_res.(k) in
-    cr_load.(k) <- loadb.(res);
-    cr_flows.(k) <- flowsb.(res);
-    loadb.(res) <- 0.0;
-    flowsb.(res) <- 0
-  done;
-  let cr_rates =
-    if Array.length into >= nc then into
-    else Array.make (if t.memo then nc + (nc / 8) else nc) 0.0
-  in
-  Array.blit rates 0 cr_rates 0 nc;
-  {
-    cr_rates;
-    cr_write = write;
-    cr_hit = hit;
-    cr_wb = wb;
-    cr_rr = rr;
-    cr_load;
-    cr_flows;
-    cr_stats =
-      {
-        Fairshare.solves = !solves;
-        full_rebuilds = !solves;
-        incremental = 0;
-        unchanged = iterations - !solves;
-      };
-  }
-
-(* Commit one component's result into the fabric, in canonical
-   component order, so rate stores, completion-heap pushes and load
-   recomputation happen in exactly the same sequence whether the
-   result was computed or replayed from the memo. *)
-let commit_component t tnow (c : component) (r : comp_result) =
-  Array.iteri
-    (fun i e ->
-      let f = e.flow in
-      f.Flow.rate <- r.cr_rates.(i);
-      e.hstamp <- e.hstamp + 1;
-      if f.Flow.state = Flow.Running && f.Flow.remaining <> infinity && f.Flow.rate > 0.0 then
-        U.Heap.push t.cheap (tnow +. Flow.eta_ns f) (e, e.hstamp))
-    c.c_entries;
-  Array.iter
-    (fun s ->
-      t.ddio_write.(s) <- r.cr_write.(s);
-      t.ddio_hit.(s) <- r.cr_hit.(s);
-      t.spill_wb.(s) <- r.cr_wb.(s);
-      t.spill_rr.(s) <- r.cr_rr.(s))
-    c.c_sockets;
-  (* loads and per-resource flow counts were pre-aggregated (in this
-     exact float order) by compute_component; just store them *)
-  Array.iteri
-    (fun i res ->
-      t.load.(res) <- r.cr_load.(i);
-      t.flows_on.(res) <- r.cr_flows.(i))
-    c.c_res
-
-(* {2 Component-result memo}
-
-   [compute_component]'s result is a function of (demand records, conn
-   footprints, llc flags, effective capacities at the component's
-   resources, cache config) — so its whole result can be replayed
-   whenever those inputs recur. This is what makes coupled churn
-   cheap: starting/stopping a flow perturbs one giant component, but
-   the steady state alternates between exactly two component values,
-   and after the first lap both are memoized.
-
-   All comparisons are exact: [feq] compares float bits (the recorder
-   digests raw rate bits, so -0.0 vs 0.0 or any ULP would fork the
-   trace), and the hot path is pointer equality on the immutable
-   per-entry [dem]/[conn] records. *)
-
-let demand_eq (d1 : Fairshare.demand) (d2 : Fairshare.demand) =
-  d1 == d2
-  || (feq d1.Fairshare.weight d2.Fairshare.weight
-     && feq d1.Fairshare.floor d2.Fairshare.floor
-     && feq d1.Fairshare.cap d2.Fairshare.cap
-     && int_array_eq d1.Fairshare.res d2.Fairshare.res
-     && float_array_eq d1.Fairshare.coeff d2.Fairshare.coeff)
-
-let memo_match t (c : component) (m : comp_memo) =
-  let n = Array.length c.c_entries in
-  m.m_gen = t.cache_gen
-  && m.m_n = n
-  && int_array_eq m.m_res c.c_res
-  && int_array_eq m.m_sockets c.c_sockets
-  && (let nres = Array.length c.c_res in
-      let rec caps_ok i =
-        i >= nres || (feq m.m_caps.(i) t.caps.(c.c_res.(i)) && caps_ok (i + 1))
-      in
-      caps_ok 0)
-  && (let rec entries_ok i =
-        i >= n
-        || (let e = c.c_entries.(i) in
-            ((m.m_conn.(i) == e.conn && m.m_dems.(i) == e.dem)
-            || (demand_eq m.m_dems.(i) e.dem && int_array_eq m.m_conn.(i) e.conn))
-            && m.m_llc.(i) = e.flow.Flow.llc_target)
-           && entries_ok (i + 1)
-      in
-      entries_ok 0)
-
-(* A component's memo bucket: its least resource, or -1 for a
-   component with no real resource, which is never memoized. *)
-let memo_key (c : component) =
-  if Array.length c.c_res = 0 then -1 else Array.fold_left min c.c_res.(0) c.c_res
-
-let memo_find t (c : component) key =
-  if key < 0 then None
-  else
-    match Hashtbl.find_opt t.comp_cache key with
-    | None -> None
-    | Some ms ->
-      let rec go = function
-        | [] -> None
-        | m :: rest -> if memo_match t c m then Some m else go rest
-      in
-      go ms
-
-(* At most two memos per bucket — the new one plus the most recently
-   hit survivor. Churn steady state alternates between the with-flow
-   and without-flow values of one component, so two slots make every
-   post-warmup epoch a hit.
-
-   On a miss in a full bucket, the older memo is taken out of the
-   bucket before the component is computed, and its arrays take the
-   new result: the compute writes its rates into the victim's, and
-   [memo_store] refills the rest. That is exact. The bucket belongs to
-   this component's least resource, the components of one epoch are
-   resource-disjoint, and commit copies every value out of a result
-   before the next component starts, so no one reads the victim again.
-   Taking it out first means a compute that raises leaves no
-   half-refilled memo to replay. *)
-let memo_evict t key =
-  match Hashtbl.find_opt t.comp_cache key with
-  | Some [ x; y ] ->
-    let keep, victim = if x.m_epoch >= y.m_epoch then (x, y) else (y, x) in
-    Hashtbl.replace t.comp_cache key [ keep ];
-    Some victim
-  | None | Some _ -> None
-
-let memo_store t (c : component) key (r : comp_result) victim =
-  if key >= 0 then begin
-    let n = Array.length c.c_entries in
-    let m =
-      match victim with
-      | Some m -> m
-      | None ->
-        {
-          m_n = 0;
-          m_dems = [||];
-          m_conn = [||];
-          m_llc = [||];
-          m_res = [||];
-          m_sockets = [||];
-          m_caps = [||];
-          m_gen = 0;
-          m_result = r;
-          m_epoch = 0;
-        }
-    in
-    (* made with an eighth of headroom, around an old filler, then
-       filled: [Array.map] would seed them with the first entry's
-       demand and footprint, which are young whenever the BFS started
-       from a flow just started, and a young seed costs a minor
-       collection (see [nil_demand]) *)
-    if Array.length m.m_dems < n then begin
-      let size = n + (n / 8) in
-      m.m_dems <- Array.make size nil_demand;
-      m.m_conn <- Array.make size [||];
-      m.m_llc <- Array.make size false
-    end;
-    for i = 0 to n - 1 do
-      let e = c.c_entries.(i) in
-      m.m_dems.(i) <- e.dem;
-      m.m_conn.(i) <- e.conn;
-      m.m_llc.(i) <- e.flow.Flow.llc_target
-    done;
-    m.m_n <- n;
-    m.m_res <- c.c_res;
-    m.m_sockets <- c.c_sockets;
-    m.m_caps <- Array.map (fun res -> t.caps.(res)) c.c_res;
-    m.m_gen <- t.cache_gen;
-    m.m_result <- r;
-    m.m_epoch <- t.epoch;
-    let keep = Option.value (Hashtbl.find_opt t.comp_cache key) ~default:[] in
-    Hashtbl.replace t.comp_cache key (m :: keep)
-  end
+    c.c_sockets
 
 (* {2 Instantaneous latency views}
 
@@ -1527,9 +1308,8 @@ let record_link_latencies t sk (c : component) =
 
 (* Recompute rates for the component(s) reachable from [seeds] only;
    flows outside keep their rates, loads and completion events. Each
-   component, in canonical order, is replayed from the memo or
-   computed, then committed, so a memoized run commits byte-identical
-   state to a memo-free one. *)
+   component, in canonical order, is computed and committed before the
+   next one is. *)
 let rec reallocate t seeds =
   match t.scope with
   | Some sc when sc.is_open ->
@@ -1549,37 +1329,7 @@ and reallocate_now t seeds =
   t.epoch <- t.epoch + 1;
   let tnow = Sim.now t.sim in
   let comps = collect_components t seeds in
-  List.iter
-    (fun c ->
-      let key = memo_key c in
-      let r =
-        match if t.memo then memo_find t c key else None with
-        | Some m ->
-          m.m_epoch <- t.epoch;
-          t.memo_hits <- t.memo_hits + 1;
-          m.m_result
-        | None ->
-          let victim = if t.memo then memo_evict t key else None in
-          let into = match victim with Some m -> m.m_result.cr_rates | None -> [||] in
-          let r = compute_component t c ~into in
-          (* cumulative solver-work ledger; memo hits replay a result
-             without solving, so only fresh computes contribute *)
-          let s = r.cr_stats and acc = t.solver_stats in
-          t.solver_stats <-
-            {
-              Fairshare.solves = acc.Fairshare.solves + s.Fairshare.solves;
-              full_rebuilds = acc.Fairshare.full_rebuilds + s.Fairshare.full_rebuilds;
-              incremental = acc.Fairshare.incremental + s.Fairshare.incremental;
-              unchanged = acc.Fairshare.unchanged + s.Fairshare.unchanged;
-            };
-          if t.memo then begin
-            t.memo_misses <- t.memo_misses + 1;
-            memo_store t c key r victim
-          end;
-          r
-      in
-      commit_component t tnow c r)
-    comps;
+  List.iter (compute_component t tnow) comps;
   (match t.sketches with
   | None -> ()
   | Some sk ->
@@ -1977,11 +1727,7 @@ let revive_device t device = on_device_links t device (fun id -> clear_fault t i
 let set_config t config =
   T.Topology.set_config t.topo config;
   t.cache <- Cache.create config.T.Hostconfig.ddio;
-  (* the cache model is an input to every memoized component result:
-     bump the generation (cheap, future-proof against gen reuse) and
-     drop the memos outright *)
   t.cache_gen <- t.cache_gen + 1;
-  Hashtbl.reset t.comp_cache;
   refresh_all_caps t;
   reallocate t (all_seeds t);
   if t.listeners <> [] then emit t (Config_changed config)
@@ -2005,18 +1751,15 @@ let link_latency_sketch t link_id dir =
 let flow_latency_sketch t = Option.map (fun sk -> sk.sk_flows) t.sketches
 
 let reallocations t = t.allocs
-let memo_enabled t = t.memo
-let memo_hits t = t.memo_hits
-let memo_misses t = t.memo_misses
-let warm_hits = memo_hits
-let warm_misses = memo_misses
+let warm_hits _ = 0
+let warm_misses _ = 0
 
 (* {2 Out-of-band scan exposition}
 
    The boundary-scan view of the fabric: every accessor below is a pure
    read of committed state. None of them syncs the lazy byte
    integration, emits an event, draws from the RNG, touches heap
-   generations or perturbs the component memo — the zero-impact contract
+   generations or moves the solver ledger — the zero-impact contract
    the scanport-idle bench asserts. Mutable arrays are copied so a
    caller can hold a snapshot across further simulation. *)
 
@@ -2047,13 +1790,6 @@ let scan_completion_heap t =
     (fun (at, (e, stamp)) ->
       (at, e.flow.Flow.id, stamp, stamp = e.hstamp && e.flow.Flow.state = Flow.Running))
     (U.Heap.to_list t.cheap)
-
-let scan_memo_keys t =
-  Hashtbl.fold
-    (fun key ms acc ->
-      List.fold_left (fun acc m -> (key, m.m_n, m.m_epoch) :: acc) acc ms)
-    t.comp_cache []
-  |> List.sort compare
 
 let scan_solver_stats t = t.solver_stats
 

@@ -16,8 +16,9 @@
     A reallocation on a loaded fabric allocates little: each flow's
     usage is one pair of flat arrays ({!Fairshare.demand}), the
     resource → flows index and the partition walk's scratch are int
-    arrays, a memo miss refills the arrays of the memo it evicts, and
-    no component-sized array is made around a young seed, so an epoch
+    arrays, the solve's buffers are grow-only, the only
+    component-sized array it makes is the component's entry array (one
+    word per flow), and none is made around a young seed, so an epoch
     forces no minor collection (MODEL.md §4). Neither the index nor the scratch keeps
     a stopped or completed flow reachable; only the completion heap's
     lazily deleted entries may, until they surface or the heap is
@@ -40,15 +41,11 @@
 
 type t
 
-val create : ?seed:int -> ?memo:bool -> Sim.t -> Ihnet_topology.Topology.t -> t
-(** [memo] is the component memo switch (default on): component
-    results are memoized against their exact inputs and replayed when
-    those inputs recur. [~memo:false] computes every component afresh;
-    it is the memo-free reference the differential tests compare
-    against. Rates, counters, digests and replay are bit-identical memo
-    on or off (MODEL.md §13); only the time spent computing them
-    changes. Reallocation runs on the calling domain (see "Reallocation
-    pipeline" in doc/MODEL.md). *)
+val create : ?seed:int -> Sim.t -> Ihnet_topology.Topology.t -> t
+(** A fabric over the topology, with no flow. [seed] (default 42)
+    seeds {!rng}. Every reallocation computes each component it walks
+    and commits it (MODEL.md §13). Reallocation runs on the calling
+    domain (see "Reallocation pipeline" in doc/MODEL.md). *)
 
 val sim : t -> Sim.t
 val topology : t -> Ihnet_topology.Topology.t
@@ -306,25 +303,14 @@ val set_config : t -> Ihnet_topology.Hostconfig.t -> unit
 val reallocations : t -> int
 (** Number of reallocation passes so far (cost model for §3.2-Q3). *)
 
-(** {1 Memo observability} *)
-
-val memo_enabled : t -> bool
-(** Whether the component memo is on (see {!create}). *)
-
-val memo_hits : t -> int
-(** Memo hits: components replayed from the memo instead of being
-    recomputed. *)
-
-val memo_misses : t -> int
-(** Memo misses: components that had to be computed. Both counters
-    stay 0 when the memo is off. Tests use hits/misses to assert that
-    fault, limit and config changes actually invalidate the memo. *)
-
 val warm_hits : t -> int
-(** {!memo_hits}, under the name the benchmark reads. *)
+(** Always 0: every reallocation computes each component it walks,
+    and none is replayed. It stays because the benchmark reads it (its
+    [fabric.memo_hit_ratio]), like the [incremental] field of
+    {!Fairshare.stats}. *)
 
 val warm_misses : t -> int
-(** {!memo_misses}, under the name the benchmark reads. *)
+(** Always 0, for the same reason as {!warm_hits}. *)
 
 (** {1 Out-of-band scan exposition}
 
@@ -334,7 +320,7 @@ val warm_misses : t -> int
     ({!link_bytes} &c., which run the lazy byte integration and may
     emit [Synced]), a scan never advances [last_update], never emits an
     event, never draws from the RNG, never bumps completion-heap
-    generations and never alters the component memo — so a run scanned
+    generations and never moves the solver ledger — so a run scanned
     at every epoch stays bit-identical to a bare run. Mutable arrays
     are returned as copies. *)
 
@@ -395,17 +381,11 @@ val scan_completion_heap : t -> (Ihnet_util.Units.ns * int * int * bool) list
     stamp or stopped flow) appear with [live = false] — the scan sees
     the heap exactly as stored, stale residue included. *)
 
-val scan_memo_keys : t -> (int * int * int) list
-(** Component memo occupancy: [(bucket_key, entries, last_hit_epoch)]
-    per memo, sorted. Empty when the memo is off — a
-    microarchitectural register, legitimately different memo on or
-    off. *)
-
 val scan_solver_stats : t -> Fairshare.stats
 (** The solver-work ledger, summed over every component compute:
     [Fairshare.solve] calls and DDIO spill iterations skipped at
-    the fixed point ({!Fairshare.stats}). Memo hits add nothing, so it
-    is also microarchitectural. *)
+    the fixed point ({!Fairshare.stats}). It is microarchitectural:
+    it says how the rates were computed, not what they are. *)
 
 val interned : t -> int * int
 (** [(footprints, usage vectors)]: how many distinct connectivity
@@ -427,8 +407,7 @@ val demands_solved : t -> int
     of every component compute (spill demands included). A component
     that passes the exactness certificate (MODEL.md §4) hands it one
     demand per demand class, otherwise one per flow, so this divided by
-    [(scan_solver_stats t).solves] is the mean demands per solve. Memo
-    hits add nothing. *)
+    [(scan_solver_stats t).solves] is the mean demands per solve. *)
 
 (** {1 The contention walk, read back}
 

@@ -321,8 +321,8 @@ type workspace = {
   mutable inc_off : int array; (* nr + 1: resource -> first incidence entry *)
   mutable cursor : int array; (* nr + 1: transpose fill cursor *)
   events : int U.Heap.t;
-  (* [allocate_into]'s demands: demand [i] is vector [i] of [d_vec],
-     laid out in demand order *)
+  (* [allocate]'s demands: demand [i] is vector [i] of [d_vec], laid
+     out in demand order *)
   d_vec : vectors;
   mutable d_ident : int array; (* d_ident.(i) = i *)
   mutable d_weight : float array;
@@ -623,12 +623,8 @@ let solve ~capacities vec ~n ~usage ~weight ~floor ~cap ~mult rates =
 
 (* Each demand is its own vector: the demands' usage is laid out in
    [d_vec] in demand order, in one pass that also checks it. *)
-let allocate_into ~capacities ~n demands out =
-  if n < 0 || n > Array.length demands then
-    invalidf "Fairshare.allocate_into: n = %d outside [0, %d]" n (Array.length demands);
-  if Array.length out < n then
-    invalidf "Fairshare.allocate_into: output holds %d rates, fewer than n = %d"
-      (Array.length out) n;
+let allocate ~capacities demands =
+  let n = Array.length demands in
   let nr = Array.length capacities in
   let ws = Domain.DLS.get workspace_key in
   let v = ws.d_vec in
@@ -673,12 +669,8 @@ let allocate_into ~capacities ~n demands out =
   done;
   (* the slots past [n] hold an earlier call's vectors; no demand names
      them, so [solve] never reads them *)
-  solve ~capacities v ~n ~usage:ws.d_ident ~weight ~floor ~cap ~mult:ws.d_mult out
-
-let allocate ~capacities demands =
-  let n = Array.length demands in
   let rates = Array.make n 0.0 in
-  allocate_into ~capacities ~n demands rates;
+  solve ~capacities v ~n ~usage:ws.d_ident ~weight ~floor ~cap ~mult:ws.d_mult rates;
   rates
 
 (* The fabric's solver-work ledger (see the interface). *)

@@ -55,18 +55,9 @@ val allocate : capacities:float array -> demand array -> float array
     frozen resource. O((n + Σ|usage|) log n) rather than the
     reference's O(n · (n + Σ|usage|)).
 
-    [allocate] is {!allocate_into} on a fresh array: its only
-    allocation of any size is the result. Both go through {!solve},
-    each demand being its own usage vector, of multiplicity 1. *)
-
-val allocate_into :
-  capacities:float array -> n:int -> demand array -> float array -> unit
-(** [allocate_into ~capacities ~n demands out] solves the first [n]
-    demands exactly as [allocate ~capacities (Array.sub demands 0 n)]
-    would, bit for bit, and writes demand [i]'s rate into [out.(i)].
-    [demands.(n..)] are neither read nor validated, and [out.(n..)] is
-    left untouched, so a caller can keep grow-only demand and rate
-    buffers of its own.
+    [allocate] goes through {!solve}, each demand being its own usage
+    vector, of multiplicity 1. Its only allocation of any size is the
+    result.
 
     The solver's scratch (the incidence arrays, the per-demand and
     per-resource arrays, the event heap) lives in a workspace owned by
@@ -81,9 +72,8 @@ val allocate_into :
     back, so only a signal handler that solves could do that, and
     ihnet installs none.
 
-    @raise Invalid_argument when [n < 0], [n > Array.length demands],
-    [Array.length out < n], or one of the first [n] demands breaks an
-    invariant {!validate} checks. *)
+    @raise Invalid_argument when a demand breaks an invariant
+    {!validate} checks. *)
 
 type vectors
 (** A table of usage vectors over a fixed number of resources, indexed
@@ -130,7 +120,7 @@ val solve :
     [x *. c] is the term one such demand adds ([x] its rate or its
     weight, [c] its coefficient there). At [k = 1.0] that is [x *. c]
     bit for bit, so a solve whose multiplicities are all 1.0 is, bit for
-    bit, what {!allocate_into} writes for the same demands with their
+    bit, what {!allocate} returns for the same demands with their
     usage as records: every float operation has the same operands in
     the same order.
 
@@ -156,7 +146,7 @@ val solve :
     must name a vector of [vec]; vectors no demand names are never
     read.
 
-    The workspace and reentrancy rules of {!allocate_into} apply.
+    The workspace and reentrancy rules of {!allocate} apply.
 
     @raise Invalid_argument when [n] exceeds a per-demand array,
     [Array.length out < n], [capacities] covers fewer resources than
@@ -175,9 +165,8 @@ val validate : capacities:float array -> demand array -> unit
     floor >= 0, cap >= 0, [res] and [coeff] of one length, in-range
     resources, coefficients > 0).
 
-    @raise Invalid_argument on the first violation. [allocate],
-    [allocate_into] and [allocate_reference] perform the same checks
-    (on the demands they solve) — with a real raise,
+    @raise Invalid_argument on the first violation. [allocate] and
+    [allocate_reference] perform the same checks — with a real raise,
     not [assert], so they survive [-noassert] builds. *)
 
 type stats = {
@@ -189,8 +178,7 @@ type stats = {
           reached the fixed point. *)
 }
 (** The fabric's solver-work ledger, summed over the components it
-    computes ({!Fabric.scan_solver_stats}). Memo hits replay a result
-    without solving and add nothing. [full_rebuilds] and [incremental]
+    computes ({!Fabric.scan_solver_stats}). [full_rebuilds] and [incremental]
     say nothing that [solves] does not; both stay because the
     benchmark reads them ([fairshare.full_rebuilds_per_op] and
     [fairshare.incremental_per_op] in [perfbench/]). *)

@@ -48,7 +48,8 @@ let static_partition_tick fabric tenants _ =
     tenants
 
 let install fabric policy ~period =
-  assert (period > 0.0);
+  if not (period > 0.0) then
+    invalid_arg (Printf.sprintf "Policy.install: period must be > 0 (got %g)" period);
   let handle = { policy; running = true } in
   (match policy with
   | No_management -> ()

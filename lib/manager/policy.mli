@@ -18,7 +18,8 @@ type handle
 
 val install : Ihnet_engine.Fabric.t -> t -> period:Ihnet_util.Units.ns -> handle
 (** Start the policy's enforcement shim (a no-op for
-    [No_management]). *)
+    [No_management]).
+    @raise Invalid_argument unless [period > 0.] (NaN is refused). *)
 
 val uninstall : handle -> unit
 

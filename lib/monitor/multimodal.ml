@@ -24,7 +24,8 @@ let threshold = 8.0
 
 let create ?(warmup = 64) ~series () =
   if series = [] then invalid_arg "Multimodal.create: empty series list";
-  assert (warmup > 1);
+  if warmup <= 1 then
+    invalid_arg (Printf.sprintf "Multimodal.create: warmup must be > 1 (got %d)" warmup);
   {
     series = Array.of_list series;
     warmup;

@@ -33,7 +33,8 @@ val create : ?warmup:int -> series:string list -> unit -> t
 (** [warmup] baseline vectors (default 64); [series] the telemetry
     series forming the feature vector, in order. The accumulated
     distance takes 0.5 of slack per sample and alarms above 8.0.
-    @raise Invalid_argument on an empty series list. *)
+    @raise Invalid_argument on an empty series list, or unless
+    [warmup > 1]. *)
 
 val observe : t -> at:Ihnet_util.Units.ns -> float array -> verdict
 (** Feed one feature vector (same arity and order as [series]). After

@@ -3,8 +3,7 @@
    draws, no heap or solver movement — the zero-impact contract the
    scanport-idle bench pins down. The register chain is emitted in one
    canonical order so two captures of bit-identical fabrics produce
-   byte-identical snapshots (and digests) with the component memo on
-   or off. *)
+   byte-identical snapshots (and digests). *)
 
 module E = Ihnet_engine
 module T = Ihnet_topology
@@ -232,15 +231,6 @@ let walk ?remediation ?evidence fab sink =
        arch "sketch/flows/hash" 0 "" H (hash_sketch sk)
    end);
   (* microarchitectural registers: how the answer was produced *)
-  micro "memo/enabled" 0 "" B (E.Fabric.memo_enabled fab);
-  micro "memo/hits" 0 "" I (E.Fabric.memo_hits fab);
-  micro "memo/misses" 0 "" I (E.Fabric.memo_misses fab);
-  List.iteri
-    (fun i (key, entries, hit_epoch) ->
-      micro "memo" i "key" I key;
-      micro "memo" i "entries" I entries;
-      micro "memo" i "epoch" I hit_epoch)
-    (E.Fabric.scan_memo_keys fab);
   let st = E.Fabric.scan_solver_stats fab in
   micro "solver/solves" 0 "" I st.E.Fairshare.solves;
   micro "solver/full_rebuilds" 0 "" I st.E.Fairshare.full_rebuilds;

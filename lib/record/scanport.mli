@@ -4,7 +4,7 @@
     The boundary-scan idea from JTAG, applied to the intra-host
     fabric: a side-band TAP that reads every interesting register —
     rate tables, byte counters, DDIO state, flow and completion-heap
-    internals, memo and solver-work counters, remediation state machines,
+    internals, the solver-work ledger, remediation state machines,
     evidence windows, latency-sketch planes — without going through
     the normal (telemetry) bus. Where a replay divergence names the
     first bad {e epoch}, diffing two scan snapshots names the first
@@ -13,19 +13,18 @@
     {b The zero-impact guarantee.} {!capture} is built exclusively on
     the [scan_*] exposition ({!Ihnet_engine.Fabric}, §scan): it never
     runs the lazy byte integration, never emits a fabric event, never
-    draws from the RNG, never bumps heap generations and never alters
-    the component memo. A run scanned at every epoch is bit-identical —
+    draws from the RNG, never bumps heap generations and never moves
+    the solver ledger. A run scanned at every epoch is bit-identical —
     digests, goldens, replay fingerprints — to a bare run; the
     [scanport-idle] bench subject asserts exactly that and CI gates
     it.
 
     {b Arch vs micro registers.} Registers are tagged:
-    [`Arch] registers are part of the determinism contract — equal
-    with the component memo on or off.
-    [`Micro] registers (memo occupancy, memo hit/miss and solver-work
-    counters) describe how the answer was produced and legitimately
-    differ memo on vs off; they are excluded from {!val-digest} and
-    from the default {!diff}. *)
+    [`Arch] registers are part of the determinism contract: what the
+    fabric computed, equal across replay.
+    [`Micro] registers (the solver-work ledger) describe how the answer
+    was produced, not what it is; they are excluded from {!val-digest}
+    and from the default {!diff}. *)
 
 (** {1 Scan records} *)
 
@@ -121,9 +120,8 @@ type mismatch = {
 val diff : ?scope:[ `Arch | `All ] -> snapshot -> snapshot -> mismatch option
 (** First divergent register between two snapshots, or [None] when
     every compared register matches exactly (floats by bits). The
-    default scope [`Arch] compares only contract registers, so a
-    memo-on and a memo-off snapshot of the same run diff clean; [`All] includes
-    the microarchitectural ones. Registers present on one side only
+    default scope [`Arch] compares only contract registers; [`All]
+    includes the microarchitectural ones. Registers present on one side only
     count as divergent ([d_left]/[d_right] = ["<absent>"]). *)
 
 val pp_mismatch : Format.formatter -> mismatch -> unit

@@ -250,7 +250,14 @@ let two_socket_with_cxl ?config () =
   topo
 
 let scaled ?config ~sockets ~switches_per_socket ~devices_per_switch () =
-  assert (sockets > 0 && switches_per_socket >= 0 && devices_per_switch >= 0);
+  if not (sockets > 0 && switches_per_socket >= 0 && devices_per_switch >= 0) then begin
+    let field, v, bound =
+      if sockets <= 0 then ("sockets", sockets, "> 0")
+      else if switches_per_socket < 0 then ("switches_per_socket", switches_per_socket, ">= 0")
+      else ("devices_per_switch", devices_per_switch, ">= 0")
+    in
+    invalid_arg (Printf.sprintf "Builder.scaled: %s must be %s (got %d)" field bound v)
+  end;
   let topo = Topology.create ?config ~name:"scaled" () in
   ignore (ensure_ext topo);
   let socks =

@@ -81,4 +81,7 @@ val scaled :
 (** Parametric family for scaling studies (E10): [sockets] sockets in a
     chain, each with [switches_per_socket] switches below one root
     complex and [devices_per_switch] endpoint devices (NIC/GPU/SSD
-    round-robin) per switch. *)
+    round-robin) per switch.
+    @raise Invalid_argument unless [sockets > 0],
+    [switches_per_socket >= 0] and [devices_per_switch >= 0], naming
+    the first field that is not. *)

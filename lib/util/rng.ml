@@ -13,6 +13,7 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
+let invalidf fmt = Printf.ksprintf invalid_arg fmt
 let split t = { state = bits64 t }
 let copy t = { state = t.state }
 let peek t = t.state
@@ -27,7 +28,7 @@ let stream seed i =
   { state = mix64 (Int64.add (mix64 (Int64.of_int seed)) (Int64.mul golden_gamma (Int64.of_int (i + 1)))) }
 
 let int t n =
-  assert (n > 0);
+  if n <= 0 then invalidf "Rng.int: n must be > 0 (got %d)" n;
   (* keep 62 bits so the value is a non-negative OCaml int *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod n
@@ -45,8 +46,12 @@ let exponential t mean =
   let u = 1.0 -. unit_float t in
   -.mean *. log u
 
+(* NaN fails both comparisons *)
 let pareto t alpha x_min =
-  assert (alpha > 0.0 && x_min > 0.0);
+  if not (alpha > 0.0 && x_min > 0.0) then begin
+    if not (alpha > 0.0) then invalidf "Rng.pareto: alpha must be > 0 (got %g)" alpha;
+    invalidf "Rng.pareto: x_min must be > 0 (got %g)" x_min
+  end;
   let u = 1.0 -. unit_float t in
   x_min /. (u ** (1.0 /. alpha))
 
@@ -77,7 +82,7 @@ let zipf_cdf n s =
     cdf
 
 let zipf t n s =
-  assert (n > 0);
+  if n <= 0 then invalidf "Rng.zipf: n must be > 0 (got %d)" n;
   let cdf = zipf_cdf n s in
   let u = unit_float t in
   (* smallest i with cdf.(i) >= u *)
@@ -98,5 +103,5 @@ let shuffle t a =
   done
 
 let pick t a =
-  assert (Array.length a > 0);
+  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))

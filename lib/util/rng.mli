@@ -36,7 +36,8 @@ val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
+(** [int t n] is uniform in [\[0, n)].
+    @raise Invalid_argument unless [n > 0]. *)
 
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
@@ -52,7 +53,9 @@ val exponential : t -> float -> float
 
 val pareto : t -> float -> float -> float
 (** [pareto t alpha x_min] draws from a Pareto distribution; heavy-tailed
-    flow sizes. Requires [alpha > 0.], [x_min > 0.]. *)
+    flow sizes.
+    @raise Invalid_argument unless [alpha > 0.] and [x_min > 0.]
+    (NaN is refused), naming the field. *)
 
 val gaussian : t -> float -> float -> float
 (** [gaussian t mu sigma] draws a normal variate (Box–Muller). *)
@@ -60,10 +63,12 @@ val gaussian : t -> float -> float -> float
 val zipf : t -> int -> float -> int
 (** [zipf t n s] draws a rank in [\[1, n\]] with Zipf exponent [s] by
     inversion on the precomputed CDF (O(log n) after an O(n) setup that
-    is cached per [(n, s)]). Models skewed key popularity. *)
+    is cached per [(n, s)]). Models skewed key popularity.
+    @raise Invalid_argument unless [n > 0]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
 val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
+(** Uniform element of a non-empty array.
+    @raise Invalid_argument on an empty array. *)

@@ -47,7 +47,9 @@ module Ewma = struct
   }
 
   let create ~alpha =
-    assert (alpha > 0.0 && alpha <= 1.0);
+    (* NaN fails the comparison *)
+    if not (alpha > 0.0 && alpha <= 1.0) then
+      invalid_arg (Printf.sprintf "Stats.Ewma.create: alpha must be in (0, 1] (got %g)" alpha);
     { alpha; avg = nan; var = 0.0; started = false }
 
   let add t x =
@@ -83,7 +85,8 @@ module Cusum = struct
   }
 
   let create ?(drift = 0.5) ~threshold () =
-    assert (threshold > 0.0);
+    if not (threshold > 0.0) then
+      invalid_arg (Printf.sprintf "Stats.Cusum.create: threshold must be > 0 (got %g)" threshold);
     { drift; threshold; up = 0.0; down = 0.0 }
 
   let add t ~expected ~sigma x =

@@ -36,7 +36,8 @@ module Ewma : sig
   type t
 
   val create : alpha:float -> t
-  (** [alpha] in (0,1]; higher reacts faster. *)
+  (** [alpha] in (0,1]; higher reacts faster.
+      @raise Invalid_argument when [alpha] is outside (0, 1] or NaN. *)
 
   val add : t -> float -> unit
   val value : t -> float
@@ -61,7 +62,8 @@ module Cusum : sig
 
   val create : ?drift:float -> threshold:float -> unit -> t
   (** [drift] (default 0.5) is the slack per sample in sigma units;
-      [threshold] is the alarm level in sigma units (typ. 4–8). *)
+      [threshold] is the alarm level in sigma units (typ. 4–8).
+      @raise Invalid_argument unless [threshold > 0.] (NaN is refused). *)
 
   val add : t -> expected:float -> sigma:float -> float -> [ `Ok | `Alarm of [ `Up | `Down ] ]
   (** Feed a sample with its expected value and scale. After an alarm the

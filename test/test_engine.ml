@@ -292,24 +292,6 @@ let fairshare_tests =
     tc "three unit-weight flows split evenly" (fun () ->
         let rates = Fairshare.allocate ~capacities:[| 60.0 |] (Array.make 3 (fs_demand [ (0, 1.0) ])) in
         Array.iter (fun r -> check_close "even" 20.0 r) rates);
-    tc "allocate_into solves a prefix and touches nothing past it" (fun () ->
-        let capacities = [| 100.0; 40.0 |] in
-        let prefix =
-          [|
-            fs_demand ~floor:5.0 [ (0, 1.0); (1, 1.0) ];
-            fs_demand ~cap:30.0 [ (0, 1.0) ];
-            fs_demand ~weight:2.0 [ (0, 1.5) ];
-          |]
-        in
-        (* past the prefix: a demand that would fail validation *)
-        let demands = Array.append prefix [| fs_demand ~weight:Float.nan [ (7, 1.0) ] |] in
-        let out = Array.make 6 (-7.0) in
-        Fairshare.allocate_into ~capacities ~n:3 demands out;
-        let bits a = Array.map Int64.bits_of_float a in
-        Alcotest.(check (array int64)) "prefix rates are allocate's, bit for bit"
-          (bits (Fairshare.allocate ~capacities prefix)) (bits (Array.sub out 0 3));
-        Alcotest.(check (array (float 0.0))) "out past n untouched" [| -7.0; -7.0; -7.0 |]
-          (Array.sub out 3 3));
     tc "solve refuses a multiplicity below 1, infinite or NaN, naming the demand" (fun () ->
         let vec = Fairshare.vectors ~nr:1 in
         Fairshare.set_vector vec 0 [| 0 |] [| 1.0 |];
@@ -327,27 +309,40 @@ let fairshare_tests =
                 (Printf.sprintf "Fairshare: demand 1: multiplicity must be finite and >= 1 (got %g)" k)
                 m)
           [ 0.5; 0.0; -1.0; nan; infinity ]);
-    tc "allocate_into refuses a bad n or a short output" (fun () ->
-        let capacities = [| 10.0 |] in
-        let demands = [| fs_demand [ (0, 1.0) ]; fs_demand [ (0, 1.0) ] |] in
-        let refused what f =
+    (* [validate] raises [Invalid_argument], a real raise rather than
+       an [assert], so it survives [-noassert] builds; [allocate] runs
+       the same checks. *)
+    tc "validate raises Invalid_argument (survives -noassert)" (fun () ->
+        let caps = [| 100.0 |] in
+        let expect_invalid name f =
           match f () with
-          | () -> Alcotest.failf "%s was accepted" what
           | exception Invalid_argument _ -> ()
+          | exception e ->
+            Alcotest.failf "%s: expected Invalid_argument, got %s" name (Printexc.to_string e)
+          | _ -> Alcotest.failf "%s: expected Invalid_argument, got a result" name
         in
-        refused "n = -1" (fun () ->
-            Fairshare.allocate_into ~capacities ~n:(-1) demands (Array.make 2 0.0));
-        refused "n past the demands" (fun () ->
-            Fairshare.allocate_into ~capacities ~n:3 demands (Array.make 3 0.0));
-        refused "an output shorter than n" (fun () ->
-            Fairshare.allocate_into ~capacities ~n:2 demands (Array.make 1 0.0)));
+        List.iter
+          (fun (name, dems) ->
+            expect_invalid ("validate " ^ name) (fun () -> Fairshare.validate ~capacities:caps dems);
+            expect_invalid ("allocate " ^ name) (fun () ->
+                ignore (Fairshare.allocate ~capacities:caps dems)))
+          [
+            ("weight=0", [| fs_demand ~weight:0.0 [ (0, 1.0) ] |]);
+            ("floor<0", [| fs_demand ~floor:(-1.0) [ (0, 1.0) ] |]);
+            ("cap<0", [| fs_demand ~cap:(-2.0) [ (0, 1.0) ] |]);
+            ("resource out of range", [| fs_demand [ (7, 1.0) ] |]);
+            ("coefficient=0", [| fs_demand [ (0, 0.0) ] |]);
+            ("weight=nan", [| fs_demand ~weight:Float.nan [ (0, 1.0) ] |]);
+            ( "fewer coefficients than resources",
+              [| { (fs_demand [ (0, 1.0) ]) with Fairshare.coeff = [||] } |] );
+          ]);
     (* The solver's scratch lives in a per-domain workspace, so a warm
-       solve allocates nothing on the major heap: words counted as
-       allocated there but not promoted from the minor heap were
-       allocated there directly (any array over 256 words). Minor
-       words are not pinned: floats crossing a module boundary are
-       boxed unless the compiler inlines across modules. *)
-    tc "a warm solve allocates nothing directly on the major heap" (fun () ->
+       [allocate] allocates nothing on the major heap but its result:
+       words counted as allocated there but not promoted from the minor
+       heap were allocated there directly (any array over 256 words).
+       Minor words are not pinned: floats crossing a module boundary
+       are boxed unless the compiler inlines across modules. *)
+    tc "a warm allocate allocates only its n+1-word result directly on the major heap" (fun () ->
         let n = 1000 and nr = 64 in
         let capacities = Array.init nr (fun r -> 80.0 +. float_of_int (r mod 7)) in
         let demands =
@@ -360,16 +355,13 @@ let fairshare_tests =
                    (fun (a, _) (b, _) -> compare a b)
                    [ (i mod nr, 1.0); (((i * 7) + 1) mod nr, 1.1); (((i * 13) + 5) mod nr, 1.0) ]))
         in
-        let out = Array.make n 0.0 in
-        Fairshare.allocate_into ~capacities ~n demands out;
+        ignore (Sys.opaque_identity (Fairshare.allocate ~capacities demands));
         let direct_major f =
           let _, promoted0, major0 = Gc.counters () in
           f ();
           let _, promoted1, major1 = Gc.counters () in
           int_of_float (major1 -. major0 -. (promoted1 -. promoted0))
         in
-        Alcotest.(check int) "allocate_into: 0 words" 0
-          (direct_major (fun () -> Fairshare.allocate_into ~capacities ~n demands out));
         Alcotest.(check int) "allocate: its n+1-word result" (n + 1)
           (direct_major (fun () ->
                ignore (Sys.opaque_identity (Fairshare.allocate ~capacities demands)))));
@@ -1030,9 +1022,57 @@ let epoch_tests =
         let before = minors () in
         ignore (Fabric.start_flow fab ~tenant:1 ~path:paths.(0) ~size:Flow.Unbounded ());
         Alcotest.(check int) "minor collections" 0 (minors () - before));
+    (* Words counted as allocated on the major heap but not promoted
+       from the minor heap were allocated there directly. The one
+       component-sized array a reallocation makes is the component's
+       entry array, one word per flow: the solve's buffers are
+       grow-only, and the loads fold in place. Every flow's weight
+       is its own, so the component fails the exactness certificate and
+       each epoch solves one demand per flow. *)
+    tc "a reallocation of a 1000-flow component allocates at most one word per flow directly on the major heap"
+      (fun () ->
+        let topo = T.Builder.dgx_like () in
+        let fab = Fabric.create (Sim.create ()) topo in
+        let paths = coupled_paths topo in
+        let rng = Ihnet_util.Rng.create 7 in
+        let n = 1000 and started = ref 0 in
+        let start () =
+          incr started;
+          Fabric.start_flow fab ~tenant:1
+            ~weight:(1.0 +. (float_of_int !started /. 1e4))
+            ~path:(Ihnet_util.Rng.pick rng paths) ~size:Flow.Unbounded ()
+        in
+        let live = ref [||] in
+        Fabric.batch fab (fun () -> live := Array.init n (fun _ -> start ()));
+        let live = !live in
+        let churn () =
+          let i = Ihnet_util.Rng.int rng n in
+          Fabric.stop_flow fab live.(i);
+          live.(i) <- start ()
+        in
+        for _ = 1 to 20 do
+          churn ()
+        done;
+        let r0 = Fabric.reallocations fab and d0 = Fabric.demands_solved fab in
+        let _, promoted0, major0 = Gc.counters () in
+        for _ = 1 to 200 do
+          churn ()
+        done;
+        let _, promoted1, major1 = Gc.counters () in
+        let epochs = Fabric.reallocations fab - r0 in
+        Alcotest.(check int) "epochs" 400 epochs;
+        Alcotest.(check int) "one demand per flow: 999 at a stop, 1000 at a start"
+          (200 * (999 + 1000))
+          (Fabric.demands_solved fab - d0);
+        let per_flow =
+          (major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int (epochs * n)
+        in
+        if per_flow > 1.1 then
+          Alcotest.failf "%.2f words per flow per reallocation directly on the major heap (> 1.1)"
+            per_flow);
     (* A batch's epoch is seeded by what its commands touched, as a
-       lone command's is: a component it did not reach is not looked
-       up, solved or recommitted, so its flows keep their completion
+       lone command's is: a component it did not reach is neither
+       solved nor recommitted, so its flows keep their completion
        keys. *)
     tc "a batch reallocates only the components its commands touched" (fun () ->
         let topo = T.Builder.two_socket_server () in
@@ -1056,13 +1096,14 @@ let epoch_tests =
         let b_rates () = List.map (fun (f : Flow.t) -> Int64.bits_of_float f.Flow.rate) b in
         let entries0 = b_entries () and rates0 = b_rates () in
         Alcotest.(check int) "path B holds live completion entries" 4 (List.length entries0);
-        let lookups () = Fabric.memo_hits fab + Fabric.memo_misses fab in
-        let l0 = lookups () and epochs0 = Fabric.reallocations fab in
+        let solves () = (Fabric.scan_solver_stats fab).Fairshare.solves in
+        let s0 = solves () and epochs0 = Fabric.reallocations fab in
         Fabric.batch fab (fun () ->
             Fabric.stop_flow fab a.(0);
             ignore (Fabric.start_flow fab ~tenant:1 ~path:pa ~size:Flow.Unbounded ()));
         Alcotest.(check int) "one epoch" (epochs0 + 1) (Fabric.reallocations fab);
-        Alcotest.(check int) "memo lookups: path A's component only" 1 (lookups () - l0);
+        (* path A's component has no LLC writer, so one solve computes it *)
+        Alcotest.(check int) "solves: path A's component only" 1 (solves () - s0);
         Alcotest.(check bool) "path B's completion entries unchanged" true (entries0 = b_entries ());
         Alcotest.(check (list int64)) "path B's rates unchanged" rates0 (b_rates ()));
   ]
@@ -1128,12 +1169,14 @@ let intern_tests =
         Alcotest.(check (pair int int)) "all stopped" (0, 0) (Fabric.interned fab));
     (* A fleet holds hundreds of hosts that never start a flow, so what a
        fabric carries before its first flow, every one of them pays. It
-       was 1,187 words before footprints were interned; the tables are
-       made at the first start_flow, and until then cost one field. *)
+       was 1,187 words before footprints were interned, and 1,186 until
+       the component memo and the load-fold scratch went; the intern
+       tables are made at the first start_flow, and until then cost one
+       field. *)
     tc "a fabric that never started a flow carries no intern tables" (fun () ->
         let fab = Fabric.create (Sim.create ()) (T.Builder.minimal ()) in
         let words = Obj.reachable_words (Obj.repr fab) in
-        if words > 1187 + 4 then Alcotest.failf "%d reachable words, over 1,187 + 4" words;
+        if words > 1084 + 4 then Alcotest.failf "%d reachable words, over 1,084 + 4" words;
         Alcotest.(check (pair int int)) "nothing interned" (0, 0) (Fabric.interned fab));
   ]
 
@@ -1256,11 +1299,11 @@ let walk_properties =
    exactness certificate (MODEL.md §4), and one per flow otherwise; the
    rates are the same bits either way. *)
 
-(* A memo-free DGX fabric holding [n] flows on the coupled paths,
+(* A DGX fabric holding [n] flows on the coupled paths,
    weighted as host-churn weights them, with [extra] started after *)
 let class_fabric ?(extra = fun _ _ -> ()) n =
   let topo = T.Builder.dgx_like () in
-  let fab = Fabric.create ~memo:false (Sim.create ()) topo in
+  let fab = Fabric.create (Sim.create ()) topo in
   let paths = coupled_paths topo in
   let flows =
     Array.init n (fun i ->
@@ -1320,7 +1363,7 @@ let class_tests =
         classes "and released again" 0);
     (* host-churn's shape: 1000 flows on 8 paths, weights 1 to 3, and
        two LLC writers that bring the sockets' spill fan-outs into the
-       certificate. Memo off, so every epoch solves. *)
+       certificate. *)
     tc "a stop/start on host-churn's 1000 coupled flows solves at most 40 demands" (fun () ->
         let llc fab topo =
           List.iter
@@ -1379,8 +1422,8 @@ let class_tests =
                      ~size:Flow.Unbounded ()) );
           ]);
     (* Words per re-seed (a set_flow_limits that changes nothing, so one
-       epoch of the whole component), memo off. Per flow, a compute
-       allocates only commit's boxed rate store (2 words). A flow of
+       epoch of the whole component). Per flow, a compute allocates only
+       its boxed rate store (2 words). A flow of
        cap 0 never grows and adds 0.0 to every load, so it leaves the
        sweep's events as they were; with a 65-page working set its
        coefficients fail the certificate, and the same 1000 flows are

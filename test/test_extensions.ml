@@ -83,6 +83,13 @@ let multimodal_tests =
     tc "empty series list rejected" (fun () ->
         Alcotest.check_raises "empty" (Invalid_argument "Multimodal.create: empty series list")
           (fun () -> ignore (Mon.Multimodal.create ~series:[] ())));
+    tc "a warmup <= 1 is refused, naming it" (fun () ->
+        List.iter
+          (fun warmup ->
+            let msg = Printf.sprintf "Multimodal.create: warmup must be > 1 (got %d)" warmup in
+            Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+                ignore (Mon.Multimodal.create ~warmup ~series:[ "a" ] ())))
+          [ 1; 0; -5 ]);
   ]
 
 (* {1 CXL substrate} *)

@@ -656,6 +656,15 @@ let policy_tests =
         Alcotest.(check bool) "memory flow capped" true (mem_flow.E.Flow.cap < infinity);
         Alcotest.(check bool) "pcie flow untouched" true (pcie_flow.E.Flow.cap = infinity);
         Policy.uninstall handle);
+    tc "install refuses a period <= 0, NaN included, before any effect" (fun () ->
+        let _, sim, fab = make_host () in
+        List.iter
+          (fun period ->
+            let msg = Printf.sprintf "Policy.install: period must be > 0 (got %g)" period in
+            Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+                ignore (Policy.install fab (Policy.Static_partition { tenants = [ 1 ] }) ~period)))
+          [ 0.0; -50.0; nan ];
+        Alcotest.(check bool) "nothing scheduled" true (E.Sim.pending sim = 0));
     tc "labels" (fun () ->
         Alcotest.(check string) "nm" "no-mgmt" (Policy.label Policy.No_management);
         Alcotest.(check string) "sp" "static-partition"

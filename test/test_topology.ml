@@ -154,6 +154,17 @@ let builder_tests =
           (Topology.device_count large > Topology.device_count small);
         Alcotest.(check bool) "valid small" true (Result.is_ok (Topology.validate small));
         Alcotest.(check bool) "valid large" true (Result.is_ok (Topology.validate large)));
+    tc "scaled refuses a bad count, naming the field" (fun () ->
+        List.iter
+          (fun (sockets, switches_per_socket, devices_per_switch, msg) ->
+            Alcotest.check_raises msg (Invalid_argument ("Builder.scaled: " ^ msg)) (fun () ->
+                ignore (Builder.scaled ~sockets ~switches_per_socket ~devices_per_switch ())))
+          [
+            (0, 1, 1, "sockets must be > 0 (got 0)");
+            (-2, 1, 1, "sockets must be > 0 (got -2)");
+            (1, -1, 1, "switches_per_socket must be >= 0 (got -1)");
+            (1, 1, -4, "devices_per_switch must be >= 0 (got -4)");
+          ]);
     tc "pcie upstream/downstream classification" (fun () ->
         let topo = Builder.two_socket_server () in
         let sw = (Topology.device_named topo "pciesw0").Device.id in

@@ -106,6 +106,34 @@ let rng_tests =
         let sorted = Array.copy a in
         Array.sort compare sorted;
         Alcotest.(check (array int)) "same elements" (Array.init 50 Fun.id) sorted);
+    tc "int refuses n <= 0, naming it" (fun () ->
+        List.iter
+          (fun n ->
+            Alcotest.check_raises (string_of_int n)
+              (Invalid_argument (Printf.sprintf "Rng.int: n must be > 0 (got %d)" n))
+              (fun () -> ignore (Rng.int (Rng.create 1) n)))
+          [ 0; -3 ]);
+    tc "zipf refuses n <= 0, naming it" (fun () ->
+        List.iter
+          (fun n ->
+            Alcotest.check_raises (string_of_int n)
+              (Invalid_argument (Printf.sprintf "Rng.zipf: n must be > 0 (got %d)" n))
+              (fun () -> ignore (Rng.zipf (Rng.create 1) n 1.2)))
+          [ 0; -3 ]);
+    tc "pareto refuses a bad alpha or x_min, NaN included, naming the field" (fun () ->
+        List.iter
+          (fun (alpha, x_min, msg) ->
+            Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+                ignore (Rng.pareto (Rng.create 1) alpha x_min)))
+          [
+            (0.0, 1.0, "Rng.pareto: alpha must be > 0 (got 0)");
+            (nan, 1.0, "Rng.pareto: alpha must be > 0 (got nan)");
+            (1.5, -2.0, "Rng.pareto: x_min must be > 0 (got -2)");
+            (1.5, nan, "Rng.pareto: x_min must be > 0 (got nan)");
+          ]);
+    tc "pick refuses an empty array" (fun () ->
+        Alcotest.check_raises "empty" (Invalid_argument "Rng.pick: empty array") (fun () ->
+            ignore (Rng.pick (Rng.create 1) [||])));
     prop "float t x stays in [0,x)" QCheck.(pair small_int (float_range 0.1 1e6))
       (fun (seed, x) ->
         let r = Rng.create seed in
@@ -163,6 +191,20 @@ let stats_tests =
           | `Alarm `Up | `Ok -> ()
         done;
         Alcotest.(check bool) "down alarm" true !alarm);
+    tc "ewma refuses an alpha outside (0, 1], NaN included" (fun () ->
+        List.iter
+          (fun alpha ->
+            let msg = Printf.sprintf "Stats.Ewma.create: alpha must be in (0, 1] (got %g)" alpha in
+            Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+                ignore (Stats.Ewma.create ~alpha)))
+          [ 0.0; 1.5; -0.2; nan ]);
+    tc "cusum refuses a threshold <= 0, NaN included" (fun () ->
+        List.iter
+          (fun threshold ->
+            let msg = Printf.sprintf "Stats.Cusum.create: threshold must be > 0 (got %g)" threshold in
+            Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+                ignore (Stats.Cusum.create ~threshold ())))
+          [ 0.0; -4.0; nan ]);
   ]
 
 (* {1 Histogram}
