@@ -29,6 +29,10 @@
    - flow-churn-classes-1k: the same op over flows weighted 1 + i mod 3,
      as host-churn weights them: 1000 flows in 24 demand classes, so
      the solver gets one demand per class, as host-churn pays it.
+   - flow-churn-bounded-1k: flow-churn-classes-1k plus 48 bounded flows
+     too large to finish, in the same classes, so every epoch re-keys
+     their completions and the completion heap compacts its stale keys
+     every few dozen ops, as host-churn's does.
    - the *-idle subjects, scan-digest, fleet-churn-1k and
      daemon-cmds-4: see their sections below.
 
@@ -197,12 +201,14 @@ let bench_churn ?(wire = fun _ -> ()) ~nic_of n =
 let bench_churn_local n = bench_churn ~nic_of:Fun.id n
 let bench_churn_coupled n = bench_churn ~nic_of:(fun i -> (i + 3) mod 8) n
 
-(* flow-churn-miss-1k and flow-churn-classes-1k: an op stops a random
-   flow and starts one on a random path; the flow just started is never
-   the one stopped, so the op is the one the committed references
-   measured. [weight k i] weighs the [k]th flow started, in slot
-   [i]. *)
-let bench_churn_random ~weight n =
+(* flow-churn-miss-1k, flow-churn-classes-1k and flow-churn-bounded-1k:
+   an op stops a random flow and starts one on a random path; the flow
+   just started is never the one stopped, so the op is the one the
+   committed references measured. [weight k i] weighs the [k]th flow
+   started, in slot [i]. The [bounded] flows beside them, started last
+   and one path after another, draw nothing from the generator, and
+   nothing stops them. *)
+let bench_churn_random ?(bounded = 0) ~weight n =
   let topo = T.Builder.dgx_like () in
   let sim = E.Sim.create () in
   let fab = E.Fabric.create sim topo in
@@ -214,7 +220,13 @@ let bench_churn_random ~weight n =
       ~path:(U.Rng.pick rng paths) ~size:E.Flow.Unbounded ()
   in
   let live = ref [||] in
-  E.Fabric.batch fab (fun () -> live := Array.init n start);
+  E.Fabric.batch fab (fun () ->
+      live := Array.init n start;
+      for i = 0 to bounded - 1 do
+        ignore
+          (E.Fabric.start_flow fab ~tenant:(1 + (i mod 16)) ~weight:(weight 0 i)
+             ~path:paths.(i mod Array.length paths) ~size:(E.Flow.Bytes 1e15) ())
+      done);
   let live = !live and last = ref (-1) in
   time_ops (fun () ->
       let i = U.Rng.int rng n in
@@ -227,8 +239,11 @@ let bench_churn_random ~weight n =
    own demand *)
 let bench_churn_miss n = bench_churn_random ~weight:(fun k _ -> 1.0 +. (1e-4 *. float_of_int k)) n
 
-let bench_churn_classes n =
-  bench_churn_random ~weight:(fun _ i -> 1.0 +. float_of_int (i mod 3)) n
+let classes_weight _ i = 1.0 +. float_of_int (i mod 3)
+let bench_churn_classes n = bench_churn_random ~weight:classes_weight n
+
+(* The simulated clock never moves, so no bounded flow finishes *)
+let bench_churn_bounded n = bench_churn_random ~bounded:48 ~weight:classes_weight n
 
 (* flow-churn-sketch-4096 is flow-churn-4096 with the always-on
    latency-sketch plane recording at every reallocation epoch — the
@@ -596,6 +611,7 @@ let () =
       ("flow-churn-coupled-4096", fun () -> bench_churn_coupled 4096);
       ("flow-churn-miss-1k", fun () -> bench_churn_miss 1000);
       ("flow-churn-classes-1k", fun () -> bench_churn_classes 1000);
+      ("flow-churn-bounded-1k", fun () -> bench_churn_bounded 1000);
       ("remediation-idle", bench_remediation_idle);
       ("recorder-idle", bench_recorder_idle);
       ("evidence-idle", bench_evidence_idle);

@@ -1306,6 +1306,10 @@ let record_link_latencies t sk (c : component) =
            ~extra:f.Fault.extra_latency ()))
     c.c_res
 
+(* A completion key outlived by a later commit of its flow, or by the
+   flow's end *)
+let stale_key (e, stamp) = stamp <> e.hstamp || e.flow.Flow.state <> Flow.Running
+
 (* Recompute rates for the component(s) reachable from [seeds] only;
    flows outside keep their rates, loads and completion events. Each
    component, in canonical order, is computed and committed before the
@@ -1341,19 +1345,17 @@ and reallocate_now t seeds =
   if t.listeners <> [] then emit t (Reallocated t.epoch)
 
 and schedule_next_completion t =
-  U.Heap.drop_while t.cheap (fun (e, stamp) ->
-      stamp <> e.hstamp || e.flow.Flow.state <> Flow.Running);
-  (* lazy deletion can leave stale entries below the top; compact when
-     they dominate so the heap stays proportional to the live flows *)
-  if U.Heap.size t.cheap > 64 + (4 * Hashtbl.length t.entries) then begin
-    let live = ref [] in
-    while not (U.Heap.is_empty t.cheap) do
-      let at = U.Heap.top_prio t.cheap and ((e, stamp) as v) = U.Heap.top t.cheap in
-      U.Heap.drop_top t.cheap;
-      if stamp = e.hstamp && e.flow.Flow.state = Flow.Running then live := (at, v) :: !live
-    done;
-    List.iter (fun (at, v) -> U.Heap.push t.cheap at v) !live
-  end;
+  U.Heap.drop_while t.cheap stale_key;
+  (* Every commit re-keys its flows without taking the old keys out,
+     so stale keys pile up below the top. Once the heap holds more than
+     64 keys plus four per registered flow, the stale ones are dropped
+     in place, and the live ones renumbered as popping every key and
+     pushing the live ones back, last-popped first, would: equal-time
+     keys come back reversed. What is left is the scan port's heap[i]/*
+     Arch registers (MODEL.md §4), so the rule is part of the
+     determinism contract. *)
+  if U.Heap.size t.cheap > 64 + (4 * Hashtbl.length t.entries) then
+    U.Heap.compact t.cheap (fun key -> not (stale_key key));
   if not (U.Heap.is_empty t.cheap) then begin
     let at = U.Heap.top_prio t.cheap in
     let epoch = t.epoch in
@@ -1368,8 +1370,7 @@ and handle_completions t =
   let completed = ref [] in
   let continue = ref true in
   while !continue do
-    U.Heap.drop_while t.cheap (fun (e, stamp) ->
-        stamp <> e.hstamp || e.flow.Flow.state <> Flow.Running);
+    U.Heap.drop_while t.cheap stale_key;
     if U.Heap.is_empty t.cheap then continue := false
     else begin
       let ((e, _) as top) = U.Heap.top t.cheap in
@@ -1787,8 +1788,7 @@ let scan_flows t = active_flows t
 
 let scan_completion_heap t =
   List.map
-    (fun (at, (e, stamp)) ->
-      (at, e.flow.Flow.id, stamp, stamp = e.hstamp && e.flow.Flow.state = Flow.Running))
+    (fun (at, ((e, stamp) as key)) -> (at, e.flow.Flow.id, stamp, not (stale_key key)))
     (U.Heap.to_list t.cheap)
 
 let scan_solver_stats t = t.solver_stats

@@ -81,6 +81,27 @@ let empty_top name = invalid_arg ("Heap." ^ name ^ ": empty heap")
 let top_prio t = if t.len = 0 then empty_top "top_prio" else t.prios.(0)
 let top t = if t.len = 0 then empty_top "top" else t.vals.(0)
 
+(* Sift the entry [prio, seq, value], held outside the arrays, down
+   from the hole at slot [i] among the first [n] slots, and write it
+   where it lands. *)
+let[@inline] sift_down t ~n i prio seq value =
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    (* the first of the entry and its children below slot [i]; -1 is
+       the entry itself *)
+    let first = if l < n && slot_first t l prio seq then l else -1 in
+    let first =
+      if r < n && (if first < 0 then slot_first t r prio seq else lt t r first) then r else first
+    in
+    if first < 0 then continue := false
+    else begin
+      move t ~src:first ~dst:!i;
+      i := first
+    end
+  done;
+  place t !i prio seq value
+
 let drop_top t =
   if t.len = 0 then empty_top "drop_top";
   let n = t.len - 1 in
@@ -88,24 +109,7 @@ let drop_top t =
   (* the last entry leaves its slot and is re-seated from the root *)
   let prio = t.prios.(n) and seq = t.seqs.(n) and value = t.vals.(n) in
   t.vals.(n) <- vacant ();
-  if n > 0 then begin
-    let i = ref 0 and continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      (* the first of the entry and its children below slot [i]; -1 is
-         the entry itself *)
-      let first = if l < n && slot_first t l prio seq then l else -1 in
-      let first =
-        if r < n && (if first < 0 then slot_first t r prio seq else lt t r first) then r else first
-      in
-      if first < 0 then continue := false
-      else begin
-        move t ~src:first ~dst:!i;
-        i := first
-      end
-    done;
-    place t !i prio seq value
-  end
+  if n > 0 then sift_down t ~n 0 prio seq value
 
 let pop t =
   if t.len = 0 then None
@@ -118,6 +122,44 @@ let pop t =
 let clear t =
   Array.fill t.vals 0 t.len (vacant ());
   t.len <- 0
+
+(* Sift every entry above the leaves down, deepest first: a heap of
+   the first [n] slots in O(n). *)
+let heapify t n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_down t ~n i t.prios.(i) t.seqs.(i) t.vals.(i)
+  done
+
+(* The kept entries end up as the pop-all, keep-live, push-back loop
+   leaves them: that loop pushes them last-popped first, so the one it
+   popped [j]th of [k] gets sequence number [next_seq + k - 1 - j] and
+   equal priorities come back in reverse. Here they are ranked without
+   allocating: heapified, then heap-sorted in place, each top swapped
+   to the end, so slot [k - 1 - j] holds the [j]th in (prio, seq)
+   order and its sequence number is [next_seq] plus its slot. A last
+   heapify under the new numbers restores the heap. *)
+let compact t keep =
+  let k = ref 0 in
+  for i = 0 to t.len - 1 do
+    if keep t.vals.(i) then begin
+      if !k < i then move t ~src:i ~dst:!k;
+      incr k
+    end
+  done;
+  let k = !k in
+  Array.fill t.vals k (t.len - k) (vacant ());
+  t.len <- k;
+  heapify t k;
+  for n = k - 1 downto 1 do
+    let prio = t.prios.(0) and seq = t.seqs.(0) and value = t.vals.(0) in
+    sift_down t ~n 0 t.prios.(n) t.seqs.(n) t.vals.(n);
+    place t n prio seq value
+  done;
+  for i = 0 to k - 1 do
+    t.seqs.(i) <- t.next_seq + i
+  done;
+  t.next_seq <- t.next_seq + k;
+  heapify t k
 
 let rec drop_while t pred =
   if t.len > 0 && pred t.vals.(0) then begin

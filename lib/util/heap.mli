@@ -2,8 +2,9 @@
 
     The simulator's event queue. Entries with equal priority are popped
     in insertion order (a monotone sequence number breaks ties), which
-    keeps event execution deterministic. A value taken out (by
-    {!pop}, {!drop_top}, {!drop_while} or {!clear}) is no longer
+    keeps event execution deterministic; {!compact} reverses that order
+    among the entries it keeps. A value taken out (by {!pop},
+    {!drop_top}, {!drop_while}, {!clear} or {!compact}) is no longer
     referenced by the heap, so the collector can free it. *)
 
 type 'a t
@@ -49,6 +50,15 @@ val drop_while : 'a t -> ('a -> bool) -> unit
 (** [drop_while h pred] pops entries while the minimum entry's value
     satisfies [pred]. Supports lazy deletion: push a generation stamp
     with each value and drop stale tops before peeking. *)
+
+val compact : 'a t -> ('a -> bool) -> unit
+(** [compact h keep] drops, in place, every entry whose value fails
+    [keep], which it calls once per entry in no set order and which
+    must not touch [h]. The kept entries come out as if popped all in
+    order and pushed back last-popped first: they keep their pop order
+    among distinct priorities, equal priorities come back reversed, and
+    the entries pushed after them pop after them at equal priority.
+    O(n + k log k) for [k] kept of [n]; allocates nothing. *)
 
 val to_list : 'a t -> (float * 'a) list
 (** All entries in pop order (non-destructive; O(n log n)). Testing aid. *)

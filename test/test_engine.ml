@@ -1106,6 +1106,57 @@ let epoch_tests =
         Alcotest.(check int) "solves: path A's component only" 1 (solves () - s0);
         Alcotest.(check bool) "path B's completion entries unchanged" true (entries0 = b_entries ());
         Alcotest.(check (list int64)) "path B's rates unchanged" rates0 (b_rates ()));
+    (* A commit re-keys its flows without taking their old keys out,
+       and the completion heap drops the stale ones once it holds more
+       than 64 keys plus four per flow. Three identical bounded flows
+       share one key, so the keys left show the equal-key rule: they
+       come back reversed, as the pop-all and push-back loop that the
+       in-place compaction replaced left them. The keys, the stamps and
+       the completion order are that loop's, hard-coded. *)
+    tc "a completion-heap compaction keeps what popping and pushing back kept" (fun () ->
+        let topo = T.Builder.dgx_like () in
+        let sim = Sim.create () in
+        let fab = Fabric.create sim topo in
+        let p = T.Routing.route topo "gpu0" "nic3" in
+        let completed = ref [] in
+        Fabric.subscribe fab (function
+          | Fabric.Flow_completed f ->
+            completed := Printf.sprintf "%d at %h" f.Flow.id (Sim.now sim) :: !completed
+          | _ -> ());
+        let unbounded = ref [] in
+        Fabric.batch fab (fun () ->
+            for _ = 1 to 3 do
+              ignore (Fabric.start_flow fab ~tenant:1 ~path:p ~size:(Flow.Bytes 1e8) ())
+            done;
+            unbounded :=
+              List.init 40 (fun _ -> Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded ()));
+        (* each stop raises the bounded flows' rate, so their new keys
+           sort below the stale ones, which drop_while then leaves *)
+        let keys () = List.length (Fabric.scan_completion_heap fab) in
+        let rec stop_until_compacted n = function
+          | [] -> Alcotest.fail "no compaction"
+          | f :: rest ->
+            let before = keys () in
+            Fabric.stop_flow fab f;
+            if keys () < before then n else stop_until_compacted (n + 1) rest
+        in
+        Alcotest.(check int) "compacted at the 34th stop: 105 keys, over 64 + 4 x 9 flows" 34
+          (stop_until_compacted 1 !unbounded);
+        Alcotest.(check (list string))
+          "heap[i]/at, flow, stamp, live"
+          [
+            "0x1.e0203a654p+24 0 35 true";
+            "0x1.e0203a654p+24 1 35 true";
+            "0x1.e0203a654p+24 2 35 true";
+          ]
+          (List.map
+             (fun (at, id, stamp, live) -> Printf.sprintf "%h %d %d %b" at id stamp live)
+             (Fabric.scan_completion_heap fab));
+        Sim.run ~until:1e9 sim;
+        Alcotest.(check (list string))
+          "Flow_completed order"
+          [ "2 at 0x1.e0203a654p+24"; "1 at 0x1.e0203a654p+24"; "0 at 0x1.e0203a654p+24" ]
+          (List.rev !completed));
   ]
 
 (* {1 Interned footprints and usage vectors, and the walk's order} *)
