@@ -31,8 +31,8 @@
      the solver gets one demand per class, as host-churn pays it.
    - flow-churn-bounded-1k: flow-churn-classes-1k plus 48 bounded flows
      too large to finish, in the same classes, so every epoch re-keys
-     their completions and the completion heap compacts its stale keys
-     every few dozen ops, as host-churn's does.
+     their 48 completion keys in place, as host-churn's epochs re-key
+     its bounded flows'.
    - the *-idle subjects, scan-digest, fleet-churn-1k and
      daemon-cmds-4: see their sections below.
 

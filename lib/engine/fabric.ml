@@ -21,7 +21,17 @@ type entry = {
   trow : float array; (* per-resource cumulative bytes, owning tenant's row *)
   crow : float array; (* per-resource cumulative bytes, traffic class row *)
   mutable slot : int; (* contention-index slot, -1 when not registered *)
-  mutable hstamp : int; (* completion-heap generation (lazy invalidation) *)
+  mutable hpos : int; (* the slot of its completion key, -1 when it has none *)
+}
+
+(* The completion heap's keys, one per running bounded flow with a
+   positive rate (see {2 The completion heap}) *)
+type completions = {
+  mutable at : float array; (* slot -> due time, absolute ns *)
+  mutable seq : int array; (* slot -> sequence number the key was set at *)
+  mutable ent : entry array; (* slot -> entry; [vacant ()] at and past [len] *)
+  mutable len : int;
+  mutable next_seq : int;
 }
 
 (* Per-socket memory fan-out used to stripe induced DDIO traffic: the
@@ -204,7 +214,7 @@ type t = {
   comp_sockets : int U.Vec.t; (* scratch: current component's coupled sockets *)
   comp_stack : int U.Vec.t; (* scratch: resources the BFS has yet to expand *)
   mutable ix : interns option; (* None before the first start_flow *)
-  cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
+  cheap : completions;
   mutable cache_gen : int; (* bumped when the cache config changes *)
   mutable solver_stats : Fairshare.stats; (* cumulative, over component computes *)
   mutable sketches : sketch_plane option; (* latency plane, off by default *)
@@ -376,7 +386,7 @@ let create ?(seed = 42) sim topo =
       comp_sockets = U.Vec.create ();
       comp_stack = U.Vec.create ();
       ix = None;
-      cheap = U.Heap.create ();
+      cheap = { at = [||]; seq = [||]; ent = [||]; len = 0; next_seq = 0 };
       cache_gen = 0;
       solver_stats = { Fairshare.solves = 0; full_rebuilds = 0; incremental = 0; unchanged = 0 };
       sketches = None;
@@ -823,6 +833,83 @@ let unregister t ix e =
     U.Vec.push ix.u_free u
   end
 
+(* {2 The completion heap}
+
+   A binary min-heap over the flat arrays of [completions]. Each entry
+   knows its key's slot, so a commit re-keys the key where it is and a
+   stop or completion takes it out: the heap holds nothing stale.
+   Sequence numbers are distinct, so the keys alone fix the pop order,
+   never the layout: equal due times pop in the order their keys were
+   last set (MODEL.md §4). Both sifts move a hole rather than swapping,
+   and update the slot of every entry they move. They are inlined, so
+   the due time they carry is never boxed. *)
+
+(* whether slot [i]'s key goes before the key ([at], [seq]) *)
+let[@inline] goes_before h i at seq = h.at.(i) < at || (h.at.(i) = at && h.seq.(i) < seq)
+
+let[@inline] put h i at seq e =
+  h.at.(i) <- at;
+  h.seq.(i) <- seq;
+  h.ent.(i) <- e;
+  e.hpos <- i
+
+let[@inline] sift_up h i at seq e =
+  let i = ref i in
+  while !i > 0 && not (goes_before h ((!i - 1) / 2) at seq) do
+    let p = (!i - 1) / 2 in
+    put h !i h.at.(p) h.seq.(p) h.ent.(p);
+    i := p
+  done;
+  put h !i at seq e
+
+let[@inline] sift_down h i at seq e =
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    (* the child that goes first *)
+    let c = if l + 1 < h.len && goes_before h (l + 1) h.at.(l) h.seq.(l) then l + 1 else l in
+    if c < h.len && goes_before h c at seq then begin
+      put h !i h.at.(c) h.seq.(c) h.ent.(c);
+      i := c
+    end
+    else continue := false
+  done;
+  put h !i at seq e
+
+(* Seat the key ([at], [seq]) of [e] from the hole at slot [i]: up
+   when it goes before the hole's parent, else down. *)
+let[@inline] seat h i at seq e =
+  if i > 0 && not (goes_before h ((i - 1) / 2) at seq) then sift_up h i at seq e
+  else sift_down h i at seq e
+
+(* Set [e]'s key to [at] with a fresh sequence number: re-keyed in
+   place when it has one, else inserted. *)
+let set_key h e at =
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let i =
+    if e.hpos >= 0 then e.hpos
+    else begin
+      if h.len = Array.length h.at then begin
+        let n = max 16 (2 * h.len) in
+        h.at <- widen h.at n 0.0;
+        h.seq <- widen h.seq n 0;
+        h.ent <- widen h.ent n (vacant ())
+      end;
+      h.len <- h.len + 1;
+      h.len - 1
+    end
+  in
+  seat h i at seq e
+
+(* Take [e]'s key out; the last key fills its hole. *)
+let remove_key h e =
+  let i = e.hpos and n = h.len - 1 in
+  e.hpos <- -1;
+  h.len <- n;
+  if i < n then seat h i h.at.(n) h.seq.(n) h.ent.(n);
+  h.ent.(n) <- vacant ()
+
 let all_seeds t = Array.init (Array.length t.res_slots) Fun.id
 
 (* The contention BFS both collectors share, within generation
@@ -1139,9 +1226,9 @@ let compute_component t tnow (c : component) =
     let e = c.c_entries.(i) in
     let f = e.flow in
     f.Flow.rate <- rates.(i);
-    e.hstamp <- e.hstamp + 1;
     if f.Flow.state = Flow.Running && f.Flow.remaining <> infinity && f.Flow.rate > 0.0 then
-      U.Heap.push t.cheap (tnow +. Flow.eta_ns f) (e, e.hstamp)
+      set_key t.cheap e (tnow +. Flow.eta_ns f)
+    else if e.hpos >= 0 then remove_key t.cheap e
   done;
   Array.iter
     (fun s ->
@@ -1306,10 +1393,6 @@ let record_link_latencies t sk (c : component) =
            ~extra:f.Fault.extra_latency ()))
     c.c_res
 
-(* A completion key outlived by a later commit of its flow, or by the
-   flow's end *)
-let stale_key (e, stamp) = stamp <> e.hstamp || e.flow.Flow.state <> Flow.Running
-
 (* Recompute rates for the component(s) reachable from [seeds] only;
    flows outside keep their rates, loads and completion events. Each
    component, in canonical order, is computed and committed before the
@@ -1345,19 +1428,8 @@ and reallocate_now t seeds =
   if t.listeners <> [] then emit t (Reallocated t.epoch)
 
 and schedule_next_completion t =
-  U.Heap.drop_while t.cheap stale_key;
-  (* Every commit re-keys its flows without taking the old keys out,
-     so stale keys pile up below the top. Once the heap holds more than
-     64 keys plus four per registered flow, the stale ones are dropped
-     in place, and the live ones renumbered as popping every key and
-     pushing the live ones back, last-popped first, would: equal-time
-     keys come back reversed. What is left is the scan port's heap[i]/*
-     Arch registers (MODEL.md §4), so the rule is part of the
-     determinism contract. *)
-  if U.Heap.size t.cheap > 64 + (4 * Hashtbl.length t.entries) then
-    U.Heap.compact t.cheap (fun key -> not (stale_key key));
-  if not (U.Heap.is_empty t.cheap) then begin
-    let at = U.Heap.top_prio t.cheap in
+  if t.cheap.len > 0 then begin
+    let at = t.cheap.at.(0) in
     let epoch = t.epoch in
     Sim.schedule t.sim
       ~after:(Float.max 0.0 (at -. Sim.now t.sim))
@@ -1367,34 +1439,27 @@ and schedule_next_completion t =
 and handle_completions t =
   sync t;
   let tnow = Sim.now t.sim in
+  let h = t.cheap in
   let completed = ref [] in
   let continue = ref true in
-  while !continue do
-    U.Heap.drop_while t.cheap stale_key;
-    if U.Heap.is_empty t.cheap then continue := false
-    else begin
-      let ((e, _) as top) = U.Heap.top t.cheap in
-      let f = e.flow in
-      if f.Flow.remaining <= 1.0 then begin
-        U.Heap.drop_top t.cheap;
-        e.hstamp <- e.hstamp + 1;
-        f.Flow.state <- Flow.Completed;
-        f.Flow.remaining <- 0.0;
-        f.Flow.completed_at <- tnow;
-        f.Flow.rate <- 0.0;
-        Hashtbl.remove t.entries f.Flow.id;
-        unregister t (interns t) e;
-        completed := e :: !completed
-      end
-      else if U.Heap.top_prio t.cheap <= tnow then begin
-        (* fired marginally early (float rounding): re-key to the fresh
-           remaining/rate estimate and keep draining *)
-        U.Heap.drop_top t.cheap;
-        if f.Flow.rate > 0.0 && f.Flow.remaining <> infinity then
-          U.Heap.push t.cheap (tnow +. Flow.eta_ns f) top
-      end
-      else continue := false
+  while !continue && h.len > 0 do
+    let e = h.ent.(0) in
+    let f = e.flow in
+    if f.Flow.remaining <= 1.0 then begin
+      remove_key h e;
+      f.Flow.state <- Flow.Completed;
+      f.Flow.remaining <- 0.0;
+      f.Flow.completed_at <- tnow;
+      f.Flow.rate <- 0.0;
+      Hashtbl.remove t.entries f.Flow.id;
+      unregister t (interns t) e;
+      completed := e :: !completed
     end
+    else if h.at.(0) <= tnow then
+      (* fired marginally early (float rounding): re-key to the fresh
+         remaining/rate estimate and keep draining *)
+      set_key h e (tnow +. Flow.eta_ns f)
+    else continue := false
   done;
   match !completed with
   | [] -> schedule_next_completion t
@@ -1507,7 +1572,7 @@ let start_flow t ~tenant ?(cls = Flow.Payload) ?(weight = 1.0) ?(floor = 0.0) ?(
       trow = tenant_row t tenant;
       crow = t.cls_rows.(cls_index cls);
       slot = -1;
-      hstamp = 0;
+      hpos = -1;
     }
   in
   Hashtbl.replace t.entries flow.Flow.id entry;
@@ -1523,7 +1588,7 @@ let stop_flow t (f : Flow.t) =
     f.Flow.rate <- 0.0;
     (match Hashtbl.find_opt t.entries f.Flow.id with
     | Some e ->
-      e.hstamp <- e.hstamp + 1;
+      if e.hpos >= 0 then remove_key t.cheap e;
       Hashtbl.remove t.entries f.Flow.id;
       unregister t (interns t) e;
       reallocate t e.conn
@@ -1759,8 +1824,8 @@ let warm_misses _ = 0
 
    The boundary-scan view of the fabric: every accessor below is a pure
    read of committed state. None of them syncs the lazy byte
-   integration, emits an event, draws from the RNG, touches heap
-   generations or moves the solver ledger — the zero-impact contract
+   integration, emits an event, draws from the RNG, reorders the
+   completion heap or moves the solver ledger — the zero-impact contract
    the scanport-idle bench asserts. Mutable arrays are copied so a
    caller can hold a snapshot across further simulation. *)
 
@@ -1787,9 +1852,10 @@ let scan_cls_rows t = Array.map Array.copy t.cls_rows
 let scan_flows t = active_flows t
 
 let scan_completion_heap t =
-  List.map
-    (fun (at, ((e, stamp) as key)) -> (at, e.flow.Flow.id, stamp, not (stale_key key)))
-    (U.Heap.to_list t.cheap)
+  let h = t.cheap in
+  List.init h.len (fun i -> (h.at.(i), h.seq.(i), h.ent.(i).flow.Flow.id))
+  |> List.sort compare
+  |> List.map (fun (at, _, id) -> (at, id))
 
 let scan_solver_stats t = t.solver_stats
 

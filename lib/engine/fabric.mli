@@ -10,8 +10,9 @@
     (see "Reallocation cost model" in doc/MODEL.md). Between changes,
     rates are constant and flow progress is integrated lazily, so
     simulated time advances in O(events), not O(time). Completions are
-    scheduled from a min-heap of predicted completion times rather
-    than a scan over the flow table.
+    scheduled from a min-heap of predicted completion times, one key
+    per running bounded flow with a positive rate, rather than a scan
+    over the flow table.
 
     A reallocation on a loaded fabric allocates little: each flow's
     usage is one pair of flat arrays ({!Fairshare.demand}), the
@@ -19,10 +20,9 @@
     arrays, the solve's buffers are grow-only, the only
     component-sized array it makes is the component's entry array (one
     word per flow), and none is made around a young seed, so an epoch
-    forces no minor collection (MODEL.md §4). Neither the index nor the scratch keeps
-    a stopped or completed flow reachable; only the completion heap's
-    lazily deleted entries may, until they surface or the heap is
-    compacted.
+    forces no minor collection (MODEL.md §4). Neither the index, the
+    scratch nor the completion heap keeps a stopped or completed flow
+    reachable.
 
     DDIO coupling: flows marked [llc_target] terminate at their CPU
     socket; the per-socket {!Cache} model converts the aggregate DDIO
@@ -375,11 +375,10 @@ val scan_cls_rows : t -> float array array
 val scan_flows : t -> Flow.t list
 (** Active flows, id ascending — {!active_flows} is already pure. *)
 
-val scan_completion_heap : t -> (Ihnet_util.Units.ns * int * int * bool) list
-(** Completion-heap contents in pop order:
-    [(due_at, flow_id, stamp, live)]. Lazily-deleted entries (stale
-    stamp or stopped flow) appear with [live = false] — the scan sees
-    the heap exactly as stored, stale residue included. *)
+val scan_completion_heap : t -> (Ihnet_util.Units.ns * int) list
+(** The completion keys in pop order, [(due_at, flow_id)]: one per
+    running bounded flow with a positive rate. Equal due times are in
+    the order their keys were last set. *)
 
 val scan_solver_stats : t -> Fairshare.stats
 (** The solver-work ledger, summed over every component compute:

@@ -63,6 +63,19 @@ let check_invariants ?manager fab =
         if f.E.Flow.remaining <> infinity then
           fail "flow %d unbounded but remaining=%.6g" f.E.Flow.id f.E.Flow.remaining)
     (E.Fabric.active_flows fab);
+  (* one completion key per running bounded flow with a positive rate *)
+  let keyed = List.sort compare (List.map snd (E.Fabric.scan_completion_heap fab)) in
+  let due =
+    List.filter_map
+      (fun (f : E.Flow.t) ->
+        if f.E.Flow.remaining <> infinity && f.E.Flow.rate > 0.0 then Some f.E.Flow.id else None)
+      (E.Fabric.active_flows fab)
+  in
+  if keyed <> due then begin
+    let ids l = String.concat " " (List.map string_of_int l) in
+    fail "completion keys held by flows [%s], but running bounded flows with a positive rate: [%s]"
+      (ids keyed) (ids due)
+  end;
   (* floors installed by the arbiter must belong to running flows *)
   (match manager with
   | None -> ()

@@ -78,8 +78,9 @@ val check_invariants : ?manager:Ihnet_manager.Manager.t -> Ihnet_engine.Fabric.t
 (** Structural health of a fabric, checked at every digest point during
     replay and exposed for tests: no link loaded beyond its effective
     capacity (small fluid-rounding slack), every bounded running flow
-    conserves bytes ([transferred + remaining = size]), and — when a
-    manager is given — every installed floor belongs to a running
-    flow. *)
+    conserves bytes ([transferred + remaining = size]), the completion
+    heap holds one key for each running bounded flow with a positive
+    rate and no other, and — when a manager is given — every installed
+    floor belongs to a running flow. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -170,13 +170,11 @@ let walk ?remediation ?evidence fab sink =
       arch "flow" id "remaining" F f.E.Flow.remaining;
       arch "flow" id "transferred" F f.E.Flow.transferred)
     (E.Fabric.scan_flows fab);
-  (* completion heap in pop order, lazily-deleted residue included *)
+  (* completion keys in pop order *)
   List.iteri
-    (fun i (due, fid, stamp, live) ->
+    (fun i (due, fid) ->
       arch "heap" i "at" F due;
-      arch "heap" i "flow" I fid;
-      arch "heap" i "stamp" I stamp;
-      arch "heap" i "live" B live)
+      arch "heap" i "flow" I fid)
     (E.Fabric.scan_completion_heap fab);
   (* remediation state machines, link ascending *)
   (match remediation with

@@ -5,8 +5,7 @@
 
    Slots of [vals] at and past [len] hold [vacant ()], an immediate, so
    a removed value is unreachable from the heap: the simulator's queue
-   does not keep executed closures alive, nor the completion heap
-   finished flows. Making every [vals] array from that immediate also
+   does not keep executed closures alive. Making every [vals] array from that immediate also
    keeps it a block array when ['a] is [float], so the immediate is
    never written into a flat float array. *)
 
@@ -122,62 +121,3 @@ let pop t =
 let clear t =
   Array.fill t.vals 0 t.len (vacant ());
   t.len <- 0
-
-(* Sift every entry above the leaves down, deepest first: a heap of
-   the first [n] slots in O(n). *)
-let heapify t n =
-  for i = (n / 2) - 1 downto 0 do
-    sift_down t ~n i t.prios.(i) t.seqs.(i) t.vals.(i)
-  done
-
-(* The kept entries end up as the pop-all, keep-live, push-back loop
-   leaves them: that loop pushes them last-popped first, so the one it
-   popped [j]th of [k] gets sequence number [next_seq + k - 1 - j] and
-   equal priorities come back in reverse. Here they are ranked without
-   allocating: heapified, then heap-sorted in place, each top swapped
-   to the end, so slot [k - 1 - j] holds the [j]th in (prio, seq)
-   order and its sequence number is [next_seq] plus its slot. A last
-   heapify under the new numbers restores the heap. *)
-let compact t keep =
-  let k = ref 0 in
-  for i = 0 to t.len - 1 do
-    if keep t.vals.(i) then begin
-      if !k < i then move t ~src:i ~dst:!k;
-      incr k
-    end
-  done;
-  let k = !k in
-  Array.fill t.vals k (t.len - k) (vacant ());
-  t.len <- k;
-  heapify t k;
-  for n = k - 1 downto 1 do
-    let prio = t.prios.(0) and seq = t.seqs.(0) and value = t.vals.(0) in
-    sift_down t ~n 0 t.prios.(n) t.seqs.(n) t.vals.(n);
-    place t n prio seq value
-  done;
-  for i = 0 to k - 1 do
-    t.seqs.(i) <- t.next_seq + i
-  done;
-  t.next_seq <- t.next_seq + k;
-  heapify t k
-
-let rec drop_while t pred =
-  if t.len > 0 && pred t.vals.(0) then begin
-    drop_top t;
-    drop_while t pred
-  end
-
-let to_list t =
-  let copy =
-    {
-      prios = Array.sub t.prios 0 t.len;
-      seqs = Array.sub t.seqs 0 t.len;
-      vals = Array.sub t.vals 0 t.len;
-      len = t.len;
-      next_seq = t.next_seq;
-    }
-  in
-  let rec drain acc =
-    match pop copy with None -> List.rev acc | Some pv -> drain (pv :: acc)
-  in
-  drain []

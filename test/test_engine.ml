@@ -1089,13 +1089,11 @@ let epoch_tests =
         Sim.run ~until:1000.0 sim;
         let b_ids = List.map (fun (f : Flow.t) -> f.Flow.id) b in
         let b_entries () =
-          List.filter
-            (fun (_, id, _, live) -> live && List.mem id b_ids)
-            (Fabric.scan_completion_heap fab)
+          List.filter (fun (_, id) -> List.mem id b_ids) (Fabric.scan_completion_heap fab)
         in
         let b_rates () = List.map (fun (f : Flow.t) -> Int64.bits_of_float f.Flow.rate) b in
         let entries0 = b_entries () and rates0 = b_rates () in
-        Alcotest.(check int) "path B holds live completion entries" 4 (List.length entries0);
+        Alcotest.(check int) "path B holds completion keys" 4 (List.length entries0);
         let solves () = (Fabric.scan_solver_stats fab).Fairshare.solves in
         let s0 = solves () and epochs0 = Fabric.reallocations fab in
         Fabric.batch fab (fun () ->
@@ -1104,16 +1102,16 @@ let epoch_tests =
         Alcotest.(check int) "one epoch" (epochs0 + 1) (Fabric.reallocations fab);
         (* path A's component has no LLC writer, so one solve computes it *)
         Alcotest.(check int) "solves: path A's component only" 1 (solves () - s0);
-        Alcotest.(check bool) "path B's completion entries unchanged" true (entries0 = b_entries ());
+        Alcotest.(check bool) "path B's completion keys unchanged" true (entries0 = b_entries ());
         Alcotest.(check (list int64)) "path B's rates unchanged" rates0 (b_rates ()));
-    (* A commit re-keys its flows without taking their old keys out,
-       and the completion heap drops the stale ones once it holds more
-       than 64 keys plus four per flow. Three identical bounded flows
-       share one key, so the keys left show the equal-key rule: they
-       come back reversed, as the pop-all and push-back loop that the
-       in-place compaction replaced left them. The keys, the stamps and
-       the completion order are that loop's, hard-coded. *)
-    tc "a completion-heap compaction keeps what popping and pushing back kept" (fun () ->
+    (* A commit re-keys its flows' completion keys in place, so the
+       heap holds one key per running bounded flow however many epochs
+       re-keyed them. Three identical bounded flows share one due time:
+       each commit walks them newest-registered first and sets their
+       keys 2, 1, 0, so the heap pops them in that order, and the
+       completion epoch emits Flow_completed in reverse pop order. *)
+    tc "equal-time completions complete in the order their keys were set, however many epochs re-keyed them"
+      (fun () ->
         let topo = T.Builder.dgx_like () in
         let sim = Sim.create () in
         let fab = Fabric.create sim topo in
@@ -1130,33 +1128,47 @@ let epoch_tests =
             done;
             unbounded :=
               List.init 40 (fun _ -> Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded ()));
-        (* each stop raises the bounded flows' rate, so their new keys
-           sort below the stale ones, which drop_while then leaves *)
-        let keys () = List.length (Fabric.scan_completion_heap fab) in
-        let rec stop_until_compacted n = function
-          | [] -> Alcotest.fail "no compaction"
-          | f :: rest ->
-            let before = keys () in
-            Fabric.stop_flow fab f;
-            if keys () < before then n else stop_until_compacted (n + 1) rest
-        in
-        Alcotest.(check int) "compacted at the 34th stop: 105 keys, over 64 + 4 x 9 flows" 34
-          (stop_until_compacted 1 !unbounded);
+        (* each stop raises the bounded flows' rate and re-keys them *)
+        List.iteri
+          (fun i f ->
+            if i < 34 then begin
+              Fabric.stop_flow fab f;
+              Alcotest.(check int)
+                (Printf.sprintf "keys after stop %d" (i + 1))
+                3
+                (List.length (Fabric.scan_completion_heap fab))
+            end)
+          !unbounded;
         Alcotest.(check (list string))
-          "heap[i]/at, flow, stamp, live"
-          [
-            "0x1.e0203a654p+24 0 35 true";
-            "0x1.e0203a654p+24 1 35 true";
-            "0x1.e0203a654p+24 2 35 true";
-          ]
-          (List.map
-             (fun (at, id, stamp, live) -> Printf.sprintf "%h %d %d %b" at id stamp live)
-             (Fabric.scan_completion_heap fab));
+          "heap[i]/at, flow"
+          [ "0x1.e0203a654p+24 2"; "0x1.e0203a654p+24 1"; "0x1.e0203a654p+24 0" ]
+          (List.map (fun (at, id) -> Printf.sprintf "%h %d" at id) (Fabric.scan_completion_heap fab));
         Sim.run ~until:1e9 sim;
         Alcotest.(check (list string))
           "Flow_completed order"
-          [ "2 at 0x1.e0203a654p+24"; "1 at 0x1.e0203a654p+24"; "0 at 0x1.e0203a654p+24" ]
+          [ "0 at 0x1.e0203a654p+24"; "1 at 0x1.e0203a654p+24"; "2 at 0x1.e0203a654p+24" ]
           (List.rev !completed));
+    (* Nothing of a stopped flow stays in the completion heap. The
+       fourth flow is made inside a closure, so only the fabric could
+       still reach it; the fabric itself stays alive past the check. *)
+    tc "a stopped bounded flow is unreachable from a live fabric" (fun () ->
+        let topo = T.Builder.dgx_like () in
+        let sim = Sim.create () in
+        let fab = Fabric.create sim topo in
+        let p = T.Routing.route topo "gpu0" "nic3" in
+        for _ = 1 to 3 do
+          ignore (Fabric.start_flow fab ~tenant:1 ~path:p ~size:(Flow.Bytes 1e8) ())
+        done;
+        let w = Weak.create 1 in
+        (fun () ->
+          let f = Fabric.start_flow fab ~tenant:1 ~path:p ~size:(Flow.Bytes 1e8) () in
+          Weak.set w 0 (Some f);
+          Sim.run ~until:1000.0 sim;
+          Fabric.stop_flow fab f)
+          ();
+        Gc.full_major ();
+        Alcotest.(check bool) "freed" true (not (Weak.check w 0));
+        ignore (Sys.opaque_identity fab));
   ]
 
 (* {1 Interned footprints and usage vectors, and the walk's order} *)

@@ -305,45 +305,11 @@ let removal_frees name remove =
       in
       Alcotest.(check bool) "freed" true (freed_after ~push ~remove))
 
-(* The loop [Heap.compact] stands for: pop every entry, cons the kept
-   ones, push the list back (so last-popped first). *)
-let compact_by_popping h keep =
-  let kept = ref [] in
-  while not (Heap.is_empty h) do
-    let at = Heap.top_prio h and v = Heap.top h in
-    Heap.drop_top h;
-    if keep v then kept := (at, v) :: !kept
-  done;
-  List.iter (fun (at, v) -> Heap.push h at v) !kept
-
-(* A script step: [Some p] pushes the next id at priority [p], [None]
-   drops the top if there is one. Returns the ids popped. *)
-let run_script h next script =
-  List.fold_left
-    (fun popped step ->
-      match step with
-      | Some p ->
-        Heap.push h (float_of_int p) !next;
-        incr next;
-        popped
-      | None when Heap.is_empty h -> popped
-      | None ->
-        let v = Heap.top h in
-        Heap.drop_top h;
-        v :: popped)
-    [] script
-  |> List.rev
-
-(* random scripts: pushes at eight priorities, and drops *)
-let script ~size = QCheck.(list_of_size size (option (int_bound 7)))
-
 let heap_tests =
   [
     removal_frees "drop_top" Heap.drop_top;
     removal_frees "pop" (fun h -> ignore (Heap.pop h));
-    removal_frees "drop_while" (fun h -> Heap.drop_while h (fun _ -> true));
     removal_frees "clear" Heap.clear;
-    removal_frees "compact" (fun h -> Heap.compact h (fun _ -> false));
     tc "grow's spare slots leave a removed value unreachable" (fun () ->
         (* the watched value is the first pushed, so grow sizes the
            arrays on its push; a later value stays in the heap *)
@@ -398,7 +364,12 @@ let heap_tests =
       (fun xs ->
         let h = Heap.create () in
         List.iter (fun x -> Heap.push h x x) xs;
-        let drained = List.map fst (Heap.to_list h) in
+        let copy = Heap.create () in
+        List.iter (fun x -> Heap.push copy x x) xs;
+        let rec via_pop acc =
+          match Heap.pop copy with None -> List.rev acc | Some (p, _) -> via_pop (p :: acc)
+        in
+        let drained = via_pop [] in
         (* the top accessors drain in the same order pop does *)
         let rec via_top acc =
           if Heap.is_empty h then List.rev acc
@@ -409,52 +380,14 @@ let heap_tests =
           end
         in
         drained = List.sort compare xs && via_top [] = drained);
-    (* priorities from eight values, so most entries tie; [salt mod 5]
-       of every four ids are kept, from none to all *)
-    prop "compact leaves what popping every entry and pushing back the kept ones leaves"
-      QCheck.(
-        triple (script ~size:Gen.(int_range 0 300)) (int_bound 1_000_000) (script ~size:(Gen.return 20)))
-      (fun (build, salt, after) ->
-        let keep v = Hashtbl.hash (salt, v) mod 4 < salt mod 5 in
-        let fresh () =
-          let h = Heap.create () and next = ref 0 in
-          ignore (run_script h next build);
-          (h, next)
-        in
-        let h, next = fresh () and r, rnext = fresh () in
-        Heap.compact h keep;
-        compact_by_popping r keep;
-        (* the pushes after it tie with kept entries, so the pops show
-           the next sequence number too *)
-        Heap.to_list h = Heap.to_list r && run_script h next after = run_script r rnext after);
-    tc "compact on an empty heap, keeping nothing and keeping everything" (fun () ->
-        let h = Heap.create () in
-        Heap.compact h (fun _ -> true);
-        Alcotest.(check int) "empty stays empty" 0 (Heap.size h);
-        List.iter (fun (p, v) -> Heap.push h p v)
-          [ (1.0, "a"); (1.0, "b"); (0.5, "c"); (1.0, "d") ];
-        Heap.compact h (fun _ -> true);
-        (* equal priorities come back reversed; a later push at one of
-           them pops after every kept entry *)
-        Heap.push h 1.0 "e";
-        Alcotest.(check (list (pair (float 0.0) string)))
-          "everything kept"
-          [ (0.5, "c"); (1.0, "d"); (1.0, "b"); (1.0, "a"); (1.0, "e") ]
-          (Heap.to_list h);
-        Heap.compact h (fun _ -> false);
-        Alcotest.(check int) "nothing kept" 0 (Heap.size h);
-        Alcotest.(check bool) "nothing to pop" true (Heap.pop h = None));
-    (* The fabric compacts a heap of a few thousand stale keys down to
-       the few dozen live ones; the sift that drop_top shares with it
-       is inlined, so neither boxes a priority. *)
-    tc "compacting 4,096 entries down to 64, and draining them, allocates nothing" (fun () ->
+    (* The simulator drains its queue through drop_top, whose sift is
+       inlined, so it boxes no priority. *)
+    tc "draining 4,096 entries allocates nothing" (fun () ->
         let h = Heap.create () in
         for i = 0 to 4095 do
           Heap.push h (float_of_int (i mod 97)) i
         done;
-        let keep i = i mod 64 = 0 in
         let w0 = Gc.minor_words () in
-        Heap.compact h keep;
         while not (Heap.is_empty h) do
           Heap.drop_top h
         done;
